@@ -1723,29 +1723,6 @@ mod a2_tests {
 // OBS — end-to-end observability snapshot
 // ---------------------------------------------------------------------
 
-/// Folds a profiled plan into JSON, one object per operator.
-fn profile_to_json(p: &exptime_core::algebra::PlanProfile) -> exptime_obs::JsonValue {
-    use exptime_obs::JsonValue as J;
-    J::Object(vec![
-        ("operator".into(), J::String(p.label.clone())),
-        ("rows_in".into(), J::Uint(p.rows_in())),
-        ("rows_out".into(), J::Uint(p.rows_out)),
-        ("expired_filtered".into(), J::Uint(p.expired_filtered)),
-        (
-            "texp".into(),
-            match p.texp.finite() {
-                Some(t) => J::Uint(t),
-                None => J::Null,
-            },
-        ),
-        ("elapsed_ns".into(), J::Uint(p.elapsed.as_nanos() as u64)),
-        (
-            "children".into(),
-            J::Array(p.children.iter().map(profile_to_json).collect()),
-        ),
-    ])
-}
-
 /// OBS: one end-to-end mixed workload (heavy-tailed session inserts, a
 /// materialised view, periodic queries, expirations) run with the
 /// observability layer watching, then snapshotted: every `db.*`,
@@ -1807,7 +1784,7 @@ pub fn obs_snapshot(rows: usize, seed: u64) -> (Report, exptime_obs::JsonValue) 
         ("rows".into(), J::Uint(rows as u64)),
         ("seed".into(), J::Uint(seed)),
         ("metrics".into(), db.metrics().snapshot()),
-        ("plan".into(), profile_to_json(&explain.profile)),
+        ("plan".into(), explain.profile.to_json()),
         (
             "refresh_decisions".into(),
             J::Array(

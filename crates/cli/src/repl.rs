@@ -15,7 +15,7 @@ use exptime_obs::{
     expose_json, expose_prometheus, fold_spans, render_flame, render_span_tree, RingSink,
     SPAN_RING_CAP,
 };
-use exptime_sql::{plan_query, SchemaProvider};
+use exptime_sql::plan_query;
 use std::sync::Arc;
 
 /// Events kept for `\events` (a bounded ring; older ones are dropped).
@@ -652,8 +652,7 @@ impl Repl {
         let exptime_sql::Statement::Select(query) = stmt else {
             return Outcome::Text("\\plan takes a SELECT statement\n".into());
         };
-        let provider = DbProvider(db);
-        let expr = match plan_query(&query, &provider) {
+        let expr = match plan_query(&query, &*db) {
             Ok(e) => e,
             Err(e) => return Outcome::Text(format!("error: {e}\n")),
         };
@@ -777,14 +776,6 @@ fn chaos_demo(seed: u64) -> String {
     ));
     out.push_str(&rep.link().schedule_report());
     out
-}
-
-struct DbProvider<'a>(&'a Database);
-
-impl SchemaProvider for DbProvider<'_> {
-    fn schema_of(&self, name: &str) -> Result<exptime_core::schema::Schema, exptime_sql::SqlError> {
-        self.0.schema_of_relation(name)
-    }
 }
 
 #[cfg(test)]

@@ -114,24 +114,60 @@ impl Materialized {
     }
 }
 
+/// What the one evaluator tells an observer, per operator: `enter` before
+/// the operator's inputs are evaluated, `leave` once its own result
+/// exists. Calls nest exactly like the expression, so an implementation
+/// can rebuild the operator tree with a stack. There are two: [`NoProbe`]
+/// (every call is an empty inline body, so `eval` compiles to the bare
+/// recursion) and the `PlanProfile` recorder behind
+/// [`eval_profiled`](crate::algebra::profile::eval_profiled).
+pub(crate) trait Probe {
+    fn enter(&mut self);
+    /// `expired_filtered` is non-zero only at `Base` leaves: stored
+    /// tuples dropped because `texp ≤ τ`.
+    fn leave(&mut self, expr: &Expr, rows_out: usize, expired_filtered: usize, texp: Time);
+}
+
+/// The probe that observes nothing.
+pub(crate) struct NoProbe;
+
+impl Probe for NoProbe {
+    #[inline]
+    fn enter(&mut self) {}
+    #[inline]
+    fn leave(&mut self, _: &Expr, _: usize, _: usize, _: Time) {}
+}
+
 struct Sub {
     rel: Relation,
     texp: Time,
     validity: IntervalSet,
 }
 
-fn eval_rec(expr: &Expr, catalog: &Catalog, tau: Time, opts: &EvalOptions) -> Result<Sub> {
-    let full = IntervalSet::from_time(tau);
-    Ok(match expr {
-        Expr::Base(name) => Sub {
-            rel: catalog.get(name)?.exp(tau),
-            // "The expiration time of a base relation is defined to be
-            // infinity."
-            texp: Time::INFINITY,
-            validity: full,
-        },
+fn eval_rec<P: Probe>(
+    expr: &Expr,
+    catalog: &Catalog,
+    tau: Time,
+    opts: &EvalOptions,
+    probe: &mut P,
+) -> Result<Sub> {
+    probe.enter();
+    let mut expired_filtered = 0;
+    let sub = match expr {
+        Expr::Base(name) => {
+            let stored = catalog.get(name)?;
+            let rel = stored.exp(tau);
+            expired_filtered = stored.len() - rel.len();
+            Sub {
+                rel,
+                // "The expiration time of a base relation is defined to be
+                // infinity."
+                texp: Time::INFINITY,
+                validity: IntervalSet::from_time(tau),
+            }
+        }
         Expr::Select { input, predicate } => {
-            let i = eval_rec(input, catalog, tau, opts)?;
+            let i = eval_rec(input, catalog, tau, opts, probe)?;
             Sub {
                 rel: ops::select(&i.rel, predicate, tau)?,
                 texp: i.texp,
@@ -139,7 +175,7 @@ fn eval_rec(expr: &Expr, catalog: &Catalog, tau: Time, opts: &EvalOptions) -> Re
             }
         }
         Expr::Project { input, positions } => {
-            let i = eval_rec(input, catalog, tau, opts)?;
+            let i = eval_rec(input, catalog, tau, opts, probe)?;
             Sub {
                 rel: ops::project(&i.rel, positions, tau)?,
                 texp: i.texp,
@@ -147,8 +183,8 @@ fn eval_rec(expr: &Expr, catalog: &Catalog, tau: Time, opts: &EvalOptions) -> Re
             }
         }
         Expr::Product { left, right } => {
-            let l = eval_rec(left, catalog, tau, opts)?;
-            let r = eval_rec(right, catalog, tau, opts)?;
+            let l = eval_rec(left, catalog, tau, opts, probe)?;
+            let r = eval_rec(right, catalog, tau, opts, probe)?;
             Sub {
                 rel: ops::product(&l.rel, &r.rel, tau)?,
                 texp: l.texp.min(r.texp),
@@ -156,8 +192,8 @@ fn eval_rec(expr: &Expr, catalog: &Catalog, tau: Time, opts: &EvalOptions) -> Re
             }
         }
         Expr::Union { left, right } => {
-            let l = eval_rec(left, catalog, tau, opts)?;
-            let r = eval_rec(right, catalog, tau, opts)?;
+            let l = eval_rec(left, catalog, tau, opts, probe)?;
+            let r = eval_rec(right, catalog, tau, opts, probe)?;
             Sub {
                 rel: ops::union(&l.rel, &r.rel, tau)?,
                 texp: l.texp.min(r.texp),
@@ -169,8 +205,8 @@ fn eval_rec(expr: &Expr, catalog: &Catalog, tau: Time, opts: &EvalOptions) -> Re
             right,
             predicate,
         } => {
-            let l = eval_rec(left, catalog, tau, opts)?;
-            let r = eval_rec(right, catalog, tau, opts)?;
+            let l = eval_rec(left, catalog, tau, opts, probe)?;
+            let r = eval_rec(right, catalog, tau, opts, probe)?;
             Sub {
                 rel: ops::join(&l.rel, &r.rel, predicate, tau)?,
                 texp: l.texp.min(r.texp),
@@ -178,8 +214,8 @@ fn eval_rec(expr: &Expr, catalog: &Catalog, tau: Time, opts: &EvalOptions) -> Re
             }
         }
         Expr::Intersect { left, right } => {
-            let l = eval_rec(left, catalog, tau, opts)?;
-            let r = eval_rec(right, catalog, tau, opts)?;
+            let l = eval_rec(left, catalog, tau, opts, probe)?;
+            let r = eval_rec(right, catalog, tau, opts, probe)?;
             Sub {
                 rel: ops::intersect(&l.rel, &r.rel, tau)?,
                 texp: l.texp.min(r.texp),
@@ -187,8 +223,8 @@ fn eval_rec(expr: &Expr, catalog: &Catalog, tau: Time, opts: &EvalOptions) -> Re
             }
         }
         Expr::Difference { left, right } => {
-            let l = eval_rec(left, catalog, tau, opts)?;
-            let r = eval_rec(right, catalog, tau, opts)?;
+            let l = eval_rec(left, catalog, tau, opts, probe)?;
+            let r = eval_rec(right, catalog, tau, opts, probe)?;
             let meta = ops::difference_meta(&l.rel, &r.rel, tau);
             let own_validity = if opts.eq12_validity {
                 meta.validity_eq12
@@ -209,7 +245,7 @@ fn eval_rec(expr: &Expr, catalog: &Catalog, tau: Time, opts: &EvalOptions) -> Re
             group_by,
             func,
         } => {
-            let i = eval_rec(input, catalog, tau, opts)?;
+            let i = eval_rec(input, catalog, tau, opts, probe)?;
             let meta = ops::aggregate_meta(&i.rel, group_by, *func, opts.agg_mode, tau)?;
             Sub {
                 rel: ops::aggregate(&i.rel, group_by, *func, opts.agg_mode, tau)?,
@@ -217,28 +253,30 @@ fn eval_rec(expr: &Expr, catalog: &Catalog, tau: Time, opts: &EvalOptions) -> Re
                 validity: i.validity.intersect(&meta.validity),
             }
         }
-    })
+    };
+    probe.leave(expr, sub.rel.len(), expired_filtered, sub.texp);
+    Ok(sub)
 }
 
 /// Theorem 3 root handling: materialises a root-level difference with a
 /// patch queue, so the result never expires on account of critical tuples.
-/// Shared by [`eval`] and the profiled evaluator
-/// ([`crate::algebra::profile::eval_profiled`]).
 ///
 /// # Panics
 ///
-/// Debug-asserts that `expr` is a difference; callers match first.
-pub(crate) fn eval_patched_root(
+/// `expr` must be a difference; the caller matches first.
+fn eval_patched_root<P: Probe>(
     expr: &Expr,
     catalog: &Catalog,
     tau: Time,
     opts: &EvalOptions,
+    probe: &mut P,
 ) -> Result<Materialized> {
     let Expr::Difference { left, right } = expr else {
         unreachable!("eval_patched_root requires a root-level difference")
     };
-    let l = eval_rec(left, catalog, tau, opts)?;
-    let r = eval_rec(right, catalog, tau, opts)?;
+    probe.enter();
+    let l = eval_rec(left, catalog, tau, opts, probe)?;
+    let r = eval_rec(right, catalog, tau, opts, probe)?;
     let rel = ops::difference(&l.rel, &r.rel, tau)?;
     let mut critical = ops::critical_tuples(&l.rel, &r.rel, tau);
     critical.sort_by_key(|c| c.appears_at);
@@ -252,12 +290,40 @@ pub(crate) fn eval_patched_root(
         }
     }
     let queue = PatchQueue::from_critical(critical);
+    let texp = l.texp.min(r.texp).min(own_texp);
+    probe.leave(expr, rel.len(), 0, texp);
     Ok(Materialized {
         rel,
         at: tau,
-        texp: l.texp.min(r.texp).min(own_texp),
+        texp,
         validity: l.validity.intersect(&r.validity),
         patches: Some(queue),
+    })
+}
+
+/// [`eval`] under an observer: the single entry into the recursion, shared
+/// with [`eval_profiled`](crate::algebra::profile::eval_profiled).
+pub(crate) fn eval_probed<P: Probe>(
+    expr: &Expr,
+    catalog: &Catalog,
+    tau: Time,
+    opts: &EvalOptions,
+    probe: &mut P,
+) -> Result<Materialized> {
+    // Theorem 3: a root-level difference with patching enabled keeps a
+    // helper queue and never expires on account of critical tuples.
+    if opts.patch_root_difference {
+        if let Expr::Difference { .. } = expr {
+            return eval_patched_root(expr, catalog, tau, opts, probe);
+        }
+    }
+    let sub = eval_rec(expr, catalog, tau, opts, probe)?;
+    Ok(Materialized {
+        rel: sub.rel,
+        at: tau,
+        texp: sub.texp,
+        validity: sub.validity,
+        patches: None,
     })
 }
 
@@ -268,21 +334,7 @@ pub(crate) fn eval_patched_root(
 /// Returns schema/type errors (unknown relations, bad positions,
 /// incompatible schemas, non-numeric aggregation).
 pub fn eval(expr: &Expr, catalog: &Catalog, tau: Time, opts: &EvalOptions) -> Result<Materialized> {
-    // Theorem 3: a root-level difference with patching enabled keeps a
-    // helper queue and never expires on account of critical tuples.
-    if opts.patch_root_difference {
-        if let Expr::Difference { .. } = expr {
-            return eval_patched_root(expr, catalog, tau, opts);
-        }
-    }
-    let sub = eval_rec(expr, catalog, tau, opts)?;
-    Ok(Materialized {
-        rel: sub.rel,
-        at: tau,
-        texp: sub.texp,
-        validity: sub.validity,
-        patches: None,
-    })
+    eval_probed(expr, catalog, tau, opts, &mut NoProbe)
 }
 
 #[cfg(test)]

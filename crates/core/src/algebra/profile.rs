@@ -1,24 +1,18 @@
-//! `EXPLAIN ANALYZE` support: a profiled evaluator that mirrors
-//! [`eval`](crate::algebra::eval::eval) while recording, per operator,
-//! rows in/out, expiration-filtered rows, per-node `texp`, and elapsed
-//! wall time.
-//!
-//! This is deliberately a *separate* recursion from the hot-path
-//! evaluator: profiling must cost nothing when not requested, and the
-//! paper's operators are cheap enough that a per-node `Instant` pair in
-//! the hot path would be measurable. The two functions are kept
-//! structurally parallel — any semantic change to `eval_rec` belongs in
-//! both.
+//! `EXPLAIN ANALYZE` support: [`eval_profiled`] runs the one evaluator
+//! ([`eval`](crate::algebra::eval::eval)'s recursion) under a [`Probe`]
+//! that records, per operator, rows in/out, expiration-filtered rows,
+//! per-node `texp`, and elapsed wall time. The hot path runs the same
+//! recursion under the no-op probe, so profiling costs nothing when not
+//! requested and the two can never disagree.
 
 use std::time::{Duration, Instant};
 
-use crate::algebra::eval::{eval_patched_root, EvalOptions, Materialized};
+use exptime_obs::JsonValue;
+
+use crate::algebra::eval::{eval_probed, EvalOptions, Materialized, Probe};
 use crate::algebra::expr::Expr;
-use crate::algebra::ops;
 use crate::catalog::Catalog;
 use crate::error::Result;
-use crate::interval::IntervalSet;
-use crate::relation::Relation;
 use crate::time::Time;
 
 /// One operator's worth of `EXPLAIN ANALYZE` output, with its children.
@@ -94,6 +88,32 @@ impl PlanProfile {
             child.render_into(out, depth + 1);
         }
     }
+
+    /// The plan tree as JSON, one object per operator.
+    #[must_use]
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::Object(vec![
+            ("operator".into(), JsonValue::String(self.label.clone())),
+            ("rows_in".into(), JsonValue::Uint(self.rows_in())),
+            ("rows_out".into(), JsonValue::Uint(self.rows_out)),
+            (
+                "expired_filtered".into(),
+                JsonValue::Uint(self.expired_filtered),
+            ),
+            (
+                "texp".into(),
+                self.texp.finite().map_or(JsonValue::Null, JsonValue::Uint),
+            ),
+            (
+                "elapsed_ns".into(),
+                JsonValue::Uint(self.elapsed.as_nanos() as u64),
+            ),
+            (
+                "children".into(),
+                JsonValue::Array(self.children.iter().map(PlanProfile::to_json).collect()),
+            ),
+        ])
+    }
 }
 
 fn label_of(expr: &Expr) -> String {
@@ -116,175 +136,41 @@ fn label_of(expr: &Expr) -> String {
     }
 }
 
-struct ProfiledSub {
-    rel: Relation,
-    texp: Time,
-    validity: IntervalSet,
-    profile: PlanProfile,
+/// The recording [`Probe`]: a stack of open operators, each collecting
+/// the finished profiles of its inputs.
+#[derive(Default)]
+struct Recorder {
+    open: Vec<(Instant, Vec<PlanProfile>)>,
+    root: Option<PlanProfile>,
 }
 
-fn node(
-    expr: &Expr,
-    started: Instant,
-    rel: &Relation,
-    expired_filtered: u64,
-    texp: Time,
-    children: Vec<PlanProfile>,
-) -> PlanProfile {
-    PlanProfile {
-        label: label_of(expr),
-        rows_out: rel.len() as u64,
-        expired_filtered,
-        texp,
-        elapsed: started.elapsed(),
-        children,
+impl Probe for Recorder {
+    fn enter(&mut self) {
+        self.open.push((Instant::now(), Vec::new()));
     }
-}
 
-#[allow(clippy::too_many_lines)] // parallel to eval_rec, one arm per operator
-fn eval_rec_profiled(
-    expr: &Expr,
-    catalog: &Catalog,
-    tau: Time,
-    opts: &EvalOptions,
-) -> Result<ProfiledSub> {
-    let started = Instant::now();
-    let full = IntervalSet::from_time(tau);
-    Ok(match expr {
-        Expr::Base(name) => {
-            let stored = catalog.get(name)?;
-            let rel = stored.exp(tau);
-            let expired = (stored.len() - rel.len()) as u64;
-            let profile = node(expr, started, &rel, expired, Time::INFINITY, vec![]);
-            ProfiledSub {
-                rel,
-                texp: Time::INFINITY,
-                validity: full,
-                profile,
-            }
+    fn leave(&mut self, expr: &Expr, rows_out: usize, expired_filtered: usize, texp: Time) {
+        let (started, children) = self.open.pop().expect("leave pairs with enter");
+        let node = PlanProfile {
+            label: label_of(expr),
+            rows_out: rows_out as u64,
+            expired_filtered: expired_filtered as u64,
+            texp,
+            elapsed: started.elapsed(),
+            children,
+        };
+        match self.open.last_mut() {
+            Some((_, siblings)) => siblings.push(node),
+            None => self.root = Some(node),
         }
-        Expr::Select { input, predicate } => {
-            let i = eval_rec_profiled(input, catalog, tau, opts)?;
-            let rel = ops::select(&i.rel, predicate, tau)?;
-            let profile = node(expr, started, &rel, 0, i.texp, vec![i.profile]);
-            ProfiledSub {
-                rel,
-                texp: i.texp,
-                validity: i.validity,
-                profile,
-            }
-        }
-        Expr::Project { input, positions } => {
-            let i = eval_rec_profiled(input, catalog, tau, opts)?;
-            let rel = ops::project(&i.rel, positions, tau)?;
-            let profile = node(expr, started, &rel, 0, i.texp, vec![i.profile]);
-            ProfiledSub {
-                rel,
-                texp: i.texp,
-                validity: i.validity,
-                profile,
-            }
-        }
-        Expr::Product { left, right } => {
-            let l = eval_rec_profiled(left, catalog, tau, opts)?;
-            let r = eval_rec_profiled(right, catalog, tau, opts)?;
-            let rel = ops::product(&l.rel, &r.rel, tau)?;
-            let texp = l.texp.min(r.texp);
-            let profile = node(expr, started, &rel, 0, texp, vec![l.profile, r.profile]);
-            ProfiledSub {
-                rel,
-                texp,
-                validity: l.validity.intersect(&r.validity),
-                profile,
-            }
-        }
-        Expr::Union { left, right } => {
-            let l = eval_rec_profiled(left, catalog, tau, opts)?;
-            let r = eval_rec_profiled(right, catalog, tau, opts)?;
-            let rel = ops::union(&l.rel, &r.rel, tau)?;
-            let texp = l.texp.min(r.texp);
-            let profile = node(expr, started, &rel, 0, texp, vec![l.profile, r.profile]);
-            ProfiledSub {
-                rel,
-                texp,
-                validity: l.validity.intersect(&r.validity),
-                profile,
-            }
-        }
-        Expr::Join {
-            left,
-            right,
-            predicate,
-        } => {
-            let l = eval_rec_profiled(left, catalog, tau, opts)?;
-            let r = eval_rec_profiled(right, catalog, tau, opts)?;
-            let rel = ops::join(&l.rel, &r.rel, predicate, tau)?;
-            let texp = l.texp.min(r.texp);
-            let profile = node(expr, started, &rel, 0, texp, vec![l.profile, r.profile]);
-            ProfiledSub {
-                rel,
-                texp,
-                validity: l.validity.intersect(&r.validity),
-                profile,
-            }
-        }
-        Expr::Intersect { left, right } => {
-            let l = eval_rec_profiled(left, catalog, tau, opts)?;
-            let r = eval_rec_profiled(right, catalog, tau, opts)?;
-            let rel = ops::intersect(&l.rel, &r.rel, tau)?;
-            let texp = l.texp.min(r.texp);
-            let profile = node(expr, started, &rel, 0, texp, vec![l.profile, r.profile]);
-            ProfiledSub {
-                rel,
-                texp,
-                validity: l.validity.intersect(&r.validity),
-                profile,
-            }
-        }
-        Expr::Difference { left, right } => {
-            let l = eval_rec_profiled(left, catalog, tau, opts)?;
-            let r = eval_rec_profiled(right, catalog, tau, opts)?;
-            let meta = ops::difference_meta(&l.rel, &r.rel, tau);
-            let own_validity = if opts.eq12_validity {
-                meta.validity_eq12
-            } else {
-                meta.validity
-            };
-            let rel = ops::difference(&l.rel, &r.rel, tau)?;
-            let texp = l.texp.min(r.texp).min(meta.texp);
-            let profile = node(expr, started, &rel, 0, texp, vec![l.profile, r.profile]);
-            ProfiledSub {
-                rel,
-                texp,
-                validity: l.validity.intersect(&r.validity).intersect(&own_validity),
-                profile,
-            }
-        }
-        Expr::Aggregate {
-            input,
-            group_by,
-            func,
-        } => {
-            let i = eval_rec_profiled(input, catalog, tau, opts)?;
-            let meta = ops::aggregate_meta(&i.rel, group_by, *func, opts.agg_mode, tau)?;
-            let rel = ops::aggregate(&i.rel, group_by, *func, opts.agg_mode, tau)?;
-            let texp = i.texp.min(meta.texp);
-            let profile = node(expr, started, &rel, 0, texp, vec![i.profile]);
-            ProfiledSub {
-                rel,
-                texp,
-                validity: i.validity.intersect(&meta.validity),
-                profile,
-            }
-        }
-    })
+    }
 }
 
 /// Materialises `expr` like [`eval`](crate::algebra::eval::eval) while
 /// also producing an annotated per-operator [`PlanProfile`].
 ///
-/// The returned materialisation is semantically identical to `eval`'s
-/// (same relation, `texp`, validity, and patch queue behaviour).
+/// The returned materialisation is `eval`'s (same relation, `texp`,
+/// validity, and patch queue): both run the same recursion.
 ///
 /// # Errors
 ///
@@ -295,36 +181,16 @@ pub fn eval_profiled(
     tau: Time,
     opts: &EvalOptions,
 ) -> Result<(Materialized, PlanProfile)> {
-    if opts.patch_root_difference {
-        if let Expr::Difference { .. } = expr {
-            // Theorem 3 root handling is not per-operator work; reuse the
-            // hot-path implementation and profile the plan alongside it.
-            let started = Instant::now();
-            let m = eval_patched_root(expr, catalog, tau, opts)?;
-            let mut profile = eval_rec_profiled(expr, catalog, tau, opts)?.profile;
-            profile.texp = m.texp;
-            profile.elapsed = started.elapsed();
-            return Ok((m, profile));
-        }
-    }
-    let sub = eval_rec_profiled(expr, catalog, tau, opts)?;
-    Ok((
-        Materialized {
-            rel: sub.rel,
-            at: tau,
-            texp: sub.texp,
-            validity: sub.validity,
-            patches: None,
-        },
-        sub.profile,
-    ))
+    let mut recorder = Recorder::default();
+    let m = eval_probed(expr, catalog, tau, opts, &mut recorder)?;
+    let profile = recorder.root.expect("the root operator was left");
+    Ok((m, profile))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::eval::eval;
-    use crate::predicate::Predicate;
+    use crate::relation::Relation;
     use crate::schema::Schema;
     use crate::tuple;
     use crate::value::ValueType;
@@ -361,30 +227,6 @@ mod tests {
             .unwrap(),
         );
         c
-    }
-
-    #[test]
-    fn profiled_eval_matches_plain_eval() {
-        let c = catalog();
-        let exprs = vec![
-            Expr::base("Pol").select(Predicate::attr_eq_const(1, 25)),
-            Expr::base("Pol")
-                .project([0])
-                .difference(Expr::base("El").project([0])),
-            Expr::base("Pol")
-                .join(Expr::base("El"), Predicate::attr_eq_attr(0, 2))
-                .project([0, 1]),
-            Expr::base("Pol").aggregate([1], crate::aggregate::AggFunc::Count),
-        ];
-        for e in exprs {
-            for now in [0, 4, 11] {
-                let plain = eval(&e, &c, t(now), &EvalOptions::default()).unwrap();
-                let (prof, _) = eval_profiled(&e, &c, t(now), &EvalOptions::default()).unwrap();
-                assert!(prof.rel.set_eq(&plain.rel), "{e} at {now}");
-                assert_eq!(prof.texp, plain.texp, "{e} at {now}");
-                assert_eq!(prof.validity, plain.validity, "{e} at {now}");
-            }
-        }
     }
 
     #[test]

@@ -1749,7 +1749,7 @@ impl Database {
                 let pred = if body.from.len() == 1 {
                     body.selection
                         .as_ref()
-                        .and_then(|c| plan_table_cond(c, table, &DbSchemas(self)).ok())
+                        .and_then(|c| plan_table_cond(c, table, &*self).ok())
                 } else {
                     None
                 };
@@ -1819,46 +1819,110 @@ impl Database {
     ///
     /// Propagates evaluation errors.
     pub fn query_expr(&mut self, expr: &Expr) -> DbResult<Materialized> {
+        Ok(self.evaluate(expr, false)?.0)
+    }
+
+    /// Evaluates a planned SQL `SELECT` — what [`Database::execute`] does
+    /// with one, and what the wire server calls: plan, evaluate, apply
+    /// `ORDER BY`/`LIMIT`, then the sliding-on-access touches. `texp` and
+    /// `validity` describe the expression *before* `LIMIT`: a truncated
+    /// result must not be expired forward, because a cut row would move up.
+    ///
+    /// # Errors
+    ///
+    /// Returns plan, evaluation and (for touches) WAL errors.
+    pub fn select(&mut self, query: &exptime_sql::ast::Query) -> DbResult<Materialized> {
+        let expr = {
+            let _sp = self.tracer.span("plan");
+            plan_query(query, &*self)?
+        };
+        let mut m = self.query_expr(&expr)?;
+        m.rel = apply_presentation(m.rel, query)?;
+        // Sliding-on-access policies see the read *after* the result is
+        // computed: this query observes the pre-touch state; only future
+        // visibility is extended.
+        self.apply_access_touches(query)?;
+        Ok(m)
+    }
+
+    /// The one read path (DESIGN.md §8.1). Every way a query reaches the
+    /// algebra — [`Database::select`] (so `execute` and the wire server),
+    /// [`Database::query_expr`] (so `\plan`), virtual-view reads and
+    /// EXPLAIN ANALYZE — runs this: inline views, snapshot the catalog at
+    /// the pinned `τ`, optionally rewrite, evaluate under the
+    /// `query`/`eval` spans, count, and bill the profiler.
+    ///
+    /// `explain` asks for the full report: the materialised views the
+    /// query names are refreshed first, so it carries the decision an
+    /// ordinary read would make at this instant (Theorem 1/2/3 or
+    /// recompute); every operator is profiled, not just on the profiler's
+    /// sampling cadence; and the profile is grafted under the `eval`
+    /// span, so the span tree's leaves are the EXPLAIN ANALYZE rows.
+    fn evaluate(
+        &mut self,
+        expr: &Expr,
+        explain: bool,
+    ) -> DbResult<(Materialized, Option<Explain>)> {
         let start = Instant::now();
         let mut root = self.tracer.span("query");
-        if let Some(t) = self.clock.now().finite() {
+        let now = self.clock.now();
+        if let Some(t) = now.finite() {
             root.at(t);
         }
+        let patches_before = self.patches_applied_total();
+        let mut decisions = Vec::new();
+        if explain {
+            for name in expr.base_names() {
+                let key = name.to_ascii_lowercase();
+                if matches!(self.views.get(&key), Some(ViewEntry::Materialized { .. })) {
+                    self.read_materialized(&key)?;
+                    if let Some(ViewEntry::Materialized { view, .. }) = self.views.get(&key) {
+                        if let Some(d) = view.last_decision() {
+                            decisions.push((key, d));
+                        }
+                    }
+                }
+            }
+        }
         let (expr, snapshot) = self.prepare_expr(expr);
-        // Per-operator detail only on the profiler's sampling cadence:
-        // the profiled evaluator runs a separate (timed) recursion, so
-        // unsampled statements stay on the hot path.
-        let sampled = self.profiler.next_is_sampled();
-        let (m, operators) = {
-            let mut sp = self.tracer.span("eval");
-            let (m, operators) = if sampled {
-                let (m, prof) =
-                    eval_profiled(&expr, &snapshot, self.clock.now(), &self.config.eval)?;
-                (m, flatten_profile(&prof))
-            } else {
-                let m = eval(&expr, &snapshot, self.clock.now(), &self.config.eval)?;
-                (m, Vec::new())
-            };
-            sp.attr("rows_out", m.rel.len());
-            sp.attr("texp", m.texp);
-            (m, operators)
+        let mut eval_sp = self.tracer.span("eval");
+        let (m, profile) = if explain || self.profiler.next_is_sampled() {
+            let (m, profile) = eval_profiled(&expr, &snapshot, now, &self.config.eval)?;
+            (m, Some(profile))
+        } else {
+            (eval(&expr, &snapshot, now, &self.config.eval)?, None)
         };
+        if let (true, Some(profile)) = (explain && eval_sp.is_recording(), &profile) {
+            let (id, at) = (eval_sp.id(), now.finite());
+            let end_ns = self.tracer.now_ns();
+            let start_ns = end_ns.saturating_sub(duration_ns(profile.elapsed));
+            graft_profile(&self.tracer, id, profile, start_ns, end_ns, at);
+        }
+        eval_sp.attr("rows_out", m.rel.len());
+        eval_sp.attr("texp", m.texp);
+        drop(eval_sp);
         root.attr("rows", m.rel.len());
         self.counters.queries.inc();
         let elapsed = start.elapsed();
         self.counters.query_ns.record_duration(elapsed);
-        // Views were inlined, so no patch-queue work happened here.
         self.profiler.record(QueryProfile {
             label: expr.to_string(),
             rows_scanned: scanned_rows(&expr, &snapshot),
             tuples_materialized: m.rel.len() as u64,
             change_points: expr_node_count(&expr),
-            patch_ops: 0,
+            // Views are inlined, so only an explain's refreshes can have
+            // done patch-queue work.
+            patch_ops: self.patches_applied_total() - patches_before,
             allocations: self.alloc.take(),
             wall_ns: duration_ns(elapsed),
-            operators,
+            operators: profile.as_ref().map_or_else(Vec::new, flatten_profile),
         });
-        Ok(m)
+        let report = profile.filter(|_| explain).map(|profile| Explain {
+            profile,
+            decisions,
+            rows: m.rel.len(),
+        });
+        Ok((m, report))
     }
 
     /// Inlines views, snapshots the catalog, and (when configured) runs
@@ -2076,8 +2140,11 @@ impl Database {
     /// Returns catalog or evaluation errors.
     pub fn read_view(&mut self, name: &str) -> DbResult<Relation> {
         let key = name.to_ascii_lowercase();
-        if !self.views.contains_key(&key) {
-            return Err(DbError::Catalog(format!("unknown view `{name}`")));
+        match self.views.get(&key) {
+            None => return Err(DbError::Catalog(format!("unknown view `{name}`"))),
+            // Reading a virtual view is the query that names it.
+            Some(ViewEntry::Virtual { .. }) => return Ok(self.query_expr(&Expr::Base(key))?.rel),
+            Some(ViewEntry::Materialized { .. }) => {}
         }
         let start = Instant::now();
         let mut root = self.tracer.span("query");
@@ -2086,7 +2153,7 @@ impl Database {
             root.at(t);
         }
         let patches_before = self.patches_applied_total();
-        let rel = self.read_view_inner(&key)?;
+        let rel = self.read_materialized(&key)?;
         root.attr("rows", rel.len());
         self.counters.queries.inc();
         let elapsed = start.elapsed();
@@ -2107,7 +2174,7 @@ impl Database {
                 .sum(),
             tuples_materialized: rel.len() as u64,
             change_points: expr_node_count(entry.expr()),
-            patch_ops: self.patches_applied_total().saturating_sub(patches_before),
+            patch_ops: self.patches_applied_total() - patches_before,
             allocations: self.alloc.take(),
             wall_ns: duration_ns(elapsed),
             operators: Vec::new(),
@@ -2115,65 +2182,63 @@ impl Database {
         Ok(rel)
     }
 
-    /// Sum of every `view.*.patches_applied` counter — the registry-wide
-    /// patch-queue operation count, differenced per statement to bill
-    /// Theorem 3 work to the query that triggered it.
+    /// Patch-queue operations applied by every materialised view so far,
+    /// differenced per statement to bill Theorem 3 work to the query that
+    /// triggered it.
     fn patches_applied_total(&self) -> u64 {
-        self.metrics()
-            .counters()
-            .into_iter()
-            .filter(|(name, _)| name.ends_with(".patches_applied"))
-            .map(|(_, v)| v)
+        self.views
+            .values()
+            .map(|entry| match entry {
+                ViewEntry::Materialized { view, .. } => view.stats().patches_applied,
+                ViewEntry::Virtual { .. } => 0,
+            })
             .sum()
     }
 
-    /// The read path proper, without query accounting (so callers that
-    /// refresh a view as part of a larger query — e.g.
-    /// [`Database::explain_analyze`] — don't double-count).
-    fn read_view_inner(&mut self, key: &str) -> DbResult<Relation> {
+    /// Refreshes (if due) and reads the materialised view `key`, without
+    /// query accounting — the callers, [`Database::read_view`] and an
+    /// EXPLAIN ANALYZE that names the view, each count one query.
+    fn read_materialized(&mut self, key: &str) -> DbResult<Relation> {
         let now = self.clock.now();
         let snapshot = self.snapshot();
+        let Some(ViewEntry::Materialized { view, .. }) = self.views.get(key) else {
+            return Err(DbError::Catalog(format!(
+                "`{key}` is not a materialised view"
+            )));
+        };
         // Views must see base-table *updates* (inserts / explicit
         // deletes / expiration-time changes), which the paper's
         // expiration-only maintenance model excludes: compare write
         // versions and force a refresh when they moved.
-        let wanted = match self.views.get(key) {
-            Some(ViewEntry::Materialized { view, .. }) => Some(self.current_versions(view.expr())),
-            Some(ViewEntry::Virtual { .. }) => None,
-            None => return Err(DbError::Catalog(format!("unknown view `{key}`"))),
+        let wanted = self.current_versions(view.expr());
+        let Some(ViewEntry::Materialized {
+            view,
+            base_versions,
+            ..
+        }) = self.views.get_mut(key)
+        else {
+            unreachable!("matched above")
         };
-        match self.views.get_mut(key).expect("checked above") {
-            ViewEntry::Virtual { expr, .. } => {
-                Ok(eval(expr, &snapshot, now, &self.config.eval)?.rel)
-            }
-            ViewEntry::Materialized {
-                view,
-                base_versions,
-                ..
-            } => {
-                let refresh_start = Instant::now();
-                let mut sp = self.tracer.span("view.refresh");
-                sp.attr("view", key);
-                if let Some(t) = now.finite() {
-                    sp.at(t);
-                }
-                let wanted = wanted.expect("materialised branch");
-                if *base_versions != wanted {
-                    view.force_refresh(&snapshot, now)?;
-                    *base_versions = wanted;
-                }
-                let rel = view.read(&snapshot, now)?;
-                if let Some(d) = view.last_decision() {
-                    sp.attr("decision", d);
-                }
-                drop(sp);
-                // Refresh-latency SLO: maintaining + serving this view.
-                let ns = refresh_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                self.monitor
-                    .observe_refresh(key, ns, now.finite().unwrap_or(u64::MAX));
-                Ok(rel)
-            }
+        let refresh_start = Instant::now();
+        let mut sp = self.tracer.span("view.refresh");
+        sp.attr("view", key);
+        if let Some(t) = now.finite() {
+            sp.at(t);
         }
+        if *base_versions != wanted {
+            view.force_refresh(&snapshot, now)?;
+            *base_versions = wanted;
+        }
+        let rel = view.read(&snapshot, now)?;
+        if let Some(d) = view.last_decision() {
+            sp.attr("decision", d);
+        }
+        drop(sp);
+        // Refresh-latency SLO: maintaining + serving this view.
+        let ns = refresh_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.monitor
+            .observe_refresh(key, ns, now.finite().unwrap_or(u64::MAX));
+        Ok(rel)
     }
 
     /// The names of all views, in name order.
@@ -2189,7 +2254,7 @@ impl Database {
     ///
     /// Returns a plan error for unknown names.
     pub fn schema_of_relation(&self, name: &str) -> Result<Schema, SqlError> {
-        DbSchemas(self).schema_of(name)
+        self.schema_of(name)
     }
 
     /// Statistics of a materialised view (recomputations, local reads, …).
@@ -2236,7 +2301,7 @@ impl Database {
                 ))
             }
         };
-        let expr = plan_query(query, &DbSchemas(self))?;
+        let expr = plan_query(query, self)?;
         let expr = self.inline_views(&expr);
         let opts = exptime_lint::AnalyzerOptions {
             materialized,
@@ -2509,7 +2574,7 @@ impl Database {
         };
         let expr = {
             let _sp = self.tracer.span("plan");
-            plan_query(&query, &DbSchemas(self))?
+            plan_query(&query, &*self)?
         };
         self.explain_analyze_expr(&expr)
     }
@@ -2521,69 +2586,8 @@ impl Database {
     ///
     /// Propagates evaluation errors.
     pub fn explain_analyze_expr(&mut self, expr: &Expr) -> DbResult<Explain> {
-        let start = Instant::now();
-        let mut root = self.tracer.span("query");
-        let at = self.clock.now().finite();
-        if let Some(t) = at {
-            root.at(t);
-        }
-        let patches_before = self.patches_applied_total();
-        // Refresh the materialised views the query references first, so
-        // the report carries the decision an ordinary read would make
-        // (Theorem 1/2/3 or recompute) at this instant.
-        let mut decisions = Vec::new();
-        for name in expr.base_names() {
-            let key = name.to_ascii_lowercase();
-            if matches!(self.views.get(&key), Some(ViewEntry::Materialized { .. })) {
-                self.read_view_inner(&key)?;
-                if let Some(ViewEntry::Materialized { view, .. }) = self.views.get(&key) {
-                    if let Some(d) = view.last_decision() {
-                        decisions.push((key, d));
-                    }
-                }
-            }
-        }
-        let (expr, snapshot) = self.prepare_expr(expr);
-        let mut eval_sp = self.tracer.span("eval");
-        let (m, profile) = eval_profiled(&expr, &snapshot, self.clock.now(), &self.config.eval)?;
-        // Graft the per-operator profile under the eval span: the span
-        // tree's leaves are exactly the EXPLAIN ANALYZE operator rows.
-        if eval_sp.is_recording() {
-            let end_ns = self.tracer.now_ns();
-            let elapsed = duration_ns(profile.elapsed);
-            graft_profile(
-                &self.tracer,
-                eval_sp.id(),
-                &profile,
-                end_ns.saturating_sub(elapsed),
-                end_ns,
-                at,
-            );
-        }
-        eval_sp.attr("rows_out", m.rel.len());
-        eval_sp.attr("texp", m.texp);
-        drop(eval_sp);
-        root.attr("rows", m.rel.len());
-        self.counters.queries.inc();
-        let elapsed = start.elapsed();
-        self.counters.query_ns.record_duration(elapsed);
-        // EXPLAIN ANALYZE always contributes full per-operator detail:
-        // the user explicitly asked for a profiled run.
-        self.profiler.record(QueryProfile {
-            label: expr.to_string(),
-            rows_scanned: scanned_rows(&expr, &snapshot),
-            tuples_materialized: m.rel.len() as u64,
-            change_points: profile.node_count(),
-            patch_ops: self.patches_applied_total().saturating_sub(patches_before),
-            allocations: self.alloc.take(),
-            wall_ns: duration_ns(elapsed),
-            operators: flatten_profile(&profile),
-        });
-        Ok(Explain {
-            profile,
-            decisions,
-            rows: m.rel.len(),
-        })
+        let (_, explain) = self.evaluate(expr, true)?;
+        Ok(explain.expect("evaluate(.., true) reports"))
     }
 
     // ------------------------------------------------------------------
@@ -2755,7 +2759,13 @@ impl Database {
         Ok(last)
     }
 
-    fn execute_statement(&mut self, stmt: Statement) -> DbResult<ExecResult> {
+    /// Executes one parsed statement — [`Database::execute`] without the
+    /// parse, for callers (the wire server) that already hold the AST.
+    ///
+    /// # Errors
+    ///
+    /// As [`Database::execute`].
+    pub fn execute_statement(&mut self, stmt: Statement) -> DbResult<ExecResult> {
         let res = self.execute_statement_inner(stmt);
         // Statement boundaries are the sampler's second hook (clock
         // advances being the first): long stretches of DML between ticks
@@ -2793,7 +2803,7 @@ impl Database {
                 materialized,
                 query,
             } => {
-                let expr = plan_query(&query, &DbSchemas(self))?;
+                let expr = plan_query(&query, &*self)?;
                 if materialized {
                     self.create_materialized_view_inner(&name, expr, Some(query))?;
                 } else {
@@ -2838,19 +2848,7 @@ impl Database {
             }
             Statement::ShowTtl { table } => self.exec_show_ttl(table.as_deref()),
             Statement::Audit => Ok(ExecResult::Ok(self.audit().render())),
-            Statement::Select(query) => {
-                let expr = {
-                    let _sp = self.tracer.span("plan");
-                    plan_query(&query, &DbSchemas(self))?
-                };
-                let m = self.query_expr(&expr)?;
-                let rel = apply_presentation(m.rel, &query)?;
-                // Sliding-on-access policies see the read *after* the
-                // result is computed: this query observes the pre-touch
-                // state; only future visibility is extended.
-                self.apply_access_touches(&query)?;
-                Ok(ExecResult::Rows(rel))
-            }
+            Statement::Select(query) => Ok(ExecResult::Rows(self.select(&query)?.rel)),
         }
     }
 
@@ -2885,7 +2883,7 @@ impl Database {
         self.guard_reserved(table, "DELETE")?;
         let now = self.clock.now();
         let pred = match predicate {
-            Some(c) => Some(plan_table_cond(c, table, &DbSchemas(self))?),
+            Some(c) => Some(plan_table_cond(c, table, &*self)?),
             None => None,
         };
         let key = table.to_ascii_lowercase();
@@ -2923,7 +2921,7 @@ impl Database {
         self.guard_reserved(table, "UPDATE")?;
         let now = self.clock.now();
         let pred = match predicate {
-            Some(c) => Some(plan_table_cond(c, table, &DbSchemas(self))?),
+            Some(c) => Some(plan_table_cond(c, table, &*self)?),
             None => None,
         };
         let key = table.to_ascii_lowercase();
@@ -3387,16 +3385,14 @@ fn sliding_matview_diag(table: &str, view: &str) -> exptime_lint::Diagnostic {
     ))
 }
 
-/// Schema provider over the database's tables and views.
-struct DbSchemas<'a>(&'a Database);
-
-impl SchemaProvider for DbSchemas<'_> {
+/// The planner's view of the catalog: tables and views, by name.
+impl SchemaProvider for Database {
     fn schema_of(&self, name: &str) -> Result<Schema, SqlError> {
         let key = name.to_ascii_lowercase();
-        if let Some(t) = self.0.tables.get(&key) {
+        if let Some(t) = self.tables.get(&key) {
             return Ok(t.schema().clone());
         }
-        if let Some(v) = self.0.views.get(&key) {
+        if let Some(v) = self.views.get(&key) {
             return Ok(v.schema().clone());
         }
         Err(SqlError::plan(format!("unknown relation `{name}`")))

@@ -45,7 +45,8 @@ struct Entry {
 ///
 /// Entries are filled by the normal execution path *while degraded is
 /// anticipated* (the server materialises SELECTs through
-/// `Database::query_expr` anyway, so caching is free) and consulted
+/// `Database::select` anyway, so caching is free — `LIMIT` queries
+/// excepted, whose truncated rows cannot be expired forward) and consulted
 /// only when admission control is under pressure. The cache holds at
 /// most `cap` entries, evicting the least-recently-used on insert —
 /// distinct query texts (e.g. varying literals) must not grow server

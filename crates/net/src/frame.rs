@@ -89,7 +89,9 @@ pub enum ReplyBody {
         /// Schrödinger-covered stale read (see DESIGN.md §12).
         as_of: u64,
         /// `texp(e)` of the result expression (`u64::MAX` = `∞`): how
-        /// long the client may itself cache these rows.
+        /// long the client may itself cache these rows — unless the
+        /// query had a `LIMIT`, whose truncated rows must not be
+        /// expired forward (`texp` is the untruncated expression's).
         texp: u64,
         /// True when served from the degraded-mode stale cache rather
         /// than evaluated against the live engine.

@@ -37,9 +37,9 @@ use crate::error::ErrorCode;
 use crate::frame::{write_msg, FrameReader, Msg, ReplyBody};
 use crate::session::{Admission, SessionTable};
 use exptime_core::time::Time;
-use exptime_engine::{Database, ExecResult, SharedDatabase};
+use exptime_engine::{Database, DbError, ExecResult, SharedDatabase};
 use exptime_obs::{EventKind, Obs};
-use exptime_sql::{plan_query, SchemaProvider, Statement};
+use exptime_sql::Statement;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -820,17 +820,11 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> ReplyBody {
     body
 }
 
-struct DbProvider<'a>(&'a Database);
-
-impl SchemaProvider for DbProvider<'_> {
-    fn schema_of(&self, name: &str) -> Result<exptime_core::schema::Schema, exptime_sql::SqlError> {
-        self.0.schema_of_relation(name)
-    }
-}
-
-/// Runs one statement against the live engine. SELECTs go through the
-/// materialising path so the reply carries `texp(e)` and the result
-/// lands in the degraded-mode cache for free.
+/// Runs one statement against the live engine, through the same two
+/// entry points as an embedded caller: [`Database::select`] for a SELECT
+/// (so the reply carries `texp(e)` and the materialisation lands in the
+/// degraded-mode cache for free), [`Database::execute_statement`] for
+/// everything else.
 fn run_statement(shared: &Arc<Shared>, db: &mut Database, sql: &str) -> ReplyBody {
     let _span = db.tracer().span("net.stmt");
     let now = db.now();
@@ -839,35 +833,30 @@ fn run_statement(shared: &Arc<Shared>, db: &mut Database, sql: &str) -> ReplyBod
         .registry()
         .gauge("net.last_now")
         .set(time_wire(now).min(i64::MAX as u64) as i64);
-    let stmt = match exptime_sql::parse(sql) {
-        Ok(s) => s,
-        Err(e) => return db_err_body(shared, &e.into()),
-    };
-    if let Statement::Select(query) = stmt {
-        let expr = match plan_query(&query, &DbProvider(db)) {
-            Ok(e) => e,
-            Err(e) => return db_err_body(shared, &e.into()),
-        };
-        let inlined = db.inline_views(&expr);
-        return match db.query_expr(&inlined) {
-            Ok(mut m) => {
-                let body = rows_body(&m.read_at(now), time_wire(now), time_wire(m.texp), false);
-                let mut cache = shared.cache.lock().expect("stale cache poisoned");
-                cache.insert(sql.trim(), m);
-                body
+    let reply = exptime_sql::parse(sql)
+        .map_err(DbError::from)
+        .and_then(|stmt| match stmt {
+            Statement::Select(query) => {
+                let m = db.select(&query)?;
+                let body = rows_body(&m.rel, time_wire(now), time_wire(m.texp), false);
+                // A `LIMIT`-truncated result cannot be expired forward (a
+                // cut row would move up), so it is never served stale.
+                if query.limit.is_none() {
+                    let mut cache = shared.cache.lock().expect("stale cache poisoned");
+                    cache.insert(sql.trim(), m);
+                }
+                Ok(body)
             }
-            Err(e) => db_err_body(shared, &e),
-        };
-    }
-    match db.execute(sql) {
-        Ok(ExecResult::Rows(rel)) => rows_body(&rel, time_wire(now), u64::MAX, false),
-        Ok(ExecResult::Affected(n)) => ReplyBody::Affected(n as u64),
-        Ok(ExecResult::Ok(name)) => ReplyBody::Ok(name),
-        Err(e) => db_err_body(shared, &e),
-    }
+            stmt => Ok(match db.execute_statement(stmt)? {
+                ExecResult::Rows(rel) => rows_body(&rel, time_wire(now), u64::MAX, false),
+                ExecResult::Affected(n) => ReplyBody::Affected(n as u64),
+                ExecResult::Ok(name) => ReplyBody::Ok(name),
+            }),
+        });
+    reply.unwrap_or_else(|e| db_err_body(shared, &e))
 }
 
-fn db_err_body(shared: &Arc<Shared>, e: &exptime_engine::DbError) -> ReplyBody {
+fn db_err_body(shared: &Arc<Shared>, e: &DbError) -> ReplyBody {
     let code = ErrorCode::from_db_error(e);
     let retry_after_ms = if code.is_retryable() {
         shared.cfg.retry_after_ms

@@ -7,6 +7,12 @@ cargo build --release
 cargo test -q
 cargo test -q --workspace
 cargo test -q --doc --workspace
+# The benchmark is a package of its own (benchmark/Cargo.toml, outside the
+# workspace) built against crates/*: building it and running its unit
+# tests here makes a public-API change that breaks it fail in CI, not in
+# the bench pipeline. One of its tests checks BENCHMARK.json against the
+# metric tables.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 
@@ -70,6 +76,11 @@ cargo run --release -q -p exptime-bench --bin experiments -- --quick --check e9t
 # replay), plus the real-TCP drain-under-load and partition tests.
 EXPTIME_NET_SEEDS="${EXPTIME_NET_SEEDS:-1,2,3,4,5,6,7,8}" \
     cargo test -q --test net_chaos
+
+# Wire ≡ embedded: one statement list through Database::execute and
+# through NetClient against a served twin — equal rows in order, equal
+# affected counts, equal survivors after the ticks.
+cargo test -q --test net_parity
 
 # Wire-codec property tests: round-trip, every-prefix rejection,
 # every-bit-flip rejection, and exactly-once re-delivery across

@@ -5,7 +5,8 @@
 mod common;
 
 use common::{arb_catalog, arb_expr, probe_times, schema2};
-use exptime::core::algebra::{eval, ops, EvalOptions, Expr};
+use exptime::core::aggregate::AggMode;
+use exptime::core::algebra::{eval, eval_profiled, ops, EvalOptions, Expr, PlanProfile};
 use exptime::core::catalog::Catalog;
 use exptime::core::relation::Relation;
 use exptime::core::rewrite;
@@ -14,6 +15,59 @@ use proptest::prelude::*;
 
 fn opts() -> EvalOptions {
     EvalOptions::default()
+}
+
+/// Every evaluator option: the three aggregate modes, Equation 12
+/// validity, and Theorem 3 root patching with an unbounded and a bounded
+/// queue.
+fn arb_opts() -> impl Strategy<Value = EvalOptions> {
+    (
+        prop_oneof![
+            Just(AggMode::Naive),
+            Just(AggMode::Contributing),
+            Just(AggMode::Exact),
+        ],
+        any::<bool>(),
+        prop_oneof![Just(None), (0usize..4).prop_map(Some)],
+        any::<bool>(),
+    )
+        .prop_map(
+            |(agg_mode, patch_root_difference, patch_queue_cap, eq12_validity)| EvalOptions {
+                agg_mode,
+                patch_root_difference,
+                patch_queue_cap,
+                eq12_validity,
+            },
+        )
+}
+
+/// The `Base(..)` labels of a profile's leaves, left to right.
+fn profile_leaves(p: &PlanProfile, out: &mut Vec<String>) {
+    if p.children.is_empty() {
+        out.push(p.label.clone());
+    }
+    for c in &p.children {
+        profile_leaves(c, out);
+    }
+}
+
+/// The `Base(..)` labels an expression's leaves should produce, left to
+/// right (duplicates kept, unlike `Expr::base_names`).
+fn expr_leaves(e: &Expr, out: &mut Vec<String>) {
+    match e {
+        Expr::Base(name) => out.push(format!("Base({name})")),
+        Expr::Select { input, .. }
+        | Expr::Project { input, .. }
+        | Expr::Aggregate { input, .. } => expr_leaves(input, out),
+        Expr::Product { left, right }
+        | Expr::Union { left, right }
+        | Expr::Join { left, right, .. }
+        | Expr::Intersect { left, right }
+        | Expr::Difference { left, right } => {
+            expr_leaves(left, out);
+            expr_leaves(right, out);
+        }
+    }
 }
 
 proptest! {
@@ -207,6 +261,37 @@ proptest! {
         }
         // And it is a fixpoint.
         prop_assert_eq!(rewrite::rewrite(&rewritten.clone()), rewritten);
+    }
+
+    /// The recording probe observes the one evaluator; it never changes
+    /// what is evaluated. Under every option — including a patched
+    /// Theorem 3 root, bounded or not — `eval_profiled` returns `eval`'s
+    /// materialisation, and its profile is the expression, node for node:
+    /// every operator and every `Base` leaf visited exactly once.
+    #[test]
+    fn recorder_is_the_no_op_probe_plus_a_profile(
+        catalog in arb_catalog(12),
+        expr in arb_expr(),
+        opts in arb_opts(),
+        tau in 0u64..45,
+    ) {
+        let tau = Time::new(tau);
+        let plain = eval(&expr, &catalog, tau, &opts)?;
+        let (profiled, profile) = eval_profiled(&expr, &catalog, tau, &opts)?;
+        prop_assert!(profiled.rel.set_eq(&plain.rel), "{expr} under {opts:?}");
+        prop_assert_eq!(profiled.texp, plain.texp);
+        prop_assert_eq!(&profiled.validity, &plain.validity);
+        prop_assert_eq!(
+            profiled.patches.as_ref().map(|q| q.len()),
+            plain.patches.as_ref().map(|q| q.len())
+        );
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        profile_leaves(&profile, &mut got);
+        expr_leaves(&expr, &mut want);
+        prop_assert_eq!(&got, &want, "one visit per Base leaf, in order");
+        prop_assert_eq!(profile.node_count(), (expr.op_count() + want.len()) as u64);
+        prop_assert_eq!(profile.rows_out, plain.rel.len() as u64);
+        prop_assert_eq!(profile.texp, plain.texp);
     }
 
     /// Evaluating at τ is the same as evaluating the expτ-snapshots of the

@@ -255,9 +255,9 @@ impl Repl {
             "\\now" => Outcome::Text(format!("t = {}\n", db.now())),
             "\\tick" => match arg.parse::<u64>() {
                 Ok(n) => {
-                    let before = db.triggers().log().len();
+                    let before = db.stats().expired;
                     let now = db.tick(n);
-                    let fired = db.triggers().log().len() - before;
+                    let fired = db.stats().expired - before;
                     Outcome::Text(format!("t = {now} ({fired} expiration(s) processed)\n"))
                 }
                 Err(_) => Outcome::Text("usage: \\tick N\n".into()),
@@ -278,18 +278,19 @@ impl Repl {
                 ))
             }
             "\\tables" => {
-                let now = db.now();
                 let mut out = String::new();
-                let names: Vec<String> = db.snapshot().iter().map(|(n, _)| n.to_string()).collect();
-                if names.is_empty() {
+                // One status row per table: the names, without copying rows.
+                let tables = db.policy_status();
+                if tables.is_empty() {
                     out.push_str("(no tables)\n");
                 }
-                for n in names {
-                    let t = db.table(&n).expect("listed");
+                for status in tables {
+                    let t = db.table(&status.table).expect("listed");
                     out.push_str(&format!(
-                        "{n}{:?}: {} live / {} stored\n",
+                        "{}{:?}: {} live / {} stored\n",
+                        status.table,
                         t.schema(),
-                        t.live_count(now),
+                        status.live_rows,
                         t.len()
                     ));
                 }

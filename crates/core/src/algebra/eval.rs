@@ -1,7 +1,7 @@
 //! Evaluation of algebra expressions into materialised results.
 //!
-//! [`eval`] materialises an expression `e` against a [`Catalog`] at a time
-//! `τ`, producing a [`Materialized`]:
+//! [`eval`] materialises an expression `e` against its [`Bindings`] at a
+//! time `τ`, producing a [`Materialized`]:
 //!
 //! * the result relation, each tuple carrying the expiration time the
 //!   paper's operator definitions assign;
@@ -19,7 +19,7 @@
 use crate::aggregate::AggMode;
 use crate::algebra::expr::Expr;
 use crate::algebra::ops;
-use crate::catalog::Catalog;
+use crate::catalog::Bindings;
 use crate::error::Result;
 use crate::interval::IntervalSet;
 use crate::patch::PatchQueue;
@@ -123,8 +123,8 @@ impl Materialized {
 /// [`eval_profiled`](crate::algebra::profile::eval_profiled).
 pub(crate) trait Probe {
     fn enter(&mut self);
-    /// `expired_filtered` is non-zero only at `Base` leaves: stored
-    /// tuples dropped because `texp ≤ τ`.
+    /// `expired_filtered` is non-zero only at `Base` leaves: physically
+    /// present tuples the scan skipped because `texp ≤ τ`.
     fn leave(&mut self, expr: &Expr, rows_out: usize, expired_filtered: usize, texp: Time);
 }
 
@@ -146,7 +146,7 @@ struct Sub {
 
 fn eval_rec<P: Probe>(
     expr: &Expr,
-    catalog: &Catalog,
+    catalog: &dyn Bindings,
     tau: Time,
     opts: &EvalOptions,
     probe: &mut P,
@@ -155,9 +155,8 @@ fn eval_rec<P: Probe>(
     let mut expired_filtered = 0;
     let sub = match expr {
         Expr::Base(name) => {
-            let stored = catalog.get(name)?;
-            let rel = stored.exp(tau);
-            expired_filtered = stored.len() - rel.len();
+            let (rel, skipped) = catalog.scan(name, tau)?;
+            expired_filtered = skipped;
             Sub {
                 rel,
                 // "The expiration time of a base relation is defined to be
@@ -266,7 +265,7 @@ fn eval_rec<P: Probe>(
 /// `expr` must be a difference; the caller matches first.
 fn eval_patched_root<P: Probe>(
     expr: &Expr,
-    catalog: &Catalog,
+    catalog: &dyn Bindings,
     tau: Time,
     opts: &EvalOptions,
     probe: &mut P,
@@ -305,7 +304,7 @@ fn eval_patched_root<P: Probe>(
 /// with [`eval_profiled`](crate::algebra::profile::eval_profiled).
 pub(crate) fn eval_probed<P: Probe>(
     expr: &Expr,
-    catalog: &Catalog,
+    catalog: &dyn Bindings,
     tau: Time,
     opts: &EvalOptions,
     probe: &mut P,
@@ -333,7 +332,12 @@ pub(crate) fn eval_probed<P: Probe>(
 ///
 /// Returns schema/type errors (unknown relations, bad positions,
 /// incompatible schemas, non-numeric aggregation).
-pub fn eval(expr: &Expr, catalog: &Catalog, tau: Time, opts: &EvalOptions) -> Result<Materialized> {
+pub fn eval(
+    expr: &Expr,
+    catalog: &dyn Bindings,
+    tau: Time,
+    opts: &EvalOptions,
+) -> Result<Materialized> {
     eval_probed(expr, catalog, tau, opts, &mut NoProbe)
 }
 
@@ -341,6 +345,7 @@ pub fn eval(expr: &Expr, catalog: &Catalog, tau: Time, opts: &EvalOptions) -> Re
 mod tests {
     use super::*;
     use crate::aggregate::AggFunc;
+    use crate::catalog::Catalog;
     use crate::predicate::Predicate;
     use crate::schema::Schema;
     use crate::tuple;

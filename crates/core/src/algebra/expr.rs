@@ -3,11 +3,11 @@
 //! An [`Expr`] is a query: a tree of expiration-time algebra operators over
 //! named base relations. Expressions are built with a fluent API
 //! (`Expr::base("Pol").select(p).project([1])`), type-checked against a
-//! [`Catalog`] via [`Expr::schema`], classified as monotonic or
+//! [`Bindings`] via [`Expr::schema`], classified as monotonic or
 //! non-monotonic (Section 2.5), and evaluated with [`super::eval::eval`].
 
 use crate::aggregate::AggFunc;
-use crate::catalog::Catalog;
+use crate::catalog::Bindings;
 use crate::error::{Error, Result};
 use crate::predicate::Predicate;
 use crate::schema::Schema;
@@ -169,9 +169,9 @@ impl Expr {
     /// # Errors
     ///
     /// Returns unknown-relation, out-of-range, or compatibility errors.
-    pub fn schema(&self, catalog: &Catalog) -> Result<Schema> {
+    pub fn schema(&self, catalog: &dyn Bindings) -> Result<Schema> {
         match self {
-            Expr::Base(name) => Ok(catalog.get(name)?.schema().clone()),
+            Expr::Base(name) => catalog.schema(name),
             Expr::Select { input, predicate } => {
                 let s = input.schema(catalog)?;
                 predicate.validate(s.arity())?;
@@ -358,6 +358,7 @@ impl fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
     use crate::relation::Relation;
     use crate::time::Time;
     use crate::tuple;

@@ -11,7 +11,7 @@ use exptime_obs::JsonValue;
 
 use crate::algebra::eval::{eval_probed, EvalOptions, Materialized, Probe};
 use crate::algebra::expr::Expr;
-use crate::catalog::Catalog;
+use crate::catalog::Bindings;
 use crate::error::Result;
 use crate::time::Time;
 
@@ -22,9 +22,9 @@ pub struct PlanProfile {
     pub label: String,
     /// Rows produced by this operator (visible at `τ`).
     pub rows_out: u64,
-    /// Rows this operator dropped because their expiration time had
-    /// passed (`texp ≤ τ`). Non-zero at `Base` leaves, where stored
-    /// tuples are first filtered to the current instant.
+    /// Physically present rows this operator skipped because their
+    /// expiration time had passed (`texp ≤ τ`). Non-zero only at `Base`
+    /// leaves over storage that removes lazily, between vacuums.
     pub expired_filtered: u64,
     /// This node's expression expiration time `texp(e)`.
     pub texp: Time,
@@ -177,7 +177,7 @@ impl Probe for Recorder {
 /// Returns the same errors as `eval`.
 pub fn eval_profiled(
     expr: &Expr,
-    catalog: &Catalog,
+    catalog: &dyn Bindings,
     tau: Time,
     opts: &EvalOptions,
 ) -> Result<(Materialized, PlanProfile)> {
@@ -190,6 +190,7 @@ pub fn eval_profiled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
     use crate::relation::Relation;
     use crate::schema::Schema;
     use crate::tuple;

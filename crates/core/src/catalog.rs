@@ -1,13 +1,40 @@
-//! A catalog of named base relations.
+//! The algebra's binding environment: named base relations.
 //!
-//! Algebra expressions reference base relations by name; a [`Catalog`] is
-//! the binding environment an expression is evaluated against. The engine
-//! crate layers storage, triggers, and views on top; this minimal catalog is
-//! what the algebra itself needs.
+//! Algebra expressions reference base relations by name, and evaluating
+//! one asks its environment exactly two questions — the schema of a name,
+//! and the rows of a name visible at `τ`. [`Bindings`] is those two
+//! questions; it hides *how* the rows are stored. [`Catalog`] is the
+//! in-memory answer (a map of [`Relation`]s); the engine answers the same
+//! questions from its stored tables, so a consistent read needs only a
+//! pinned `τ`, never a copy of the data.
 
 use crate::error::{Error, Result};
 use crate::relation::Relation;
+use crate::schema::Schema;
+use crate::time::Time;
 use std::collections::BTreeMap;
+
+/// What the algebra asks of the environment it is evaluated against.
+///
+/// Visibility is a pure function of `τ` (`expτ(R) = { r | texp_R(r) > τ }`),
+/// so an implementation that is not mutated while an evaluation borrows
+/// it *is* a snapshot at `τ`.
+pub trait Bindings {
+    /// The schema of base relation `name` (case-insensitive).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownRelation`] if `name` is not bound.
+    fn schema(&self, name: &str) -> Result<Schema>;
+
+    /// `expτ(name)`: the rows visible at `τ`, in stored order — plus how
+    /// many physically present rows were skipped because they had expired.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownRelation`] if `name` is not bound.
+    fn scan(&self, name: &str, tau: Time) -> Result<(Relation, usize)>;
+}
 
 /// A name → relation binding environment.
 ///
@@ -30,11 +57,6 @@ impl Catalog {
             .insert(name.into().to_ascii_lowercase(), relation);
     }
 
-    /// Removes a relation; returns it if it was present.
-    pub fn deregister(&mut self, name: &str) -> Option<Relation> {
-        self.relations.remove(&name.to_ascii_lowercase())
-    }
-
     /// Looks up a relation.
     ///
     /// # Errors
@@ -46,62 +68,28 @@ impl Catalog {
             .ok_or_else(|| Error::UnknownRelation(name.to_string()))
     }
 
-    /// Mutable lookup.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownRelation`] if `name` is not registered.
-    pub fn get_mut(&mut self, name: &str) -> Result<&mut Relation> {
-        self.relations
-            .get_mut(&name.to_ascii_lowercase())
-            .ok_or_else(|| Error::UnknownRelation(name.to_string()))
-    }
-
-    /// Whether `name` is registered.
-    #[must_use]
-    pub fn contains(&self, name: &str) -> bool {
-        self.relations.contains_key(&name.to_ascii_lowercase())
-    }
-
     /// Iterates `(name, relation)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Relation)> {
         self.relations.iter().map(|(n, r)| (n.as_str(), r))
     }
+}
 
-    /// Number of registered relations.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.relations.len()
+impl Bindings for Catalog {
+    fn schema(&self, name: &str) -> Result<Schema> {
+        Ok(self.get(name)?.schema().clone())
     }
 
-    /// Whether the catalog is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.relations.is_empty()
-    }
-
-    /// Eagerly expires tuples in every relation (Section 3.2), returning
-    /// `(relation name, removed rows)` for trigger processing.
-    pub fn expire_all(
-        &mut self,
-        tau: crate::time::Time,
-    ) -> Vec<(String, Vec<(crate::tuple::Tuple, crate::time::Time)>)> {
-        let mut out = Vec::new();
-        for (name, rel) in &mut self.relations {
-            let removed = rel.expire(tau);
-            if !removed.is_empty() {
-                out.push((name.clone(), removed));
-            }
-        }
-        out
+    fn scan(&self, name: &str, tau: Time) -> Result<(Relation, usize)> {
+        let stored = self.get(name)?;
+        let rel = stored.exp(tau);
+        let skipped = stored.len() - rel.len();
+        Ok((rel, skipped))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Schema;
-    use crate::time::Time;
     use crate::tuple;
     use crate::value::ValueType;
 
@@ -116,48 +104,24 @@ mod tests {
     fn register_and_lookup_case_insensitive() {
         let mut c = Catalog::new();
         c.register("Pol", rel());
-        assert!(c.contains("pol"));
-        assert!(c.contains("POL"));
         assert_eq!(c.get("pOl").unwrap().len(), 2);
+        assert_eq!(Bindings::schema(&c, "POL").unwrap().arity(), 1);
         assert!(matches!(c.get("el"), Err(Error::UnknownRelation(_))));
-        assert_eq!(c.len(), 1);
-        assert!(!c.is_empty());
+        assert!(matches!(
+            c.scan("el", Time::ZERO),
+            Err(Error::UnknownRelation(_))
+        ));
     }
 
     #[test]
-    fn deregister() {
+    fn scan_is_exp_tau_and_counts_what_it_skipped() {
         let mut c = Catalog::new();
         c.register("r", rel());
-        assert!(c.deregister("R").is_some());
-        assert!(c.deregister("r").is_none());
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn get_mut_allows_updates() {
-        let mut c = Catalog::new();
-        c.register("r", rel());
-        c.get_mut("r")
-            .unwrap()
-            .insert(tuple![3], Time::new(9))
-            .unwrap();
-        assert_eq!(c.get("r").unwrap().len(), 3);
-    }
-
-    #[test]
-    fn expire_all_reports_per_relation() {
-        let mut c = Catalog::new();
-        c.register("r", rel());
-        c.register("s", rel());
-        let removed = c.expire_all(Time::new(5));
-        assert_eq!(removed.len(), 2);
-        for (_, rows) in &removed {
-            assert_eq!(rows.len(), 1);
-            assert_eq!(rows[0].0, tuple![1]);
-        }
-        assert_eq!(c.get("r").unwrap().len(), 1);
-        // Nothing left to expire.
-        assert!(c.expire_all(Time::new(100)).is_empty());
+        let (all, skipped) = c.scan("R", Time::new(4)).unwrap();
+        assert_eq!((all.len(), skipped), (2, 0));
+        let (live, skipped) = c.scan("r", Time::new(5)).unwrap();
+        assert_eq!((live.len(), skipped), (1, 1));
+        assert!(live.contains(&tuple![2]));
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //!   paper says "causes recomputations to happen"), and aggregations
 //!   contribute their input sizes (each expiry may change a value).
 //!
-//! [`Stats`] summarises a catalog (live cardinalities and per-attribute
+//! [`Stats`] summarises the relations a plan names (live cardinalities and per-attribute
 //! distinct counts); [`estimate`] folds an expression over it;
 //! [`choose`] picks the best of several equivalent plans, fragility
 //! first. The estimator uses the textbook independence/containment
 //! heuristics — it is deliberately simple, deterministic, and fast.
 
 use crate::algebra::Expr;
-use crate::catalog::Catalog;
+use crate::catalog::Bindings;
 use crate::predicate::{CmpOp, Operand, Predicate};
 use crate::time::Time;
 use std::collections::{HashMap, HashSet};
@@ -45,17 +45,19 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Collects statistics from a catalog at time `τ` (one scan per
-    /// relation).
+    /// Collects statistics at time `τ` for the base relations `expr`
+    /// names (one scan each). A name `catalog` does not bind gets no entry;
+    /// evaluation reports it.
     #[must_use]
-    pub fn collect(catalog: &Catalog, tau: Time) -> Stats {
+    pub fn collect(expr: &Expr, catalog: &dyn Bindings, tau: Time) -> Stats {
         let mut tables = HashMap::new();
-        for (name, rel) in catalog.iter() {
+        for name in expr.base_names() {
+            let Ok((rel, _)) = catalog.scan(&name, tau) else {
+                continue;
+            };
             let mut distinct: Vec<HashSet<&crate::value::Value>> =
                 (0..rel.arity()).map(|_| HashSet::new()).collect();
-            let mut rows = 0usize;
-            for (t, _) in rel.iter_at(tau) {
-                rows += 1;
+            for (t, _) in rel.iter() {
                 for (i, set) in distinct.iter_mut().enumerate() {
                     set.insert(t.attr(i));
                 }
@@ -63,7 +65,7 @@ impl Stats {
             tables.insert(
                 name.to_ascii_lowercase(),
                 TableStats {
-                    rows: rows as f64,
+                    rows: rel.len() as f64,
                     ndv: distinct.iter().map(|s| s.len().max(1) as f64).collect(),
                 },
             );
@@ -290,8 +292,8 @@ pub fn choose<'a>(candidates: &'a [Expr], stats: &Stats) -> &'a Expr {
 /// this is purely a cost decision; with pushed-down selections the
 /// rewritten plan is nearly always at most as fragile.)
 #[must_use]
-pub fn optimize(expr: &Expr, catalog: &Catalog, tau: Time) -> Expr {
-    let stats = Stats::collect(catalog, tau);
+pub fn optimize(expr: &Expr, catalog: &dyn Bindings, tau: Time) -> Expr {
+    let stats = Stats::collect(expr, catalog, tau);
     let rewritten = crate::rewrite::rewrite(expr);
     let candidates = [expr.clone(), rewritten];
     choose(&candidates, &stats).clone()
@@ -302,6 +304,7 @@ mod tests {
     use super::*;
     use crate::algebra::eval;
     use crate::algebra::EvalOptions;
+    use crate::catalog::Catalog;
     use crate::relation::Relation;
     use crate::schema::Schema;
     use crate::tuple;
@@ -325,24 +328,32 @@ mod tests {
         c
     }
 
+    /// Statistics for both relations of [`catalog`].
+    fn stats_of(c: &Catalog, tau: Time) -> Stats {
+        Stats::collect(&Expr::base("R").union(Expr::base("s")), c, tau)
+    }
+
     #[test]
     fn stats_collection() {
         let c = catalog(100, 40);
-        let stats = Stats::collect(&c, Time::ZERO);
+        let stats = stats_of(&c, Time::ZERO);
         let r = stats.table("R").unwrap();
         assert_eq!(r.rows, 100.0);
         assert_eq!(r.ndv[0], 100.0, "k is unique");
         assert_eq!(r.ndv[1], 10.0, "v has 10 distinct values");
         assert!(stats.table("missing").is_none());
         // Stats respect τ: at time 20 some s rows have expired.
-        let later = Stats::collect(&c, Time::new(20));
+        let later = stats_of(&c, Time::new(20));
         assert!(later.table("s").unwrap().rows < 40.0);
+        // Only what the expression names is scanned.
+        let only_r = Stats::collect(&Expr::base("r"), &c, Time::ZERO);
+        assert!(only_r.table("r").is_some() && only_r.table("s").is_none());
     }
 
     #[test]
     fn selection_estimates_track_reality_in_order() {
         let c = catalog(1000, 10);
-        let stats = Stats::collect(&c, Time::ZERO);
+        let stats = stats_of(&c, Time::ZERO);
         let eq_unique = Expr::base("r").select(Predicate::attr_eq_const(0, 5));
         let eq_coarse = Expr::base("r").select(Predicate::attr_eq_const(1, 5));
         let range = Expr::base("r").select(Predicate::attr_cmp_const(0, CmpOp::Lt, 500));
@@ -360,7 +371,7 @@ mod tests {
     #[test]
     fn monotonic_plans_have_zero_fragility() {
         let c = catalog(100, 100);
-        let stats = Stats::collect(&c, Time::ZERO);
+        let stats = stats_of(&c, Time::ZERO);
         let plan = Expr::base("r")
             .join(Expr::base("s"), Predicate::attr_eq_attr(0, 2))
             .project([0, 1])
@@ -372,7 +383,7 @@ mod tests {
     #[test]
     fn non_monotonic_plans_accumulate_fragility() {
         let c = catalog(100, 100);
-        let stats = Stats::collect(&c, Time::ZERO);
+        let stats = stats_of(&c, Time::ZERO);
         let diff = Expr::base("r").difference(Expr::base("s"));
         let agg = Expr::base("r").aggregate([1], crate::aggregate::AggFunc::Count);
         let both = diff.clone().union(agg.clone());
@@ -385,7 +396,7 @@ mod tests {
     #[test]
     fn pushed_down_selection_is_less_fragile() {
         let c = catalog(1000, 1000);
-        let stats = Stats::collect(&c, Time::ZERO);
+        let stats = stats_of(&c, Time::ZERO);
         let original = Expr::base("r")
             .difference(Expr::base("s"))
             .select(Predicate::attr_eq_const(1, 3));

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::aggregate::approx::Tolerance;
     pub use crate::aggregate::{AggFunc, AggMode};
     pub use crate::algebra::{eval, eval_profiled, EvalOptions, Expr, Materialized, PlanProfile};
-    pub use crate::catalog::Catalog;
+    pub use crate::catalog::{Bindings, Catalog};
     pub use crate::cost::{estimate, optimize, PlanCost, Stats};
     pub use crate::error::{Error, Result};
     pub use crate::interval::{Interval, IntervalSet};

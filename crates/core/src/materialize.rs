@@ -16,7 +16,7 @@
 //!   **lazy** (deferred, more optimisation freedom) per Section 3.2.
 
 use crate::algebra::{eval, EvalOptions, Expr, Materialized};
-use crate::catalog::Catalog;
+use crate::catalog::Bindings;
 use crate::error::Result;
 use crate::relation::Relation;
 use crate::time::Time;
@@ -171,7 +171,7 @@ impl MaterializedView {
     /// Propagates evaluation errors.
     pub fn new(
         expr: Expr,
-        catalog: &Catalog,
+        catalog: &dyn Bindings,
         tau: Time,
         opts: EvalOptions,
         refresh: RefreshPolicy,
@@ -228,7 +228,7 @@ impl MaterializedView {
     /// # Errors
     ///
     /// Propagates evaluation errors.
-    pub fn with_defaults(expr: Expr, catalog: &Catalog, tau: Time) -> Result<Self> {
+    pub fn with_defaults(expr: Expr, catalog: &dyn Bindings, tau: Time) -> Result<Self> {
         MaterializedView::new(
             expr,
             catalog,
@@ -302,7 +302,7 @@ impl MaterializedView {
     /// # Errors
     ///
     /// Propagates recomputation errors.
-    pub fn maintain(&mut self, catalog: &Catalog, tau: Time) -> Result<bool> {
+    pub fn maintain(&mut self, catalog: &dyn Bindings, tau: Time) -> Result<bool> {
         let mut span = self.tracer.span("view.maintain");
         span.attr("view", &self.name);
         if let Some(t) = tau.finite() {
@@ -351,7 +351,7 @@ impl MaterializedView {
     /// # Errors
     ///
     /// Propagates recomputation errors.
-    pub fn read(&mut self, catalog: &Catalog, tau: Time) -> Result<Relation> {
+    pub fn read(&mut self, catalog: &dyn Bindings, tau: Time) -> Result<Relation> {
         let recomputed = self.maintain(catalog, tau)?;
         self.counters.reads.inc();
         if !recomputed {
@@ -370,7 +370,7 @@ impl MaterializedView {
     /// # Errors
     ///
     /// Propagates evaluation errors.
-    pub fn force_refresh(&mut self, catalog: &Catalog, tau: Time) -> Result<()> {
+    pub fn force_refresh(&mut self, catalog: &dyn Bindings, tau: Time) -> Result<()> {
         let mut span = self.tracer.span("view.force_refresh");
         span.attr("view", &self.name);
         if let Some(t) = tau.finite() {
@@ -419,6 +419,7 @@ impl MaterializedView {
 mod tests {
     use super::*;
     use crate::aggregate::AggFunc;
+    use crate::catalog::Catalog;
     use crate::predicate::Predicate;
     use crate::schema::Schema;
     use crate::tuple;

@@ -16,7 +16,7 @@
 //! per a [`QueryPolicy`].
 
 use crate::algebra::{eval, EvalOptions, Expr, Materialized};
-use crate::catalog::Catalog;
+use crate::catalog::Bindings;
 use crate::error::Result;
 use crate::relation::Relation;
 use crate::time::Time;
@@ -89,7 +89,7 @@ impl QueryAnswer {
 pub fn answer(
     m: &Materialized,
     expr: &Expr,
-    catalog: &Catalog,
+    catalog: &dyn Bindings,
     tau: Time,
     policy: QueryPolicy,
     opts: &EvalOptions,
@@ -164,6 +164,7 @@ pub fn answer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
     use crate::schema::Schema;
     use crate::tuple;
     use crate::value::ValueType;

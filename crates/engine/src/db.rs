@@ -18,8 +18,8 @@ use crate::durability::{CheckpointStats, Durability, RecoveryStats, WalSession, 
 use crate::telemetry::{TelemetryConfig, TelemetryStatus, TELEMETRY_HEALTH, TELEMETRY_METRICS};
 use crate::trigger::{ExpirationEvent, TriggerFn, TriggerManager};
 use exptime_core::algebra::{eval, eval_profiled, EvalOptions, Expr, Materialized, PlanProfile};
-use exptime_core::catalog::Catalog;
 use exptime_core::materialize::{MaterializedView, RefreshDecision, RefreshPolicy, RemovalPolicy};
+use exptime_core::predicate::Predicate;
 use exptime_core::relation::Relation;
 use exptime_core::rewrite::TickBound;
 use exptime_core::schema::Schema;
@@ -42,6 +42,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::Path;
 use std::time::Instant;
+
+mod stored;
+use stored::Stored;
 
 /// How the engine physically removes expired base-table rows
 /// (Section 3.2).
@@ -1753,11 +1756,7 @@ impl Database {
                 } else {
                     None
                 };
-                let victims: Vec<(Tuple, Time)> = self.tables[&key]
-                    .scan_at(now)
-                    .filter(|(tu, _)| pred.as_ref().map_or(true, |p| p.eval(tu)))
-                    .map(|(tu, texp)| (tu.clone(), texp))
-                    .collect();
+                let victims = matching(&self.tables[&key], pred.as_ref(), now);
                 let mut touched = 0u64;
                 for (tu, current) in &victims {
                     let fx = policy.effective_texp(
@@ -1793,24 +1792,6 @@ impl Database {
     // ------------------------------------------------------------------
     // Querying
     // ------------------------------------------------------------------
-
-    /// Snapshots all base tables into an algebra [`Catalog`] at the
-    /// current time.
-    #[must_use]
-    pub fn snapshot(&self) -> Catalog {
-        let now = self.clock.now();
-        let mut c = Catalog::new();
-        let mut cloned = 0u64;
-        for (name, table) in &self.tables {
-            let rel = table.to_relation(now);
-            cloned += rel.len() as u64;
-            c.register(name.clone(), rel);
-        }
-        // Snapshotting clones every live tuple — the engine's dominant
-        // materialization site, billed to the statement's profile.
-        self.alloc.note(cloned);
-        c
-    }
 
     /// Evaluates an algebra expression at the current time. View names in
     /// the expression are inlined first.
@@ -1848,8 +1829,8 @@ impl Database {
     /// The one read path (DESIGN.md §8.1). Every way a query reaches the
     /// algebra — [`Database::select`] (so `execute` and the wire server),
     /// [`Database::query_expr`] (so `\plan`), virtual-view reads and
-    /// EXPLAIN ANALYZE — runs this: inline views, snapshot the catalog at
-    /// the pinned `τ`, optionally rewrite, evaluate under the
+    /// EXPLAIN ANALYZE — runs this: inline views, optionally rewrite,
+    /// evaluate over the borrowed tables at the pinned `τ` under the
     /// `query`/`eval` spans, count, and bill the profiler.
     ///
     /// `explain` asks for the full report: the materialised views the
@@ -1884,13 +1865,13 @@ impl Database {
                 }
             }
         }
-        let (expr, snapshot) = self.prepare_expr(expr);
+        let expr = self.prepare_expr(expr);
         let mut eval_sp = self.tracer.span("eval");
         let (m, profile) = if explain || self.profiler.next_is_sampled() {
-            let (m, profile) = eval_profiled(&expr, &snapshot, now, &self.config.eval)?;
+            let (m, profile) = eval_profiled(&expr, &*self, now, &self.config.eval)?;
             (m, Some(profile))
         } else {
-            (eval(&expr, &snapshot, now, &self.config.eval)?, None)
+            (eval(&expr, &*self, now, &self.config.eval)?, None)
         };
         if let (true, Some(profile)) = (explain && eval_sp.is_recording(), &profile) {
             let (id, at) = (eval_sp.id(), now.finite());
@@ -1907,7 +1888,7 @@ impl Database {
         self.counters.query_ns.record_duration(elapsed);
         self.profiler.record(QueryProfile {
             label: expr.to_string(),
-            rows_scanned: scanned_rows(&expr, &snapshot),
+            rows_scanned: self.live_rows(&expr),
             tuples_materialized: m.rel.len() as u64,
             change_points: expr_node_count(&expr),
             // Views are inlined, so only an explain's refreshes can have
@@ -1925,15 +1906,14 @@ impl Database {
         Ok((m, report))
     }
 
-    /// Inlines views, snapshots the catalog, and (when configured) runs
-    /// the cost-gated rewriter, emitting a [`EventKind::RewriteApplied`]
-    /// event when the plan actually changed.
-    fn prepare_expr(&mut self, expr: &Expr) -> (Expr, Catalog) {
+    /// Inlines views and (when configured) runs the cost-gated rewriter,
+    /// emitting a [`EventKind::RewriteApplied`] event when the plan
+    /// actually changed.
+    fn prepare_expr(&mut self, expr: &Expr) -> Expr {
         let expr = self.inline_views(expr);
-        let snapshot = self.snapshot();
-        let expr = if self.config.optimize {
+        if self.config.optimize {
             let mut sp = self.tracer.span("rewrite");
-            let rewritten = exptime_core::cost::optimize(&expr, &snapshot, self.clock.now());
+            let rewritten = exptime_core::cost::optimize(&expr, &*self, self.clock.now());
             sp.attr("applied", rewritten != expr);
             if rewritten != expr {
                 self.obs
@@ -1945,8 +1925,7 @@ impl Database {
             rewritten
         } else {
             expr
-        };
-        (expr, snapshot)
+        }
     }
 
     /// Replaces view references with their defining expressions, so every
@@ -2010,61 +1989,7 @@ impl Database {
     ///
     /// Returns catalog or evaluation errors.
     pub fn create_materialized_view(&mut self, name: &str, expr: Expr) -> DbResult<()> {
-        self.create_materialized_view_inner(name, expr, None)
-    }
-
-    fn create_materialized_view_inner(
-        &mut self,
-        name: &str,
-        expr: Expr,
-        definition: Option<exptime_sql::ast::Query>,
-    ) -> DbResult<()> {
-        self.guard_reserved(name, "CREATE MATERIALIZED VIEW")?;
-        let key = name.to_ascii_lowercase();
-        if self.tables.contains_key(&key) || self.views.contains_key(&key) {
-            return Err(DbError::Catalog(format!("`{name}` already exists")));
-        }
-        let expr = self.inline_views(&expr);
-        let snapshot = self.snapshot();
-        let schema = expr.schema(&snapshot)?;
-        let mut view = MaterializedView::new(
-            expr,
-            &snapshot,
-            self.clock.now(),
-            self.config.eval,
-            self.config.view_refresh,
-            RemovalPolicy::Lazy,
-        )?;
-        view.attach_obs(&self.obs, &key);
-        view.attach_tracer(&self.tracer);
-        let base_versions = self.current_versions(view.expr());
-        let diagnostics = self.lint_materialization(&key, definition.as_ref(), &view);
-        let log_sql = match (&definition, &self.wal) {
-            (Some(query), Some(_)) => Some(exptime_sql::unparse::statement_to_sql(
-                &Statement::CreateView {
-                    name: key.clone(),
-                    materialized: true,
-                    query: query.clone(),
-                },
-            )),
-            // API-created views have no SQL definition and are not
-            // durable — same limitation as dump_sql, documented there.
-            _ => None,
-        };
-        self.views.insert(
-            key,
-            ViewEntry::Materialized {
-                view,
-                schema,
-                base_versions,
-                definition,
-                diagnostics,
-            },
-        );
-        if let Some(sql) = log_sql {
-            self.wal_log_ddl(sql)?;
-        }
-        Ok(())
+        self.create_view_inner(name, expr, None, true)
     }
 
     /// Creates a virtual (non-materialised) view.
@@ -2073,7 +1998,7 @@ impl Database {
     ///
     /// Returns catalog or schema errors.
     pub fn create_view(&mut self, name: &str, expr: Expr) -> DbResult<()> {
-        self.create_view_inner(name, expr, None)
+        self.create_view_inner(name, expr, None, false)
     }
 
     fn create_view_inner(
@@ -2081,32 +2006,58 @@ impl Database {
         name: &str,
         expr: Expr,
         definition: Option<exptime_sql::ast::Query>,
+        materialized: bool,
     ) -> DbResult<()> {
-        self.guard_reserved(name, "CREATE VIEW")?;
+        let action = if materialized {
+            "CREATE MATERIALIZED VIEW"
+        } else {
+            "CREATE VIEW"
+        };
+        self.guard_reserved(name, action)?;
         let key = name.to_ascii_lowercase();
         if self.tables.contains_key(&key) || self.views.contains_key(&key) {
             return Err(DbError::Catalog(format!("`{name}` already exists")));
         }
         let expr = self.inline_views(&expr);
-        let schema = expr.schema(&self.snapshot())?;
+        let schema = expr.schema(&*self)?;
         let log_sql = match (&definition, &self.wal) {
             (Some(query), Some(_)) => Some(exptime_sql::unparse::statement_to_sql(
                 &Statement::CreateView {
                     name: key.clone(),
-                    materialized: false,
+                    materialized,
                     query: query.clone(),
                 },
             )),
+            // API-created views have no SQL definition and are not
+            // durable — same limitation as dump_sql, documented there.
             _ => None,
         };
-        self.views.insert(
-            key,
+        let entry = if materialized {
+            let mut view = MaterializedView::new(
+                expr,
+                &*self,
+                self.clock.now(),
+                self.config.eval,
+                self.config.view_refresh,
+                RemovalPolicy::Lazy,
+            )?;
+            view.attach_obs(&self.obs, &key);
+            view.attach_tracer(&self.tracer);
+            ViewEntry::Materialized {
+                base_versions: self.current_versions(view.expr()),
+                diagnostics: self.lint_materialization(&key, definition.as_ref(), &view),
+                view,
+                schema,
+                definition,
+            }
+        } else {
             ViewEntry::Virtual {
                 expr,
                 schema,
                 definition,
-            },
-        );
+            }
+        };
+        self.views.insert(key, entry);
         if let Some(sql) = log_sql {
             self.wal_log_ddl(sql)?;
         }
@@ -2158,20 +2109,10 @@ impl Database {
         self.counters.queries.inc();
         let elapsed = start.elapsed();
         self.counters.query_ns.record_duration(elapsed);
-        let now = self.clock.now();
         let entry = self.views.get(&key).expect("read above");
         self.profiler.record(QueryProfile {
             label: format!("view {key}"),
-            rows_scanned: entry
-                .expr()
-                .base_names()
-                .into_iter()
-                .map(|n| {
-                    self.tables
-                        .get(&n.to_ascii_lowercase())
-                        .map_or(0, |t| t.live_count(now) as u64)
-                })
-                .sum(),
+            rows_scanned: self.live_rows(entry.expr()),
             tuples_materialized: rel.len() as u64,
             change_points: expr_node_count(entry.expr()),
             patch_ops: self.patches_applied_total() - patches_before,
@@ -2180,6 +2121,16 @@ impl Database {
             operators: Vec::new(),
         });
         Ok(rel)
+    }
+
+    /// Live rows of the base tables `expr` names: what evaluating it reads.
+    fn live_rows(&self, expr: &Expr) -> u64 {
+        let now = self.clock.now();
+        expr.base_names()
+            .into_iter()
+            .filter_map(|n| self.tables.get(&n.to_ascii_lowercase()))
+            .map(|t| t.live_count(now) as u64)
+            .sum()
     }
 
     /// Patch-queue operations applied by every materialised view so far,
@@ -2200,7 +2151,6 @@ impl Database {
     /// EXPLAIN ANALYZE that names the view, each count one query.
     fn read_materialized(&mut self, key: &str) -> DbResult<Relation> {
         let now = self.clock.now();
-        let snapshot = self.snapshot();
         let Some(ViewEntry::Materialized { view, .. }) = self.views.get(key) else {
             return Err(DbError::Catalog(format!(
                 "`{key}` is not a materialised view"
@@ -2219,6 +2169,12 @@ impl Database {
         else {
             unreachable!("matched above")
         };
+        // Storage is touched only if the view decides to recompute: a
+        // fresh view with unmoved base versions is a local read.
+        let stored = Stored {
+            tables: &self.tables,
+            alloc: &self.alloc,
+        };
         let refresh_start = Instant::now();
         let mut sp = self.tracer.span("view.refresh");
         sp.attr("view", key);
@@ -2226,10 +2182,10 @@ impl Database {
             sp.at(t);
         }
         if *base_versions != wanted {
-            view.force_refresh(&snapshot, now)?;
+            view.force_refresh(&stored, now)?;
             *base_versions = wanted;
         }
-        let rel = view.read(&snapshot, now)?;
+        let rel = view.read(&stored, now)?;
         if let Some(d) = view.last_decision() {
             sp.attr("decision", d);
         }
@@ -2804,11 +2760,7 @@ impl Database {
                 query,
             } => {
                 let expr = plan_query(&query, &*self)?;
-                if materialized {
-                    self.create_materialized_view_inner(&name, expr, Some(query))?;
-                } else {
-                    self.create_view_inner(&name, expr, Some(query))?;
-                }
+                self.create_view_inner(&name, expr, Some(query), materialized)?;
                 Ok(ExecResult::Ok(format!("created view {name}")))
             }
             Statement::DropView { name } => {
@@ -2887,14 +2839,9 @@ impl Database {
             None => None,
         };
         let key = table.to_ascii_lowercase();
-        let victims: Vec<Tuple> = self
-            .table(table)?
-            .scan_at(now)
-            .filter(|(tu, _)| pred.as_ref().map_or(true, |p| p.eval(tu)))
-            .map(|(tu, _)| tu.clone())
-            .collect();
+        let victims = matching(self.table(table)?, pred.as_ref(), now);
         let mut n = 0;
-        for v in &victims {
+        for (v, _) in &victims {
             let t = self.tables.get_mut(&key).expect("resolved above");
             if t.delete(v).is_some() {
                 n += 1;
@@ -2938,12 +2885,7 @@ impl Database {
             Expires::Default => None,
             e => Some(self.resolve_expires(e)),
         };
-        let targets: Vec<(Tuple, Time)> = self
-            .table(table)?
-            .scan_at(now)
-            .filter(|(tu, _)| pred.as_ref().map_or(true, |p| p.eval(tu)))
-            .map(|(tu, texp)| (tu.clone(), texp))
-            .collect();
+        let targets = matching(self.table(table)?, pred.as_ref(), now);
         let mut n = 0;
         for (tu, current) in &targets {
             let fx = match requested {
@@ -3246,13 +3188,15 @@ fn expr_node_count(expr: &Expr) -> u64 {
     }
 }
 
-/// Live rows the expression reads at its base relations, from the
-/// snapshot it was evaluated against.
-fn scanned_rows(expr: &Expr, snapshot: &Catalog) -> u64 {
-    expr.base_names()
-        .into_iter()
-        .map(|n| snapshot.get(&n).map_or(0, |r| r.len() as u64))
-        .sum()
+/// The rows of `table` visible at `now` that satisfy `pred`: what a
+/// `DELETE`, an `UPDATE … SET EXPIRES` or an access touch acts on. Writes
+/// filter with the same `scan_at` that reads copy from.
+fn matching(table: &Table, pred: Option<&Predicate>, now: Time) -> Vec<(Tuple, Time)> {
+    table
+        .scan_at(now)
+        .filter(|(tu, _)| pred.map_or(true, |p| p.eval(tu)))
+        .map(|(tu, texp)| (tu.clone(), texp))
+        .collect()
 }
 
 /// Flattens an executed [`PlanProfile`] tree into per-operator costs
@@ -3593,7 +3537,7 @@ mod tests {
         assert_eq!(s.statements, 2);
         assert!(s.sampled >= 1, "the first statement is always sampled");
         assert_eq!(s.rows_scanned, 9, "3 (pol) + 3+3 (join inputs)");
-        assert!(s.allocations > 0, "snapshot clones are billed");
+        assert_eq!(s.allocations, 9, "one copy per scanned table");
         assert!(s.change_points >= 2, "every operator is a change-point");
         let last = s.last.as_ref().expect("a sampled profile is retained");
         assert!(
@@ -3607,6 +3551,17 @@ mod tests {
         );
         let rendered = s.render();
         assert!(rendered.contains("statements=2"), "{rendered}");
+    }
+
+    #[test]
+    fn a_query_copies_only_the_table_it_names() {
+        let mut db = figure1_db();
+        db.execute("SELECT * FROM pol").unwrap();
+        let stats = db.profile_stats();
+        let profile = stats.last.as_ref().expect("the first statement is sampled");
+        assert_eq!(profile.allocations, 3, "pol's live rows, not el's");
+        assert_eq!(db.table("pol").unwrap().stats().scans, 1);
+        assert_eq!(db.table("el").unwrap().stats().scans, 0);
     }
 
     #[test]
@@ -3638,7 +3593,7 @@ mod tests {
     fn eager_triggers_fire_at_exact_times() {
         let mut db = figure1_db();
         db.tick(20);
-        let log = db.triggers().log().to_vec();
+        let log: Vec<_> = db.triggers().log().iter().cloned().collect();
         assert_eq!(log.len(), 6, "all six rows expired");
         for e in &log {
             assert_eq!(e.texp, e.fired_at, "eager: fired exactly at texp");
@@ -3731,12 +3686,20 @@ mod tests {
             .unwrap();
         let r = db.execute("SELECT * FROM hot").unwrap();
         assert_eq!(r.rows().unwrap().len(), 2);
+        let scans = db.table("pol").unwrap().stats().scans;
         db.tick(10);
         let rel = db.read_view("hot").unwrap();
         assert_eq!(rel.len(), 1);
         assert!(rel.contains(&tuple![2]));
-        // Monotonic view: zero recomputations.
+        // Monotonic view: zero recomputations — a local read, which
+        // does not touch the base table at all.
         assert_eq!(db.view_stats("hot").unwrap().recomputations, 0);
+        assert_eq!(db.table("pol").unwrap().stats().scans, scans);
+        // A write moves the base version; the next read recomputes.
+        db.execute("INSERT INTO pol VALUES (4, 25) EXPIRES AT 30")
+            .unwrap();
+        assert_eq!(db.read_view("hot").unwrap().len(), 2);
+        assert_eq!(db.table("pol").unwrap().stats().scans, scans + 1);
     }
 
     #[test]

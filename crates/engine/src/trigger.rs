@@ -9,7 +9,7 @@
 
 use exptime_core::time::Time;
 use exptime_core::tuple::Tuple;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// An expiration event: a tuple left `table` because its time passed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,13 +29,19 @@ pub struct ExpirationEvent {
 /// A trigger callback.
 pub type TriggerFn = Box<dyn FnMut(&ExpirationEvent) + Send>;
 
+/// How many events the log keeps — the span ring's capacity. An
+/// application that must see every expiration registers a callback; the
+/// log is for looking at the recent past.
+const LOG_CAP: usize = exptime_obs::SPAN_RING_CAP;
+
 /// Named expiration triggers, registered per table.
 #[derive(Default)]
 pub struct TriggerManager {
     triggers: HashMap<String, Vec<(String, TriggerFn)>>,
-    /// Every event fired, in order — the audit log tests and experiments
-    /// read.
-    log: Vec<ExpirationEvent>,
+    /// The most recent [`LOG_CAP`] events fired, oldest first.
+    log: VecDeque<ExpirationEvent>,
+    /// Every event ever fired, logged or since evicted.
+    fired: u64,
 }
 
 impl std::fmt::Debug for TriggerManager {
@@ -49,7 +55,7 @@ impl std::fmt::Debug for TriggerManager {
                     .map(|(t, v)| (t, v.iter().map(|(n, _)| n).collect::<Vec<_>>()))
                     .collect::<Vec<_>>(),
             )
-            .field("fired", &self.log.len())
+            .field("fired", &self.fired)
             .finish()
     }
 }
@@ -85,27 +91,32 @@ impl TriggerManager {
         false
     }
 
-    /// Fires all triggers for an expiration and appends it to the log.
+    /// Fires all triggers for an expiration and appends it to the log,
+    /// evicting the oldest entry once the log is full.
     pub fn fire(&mut self, event: ExpirationEvent) {
         if let Some(list) = self.triggers.get_mut(&event.table.to_ascii_lowercase()) {
             for (_, f) in list {
                 f(&event);
             }
         }
-        self.log.push(event);
+        if self.log.len() == LOG_CAP {
+            self.log.pop_front();
+        }
+        self.log.push_back(event);
+        self.fired += 1;
     }
 
-    /// The full event log, oldest first.
+    /// The most recent events (a bounded ring), oldest first.
     #[must_use]
-    pub fn log(&self) -> &[ExpirationEvent] {
+    pub fn log(&self) -> &VecDeque<ExpirationEvent> {
         &self.log
     }
 
-    /// Events for one table.
-    pub fn log_for<'a>(&'a self, table: &'a str) -> impl Iterator<Item = &'a ExpirationEvent> {
-        self.log
-            .iter()
-            .filter(move |e| e.table.eq_ignore_ascii_case(table))
+    /// How many events have fired since creation — exact, unlike the
+    /// length of the bounded [`TriggerManager::log`].
+    #[must_use]
+    pub fn fired_count(&self) -> u64 {
+        self.fired
     }
 
     /// Clears the event log (the triggers stay registered).
@@ -147,7 +158,6 @@ mod tests {
         tm.fire(event("POL", 7, 7)); // case-insensitive table match
         assert_eq!(count.load(Ordering::SeqCst), 2);
         assert_eq!(tm.log().len(), 3);
-        assert_eq!(tm.log_for("pol").count(), 2);
     }
 
     #[test]
@@ -186,6 +196,20 @@ mod tests {
         tm.fire(event("pol", 5, 5));
         assert_eq!(count.load(Ordering::SeqCst), 0, "dropped trigger is gone");
         assert_eq!(tm.log().len(), 1, "log still records the event");
+    }
+
+    #[test]
+    fn log_keeps_the_newest_events_and_an_exact_count() {
+        let mut tm = TriggerManager::new();
+        let total = 10 * LOG_CAP as u64;
+        for i in 0..total {
+            tm.fire(event("pol", i, i));
+        }
+        assert_eq!(tm.fired_count(), total);
+        assert_eq!(tm.log().len(), LOG_CAP);
+        let newest: Vec<u64> = (total - LOG_CAP as u64..total).collect();
+        let kept: Vec<u64> = tm.log().iter().map(|e| e.texp.finite().unwrap()).collect();
+        assert_eq!(kept, newest);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! | R002 | No `unwrap()`/`expect(` in durability paths (`crates/wal/src`, `crates/engine/src/durability.rs`): recovery code must return errors, not die. Mutex-poisoning `lock().unwrap()` is the one allowed idiom. |
 //! | R003 | Every crate root declares `#![forbid(unsafe_code)]` (the workspace contains no unsafe). |
 //! | R004 | No `std::thread::sleep` outside test/bench/fault-injection code and the few real-time boundaries (tickers, network backoff, daemon pacing): query/maintenance paths must advance the simulated clock, never stall the thread. |
+//! | R005 | No `Database::snapshot` call in production code under `crates/*/src`: a read is a pinned `τ` over the borrowed tables, not a copy of them. The copy stays as the reference that tests, benches, examples and the out-of-tree benchmark compare the read path against. |
 
 use std::fmt;
 use std::fs;
@@ -56,6 +57,7 @@ pub fn check_repo(root: &Path) -> io::Result<Vec<RepoViolation>> {
         check_r001(&rel, &content, &mut out);
         check_r002(&rel, &content, &mut out);
         check_r004(&rel, &content, &mut out);
+        check_r005(&rel, &content, &mut out);
     }
     check_r003(root, &mut out);
     out.sort_by(|a, b| (a.rule, &a.path, a.line).cmp(&(b.rule, &b.path, b.line)));
@@ -216,6 +218,42 @@ fn check_r004(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
     }
 }
 
+/// R005: `<binding>.snapshot()` in production code under `crates/*/src`.
+///
+/// The rule is textual, so it tells a database from the metric types
+/// that also have a `snapshot()` by the receiver: a database is held in a
+/// plain binding (`db`, `server`, `self`), metrics are reached through a
+/// field or a call (`self.counters.snapshot()`,
+/// `db.metrics().snapshot()`). `crates/obs` — upstream of the engine, and
+/// the home of those metric types — is out of scope.
+fn check_r005(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
+    const CALL: &str = ".snapshot()";
+    let in_crate_src =
+        rel.starts_with("crates") && rel.components().any(|c| c.as_os_str() == "src");
+    if !in_crate_src || rel.starts_with("crates/obs") {
+        return;
+    }
+    let lines: Vec<&str> = content.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        let code = code_only(line);
+        let on_plain_binding = code.match_indices(CALL).any(|(at, _)| {
+            let receiver = code[..at].trim_end_matches(|c: char| c.is_alphanumeric() || c == '_');
+            receiver.len() < at && !receiver.ends_with('.')
+        });
+        if !on_plain_binding || line_is_in_tests(&lines, i) {
+            continue;
+        }
+        out.push(RepoViolation {
+            rule: "R005",
+            path: rel.to_path_buf(),
+            line: i + 1,
+            message: "Database::snapshot in production code; evaluate over the \
+                      database itself (it is the algebra's binding environment)"
+                .to_string(),
+        });
+    }
+}
+
 /// R003: every crate root carries `#![forbid(unsafe_code)]`.
 fn check_r003(root: &Path, out: &mut Vec<RepoViolation>) {
     let mut roots: Vec<PathBuf> = vec![PathBuf::from("src/lib.rs")];
@@ -361,6 +399,38 @@ mod tests {
         assert_eq!(r004.len(), 1, "{v:?}");
         assert_eq!(r004[0].path, Path::new("crates/engine/src/db.rs"));
         assert_eq!(r004[0].line, 1);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn r005_flags_database_snapshots_in_production_code_only() {
+        let copying = "fn q(db: &Database) { eval(&e, &db.snapshot(), now, &o); }\n\
+                       fn s(&self) -> DbStats { self.counters.snapshot() }\n\
+                       fn m(db: &Database) { db.metrics().snapshot(); }\n\
+                       #[cfg(test)]\n\
+                       mod tests { fn t() { server.snapshot(); } }\n";
+        let dir = fixture(&[
+            ("crates/replica/src/baseline.rs", copying),
+            (
+                "crates/obs/src/metrics.rs",
+                "fn r(h: &H) { h.snapshot(); }\n",
+            ),
+            (
+                "crates/bench/benches/engine.rs",
+                "fn b() { db.snapshot(); }\n",
+            ),
+            ("examples/demo.rs", "fn main() { db.snapshot(); }\n"),
+            ("tests/oracle.rs", "fn t() { srv.snapshot(); }\n"),
+            ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
+        ]);
+        let v = check_repo(&dir).unwrap();
+        let r005: Vec<_> = v.iter().filter(|v| v.rule == "R005").collect();
+        // Only the copy on a plain binding in production code fires:
+        // field and call receivers are metric snapshots, and tests,
+        // benches, examples and crates/obs are out of scope.
+        assert_eq!(r005.len(), 1, "{v:?}");
+        assert_eq!(r005[0].path, Path::new("crates/replica/src/baseline.rs"));
+        assert_eq!(r005[0].line, 1);
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -34,12 +34,7 @@ impl DeletePushReplica {
     /// Propagates evaluation errors.
     pub fn subscribe(expr: Expr, server: &Database) -> ReplicaResult<Self> {
         let expr = server.inline_views(&expr);
-        let m = eval(
-            &expr,
-            &server.snapshot(),
-            server.now(),
-            &EvalOptions::default(),
-        )?;
+        let m = eval(&expr, server, server.now(), &EvalOptions::default())?;
         let mut link = Link::new();
         link.round_trip(m.rel.len() as u64);
         Ok(DeletePushReplica {
@@ -60,7 +55,7 @@ impl DeletePushReplica {
     /// as [`crate::ReplicaError::Db`] instead of panicking.
     pub fn server_sync(&mut self, server: &Database) -> ReplicaResult<()> {
         let now = server.now();
-        let fresh = eval(&self.expr, &server.snapshot(), now, &EvalOptions::default())?.rel;
+        let fresh = eval(&self.expr, server, now, &EvalOptions::default())?.rel;
         // Deletions: cached tuples no longer in the result.
         let stale: Vec<_> = self
             .cache
@@ -121,13 +116,7 @@ impl PollingReplica {
     ///
     /// Propagates evaluation errors.
     pub fn read(&mut self, server: &Database) -> ReplicaResult<Relation> {
-        let rel = eval(
-            &self.expr,
-            &server.snapshot(),
-            server.now(),
-            &EvalOptions::default(),
-        )?
-        .rel;
+        let rel = eval(&self.expr, server, server.now(), &EvalOptions::default())?.rel;
         self.link.round_trip(rel.len() as u64);
         Ok(rel)
     }

@@ -82,10 +82,9 @@ impl Replica {
     /// Returns evaluation errors, or [`ReplicaError::LinkRefused`] when
     /// the link is down.
     pub fn subscribe(&mut self, name: &str, expr: Expr, server: &Database) -> ReplicaResult<()> {
-        let snapshot = server.snapshot();
         let mut view = MaterializedView::new(
             server.inline_views(&expr),
-            &snapshot,
+            server,
             server.now(),
             EvalOptions::default(),
             self.refresh,
@@ -122,20 +121,15 @@ impl Replica {
             ReplicaError::Db(DbError::Catalog(format!("not subscribed to `{name}`")))
         })?;
 
-        if view.fresh_at(now) {
+        // A fresh view reads locally and never asks `server` for rows; a
+        // stale one needs the link. The recomputation counter says which
+        // of the two this read was.
+        if view.fresh_at(now) || self.link.is_up() {
             let before = view.stats().recomputations;
-            let snapshot_unused = exptime_core::catalog::Catalog::new();
-            // Fresh: the read never touches the (empty) catalog, but a
-            // library path still propagates instead of panicking.
-            let rel = view.read(&snapshot_unused, now)?;
-            debug_assert_eq!(view.stats().recomputations, before);
-            return Ok((rel, ReadOutcome::Local));
-        }
-
-        // Needs the server.
-        if self.link.is_up() {
-            let snapshot = server.snapshot();
-            let rel = view.read(&snapshot, now)?;
+            let rel = view.read(server, now)?;
+            if view.stats().recomputations == before {
+                return Ok((rel, ReadOutcome::Local));
+            }
             self.link.round_trip(rel.len() as u64);
             return Ok((rel, ReadOutcome::Refreshed));
         }
@@ -219,8 +213,14 @@ mod tests {
         let after_subscribe = rep.link_stats().total_messages();
         for _ in 0..20 {
             srv.tick(1);
+            let scans = srv.table("pol").unwrap().stats().scans;
             let (rel, outcome) = rep.read("hot", &srv).unwrap();
             assert_eq!(outcome, ReadOutcome::Local);
+            assert_eq!(
+                srv.table("pol").unwrap().stats().scans,
+                scans,
+                "a local read asks the server for nothing"
+            );
             // The local copy matches a fresh server evaluation exactly.
             let truth = srv.execute("SELECT * FROM pol WHERE deg = 25").unwrap();
             assert!(rel.set_eq(truth.rows().unwrap()));

@@ -501,17 +501,9 @@ impl ChaosReplica {
         let now = ticks(server.now());
         let expr = server.inline_views(&expr);
         // The client authored the query, so it knows the result schema
-        // statically; a schema-only evaluation stands in for that
-        // compile-time knowledge and crosses no link.
-        let schema = eval(
-            &expr,
-            &server.snapshot(),
-            server.now(),
-            &EvalOptions::default(),
-        )?
-        .rel
-        .schema()
-        .clone();
+        // statically: the type check stands in for that compile-time
+        // knowledge, reads no rows and crosses no link.
+        let schema = expr.schema(server)?;
         let placeholder = Materialized {
             rel: Relation::new(schema),
             at: Time::ZERO,
@@ -581,12 +573,7 @@ impl ChaosReplica {
                 // span — the cross-endpoint stitch.
                 let ctx =
                     self.trace_hop(frame.ctx, "server.handle.refresh_req", now, retransmission);
-                let state = eval(
-                    &entry.expr,
-                    &server.snapshot(),
-                    server.now(),
-                    &EvalOptions::default(),
-                )?;
+                let state = eval(&entry.expr, server, server.now(), &EvalOptions::default())?;
                 let resp = Payload::RefreshResponse { view, seq, state };
                 let tuples = resp.tuples();
                 self.link.send(
@@ -605,12 +592,7 @@ impl ChaosReplica {
                 };
                 let ctx =
                     self.trace_hop(frame.ctx, "server.handle.digest_req", now, retransmission);
-                let fresh = eval(
-                    &entry.expr,
-                    &server.snapshot(),
-                    server.now(),
-                    &EvalOptions::default(),
-                )?;
+                let fresh = eval(&entry.expr, server, server.now(), &EvalOptions::default())?;
                 let server_digests: std::collections::BTreeSet<u64> =
                     fresh.rel.iter().map(|(t, e)| tuple_digest(t, e)).collect();
                 let client_digests: std::collections::BTreeSet<u64> =
@@ -1055,12 +1037,7 @@ impl ChaosDeletePush {
         policy: RetryPolicy,
     ) -> ReplicaResult<Self> {
         let expr = server.inline_views(&expr);
-        let m = eval(
-            &expr,
-            &server.snapshot(),
-            server.now(),
-            &EvalOptions::default(),
-        )?;
+        let m = eval(&expr, server, server.now(), &EvalOptions::default())?;
         let obs = Obs::new();
         let tracer = Tracer::attached(&obs);
         let mut link = FaultyLink::new(spec);
@@ -1136,13 +1113,7 @@ impl ChaosDeletePush {
 
         // 2. Server: diff fresh result against the shadow (the state the
         //    client will hold once every sent notice lands).
-        let fresh = eval(
-            &self.expr,
-            &server.snapshot(),
-            server.now(),
-            &EvalOptions::default(),
-        )?
-        .rel;
+        let fresh = eval(&self.expr, server, server.now(), &EvalOptions::default())?.rel;
         let stale: Vec<Tuple> = self
             .shadow
             .iter()

@@ -394,10 +394,12 @@ impl Table {
         }
     }
 
-    /// Snapshots the visible rows at `τ` into an algebra [`Relation`] — the
-    /// bridge from physical storage to the query layer.
+    /// Copies the rows visible at `τ` into an algebra [`Relation`] — the
+    /// bridge from physical storage to the query layer. A full scan, and
+    /// counted as one.
     #[must_use]
     pub fn to_relation(&self, tau: Time) -> Relation {
+        self.counters.scans.inc();
         let mut r = Relation::new(self.schema.clone());
         for (t, e) in self.scan_at(tau) {
             r.insert(t.clone(), e).expect("rows were schema-checked");
@@ -565,6 +567,7 @@ mod tests {
         assert_eq!(r.len(), 1);
         assert_eq!(r.texp(&tuple![2, 25]), Some(t(15)));
         assert_eq!(r.schema().arity(), 2);
+        assert_eq!(tb.stats().scans, 1);
     }
 
     #[test]

@@ -42,15 +42,14 @@ fn main() -> DbResult<()> {
     }
 
     // Compare the three expiration-time assignments for min(temp) by zone.
-    let snapshot = db.snapshot();
-    let readings = snapshot.get("readings").unwrap();
+    let readings = db.query_expr(&Expr::base("readings"))?.rel;
     println!("per-zone minimum temperature at time {} —", db.now());
     println!("  expiration time of the dashboard row under each mode:\n");
     println!(
         "  {:<6}{:>6}{:>18}{:>22}{:>14}",
         "zone", "min", "naive (Eq. 8)", "contributing (T. 1)", "exact (ν)"
     );
-    for (key, partition) in aggregate::partition(readings, &[0], db.now()) {
+    for (key, partition) in aggregate::partition(&readings, &[0], db.now()) {
         let min = AggFunc::Min(1).apply(&partition).unwrap().unwrap();
         let mut texps = Vec::new();
         for mode in [AggMode::Naive, AggMode::Contributing, AggMode::Exact] {

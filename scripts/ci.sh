@@ -16,10 +16,11 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 
-# Repo-invariant lint (exptime-lint R001–R004): no wall-clock reads
+# Repo-invariant lint (exptime-lint R001–R005): no wall-clock reads
 # outside core/time.rs, no unwrap/expect in durability paths,
-# #![forbid(unsafe_code)] in every crate root, and no thread::sleep
-# outside tests/benches and the real-time boundary files.
+# #![forbid(unsafe_code)] in every crate root, no thread::sleep
+# outside tests/benches and the real-time boundary files, and no
+# Database::snapshot call in production code.
 cargo run --release -q -p exptime-lint --bin repolint
 
 # Analyzer golden tests: the Fig. 3 anomalies must flag their exact

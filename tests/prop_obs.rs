@@ -6,7 +6,7 @@ mod common;
 
 use common::schema2;
 use exptime::core::tuple;
-use exptime::engine::{Database, DbConfig};
+use exptime::engine::{Database, DbConfig, Removal};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -36,10 +36,17 @@ proptest! {
     /// Conservation: at every observed clock time, every row the engine
     /// ever accepted is accounted for exactly once —
     /// `inserts == live + deleted + expired`. Keys are unique per insert
-    /// so duplicate-merge semantics cannot blur the ledger.
+    /// so duplicate-merge semantics cannot blur the ledger. The read side
+    /// keeps a ledger too: every query is one counted scan of the table
+    /// it names, and its `Base` leaf accounts for every physically
+    /// present row — returned, or skipped as expired (non-zero between
+    /// vacuums under lazy removal).
     #[test]
-    fn inserted_rows_are_conserved(ops in proptest::collection::vec(arb_op(), 1..70)) {
-        let mut db = Database::new(DbConfig::default());
+    fn inserted_rows_are_conserved(
+        ops in proptest::collection::vec(arb_op(), 1..70),
+        removal in prop_oneof![Just(Removal::Eager), Just(Removal::Lazy { vacuum_every: 1000 })],
+    ) {
+        let mut db = Database::new(DbConfig { removal, ..DbConfig::default() });
         db.create_table("t", schema2()).unwrap();
         let mut next_key = 0i64;
 
@@ -56,7 +63,16 @@ proptest! {
                     db.tick(d);
                 }
                 Op::Query => {
+                    let scans = db.metrics().counter_value("storage.t.scans");
+                    let stored = db.table("t").unwrap().len() as u64;
+                    let live = db.table("t").unwrap().live_count(db.now()) as u64;
+                    let report = db.explain_analyze("SELECT k FROM t").unwrap();
+                    let leaf = &report.profile.children[0];
+                    prop_assert!(leaf.children.is_empty(), "π over a Base leaf: {}", report);
+                    prop_assert_eq!(leaf.rows_out, live);
+                    prop_assert_eq!(leaf.rows_out + leaf.expired_filtered, stored, "{}", report);
                     db.execute("SELECT k FROM t").unwrap();
+                    prop_assert_eq!(db.metrics().counter_value("storage.t.scans"), scans + 2);
                 }
             }
 

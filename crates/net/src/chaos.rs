@@ -5,8 +5,9 @@
 //! by [`crate::frame::encode_msg`]) — the link drops, duplicates,
 //! reorders, delays, and partitions them according to a seeded
 //! [`FaultSpec`], exactly as the replica layer's chaos tests do. The
-//! server side runs the *same* [`SessionTable`] admission code as the
-//! TCP server, so what the property tests prove here — every submitted
+//! server side answers a statement with the *same*
+//! [`SessionTable::serve`] around the same [`reply_of`] as the TCP
+//! server, so what the property tests prove here — every submitted
 //! statement applied **exactly once**, no matter the fault schedule —
 //! is a statement about the production path, not about a model of it.
 //!
@@ -15,8 +16,8 @@
 //! [`RetryPolicy`], and the link's fate decisions replay from the spec.
 
 use crate::frame::{decode_msg, encode_msg, Msg, ReplyBody};
-use crate::session::{Admission, Handshake, SessionTable};
-use exptime_engine::{Database, ExecResult};
+use crate::session::{reply_of, Handshake, SessionTable};
+use exptime_engine::Database;
 use exptime_replica::{Dir, FaultSpec, FaultyLink, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -171,25 +172,10 @@ impl ChaosNet {
                 }
                 Msg::Stmt { seq, sql, .. } => {
                     let token = self.handshake.map_or(0, |h| h.token);
-                    let body = match self.sessions.admit(token, seq) {
-                        Admission::Fresh => {
-                            *self.exec_counts.entry(seq).or_insert(0) += 1;
-                            let body = apply(db, &sql);
-                            self.sessions.record(token, seq, body.clone());
-                            body
-                        }
-                        Admission::Replay(body) => body,
-                        Admission::Refused(reason) => ReplyBody::Err {
-                            code: crate::error::ErrorCode::Protocol.as_u16(),
-                            retry_after_ms: 0,
-                            message: reason.to_string(),
-                        },
-                        Admission::UnknownSession => ReplyBody::Err {
-                            code: crate::error::ErrorCode::SessionExpired.as_u16(),
-                            retry_after_ms: 0,
-                            message: "unknown session".to_string(),
-                        },
-                    };
+                    let body = self.sessions.serve(token, seq, || {
+                        *self.exec_counts.entry(seq).or_insert(0) += 1;
+                        reply_of(db, &sql, 0).0
+                    });
                     self.send_to_client(&Msg::Reply { seq, body }, "reply");
                 }
                 _ => {}
@@ -313,44 +299,6 @@ impl ChaosNet {
         let _ = self
             .link
             .send(self.now, Dir::ToClient, encode_msg(msg), 1, false, label);
-    }
-}
-
-/// Maps one statement's engine outcome onto the wire, the same shapes
-/// the TCP server produces (the harness skips the texp-carrying
-/// materialising path: chaos workloads are DML-heavy).
-fn apply(db: &mut Database, sql: &str) -> ReplyBody {
-    let now = db.now().finite().unwrap_or(u64::MAX);
-    match db.execute(sql) {
-        Ok(ExecResult::Rows(rel)) => {
-            let schema = rel
-                .schema()
-                .attributes()
-                .iter()
-                .map(|a| (a.name.clone(), a.ty))
-                .collect();
-            let rows = rel
-                .iter()
-                .map(|(t, texp)| (t.values().to_vec(), texp))
-                .collect();
-            ReplyBody::Rows {
-                as_of: now,
-                texp: u64::MAX,
-                degraded: false,
-                schema,
-                rows,
-            }
-        }
-        Ok(ExecResult::Affected(n)) => ReplyBody::Affected(n as u64),
-        Ok(ExecResult::Ok(name)) => ReplyBody::Ok(name),
-        Err(e) => {
-            let code = crate::error::ErrorCode::from_db_error(&e);
-            ReplyBody::Err {
-                code: code.as_u16(),
-                retry_after_ms: 0,
-                message: e.to_string(),
-            }
-        }
     }
 }
 

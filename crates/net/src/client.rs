@@ -18,7 +18,7 @@
 //! fresh session, which could apply it twice.
 
 use crate::error::ErrorCode;
-use crate::frame::{read_msg, write_msg, Msg, ReplyBody};
+use crate::frame::{write_msg, FrameReader, Msg, ReplyBody};
 use exptime_replica::RetryPolicy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -133,7 +133,9 @@ impl std::error::Error for ClientError {}
 pub struct NetClient {
     addr: String,
     cfg: ClientConfig,
-    stream: Option<TcpStream>,
+    /// The live connection and its frame reader; they are replaced
+    /// together, so a reconnect never resumes a dead stream's bytes.
+    conn: Option<(TcpStream, FrameReader)>,
     token: u64,
     next_seq: u64,
     rng: StdRng,
@@ -151,7 +153,7 @@ impl NetClient {
         let mut c = NetClient {
             addr: addr.to_string(),
             cfg: cfg.clone(),
-            stream: None,
+            conn: None,
             token: 0,
             next_seq: 1,
             rng: StdRng::seed_from_u64(cfg.seed),
@@ -222,7 +224,7 @@ impl NetClient {
                 Err(e) => {
                     // Connection trouble: drop the stream, back off,
                     // reconnect, resend the same sequence number.
-                    self.stream = None;
+                    self.conn = None;
                     let wait = self.cfg.policy.delay(attempt, &mut self.rng);
                     attempt += 1;
                     self.stats.retries += 1;
@@ -238,14 +240,14 @@ impl NetClient {
     /// Sends `Bye` and closes the connection (the server keeps the
     /// session for later resumption until it idles out).
     pub fn close(&mut self) {
-        if let Some(stream) = &mut self.stream {
+        if let Some((stream, _)) = &mut self.conn {
             let _ = write_msg(stream, &Msg::Bye);
         }
-        self.stream = None;
+        self.conn = None;
     }
 
     fn ensure_connected(&mut self) -> Result<(), ClientError> {
-        if self.stream.is_some() {
+        if self.conn.is_some() {
             return Ok(());
         }
         let mut stream = TcpStream::connect(&self.addr).map_err(ClientError::Io)?;
@@ -260,7 +262,8 @@ impl NetClient {
             last_seq: self.next_seq.saturating_sub(1),
         };
         write_msg(&mut stream, &hello).map_err(ClientError::Io)?;
-        match read_msg(&mut stream).map_err(ClientError::Io)? {
+        let mut frames = FrameReader::new();
+        match frames.read_msg(&mut stream).map_err(ClientError::Io)? {
             Some(Msg::Welcome { token, applied }) => {
                 if token != self.token {
                     // Fresh session (first connect, or ours expired):
@@ -271,7 +274,7 @@ impl NetClient {
                 if had_token {
                     self.stats.reconnects += 1;
                 }
-                self.stream = Some(stream);
+                self.conn = Some((stream, frames));
                 Ok(())
             }
             Some(other) => Err(ClientError::Protocol(format!(
@@ -301,10 +304,10 @@ impl NetClient {
             deadline_ms: self.cfg.deadline_ms,
             sql: sql.to_string(),
         };
-        let stream = self.stream.as_mut().expect("just connected");
+        let (stream, frames) = self.conn.as_mut().expect("just connected");
         write_msg(stream, &stmt)?;
         loop {
-            match read_msg(stream)? {
+            match frames.read_msg_polling(stream)? {
                 Some(Msg::Reply { seq: got, body }) if got == seq => {
                     if let ReplyBody::Err {
                         code,
@@ -322,7 +325,7 @@ impl NetClient {
                             // statement handshakes fresh, and surface
                             // the ambiguity to the caller.
                             self.token = 0;
-                            self.stream = None;
+                            self.conn = None;
                             return Ok(Outcome::SessionLost(message));
                         }
                         if known.is_some_and(ErrorCode::is_retryable) {
@@ -346,7 +349,7 @@ impl NetClient {
                 Some(Msg::Shed { .. }) => {}
                 Some(Msg::Bye) => {
                     // Server draining: treat as a lost connection.
-                    self.stream = None;
+                    self.conn = None;
                     return Err(io::Error::new(
                         io::ErrorKind::ConnectionAborted,
                         "server said Bye",
@@ -359,7 +362,7 @@ impl NetClient {
                     ));
                 }
                 None => {
-                    self.stream = None;
+                    self.conn = None;
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
                         "connection closed awaiting reply",

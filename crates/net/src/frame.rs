@@ -22,6 +22,8 @@ use exptime_wal::{
     crc32, put_str, put_time, put_u32, put_u64, put_value, Cursor, DecodeError, MAX_FRAME,
 };
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 // Message tag bytes. Stable wire contract: never renumber, only append.
 const TAG_HELLO: u8 = 0x01;
@@ -374,63 +376,16 @@ pub fn write_msg<W: Write>(w: &mut W, msg: &Msg) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one framed message from a stream. Returns `Ok(None)` on a
-/// clean EOF at a frame boundary (the peer closed between messages);
-/// EOF *inside* a frame is an error — the connection died mid-message.
+/// The frame reader: incremental, so it survives read timeouts.
 ///
-/// # Errors
-///
-/// IO errors (including read timeouts) pass through; decode failures
-/// surface as [`io::ErrorKind::InvalidData`].
-pub fn read_msg<R: Read>(r: &mut R) -> io::Result<Option<Msg>> {
-    let mut header = [0u8; 8];
-    let mut got = 0;
-    while got < header.len() {
-        match r.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("implausible frame length {len}"),
-        ));
-    }
-    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    if crc32(&payload) != crc {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame CRC mismatch",
-        ));
-    }
-    decode_payload(&payload)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad payload: {e:?}")))
-}
-
-/// An incremental frame reader that survives read timeouts.
-///
-/// [`read_msg`] loses any partially-read bytes when the underlying read
-/// times out — acceptable for a client that tears its connection down
-/// and reconnects on timeout, fatal for the server, which uses a short
-/// read timeout as its drain-check cadence: a frame straddling the
-/// timeout would lose its prefix and desync the stream, spuriously
-/// killing the connection on exactly the slow links this layer is built
-/// for. A `FrameReader` keeps the bytes already read across calls: a
-/// timeout (`WouldBlock`/`TimedOut`) still surfaces as the error it is,
-/// but the next call resumes the same frame where it left off.
+/// The server uses a short read timeout as its drain-check cadence; a
+/// reader that dropped its partially-read bytes on a timeout would lose
+/// the prefix of a frame straddling it and desync the stream,
+/// spuriously killing the connection on exactly the slow links this
+/// layer is built for. A `FrameReader` keeps the bytes already read
+/// across calls: a timeout (`WouldBlock`/`TimedOut`) still surfaces as
+/// the error it is, but the next call resumes the same frame where it
+/// left off. One reader per connection — a reconnect starts a new one.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -450,9 +405,9 @@ impl FrameReader {
     }
 
     /// Reads one framed message, resuming any partial frame left by an
-    /// earlier timed-out call. Same contract as [`read_msg`] otherwise:
-    /// `Ok(None)` on a clean EOF at a frame boundary, EOF *inside* a
-    /// frame is an error.
+    /// earlier timed-out call. `Ok(None)` on a clean EOF at a frame
+    /// boundary (the peer closed between messages); EOF *inside* a frame
+    /// is an error — the connection died mid-message.
     ///
     /// # Errors
     ///
@@ -496,6 +451,46 @@ impl FrameReader {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
+        }
+    }
+}
+
+/// How long a socket read polls before it parks in the kernel. Covers
+/// a request/reply peer's turnaround and a write statement's execution;
+/// an idle connection pays it once per read timeout.
+const POLL_WINDOW: Duration = Duration::from_micros(50);
+
+impl FrameReader {
+    /// [`FrameReader::read_msg`] on a socket, polling (yielding between
+    /// polls) for [`POLL_WINDOW`] before the blocking read. With one
+    /// thread per connection a statement is two sleeps — the server's
+    /// for the frame, the client's for the reply — and waking a parked
+    /// thread costs microseconds on the CPU it last ran on but tens of
+    /// them on an idle one, so without the poll a round trip's time
+    /// depends on where the scheduler happened to put the two threads.
+    /// A message that arrives inside the window finds its reader awake.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameReader::read_msg`]; a read timeout surfaces from the
+    /// blocking read that follows the poll.
+    pub(crate) fn read_msg_polling(&mut self, stream: &mut TcpStream) -> io::Result<Option<Msg>> {
+        stream.set_nonblocking(true)?;
+        let start = Instant::now();
+        let polled = loop {
+            match self.read_msg(stream) {
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock && start.elapsed() < POLL_WINDOW =>
+                {
+                    std::thread::yield_now();
+                }
+                other => break other,
+            }
+        };
+        stream.set_nonblocking(false)?;
+        match polled {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.read_msg(stream),
+            other => other,
         }
     }
 }
@@ -593,28 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_round_trip_and_clean_eof() {
-        let mut buf = Vec::new();
-        for msg in samples() {
-            write_msg(&mut buf, &msg).unwrap();
-        }
-        let mut r = &buf[..];
-        for msg in samples() {
-            assert_eq!(read_msg(&mut r).unwrap(), Some(msg));
-        }
-        assert_eq!(read_msg(&mut r).unwrap(), None, "clean EOF");
-    }
-
-    #[test]
-    fn eof_mid_frame_is_an_error() {
-        let frame = encode_msg(&Msg::Bye);
-        for cut in 1..frame.len() {
-            let mut r = &frame[..cut];
-            assert!(read_msg(&mut r).is_err(), "cut at {cut} must error");
-        }
-    }
-
-    #[test]
     fn every_prefix_rejected() {
         for msg in samples() {
             let frame = encode_msg(&msg);
@@ -705,12 +678,46 @@ mod tests {
     }
 
     #[test]
-    fn frame_reader_clean_eof_vs_eof_mid_frame() {
+    fn polling_read_parks_after_the_window_and_keeps_the_socket_blocking() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut rx, _) = listener.accept().unwrap();
+        rx.set_read_timeout(Some(Duration::from_millis(5))).unwrap();
         let frame = encode_msg(&Msg::Bye);
         let mut reader = FrameReader::new();
-        let mut r: &[u8] = &frame;
-        assert_eq!(reader.read_msg(&mut r).unwrap(), Some(Msg::Bye));
+        // Nothing sent: the poll gives up, the blocking read times out.
+        let err = reader.read_msg_polling(&mut rx).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        // Half a frame, then the rest well past the window and a timeout.
+        tx.write_all(&frame[..5]).unwrap();
+        let err = reader.read_msg_polling(&mut rx).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert!(reader.mid_frame(), "the prefix survives the timeout");
+        tx.write_all(&frame[5..]).unwrap();
+        assert_eq!(reader.read_msg_polling(&mut rx).unwrap(), Some(Msg::Bye));
+        // The socket is back in blocking mode: a plain read waits out
+        // its timeout instead of failing at once.
+        let before = Instant::now();
+        assert!(reader.read_msg(&mut rx).is_err());
+        assert!(before.elapsed() >= Duration::from_millis(4));
+        drop(tx);
+        assert_eq!(reader.read_msg_polling(&mut rx).unwrap(), None, "clean EOF");
+    }
+
+    #[test]
+    fn frame_reader_clean_eof_vs_eof_mid_frame() {
+        // A whole stream, one read call per message, then a clean EOF.
+        let mut stream = Vec::new();
+        for msg in samples() {
+            write_msg(&mut stream, &msg).unwrap();
+        }
+        let mut reader = FrameReader::new();
+        let mut r: &[u8] = &stream;
+        for msg in samples() {
+            assert_eq!(reader.read_msg(&mut r).unwrap(), Some(msg));
+        }
         assert_eq!(reader.read_msg(&mut r).unwrap(), None, "clean EOF");
+        let frame = encode_msg(&Msg::Bye);
         for cut in 1..frame.len() {
             let mut reader = FrameReader::new();
             let mut r: &[u8] = &frame[..cut];

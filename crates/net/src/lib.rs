@@ -12,16 +12,18 @@
 //! * [`error`] — stable numeric protocol error codes, partitioned into
 //!   fatal (`1xxx`) and retryable (`2xxx`) bands.
 //! * [`session`] — the exactly-once core: per-session sequence numbers,
-//!   an applied high-water mark, and a reply cache that turns
-//!   retransmissions into cached-reply fetches instead of re-executions.
+//!   an applied high-water mark, a reply cache that turns
+//!   retransmissions into cached-reply fetches instead of re-executions,
+//!   and the one admit → execute → record step the server and the chaos
+//!   harness both run.
 //! * [`degrade`] — the paper's lever under overload: materialised
 //!   results carry `texp(e)` and validity intervals, so a loaded server
 //!   can serve cached reads it can *prove* still correct (or label
 //!   covered-stale), instead of queueing reads behind writes.
-//! * [`server`] — the TCP server: acceptor, per-connection readers, a
-//!   bounded admission queue feeding a fixed worker pool, shedding with
-//!   retry hints, deadline enforcement, and a graceful drain that loses
-//!   zero acked writes.
+//! * [`server`] — the TCP server: an acceptor and one thread per
+//!   connection that serves its own statements under a bound on
+//!   statements in flight, shedding with retry hints, deadline
+//!   enforcement, and a graceful drain that loses zero acked writes.
 //! * [`client`] — the reconnecting client: resumes its session by
 //!   token, replays unacknowledged statements under the replica layer's
 //!   [`RetryPolicy`](exptime_replica::RetryPolicy) backoff.
@@ -45,6 +47,6 @@ pub use chaos::{ChaosNet, ChaosNetReport};
 pub use client::{ClientConfig, ClientError, ClientStats, NetClient};
 pub use degrade::{DegradedRead, StaleCache, DEFAULT_STALE_CACHE_CAP};
 pub use error::ErrorCode;
-pub use frame::{decode_msg, encode_msg, read_msg, write_msg, FrameReader, Msg, ReplyBody};
+pub use frame::{decode_msg, encode_msg, write_msg, FrameReader, Msg, ReplyBody};
 pub use server::{DrainReport, NetConfig, NetServer, NetStatus};
 pub use session::{Admission, Handshake, SessionTable, REPLY_CACHE_CAP};

@@ -3,61 +3,66 @@
 //! Thread shape:
 //!
 //! ```text
-//! acceptor ──► one reader thread per connection ──► bounded queue ──► worker pool
-//!                   │                                    │
-//!                   │ replay / refuse (cheap, inline)    │ full → degraded read
-//!                   ▼                                    ▼        or Shed
-//!                socket ◄──────── replies ◄───────── execution
+//! acceptor ──► one thread per connection ──► in-flight bound ──► database lock ──► session lock
+//!                                                 │
+//!                                                 │ over the bound → degraded read
+//!                                                 ▼                   or Shed
+//!                                     session lock only (stale cache)
 //! ```
 //!
-//! Reader threads do IO only; every statement that needs the engine is
-//! admitted through one bounded [`std::sync::mpsc::sync_channel`]. When
-//! the queue is full the server *sheds* instead of queueing without
-//! bound ([`Msg::Shed`], carrying a retry hint) — and, for SELECTs, it
-//! first tries **degraded mode**: answering from a cache of
-//! materialised results whose `texp`/validity metadata proves them
-//! still correct (or, failing that, Schrödinger-covered stale — see
+//! A connection serves its own statements: the thread that read the
+//! frame executes it and writes the reply, then polls its socket for a
+//! few tens of microseconds before it parks on it
+//! (`FrameReader::read_msg_polling`), so a request/reply client's next
+//! statement finds the thread awake. Admission is a bound on
+//! statements admitted but not yet answered (`NetConfig::queue`). Past
+//! it the server *sheds* instead of queueing without bound
+//! ([`Msg::Shed`], carrying a retry hint) — and, for SELECTs, it first
+//! tries **degraded mode**: answering from a cache of materialised
+//! results whose `texp`/validity metadata proves them still correct
+//! (or, failing that, Schrödinger-covered stale — see
 //! [`crate::degrade`]). Overload never queues reads behind writes and
 //! never turns into unbounded latency.
 //!
-//! Exactly-once: all session admission runs through one
-//! [`SessionTable`] under a mutex, and the execute-and-record step
-//! holds that mutex (the engine serialises statements anyway, so this
-//! costs no parallelism). A retransmitted statement — same token, same
-//! sequence number, on any connection — replays the cached reply
-//! without touching the engine.
+//! Exactly-once: every statement is answered by
+//! [`SessionTable::serve`] on one table under a mutex, held across
+//! execute-and-record (the engine serialises statements anyway, so this
+//! costs no parallelism). The database lock is taken *first*: the only
+//! place a statement waits is the database mutex, and the session lock
+//! is never held by a waiter — so a degraded read, a handshake or
+//! [`NetServer::status`] waits for at most the one statement that is
+//! executing. A retransmitted statement — same token, same sequence
+//! number, on any connection — replays the cached reply without
+//! touching the engine.
 //!
-//! Drain ([`NetServer::drain`]): stop accepting, let every reader
-//! finish its in-flight statement, complete everything already
-//! admitted to the queue, send `Bye`, join all threads. An acked write
-//! is by construction an applied write, so drain loses none.
+//! Drain ([`NetServer::drain`]): stop accepting, let every connection
+//! finish its in-flight statement, send `Bye`, join all threads. An
+//! acked write is by construction an applied write, so drain loses
+//! none.
 
 use crate::degrade::StaleCache;
 use crate::error::ErrorCode;
 use crate::frame::{write_msg, FrameReader, Msg, ReplyBody};
-use crate::session::{Admission, SessionTable};
+use crate::session::{err_body, reply_of, rows_body, time_wire, SessionTable};
 use exptime_core::time::Time;
-use exptime_engine::{Database, DbError, ExecResult, SharedDatabase};
-use exptime_obs::{EventKind, Obs};
-use exptime_sql::Statement;
+use exptime_engine::{Database, SharedDatabase};
+use exptime_obs::{Counter, EventKind, Gauge, Histogram, MetricsRegistry, Obs};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Server tunables. The defaults suit tests and small deployments.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Execution worker threads.
-    pub workers: usize,
-    /// Bounded admission queue capacity. `try_send` past this sheds.
+    /// Admission bound: statements admitted but not yet answered. A
+    /// statement arriving past this sheds.
     pub queue: usize,
-    /// Queue depth at which degraded mode engages for reads.
+    /// In-flight count at which degraded mode engages for reads.
     pub degrade_at: usize,
-    /// Per-read socket timeout; also the cadence at which reader
+    /// Per-read socket timeout; also the cadence at which connection
     /// threads notice a drain.
     pub read_timeout: Duration,
     /// Per-write socket timeout.
@@ -75,7 +80,6 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            workers: 4,
             queue: 64,
             degrade_at: 32,
             read_timeout: Duration::from_millis(200),
@@ -88,33 +92,49 @@ impl Default for NetConfig {
     }
 }
 
-/// One admitted statement, in flight between a reader and a worker.
-struct Job {
-    token: u64,
-    seq: u64,
-    deadline_ms: u32,
-    sql: String,
-    admitted_at: Instant,
-    reply: mpsc::Sender<Msg>,
+/// The `net.*` handles of the statement path, resolved once at
+/// [`NetServer::serve`]: a statement updates atomics, it does not look
+/// names up in the registry.
+struct Metrics {
+    queue_depth: Gauge,
+    last_now: Gauge,
+    queue_wait_ns: Histogram,
+    stmt_ns: Histogram,
+    stmt_executed: Counter,
+    stmt_replayed: Counter,
+    shed: Counter,
+    deadline_exceeded: Counter,
+    degraded_served: Counter,
+    degraded_stale: Counter,
 }
 
-impl std::fmt::Debug for Job {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Job")
-            .field("token", &self.token)
-            .field("seq", &self.seq)
-            .finish_non_exhaustive()
+impl Metrics {
+    fn in_registry(registry: &MetricsRegistry) -> Self {
+        Metrics {
+            queue_depth: registry.gauge("net.queue_depth"),
+            last_now: registry.gauge("net.last_now"),
+            queue_wait_ns: registry.histogram("net.queue_wait_ns"),
+            stmt_ns: registry.histogram("net.stmt_ns"),
+            stmt_executed: registry.counter("net.stmt_executed"),
+            stmt_replayed: registry.counter("net.stmt_replayed"),
+            shed: registry.counter("net.shed"),
+            deadline_exceeded: registry.counter("net.deadline_exceeded"),
+            degraded_served: registry.counter("net.degraded_served"),
+            degraded_stale: registry.counter("net.degraded_stale"),
+        }
     }
 }
 
-/// State shared by the acceptor, readers, workers, and the handle.
+/// State shared by the acceptor, the connection threads, and the handle.
 struct Shared {
     db: SharedDatabase,
     obs: Obs,
+    metrics: Metrics,
     cfg: NetConfig,
     sessions: Mutex<SessionTable>,
     cache: Mutex<StaleCache>,
     draining: AtomicBool,
+    /// Statements admitted but not yet answered.
     queue_depth: AtomicUsize,
     degraded: AtomicBool,
     connections: AtomicUsize,
@@ -125,17 +145,16 @@ struct Shared {
 }
 
 impl Shared {
+    /// Per-connection and per-drain events only; the statement path
+    /// goes through [`Metrics`].
     fn counter(&self, name: &str, n: u64) {
         self.obs.registry().counter(name).add(n);
     }
 
-    /// Flips the degraded flag when the queue depth crosses the
+    /// Flips the degraded flag when the in-flight count crosses the
     /// threshold, emitting the transition event exactly once per flip.
     fn note_queue_depth(&self, depth: usize) {
-        self.obs
-            .registry()
-            .gauge("net.queue_depth")
-            .set(depth as i64);
+        self.metrics.queue_depth.set(depth as i64);
         let want = depth >= self.cfg.degrade_at;
         if self.degraded.swap(want, Ordering::Relaxed) != want {
             self.obs.emit_with(None, || EventKind::NetDegraded {
@@ -143,6 +162,15 @@ impl Shared {
                 queue_depth: depth as u64,
             });
         }
+    }
+
+    /// [`SessionTable::serve`] under the session lock, counting replays.
+    fn serve(&self, token: u64, seq: u64, exec: impl FnOnce() -> ReplyBody) -> ReplyBody {
+        let mut sessions = self.sessions.lock().expect("session table poisoned");
+        let replays = sessions.replays;
+        let body = sessions.serve(token, seq, exec);
+        self.metrics.stmt_replayed.add(sessions.replays - replays);
+        body
     }
 }
 
@@ -173,7 +201,7 @@ impl std::fmt::Display for NetStatus {
         )?;
         writeln!(
             f,
-            "load:      {} connection(s), {} session(s), queue {}/{}{}",
+            "load:      {} connection(s), {} session(s), in flight {}/{}{}",
             self.connections,
             self.sessions,
             self.queue_depth,
@@ -195,7 +223,7 @@ impl std::fmt::Display for NetStatus {
 
 /// What drain observed. `completed` counts statements executed over the
 /// server's lifetime; every one of them was replied to before its
-/// reader exited.
+/// connection thread exited.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainReport {
     pub sessions: u64,
@@ -208,8 +236,6 @@ pub struct NetServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
-    workers: Vec<JoinHandle<()>>,
-    tx: Option<SyncSender<Job>>,
 }
 
 impl std::fmt::Debug for NetServer {
@@ -243,6 +269,7 @@ impl NetServer {
         });
         let shared = Arc::new(Shared {
             db: db.clone(),
+            metrics: Metrics::in_registry(obs.registry()),
             obs,
             cfg: cfg.clone(),
             sessions: Mutex::new(SessionTable::new()),
@@ -256,25 +283,14 @@ impl NetServer {
             deadline_exceeded: AtomicU64::new(0),
             completed: AtomicU64::new(0),
         });
-        let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::with_capacity(cfg.workers.max(1));
-        for _ in 0..cfg.workers.max(1) {
-            let shared = shared.clone();
-            let rx = rx.clone();
-            workers.push(std::thread::spawn(move || worker_loop(&shared, &rx)));
-        }
         let acceptor = {
             let shared = shared.clone();
-            let tx = tx.clone();
-            std::thread::spawn(move || acceptor_loop(&listener, &shared, &tx))
+            std::thread::spawn(move || acceptor_loop(&listener, &shared))
         };
         Ok(NetServer {
             addr,
             shared,
             acceptor: Some(acceptor),
-            workers,
-            tx: Some(tx),
         })
     }
 
@@ -313,10 +329,10 @@ impl NetServer {
         }
     }
 
-    /// Graceful drain: stop accepting, finish every in-flight and
-    /// already-admitted statement, close connections with `Bye`, join
-    /// every thread. Zero acked writes are lost: a reply is only ever
-    /// written after its statement's effect is applied and recorded.
+    /// Graceful drain: stop accepting, finish every in-flight
+    /// statement, close connections with `Bye`, join every thread. Zero
+    /// acked writes are lost: a reply is only ever written after its
+    /// statement's effect is applied and recorded.
     ///
     /// # Panics
     ///
@@ -328,16 +344,10 @@ impl NetServer {
     fn drain_inner(&mut self) -> DrainReport {
         self.shared.draining.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
-            let readers = acceptor.join().expect("acceptor panicked");
-            for r in readers {
-                r.join().expect("reader panicked");
+            let connections = acceptor.join().expect("acceptor panicked");
+            for c in connections {
+                c.join().expect("connection thread panicked");
             }
-        }
-        // All readers are gone; dropping the last sender lets workers
-        // finish whatever is still buffered in the queue and exit.
-        drop(self.tx.take());
-        for w in self.workers.drain(..) {
-            w.join().expect("worker panicked");
         }
         let sessions = {
             let t = self.shared.sessions.lock().expect("session table poisoned");
@@ -363,18 +373,14 @@ impl NetServer {
 
 impl Drop for NetServer {
     fn drop(&mut self) {
-        if self.acceptor.is_some() || !self.workers.is_empty() {
+        if self.acceptor.is_some() {
             self.drain_inner();
         }
     }
 }
 
-fn acceptor_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    tx: &SyncSender<Job>,
-) -> Vec<JoinHandle<()>> {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
+    let mut connections: Vec<JoinHandle<()>> = Vec::new();
     let mut last_sweep = Instant::now();
     while !shared.draining.load(Ordering::Relaxed) {
         match listener.accept() {
@@ -383,9 +389,8 @@ fn acceptor_loop(
                 let n = shared.connections.fetch_add(1, Ordering::Relaxed) + 1;
                 shared.obs.registry().gauge("net.connections").set(n as i64);
                 let shared = shared.clone();
-                let tx = tx.clone();
-                readers.push(std::thread::spawn(move || {
-                    reader_loop(stream, &shared, &tx);
+                connections.push(std::thread::spawn(move || {
+                    connection_loop(stream, &shared);
                     let n = shared.connections.fetch_sub(1, Ordering::Relaxed) - 1;
                     shared.obs.registry().gauge("net.connections").set(n as i64);
                 }));
@@ -411,16 +416,16 @@ fn acceptor_loop(
             if evicted > 0 {
                 shared.counter("net.sessions_evicted", evicted as u64);
             }
-            // Occasionally finished readers pile up; reap them.
-            readers.retain(|h| !h.is_finished());
+            // Occasionally finished connection threads pile up; reap them.
+            connections.retain(|h| !h.is_finished());
         }
     }
-    readers
+    connections
 }
 
 /// One connection: handshake, then a statement/reply loop until the
 /// peer says `Bye`, the connection dies, or the server drains.
-fn reader_loop(mut stream: TcpStream, shared: &Arc<Shared>, tx: &SyncSender<Job>) {
+fn connection_loop(mut stream: TcpStream, shared: &Shared) {
     if stream
         .set_read_timeout(Some(shared.cfg.read_timeout))
         .is_err()
@@ -436,9 +441,8 @@ fn reader_loop(mut stream: TcpStream, shared: &Arc<Shared>, tx: &SyncSender<Job>
     // drain-check cadence); the FrameReader keeps the partial prefix
     // across timeouts so a slow frame resumes instead of desyncing.
     let mut frames = FrameReader::new();
-    let (reply_tx, reply_rx) = mpsc::channel::<Msg>();
     loop {
-        let msg = match frames.read_msg(&mut stream) {
+        let msg = match frames.read_msg_polling(&mut stream) {
             Ok(Some(m)) => m,
             Ok(None) => return, // clean EOF
             Err(e)
@@ -481,15 +485,7 @@ fn reader_loop(mut stream: TcpStream, shared: &Arc<Shared>, tx: &SyncSender<Job>
                 seq,
                 deadline_ms,
                 sql,
-            } => serve_stmt(
-                shared,
-                tx,
-                token,
-                seq,
-                deadline_ms,
-                sql,
-                (&reply_tx, &reply_rx),
-            ),
+            } => serve_stmt(shared, token, seq, deadline_ms, &sql),
             Msg::Bye => {
                 let _ = write_msg(&mut stream, &Msg::Bye);
                 return;
@@ -510,17 +506,10 @@ fn reader_loop(mut stream: TcpStream, shared: &Arc<Shared>, tx: &SyncSender<Job>
     }
 }
 
-/// Admission for one statement on one connection. Returns the message
-/// to write back.
-fn serve_stmt(
-    shared: &Arc<Shared>,
-    tx: &SyncSender<Job>,
-    token: u64,
-    seq: u64,
-    deadline_ms: u32,
-    sql: String,
-    (reply_tx, reply_rx): (&mpsc::Sender<Msg>, &Receiver<Msg>),
-) -> Msg {
+/// One statement on one connection, from admission to the message to
+/// write back — run start to finish by the connection's own thread.
+fn serve_stmt(shared: &Shared, token: u64, seq: u64, deadline_ms: u32, sql: &str) -> Msg {
+    let retry_after_ms = shared.cfg.retry_after_ms;
     if token == 0 {
         return Msg::Reply {
             seq,
@@ -532,145 +521,98 @@ fn serve_stmt(
             seq,
             body: err_body(
                 ErrorCode::ShuttingDown,
-                shared.cfg.retry_after_ms,
+                retry_after_ms,
                 "server is draining",
             ),
         };
     }
-    // Cheap pre-check: retransmissions answer from the reply cache
-    // without ever touching the admission queue.
-    let pre = {
-        let mut t = shared.sessions.lock().expect("session table poisoned");
-        t.admit(token, seq)
+    let admitted_at = Instant::now();
+    let ahead = shared.queue_depth.fetch_add(1, Ordering::Relaxed);
+    shared.note_queue_depth(ahead + 1);
+    let full = ahead >= shared.cfg.queue.max(1);
+    // Degraded mode: under pressure, answer SELECTs from provably-valid
+    // (or covered-stale) materialisations without queueing them behind
+    // writes — and past the bound as a last resort even below the
+    // degrade threshold: a served stale answer beats a shed.
+    let cached = if (full || ahead >= shared.cfg.degrade_at) && is_select(sql) {
+        degraded_read(shared, sql)
+    } else {
+        None
     };
-    match pre {
-        Admission::Replay(body) => {
-            shared.counter("net.stmt_replayed", 1);
-            return Msg::Reply { seq, body };
-        }
-        Admission::Refused(reason) => {
-            return Msg::Reply {
-                seq,
-                body: err_body(ErrorCode::Protocol, 0, reason),
-            };
-        }
-        Admission::UnknownSession => {
-            return Msg::Reply {
-                seq,
-                body: err_body(
-                    ErrorCode::SessionExpired,
-                    0,
-                    "session expired; re-handshake",
-                ),
-            };
-        }
-        Admission::Fresh => {}
-    }
-    // Degraded mode: under queue pressure, answer SELECTs from
-    // provably-valid (or covered-stale) materialisations without
-    // queueing them behind writes.
-    let depth = shared.queue_depth.load(Ordering::Relaxed);
-    if depth >= shared.cfg.degrade_at && is_select(&sql) {
-        if let Some(reply) = degraded_read(shared, &sql) {
-            let body = record_degraded_serve(shared, token, seq, reply);
-            return Msg::Reply { seq, body };
-        }
-    }
-    let job = Job {
-        token,
-        seq,
-        deadline_ms,
-        sql,
-        admitted_at: Instant::now(),
-        reply: reply_tx.clone(),
-    };
-    // Count the job in *before* it becomes visible to workers: a worker
-    // can dequeue and decrement the instant try_send returns, and an
-    // increment-after-send would let the counter dip below zero.
-    let depth = shared.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-    shared.note_queue_depth(depth);
-    match tx.try_send(job) {
-        Ok(()) => {
-            match reply_rx.recv() {
-                Ok(msg) => msg,
-                // Workers only vanish on drain; the statement was still
-                // executed (workers drain the queue before exiting), but
-                // the reply channel died with them — tell the client to
-                // resend after reconnect; dedup will replay the answer.
-                Err(_) => Msg::Reply {
-                    seq,
-                    body: err_body(
-                        ErrorCode::ShuttingDown,
-                        shared.cfg.retry_after_ms,
-                        "server is draining",
-                    ),
-                },
-            }
-        }
-        Err(TrySendError::Full(job)) => {
-            shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            // Last resort for reads even below the degrade threshold:
-            // a served stale answer beats a shed.
-            if is_select(&job.sql) {
-                if let Some(reply) = degraded_read(shared, &job.sql) {
-                    let body = record_degraded_serve(shared, token, seq, reply);
-                    return Msg::Reply { seq, body };
-                }
-            }
+    let answer = match cached {
+        // A degraded serve is a consumed outcome like any other: it
+        // advances the session's applied mark and enters the reply
+        // cache, or the next sequence number would look like a gap.
+        Some(reply) => Msg::Reply {
+            seq,
+            body: shared.serve(token, seq, || reply),
+        },
+        None if full => {
             shared.shed.fetch_add(1, Ordering::Relaxed);
-            shared.counter("net.shed", 1);
-            let depth = shared.queue_depth.load(Ordering::Relaxed);
+            shared.metrics.shed.inc();
             shared.obs.emit_with(None, || EventKind::NetShed {
-                queue_depth: depth as u64,
-                retry_after_ms: u64::from(shared.cfg.retry_after_ms),
+                queue_depth: ahead as u64,
+                retry_after_ms: u64::from(retry_after_ms),
             });
             Msg::Shed {
                 seq,
-                retry_after_ms: shared.cfg.retry_after_ms,
+                retry_after_ms,
             }
         }
-        Err(TrySendError::Disconnected(_)) => {
-            shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            Msg::Reply {
-                seq,
-                body: err_body(
-                    ErrorCode::ShuttingDown,
-                    shared.cfg.retry_after_ms,
-                    "server is draining",
-                ),
-            }
-        }
-    }
+        None => Msg::Reply {
+            seq,
+            body: shared.db.with(|db| {
+                shared.serve(token, seq, || {
+                    execute(shared, db, sql, deadline_ms, admitted_at)
+                })
+            }),
+        },
+    };
+    let depth = shared.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
+    shared.note_queue_depth(depth);
+    answer
 }
 
-/// A degraded serve is a consumed outcome like any other: it must
-/// advance the session's applied mark and enter the reply cache, or the
-/// next sequence number looks like a gap. Re-admit under the lock — a
-/// retransmission on another connection may have won the race since the
-/// caller's pre-check.
-fn record_degraded_serve(
-    shared: &Arc<Shared>,
-    token: u64,
-    seq: u64,
-    reply: ReplyBody,
+/// Executes one fresh statement with the database and session locks
+/// held: deadline check first, then the engine.
+fn execute(
+    shared: &Shared,
+    db: &mut Database,
+    sql: &str,
+    deadline_ms: u32,
+    admitted_at: Instant,
 ) -> ReplyBody {
-    let mut sessions = shared.sessions.lock().expect("session table poisoned");
-    match sessions.admit(token, seq) {
-        Admission::Fresh => {
-            sessions.record(token, seq, reply.clone());
-            reply
-        }
-        Admission::Replay(body) => {
-            shared.counter("net.stmt_replayed", 1);
-            body
-        }
-        Admission::Refused(reason) => err_body(ErrorCode::Protocol, 0, reason),
-        Admission::UnknownSession => err_body(
-            ErrorCode::SessionExpired,
-            0,
-            "session expired; re-handshake",
-        ),
+    let waited = admitted_at.elapsed();
+    if deadline_ms > 0 && waited >= Duration::from_millis(u64::from(deadline_ms)) {
+        // Expired waiting for the locks: reject *before* applying
+        // anything. The sequence number is not consumed; a retry is
+        // exactly-once.
+        shared.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.deadline_exceeded.inc();
+        return err_body(
+            ErrorCode::DeadlineExceeded,
+            shared.cfg.retry_after_ms,
+            "deadline expired before execution",
+        );
     }
+    shared.metrics.queue_wait_ns.record_duration(waited);
+    // Not a second clock read: wait + work then sum to the statement's
+    // server-side time exactly.
+    let started = admitted_at + waited;
+    let _span = db.tracer().span("net.stmt");
+    shared
+        .metrics
+        .last_now
+        .set(time_wire(db.now()).min(i64::MAX as u64) as i64);
+    let (body, materialized) = reply_of(db, sql, shared.cfg.retry_after_ms);
+    if let Some(m) = materialized {
+        let mut cache = shared.cache.lock().expect("stale cache poisoned");
+        cache.insert(sql.trim(), m);
+    }
+    shared.completed.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.stmt_executed.inc();
+    shared.metrics.stmt_ns.record_duration(started.elapsed());
+    body
 }
 
 fn is_select(sql: &str) -> bool {
@@ -679,35 +621,24 @@ fn is_select(sql: &str) -> bool {
         .is_some_and(|head| head.eq_ignore_ascii_case("select"))
 }
 
-fn err_body(code: ErrorCode, retry_after_ms: u32, message: &str) -> ReplyBody {
-    ReplyBody::Err {
-        code: code.as_u16(),
-        retry_after_ms,
-        message: message.to_string(),
-    }
-}
-
-fn time_wire(t: Time) -> u64 {
-    t.finite().unwrap_or(u64::MAX)
-}
-
 /// Tries to answer a SELECT from the stale cache. The current logical
 /// time is read with `try_with` — if even that lock is contended we
-/// fall back to the last time a worker observed, so the degraded path
+/// fall back to the last time a statement observed, so the degraded path
 /// never blocks on the engine.
-fn degraded_read(shared: &Arc<Shared>, sql: &str) -> Option<ReplyBody> {
-    let now = shared.db.try_with(|d| d.now()).unwrap_or_else(|| {
-        Time::new(shared.obs.registry().gauge_value("net.last_now").max(0) as u64)
-    });
+fn degraded_read(shared: &Shared, sql: &str) -> Option<ReplyBody> {
+    let now = shared
+        .db
+        .try_with(|d| d.now())
+        .unwrap_or_else(|| Time::new(shared.metrics.last_now.get().max(0) as u64));
     let key = sql.trim().to_string();
     let read = {
         let mut cache = shared.cache.lock().expect("stale cache poisoned");
         cache.serve(&key, now)?
     };
     shared.degraded_served.fetch_add(1, Ordering::Relaxed);
-    shared.counter("net.degraded_served", 1);
+    shared.metrics.degraded_served.inc();
     if read.stale {
-        shared.counter("net.degraded_stale", 1);
+        shared.metrics.degraded_stale.inc();
     }
     Some(rows_body(
         &read.rel,
@@ -715,157 +646,4 @@ fn degraded_read(shared: &Arc<Shared>, sql: &str) -> Option<ReplyBody> {
         time_wire(read.texp),
         true,
     ))
-}
-
-fn rows_body(
-    rel: &exptime_core::relation::Relation,
-    as_of: u64,
-    texp: u64,
-    degraded: bool,
-) -> ReplyBody {
-    let schema = rel
-        .schema()
-        .attributes()
-        .iter()
-        .map(|a| (a.name.clone(), a.ty))
-        .collect();
-    let rows = rel
-        .iter()
-        .map(|(t, texp)| (t.values().to_vec(), texp))
-        .collect();
-    ReplyBody::Rows {
-        as_of,
-        texp,
-        degraded,
-        schema,
-        rows,
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
-    loop {
-        let job = {
-            let guard = rx.lock().expect("worker queue poisoned");
-            guard.recv()
-        };
-        let Ok(job) = job else { return };
-        let depth = shared.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
-        shared.note_queue_depth(depth);
-        let started = Instant::now();
-        let reply = execute_job(shared, &job);
-        shared
-            .obs
-            .registry()
-            .histogram("net.stmt_ns")
-            .record(started.elapsed().as_nanos() as u64);
-        // The reader may have gone away (connection died); the work is
-        // done and recorded either way — a reconnecting client replays
-        // the sequence number and gets the cached reply.
-        let _ = job.reply.send(Msg::Reply {
-            seq: job.seq,
-            body: reply,
-        });
-    }
-}
-
-/// Executes one admitted statement: deadline check, exactly-once
-/// admission, execution, recording — in that order, with the session
-/// table locked across execute+record so no concurrent retransmission
-/// can slip in between.
-fn execute_job(shared: &Arc<Shared>, job: &Job) -> ReplyBody {
-    if job.deadline_ms > 0
-        && job.admitted_at.elapsed() >= Duration::from_millis(u64::from(job.deadline_ms))
-    {
-        // Expired in the queue: reject *before* applying anything. The
-        // sequence number is not consumed; a retry is exactly-once.
-        shared.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        shared.counter("net.deadline_exceeded", 1);
-        return err_body(
-            ErrorCode::DeadlineExceeded,
-            shared.cfg.retry_after_ms,
-            "deadline expired before execution",
-        );
-    }
-    let mut sessions = shared.sessions.lock().expect("session table poisoned");
-    match sessions.admit(job.token, job.seq) {
-        Admission::Fresh => {}
-        // A retransmission won the race while we sat in the queue.
-        Admission::Replay(body) => {
-            shared.counter("net.stmt_replayed", 1);
-            return body;
-        }
-        Admission::Refused(reason) => return err_body(ErrorCode::Protocol, 0, reason),
-        Admission::UnknownSession => {
-            return err_body(
-                ErrorCode::SessionExpired,
-                0,
-                "session expired; re-handshake",
-            )
-        }
-    }
-    let body = shared.db.with(|db| run_statement(shared, db, &job.sql));
-    shared.completed.fetch_add(1, Ordering::Relaxed);
-    shared.counter("net.stmt_executed", 1);
-    // Only consumed outcomes are recorded: successes and fatal errors.
-    // Retryable errors leave the sequence number open for the retry.
-    let record = match &body {
-        ReplyBody::Err { code, .. } => {
-            !ErrorCode::from_u16(*code).is_some_and(ErrorCode::is_retryable)
-        }
-        _ => true,
-    };
-    if record {
-        sessions.record(job.token, job.seq, body.clone());
-    }
-    body
-}
-
-/// Runs one statement against the live engine, through the same two
-/// entry points as an embedded caller: [`Database::select`] for a SELECT
-/// (so the reply carries `texp(e)` and the materialisation lands in the
-/// degraded-mode cache for free), [`Database::execute_statement`] for
-/// everything else.
-fn run_statement(shared: &Arc<Shared>, db: &mut Database, sql: &str) -> ReplyBody {
-    let _span = db.tracer().span("net.stmt");
-    let now = db.now();
-    shared
-        .obs
-        .registry()
-        .gauge("net.last_now")
-        .set(time_wire(now).min(i64::MAX as u64) as i64);
-    let reply = exptime_sql::parse(sql)
-        .map_err(DbError::from)
-        .and_then(|stmt| match stmt {
-            Statement::Select(query) => {
-                let m = db.select(&query)?;
-                let body = rows_body(&m.rel, time_wire(now), time_wire(m.texp), false);
-                // A `LIMIT`-truncated result cannot be expired forward (a
-                // cut row would move up), so it is never served stale.
-                if query.limit.is_none() {
-                    let mut cache = shared.cache.lock().expect("stale cache poisoned");
-                    cache.insert(sql.trim(), m);
-                }
-                Ok(body)
-            }
-            stmt => Ok(match db.execute_statement(stmt)? {
-                ExecResult::Rows(rel) => rows_body(&rel, time_wire(now), u64::MAX, false),
-                ExecResult::Affected(n) => ReplyBody::Affected(n as u64),
-                ExecResult::Ok(name) => ReplyBody::Ok(name),
-            }),
-        });
-    reply.unwrap_or_else(|e| db_err_body(shared, &e))
-}
-
-fn db_err_body(shared: &Arc<Shared>, e: &DbError) -> ReplyBody {
-    let code = ErrorCode::from_db_error(e);
-    let retry_after_ms = if code.is_retryable() {
-        shared.cfg.retry_after_ms
-    } else {
-        0
-    };
-    ReplyBody::Err {
-        code: code.as_u16(),
-        retry_after_ms,
-        message: e.to_string(),
-    }
 }

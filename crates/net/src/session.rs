@@ -12,12 +12,20 @@
 //! (`exptime-replica::session`), applied to SQL statements instead of
 //! view refreshes.
 //!
-//! The table is transport-free on purpose: the real TCP server
+//! This module is transport-free on purpose: the real TCP server
 //! (`crate::server`) and the tick-synchronous chaos harness
-//! (`crate::chaos`) drive the *same* admission logic, so the property
-//! tests exercise exactly the code the server runs.
+//! (`crate::chaos`) both answer a statement with
+//! [`SessionTable::serve`] around [`reply_of`] — the *same* admit →
+//! execute → record step and the same result → [`ReplyBody`] mapping —
+//! so the property tests exercise exactly the code the server runs.
 
+use crate::error::ErrorCode;
 use crate::frame::ReplyBody;
+use exptime_core::algebra::Materialized;
+use exptime_core::relation::Relation;
+use exptime_core::time::Time;
+use exptime_engine::{Database, DbError, ExecResult};
+use exptime_sql::Statement;
 use std::collections::{BTreeMap, HashMap};
 
 /// Replies retained per session beyond the `Hello` acknowledgement.
@@ -125,8 +133,35 @@ impl SessionTable {
         }
     }
 
-    /// Classifies an incoming statement. Call before executing; on
-    /// [`Admission::Fresh`], execute and then [`SessionTable::record`].
+    /// Answers one statement exactly once: the single admit → execute →
+    /// record step. Sequence number `applied + 1` runs `exec` and records
+    /// its reply iff the outcome is *consumed* — a success or a fatal
+    /// error; a retryable error leaves the sequence number open for the
+    /// retry. A retransmission gets the cached reply without running
+    /// `exec`; anything else is refused without running it.
+    pub fn serve(&mut self, token: u64, seq: u64, exec: impl FnOnce() -> ReplyBody) -> ReplyBody {
+        match self.admit(token, seq) {
+            Admission::Fresh => {
+                let body = exec();
+                let retryable = matches!(&body, ReplyBody::Err { code, .. }
+                    if ErrorCode::from_u16(*code).is_some_and(ErrorCode::is_retryable));
+                if !retryable {
+                    self.record(token, seq, body.clone());
+                }
+                body
+            }
+            Admission::Replay(body) => body,
+            Admission::Refused(reason) => err_body(ErrorCode::Protocol, 0, reason),
+            Admission::UnknownSession => err_body(
+                ErrorCode::SessionExpired,
+                0,
+                "session expired; re-handshake",
+            ),
+        }
+    }
+
+    /// Classifies an incoming statement — the first half of
+    /// [`SessionTable::serve`], which is what callers use.
     pub fn admit(&mut self, token: u64, seq: u64) -> Admission {
         let Some(s) = self.sessions.get_mut(&token) else {
             return Admission::UnknownSession;
@@ -204,6 +239,80 @@ impl SessionTable {
     }
 }
 
+pub(crate) fn err_body(code: ErrorCode, retry_after_ms: u32, message: &str) -> ReplyBody {
+    ReplyBody::Err {
+        code: code.as_u16(),
+        retry_after_ms,
+        message: message.to_string(),
+    }
+}
+
+pub(crate) fn time_wire(t: Time) -> u64 {
+    t.finite().unwrap_or(u64::MAX)
+}
+
+pub(crate) fn rows_body(rel: &Relation, as_of: u64, texp: u64, degraded: bool) -> ReplyBody {
+    let schema = rel
+        .schema()
+        .attributes()
+        .iter()
+        .map(|a| (a.name.clone(), a.ty))
+        .collect();
+    let rows = rel
+        .iter()
+        .map(|(t, texp)| (t.values().to_vec(), texp))
+        .collect();
+    ReplyBody::Rows {
+        as_of,
+        texp,
+        degraded,
+        schema,
+        rows,
+    }
+}
+
+/// Runs one statement against the live engine and maps its outcome onto
+/// the wire, through the same two entry points as an embedded caller:
+/// [`Database::select`] for a SELECT (so the reply carries `texp(e)`),
+/// [`Database::execute_statement`] for everything else. A SELECT also
+/// hands back its materialisation for the degraded-mode cache — unless
+/// it had a `LIMIT`: a truncated result cannot be expired forward (a cut
+/// row would move up), so it is never served stale. `retry_after_ms` is
+/// the hint shipped with a retryable engine error.
+pub(crate) fn reply_of(
+    db: &mut Database,
+    sql: &str,
+    retry_after_ms: u32,
+) -> (ReplyBody, Option<Materialized>) {
+    let now = time_wire(db.now());
+    exptime_sql::parse(sql)
+        .map_err(DbError::from)
+        .and_then(|stmt| match stmt {
+            Statement::Select(query) => {
+                let m = db.select(&query)?;
+                let body = rows_body(&m.rel, now, time_wire(m.texp), false);
+                Ok((body, query.limit.is_none().then_some(m)))
+            }
+            stmt => Ok((
+                match db.execute_statement(stmt)? {
+                    ExecResult::Rows(rel) => rows_body(&rel, now, u64::MAX, false),
+                    ExecResult::Affected(n) => ReplyBody::Affected(n as u64),
+                    ExecResult::Ok(name) => ReplyBody::Ok(name),
+                },
+                None,
+            )),
+        })
+        .unwrap_or_else(|e| {
+            let code = ErrorCode::from_db_error(&e);
+            let hint = if code.is_retryable() {
+                retry_after_ms
+            } else {
+                0
+            };
+            (err_body(code, hint, &e.to_string()), None)
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,6 +335,35 @@ mod tests {
         assert_eq!(t.replays, 1);
         // Next statement admits fresh.
         assert_eq!(t.admit(h.token, 2), Admission::Fresh);
+    }
+
+    #[test]
+    fn serve_executes_once_and_leaves_a_retryable_outcome_open() {
+        let mut t = SessionTable::new();
+        let h = t.hello(0, 0);
+        let mut runs = 0;
+        let mut run = |body: &ReplyBody| {
+            runs += 1;
+            body.clone()
+        };
+        let later = err_body(ErrorCode::DeadlineExceeded, 5, "later");
+        assert_eq!(t.serve(h.token, 1, || run(&later)), later);
+        assert_eq!(t.applied(h.token), Some(0), "retryable: seq 1 stays open");
+        assert_eq!(t.serve(h.token, 1, || run(&affected(1))), affected(1));
+        assert_eq!(t.serve(h.token, 1, || run(&affected(9))), affected(1));
+        let fatal = err_body(ErrorCode::Sql, 0, "bad");
+        assert_eq!(t.serve(h.token, 2, || run(&fatal)), fatal);
+        assert_eq!(t.serve(h.token, 2, || run(&affected(9))), fatal);
+        assert_eq!(t.applied(h.token), Some(2), "a fatal error is consumed");
+        let code_of = |body: ReplyBody| match body {
+            ReplyBody::Err { code, .. } => ErrorCode::from_u16(code),
+            other => panic!("expected an error, got {other:?}"),
+        };
+        let gap = t.serve(h.token, 9, || run(&affected(9)));
+        assert_eq!(code_of(gap), Some(ErrorCode::Protocol));
+        let unknown = t.serve(777, 1, || run(&affected(9)));
+        assert_eq!(code_of(unknown), Some(ErrorCode::SessionExpired));
+        assert_eq!(runs, 3, "replays and refusals never execute");
     }
 
     #[test]

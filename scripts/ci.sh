@@ -80,8 +80,19 @@ EXPTIME_NET_SEEDS="${EXPTIME_NET_SEEDS:-1,2,3,4,5,6,7,8}" \
 
 # Wire ≡ embedded: one statement list through Database::execute and
 # through NetClient against a served twin — equal rows in order, equal
-# affected counts, equal survivors after the ticks.
+# affected counts, equal survivors after the ticks — and through the
+# chaos harness on a fault-free link, whose acked replies must equal
+# the TCP server's (texp included): both run the same serve path.
 cargo test -q --test net_parity
+
+# Overload on the real server, made deterministic by holding the
+# database from the test thread: past the in-flight bound a statement is
+# shed with the retry hint and lands exactly once on retry; a deadline
+# that expires waiting for the database is refused before execution with
+# its sequence number open (and net.queue_wait_ns counts one sample per
+# executed statement); a degraded read is served without the database
+# lock and recorded, so the session's next statement is not a gap.
+cargo test -q --test net_overload
 
 # Wire-codec property tests: round-trip, every-prefix rejection,
 # every-bit-flip rejection, and exactly-once re-delivery across

@@ -4,13 +4,19 @@
 //! counts, the same errors, and — after the clock ticks — the same
 //! survivors. Both reach evaluation through `Database::select` /
 //! `Database::execute_statement`; this suite is what keeps it that way.
+//! The chaos harness is a third column: on a fault-free link its acked
+//! replies must equal the TCP server's byte for byte, because both answer
+//! a statement with the same `SessionTable::serve` around `reply_of`.
 
 use exptime::core::time::Time;
 use exptime::core::tuple::Tuple;
 use exptime::core::value::Value;
 use exptime::engine::SharedDatabase;
 use exptime::prelude::*;
-use exptime_net::{ClientConfig, ClientError, NetClient, NetConfig, NetServer, ReplyBody};
+use exptime::replica::{FaultSpec, RetryPolicy};
+use exptime_net::{
+    ChaosNet, ClientConfig, ClientError, NetClient, NetConfig, NetServer, ReplyBody,
+};
 
 enum Step {
     Sql(&'static str),
@@ -76,18 +82,31 @@ fn embedded(res: DbResult<ExecResult>) -> Outcome {
     }
 }
 
-fn wire(res: std::result::Result<ReplyBody, ClientError>) -> Outcome {
+/// The reply body the server sent: `NetClient` surfaces a fatal error
+/// reply as `ClientError::Fatal`, which is folded back into its body.
+fn sent(res: std::result::Result<ReplyBody, ClientError>) -> ReplyBody {
     match res {
-        Ok(ReplyBody::Rows { rows, degraded, .. }) => {
+        Ok(body) => body,
+        Err(ClientError::Fatal {
+            raw_code, message, ..
+        }) => ReplyBody::Err {
+            code: raw_code,
+            retry_after_ms: 0,
+            message,
+        },
+        Err(e) => panic!("transport failure on a loopback link: {e}"),
+    }
+}
+
+fn wire(body: ReplyBody) -> Outcome {
+    match body {
+        ReplyBody::Rows { rows, degraded, .. } => {
             assert!(!degraded, "an idle server never degrades");
             Outcome::Rows(rows)
         }
-        Ok(ReplyBody::Affected(n)) => Outcome::Affected(n),
-        Ok(ReplyBody::Ok(s)) => Outcome::Ok(s),
-        Ok(ReplyBody::Err { message, .. }) | Err(ClientError::Fatal { message, .. }) => {
-            Outcome::Err(message)
-        }
-        Err(e) => panic!("transport failure on a loopback link: {e}"),
+        ReplyBody::Affected(n) => Outcome::Affected(n),
+        ReplyBody::Ok(s) => Outcome::Ok(s),
+        ReplyBody::Err { message, .. } => Outcome::Err(message),
     }
 }
 
@@ -117,16 +136,31 @@ fn wire_and_embedded_agree_statement_by_statement() {
     let mut client =
         NetClient::connect(&server.local_addr().to_string(), ClientConfig::default()).unwrap();
 
+    // The third column: the chaos harness on a link that never faults.
+    let mut harnessed = Database::default();
+    let mut harness = ChaosNet::new(FaultSpec::none(1), RetryPolicy::default());
+
     let mut diverged = Vec::new();
     for step in SCRIPT {
         match step {
             Tick(n) => {
                 local.tick(*n);
                 served.tick(*n);
+                harnessed.tick(*n);
             }
             Sql(sql) => {
                 let here = embedded(local.execute(sql));
-                let there = wire(client.execute(sql));
+                let body = sent(client.execute(sql));
+                harness.submit(sql);
+                assert!(harness.run(&mut harnessed, 100).quiesced, "{sql}");
+                let (_, acked) = harness.acked().last().expect("quiesced means acked");
+                if *acked != body {
+                    diverged.push(format!(
+                        "t={} {sql}\n  harness: {acked:?}\n  wire:    {body:?}",
+                        local.now()
+                    ));
+                }
+                let there = wire(body);
                 if here != there {
                     diverged.push(format!(
                         "t={} {sql}\n  embedded: {here:?}\n  wire:     {there:?}",

@@ -6,12 +6,24 @@
 //! * a logical [`Clock`] drives everything — advancing it processes due
 //!   expirations (eagerly per event time, or lazily on a vacuum cadence —
 //!   Section 3.2) and fires expiration triggers;
-//! * tables are `exptime-storage` [`Table`]s (expiration index + B+-trees);
+//! * tables are `exptime-storage` [`Table`]s (expiration index + ordered
+//!   secondary indexes);
 //! * views are either *virtual* (planned per read) or *materialised*
 //!   ([`MaterializedView`]s that maintain themselves independently of the
 //!   base tables, per Theorems 1–3);
 //! * SQL goes through `exptime-sql`; expiration times surface only in
 //!   `INSERT … EXPIRES …` and `UPDATE … SET EXPIRES …`.
+//!
+//! A statement moves through a pipeline — dispatch → read → write → policy
+//! touch → durability → maintenance — and this file is being cut along
+//! it. Of those stages it still owns **dispatch** (`execute*`, the catalog
+//! and DDL), **read** (`select` → `evaluate`, view reads), **durability**
+//! (open/recovery, checkpoint, the `wal_*` bracket and append helpers) and
+//! **maintenance** (`advance_to`, vacuum, the forecast and the telemetry
+//! sampler). The child modules own the rest: `stored` is the tables as the
+//! algebra's binding environment (what a read scans), `write` is the
+//! **write** and **policy touch** stages — every change to a stored row,
+//! live or redone, goes through its one `apply`.
 
 use crate::constraint::{Constraint, ConstraintViolation};
 use crate::durability::{CheckpointStats, Durability, RecoveryStats, WalSession, WalStatus};
@@ -19,7 +31,6 @@ use crate::telemetry::{TelemetryConfig, TelemetryStatus, TELEMETRY_HEALTH, TELEM
 use crate::trigger::{ExpirationEvent, TriggerFn, TriggerManager};
 use exptime_core::algebra::{eval, eval_profiled, EvalOptions, Expr, Materialized, PlanProfile};
 use exptime_core::materialize::{MaterializedView, RefreshDecision, RefreshPolicy, RemovalPolicy};
-use exptime_core::predicate::Predicate;
 use exptime_core::relation::Relation;
 use exptime_core::rewrite::TickBound;
 use exptime_core::schema::Schema;
@@ -31,9 +42,9 @@ use exptime_obs::{
     OperatorCost, ProfileStats, Profiler, QueryProfile, SloConfig, StalenessBound,
     StalenessMonitor, StormBucket, Tracer,
 };
-use exptime_policy::{Event as PolicyEvent, MaintenanceWindow, Sliding, TouchKind, TtlPolicy};
-use exptime_sql::ast::{Expires, Statement, TtlClause};
-use exptime_sql::{plan_query, plan_table_cond, SchemaProvider, SqlError};
+use exptime_policy::{MaintenanceWindow, Sliding, TtlPolicy};
+use exptime_sql::ast::{Statement, TtlClause};
+use exptime_sql::{plan_query, SchemaProvider, SqlError};
 use exptime_storage::{IndexKind, Table};
 use exptime_wal::{
     committed_prefix, replay_plan, Checkpoint, FileStore, TableSnapshot, Wal, WalRecord, WalStore,
@@ -44,7 +55,9 @@ use std::path::Path;
 use std::time::Instant;
 
 mod stored;
+mod write;
 use stored::Stored;
+use write::Change;
 
 /// How the engine physically removes expired base-table rows
 /// (Section 3.2).
@@ -464,9 +477,6 @@ pub struct Database {
     views: BTreeMap<String, ViewEntry>,
     triggers: TriggerManager,
     constraints: HashMap<String, Vec<Constraint>>,
-    /// Per-table write version, bumped on inserts, explicit deletes, and
-    /// expiration-time updates — never on expirations.
-    write_versions: HashMap<String, u64>,
     last_vacuum: Time,
     /// Per-table TTL policies (keyed like `tables`). Tables without an
     /// entry run the paper's pure absolute-`texp` semantics.
@@ -533,7 +543,6 @@ impl Database {
             views: BTreeMap::new(),
             triggers: TriggerManager::new(),
             constraints: HashMap::new(),
-            write_versions: HashMap::new(),
             last_vacuum: Time::ZERO,
             policies: HashMap::new(),
             obs,
@@ -688,13 +697,10 @@ impl Database {
                     .collect(),
             )?;
             self.create_table(&snap.name, schema)?;
-            let now = self.clock.now();
-            let table = self
-                .tables
-                .get_mut(&snap.name.to_ascii_lowercase())
-                .expect("just created");
+            let key = snap.name.to_ascii_lowercase();
             for (values, texp) in &snap.rows {
-                table.insert(Tuple::new(values.clone()), *texp, now)?;
+                let tuple = &Tuple::new(values.clone());
+                self.apply(&key, Change::Put { tuple, texp: *texp }, |_| {})?;
             }
         }
         if ck.clock > 0 {
@@ -706,8 +712,10 @@ impl Database {
         Ok(())
     }
 
-    /// Redoes one committed log record. Runs with `self.wal == None`, so
-    /// nothing here re-logs.
+    /// Redoes one committed log record. The data records go through the
+    /// same [`Database::apply`] that logged them; it runs with
+    /// `self.wal == None`, so nothing here re-logs, and a redo is not this
+    /// run's statement, so nothing is counted.
     fn apply_wal_op(&mut self, op: &WalRecord) -> DbResult<()> {
         match op {
             WalRecord::Insert {
@@ -716,22 +724,12 @@ impl Database {
                 texp,
                 ..
             } => {
-                let now = self.clock.now();
-                let t = self
-                    .tables
-                    .get_mut(table)
-                    .ok_or_else(|| DbError::Wal(format!("replay: unknown table `{table}`")))?;
-                t.insert(Tuple::new(values.clone()), *texp, now)?;
-                self.bump_version(table);
+                let tuple = &Tuple::new(values.clone());
+                self.apply(table, Change::Put { tuple, texp: *texp }, |_| {})?;
             }
             WalRecord::Delete { table, values, .. } => {
-                let t = self
-                    .tables
-                    .get_mut(table)
-                    .ok_or_else(|| DbError::Wal(format!("replay: unknown table `{table}`")))?;
-                if t.delete(&Tuple::new(values.clone())).is_some() {
-                    self.bump_version(table);
-                }
+                let tuple = &Tuple::new(values.clone());
+                self.apply(table, Change::Remove { tuple }, |_| {})?;
             }
             WalRecord::UpdateTexp {
                 table,
@@ -739,13 +737,8 @@ impl Database {
                 texp,
                 ..
             } => {
-                let now = self.clock.now();
-                let t = self
-                    .tables
-                    .get_mut(table)
-                    .ok_or_else(|| DbError::Wal(format!("replay: unknown table `{table}`")))?;
-                t.update_texp(&Tuple::new(values.clone()), *texp, now)?;
-                self.bump_version(table);
+                let tuple = &Tuple::new(values.clone());
+                self.apply(table, Change::Retime { tuple, texp: *texp }, |_| {})?;
             }
             WalRecord::ClockAdvance { to } => {
                 let target = Time::new(*to);
@@ -874,6 +867,15 @@ impl Database {
             })?;
         }
         Ok(())
+    }
+
+    /// Runs `body` as one statement-scoped WAL transaction: `TxnBegin`,
+    /// the redo record of every change `body` applies, `TxnCommit`. A
+    /// nested call joins the transaction already open.
+    fn wal_stmt<T>(&mut self, body: impl FnOnce(&mut Self) -> DbResult<T>) -> DbResult<T> {
+        let owned = self.wal_stmt_begin()?;
+        let res = body(self);
+        self.wal_stmt_end(owned).and(res)
     }
 
     /// Opens a statement-scoped WAL transaction if none is active.
@@ -1359,7 +1361,6 @@ impl Database {
                 )));
             }
         }
-        self.write_versions.remove(&key);
         self.policies.remove(&key);
         self.tables
             .remove(&key)
@@ -1371,7 +1372,11 @@ impl Database {
         Ok(())
     }
 
-    /// Direct access to a table (e.g. to create secondary indexes).
+    /// Direct access to a table (e.g. to create secondary indexes). A
+    /// row written through it bypasses policies, constraints and the
+    /// `db.*` counters and is **not logged** — it is lost on recovery —
+    /// but materialised views do see it: the table itself counts its
+    /// writes ([`Table::write_version`]).
     ///
     /// # Errors
     ///
@@ -1393,137 +1398,17 @@ impl Database {
             .ok_or_else(|| DbError::Catalog(format!("unknown table `{name}`")))
     }
 
-    /// Inserts a tuple with an absolute expiration time (use
-    /// [`Time::INFINITY`] for "never").
-    ///
-    /// # Errors
-    ///
-    /// Returns schema, constraint, or past-expiration errors.
-    pub fn insert(&mut self, table: &str, tuple: Tuple, texp: Time) -> DbResult<()> {
-        self.guard_reserved(table, "INSERT")?;
-        let owned = self.wal_stmt_begin()?;
-        let res = self.insert_inner(table, tuple, Some(texp));
-        self.wal_stmt_end(owned).and(res)
-    }
-
-    /// Inserts a tuple whose expiration is left entirely to the table's
-    /// TTL policy (`now + ttl`, clamped; `∞` without a policy) — the API
-    /// twin of `INSERT … VALUES …` with no `EXPIRES` clause.
-    ///
-    /// # Errors
-    ///
-    /// As [`Database::insert`].
-    pub fn insert_default(&mut self, table: &str, tuple: Tuple) -> DbResult<()> {
-        self.guard_reserved(table, "INSERT")?;
-        let owned = self.wal_stmt_begin()?;
-        let res = self.insert_inner(table, tuple, None);
-        self.wal_stmt_end(owned).and(res)
-    }
-
-    /// `requested = None` defers the expiration to the table's policy.
-    fn insert_inner(&mut self, table: &str, tuple: Tuple, requested: Option<Time>) -> DbResult<()> {
-        let start = Instant::now();
-        let now = self.clock.now();
-        let key = table.to_ascii_lowercase();
-        // Policy pass (skipped in system context: WAL replay and dump
-        // restore carry already-effective absolute expirations, and
-        // re-clamping them would corrupt restored state).
-        let tp = (!self.system_ctx)
-            .then(|| self.policies.get(&key))
-            .flatten();
-        let (texp, clamped, modify_slides) = match tp {
-            Some(tp) => {
-                let fx = tp
-                    .policy
-                    .effective_texp(PolicyEvent::Write { requested }, now);
-                (
-                    fx.texp,
-                    fx.clamped,
-                    tp.policy.sliding.slides_on(TouchKind::Modify),
-                )
-            }
-            None => (requested.unwrap_or(Time::INFINITY), false, false),
-        };
-        if let Some(cs) = self.constraints.get(&key) {
-            for c in cs {
-                c.check(&tuple, texp, now)?;
-            }
-        }
-        let t = self
-            .tables
-            .get_mut(&key)
-            .ok_or_else(|| DbError::Catalog(format!("unknown table `{table}`")))?;
-        // A re-insert of an existing row under a sliding-on-modify policy
-        // is a touch; record whether it actually re-armed (moved `texp`
-        // forward — the keep-max upsert below makes that exactly
-        // `texp > prior`).
-        let slid = modify_slides && t.texp(&tuple).is_some_and(|prior| texp > prior);
-        // Clone the row for the log only when a WAL transaction is open;
-        // volatile inserts stay allocation-free here.
-        let logged = self
-            .wal
-            .as_ref()
-            .is_some_and(|s| s.active_txn.is_some())
-            .then(|| tuple.values().to_vec());
-        t.insert(tuple, texp, now)?;
-        self.counters.inserts.inc();
-        self.counters.insert_ns.record_duration(start.elapsed());
-        if clamped || slid {
-            self.note_policy_effect(&key, clamped, slid);
-        }
-        self.bump_version(&key);
-        if let Some(values) = logged {
-            self.wal_log_op(|txn| WalRecord::Insert {
-                txn,
-                table: key.clone(),
-                values,
-                texp,
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Bumps the global and per-table `policy.*` counters.
-    fn note_policy_effect(&self, table_key: &str, clamped: bool, slid: bool) {
-        let Some(tp) = self.policies.get(table_key) else {
-            return;
-        };
-        if clamped {
-            self.policy_counters.clamped.inc();
-            tp.clamped.inc();
-        }
-        if slid {
-            self.policy_counters.sliding_touches.inc();
-            tp.sliding_touches.inc();
-        }
-    }
-
-    fn bump_version(&mut self, table_key: &str) {
-        *self
-            .write_versions
-            .entry(table_key.to_string())
-            .or_insert(0) += 1;
-    }
-
+    /// The write version of every base table `expr` names: what a
+    /// materialised view over it remembers, and compares on each read.
     fn current_versions(&self, expr: &Expr) -> Vec<(String, u64)> {
         expr.base_names()
             .into_iter()
             .map(|n| {
                 let k = n.to_ascii_lowercase();
-                let v = self.write_versions.get(&k).copied().unwrap_or(0);
+                let v = self.tables.get(&k).map_or(0, Table::write_version);
                 (k, v)
             })
             .collect()
-    }
-
-    /// Inserts a tuple that expires `ttl` ticks from now.
-    ///
-    /// # Errors
-    ///
-    /// As [`Database::insert`].
-    pub fn insert_ttl(&mut self, table: &str, tuple: Tuple, ttl: u64) -> DbResult<()> {
-        let texp = self.clock.now() + ttl;
-        self.insert(table, tuple, texp)
     }
 
     // ------------------------------------------------------------------
@@ -1695,98 +1580,6 @@ impl Database {
             }),
         )?;
         Ok(ExecResult::Rows(rel))
-    }
-
-    /// Sliding-on-access pass for a SQL `SELECT`: every base table the
-    /// query names whose policy slides on access gets its read rows
-    /// re-armed (keep-max, `O(log n)` per row through the expiry index).
-    /// Single-table bodies narrow the touch set with the `WHERE`
-    /// predicate; other shapes conservatively touch every live row.
-    /// Touches run in their own WAL statement transaction so they are
-    /// durable — a recovered database does not forget that a session was
-    /// recently seen.
-    fn apply_access_touches(&mut self, query: &exptime_sql::ast::Query) -> DbResult<()> {
-        if self.system_ctx {
-            return Ok(());
-        }
-        let bodies: Vec<&exptime_sql::ast::QueryBody> = std::iter::once(&query.body)
-            .chain(query.compound.iter().map(|(_, b)| b))
-            .collect();
-        // Cheap pre-check: read-only workloads over non-sliding tables
-        // must not open WAL transactions (or pay anything else).
-        let any = bodies.iter().any(|b| {
-            b.from.iter().any(|t| {
-                self.policies
-                    .get(&t.to_ascii_lowercase())
-                    .is_some_and(|tp| tp.policy.sliding.slides_on(TouchKind::Access))
-            })
-        });
-        if !any {
-            return Ok(());
-        }
-        let owned = self.wal_stmt_begin()?;
-        let res = self.apply_access_touches_inner(&bodies);
-        self.wal_stmt_end(owned).and(res)
-    }
-
-    fn apply_access_touches_inner(
-        &mut self,
-        bodies: &[&exptime_sql::ast::QueryBody],
-    ) -> DbResult<()> {
-        let now = self.clock.now();
-        for body in bodies {
-            for table in &body.from {
-                let key = table.to_ascii_lowercase();
-                let Some(tp) = self.policies.get(&key) else {
-                    continue;
-                };
-                if !tp.policy.sliding.slides_on(TouchKind::Access) {
-                    continue;
-                }
-                let policy = tp.policy;
-                if !self.tables.contains_key(&key) {
-                    continue;
-                }
-                // Narrow by WHERE when it plans as a per-tuple predicate
-                // over this one table; degrade to touch-all otherwise.
-                let pred = if body.from.len() == 1 {
-                    body.selection
-                        .as_ref()
-                        .and_then(|c| plan_table_cond(c, table, &*self).ok())
-                } else {
-                    None
-                };
-                let victims = matching(&self.tables[&key], pred.as_ref(), now);
-                let mut touched = 0u64;
-                for (tu, current) in &victims {
-                    let fx = policy.effective_texp(
-                        PolicyEvent::Touch {
-                            kind: TouchKind::Access,
-                            current: *current,
-                        },
-                        now,
-                    );
-                    if !fx.slid {
-                        continue;
-                    }
-                    let t = self.tables.get_mut(&key).expect("checked above");
-                    if t.update_texp(tu, fx.texp, now)? {
-                        touched += 1;
-                        self.note_policy_effect(&key, fx.clamped, true);
-                        self.wal_log_op(|txn| WalRecord::UpdateTexp {
-                            txn,
-                            table: key.clone(),
-                            values: tu.values().to_vec(),
-                            texp: fx.texp,
-                        })?;
-                    }
-                }
-                if touched > 0 {
-                    self.bump_version(&key);
-                }
-            }
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -2771,25 +2564,15 @@ impl Database {
                 table,
                 rows,
                 expires,
-            } => {
-                let owned = self.wal_stmt_begin()?;
-                let res = self.exec_insert(&table, rows, expires);
-                self.wal_stmt_end(owned).and(res)
-            }
+            } => self.wal_stmt(|db| db.exec_insert(&table, rows, expires)),
             Statement::Delete { table, predicate } => {
-                let owned = self.wal_stmt_begin()?;
-                let res = self.exec_delete(&table, predicate.as_ref());
-                self.wal_stmt_end(owned).and(res)
+                self.wal_stmt(|db| db.exec_delete(&table, predicate.as_ref()))
             }
             Statement::UpdateExpiration {
                 table,
                 expires,
                 predicate,
-            } => {
-                let owned = self.wal_stmt_begin()?;
-                let res = self.exec_update_expiration(&table, expires, predicate.as_ref());
-                self.wal_stmt_end(owned).and(res)
-            }
+            } => self.wal_stmt(|db| db.exec_update_expiration(&table, expires, predicate.as_ref())),
             Statement::AlterTtl { table, ttl } => {
                 let policy = ttl.map_or_else(TtlPolicy::default, |c| policy_of_clause(&c));
                 self.set_ttl_policy(&table, policy)?;
@@ -2801,140 +2584,6 @@ impl Database {
             Statement::ShowTtl { table } => self.exec_show_ttl(table.as_deref()),
             Statement::Audit => Ok(ExecResult::Ok(self.audit().render())),
             Statement::Select(query) => Ok(ExecResult::Rows(self.select(&query)?.rel)),
-        }
-    }
-
-    fn exec_insert(
-        &mut self,
-        table: &str,
-        rows: Vec<Vec<exptime_sql::ast::Literal>>,
-        expires: Expires,
-    ) -> DbResult<ExecResult> {
-        self.guard_reserved(table, "INSERT")?;
-        // No `EXPIRES` clause (or an explicit `EXPIRES DEFAULT`) defers
-        // the expiration to the table's TTL policy.
-        let requested = match expires {
-            Expires::Default => None,
-            e => Some(self.resolve_expires(e)),
-        };
-        let schema = self.table(table)?.schema().clone();
-        let mut n = 0;
-        for row in rows {
-            let tuple = coerce_row(&row, &schema)?;
-            self.insert_inner(table, tuple, requested)?;
-            n += 1;
-        }
-        Ok(ExecResult::Affected(n))
-    }
-
-    fn exec_delete(
-        &mut self,
-        table: &str,
-        predicate: Option<&exptime_sql::ast::Cond>,
-    ) -> DbResult<ExecResult> {
-        self.guard_reserved(table, "DELETE")?;
-        let now = self.clock.now();
-        let pred = match predicate {
-            Some(c) => Some(plan_table_cond(c, table, &*self)?),
-            None => None,
-        };
-        let key = table.to_ascii_lowercase();
-        let victims = matching(self.table(table)?, pred.as_ref(), now);
-        let mut n = 0;
-        for (v, _) in &victims {
-            let t = self.tables.get_mut(&key).expect("resolved above");
-            if t.delete(v).is_some() {
-                n += 1;
-                self.wal_log_op(|txn| WalRecord::Delete {
-                    txn,
-                    table: key.clone(),
-                    values: v.values().to_vec(),
-                })?;
-            }
-        }
-        self.counters.deletes.add(n as u64);
-        if n > 0 {
-            self.bump_version(&key);
-        }
-        Ok(ExecResult::Affected(n))
-    }
-
-    fn exec_update_expiration(
-        &mut self,
-        table: &str,
-        expires: Expires,
-        predicate: Option<&exptime_sql::ast::Cond>,
-    ) -> DbResult<ExecResult> {
-        self.guard_reserved(table, "UPDATE")?;
-        let now = self.clock.now();
-        let pred = match predicate {
-            Some(c) => Some(plan_table_cond(c, table, &*self)?),
-            None => None,
-        };
-        let key = table.to_ascii_lowercase();
-        // The policy decides the new `texp` per row: `SET EXPIRES DEFAULT`
-        // is a *modify-touch* (sliding policies re-arm, absolute ones
-        // leave the row alone); an explicit expiration is a write request
-        // the policy may still clamp. System context (restore replay)
-        // bypasses the policy as in [`Database::insert_inner`].
-        let policy = (!self.system_ctx)
-            .then(|| self.policies.get(&key).map(|tp| tp.policy))
-            .flatten()
-            .unwrap_or_default();
-        let requested = match expires {
-            Expires::Default => None,
-            e => Some(self.resolve_expires(e)),
-        };
-        let targets = matching(self.table(table)?, pred.as_ref(), now);
-        let mut n = 0;
-        for (tu, current) in &targets {
-            let fx = match requested {
-                None => policy.effective_texp(
-                    PolicyEvent::Touch {
-                        kind: TouchKind::Modify,
-                        current: *current,
-                    },
-                    now,
-                ),
-                Some(req) => policy.effective_texp(
-                    PolicyEvent::Write {
-                        requested: Some(req),
-                    },
-                    now,
-                ),
-            };
-            if requested.is_none() && fx.texp == *current {
-                // Touch under a non-sliding policy: nothing to re-arm.
-                continue;
-            }
-            let t = self.tables.get_mut(&key).expect("resolved above");
-            if t.update_texp(tu, fx.texp, now)? {
-                n += 1;
-                if fx.clamped || fx.slid {
-                    self.note_policy_effect(&key, fx.clamped, fx.slid);
-                }
-                self.wal_log_op(|txn| WalRecord::UpdateTexp {
-                    txn,
-                    table: key.clone(),
-                    values: tu.values().to_vec(),
-                    texp: fx.texp,
-                })?;
-            }
-        }
-        if n > 0 {
-            self.bump_version(&key);
-        }
-        Ok(ExecResult::Affected(n))
-    }
-
-    fn resolve_expires(&self, e: Expires) -> Time {
-        match e {
-            Expires::Never => Time::INFINITY,
-            Expires::At(t) => Time::new(t),
-            Expires::In(d) => self.clock.now() + d,
-            // Only reached with no policy in play (callers route Default
-            // through the policy first): "default" means "never".
-            Expires::Default => Time::INFINITY,
         }
     }
 
@@ -3065,9 +2714,8 @@ impl Database {
         let histograms = self.metrics().histograms();
         let health = self.health();
         let fc = self.forecast();
-        let owned = self.wal_stmt_begin()?;
         let mut rows = 0u64;
-        let res = (|| -> DbResult<u64> {
+        self.wal_stmt(|db| {
             let mut metric =
                 |db: &mut Self, kind: &str, name: String, value: f64| -> DbResult<()> {
                     let tuple = Tuple::new(vec![
@@ -3081,15 +2729,15 @@ impl Database {
                     Ok(())
                 };
             for (name, v) in counters {
-                metric(self, "counter", name, v as f64)?;
+                metric(db, "counter", name, v as f64)?;
             }
             for (name, v) in gauges {
-                metric(self, "gauge", name, v as f64)?;
+                metric(db, "gauge", name, v as f64)?;
             }
             for (name, h) in histograms {
-                metric(self, "histogram", format!("{name}.count"), h.count as f64)?;
-                metric(self, "histogram", format!("{name}.p50"), h.p50())?;
-                metric(self, "histogram", format!("{name}.p99"), h.p99())?;
+                metric(db, "histogram", format!("{name}.count"), h.count as f64)?;
+                metric(db, "histogram", format!("{name}.p50"), h.p50())?;
+                metric(db, "histogram", format!("{name}.p99"), h.p99())?;
             }
             let stale = health
                 .views
@@ -3108,11 +2756,10 @@ impl Database {
                 Value::Int(gauge_i64(fc.horizon.due_within(64))),
                 Value::Int(gauge_i64(fc.storms.len() as u64)),
             ]);
-            self.insert(TELEMETRY_HEALTH, health_row, texp)?;
+            db.insert(TELEMETRY_HEALTH, health_row, texp)?;
             rows += 1;
             Ok(rows)
-        })();
-        self.wal_stmt_end(owned).and(res)
+        })
     }
 }
 
@@ -3188,17 +2835,6 @@ fn expr_node_count(expr: &Expr) -> u64 {
     }
 }
 
-/// The rows of `table` visible at `now` that satisfy `pred`: what a
-/// `DELETE`, an `UPDATE … SET EXPIRES` or an access touch acts on. Writes
-/// filter with the same `scan_at` that reads copy from.
-fn matching(table: &Table, pred: Option<&Predicate>, now: Time) -> Vec<(Tuple, Time)> {
-    table
-        .scan_at(now)
-        .filter(|(tu, _)| pred.map_or(true, |p| p.eval(tu)))
-        .map(|(tu, texp)| (tu.clone(), texp))
-        .collect()
-}
-
 /// Flattens an executed [`PlanProfile`] tree into per-operator costs
 /// (self time, excluding children), pre-order.
 fn flatten_profile(profile: &PlanProfile) -> Vec<OperatorCost> {
@@ -3251,22 +2887,6 @@ fn graft_profile(
         graft_profile(tracer, id, child, cursor, cend, at);
         cursor = cend;
     }
-}
-
-/// Coerces SQL literals to a schema (integer literals fill float columns).
-fn coerce_row(row: &[exptime_sql::ast::Literal], schema: &Schema) -> Result<Tuple, DbError> {
-    let mut values = Vec::with_capacity(row.len());
-    for (i, lit) in row.iter().enumerate() {
-        let v = lit.to_value();
-        let v = match (schema.attributes().get(i).map(|a| a.ty), &v) {
-            (Some(ValueType::Float), Value::Int(x)) => Value::float(*x as f64),
-            _ => v,
-        };
-        values.push(v);
-    }
-    let tuple = Tuple::new(values);
-    schema.check(&tuple).map_err(DbError::Core)?;
-    Ok(tuple)
 }
 
 /// The policy a `TTL …` clause declares (clauses cannot express
@@ -3347,6 +2967,7 @@ impl SchemaProvider for Database {
 mod tests {
     use super::*;
     use exptime_core::tuple;
+    use exptime_policy::TouchKind;
 
     fn t(v: u64) -> Time {
         Time::new(v)
@@ -3700,6 +3321,14 @@ mod tests {
             .unwrap();
         assert_eq!(db.read_view("hot").unwrap().len(), 2);
         assert_eq!(db.table("pol").unwrap().stats().scans, scans + 1);
+        // So does a write that bypasses the engine: the table counts its
+        // own writes, so there is no second place to forget one.
+        let now = db.now();
+        db.table_mut("pol")
+            .unwrap()
+            .insert(tuple![5, 25], t(40), now)
+            .unwrap();
+        assert_eq!(db.read_view("hot").unwrap().len(), 3);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Durability configuration and status types for the WAL-backed engine.
 //!
 //! The mechanics live in `exptime-wal` (record format, stores, replay
-//! planning) and in `db.rs` (which operations log which records); this
-//! module holds the knobs and the reports.
+//! planning), in `db/write.rs` (which change logs which record) and in
+//! `db.rs` (the statement bracket, recovery, checkpoints); this module
+//! holds the knobs and the reports.
 //!
 //! The protocol, end to end:
 //!

@@ -30,8 +30,7 @@ pub struct DegradedRead {
     pub stale: bool,
 }
 
-/// Default entry cap for [`StaleCache`] (the TCP server overrides it
-/// with `NetConfig::stale_cache_cap`).
+/// Default entry cap for [`StaleCache`], and the cap of the TCP server's.
 pub const DEFAULT_STALE_CACHE_CAP: usize = 256;
 
 #[derive(Debug)]

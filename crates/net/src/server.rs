@@ -40,7 +40,7 @@
 //! acked write is by construction an applied write, so drain loses
 //! none.
 
-use crate::degrade::StaleCache;
+use crate::degrade::{StaleCache, DEFAULT_STALE_CACHE_CAP};
 use crate::error::ErrorCode;
 use crate::frame::{write_msg, FrameReader, Msg, ReplyBody};
 use crate::session::{err_body, reply_of, rows_body, time_wire, SessionTable};
@@ -49,7 +49,7 @@ use exptime_engine::{Database, SharedDatabase};
 use exptime_obs::{Counter, EventKind, Gauge, Histogram, MetricsRegistry, Obs};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -69,13 +69,12 @@ pub struct NetConfig {
     pub write_timeout: Duration,
     /// The backoff hint shipped with `Shed` and retryable errors.
     pub retry_after_ms: u32,
-    /// Sweeper period for idle-session eviction.
-    pub sweep_every: Duration,
-    /// Sweeps a session may stay idle before eviction.
-    pub session_idle_sweeps: u32,
-    /// Entry cap for the degraded-mode stale cache (LRU-evicted).
-    pub stale_cache_cap: usize,
 }
+
+/// Sweeper period for idle-session eviction.
+const SWEEP_EVERY: Duration = Duration::from_secs(5);
+/// Sweeps a session may stay idle before eviction.
+const SESSION_IDLE_SWEEPS: u32 = 24;
 
 impl Default for NetConfig {
     fn default() -> Self {
@@ -85,9 +84,6 @@ impl Default for NetConfig {
             read_timeout: Duration::from_millis(200),
             write_timeout: Duration::from_secs(2),
             retry_after_ms: 25,
-            sweep_every: Duration::from_secs(5),
-            session_idle_sweeps: 24,
-            stale_cache_cap: crate::degrade::DEFAULT_STALE_CACHE_CAP,
         }
     }
 }
@@ -100,12 +96,35 @@ struct Metrics {
     last_now: Gauge,
     queue_wait_ns: Histogram,
     stmt_ns: Histogram,
-    stmt_executed: Counter,
+    stmt_executed: Since,
     stmt_replayed: Counter,
-    shed: Counter,
-    deadline_exceeded: Counter,
-    degraded_served: Counter,
+    shed: Since,
+    deadline_exceeded: Since,
+    degraded_served: Since,
     degraded_stale: Counter,
+}
+
+/// A registry counter that [`NetStatus`] and [`DrainReport`] also read:
+/// the registry belongs to the database and outlives a server, so the
+/// server reports the count since it started serving.
+struct Since {
+    counter: Counter,
+    base: u64,
+}
+
+impl Since {
+    fn new(counter: Counter) -> Self {
+        let base = counter.get();
+        Since { counter, base }
+    }
+
+    fn inc(&self) {
+        self.counter.inc();
+    }
+
+    fn get(&self) -> u64 {
+        self.counter.get() - self.base
+    }
 }
 
 impl Metrics {
@@ -115,11 +134,11 @@ impl Metrics {
             last_now: registry.gauge("net.last_now"),
             queue_wait_ns: registry.histogram("net.queue_wait_ns"),
             stmt_ns: registry.histogram("net.stmt_ns"),
-            stmt_executed: registry.counter("net.stmt_executed"),
+            stmt_executed: Since::new(registry.counter("net.stmt_executed")),
             stmt_replayed: registry.counter("net.stmt_replayed"),
-            shed: registry.counter("net.shed"),
-            deadline_exceeded: registry.counter("net.deadline_exceeded"),
-            degraded_served: registry.counter("net.degraded_served"),
+            shed: Since::new(registry.counter("net.shed")),
+            deadline_exceeded: Since::new(registry.counter("net.deadline_exceeded")),
+            degraded_served: Since::new(registry.counter("net.degraded_served")),
             degraded_stale: registry.counter("net.degraded_stale"),
         }
     }
@@ -138,10 +157,6 @@ struct Shared {
     queue_depth: AtomicUsize,
     degraded: AtomicBool,
     connections: AtomicUsize,
-    shed: AtomicU64,
-    degraded_served: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    completed: AtomicU64,
 }
 
 impl Shared {
@@ -264,7 +279,7 @@ impl NetServer {
             d.set_serving_config(Some(exptime_engine::StaleServing {
                 endpoint: "net.degraded_read".to_string(),
                 degrade_at: cfg.degrade_at,
-                cache_cap: cfg.stale_cache_cap,
+                cache_cap: DEFAULT_STALE_CACHE_CAP,
             }));
         });
         let shared = Arc::new(Shared {
@@ -273,15 +288,11 @@ impl NetServer {
             obs,
             cfg: cfg.clone(),
             sessions: Mutex::new(SessionTable::new()),
-            cache: Mutex::new(StaleCache::with_cap(cfg.stale_cache_cap)),
+            cache: Mutex::new(StaleCache::new()),
             draining: AtomicBool::new(false),
             queue_depth: AtomicUsize::new(0),
             degraded: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
-            shed: AtomicU64::new(0),
-            degraded_served: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
         });
         let acceptor = {
             let shared = shared.clone();
@@ -312,7 +323,6 @@ impl NetServer {
             let t = s.sessions.lock().expect("session table poisoned");
             (t.len(), t.replays)
         };
-        let executed = s.completed.load(Ordering::Relaxed);
         NetStatus {
             addr: self.addr.to_string(),
             draining: s.draining.load(Ordering::Relaxed),
@@ -321,11 +331,11 @@ impl NetServer {
             queue_depth: s.queue_depth.load(Ordering::Relaxed),
             queue_capacity: s.cfg.queue,
             degraded: s.degraded.load(Ordering::Relaxed),
-            executed,
+            executed: s.metrics.stmt_executed.get(),
             replayed,
-            shed: s.shed.load(Ordering::Relaxed),
-            degraded_served: s.degraded_served.load(Ordering::Relaxed),
-            deadline_exceeded: s.deadline_exceeded.load(Ordering::Relaxed),
+            shed: s.metrics.shed.get(),
+            degraded_served: s.metrics.degraded_served.get(),
+            deadline_exceeded: s.metrics.deadline_exceeded.get(),
         }
     }
 
@@ -355,8 +365,8 @@ impl NetServer {
         };
         let report = DrainReport {
             sessions,
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            shed: self.shared.shed.load(Ordering::Relaxed),
+            completed: self.shared.metrics.stmt_executed.get(),
+            shed: self.shared.metrics.shed.get(),
         };
         self.shared.obs.emit_with(None, || EventKind::NetDrain {
             sessions: report.sessions,
@@ -401,11 +411,11 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) -> Vec<JoinHandle
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => break,
         }
-        if last_sweep.elapsed() >= shared.cfg.sweep_every {
+        if last_sweep.elapsed() >= SWEEP_EVERY {
             last_sweep = Instant::now();
             let evicted = {
                 let mut t = shared.sessions.lock().expect("session table poisoned");
-                let evicted = t.sweep(shared.cfg.session_idle_sweeps);
+                let evicted = t.sweep(SESSION_IDLE_SWEEPS);
                 shared
                     .obs
                     .registry()
@@ -548,7 +558,6 @@ fn serve_stmt(shared: &Shared, token: u64, seq: u64, deadline_ms: u32, sql: &str
             body: shared.serve(token, seq, || reply),
         },
         None if full => {
-            shared.shed.fetch_add(1, Ordering::Relaxed);
             shared.metrics.shed.inc();
             shared.obs.emit_with(None, || EventKind::NetShed {
                 queue_depth: ahead as u64,
@@ -587,7 +596,6 @@ fn execute(
         // Expired waiting for the locks: reject *before* applying
         // anything. The sequence number is not consumed; a retry is
         // exactly-once.
-        shared.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
         shared.metrics.deadline_exceeded.inc();
         return err_body(
             ErrorCode::DeadlineExceeded,
@@ -609,7 +617,6 @@ fn execute(
         let mut cache = shared.cache.lock().expect("stale cache poisoned");
         cache.insert(sql.trim(), m);
     }
-    shared.completed.fetch_add(1, Ordering::Relaxed);
     shared.metrics.stmt_executed.inc();
     shared.metrics.stmt_ns.record_duration(started.elapsed());
     body
@@ -635,7 +642,6 @@ fn degraded_read(shared: &Shared, sql: &str) -> Option<ReplyBody> {
         let mut cache = shared.cache.lock().expect("stale cache poisoned");
         cache.serve(&key, now)?
     };
-    shared.degraded_served.fetch_add(1, Ordering::Relaxed);
     shared.metrics.degraded_served.inc();
     if read.stale {
         shared.metrics.degraded_stale.inc();

@@ -1,79 +1,54 @@
-//! An in-memory B+-tree secondary index: attribute value → row ids.
+//! An in-memory ordered secondary index: attribute value → row ids.
 //!
 //! Tables index attribute columns so selections like `deg = 25` or range
-//! predicates avoid full scans. This is a textbook B+-tree: values live in
-//! leaves that form a linked list (by index), interior nodes route by
-//! separator keys; leaves split at `ORDER` entries and borrow/merge at
-//! underflow. Duplicate keys are supported — each key maps to a postings
-//! list of [`RowId`]s.
+//! predicates avoid full scans. The index is a multimap over the standard
+//! library's B-tree: each key maps to a postings list of [`RowId`]s, so
+//! duplicate keys are supported.
 //!
 //! Keys are [`Value`]s compared with [`Value::total_cmp`], so mixed-type
-//! columns are handled deterministically.
+//! columns are handled deterministically (and `1` and `1.0` are one key).
 
 use crate::heap::RowId;
 use exptime_core::value::Value;
 use std::cmp::Ordering;
+use std::collections::btree_map::{BTreeMap, Entry};
 
-/// Maximum entries per node before splitting.
-const ORDER: usize = 32;
-/// Minimum entries per node (except the root) before rebalancing.
-const MIN: usize = ORDER / 2;
-
+/// A [`Value`] ordered by [`Value::total_cmp`].
 #[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        keys: Vec<Value>,
-        postings: Vec<Vec<RowId>>,
-    },
-    Interior {
-        /// `separators[i]` is the smallest key reachable through
-        /// `children[i + 1]`.
-        separators: Vec<Value>,
-        children: Vec<Node>,
-    },
-}
+struct Key(Value);
 
-impl Node {
-    fn len(&self) -> usize {
-        match self {
-            Node::Leaf { keys, .. } => keys.len(),
-            Node::Interior { children, .. } => children.len(),
-        }
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
     }
 }
 
-/// A B+-tree multimap from [`Value`] to [`RowId`].
-#[derive(Debug, Clone)]
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Key {}
+
+/// An ordered multimap from [`Value`] to [`RowId`].
+#[derive(Debug, Clone, Default)]
 pub struct BTreeIndex {
-    root: Node,
+    postings: BTreeMap<Key, Vec<RowId>>,
     entries: usize,
-    keys: usize,
-}
-
-impl Default for BTreeIndex {
-    fn default() -> Self {
-        BTreeIndex::new()
-    }
-}
-
-/// Result of inserting into a subtree: possibly a split.
-enum InsertResult {
-    Fit,
-    Split { sep: Value, right: Node },
 }
 
 impl BTreeIndex {
     /// An empty index.
     #[must_use]
     pub fn new() -> Self {
-        BTreeIndex {
-            root: Node::Leaf {
-                keys: Vec::new(),
-                postings: Vec::new(),
-            },
-            entries: 0,
-            keys: 0,
-        }
+        BTreeIndex::default()
     }
 
     /// Total `(key, RowId)` entries.
@@ -91,421 +66,58 @@ impl BTreeIndex {
     /// Number of distinct keys.
     #[must_use]
     pub fn key_count(&self) -> usize {
-        self.keys
+        self.postings.len()
     }
 
     /// Inserts `(key, id)`. Duplicate `(key, id)` pairs are tolerated but
     /// stored once.
     pub fn insert(&mut self, key: &Value, id: RowId) {
-        let (res, added_key, added_entry) = Self::insert_rec(&mut self.root, key, id);
-        if added_key {
-            self.keys += 1;
-        }
-        if added_entry {
+        let list = self.postings.entry(Key(key.clone())).or_default();
+        if !list.contains(&id) {
+            list.push(id);
             self.entries += 1;
-        }
-        if let InsertResult::Split { sep, right } = res {
-            let old = std::mem::replace(
-                &mut self.root,
-                Node::Interior {
-                    separators: Vec::new(),
-                    children: Vec::new(),
-                },
-            );
-            self.root = Node::Interior {
-                separators: vec![sep],
-                children: vec![old, right],
-            };
-        }
-    }
-
-    fn insert_rec(node: &mut Node, key: &Value, id: RowId) -> (InsertResult, bool, bool) {
-        match node {
-            Node::Leaf { keys, postings } => {
-                let (added_key, added_entry) = match keys.binary_search_by(|k| k.total_cmp(key)) {
-                    Ok(i) => {
-                        let list = &mut postings[i];
-                        if list.contains(&id) {
-                            (false, false)
-                        } else {
-                            list.push(id);
-                            (false, true)
-                        }
-                    }
-                    Err(i) => {
-                        keys.insert(i, key.clone());
-                        postings.insert(i, vec![id]);
-                        (true, true)
-                    }
-                };
-                if keys.len() > ORDER {
-                    let mid = keys.len() / 2;
-                    let right_keys = keys.split_off(mid);
-                    let right_postings = postings.split_off(mid);
-                    let sep = right_keys[0].clone();
-                    (
-                        InsertResult::Split {
-                            sep,
-                            right: Node::Leaf {
-                                keys: right_keys,
-                                postings: right_postings,
-                            },
-                        },
-                        added_key,
-                        added_entry,
-                    )
-                } else {
-                    (InsertResult::Fit, added_key, added_entry)
-                }
-            }
-            Node::Interior {
-                separators,
-                children,
-            } => {
-                let idx = match separators.binary_search_by(|s| s.total_cmp(key)) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
-                let (res, added_key, added_entry) = Self::insert_rec(&mut children[idx], key, id);
-                if let InsertResult::Split { sep, right } = res {
-                    separators.insert(idx, sep);
-                    children.insert(idx + 1, right);
-                    if children.len() > ORDER {
-                        let mid = children.len() / 2;
-                        // Separator promoted to the parent.
-                        let promoted = separators[mid - 1].clone();
-                        let right_seps = separators.split_off(mid);
-                        separators.pop(); // drop the promoted separator
-                        let right_children = children.split_off(mid);
-                        return (
-                            InsertResult::Split {
-                                sep: promoted,
-                                right: Node::Interior {
-                                    separators: right_seps,
-                                    children: right_children,
-                                },
-                            },
-                            added_key,
-                            added_entry,
-                        );
-                    }
-                }
-                (InsertResult::Fit, added_key, added_entry)
-            }
         }
     }
 
     /// Removes `(key, id)`; returns whether it was present.
     pub fn remove(&mut self, key: &Value, id: RowId) -> bool {
-        let (removed_entry, removed_key) = Self::remove_rec(&mut self.root, key, id);
-        if removed_entry {
-            self.entries -= 1;
+        let Entry::Occupied(mut list) = self.postings.entry(Key(key.clone())) else {
+            return false;
+        };
+        let Some(pos) = list.get().iter().position(|&r| r == id) else {
+            return false;
+        };
+        list.get_mut().swap_remove(pos);
+        if list.get().is_empty() {
+            list.remove();
         }
-        if removed_key {
-            self.keys -= 1;
-        }
-        // Collapse a root with a single child.
-        if let Node::Interior { children, .. } = &mut self.root {
-            if children.len() == 1 {
-                self.root = children.pop().expect("one child");
-            }
-        }
-        removed_entry
-    }
-
-    fn remove_rec(node: &mut Node, key: &Value, id: RowId) -> (bool, bool) {
-        match node {
-            Node::Leaf { keys, postings } => match keys.binary_search_by(|k| k.total_cmp(key)) {
-                Ok(i) => {
-                    let list = &mut postings[i];
-                    let Some(pos) = list.iter().position(|&r| r == id) else {
-                        return (false, false);
-                    };
-                    list.swap_remove(pos);
-                    if list.is_empty() {
-                        keys.remove(i);
-                        postings.remove(i);
-                        (true, true)
-                    } else {
-                        (true, false)
-                    }
-                }
-                Err(_) => (false, false),
-            },
-            Node::Interior {
-                separators,
-                children,
-            } => {
-                let idx = match separators.binary_search_by(|s| s.total_cmp(key)) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
-                let result = Self::remove_rec(&mut children[idx], key, id);
-                if children[idx].len() < MIN {
-                    Self::rebalance(separators, children, idx);
-                }
-                result
-            }
-        }
-    }
-
-    /// Restores the occupancy invariant for `children[idx]` by borrowing
-    /// from or merging with a sibling.
-    fn rebalance(separators: &mut Vec<Value>, children: &mut Vec<Node>, idx: usize) {
-        // Prefer borrowing from the richer neighbour.
-        let left_len = idx.checked_sub(1).map(|i| children[i].len());
-        let right_len = children.get(idx + 1).map(Node::len);
-        match (left_len, right_len) {
-            (Some(l), _) if l > MIN => Self::borrow_from_left(separators, children, idx),
-            (_, Some(r)) if r > MIN => Self::borrow_from_right(separators, children, idx),
-            (Some(_), _) => Self::merge(separators, children, idx - 1),
-            (_, Some(_)) => Self::merge(separators, children, idx),
-            (None, None) => {} // root leaf; nothing to do
-        }
-    }
-
-    fn borrow_from_left(separators: &mut [Value], children: &mut [Node], idx: usize) {
-        let (left_half, right_half) = children.split_at_mut(idx);
-        let left = &mut left_half[idx - 1];
-        let node = &mut right_half[0];
-        match (left, node) {
-            (
-                Node::Leaf {
-                    keys: lk,
-                    postings: lp,
-                },
-                Node::Leaf {
-                    keys: nk,
-                    postings: np,
-                },
-            ) => {
-                let k = lk.pop().expect("left has > MIN");
-                let p = lp.pop().expect("left has > MIN");
-                nk.insert(0, k.clone());
-                np.insert(0, p);
-                separators[idx - 1] = k;
-            }
-            (
-                Node::Interior {
-                    separators: ls,
-                    children: lc,
-                },
-                Node::Interior {
-                    separators: ns,
-                    children: nc,
-                },
-            ) => {
-                let child = lc.pop().expect("left has > MIN");
-                let sep = ls.pop().expect("left has > MIN");
-                let old_sep = std::mem::replace(&mut separators[idx - 1], sep);
-                ns.insert(0, old_sep);
-                nc.insert(0, child);
-            }
-            _ => unreachable!("siblings are at the same depth"),
-        }
-    }
-
-    fn borrow_from_right(separators: &mut [Value], children: &mut [Node], idx: usize) {
-        let (left_half, right_half) = children.split_at_mut(idx + 1);
-        let node = &mut left_half[idx];
-        let right = &mut right_half[0];
-        match (node, right) {
-            (
-                Node::Leaf {
-                    keys: nk,
-                    postings: np,
-                },
-                Node::Leaf {
-                    keys: rk,
-                    postings: rp,
-                },
-            ) => {
-                nk.push(rk.remove(0));
-                np.push(rp.remove(0));
-                separators[idx] = rk[0].clone();
-            }
-            (
-                Node::Interior {
-                    separators: ns,
-                    children: nc,
-                },
-                Node::Interior {
-                    separators: rs,
-                    children: rc,
-                },
-            ) => {
-                let child = rc.remove(0);
-                let sep = rs.remove(0);
-                let old_sep = std::mem::replace(&mut separators[idx], sep);
-                ns.push(old_sep);
-                nc.push(child);
-            }
-            _ => unreachable!("siblings are at the same depth"),
-        }
-    }
-
-    /// Merges `children[i + 1]` into `children[i]`.
-    fn merge(separators: &mut Vec<Value>, children: &mut Vec<Node>, i: usize) {
-        let right = children.remove(i + 1);
-        let sep = separators.remove(i);
-        match (&mut children[i], right) {
-            (
-                Node::Leaf { keys, postings },
-                Node::Leaf {
-                    keys: rk,
-                    postings: rp,
-                },
-            ) => {
-                keys.extend(rk);
-                postings.extend(rp);
-            }
-            (
-                Node::Interior {
-                    separators: ns,
-                    children: nc,
-                },
-                Node::Interior {
-                    separators: rs,
-                    children: rc,
-                },
-            ) => {
-                ns.push(sep);
-                ns.extend(rs);
-                nc.extend(rc);
-            }
-            _ => unreachable!("siblings are at the same depth"),
-        }
+        self.entries -= 1;
+        true
     }
 
     /// Point lookup: the row ids stored under `key`.
     #[must_use]
     pub fn get(&self, key: &Value) -> &[RowId] {
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Leaf { keys, postings } => {
-                    return match keys.binary_search_by(|k| k.total_cmp(key)) {
-                        Ok(i) => &postings[i],
-                        Err(_) => &[],
-                    };
-                }
-                Node::Interior {
-                    separators,
-                    children,
-                } => {
-                    let idx = match separators.binary_search_by(|s| s.total_cmp(key)) {
-                        Ok(i) => i + 1,
-                        Err(i) => i,
-                    };
-                    node = &children[idx];
-                }
-            }
-        }
+        self.postings
+            .get(&Key(key.clone()))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Range scan: all `(key, id)` pairs with `lo ≤ key ≤ hi` (inclusive
     /// bounds; pass the same value twice for a point scan), in key order.
+    /// Empty when `lo > hi`.
     #[must_use]
     pub fn range(&self, lo: &Value, hi: &Value) -> Vec<(Value, RowId)> {
+        let (lo, hi) = (Key(lo.clone()), Key(hi.clone()));
+        if lo > hi {
+            // `BTreeMap::range` panics on an inverted range.
+            return Vec::new();
+        }
         let mut out = Vec::new();
-        Self::range_rec(&self.root, lo, hi, &mut out);
+        for (key, ids) in self.postings.range(lo..=hi) {
+            out.extend(ids.iter().map(|&id| (key.0.clone(), id)));
+        }
         out
-    }
-
-    fn range_rec(node: &Node, lo: &Value, hi: &Value, out: &mut Vec<(Value, RowId)>) {
-        match node {
-            Node::Leaf { keys, postings } => {
-                let start = keys.partition_point(|k| k.total_cmp(lo) == Ordering::Less);
-                for i in start..keys.len() {
-                    if keys[i].total_cmp(hi) == Ordering::Greater {
-                        break;
-                    }
-                    for &id in &postings[i] {
-                        out.push((keys[i].clone(), id));
-                    }
-                }
-            }
-            Node::Interior {
-                separators,
-                children,
-            } => {
-                // A separator is the smallest key of its right child, so
-                // keys equal to `lo` sit in `children[i + 1]` when
-                // `separators[i] == lo`.
-                let idx = match separators.binary_search_by(|s| s.total_cmp(lo)) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
-                for (i, child) in children.iter().enumerate().skip(idx) {
-                    // Stop once the child's lower bound exceeds hi.
-                    if i > 0 && separators[i - 1].total_cmp(hi) == Ordering::Greater {
-                        break;
-                    }
-                    Self::range_rec(child, lo, hi, out);
-                }
-            }
-        }
-    }
-
-    /// All keys in order (test/diagnostic helper).
-    #[must_use]
-    pub fn keys_in_order(&self) -> Vec<Value> {
-        let mut out = Vec::new();
-        fn walk(node: &Node, out: &mut Vec<Value>) {
-            match node {
-                Node::Leaf { keys, .. } => out.extend(keys.iter().cloned()),
-                Node::Interior { children, .. } => {
-                    for c in children {
-                        walk(c, out);
-                    }
-                }
-            }
-        }
-        walk(&self.root, &mut out);
-        out
-    }
-
-    /// The tree height (1 for a lone leaf).
-    #[must_use]
-    pub fn height(&self) -> usize {
-        let mut h = 1;
-        let mut node = &self.root;
-        while let Node::Interior { children, .. } = node {
-            h += 1;
-            node = &children[0];
-        }
-        h
-    }
-
-    /// Validates structural invariants; panics with a description on
-    /// violation (test helper).
-    pub fn check_invariants(&self) {
-        fn walk(node: &Node, depth: usize, leaf_depth: &mut Option<usize>, is_root: bool) {
-            match node {
-                Node::Leaf { keys, postings } => {
-                    assert_eq!(keys.len(), postings.len());
-                    assert!(keys.windows(2).all(|w| w[0].total_cmp(&w[1]).is_lt()));
-                    assert!(postings.iter().all(|p| !p.is_empty()));
-                    match leaf_depth {
-                        Some(d) => assert_eq!(*d, depth, "leaves at unequal depths"),
-                        None => *leaf_depth = Some(depth),
-                    }
-                }
-                Node::Interior {
-                    separators,
-                    children,
-                } => {
-                    assert_eq!(children.len(), separators.len() + 1);
-                    assert!(!is_root || children.len() >= 2);
-                    assert!(separators.windows(2).all(|w| w[0].total_cmp(&w[1]).is_lt()));
-                    for c in children {
-                        walk(c, depth + 1, leaf_depth, false);
-                    }
-                }
-            }
-        }
-        let mut leaf_depth = None;
-        walk(&self.root, 0, &mut leaf_depth, true);
     }
 }
 
@@ -544,26 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn splits_keep_order_and_balance() {
-        let ids = ids(2000);
-        let mut t = BTreeIndex::new();
-        // Insert in an adversarial zig-zag order.
-        for (i, &id) in ids.iter().enumerate() {
-            let k = if i % 2 == 0 {
-                i as i64
-            } else {
-                2000 - i as i64
-            };
-            t.insert(&Value::Int(k), id);
-        }
-        t.check_invariants();
-        assert!(t.height() >= 3, "tree actually grew: {}", t.height());
-        let keys = t.keys_in_order();
-        assert!(keys.windows(2).all(|w| w[0].total_cmp(&w[1]).is_lt()));
-        assert_eq!(t.len(), 2000);
-    }
-
-    #[test]
     fn range_scans() {
         let ids = ids(100);
         let mut t = BTreeIndex::new();
@@ -580,76 +172,69 @@ mod tests {
         assert_eq!(t.range(&Value::Int(42), &Value::Int(42)).len(), 1);
         // Empty range.
         assert!(t.range(&Value::Int(200), &Value::Int(300)).is_empty());
+        // Inverted range.
+        assert!(t.range(&Value::Int(19), &Value::Int(10)).is_empty());
         // Range covering everything.
         assert_eq!(t.range(&Value::Int(-1), &Value::Int(1000)).len(), 100);
     }
 
     #[test]
-    fn removal_with_merges() {
-        let ids = ids(1000);
-        let mut t = BTreeIndex::new();
-        for (i, &id) in ids.iter().enumerate() {
-            t.insert(&Value::Int(i as i64), id);
-        }
-        let initial_height = t.height();
-        // Remove most entries; tree must shrink and stay valid.
-        for (i, &id) in ids.iter().enumerate().take(950) {
-            assert!(t.remove(&Value::Int(i as i64), id));
-            if i % 97 == 0 {
-                t.check_invariants();
-            }
-        }
-        t.check_invariants();
-        assert_eq!(t.len(), 50);
-        assert!(t.height() <= initial_height);
-        // Survivors still found.
-        for (i, &id) in ids.iter().enumerate().skip(950) {
-            assert_eq!(t.get(&Value::Int(i as i64)), &[id]);
-        }
-        // Removing a missing entry is a no-op.
-        assert!(!t.remove(&Value::Int(0), ids[0]));
-        assert_eq!(t.len(), 50);
-    }
-
-    #[test]
-    fn remove_everything_collapses_to_empty_leaf() {
+    fn removal_drops_entries_then_keys() {
         let ids = ids(500);
         let mut t = BTreeIndex::new();
         for (i, &id) in ids.iter().enumerate() {
             t.insert(&Value::Int((i % 37) as i64), id);
         }
-        for (i, &id) in ids.iter().enumerate() {
+        assert_eq!(t.key_count(), 37);
+        for (i, &id) in ids.iter().enumerate().skip(37) {
             assert!(t.remove(&Value::Int((i % 37) as i64), id));
+        }
+        // One survivor per key, still found.
+        assert_eq!((t.len(), t.key_count()), (37, 37));
+        for (i, &id) in ids.iter().enumerate().take(37) {
+            assert_eq!(t.get(&Value::Int(i as i64)), &[id]);
+        }
+        // Removing a missing entry is a no-op, under a live key or not.
+        assert!(!t.remove(&Value::Int(0), ids[37]));
+        assert!(!t.remove(&Value::Int(99), ids[0]));
+        assert_eq!(t.len(), 37);
+        for (i, &id) in ids.iter().enumerate().take(37) {
+            assert!(t.remove(&Value::Int(i as i64), id));
         }
         assert!(t.is_empty());
         assert_eq!(t.key_count(), 0);
-        assert_eq!(t.height(), 1);
-        t.check_invariants();
     }
 
     #[test]
     fn mixed_type_keys_order_deterministically() {
-        let ids = ids(4);
+        let ids = ids(5);
         let mut t = BTreeIndex::new();
         t.insert(&Value::str("b"), ids[0]);
         t.insert(&Value::Int(1), ids[1]);
         t.insert(&Value::float(0.5), ids[2]);
         t.insert(&Value::Bool(true), ids[3]);
-        t.check_invariants();
         // Numbers < strings < bools under total_cmp.
-        let keys = t.keys_in_order();
-        assert_eq!(keys[0], Value::float(0.5));
-        assert_eq!(keys[1], Value::Int(1));
-        assert_eq!(keys[2], Value::str("b"));
-        assert_eq!(keys[3], Value::Bool(true));
+        let all = t.range(&Value::float(f64::NEG_INFINITY), &Value::Bool(true));
+        let keys: Vec<Value> = all.into_iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            keys,
+            [
+                Value::float(0.5),
+                Value::Int(1),
+                Value::str("b"),
+                Value::Bool(true)
+            ]
+        );
+        // An int and the float equal to it are one key.
+        t.insert(&Value::float(1.0), ids[4]);
+        assert_eq!(t.key_count(), 4);
+        assert_eq!(t.get(&Value::Int(1)).len(), 2);
     }
 
     #[test]
     fn randomised_against_model() {
-        use std::collections::BTreeMap;
         let pool = ids(4096);
         let mut t = BTreeIndex::new();
-        let mut model: BTreeMap<i64, Vec<RowId>> = BTreeMap::new();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut rng = move || {
             state ^= state << 13;
@@ -658,7 +243,17 @@ mod tests {
             state
         };
         let mut next = 0usize;
+        // The model: every live (key, id) pair, scanned.
         let mut live: Vec<(i64, RowId)> = Vec::new();
+        let under = |live: &[(i64, RowId)], lo: i64, hi: i64| {
+            let mut ids: Vec<RowId> = live
+                .iter()
+                .filter(|(k, _)| (lo..=hi).contains(k))
+                .map(|&(_, id)| id)
+                .collect();
+            ids.sort();
+            ids
+        };
         for step in 0..4000 {
             if rng() % 3 != 0 || live.is_empty() {
                 if next >= pool.len() {
@@ -668,31 +263,28 @@ mod tests {
                 let id = pool[next];
                 next += 1;
                 t.insert(&Value::Int(k), id);
-                model.entry(k).or_default().push(id);
                 live.push((k, id));
             } else {
                 let i = (rng() as usize) % live.len();
                 let (k, id) = live.swap_remove(i);
                 assert!(t.remove(&Value::Int(k), id));
-                let list = model.get_mut(&k).unwrap();
-                list.retain(|&r| r != id);
-                if list.is_empty() {
-                    model.remove(&k);
-                }
             }
             if step % 257 == 0 {
-                t.check_invariants();
-                // Spot-check a few keys.
+                // Spot-check a few keys and one range.
                 for k in [0i64, 50, 199] {
                     let mut got = t.get(&Value::Int(k)).to_vec();
                     got.sort();
-                    let mut want = model.get(&k).cloned().unwrap_or_default();
-                    want.sort();
-                    assert_eq!(got, want, "key {k} diverged at step {step}");
+                    assert_eq!(got, under(&live, k, k), "key {k} diverged at step {step}");
                 }
+                let mut got: Vec<RowId> = t
+                    .range(&Value::Int(40), &Value::Int(60))
+                    .into_iter()
+                    .map(|(_, id)| id)
+                    .collect();
+                got.sort();
+                assert_eq!(got, under(&live, 40, 60), "range diverged at step {step}");
             }
         }
-        t.check_invariants();
         assert_eq!(t.len(), live.len());
         // Full range must equal the model.
         let all = t.range(&Value::Int(i64::MIN), &Value::Int(i64::MAX));

@@ -7,7 +7,7 @@
 //! * [`heap`] — slotted row storage with generation-tagged [`heap::RowId`]s;
 //! * [`expiry`] — pluggable expiration indexes: binary heap, hierarchical
 //!   timing wheel, and a full-scan baseline;
-//! * [`btree`] — a B+-tree secondary index (point + range);
+//! * [`btree`] — an ordered secondary index (point + range);
 //! * [`table`] — the assembled [`table::Table`]: set-semantic rows with
 //!   expiration times, expiry scheduling, secondary indexes, and a bridge
 //!   into the `exptime-core` algebra via [`table::Table::to_relation`].

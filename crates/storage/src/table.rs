@@ -2,7 +2,7 @@
 //!
 //! A [`Table`] is the physical realisation of an expiration-time relation:
 //! rows live in a [`RowHeap`], an [`ExpirationIndex`] schedules their
-//! removal, optional B+-tree secondary indexes accelerate selections, and a
+//! removal, optional ordered secondary indexes accelerate selections, and a
 //! primary (tuple) index enforces set semantics — inserting an existing
 //! tuple adjusts its expiration time (`KeepMax`, matching the algebra's
 //! union/projection rule) instead of duplicating it.
@@ -105,6 +105,8 @@ pub struct Table {
     secondary: HashMap<usize, BTreeIndex>,
     counters: TableCounters,
     tracer: Tracer,
+    /// See [`Table::write_version`].
+    write_version: u64,
 }
 
 impl std::fmt::Debug for Table {
@@ -132,6 +134,7 @@ impl Table {
             secondary: HashMap::new(),
             counters: TableCounters::default(),
             tracer: Tracer::detached(),
+            write_version: 0,
         }
     }
 
@@ -151,6 +154,17 @@ impl Table {
     #[must_use]
     pub fn stats(&self) -> TableStats {
         self.counters.snapshot()
+    }
+
+    /// How many writes this table has taken: every [`Table::insert`] that
+    /// returned `Ok` (an upsert included), every [`Table::update_texp`]
+    /// and [`Table::delete`] that found its tuple. Expiration, scans and
+    /// index builds never move it — a result derived from this table stays
+    /// valid as time passes (Theorem 1) exactly as long as this number
+    /// stands still, so it is what a materialised view remembers.
+    #[must_use]
+    pub fn write_version(&self) -> u64 {
+        self.write_version
     }
 
     /// Publishes this table's counters in `obs`'s metrics registry under
@@ -204,7 +218,7 @@ impl Table {
         )
     }
 
-    /// Builds a secondary B+-tree index on attribute `attr` (zero-based),
+    /// Builds an ordered secondary index on attribute `attr` (zero-based),
     /// indexing existing rows. Idempotent.
     ///
     /// # Errors
@@ -251,6 +265,7 @@ impl Table {
                 self.expiry.insert(id, texp);
             }
             self.counters.upserts.inc();
+            self.write_version += 1;
             return Ok(());
         }
         let id = self.heap.insert(tuple.clone(), texp);
@@ -260,6 +275,7 @@ impl Table {
         }
         self.primary.insert(tuple, id);
         self.counters.inserts.inc();
+        self.write_version += 1;
         Ok(())
     }
 
@@ -283,6 +299,7 @@ impl Table {
         self.heap.set_texp(id, texp);
         self.expiry.remove(id, old);
         self.expiry.insert(id, texp);
+        self.write_version += 1;
         Ok(true)
     }
 
@@ -295,6 +312,7 @@ impl Table {
             ix.remove(row.attr(*attr), id);
         }
         self.counters.deletes.inc();
+        self.write_version += 1;
         Some(texp)
     }
 
@@ -501,6 +519,38 @@ mod tests {
         assert_eq!(tb.expire_due(t(5)).len(), 1, "shortened lifetime fires");
         assert!(!tb.update_texp(&tuple![1, 25], t(9), t(6)).unwrap());
         assert!(tb.update_texp(&tuple![9, 9], t(3), t(6)).is_err());
+    }
+
+    #[test]
+    fn write_version_moves_on_writes_and_on_nothing_else() {
+        let mut tb = table(IndexKind::Heap);
+        let mut seen = tb.write_version();
+        let mut moved = |tb: &Table| {
+            let now = tb.write_version();
+            std::mem::replace(&mut seen, now) != now
+        };
+        tb.insert(tuple![1, 25], t(10), Time::ZERO).unwrap();
+        assert!(moved(&tb), "insert");
+        tb.insert(tuple![1, 25], t(20), Time::ZERO).unwrap();
+        assert!(moved(&tb), "upsert");
+        tb.insert(tuple![2, 25], t(5), Time::ZERO).unwrap();
+        assert!(moved(&tb));
+        assert!(tb.update_texp(&tuple![1, 25], t(30), Time::ZERO).unwrap());
+        assert!(moved(&tb), "update_texp of a present tuple");
+        assert_eq!(tb.delete(&tuple![1, 25]), Some(t(30)));
+        assert!(moved(&tb), "delete of a present tuple");
+
+        // Theorem 1: expiration is not a write; neither are reads, an
+        // index build, a rejected write or a write that finds no tuple.
+        assert_eq!(tb.expire_due(t(5)).len(), 1);
+        let _ = tb.scan_at(t(5)).count();
+        let _ = tb.to_relation(t(5));
+        let _ = tb.select_eq(1, &Value::Int(25), t(5));
+        tb.create_index(1).unwrap();
+        assert_eq!(tb.delete(&tuple![9, 9]), None);
+        assert!(!tb.update_texp(&tuple![9, 9], t(40), t(5)).unwrap());
+        assert!(tb.insert(tuple![3, 3], t(5), t(5)).is_err());
+        assert!(!moved(&tb));
     }
 
     #[test]

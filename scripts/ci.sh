@@ -17,7 +17,8 @@ cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 
 # Repo-invariant lint (exptime-lint R001–R005): no wall-clock reads
-# outside core/time.rs, no unwrap/expect in durability paths,
+# outside core/time.rs, no unwrap/expect in durability paths (the WAL
+# crate, engine/durability.rs and the write path engine/db/write.rs),
 # #![forbid(unsafe_code)] in every crate root, no thread::sleep
 # outside tests/benches and the real-time boundary files, and no
 # Database::snapshot call in production code.
@@ -52,7 +53,11 @@ cargo run --release -q -p exptime-bench --bin experiments -- --quick --check e6c
 # Crash matrix: the WAL committed-prefix invariant — crash at any byte
 # offset, recover exactly the committed prefix — over a pinned set of
 # deterministic workloads (EXPTIME_CRASH_SEEDS overridable; a failing
-# seed names its offset for local replay).
+# seed names its offset for local replay). Redo goes through the same
+# `Database::apply` live statements do, and the workload checks after
+# every operation that each materialised view equals a fresh evaluation
+# of its definition, so the matrix also pins view ≡ base after every
+# write.
 EXPTIME_CRASH_SEEDS="${EXPTIME_CRASH_SEEDS:-1,2,3,4,5,6,7,8}" \
     cargo test -q --test wal_recovery crash_seed_matrix
 

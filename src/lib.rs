@@ -13,7 +13,7 @@
 //!   χ/ν machinery, Schrödinger validity intervals, Theorem 3 patch
 //!   queues, materialised views, and the algebraic rewriter.
 //! * [`storage`] — heap tables, expiration indexes (binary heap,
-//!   hierarchical timing wheel, scan baseline), B+-tree secondary indexes.
+//!   hierarchical timing wheel, scan baseline), ordered secondary indexes.
 //! * [`sql`] — a SQL subset with `EXPIRES` clauses: lexer, parser,
 //!   planner.
 //! * [`engine`] — the assembled DBMS: logical clock, eager/lazy removal,

@@ -115,7 +115,18 @@ fn a_statement_past_the_in_flight_bound_is_shed_and_retried_exactly_once() {
     let status = server.status();
     assert_eq!(status.executed, 3, "each insert ran once: {status:?}");
     assert_eq!(status.queue_depth, 0, "{status:?}");
-    server.drain();
+    let report = server.drain();
+    assert_eq!((report.completed, report.shed), (3, status.shed));
+
+    // The counts are the database's `net.*` registry counters read since
+    // `serve()`: a second server over the same database starts from zero
+    // while the registry keeps the history.
+    let again = NetServer::serve(&shared, "127.0.0.1:0", NetConfig::default()).expect("bind");
+    let fresh = again.status();
+    assert_eq!((fresh.executed, fresh.shed), (0, 0), "{fresh:?}");
+    let total = shared.with(|db| db.metrics().counter_value("net.shed"));
+    assert_eq!(total, status.shed);
+    again.drain();
 }
 
 /// A statement whose deadline passes while it waits for the database is

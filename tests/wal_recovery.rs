@@ -53,8 +53,9 @@ struct Workload {
 
 /// Runs a seeded workload — inserts (finite and eternal expirations,
 /// multi-row), deletes, expiration updates, clock ticks, materialised
-/// views, and interleaved manual checkpoints — recording a milestone
-/// after every operation.
+/// views, and interleaved manual checkpoints — checking every view
+/// against its definition and recording a milestone after every
+/// operation.
 fn run_workload(seed: u64, ops: usize) -> Workload {
     let mut rng = StdRng::seed_from_u64(seed);
     let group_commit = [1, 2, 8][rng.gen_range(0..3usize)];
@@ -66,7 +67,8 @@ fn run_workload(seed: u64, ops: usize) -> Workload {
 
     let mut era = 0usize;
     let mut next_k = 0i64;
-    let mut views = 0usize;
+    // The table each `mv{i}` is defined over.
+    let mut views: Vec<&str> = Vec::new();
     let mut milestones = vec![Milestone {
         era,
         log_len: store.len(),
@@ -110,14 +112,26 @@ fn run_workload(seed: u64, ops: usize) -> Workload {
         } else if roll < 90 {
             db.checkpoint().unwrap();
             era += 1;
-        } else if views < 3 {
+        } else if views.len() < 3 {
             db.execute(&format!(
-                "CREATE MATERIALIZED VIEW mv{views} AS SELECT k FROM {table}"
+                "CREATE MATERIALIZED VIEW mv{} AS SELECT k FROM {table}",
+                views.len()
             ))
             .unwrap();
-            views += 1;
+            views.push(table);
         } else {
             db.tick(1);
+        }
+        // View ≡ base under the full write mix: whatever the operation
+        // was, every view equals a fresh evaluation of its definition.
+        for (i, table) in views.iter().enumerate() {
+            let view = db.read_view(&format!("mv{i}")).unwrap();
+            let fresh = db.execute(&format!("SELECT k FROM {table}")).unwrap();
+            assert!(
+                view.set_eq_at(fresh.rows().unwrap(), db.now()),
+                "[seed {seed}] mv{i} diverged from `SELECT k FROM {table}` at {}",
+                db.now()
+            );
         }
         milestones.push(Milestone {
             era,
@@ -312,56 +326,111 @@ fn bit_flip_bounds_recovery_to_the_prefix_before_the_damage() {
     }
 }
 
-/// An injected write fault mid-workload: the failing statement errors,
-/// the database flags itself degraded (durable and in-memory state may
-/// have diverged by that statement), and a successful checkpoint —
-/// which re-snapshots everything — heals the flag. Reopening from the
-/// store at any point never sees the torn frame.
+/// The rows of `table` and their expiration times, read below SQL (a
+/// `SELECT` would itself touch a `SLIDING ON ACCESS` table).
+fn stored_rows(db: &Database, table: &str) -> Vec<(Tuple, Time)> {
+    let mut rows: Vec<(Tuple, Time)> = db
+        .table(table)
+        .unwrap()
+        .scan_at(db.now())
+        .map(|(t, e)| (t.clone(), e))
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// An injected write fault mid-workload, once for each kind of statement
+/// that changes a row: the failing statement errors and the database
+/// flags itself degraded — durable and in-memory state have diverged by
+/// that statement — but in memory nothing lies: a materialised view over
+/// the table equals a fresh evaluation of its definition, now and as the
+/// clock moves on, and the `inserts = stored + deletes + expired` ledger
+/// holds. A successful checkpoint — which re-snapshots everything —
+/// heals the flag. Reopening from the store at any point never sees the
+/// torn frame.
 #[test]
 fn io_fault_degrades_and_checkpoint_heals() {
-    let store = MemStore::new();
-    let mut db = Database::open_with_store(Box::new(store.clone()), wal_config(1)).unwrap();
-    db.execute("CREATE TABLE t0 (k INT, v TEXT)").unwrap();
-    db.execute("INSERT INTO t0 VALUES (1, 'a') EXPIRES IN 50 TICKS")
-        .unwrap();
+    // (table options, the statement whose data record is torn)
+    let cases = [
+        ("", "INSERT INTO t VALUES (4, 'd') EXPIRES IN 50 TICKS"),
+        ("", "DELETE FROM t WHERE k = 2"),
+        ("", "UPDATE t SET EXPIRES AT 9 WHERE k = 2"),
+        (" TTL 10 SLIDING ON ACCESS", "SELECT v FROM t WHERE k = 1"),
+    ];
+    for (options, stmt) in cases {
+        let store = MemStore::new();
+        let mut db = Database::open_with_store(Box::new(store.clone()), wal_config(1)).unwrap();
+        db.execute(&format!("CREATE TABLE t (k INT, v TEXT){options}"))
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c') EXPIRES IN 12 TICKS")
+            .unwrap();
+        db.tick(8);
+        db.execute("CREATE MATERIALIZED VIEW v AS SELECT k FROM t")
+            .unwrap();
+        let definition = Expr::base("t").project([0]);
+        assert_eq!(db.read_view("v").unwrap().len(), 3);
+        let before = stored_rows(&db, "t");
 
-    // Arm a fault that lets the statement's TxnBegin frame (17 bytes)
-    // through and tears the insert record itself: the row applies in
-    // memory before its WAL append fails — the divergence the degraded
-    // flag exists for.
-    store.set_fault(Some(FaultPlan {
-        fail_after_bytes: store.len() + 20,
-        torn_bytes: 3,
-    }));
-    let err = db.execute("INSERT INTO t0 VALUES (2, 'b') EXPIRES IN 50 TICKS");
-    assert!(err.is_err(), "statement with failing WAL append must error");
-    assert!(db.wal_status().unwrap().degraded, "degraded flag must set");
+        // Arm a fault that lets the statement's TxnBegin frame (17 bytes)
+        // through and tears the data record itself: the row changes in
+        // memory before its WAL append fails — the divergence the
+        // degraded flag exists for.
+        store.set_fault(Some(FaultPlan {
+            fail_after_bytes: store.len() + 20,
+            torn_bytes: 3,
+        }));
+        let res = db.execute(stmt);
+        assert!(
+            res.is_err(),
+            "`{stmt}` with a failing WAL append must error"
+        );
+        assert!(db.wal_status().unwrap().degraded, "`{stmt}`: degraded flag");
+        store.set_fault(None);
+        assert_ne!(stored_rows(&db, "t"), before, "`{stmt}` applied in memory");
 
-    // Recovery from the torn store sees only the committed prefix.
-    store.set_fault(None);
-    let mut reopened =
-        Database::open_with_store(Box::new(store.crash(store.len())), wal_config(1)).unwrap();
-    let rows = reopened
-        .execute("SELECT * FROM t0")
-        .unwrap()
-        .rows()
-        .unwrap()
-        .len();
-    assert_eq!(rows, 1, "torn insert must not survive recovery");
+        // Recovery from the torn store sees only the committed prefix.
+        let reopened =
+            Database::open_with_store(Box::new(store.crash(store.len())), wal_config(1)).unwrap();
+        assert_eq!(
+            stored_rows(&reopened, "t"),
+            before,
+            "`{stmt}`: the torn statement must not survive recovery"
+        );
 
-    // A checkpoint re-snapshots the full in-memory state and heals.
-    let ck = db.checkpoint().unwrap();
-    assert!(!db.wal_status().unwrap().degraded);
-    assert_eq!(ck.live_rows, 2, "checkpoint captures the applied insert");
-    let mut healed =
-        Database::open_with_store(Box::new(store.crash(store.len())), wal_config(1)).unwrap();
-    let rows = healed
-        .execute("SELECT * FROM t0")
-        .unwrap()
-        .rows()
-        .unwrap()
-        .len();
-    assert_eq!(rows, 2, "post-checkpoint recovery has the full state");
+        // Degraded is about durability only: views and counters follow
+        // the rows that are in memory. (Row 2's shortened lifetime ends at
+        // 9, the untouched rows' at 12.)
+        for delta in [0, 1, 4] {
+            db.tick(delta);
+            let now = db.now();
+            let view = db.read_view("v").unwrap();
+            let fresh = db.query_expr(&definition).unwrap().rel;
+            assert!(
+                view.set_eq_at(&fresh, now),
+                "`{stmt}`: view diverged from its definition at {now}:\n{view:?}\nvs {fresh:?}"
+            );
+            let stats = db.stats();
+            let stored = db.table("t").unwrap().len() as u64;
+            assert_eq!(
+                stats.inserts,
+                stored + stats.deletes + stats.expired,
+                "`{stmt}` at {now}: stored={stored} {stats:?}"
+            );
+        }
+
+        // A checkpoint re-snapshots the full in-memory state and heals.
+        let ck = db.checkpoint().unwrap();
+        assert!(!db.wal_status().unwrap().degraded);
+        let live = stored_rows(&db, "t");
+        assert_eq!(ck.live_rows, live.len() as u64, "`{stmt}`");
+        let healed =
+            Database::open_with_store(Box::new(store.crash(store.len())), wal_config(1)).unwrap();
+        assert_eq!(
+            stored_rows(&healed, "t"),
+            live,
+            "`{stmt}`: post-checkpoint recovery has the full state"
+        );
+    }
 }
 
 /// End-to-end through the real file store: write, drop, reopen from the

@@ -15,6 +15,15 @@
 //!   fresh recomputation;
 //! * optionally a [`PatchQueue`] that makes a root-level difference
 //!   eternally maintainable (Theorem 3).
+//!
+//! Every operator is one `ops::` call over its materialised inputs, with
+//! two exceptions that exist so a row that does not come out is never
+//! copied. A fragment `π? σ* Base` — a bare `Base` included, so it is the
+//! one place base rows enter the evaluation — runs as a single pass over
+//! the rows [`Bindings::visit`] lends (`eval_leaf`): each row is tested in
+//! place and only survivors are inserted. And `σ_p(L × R)` runs as
+//! `L ⋈_p R`, which is Equation 5 read right to left, so the product is
+//! never built. Both report to the probe as the operators they stand for.
 
 use crate::aggregate::AggMode;
 use crate::algebra::expr::Expr;
@@ -23,7 +32,8 @@ use crate::catalog::Bindings;
 use crate::error::Result;
 use crate::interval::IntervalSet;
 use crate::patch::PatchQueue;
-use crate::relation::Relation;
+use crate::predicate::Predicate;
+use crate::relation::{DuplicatePolicy, Relation};
 use crate::time::Time;
 
 /// Options controlling evaluation.
@@ -144,6 +154,116 @@ struct Sub {
     validity: IntervalSet,
 }
 
+/// Evaluates `expr` if it has the shape `π? σ* Base` — what a
+/// single-table `SELECT` plans to, a bare `Base` being the degenerate
+/// case — in one pass over the rows `catalog` lends; `None` for any other
+/// shape. Equations 1 and 3 applied row by row: a row that fails a
+/// predicate is never copied, a survivor keeps its `texp`, and survivors
+/// that coincide under the projection keep the maximum.
+///
+/// The probe hears every peeled operator with the counts it would have
+/// had unfused: the `Base` its visible and expired-but-present rows, each
+/// σ the rows that passed it, the π its distinct output.
+fn eval_leaf<P: Probe>(
+    expr: &Expr,
+    catalog: &dyn Bindings,
+    tau: Time,
+    probe: &mut P,
+) -> Result<Option<Relation>> {
+    let (positions, mut node) = match expr {
+        Expr::Project { input, positions } => (Some(positions.as_slice()), &**input),
+        _ => (None, expr),
+    };
+    // Outermost first.
+    let mut selects: Vec<(&Expr, &Predicate)> = Vec::new();
+    while let Expr::Select { input, predicate } = node {
+        selects.push((node, predicate));
+        node = input;
+    }
+    let Expr::Base(name) = node else {
+        return Ok(None);
+    };
+    for _ in 0..usize::from(positions.is_some()) + selects.len() + 1 {
+        probe.enter();
+    }
+    // Errors in the order the unfused operators raise them: the base,
+    // then each σ from the inside out, then the π.
+    let schema = catalog.schema(name)?;
+    for (_, p) in selects.iter().rev() {
+        p.validate(schema.arity())?;
+    }
+    let mut out = Relation::new(match positions {
+        Some(ps) => schema.project(ps)?,
+        None => schema,
+    });
+    let mut passed = vec![0; selects.len()];
+    let mut visible = 0;
+    let mut failed = None;
+    let skipped = catalog.visit(name, tau, &mut |t, e| {
+        visible += 1;
+        for ((_, p), n) in selects.iter().zip(&mut passed).rev() {
+            if !p.eval(t) {
+                return false;
+            }
+            *n += 1;
+        }
+        let inserted = match positions {
+            // KeepMax is exactly Equation 3's max over coinciding tuples.
+            Some(ps) => out.insert_with(t.project(ps), e, DuplicatePolicy::KeepMax),
+            None => out.insert(t.clone(), e),
+        };
+        if let Err(err) = inserted {
+            failed.get_or_insert(err);
+        }
+        true
+    })?;
+    if let Some(err) = failed {
+        return Err(err);
+    }
+    // "The expiration time of a base relation is defined to be infinity",
+    // and σ and π pass their input's on.
+    probe.leave(node, visible, skipped, Time::INFINITY);
+    for ((select, _), n) in selects.iter().zip(&passed).rev() {
+        probe.leave(select, *n, 0, Time::INFINITY);
+    }
+    if positions.is_some() {
+        probe.leave(expr, out.len(), 0, Time::INFINITY);
+    }
+    Ok(Some(out))
+}
+
+/// Equation 5 in both its spellings: `L ⋈_p R`, and `σ_p(L × R)` read
+/// right to left, whose `product` node is reported to the probe (its
+/// cardinality is `|L|·|R|`) but never built.
+fn eval_join<P: Probe>(
+    (left, right): (&Expr, &Expr),
+    predicate: &Predicate,
+    product: Option<&Expr>,
+    catalog: &dyn Bindings,
+    tau: Time,
+    opts: &EvalOptions,
+    probe: &mut P,
+) -> Result<Sub> {
+    if product.is_some() {
+        probe.enter();
+    }
+    let l = eval_rec(left, catalog, tau, opts, probe)?;
+    let r = eval_rec(right, catalog, tau, opts, probe)?;
+    let texp = l.texp.min(r.texp);
+    if let Some(product) = product {
+        let pairs = l
+            .rel
+            .count_unexpired(tau)
+            .saturating_mul(r.rel.count_unexpired(tau));
+        probe.leave(product, pairs, 0, texp);
+    }
+    Ok(Sub {
+        rel: ops::join(&l.rel, &r.rel, predicate, tau)?,
+        texp,
+        validity: l.validity.intersect(&r.validity),
+    })
+}
+
 fn eval_rec<P: Probe>(
     expr: &Expr,
     catalog: &dyn Bindings,
@@ -151,28 +271,30 @@ fn eval_rec<P: Probe>(
     opts: &EvalOptions,
     probe: &mut P,
 ) -> Result<Sub> {
+    if let Some(rel) = eval_leaf(expr, catalog, tau, probe)? {
+        return Ok(Sub {
+            rel,
+            texp: Time::INFINITY,
+            validity: IntervalSet::from_time(tau),
+        });
+    }
     probe.enter();
-    let mut expired_filtered = 0;
     let sub = match expr {
-        Expr::Base(name) => {
-            let (rel, skipped) = catalog.scan(name, tau)?;
-            expired_filtered = skipped;
-            Sub {
-                rel,
-                // "The expiration time of a base relation is defined to be
-                // infinity."
-                texp: Time::INFINITY,
-                validity: IntervalSet::from_time(tau),
+        Expr::Base(_) => unreachable!("a Base is a leaf"),
+        Expr::Select { input, predicate } => match &**input {
+            Expr::Product { left, right } => {
+                let product = Some(&**input);
+                eval_join((left, right), predicate, product, catalog, tau, opts, probe)?
             }
-        }
-        Expr::Select { input, predicate } => {
-            let i = eval_rec(input, catalog, tau, opts, probe)?;
-            Sub {
-                rel: ops::select(&i.rel, predicate, tau)?,
-                texp: i.texp,
-                validity: i.validity,
+            _ => {
+                let i = eval_rec(input, catalog, tau, opts, probe)?;
+                Sub {
+                    rel: ops::select(&i.rel, predicate, tau)?,
+                    texp: i.texp,
+                    validity: i.validity,
+                }
             }
-        }
+        },
         Expr::Project { input, positions } => {
             let i = eval_rec(input, catalog, tau, opts, probe)?;
             Sub {
@@ -203,15 +325,7 @@ fn eval_rec<P: Probe>(
             left,
             right,
             predicate,
-        } => {
-            let l = eval_rec(left, catalog, tau, opts, probe)?;
-            let r = eval_rec(right, catalog, tau, opts, probe)?;
-            Sub {
-                rel: ops::join(&l.rel, &r.rel, predicate, tau)?,
-                texp: l.texp.min(r.texp),
-                validity: l.validity.intersect(&r.validity),
-            }
-        }
+        } => eval_join((left, right), predicate, None, catalog, tau, opts, probe)?,
         Expr::Intersect { left, right } => {
             let l = eval_rec(left, catalog, tau, opts, probe)?;
             let r = eval_rec(right, catalog, tau, opts, probe)?;
@@ -253,7 +367,7 @@ fn eval_rec<P: Probe>(
             }
         }
     };
-    probe.leave(expr, sub.rel.len(), expired_filtered, sub.texp);
+    probe.leave(expr, sub.rel.len(), 0, sub.texp);
     Ok(sub)
 }
 

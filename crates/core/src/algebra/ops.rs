@@ -16,6 +16,7 @@ use crate::predicate::Predicate;
 use crate::relation::{DuplicatePolicy, Relation};
 use crate::time::Time;
 use crate::tuple::Tuple;
+use crate::value::Value;
 
 /// Selection `σexp_p(R)` (Equation 1): keeps unexpired tuples satisfying
 /// `p`; result tuples retain their expiration times.
@@ -94,10 +95,11 @@ pub fn union(r: &Relation, s: &Relation, tau: Time) -> Result<Relation> {
 /// `0..α(R)`, right at `α(R)..`).
 ///
 /// Evaluation picks a physical strategy by predicate shape: cross-side
-/// equality conjuncts drive a build-smaller/probe-larger hash join (the
-/// full predicate is re-checked on candidates, so residual conjuncts are
-/// honoured); anything else falls back to the literal nested loop
-/// ([`join_nested_loop`]). Both are property-tested equivalent.
+/// equality conjuncts between columns of one type drive a
+/// build-smaller/probe-larger hash join (the full predicate is re-checked
+/// on candidates, so residual conjuncts are honoured); anything else falls
+/// back to the literal nested loop ([`join_nested_loop`]). Both are
+/// property-tested equivalent.
 ///
 /// # Errors
 ///
@@ -106,8 +108,13 @@ pub fn join(r: &Relation, s: &Relation, p: &Predicate, tau: Time) -> Result<Rela
     p.validate(r.arity() + s.arity())?;
     // Fast path: cross-side equality conjuncts drive a hash join; any
     // residual predicate filters the matches. Falls back to the literal
-    // Equation 5 nested loop when no equi-key exists.
-    let keys = equi_keys(p, r.arity());
+    // Equation 5 nested loop when no equi-key exists. A pair is a hash key
+    // only if both columns have one type: `p` compares with
+    // `Value::total_cmp`, where `Int(2) = Float(2.0)`, while a hash key
+    // compares with `Eq`, where they differ — an INT = FLOAT conjunct is
+    // left to the re-check.
+    let mut keys = equi_keys(p, r.arity());
+    keys.retain(|&(i, j)| r.schema().attr(i).ty == s.schema().attr(j).ty);
     if keys.is_empty() {
         join_nested_loop(r, s, p, tau)
     } else {
@@ -173,7 +180,9 @@ fn equi_keys(p: &Predicate, left_arity: usize) -> Vec<(usize, usize)> {
 
 /// Hash join on the extracted equi-keys; the full predicate `p` is
 /// re-checked on each candidate pair, so residual conjuncts (and repeated
-/// keys) are honoured.
+/// keys) are honoured. Whichever side is hashed, rows come out in the
+/// product's order — left-major, right-minor — so the result equals
+/// `select(product(r, s), p)` as a sequence, not just as a set.
 fn join_hash(
     r: &Relation,
     s: &Relation,
@@ -182,43 +191,48 @@ fn join_hash(
     tau: Time,
 ) -> Result<Relation> {
     use std::collections::HashMap;
-    let schema = r.schema().product(s.schema());
-    let mut out = Relation::new(schema);
+    fn key<'t>(t: &'t Tuple, attrs: &[usize]) -> Vec<&'t Value> {
+        attrs.iter().map(|&a| t.attr(a)).collect()
+    }
+    let (left_attrs, right_attrs): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
+    let mut out = Relation::new(r.schema().product(s.schema()));
     // Build on the smaller side.
-    let (build_right, probe_iter_len) = (s.count_unexpired(tau), r.count_unexpired(tau));
-    if build_right <= probe_iter_len {
-        let mut table: HashMap<Vec<&crate::value::Value>, Vec<(&Tuple, Time)>> = HashMap::new();
+    if s.count_unexpired(tau) <= r.count_unexpired(tau) {
+        let mut table: HashMap<Vec<&Value>, Vec<(&Tuple, Time)>> = HashMap::new();
         for (st, se) in s.iter_at(tau) {
-            let key: Vec<_> = keys.iter().map(|&(_, j)| st.attr(j)).collect();
-            table.entry(key).or_default().push((st, se));
+            table
+                .entry(key(st, &right_attrs))
+                .or_default()
+                .push((st, se));
         }
         for (rt, re) in r.iter_at(tau) {
-            let key: Vec<_> = keys.iter().map(|&(i, _)| rt.attr(i)).collect();
-            if let Some(matches) = table.get(&key) {
-                for &(st, se) in matches {
-                    let joined = rt.concat(st);
-                    if p.eval(&joined) {
-                        out.insert(joined, re.min(se))?;
-                    }
+            for &(st, se) in table.get(&key(rt, &left_attrs)).into_iter().flatten() {
+                let joined = rt.concat(st);
+                if p.eval(&joined) {
+                    out.insert(joined, re.min(se))?;
                 }
             }
         }
     } else {
-        let mut table: HashMap<Vec<&crate::value::Value>, Vec<(&Tuple, Time)>> = HashMap::new();
-        for (rt, re) in r.iter_at(tau) {
-            let key: Vec<_> = keys.iter().map(|&(i, _)| rt.attr(i)).collect();
-            table.entry(key).or_default().push((rt, re));
+        // Probing with the right side finds matches right-major: collect
+        // them per left row, then emit the left rows in order.
+        let left: Vec<(&Tuple, Time)> = r.iter_at(tau).collect();
+        let mut table: HashMap<Vec<&Value>, Vec<usize>> = HashMap::new();
+        for (i, (rt, _)) in left.iter().enumerate() {
+            table.entry(key(rt, &left_attrs)).or_default().push(i);
         }
+        let mut matches: Vec<Vec<(Tuple, Time)>> = vec![Vec::new(); left.len()];
         for (st, se) in s.iter_at(tau) {
-            let key: Vec<_> = keys.iter().map(|&(_, j)| st.attr(j)).collect();
-            if let Some(matches) = table.get(&key) {
-                for &(rt, re) in matches {
-                    let joined = rt.concat(st);
-                    if p.eval(&joined) {
-                        out.insert(joined, re.min(se))?;
-                    }
+            for &i in table.get(&key(st, &right_attrs)).into_iter().flatten() {
+                let (rt, re) = left[i];
+                let joined = rt.concat(st);
+                if p.eval(&joined) {
+                    matches[i].push((joined, re.min(se)));
                 }
             }
+        }
+        for (joined, e) in matches.into_iter().flatten() {
+            out.insert(joined, e)?;
         }
     }
     Ok(out)
@@ -595,6 +609,94 @@ mod tests {
                 let b = join_nested_loop(&pol(), &el(), &p, t(tau)).unwrap();
                 assert!(a.set_eq(&b), "{p} at {tau}: {a:?} vs {b:?}");
             }
+        }
+    }
+
+    /// Whichever side the hash join builds on, `join` is
+    /// `select(product(..))` as a *sequence*: left-major, right-minor. With
+    /// the smaller input on the left it is the left side that is hashed
+    /// and the right that probes.
+    #[test]
+    fn join_emits_the_products_order_whichever_side_is_hashed() {
+        let schema = Schema::of(&[("k", ValueType::Int), ("v", ValueType::Int)]);
+        let a = Relation::from_rows(
+            schema.clone(),
+            vec![(tuple![2, 10], t(9)), (tuple![1, 11], t(7))],
+        )
+        .unwrap();
+        let b = Relation::from_rows(
+            schema,
+            vec![
+                (tuple![1, 20], t(8)),
+                (tuple![2, 21], t(8)),
+                (tuple![1, 22], t(6)),
+                (tuple![2, 23], t(12)),
+                (tuple![3, 24], t(8)),
+            ],
+        )
+        .unwrap();
+        let rows = |r: &Relation| r.iter().map(|(t, e)| (t.clone(), e)).collect::<Vec<_>>();
+        let on = Predicate::attr_eq_attr(0, 2);
+        let residual = on.clone().and(Predicate::attr_cmp_const(
+            3,
+            crate::predicate::CmpOp::Gt,
+            10,
+        ));
+        let got = join(&a, &b, &on, Time::ZERO).unwrap();
+        assert_eq!(
+            rows(&got),
+            vec![
+                (tuple![2, 10, 2, 21], t(8)),
+                (tuple![2, 10, 2, 23], t(9)),
+                (tuple![1, 11, 1, 20], t(7)),
+                (tuple![1, 11, 1, 22], t(6)),
+            ]
+        );
+        for (l, r, p) in [(&a, &b, &on), (&b, &a, &on), (&a, &b, &residual)] {
+            let want = select(&product(l, r, Time::ZERO).unwrap(), p, Time::ZERO).unwrap();
+            assert_eq!(rows(&join(l, r, p, Time::ZERO).unwrap()), rows(&want));
+            assert_eq!(
+                rows(&join_nested_loop(l, r, p, Time::ZERO).unwrap()),
+                rows(&want)
+            );
+        }
+    }
+
+    /// `p` says `Int(2) = Float(2.0)` and a hash key says otherwise, so an
+    /// INT = FLOAT conjunct must not become one: alone it leaves the
+    /// nested loop, next to an INT = INT conjunct it is only re-checked.
+    #[test]
+    fn join_on_int_and_float_columns_compares_numerically() {
+        let a = Relation::from_rows(
+            Schema::of(&[("k", ValueType::Int), ("v", ValueType::Int)]),
+            vec![(tuple![2, 10], t(9)), (tuple![1, 11], t(7))],
+        )
+        .unwrap();
+        let b = Relation::from_rows(
+            Schema::of(&[("x", ValueType::Float), ("w", ValueType::Int)]),
+            vec![
+                (tuple![1.0, 11], t(8)),
+                (tuple![2.0, 10], t(8)),
+                (tuple![2.5, 10], t(8)),
+                (tuple![2.0, 12], t(6)),
+            ],
+        )
+        .unwrap();
+        let rows = |r: &Relation| r.iter().map(|(t, e)| (t.clone(), e)).collect::<Vec<_>>();
+        let mixed = Predicate::attr_eq_attr(0, 2);
+        assert_eq!(
+            rows(&join(&a, &b, &mixed, Time::ZERO).unwrap()),
+            vec![
+                (tuple![2, 10, 2.0, 10], t(8)),
+                (tuple![2, 10, 2.0, 12], t(6)),
+                (tuple![1, 11, 1.0, 11], t(7)),
+            ]
+        );
+        let both = mixed.clone().and(Predicate::attr_eq_attr(1, 3));
+        for (l, r, p) in [(&a, &b, &mixed), (&b, &a, &mixed), (&a, &b, &both)] {
+            let want = select(&product(l, r, Time::ZERO).unwrap(), p, Time::ZERO).unwrap();
+            assert!(!want.is_empty());
+            assert_eq!(rows(&join(l, r, p, Time::ZERO).unwrap()), rows(&want));
         }
     }
 

@@ -3,15 +3,19 @@
 //! Algebra expressions reference base relations by name, and evaluating
 //! one asks its environment exactly two questions — the schema of a name,
 //! and the rows of a name visible at `τ`. [`Bindings`] is those two
-//! questions; it hides *how* the rows are stored. [`Catalog`] is the
-//! in-memory answer (a map of [`Relation`]s); the engine answers the same
-//! questions from its stored tables, so a consistent read needs only a
-//! pinned `τ`, never a copy of the data.
+//! questions; it hides *how* the rows are stored, and it answers the
+//! second by *lending* each row to the caller, who copies the ones it
+//! keeps: a selection has to look at every stored row but needs to own
+//! only the survivors. [`Catalog`] is the in-memory answer (a map of
+//! [`Relation`]s); the engine answers the same questions from its stored
+//! tables, so a consistent read needs only a pinned `τ`, never a copy of
+//! the data.
 
 use crate::error::{Error, Result};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::time::Time;
+use crate::tuple::Tuple;
 use std::collections::BTreeMap;
 
 /// What the algebra asks of the environment it is evaluated against.
@@ -27,13 +31,21 @@ pub trait Bindings {
     /// Returns [`Error::UnknownRelation`] if `name` is not bound.
     fn schema(&self, name: &str) -> Result<Schema>;
 
-    /// `expτ(name)`: the rows visible at `τ`, in stored order — plus how
-    /// many physically present rows were skipped because they had expired.
+    /// Visits `expτ(name)`: lends `row` each tuple visible at `τ` with its
+    /// expiration time, in stored order. `row` answers whether it kept
+    /// (copied) the tuple, which is all an implementation may bill as
+    /// copied; the return is how many physically present rows were skipped
+    /// because they had expired.
     ///
     /// # Errors
     ///
     /// Returns [`Error::UnknownRelation`] if `name` is not bound.
-    fn scan(&self, name: &str, tau: Time) -> Result<(Relation, usize)>;
+    fn visit(
+        &self,
+        name: &str,
+        tau: Time,
+        row: &mut dyn FnMut(&Tuple, Time) -> bool,
+    ) -> Result<usize>;
 }
 
 /// A name → relation binding environment.
@@ -79,11 +91,19 @@ impl Bindings for Catalog {
         Ok(self.get(name)?.schema().clone())
     }
 
-    fn scan(&self, name: &str, tau: Time) -> Result<(Relation, usize)> {
+    fn visit(
+        &self,
+        name: &str,
+        tau: Time,
+        row: &mut dyn FnMut(&Tuple, Time) -> bool,
+    ) -> Result<usize> {
         let stored = self.get(name)?;
-        let rel = stored.exp(tau);
-        let skipped = stored.len() - rel.len();
-        Ok((rel, skipped))
+        let mut visible = 0;
+        for (t, e) in stored.iter_at(tau) {
+            visible += 1;
+            row(t, e);
+        }
+        Ok(stored.len() - visible)
     }
 }
 
@@ -108,20 +128,30 @@ mod tests {
         assert_eq!(Bindings::schema(&c, "POL").unwrap().arity(), 1);
         assert!(matches!(c.get("el"), Err(Error::UnknownRelation(_))));
         assert!(matches!(
-            c.scan("el", Time::ZERO),
+            c.visit("el", Time::ZERO, &mut |_, _| false),
             Err(Error::UnknownRelation(_))
         ));
     }
 
     #[test]
-    fn scan_is_exp_tau_and_counts_what_it_skipped() {
+    fn visit_lends_exp_tau_in_stored_order_and_counts_what_it_skipped() {
         let mut c = Catalog::new();
         c.register("r", rel());
-        let (all, skipped) = c.scan("R", Time::new(4)).unwrap();
-        assert_eq!((all.len(), skipped), (2, 0));
-        let (live, skipped) = c.scan("r", Time::new(5)).unwrap();
-        assert_eq!((live.len(), skipped), (1, 1));
-        assert!(live.contains(&tuple![2]));
+        let mut seen = Vec::new();
+        let mut lend = |t: &Tuple, e: Time| {
+            seen.push((t.clone(), e));
+            true
+        };
+        assert_eq!(c.visit("R", Time::new(4), &mut lend).unwrap(), 0);
+        assert_eq!(c.visit("r", Time::new(5), &mut lend).unwrap(), 1);
+        assert_eq!(
+            seen,
+            vec![
+                (tuple![1], Time::new(5)),
+                (tuple![2], Time::INFINITY),
+                (tuple![2], Time::INFINITY),
+            ]
+        );
     }
 
     #[test]

@@ -21,6 +21,7 @@ use crate::algebra::Expr;
 use crate::catalog::Bindings;
 use crate::predicate::{CmpOp, Operand, Predicate};
 use crate::time::Time;
+use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 
 /// Default selectivity of a non-equality comparison.
@@ -46,26 +47,34 @@ pub struct Stats {
 
 impl Stats {
     /// Collects statistics at time `τ` for the base relations `expr`
-    /// names (one scan each). A name `catalog` does not bind gets no entry;
+    /// names: one visit each, copying no row — only each attribute's
+    /// distinct values. A name `catalog` does not bind gets no entry;
     /// evaluation reports it.
     #[must_use]
     pub fn collect(expr: &Expr, catalog: &dyn Bindings, tau: Time) -> Stats {
         let mut tables = HashMap::new();
         for name in expr.base_names() {
-            let Ok((rel, _)) = catalog.scan(&name, tau) else {
+            let Ok(schema) = catalog.schema(&name) else {
                 continue;
             };
-            let mut distinct: Vec<HashSet<&crate::value::Value>> =
-                (0..rel.arity()).map(|_| HashSet::new()).collect();
-            for (t, _) in rel.iter() {
-                for (i, set) in distinct.iter_mut().enumerate() {
-                    set.insert(t.attr(i));
+            let mut rows = 0.0;
+            let mut distinct: Vec<HashSet<Value>> = vec![HashSet::new(); schema.arity()];
+            let visited = catalog.visit(&name, tau, &mut |t, _| {
+                rows += 1.0;
+                for (set, v) in distinct.iter_mut().zip(t.values()) {
+                    if !set.contains(v) {
+                        set.insert(v.clone());
+                    }
                 }
+                false
+            });
+            if visited.is_err() {
+                continue;
             }
             tables.insert(
                 name.to_ascii_lowercase(),
                 TableStats {
-                    rows: rel.len() as f64,
+                    rows,
                     ndv: distinct.iter().map(|s| s.len().max(1) as f64).collect(),
                 },
             );

@@ -52,6 +52,7 @@ use exptime_wal::{
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 mod stored;
@@ -491,6 +492,8 @@ pub struct Database {
     profiler: Profiler,
     /// Logical-allocation shim drained into each statement's profile.
     alloc: AllocCounter,
+    /// Rows the statement's scans lent the evaluator, drained likewise.
+    scanned: AtomicU64,
     /// Attached write-ahead log, when opened with [`Durability::Wal`].
     /// `None` both for volatile databases and *during* recovery replay
     /// (so replayed operations are not re-logged).
@@ -552,6 +555,7 @@ impl Database {
             monitor,
             profiler: Profiler::default(),
             alloc: AllocCounter::new(),
+            scanned: AtomicU64::new(0),
             wal: None,
             system_ctx: false,
             telemetry_last_sample: None,
@@ -1643,6 +1647,7 @@ impl Database {
         if let Some(t) = now.finite() {
             root.at(t);
         }
+        self.take_scan_tallies();
         let patches_before = self.patches_applied_total();
         let mut decisions = Vec::new();
         if explain {
@@ -1679,15 +1684,19 @@ impl Database {
         self.counters.queries.inc();
         let elapsed = start.elapsed();
         self.counters.query_ns.record_duration(elapsed);
+        let (rows_scanned, allocations) = self.take_scan_tallies();
         self.profiler.record(QueryProfile {
-            label: expr.to_string(),
-            rows_scanned: self.live_rows(&expr),
+            // The profiler keeps a label only with per-operator detail.
+            label: profile
+                .as_ref()
+                .map_or_else(String::new, |_| expr.to_string()),
+            rows_scanned,
             tuples_materialized: m.rel.len() as u64,
             change_points: expr_node_count(&expr),
             // Views are inlined, so only an explain's refreshes can have
             // done patch-queue work.
             patch_ops: self.patches_applied_total() - patches_before,
-            allocations: self.alloc.take(),
+            allocations,
             wall_ns: duration_ns(elapsed),
             operators: profile.as_ref().map_or_else(Vec::new, flatten_profile),
         });
@@ -1896,34 +1905,35 @@ impl Database {
         if let Some(t) = self.clock.now().finite() {
             root.at(t);
         }
+        self.take_scan_tallies();
         let patches_before = self.patches_applied_total();
         let rel = self.read_materialized(&key)?;
         root.attr("rows", rel.len());
         self.counters.queries.inc();
         let elapsed = start.elapsed();
         self.counters.query_ns.record_duration(elapsed);
+        let (rows_scanned, allocations) = self.take_scan_tallies();
         let entry = self.views.get(&key).expect("read above");
         self.profiler.record(QueryProfile {
             label: format!("view {key}"),
-            rows_scanned: self.live_rows(entry.expr()),
+            rows_scanned,
             tuples_materialized: rel.len() as u64,
             change_points: expr_node_count(entry.expr()),
             patch_ops: self.patches_applied_total() - patches_before,
-            allocations: self.alloc.take(),
+            allocations,
             wall_ns: duration_ns(elapsed),
             operators: Vec::new(),
         });
         Ok(rel)
     }
 
-    /// Live rows of the base tables `expr` names: what evaluating it reads.
-    fn live_rows(&self, expr: &Expr) -> u64 {
-        let now = self.clock.now();
-        expr.base_names()
-            .into_iter()
-            .filter_map(|n| self.tables.get(&n.to_ascii_lowercase()))
-            .map(|t| t.live_count(now) as u64)
-            .sum()
+    /// `(rows_scanned, allocations)`: the rows scans have lent the
+    /// evaluator since the last call, and how many of them it kept. A read
+    /// calls this as it starts — dropping what unprofiled evaluations (a
+    /// view's creation, a replica's own `eval`) left behind — and as it
+    /// ends, for its bill.
+    fn take_scan_tallies(&self) -> (u64, u64) {
+        (self.scanned.swap(0, Ordering::Relaxed), self.alloc.take())
     }
 
     /// Patch-queue operations applied by every materialised view so far,
@@ -1967,6 +1977,7 @@ impl Database {
         let stored = Stored {
             tables: &self.tables,
             alloc: &self.alloc,
+            scanned: &self.scanned,
         };
         let refresh_start = Instant::now();
         let mut sp = self.tracer.span("view.refresh");
@@ -3185,16 +3196,93 @@ mod tests {
         assert_eq!(db.table("el").unwrap().stats().scans, 0);
     }
 
+    /// The count gate on "a row that does not come out is never copied":
+    /// counts, not timings, so it is exact on any host. Per statement,
+    /// `allocations` grows by the rows copied out of storage — the
+    /// survivors of a single-table read, `|L| + |R|` and never `|L|·|R|`
+    /// for a join — `rows_scanned` by the rows visible at `τ`,
+    /// `storage.<t>.scans` by one per table named and `index_lookups` by
+    /// none. A quarter of the rows are expired but still in the heap.
+    #[test]
+    fn a_read_copies_only_the_rows_that_come_out() {
+        let mut db = Database::new(DbConfig {
+            removal: Removal::Lazy {
+                vacuum_every: 1_000_000,
+            },
+            ..DbConfig::default()
+        });
+        db.execute("CREATE TABLE big (k INT, v INT)").unwrap();
+        db.execute("CREATE TABLE small (k INT, w INT)").unwrap();
+        let live = |k: i64| k % 4 != 0;
+        for k in 0..1000 {
+            let ttl = if live(k) { 100 } else { 5 };
+            db.insert_ttl("big", tuple![k, k % 10], ttl).unwrap();
+            if k < 10 {
+                db.insert_ttl("small", tuple![k, k * k], ttl).unwrap();
+            }
+        }
+        db.tick(5);
+        assert_eq!(db.table("big").unwrap().len(), 1000, "expired but present");
+        let big = |p: &dyn Fn(i64) -> bool| (0..1000).filter(|&k| live(k) && p(k)).count() as u64;
+        let (big_live, small_live) = (big(&|_| true), big(&|k| k < 10));
+        // (statement, tables named, rows copied out of storage)
+        let cases: [(&str, &[&str], u64); 5] = [
+            ("SELECT * FROM big WHERE k = 7", &["big"], 1),
+            (
+                "SELECT * FROM big WHERE k >= 100 AND k < 200",
+                &["big"],
+                big(&|k| (100..200).contains(&k)),
+            ),
+            ("SELECT v FROM big WHERE k < 50", &["big"], big(&|k| k < 50)),
+            (
+                "SELECT * FROM big JOIN small ON big.k = small.k",
+                &["big", "small"],
+                big_live + small_live,
+            ),
+            ("SELECT * FROM big", &["big"], big_live),
+        ];
+        const TABLES: [&str; 2] = ["big", "small"];
+        // Per table: (scans, index_lookups).
+        let storage = |db: &Database| {
+            TABLES.map(|n| {
+                let stats = db.table(n).unwrap().stats();
+                (stats.scans, stats.index_lookups)
+            })
+        };
+        for (sql, named, copied) in cases {
+            let visible: u64 = named
+                .iter()
+                .map(|&n| if n == "big" { big_live } else { small_live })
+                .sum();
+            let (before, storage_before) = (db.profile_stats(), storage(&db));
+            db.execute(sql).unwrap();
+            let (after, storage_after) = (db.profile_stats(), storage(&db));
+            assert_eq!(after.allocations - before.allocations, copied, "{sql}");
+            assert_eq!(after.rows_scanned - before.rows_scanned, visible, "{sql}");
+            for (i, n) in TABLES.iter().enumerate() {
+                let (was, now) = (storage_before[i], storage_after[i]);
+                let scans = u64::from(named.contains(n));
+                assert_eq!((now.0 - was.0, now.1 - was.1), (scans, 0), "{sql}: {n}");
+            }
+        }
+    }
+
     #[test]
     fn explain_analyze_and_view_reads_bill_the_profiler() {
         let mut db = figure1_db();
         db.execute("CREATE MATERIALIZED VIEW deg25 AS SELECT uid FROM pol WHERE deg = 25")
             .unwrap();
-        let before = db.profile_stats().statements;
+        let before = db.profile_stats();
         db.read_view("deg25").unwrap();
+        let fresh = db.profile_stats();
+        assert_eq!(
+            (fresh.rows_scanned, fresh.allocations),
+            (before.rows_scanned, before.allocations),
+            "a fresh view scans nothing — not even what creating it scanned"
+        );
         db.explain_analyze("SELECT * FROM pol").unwrap();
         let s = db.profile_stats();
-        assert_eq!(s.statements, before + 2);
+        assert_eq!(s.statements, before.statements + 2);
         let last = s.last.as_ref().expect("explain analyze is always sampled");
         assert!(last.label.contains("Pol") || last.label.contains("pol"));
         assert!(!last.operators.is_empty());

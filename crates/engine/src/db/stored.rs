@@ -3,27 +3,31 @@
 //! A consistent read is a pinned `τ`, not a copy: visibility is
 //! `texp > τ`, and an evaluation borrows the tables for its whole length,
 //! so nothing can move under it. [`Stored`] answers the algebra's two
-//! questions ([`Bindings`]) straight from the [`Table`]s through
-//! [`Table::to_relation`] — the same `scan_at` the write paths
-//! (`DELETE`, `UPDATE … SET EXPIRES`, access touches) filter with — and
-//! copies only the tables an expression names.
+//! questions ([`Bindings`]) straight from the [`Table`]s: a visit is a
+//! [`Table::visit`], which lends the rows of `scan_at` — the same filter
+//! the write paths (`DELETE`, `UPDATE … SET EXPIRES`, access touches) use
+//! — and the evaluator copies only the rows that reach a result. Copying
+//! a whole table ([`Table::to_relation`]) is left to the reference
+//! [`Database::snapshot`] below.
 
 use super::Database;
 use exptime_core::catalog::{Bindings, Catalog};
 use exptime_core::error::{Error, Result};
-use exptime_core::relation::Relation;
 use exptime_core::schema::Schema;
 use exptime_core::time::Time;
+use exptime_core::tuple::Tuple;
 use exptime_obs::AllocCounter;
 use exptime_storage::Table;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The table map plus the allocation shim, borrowed field by field, so a
-/// materialised view held in `Database::views` can refresh against it
+/// The table map plus the statement's tallies, borrowed field by field, so
+/// a materialised view held in `Database::views` can refresh against it
 /// while being mutably borrowed itself.
 pub(super) struct Stored<'a> {
     pub(super) tables: &'a BTreeMap<String, Table>,
     pub(super) alloc: &'a AllocCounter,
+    pub(super) scanned: &'a AtomicU64,
 }
 
 impl Stored<'_> {
@@ -39,15 +43,22 @@ impl Bindings for Stored<'_> {
         Ok(self.table(name)?.schema().clone())
     }
 
-    /// One copy of the named table's live rows — the engine's
-    /// materialisation site, billed to the statement's profile and counted
-    /// in `storage.<t>.scans`.
-    fn scan(&self, name: &str, tau: Time) -> Result<(Relation, usize)> {
+    /// One pass over the named table's heap: the table counts it in
+    /// `storage.<t>.scans`, the rows it lent go to the statement's
+    /// `rows_scanned`, and only the rows the evaluator kept to its
+    /// `allocations`.
+    fn visit(
+        &self,
+        name: &str,
+        tau: Time,
+        row: &mut dyn FnMut(&Tuple, Time) -> bool,
+    ) -> Result<usize> {
         let table = self.table(name)?;
-        let rel = table.to_relation(tau);
-        self.alloc.note(rel.len() as u64);
-        let skipped = table.len() - rel.len();
-        Ok((rel, skipped))
+        let mut kept = 0;
+        let visible = table.visit(tau, |t, e| kept += u64::from(row(t, e)));
+        self.scanned.fetch_add(visible as u64, Ordering::Relaxed);
+        self.alloc.note(kept);
+        Ok(table.len() - visible)
     }
 }
 
@@ -59,8 +70,13 @@ impl Bindings for Database {
         self.stored().schema(name)
     }
 
-    fn scan(&self, name: &str, tau: Time) -> Result<(Relation, usize)> {
-        self.stored().scan(name, tau)
+    fn visit(
+        &self,
+        name: &str,
+        tau: Time,
+        row: &mut dyn FnMut(&Tuple, Time) -> bool,
+    ) -> Result<usize> {
+        self.stored().visit(name, tau, row)
     }
 }
 
@@ -69,6 +85,7 @@ impl Database {
         Stored {
             tables: &self.tables,
             alloc: &self.alloc,
+            scanned: &self.scanned,
         }
     }
 

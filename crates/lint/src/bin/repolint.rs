@@ -18,7 +18,7 @@ fn main() -> ExitCode {
         Ok(violations) if violations.is_empty() => {
             println!(
                 "repolint: ok (R001 wall-clock, R002 durability unwrap, \
-                 R003 forbid-unsafe, R004 thread-sleep, R005 database-snapshot)"
+                 R003 forbid-unsafe, R004 thread-sleep, R005 table-copy)"
             );
             ExitCode::SUCCESS
         }

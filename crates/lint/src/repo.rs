@@ -7,7 +7,7 @@
 //! | R002 | No `unwrap()`/`expect(` in durability paths (`crates/wal/src`, `crates/engine/src/durability.rs`, and `crates/engine/src/db/write.rs` — the write path produces every data record and is what recovery redoes them with): such code must return errors, not die. Mutex-poisoning `lock().unwrap()` is the one allowed idiom. |
 //! | R003 | Every crate root declares `#![forbid(unsafe_code)]` (the workspace contains no unsafe). |
 //! | R004 | No `std::thread::sleep` outside test/bench/fault-injection code and the few real-time boundaries (tickers, network backoff, daemon pacing): query/maintenance paths must advance the simulated clock, never stall the thread. |
-//! | R005 | No `Database::snapshot` call in production code under `crates/*/src`: a read is a pinned `τ` over the borrowed tables, not a copy of them. The copy stays as the reference that tests, benches, examples and the out-of-tree benchmark compare the read path against. |
+//! | R005 | No `Database::snapshot` call in production code under `crates/*/src`, and no `Table::to_relation` call in `crates/engine/src` outside `db/stored.rs` (where `snapshot` itself makes its one): a read is a pinned `τ` over the borrowed tables that copies only the rows that come out, not a copy of them. The copy stays as the reference that tests, benches, examples and the out-of-tree benchmark compare the read path against. |
 
 use std::fmt;
 use std::fs;
@@ -219,7 +219,9 @@ fn check_r004(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
     }
 }
 
-/// R005: `<binding>.snapshot()` in production code under `crates/*/src`.
+/// R005: `<binding>.snapshot()` in production code under `crates/*/src`,
+/// and `.to_relation(` in the engine outside `db/stored.rs` — the two ways
+/// a read could go back to copying a table instead of visiting it.
 ///
 /// The rule is textual, so it tells a database from the metric types
 /// that also have a `snapshot()` by the receiver: a database is held in a
@@ -229,11 +231,15 @@ fn check_r004(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
 /// the home of those metric types — is out of scope.
 fn check_r005(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
     const CALL: &str = ".snapshot()";
+    const TABLE_COPY: &str = ".to_relation(";
     let in_crate_src =
         rel.starts_with("crates") && rel.components().any(|c| c.as_os_str() == "src");
     if !in_crate_src || rel.starts_with("crates/obs") {
         return;
     }
+    // `Database::snapshot`, the reference copy, lives in `db/stored.rs`.
+    let in_engine_read_path =
+        rel.starts_with("crates/engine/src") && rel != Path::new("crates/engine/src/db/stored.rs");
     let lines: Vec<&str> = content.lines().collect();
     for (i, line) in lines.iter().enumerate() {
         let code = code_only(line);
@@ -241,16 +247,23 @@ fn check_r005(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
             let receiver = code[..at].trim_end_matches(|c: char| c.is_alphanumeric() || c == '_');
             receiver.len() < at && !receiver.ends_with('.')
         });
-        if !on_plain_binding || line_is_in_tests(&lines, i) {
+        let message = if on_plain_binding {
+            "Database::snapshot in production code; evaluate over the \
+             database itself (it is the algebra's binding environment)"
+        } else if in_engine_read_path && code.contains(TABLE_COPY) {
+            "Table::to_relation in the engine; visit the table's rows \
+             (Bindings::visit) and copy only the ones that come out"
+        } else {
+            continue;
+        };
+        if line_is_in_tests(&lines, i) {
             continue;
         }
         out.push(RepoViolation {
             rule: "R005",
             path: rel.to_path_buf(),
             line: i + 1,
-            message: "Database::snapshot in production code; evaluate over the \
-                      database itself (it is the algebra's binding environment)"
-                .to_string(),
+            message: message.to_string(),
         });
     }
 }
@@ -439,6 +452,27 @@ mod tests {
         // benches, examples and crates/obs are out of scope.
         assert_eq!(r005.len(), 1, "{v:?}");
         assert_eq!(r005[0].path, Path::new("crates/replica/src/baseline.rs"));
+        assert_eq!(r005[0].line, 1);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn r005_flags_table_copies_in_the_engine_outside_the_reference_snapshot() {
+        let copying = "fn scan(t: &Table) -> Relation { t.to_relation(now) }\n\
+                       #[cfg(test)]\n\
+                       mod tests { fn t() { table.to_relation(now); } }\n";
+        let dir = fixture(&[
+            ("crates/engine/src/db.rs", copying),
+            ("crates/engine/src/db/stored.rs", copying),
+            ("crates/bench/src/workload.rs", copying),
+            ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
+        ]);
+        let v = check_repo(&dir).unwrap();
+        let r005: Vec<_> = v.iter().filter(|v| v.rule == "R005").collect();
+        // `db/stored.rs` holds the reference `Database::snapshot`, other
+        // crates have their own `to_relation`s, tests may copy.
+        assert_eq!(r005.len(), 1, "{v:?}");
+        assert_eq!(r005[0].path, Path::new("crates/engine/src/db.rs"));
         assert_eq!(r005[0].line, 1);
         let _ = fs::remove_dir_all(dir);
     }

@@ -74,7 +74,10 @@ pub struct OperatorCost {
 pub struct QueryProfile {
     /// Statement label (the SQL head or the expression description).
     pub label: String,
-    /// Rows read at base relations, including expiration-filtered ones.
+    /// Rows visible at `τ` that the statement's scans of base relations
+    /// visited, counted by the scans themselves: a table named (or, with
+    /// the optimizer's statistics pass, read) twice counts twice, and a
+    /// view served from its materialisation scans nothing.
     pub rows_scanned: u64,
     /// Tuples materialized across all operators (every intermediate row).
     pub tuples_materialized: u64,

@@ -9,8 +9,10 @@
 //!   timing wheel, and a full-scan baseline;
 //! * [`btree`] — an ordered secondary index (point + range);
 //! * [`table`] — the assembled [`table::Table`]: set-semantic rows with
-//!   expiration times, expiry scheduling, secondary indexes, and a bridge
-//!   into the `exptime-core` algebra via [`table::Table::to_relation`].
+//!   expiration times, expiry scheduling, secondary indexes, and two
+//!   bridges into the `exptime-core` algebra: [`table::Table::visit`]
+//!   lends the visible rows (the engine's read path), and
+//!   [`table::Table::to_relation`] copies them all (the reference).
 
 #![forbid(unsafe_code)]
 

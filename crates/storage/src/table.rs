@@ -412,16 +412,30 @@ impl Table {
         }
     }
 
-    /// Copies the rows visible at `τ` into an algebra [`Relation`] — the
-    /// bridge from physical storage to the query layer. A full scan, and
-    /// counted as one.
+    /// Lends each row visible at `τ` to `row`, in stored order, and returns
+    /// how many there were — the bridge from physical storage to the query
+    /// layer, which copies only the rows that reach a result. A full scan,
+    /// and counted as one.
+    pub fn visit(&self, tau: Time, mut row: impl FnMut(&Tuple, Time)) -> usize {
+        self.counters.scans.inc();
+        let mut visible = 0;
+        for (t, e) in self.scan_at(tau) {
+            visible += 1;
+            row(t, e);
+        }
+        visible
+    }
+
+    /// Copies the rows visible at `τ` into an algebra [`Relation`]: a
+    /// [`visit`](Table::visit) that keeps everything. The engine's read
+    /// path does not call it, so this is the reference that path is tested
+    /// against.
     #[must_use]
     pub fn to_relation(&self, tau: Time) -> Relation {
-        self.counters.scans.inc();
         let mut r = Relation::new(self.schema.clone());
-        for (t, e) in self.scan_at(tau) {
+        self.visit(tau, |t, e| {
             r.insert(t.clone(), e).expect("rows were schema-checked");
-        }
+        });
         r
     }
 }

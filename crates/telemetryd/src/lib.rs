@@ -352,19 +352,42 @@ fn read_head(stream: &mut TcpStream) -> io::Result<String> {
 }
 
 /// [`read_head`] with an explicit total deadline (tests inject a short
-/// one so the slowloris rejection is provable without a 5s wait).
+/// one so the slowloris rejection is provable without a 5s wait). A
+/// client that is too slow gets one error kind, [`io::ErrorKind::TimedOut`],
+/// whichever timer catches it: the total deadline, or the socket's own
+/// read timeout — which the OS reports as `WouldBlock` on Linux, and which
+/// is capped at the time remaining so no read waits past the deadline.
 fn read_head_within(stream: &mut TcpStream, deadline: Duration) -> io::Result<String> {
+    let too_slow = || {
+        io::Error::new(
+            io::ErrorKind::TimedOut,
+            "request head did not complete within the deadline",
+        )
+    };
     let mut buf = Vec::new();
     let mut chunk = [0u8; 512];
     let started = Instant::now();
     loop {
-        if started.elapsed() >= deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "request head did not complete within the deadline",
-            ));
-        }
-        let n = stream.read(&mut chunk)?;
+        let remaining = deadline
+            .checked_sub(started.elapsed())
+            .filter(|left| !left.is_zero())
+            .ok_or_else(too_slow)?;
+        let per_read = stream
+            .read_timeout()?
+            .map_or(remaining, |t| t.min(remaining));
+        stream.set_read_timeout(Some(per_read))?;
+        let n = match stream.read(&mut chunk) {
+            Ok(n) => n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Err(too_slow());
+            }
+            Err(e) => return Err(e),
+        };
         if n == 0 {
             break;
         }
@@ -662,37 +685,46 @@ mod tests {
 
     /// A slow-drip client that half-sends a request must be cut off by
     /// the total head deadline — the per-read timeout alone would let
-    /// one byte per just-under-two-seconds pin the accept loop forever.
+    /// one byte per just-under-two-seconds pin the accept loop forever —
+    /// and is reported as `TimedOut` even when, on a loaded host, a drip
+    /// arrives late and the per-read timeout is what fires.
     #[test]
     fn slowloris_half_request_is_cut_off_by_the_head_deadline() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            stream
-                .set_read_timeout(Some(Duration::from_millis(50)))
-                .unwrap();
-            read_head_within(&mut stream, Duration::from_millis(300))
-        });
-        let mut client = TcpStream::connect(addr).unwrap();
-        // Half a request line, then a drip feed that never finishes the
-        // head — each byte arrives well inside the per-read timeout.
-        client.write_all(b"GET /metr").unwrap();
-        let started = Instant::now();
-        for _ in 0..40 {
-            std::thread::sleep(Duration::from_millis(25));
-            if client.write_all(b"i").is_err() {
-                break; // server hung up on us, as it should
+        // Dripping: the total deadline fires. Silent after the first
+        // bytes: the per-read timeout fires. Same error either way.
+        for drip in [true, false] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let server = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_millis(50)))
+                    .unwrap();
+                read_head_within(&mut stream, Duration::from_millis(300))
+            });
+            let mut client = TcpStream::connect(addr).unwrap();
+            // Half a request line, then a drip feed that never finishes
+            // the head.
+            client.write_all(b"GET /metr").unwrap();
+            let started = Instant::now();
+            for _ in 0..40 {
+                if server.is_finished() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(25));
+                if drip && client.write_all(b"i").is_err() {
+                    break; // server hung up on us, as it should
+                }
             }
+            let result = server.join().unwrap();
+            let waited = started.elapsed();
+            let err = result.expect_err("half-sent head must not parse");
+            assert_eq!(err.kind(), io::ErrorKind::TimedOut, "drip {drip}: {err}");
+            assert!(
+                waited < Duration::from_secs(3),
+                "deadline must fire promptly, waited {waited:?}"
+            );
         }
-        let result = server.join().unwrap();
-        let waited = started.elapsed();
-        let err = result.expect_err("half-sent head must not parse");
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
-        assert!(
-            waited < Duration::from_secs(3),
-            "deadline must fire promptly, waited {waited:?}"
-        );
     }
 
     /// A head that completes *within* the deadline is unaffected.

@@ -1,9 +1,11 @@
 //! Shared generators and helpers for the integration/property tests.
 #![allow(dead_code)] // each test harness uses a different subset
 
-use exptime::core::aggregate::AggFunc;
-use exptime::core::algebra::Expr;
+use exptime::core::aggregate::{AggFunc, AggMode};
+use exptime::core::algebra::{ops, Expr};
 use exptime::core::catalog::Catalog;
+use exptime::core::error::Error;
+use exptime::core::interval::IntervalSet;
 use exptime::core::predicate::{CmpOp, Predicate};
 use exptime::core::relation::Relation;
 use exptime::core::schema::Schema;
@@ -98,4 +100,71 @@ pub fn probe_times(catalog: &Catalog) -> Vec<Time> {
     ts.sort_unstable();
     ts.dedup();
     ts
+}
+
+/// The paper's definitions read literally: every node is its one `ops::`
+/// call over inputs that were built in full — `Base` is `expτ(R)`, a
+/// `σ(×)` selects from a product that exists (Eq. 1–6, 8, 10). Nothing is
+/// fused, so this is what the evaluator's one-pass leaf and its
+/// Equation 5 join are held to, intermediate by intermediate.
+pub struct Literal {
+    pub rel: Relation,
+    pub texp: Time,
+    pub validity: IntervalSet,
+    /// The node's inputs, evaluated the same way.
+    pub inputs: Vec<Literal>,
+}
+
+/// The inputs of an operator, left to right (none for a `Base`).
+pub fn inputs(expr: &Expr) -> Vec<&Expr> {
+    match expr {
+        Expr::Base(_) => vec![],
+        Expr::Select { input, .. }
+        | Expr::Project { input, .. }
+        | Expr::Aggregate { input, .. } => vec![input],
+        Expr::Product { left, right }
+        | Expr::Union { left, right }
+        | Expr::Join { left, right, .. }
+        | Expr::Intersect { left, right }
+        | Expr::Difference { left, right } => vec![left, right],
+    }
+}
+
+pub fn literal(expr: &Expr, catalog: &Catalog, tau: Time) -> Result<Literal, Error> {
+    let inputs = inputs(expr)
+        .into_iter()
+        .map(|input| literal(input, catalog, tau))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut texp = Time::min_of(inputs.iter().map(|i| i.texp)).unwrap_or(Time::INFINITY);
+    let mut validity = inputs
+        .iter()
+        .fold(IntervalSet::from_time(tau), |v, i| v.intersect(&i.validity));
+    let of = |i: usize| &inputs[i].rel;
+    let rel = match expr {
+        Expr::Base(name) => catalog.get(name)?.exp(tau),
+        Expr::Select { predicate, .. } => ops::select(of(0), predicate, tau)?,
+        Expr::Project { positions, .. } => ops::project(of(0), positions, tau)?,
+        Expr::Product { .. } => ops::product(of(0), of(1), tau)?,
+        Expr::Union { .. } => ops::union(of(0), of(1), tau)?,
+        Expr::Join { predicate, .. } => ops::join_nested_loop(of(0), of(1), predicate, tau)?,
+        Expr::Intersect { .. } => ops::intersect(of(0), of(1), tau)?,
+        Expr::Difference { .. } => {
+            let meta = ops::difference_meta(of(0), of(1), tau);
+            texp = texp.min(meta.texp);
+            validity = validity.intersect(&meta.validity);
+            ops::difference(of(0), of(1), tau)?
+        }
+        Expr::Aggregate { group_by, func, .. } => {
+            let meta = ops::aggregate_meta(of(0), group_by, *func, AggMode::Exact, tau)?;
+            texp = texp.min(meta.texp);
+            validity = validity.intersect(&meta.validity);
+            ops::aggregate(of(0), group_by, *func, AggMode::Exact, tau)?
+        }
+    };
+    Ok(Literal {
+        rel,
+        texp,
+        validity,
+        inputs,
+    })
 }

@@ -4,13 +4,17 @@
 
 mod common;
 
-use common::{arb_catalog, arb_expr, probe_times, schema2};
+use common::{arb_catalog, arb_expr, arb_row, inputs, literal, probe_times, schema2, Literal};
 use exptime::core::aggregate::AggMode;
 use exptime::core::algebra::{eval, eval_profiled, ops, EvalOptions, Expr, PlanProfile};
 use exptime::core::catalog::Catalog;
+use exptime::core::predicate::{CmpOp, Predicate};
 use exptime::core::relation::Relation;
 use exptime::core::rewrite;
+use exptime::core::schema::Schema;
 use exptime::core::time::Time;
+use exptime::core::tuple::Tuple;
+use exptime::core::value::{Value, ValueType};
 use proptest::prelude::*;
 
 fn opts() -> EvalOptions {
@@ -312,6 +316,157 @@ proptest! {
         let b = eval(&expr, &snapped, tau, &opts())?;
         prop_assert!(a.rel.set_eq(&b.rel));
         prop_assert_eq!(a.texp, b.texp);
+    }
+}
+
+/// Every profiled operator produced exactly the literal interpreter's
+/// intermediate for that node, and every `Base` accounts for each stored
+/// row: returned, or skipped as expired.
+fn assert_counts(
+    profile: &PlanProfile,
+    want: &Literal,
+    expr: &Expr,
+    catalog: &Catalog,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(profile.rows_out, want.rel.len() as u64, "{}", profile.label);
+    prop_assert_eq!(profile.texp, want.texp, "{}", profile.label);
+    prop_assert_eq!(profile.children.len(), want.inputs.len());
+    match expr {
+        Expr::Base(name) => {
+            let stored = catalog.get(name).expect("evaluated").len() as u64;
+            prop_assert_eq!(profile.rows_out + profile.expired_filtered, stored);
+        }
+        _ => prop_assert_eq!(profile.expired_filtered, 0, "only a Base skips rows"),
+    }
+    for ((p, w), e) in profile.children.iter().zip(&want.inputs).zip(inputs(expr)) {
+        assert_counts(p, w, e, catalog)?;
+    }
+    Ok(())
+}
+
+/// Small trees of Base/σ/π/×/⋈ over `r` and `s`, each with its arity, so
+/// predicates and positions are in range — except that now and then a
+/// position is one past the end or a leaf names a relation nobody bound.
+fn arb_spj() -> impl Strategy<Value = (Expr, usize)> {
+    // `n` picks an attribute below `arity`; 23 is the out-of-range draw.
+    fn attr(n: usize, arity: usize) -> usize {
+        if n == 23 {
+            arity
+        } else {
+            n % arity
+        }
+    }
+    fn pred(kind: u8, a: usize, b: usize, c: i64, arity: usize) -> Predicate {
+        match kind {
+            0 => Predicate::attr_eq_const(attr(a, arity), c),
+            1 => Predicate::attr_cmp_const(attr(a, arity), CmpOp::Lt, c),
+            2 => Predicate::attr_eq_attr(attr(a, arity), attr(b, arity)),
+            3 => Predicate::attr_eq_attr(attr(a, arity), attr(b, arity))
+                .and(Predicate::attr_cmp_const(attr(b, arity), CmpOp::Ge, c - 4)),
+            _ => Predicate::True,
+        }
+    }
+    // Mostly a cross-side equality (the hash join), else anything.
+    fn on((kind, a, b, c): (u8, usize, usize, i64), ln: usize, rn: usize) -> Predicate {
+        match kind {
+            0..=2 => Predicate::attr_eq_attr(attr(a, ln), ln + attr(b, rn)),
+            _ => pred(kind, a, b, c, ln + rn),
+        }
+    }
+    let leaf = prop_oneof![
+        8 => Just((Expr::base("r"), 2)),
+        8 => Just((Expr::base("s"), 2)),
+        1 => Just((Expr::base("nobody"), 2)),
+    ];
+    leaf.prop_recursive(3, 16, 2, |inner| {
+        let draw = || (0u8..5, 0usize..24, 0usize..24, -2i64..8);
+        prop_oneof![
+            2 => (inner.clone(), draw())
+                .prop_map(|((e, n), (k, a, b, c))| (e.select(pred(k, a, b, c, n)), n)),
+            2 => (inner.clone(), proptest::collection::vec(0usize..24, 1..4)).prop_map(
+                |((e, n), ps)| {
+                    let ps: Vec<usize> = ps.into_iter().map(|p| attr(p, n)).collect();
+                    let arity = ps.len();
+                    (e.project(ps), arity)
+                }
+            ),
+            1 => (inner.clone(), inner.clone())
+                .prop_map(|((l, ln), (r, rn))| (l.product(r), ln + rn)),
+            // σ directly over ×: the shape the planner gives JOIN … ON.
+            2 => (inner.clone(), inner.clone(), draw()).prop_map(
+                |((l, ln), (r, rn), d)| (l.product(r).select(on(d, ln, rn)), ln + rn)
+            ),
+            1 => (inner.clone(), inner.clone(), draw())
+                .prop_map(|((l, ln), (r, rn), d)| (l.join(r, on(d, ln, rn)), ln + rn)),
+        ]
+    })
+}
+
+fn rows(rel: &Relation) -> Vec<(&Tuple, Time)> {
+    rel.iter().collect()
+}
+
+fn leaf_count(e: &Expr) -> usize {
+    match inputs(e) {
+        none if none.is_empty() => 1,
+        some => some.into_iter().map(leaf_count).sum(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The evaluator fuses (`π? σ* Base` in one pass over lent rows,
+    /// `σ(×)` as a join); the literal interpreter does not. They must
+    /// agree on the result **as a sequence** of `(tuple, texp)`, on
+    /// `texp(e)` and validity, on which error wins, and — under the
+    /// recording probe — on the cardinality of every intermediate, built
+    /// or not. `r` may be larger or smaller than `s` (both hash-join
+    /// builds), both carry rows already expired at `τ`, and the key
+    /// domain is small enough that projections merge rows with different
+    /// `texp`. `s.v` is a FLOAT column, so an equality that reaches it
+    /// from an INT one holds numerically (`2 = 2.0`) or not at all.
+    #[test]
+    fn eval_equals_the_literal_interpreter(
+        r in proptest::collection::vec(arb_row(), 4..12),
+        s in proptest::collection::vec(arb_row(), 1..6),
+        (expr, _) in arb_spj(),
+        tau in 0u64..20,
+    ) {
+        // Keep the literal products small: at most four inputs multiplied.
+        prop_assume!(leaf_count(&expr) <= 4);
+        let tau = Time::new(tau);
+        let mut catalog = Catalog::new();
+        catalog.register("r", Relation::from_rows(schema2(), r).unwrap());
+        let s = s.into_iter().map(|(t, e)| {
+            let v = t.attr(1).as_int().expect("arb_row is (INT, INT)");
+            (Tuple::new(vec![t.attr(0).clone(), Value::float(v as f64)]), e)
+        });
+        let int_float = Schema::of(&[("k", ValueType::Int), ("v", ValueType::Float)]);
+        catalog.register("s", Relation::from_rows(int_float, s).unwrap());
+        let want = literal(&expr, &catalog, tau);
+        let got = eval(&expr, &catalog, tau, &opts());
+        let profiled = eval_profiled(&expr, &catalog, tau, &opts());
+        match (want, got, profiled) {
+            (Ok(want), Ok(got), Ok((profiled, profile))) => {
+                prop_assert_eq!(rows(&got.rel), rows(&want.rel), "{}", expr);
+                prop_assert_eq!(rows(&profiled.rel), rows(&want.rel), "{} profiled", expr);
+                prop_assert_eq!(got.rel.schema(), want.rel.schema());
+                prop_assert_eq!(got.texp, want.texp);
+                prop_assert_eq!(&got.validity, &want.validity);
+                assert_counts(&profile, &want, &expr, &catalog)?;
+            }
+            (Err(want), Err(got), Err(profiled)) => {
+                prop_assert_eq!(&got, &want, "{}", expr);
+                prop_assert_eq!(&profiled, &want, "{} profiled", expr);
+            }
+            (want, got, _) => prop_assert!(
+                false,
+                "{expr}: literal {:?}, eval {:?}",
+                want.map(|w| w.rel),
+                got.map(|g| g.rel)
+            ),
+        }
     }
 }
 

@@ -274,6 +274,50 @@ fn comparison_operators_through_sql() {
     }
 }
 
+/// An equality between an INT and a FLOAT column compares numerically
+/// (`2 = 2.0`), in a join condition as in a `WHERE`, whichever way the
+/// join is planned and evaluated.
+#[test]
+fn join_on_int_and_float_columns_compares_numerically() {
+    for optimize in [false, true] {
+        let mut db = Database::new(DbConfig {
+            optimize,
+            ..DbConfig::default()
+        });
+        db.execute_script(
+            "CREATE TABLE a (k INT, v INT);
+             CREATE TABLE b (x FLOAT, w INT);
+             INSERT INTO a VALUES (2, 10), (1, 11), (3, 12) EXPIRES AT 50;
+             INSERT INTO b VALUES (1.0, 20), (2.0, 21), (2.5, 22), (2.0, 23) EXPIRES AT 40;",
+        )
+        .unwrap();
+        let want = [
+            (tuple![2, 10, 2.0, 21], Time::new(40)),
+            (tuple![2, 10, 2.0, 23], Time::new(40)),
+            (tuple![1, 11, 1.0, 20], Time::new(40)),
+        ];
+        for sql in [
+            "SELECT * FROM a JOIN b ON a.k = b.x",
+            "SELECT * FROM a, b WHERE a.k = b.x",
+            "SELECT * FROM a JOIN b ON b.x = a.k",
+        ] {
+            let got = db.execute(sql).unwrap().rows().unwrap().clone();
+            assert_eq!(
+                got.iter().collect::<Vec<_>>(),
+                want.iter().map(|(t, e)| (t, *e)).collect::<Vec<_>>(),
+                "{sql} (optimize={optimize})"
+            );
+        }
+        let n = db
+            .execute("SELECT * FROM a JOIN b ON a.k = b.x AND a.v < b.w AND b.w <> 21")
+            .unwrap()
+            .rows()
+            .unwrap()
+            .len();
+        assert_eq!(n, 2, "residual conjuncts (optimize={optimize})");
+    }
+}
+
 #[test]
 fn expires_in_is_relative_to_statement_time() {
     let mut db = Database::default();

@@ -1,12 +1,14 @@
 //! Criterion micro-benchmarks for the algebra operators (Figures 2–3 at
 //! scale): evaluation cost of each expiration-time operator as input size
 //! grows, plus the expression-metadata (texp/validity) overhead of the
-//! non-monotonic operators.
+//! non-monotonic operators, and `GROUP BY` as SQL plans it
+//! (`π(agg(Base))`) through `eval`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use exptime_bench::workload::{difference_pair, LifetimeDist, TableGen};
 use exptime_core::aggregate::{AggFunc, AggMode};
-use exptime_core::algebra::ops;
+use exptime_core::algebra::{eval, ops, EvalOptions, Expr};
+use exptime_core::catalog::Catalog;
 use exptime_core::predicate::{CmpOp, Predicate};
 use exptime_core::relation::Relation;
 use exptime_core::time::Time;
@@ -100,9 +102,10 @@ fn bench_non_monotonic(c: &mut Criterion) {
                 },
             );
         }
+        // The metadata comes with the rows, from the one grouping.
         g.bench_with_input(BenchmarkId::new("aggregate_meta", n), &n, |b, _| {
             b.iter(|| {
-                ops::aggregate_meta(
+                ops::aggregate(
                     black_box(&t),
                     &[0],
                     AggFunc::Sum(1),
@@ -112,6 +115,21 @@ fn bench_non_monotonic(c: &mut Criterion) {
                 .unwrap()
             });
         });
+        // `SELECT key, f FROM t GROUP BY key` as the planner writes it,
+        // through `eval`: the whole read, scan to result.
+        let mut catalog = Catalog::new();
+        catalog.register("t", t);
+        for (name, f) in [
+            ("group_by_count", AggFunc::Count),
+            ("group_by_avg", AggFunc::Avg(1)),
+        ] {
+            let e = Expr::base("t").aggregate([0], f).project([0, 2]);
+            g.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+                b.iter(|| {
+                    eval(black_box(&e), &catalog, Time::ZERO, &EvalOptions::default()).unwrap()
+                });
+            });
+        }
     }
     g.finish();
 }

@@ -72,14 +72,7 @@ pub fn tolerant_texp(
         let mut apply = |rows: &[Row]| f.apply(rows);
         return super::nu::nu(tau, partition, &mut apply);
     };
-    let mut events: Vec<Time> = partition
-        .iter()
-        .filter(|(_, e)| e.is_finite() && *e > tau)
-        .map(|(_, e)| *e)
-        .collect();
-    events.sort_unstable();
-    events.dedup();
-    for e in events {
+    for e in super::nu::event_times(tau, partition) {
         match numeric_at(f, partition, e)? {
             Some(v) if tolerance.accepts(original, v) => {}
             _ => return Ok(e), // drifted out of bounds, or partition died
@@ -104,13 +97,7 @@ pub fn tolerant_validity(
         let mut apply = |rows: &[Row]| f.apply(rows);
         return super::nu::tuple_validity(tau, partition, &mut apply);
     };
-    let mut events: Vec<Time> = partition
-        .iter()
-        .filter(|(_, e)| e.is_finite() && *e > tau)
-        .map(|(_, e)| *e)
-        .collect();
-    events.sort_unstable();
-    events.dedup();
+    let events = super::nu::event_times(tau, partition);
     let mut ivs = Vec::new();
     let mut start = Some(tau); // value at τ is trivially within tolerance
     let mut prev = tau;
@@ -145,14 +132,8 @@ pub fn max_error_within(tau: Time, partition: &[Row], f: AggFunc, until: Time) -
         return Ok(0.0);
     };
     let mut worst: f64 = 0.0;
-    let mut events: Vec<Time> = partition
-        .iter()
-        .filter(|(_, e)| e.is_finite() && *e > tau && *e < until)
-        .map(|(_, e)| *e)
-        .collect();
-    events.sort_unstable();
-    events.dedup();
-    for e in events {
+    let events = super::nu::event_times(tau, partition);
+    for e in events.into_iter().take_while(|e| *e < until) {
         if let Some(v) = numeric_at(f, partition, e)? {
             worst = worst.max((v - original).abs());
         }

@@ -16,8 +16,15 @@
 //! * [`AggMode::Contributing`] — Table 1 / Definition 2: ignore time-sliced
 //!   *neutral* subsets, yielding the first instant a *non-neutral* slice
 //!   expires (see [`neutral`]);
-//! * [`AggMode::Exact`] — Equation 9: the χ/ν machinery — the tuple expires
-//!   exactly when its aggregate value first changes (see [`nu`]).
+//! * [`AggMode::Exact`] — Equation 9: the tuple expires exactly when its
+//!   aggregate value first changes ([`nu::first_change`]).
+//!
+//! An evaluation groups its input exactly once: `Partitions` is `φexp`
+//! fed one lent row at a time (a row is held, not copied — a [`Tuple`] is
+//! reference-counted), and value, bound, ν and death are all read off the
+//! group's rows in place. [`AggFunc::apply`] is the definition of every
+//! function's value: whatever ν computes incrementally must equal, bit for
+//! bit, `apply` over the survivors.
 
 pub mod approx;
 pub mod neutral;
@@ -111,47 +118,65 @@ impl AggFunc {
     /// Returns [`Error::NonNumericAggregate`] if `sum`/`avg` meet a value
     /// with no numeric view.
     pub fn apply(&self, partition: &[Row]) -> Result<Option<Value>> {
-        if partition.is_empty() {
-            return Ok(None);
-        }
-        let numeric = |i: usize, f: &'static str| -> Result<Vec<f64>> {
-            partition
-                .iter()
-                .map(|(t, _)| {
-                    t.attr(i).as_numeric().ok_or(Error::NonNumericAggregate {
-                        function: f,
-                        attribute: i,
-                    })
-                })
-                .collect()
+        self.fold(partition.iter().map(|(t, _)| t))
+    }
+
+    /// [`apply`](Self::apply) over tuples that are only lent, folded in
+    /// place in the order given. `min` keeps the first of several equal
+    /// minima and `max` the last of several equal maxima. `sum` and `avg`
+    /// over INT values are integer arithmetic (the `i128` total, `sum`
+    /// saturating at the `i64` bounds); once any value is a FLOAT they are
+    /// the left-to-right `f64` fold, whose result depends on that order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NonNumericAggregate`] if `sum`/`avg` meet a value
+    /// with no numeric view.
+    pub(crate) fn fold<'a>(
+        &self,
+        rows: impl IntoIterator<Item = &'a Tuple>,
+    ) -> Result<Option<Value>> {
+        let rows = rows.into_iter();
+        let i = match *self {
+            AggFunc::Count => {
+                let n = rows.count();
+                return Ok((n > 0).then_some(Value::Int(n as i64)));
+            }
+            AggFunc::Min(i) => {
+                let min = rows.map(|t| t.attr(i)).min_by(|a, b| a.total_cmp(b));
+                return Ok(min.cloned());
+            }
+            AggFunc::Max(i) => {
+                let max = rows.map(|t| t.attr(i)).max_by(|a, b| a.total_cmp(b));
+                return Ok(max.cloned());
+            }
+            AggFunc::Sum(i) | AggFunc::Avg(i) => i,
         };
-        let all_int = |i: usize| partition.iter().all(|(t, _)| t.attr(i).as_int().is_some());
-        Ok(Some(match *self {
-            AggFunc::Count => Value::Int(partition.len() as i64),
-            AggFunc::Min(i) => partition
-                .iter()
-                .map(|(t, _)| t.attr(i).clone())
-                .min_by(|a, b| a.total_cmp(b))
-                .expect("non-empty partition"),
-            AggFunc::Max(i) => partition
-                .iter()
-                .map(|(t, _)| t.attr(i).clone())
-                .max_by(|a, b| a.total_cmp(b))
-                .expect("non-empty partition"),
-            AggFunc::Sum(i) => {
-                let xs = numeric(i, "sum")?;
-                let s: f64 = xs.iter().sum();
-                if all_int(i) {
-                    Value::Int(s as i64)
-                } else {
-                    Value::float(s)
-                }
-            }
-            AggFunc::Avg(i) => {
-                let xs = numeric(i, "avg")?;
-                Value::float(xs.iter().sum::<f64>() / xs.len() as f64)
-            }
+        let (mut n, mut ints, mut floats) = (0usize, Some(0i128), 0.0f64);
+        for t in rows {
+            let v = t.attr(i);
+            floats += v.as_numeric().ok_or(Error::NonNumericAggregate {
+                function: self.name(),
+                attribute: i,
+            })?;
+            ints = ints.zip(v.as_int()).map(|(s, x)| s + i128::from(x));
+            n += 1;
+        }
+        Ok((n > 0).then(|| match (ints, self) {
+            (Some(sum), _) => self.of_int_sum(sum, n),
+            (None, AggFunc::Avg(_)) => Value::float(floats / n as f64),
+            (None, _) => Value::float(floats),
         }))
+    }
+
+    /// The value `sum`/`avg` give `n > 0` INT values whose exact total is
+    /// `sum` — what lets ν carry a running total from one time slice to
+    /// the next instead of folding the survivors again.
+    pub(crate) fn of_int_sum(&self, sum: i128, n: usize) -> Value {
+        match self {
+            AggFunc::Avg(_) => Value::float(sum as f64 / n as f64),
+            _ => Value::Int(sum.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64),
+        }
     }
 }
 
@@ -178,45 +203,57 @@ pub enum AggMode {
     Exact,
 }
 
-/// The stable partitioning function `φexp` of Equation 7, applied to a whole
-/// relation at time `τ`: groups the unexpired tuples by equality on the
-/// grouping attributes (SQL `GROUP BY` semantics).
-///
-/// Returns `(group key, partition rows)` pairs; iteration order follows the
-/// first appearance of each key in `R`, keeping output deterministic.
-#[must_use]
-pub fn partition(rel: &Relation, group_by: &[usize], tau: Time) -> Vec<(Tuple, Vec<Row>)> {
-    let mut order: Vec<Tuple> = Vec::new();
-    let mut groups: HashMap<Tuple, Vec<Row>> = HashMap::new();
-    for (t, e) in rel.iter_at(tau) {
-        let key = t.project(group_by);
-        groups
-            .entry(key.clone())
-            .or_insert_with(|| {
-                order.push(key);
-                Vec::new()
-            })
-            .push((t.clone(), e));
-    }
-    order
-        .into_iter()
-        .map(|k| {
-            let rows = groups.remove(&k).expect("key recorded without group");
-            (k, rows)
-        })
-        .collect()
+/// The stable partitioning function `φexp` of Equation 7, fed one row at
+/// a time: groups rows by equality on the grouping attributes (SQL
+/// `GROUP BY` semantics). Groups keep the order in which their keys first
+/// appeared and rows the order in which they were pushed, so output is
+/// deterministic. A pushed row is held (a reference-count bump), never
+/// copied, and a row whose key is already known allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Partitions {
+    groups: Vec<(Tuple, Vec<Row>)>,
+    index: HashMap<Tuple, usize>,
+    key: Vec<Value>,
 }
 
-/// `φexp(R, r)` for a single reference tuple (Equation 7): the partition of
-/// which `r` is an element, i.e. all unexpired tuples agreeing with `r` on
-/// the grouping attributes.
+impl Partitions {
+    /// Adds `t`, expiring at `e`, to the group of its `group_by` values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a grouping position is outside `t`'s arity.
+    pub(crate) fn push(&mut self, group_by: &[usize], t: &Tuple, e: Time) {
+        self.key.clear();
+        self.key.extend(group_by.iter().map(|&j| t.attr(j).clone()));
+        let group = match self.index.get(self.key.as_slice()) {
+            Some(&i) => i,
+            None => {
+                let key = Tuple::new(self.key.clone());
+                self.index.insert(key.clone(), self.groups.len());
+                self.groups.push((key, Vec::new()));
+                self.groups.len() - 1
+            }
+        };
+        self.groups[group].1.push((t.clone(), e));
+    }
+
+    /// The `(group key, partition rows)` pairs, in first-appearance order.
+    pub(crate) fn into_groups(self) -> Vec<(Tuple, Vec<Row>)> {
+        self.groups
+    }
+}
+
+/// `φexp` (Equation 7) over a whole relation at time `τ`: the unexpired
+/// tuples, grouped by equality on the grouping attributes. Returns
+/// `(group key, partition rows)` pairs in the order in which the keys
+/// first appear in `R`, each partition in `R`'s order.
 #[must_use]
-pub fn partition_of(rel: &Relation, group_by: &[usize], r: &Tuple, tau: Time) -> Vec<Row> {
-    let key = r.project(group_by);
-    rel.iter_at(tau)
-        .filter(|(t, _)| t.project(group_by) == key)
-        .map(|(t, e)| (t.clone(), e))
-        .collect()
+pub fn partition(rel: &Relation, group_by: &[usize], tau: Time) -> Vec<(Tuple, Vec<Row>)> {
+    let mut partitions = Partitions::default();
+    for (t, e) in rel.iter_at(tau) {
+        partitions.push(group_by, t, e);
+    }
+    partitions.into_groups()
 }
 
 /// The expiration time of one aggregation result tuple for a given
@@ -230,7 +267,7 @@ pub fn result_texp(partition: &[Row], f: AggFunc, mode: AggMode, tau: Time) -> R
         AggMode::Naive => Ok(Time::min_of(partition.iter().map(|(_, e)| *e))
             .expect("result_texp requires a non-empty partition")),
         AggMode::Contributing => neutral::contributing_texp(partition, f),
-        AggMode::Exact => nu::nu(tau, partition, &mut |rows| f.apply(rows)),
+        AggMode::Exact => nu::first_change(tau, partition, f),
     }
 }
 
@@ -263,6 +300,30 @@ mod tests {
     fn sum_stays_int_when_inputs_are_int() {
         let p = rows(&[(1, 10, 5), (2, -4, 7)]);
         assert_eq!(AggFunc::Sum(1).apply(&p).unwrap(), Some(Value::Int(6)));
+    }
+
+    /// 2^53 + 1 has no `f64`: a sum that went through one loses the 1.
+    #[test]
+    fn int_sum_is_exact_and_saturates() {
+        const BIG: i64 = (1 << 53) + 1;
+        let p = rows(&[(1, BIG, 5)]);
+        assert_eq!(AggFunc::Sum(1).apply(&p).unwrap(), Some(Value::Int(BIG)));
+        let p = rows(&[(1, BIG, 5), (2, 1, 7), (3, -3, 9)]);
+        assert_eq!(
+            AggFunc::Sum(1).apply(&p).unwrap(),
+            Some(Value::Int(BIG - 2))
+        );
+        let p = rows(&[(1, i64::MAX, 5), (2, i64::MAX, 7), (3, -1, 9)]);
+        assert_eq!(
+            AggFunc::Sum(1).apply(&p).unwrap(),
+            Some(Value::Int(i64::MAX)),
+            "saturates; the exact total is kept until the end, so −1 does not bring it back"
+        );
+        let p = rows(&[(1, i64::MIN, 5), (2, -1, 7)]);
+        assert_eq!(
+            AggFunc::Sum(1).apply(&p).unwrap(),
+            Some(Value::Int(i64::MIN))
+        );
     }
 
     #[test]
@@ -365,14 +426,6 @@ mod tests {
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].1.len(), 1);
         assert_eq!(parts[0].1[0].0, tuple![2, 25]);
-    }
-
-    #[test]
-    fn partition_of_single_tuple() {
-        let p = partition_of(&pol(), &[1], &tuple![1, 25], Time::ZERO);
-        assert_eq!(p.len(), 2);
-        let p35 = partition_of(&pol(), &[1], &tuple![3, 35], Time::ZERO);
-        assert_eq!(p35.len(), 1);
     }
 
     #[test]

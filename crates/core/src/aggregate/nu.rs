@@ -1,5 +1,4 @@
-//! The χ/ν change-point machinery for arbitrary aggregate functions
-//! (paper Equation 9 and Section 3.4.1).
+//! The χ/ν change-point machinery (paper Equation 9 and Section 3.4.1).
 //!
 //! The paper defines
 //!
@@ -13,10 +12,33 @@
 //! are best calculated when the actual aggregate values … are computed"
 //! rather than by naive per-tick translation: the aggregate value over
 //! `expτ′(P)` is piecewise constant in `τ′` and can only change at the
-//! distinct expiration times of the partition's tuples, so one sweep over
-//! the sorted time slices computes everything. [`nu_naive`] keeps the
-//! literal per-tick definition as a differential-testing oracle (and as the
-//! ablation baseline for experiment A1).
+//! distinct expiration times of the partition's tuples.
+//!
+//! There are two readings of that here, and they are kept apart.
+//!
+//! **Production: [`first_change`].** An evaluation needs one number per
+//! partition — the first change point — so that is all it computes: no
+//! row is cloned, and it stops at the first time slice whose value
+//! differs from the one at `τ`. Each standard function has its own rule
+//! (count: the earliest expiration; min/max: the latest expiration among
+//! the rows holding the extreme; INT sum/avg: one sort by `texp` and an
+//! exact running total carried from slice to slice — delta summation
+//! over the sorted change points). FLOAT sum/avg have no such shortcut:
+//! `f64` addition is not associative, so a running total and a fresh
+//! fold of the survivors can differ in the last bit, and the value a
+//! recomputation would emit is by definition
+//! [`AggFunc::apply`](super::AggFunc::apply) over the survivors in input
+//! order. For those, each slice folds the survivors again (in place), and
+//! still stops at the first difference.
+//!
+//! **Oracle: [`value_timeline`], [`nu`], [`nu_naive`].** The
+//! closure-generic definitions — any deterministic `f`, the whole
+//! timeline, `f` re-applied to a copy of the survivors at every slice
+//! (`O(k·n)`), or at every tick. They are what `first_change` is
+//! property-tested against, what the tolerance-based [`approx`](super::approx)
+//! and the validity/change-count functions below are built from, and the
+//! ablation baselines of experiments E4/E9/A1. Nothing on the evaluation
+//! path calls them (repolint R006).
 //!
 //! One convention note: with `texp` semantics "visible while `now < texp`",
 //! the right expiration time for a result tuple whose value first *differs*
@@ -24,11 +46,11 @@
 //! must be gone at `e`). The paper's literal `ν` is the `τ′` with
 //! `χ(τ′) = true`, i.e. `e − 1`; assigning that would hide the tuple one
 //! tick early and contradict the paper's own Figure 3(a), where `⟨25, 2⟩`
-//! "expires at 10" (not 9). [`nu`] therefore returns the first instant at
-//! which the value differs — `ν_literal + 1` — which is the quantity every
-//! use site in the paper actually needs.
+//! "expires at 10" (not 9). [`nu`] and [`first_change`] therefore return
+//! the first instant at which the value differs — `ν_literal + 1` — which
+//! is the quantity every use site in the paper actually needs.
 
-use super::Row;
+use super::{AggFunc, Row};
 use crate::error::Result;
 use crate::interval::{Interval, IntervalSet};
 use crate::time::Time;
@@ -48,6 +70,19 @@ fn surviving(partition: &[Row], tau: Time) -> Vec<Row> {
         .collect()
 }
 
+/// The only instants after `τ` at which the aggregate value can change:
+/// the partition's distinct finite expiration times, ascending.
+pub(super) fn event_times(tau: Time, partition: &[Row]) -> Vec<Time> {
+    let mut events: Vec<Time> = partition
+        .iter()
+        .map(|(_, e)| *e)
+        .filter(|e| e.is_finite() && *e > tau)
+        .collect();
+    events.sort_unstable();
+    events.dedup();
+    events
+}
+
 /// The piecewise-constant timeline of the aggregate value from `τ` onwards:
 /// `(start, value)` entries meaning the value holds on `[start, next start[`
 /// (the last entry holds forever). `value = None` means the partition is
@@ -63,14 +98,7 @@ pub fn value_timeline(
     f: AggFn<'_>,
 ) -> Result<Vec<(Time, Option<Value>)>> {
     let mut timeline = vec![(tau, f(&surviving(partition, tau))?)];
-    let mut events: Vec<Time> = partition
-        .iter()
-        .filter(|(_, e)| e.is_finite() && *e > tau)
-        .map(|(_, e)| *e)
-        .collect();
-    events.sort_unstable();
-    events.dedup();
-    for e in events {
+    for e in event_times(tau, partition) {
         let v = f(&surviving(partition, e))?;
         if v != timeline.last().expect("timeline non-empty").1 {
             timeline.push((e, v));
@@ -98,9 +126,10 @@ pub fn chi(tau_prime: Time, partition: &[Row], f: AggFn<'_>) -> Result<bool> {
 /// the value never changes (e.g. the partition contains `∞` rows that pin
 /// it forever).
 ///
-/// Computed by a single sweep over the partition's time slices:
-/// `O(k · cost(f))` for `k` distinct expiration times, versus the naive
-/// per-tick `O(range · cost(f))` of [`nu_naive`].
+/// Read off the whole [`value_timeline`]: `O(k · cost(f))` for `k`
+/// distinct expiration times, versus the per-tick `O(range · cost(f))` of
+/// [`nu_naive`]. The definition for an arbitrary `f`; evaluation uses
+/// [`first_change`].
 ///
 /// # Errors
 ///
@@ -111,6 +140,83 @@ pub fn nu(tau: Time, partition: &[Row], f: AggFn<'_>) -> Result<Time> {
         Some(&(t, _)) => t,
         None => Time::INFINITY,
     })
+}
+
+/// ν for the standard functions, as evaluation computes it: equal to
+/// [`nu`] over [`AggFunc::apply`] (property-tested), but it clones no row
+/// and stops at the first time slice at which the emitted value differs
+/// from the one at `τ`. The module docs give the per-function rules.
+///
+/// # Errors
+///
+/// Propagates [`Error::NonNumericAggregate`](crate::error::Error) from `f`.
+pub fn first_change(tau: Time, partition: &[Row], f: AggFunc) -> Result<Time> {
+    let alive = || partition.iter().filter(move |(_, e)| *e > tau);
+    match f {
+        // Every departure changes the count.
+        AggFunc::Count => Ok(Time::min_of(alive().map(|(_, e)| *e)).unwrap_or(Time::INFINITY)),
+        AggFunc::Min(i) | AggFunc::Max(i) => {
+            let Some(extreme) = f.fold(alive().map(|(t, _)| t))? else {
+                return Ok(Time::INFINITY);
+            };
+            let holders = alive().filter(|(t, _)| t.attr(i).total_cmp(&extreme).is_eq());
+            // While one holder lives the extreme is held; when the last
+            // goes, what is left is strictly beyond it, or nothing. Only
+            // an untyped column can hold `2` and `2.0` at once, and then
+            // which of them is emitted depends on who is left.
+            if holders.clone().all(|(t, _)| *t.attr(i) == extreme) {
+                Ok(holders.map(|(_, e)| *e).max().expect("the extreme is held"))
+            } else {
+                first_change_by_folding(tau, partition, f)
+            }
+        }
+        AggFunc::Sum(i) | AggFunc::Avg(i) => {
+            let ints: Option<Vec<(Time, i64)>> = alive()
+                .map(|(t, e)| t.attr(i).as_int().map(|v| (*e, v)))
+                .collect();
+            match ints {
+                Some(ints) => Ok(first_change_of_int_sum(ints, f)),
+                None => first_change_by_folding(tau, partition, f),
+            }
+        }
+    }
+}
+
+/// Delta summation: the rows sorted once by `texp`, and the exact total
+/// and count carried from each time slice to the next.
+fn first_change_of_int_sum(mut rows: Vec<(Time, i64)>, f: AggFunc) -> Time {
+    if rows.is_empty() {
+        return Time::INFINITY;
+    }
+    rows.sort_unstable_by_key(|(e, _)| *e);
+    let mut sum: i128 = rows.iter().map(|&(_, v)| i128::from(v)).sum();
+    let mut n = rows.len();
+    let original = f.of_int_sum(sum, n);
+    let mut rest = rows.as_slice();
+    while let Some(&(at, _)) = rest.first().filter(|(e, _)| e.is_finite()) {
+        let (slice, later) = rest.split_at(rest.partition_point(|(e, _)| *e == at));
+        sum -= slice.iter().map(|&(_, v)| i128::from(v)).sum::<i128>();
+        n -= slice.len();
+        if n == 0 || f.of_int_sum(sum, n) != original {
+            return at;
+        }
+        rest = later;
+    }
+    Time::INFINITY
+}
+
+/// The definition, without the copies: at each distinct expiration time
+/// in turn, `f` folded over the survivors in input order, until the value
+/// differs from the one at `τ`.
+fn first_change_by_folding(tau: Time, partition: &[Row], f: AggFunc) -> Result<Time> {
+    let at = |now: Time| f.fold(partition.iter().filter(|(_, e)| *e > now).map(|(t, _)| t));
+    let original = at(tau)?;
+    for e in event_times(tau, partition) {
+        if at(e)? != original {
+            return Ok(e);
+        }
+    }
+    Ok(Time::INFINITY)
 }
 
 /// The literal per-tick evaluation of ν (then shifted by the one-tick

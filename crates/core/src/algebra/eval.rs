@@ -17,24 +17,31 @@
 //!   eternally maintainable (Theorem 3).
 //!
 //! Every operator is one `ops::` call over its materialised inputs, with
-//! two exceptions that exist so a row that does not come out is never
-//! copied. A fragment `π? σ* Base` — a bare `Base` included, so it is the
-//! one place base rows enter the evaluation — runs as a single pass over
-//! the rows [`Bindings::visit`] lends (`eval_leaf`): each row is tested in
-//! place and only survivors are inserted. And `σ_p(L × R)` runs as
-//! `L ⋈_p R`, which is Equation 5 read right to left, so the product is
-//! never built. Both report to the probe as the operators they stand for.
+//! three exceptions that exist so a row that does not come out is never
+//! copied. A fragment `π? σ* Base` — a bare `Base` included — runs as a
+//! single pass over the rows [`Bindings::visit`] lends (`eval_leaf` over a
+//! `Scan`): each row is tested in place and only survivors are inserted.
+//! `σ_p(L × R)` runs as `L ⋈_p R`, which is Equation 5 read right to left,
+//! so the product is never built. And an aggregation groups its input
+//! exactly once (`eval_aggregate`): straight from the same `Scan` when the
+//! input is `σ* Base`, so no input relation is built, and under a π onto
+//! grouping attributes and the aggregate column — what a single-aggregate
+//! `GROUP BY` plans to — it emits one row per group, so the Klug rows of
+//! Equation 8 are not built either. All three report to the probe as the
+//! operators they stand for.
 
 use crate::aggregate::AggMode;
 use crate::algebra::expr::Expr;
-use crate::algebra::ops;
+use crate::algebra::ops::{self, Aggregation};
 use crate::catalog::Bindings;
 use crate::error::Result;
 use crate::interval::IntervalSet;
 use crate::patch::PatchQueue;
 use crate::predicate::Predicate;
 use crate::relation::{DuplicatePolicy, Relation};
+use crate::schema::Schema;
 use crate::time::Time;
+use crate::tuple::Tuple;
 
 /// Options controlling evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,82 +161,186 @@ struct Sub {
     validity: IntervalSet,
 }
 
+/// A fragment `σ* Base`: the one place base rows enter an evaluation, as
+/// a single pass over the rows `catalog` lends.
+struct Scan<'a> {
+    base: &'a Expr,
+    name: &'a str,
+    /// Outermost first.
+    selects: Vec<(&'a Expr, &'a Predicate)>,
+}
+
+impl<'a> Scan<'a> {
+    /// `None` unless `node` has the shape `σ* Base`.
+    fn of(mut node: &'a Expr) -> Option<Self> {
+        let mut selects = Vec::new();
+        while let Expr::Select { input, predicate } = node {
+            selects.push((node, predicate));
+            node = input;
+        }
+        match node {
+            Expr::Base(name) => Some(Scan {
+                base: node,
+                name,
+                selects,
+            }),
+            _ => None,
+        }
+    }
+
+    /// Enters every operator of the fragment and resolves its schema,
+    /// raising errors in the order the unfused operators do: the base,
+    /// then each σ from the inside out.
+    fn open<P: Probe>(&self, catalog: &dyn Bindings, probe: &mut P) -> Result<Schema> {
+        for _ in 0..=self.selects.len() {
+            probe.enter();
+        }
+        let schema = catalog.schema(self.name)?;
+        for (_, p) in self.selects.iter().rev() {
+            p.validate(schema.arity())?;
+        }
+        Ok(schema)
+    }
+
+    /// Equation 1 applied row by row: `keep` is handed each visible row
+    /// that passes every σ — a row that fails one is never copied — and
+    /// the probe hears the operators with the counts they would have had
+    /// unfused: the `Base` its visible and expired-but-present rows, each
+    /// σ the rows that passed it.
+    fn run<P: Probe>(
+        &self,
+        catalog: &dyn Bindings,
+        tau: Time,
+        probe: &mut P,
+        keep: &mut dyn FnMut(&Tuple, Time) -> Result<()>,
+    ) -> Result<()> {
+        let mut passed = vec![0; self.selects.len()];
+        let mut visible = 0;
+        let mut failed = None;
+        let skipped = catalog.visit(self.name, tau, &mut |t, e| {
+            visible += 1;
+            for ((_, p), n) in self.selects.iter().zip(&mut passed).rev() {
+                if !p.eval(t) {
+                    return false;
+                }
+                *n += 1;
+            }
+            if let Err(err) = keep(t, e) {
+                failed.get_or_insert(err);
+            }
+            true
+        })?;
+        if let Some(err) = failed {
+            return Err(err);
+        }
+        // "The expiration time of a base relation is defined to be
+        // infinity", and σ passes its input's on.
+        probe.leave(self.base, visible, skipped, Time::INFINITY);
+        for ((select, _), n) in self.selects.iter().zip(&passed).rev() {
+            probe.leave(select, *n, 0, Time::INFINITY);
+        }
+        Ok(())
+    }
+}
+
 /// Evaluates `expr` if it has the shape `π? σ* Base` — what a
 /// single-table `SELECT` plans to, a bare `Base` being the degenerate
-/// case — in one pass over the rows `catalog` lends; `None` for any other
-/// shape. Equations 1 and 3 applied row by row: a row that fails a
-/// predicate is never copied, a survivor keeps its `texp`, and survivors
-/// that coincide under the projection keep the maximum.
-///
-/// The probe hears every peeled operator with the counts it would have
-/// had unfused: the `Base` its visible and expired-but-present rows, each
-/// σ the rows that passed it, the π its distinct output.
+/// case — in one pass; `None` for any other shape. A survivor keeps its
+/// `texp`, and survivors that coincide under the projection keep the
+/// maximum (Equation 3); the π reports its distinct output and raises its
+/// error after the σs'.
 fn eval_leaf<P: Probe>(
     expr: &Expr,
     catalog: &dyn Bindings,
     tau: Time,
     probe: &mut P,
 ) -> Result<Option<Relation>> {
-    let (positions, mut node) = match expr {
+    let (positions, node) = match expr {
         Expr::Project { input, positions } => (Some(positions.as_slice()), &**input),
         _ => (None, expr),
     };
-    // Outermost first.
-    let mut selects: Vec<(&Expr, &Predicate)> = Vec::new();
-    while let Expr::Select { input, predicate } = node {
-        selects.push((node, predicate));
-        node = input;
-    }
-    let Expr::Base(name) = node else {
+    let Some(scan) = Scan::of(node) else {
         return Ok(None);
     };
-    for _ in 0..usize::from(positions.is_some()) + selects.len() + 1 {
+    if positions.is_some() {
         probe.enter();
     }
-    // Errors in the order the unfused operators raise them: the base,
-    // then each σ from the inside out, then the π.
-    let schema = catalog.schema(name)?;
-    for (_, p) in selects.iter().rev() {
-        p.validate(schema.arity())?;
-    }
+    let schema = scan.open(catalog, probe)?;
     let mut out = Relation::new(match positions {
         Some(ps) => schema.project(ps)?,
         None => schema,
     });
-    let mut passed = vec![0; selects.len()];
-    let mut visible = 0;
-    let mut failed = None;
-    let skipped = catalog.visit(name, tau, &mut |t, e| {
-        visible += 1;
-        for ((_, p), n) in selects.iter().zip(&mut passed).rev() {
-            if !p.eval(t) {
-                return false;
-            }
-            *n += 1;
-        }
-        let inserted = match positions {
-            // KeepMax is exactly Equation 3's max over coinciding tuples.
-            Some(ps) => out.insert_with(t.project(ps), e, DuplicatePolicy::KeepMax),
-            None => out.insert(t.clone(), e),
-        };
-        if let Err(err) = inserted {
-            failed.get_or_insert(err);
-        }
-        true
+    scan.run(catalog, tau, probe, &mut |t, e| match positions {
+        // KeepMax is exactly Equation 3's max over coinciding tuples.
+        Some(ps) => out.insert_with(t.project(ps), e, DuplicatePolicy::KeepMax),
+        None => out.insert(t.clone(), e),
     })?;
-    if let Some(err) = failed {
-        return Err(err);
-    }
-    // "The expiration time of a base relation is defined to be infinity",
-    // and σ and π pass their input's on.
-    probe.leave(node, visible, skipped, Time::INFINITY);
-    for ((select, _), n) in selects.iter().zip(&passed).rev() {
-        probe.leave(select, *n, 0, Time::INFINITY);
-    }
     if positions.is_some() {
         probe.leave(expr, out.len(), 0, Time::INFINITY);
     }
     Ok(Some(out))
+}
+
+/// Evaluates `expr` if it has the shape `π? aggexp(e)`; `None` for any
+/// other shape. The input is grouped exactly once ([`Aggregation`]) — from
+/// the lent rows of a [`Scan`] when `e` is `σ* Base`, so no input relation
+/// is built, else from `e`'s result — and rows, `texp(e)` and validity
+/// all come from that one grouping. A π directly above is handed down:
+/// `GROUP BY` output is then emitted one row per group. The aggregation
+/// reports the Klug cardinality it stands for, built or not, and errors
+/// keep the unfused order: the input's, the aggregation's, then the π's.
+fn eval_aggregate<P: Probe>(
+    expr: &Expr,
+    catalog: &dyn Bindings,
+    tau: Time,
+    opts: &EvalOptions,
+    probe: &mut P,
+) -> Result<Option<Sub>> {
+    let (positions, node) = match expr {
+        Expr::Project { input, positions } => (Some(positions.as_slice()), &**input),
+        _ => (None, expr),
+    };
+    let Expr::Aggregate {
+        input,
+        group_by,
+        func,
+    } = node
+    else {
+        return Ok(None);
+    };
+    for _ in 0..=usize::from(positions.is_some()) {
+        probe.enter();
+    }
+    let (out, texp, validity) = match Scan::of(input) {
+        Some(scan) => {
+            let schema = scan.open(catalog, probe)?;
+            let mut agg = Aggregation::new(&schema, group_by, *func, opts.agg_mode, tau)?;
+            scan.run(catalog, tau, probe, &mut |t, e| {
+                agg.push(t, e);
+                Ok(())
+            })?;
+            let all = IntervalSet::from_time(tau);
+            (agg.finish(positions)?, Time::INFINITY, all)
+        }
+        None => {
+            let i = eval_rec(input, catalog, tau, opts, probe)?;
+            let mut agg = Aggregation::new(i.rel.schema(), group_by, *func, opts.agg_mode, tau)?;
+            for (t, e) in i.rel.iter_at(tau) {
+                agg.push(t, e);
+            }
+            (agg.finish(positions)?, i.texp, i.validity)
+        }
+    };
+    let texp = texp.min(out.meta.texp);
+    probe.leave(node, out.klug_rows, 0, texp);
+    if positions.is_some() {
+        probe.leave(expr, out.rel.len(), 0, texp);
+    }
+    Ok(Some(Sub {
+        rel: out.rel,
+        texp,
+        validity: validity.intersect(&out.meta.validity),
+    }))
 }
 
 /// Equation 5 in both its spellings: `L ⋈_p R`, and `σ_p(L × R)` read
@@ -277,6 +388,9 @@ fn eval_rec<P: Probe>(
             texp: Time::INFINITY,
             validity: IntervalSet::from_time(tau),
         });
+    }
+    if let Some(sub) = eval_aggregate(expr, catalog, tau, opts, probe)? {
+        return Ok(sub);
     }
     probe.enter();
     let sub = match expr {
@@ -353,19 +467,7 @@ fn eval_rec<P: Probe>(
                 validity: l.validity.intersect(&r.validity).intersect(&own_validity),
             }
         }
-        Expr::Aggregate {
-            input,
-            group_by,
-            func,
-        } => {
-            let i = eval_rec(input, catalog, tau, opts, probe)?;
-            let meta = ops::aggregate_meta(&i.rel, group_by, *func, opts.agg_mode, tau)?;
-            Sub {
-                rel: ops::aggregate(&i.rel, group_by, *func, opts.agg_mode, tau)?,
-                texp: i.texp.min(meta.texp),
-                validity: i.validity.intersect(&meta.validity),
-            }
-        }
+        Expr::Aggregate { .. } => unreachable!("an aggregation is evaluated above"),
     };
     probe.leave(expr, sub.rel.len(), 0, sub.texp);
     Ok(sub)

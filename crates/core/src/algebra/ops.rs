@@ -9,11 +9,12 @@
 //! Schrödinger validity intervals) is provided by companion `*_meta`
 //! functions for the non-monotonic operators.
 
-use crate::aggregate::{self, AggFunc, AggMode};
+use crate::aggregate::{self, AggFunc, AggMode, Partitions};
 use crate::error::{Error, Result};
 use crate::interval::{Interval, IntervalSet};
 use crate::predicate::Predicate;
 use crate::relation::{DuplicatePolicy, Relation};
+use crate::schema::Schema;
 use crate::time::Time;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -357,51 +358,6 @@ pub fn difference_meta(r: &Relation, s: &Relation, tau: Time) -> DifferenceMeta 
     }
 }
 
-/// Aggregation `aggexp_{j1,…,jn,f}(R)` (Equation 8, Klug-style): every
-/// unexpired input tuple is extended with the aggregate value of its
-/// partition; the expiration time of each result tuple is assigned
-/// according to `mode` (Equation 8 naive, Table 1 contributing sets, or
-/// Equation 9 exact).
-///
-/// # Errors
-///
-/// Returns errors on bad grouping positions or non-numeric aggregation.
-pub fn aggregate(
-    r: &Relation,
-    group_by: &[usize],
-    f: AggFunc,
-    mode: AggMode,
-    tau: Time,
-) -> Result<Relation> {
-    for &j in group_by {
-        if j >= r.arity() {
-            return Err(Error::AttributeOutOfRange {
-                index: j,
-                arity: r.arity(),
-            });
-        }
-    }
-    f.validate(r.arity())?;
-    let input_ty = f.attribute().map(|i| r.schema().attr(i).ty);
-    let schema = r.schema().append(&f.to_string(), f.result_type(input_ty));
-    let mut out = Relation::new(schema);
-    for (_, rows) in aggregate::partition(r, group_by, tau) {
-        let value = f.apply(&rows)?.expect("partitions are non-empty");
-        let texp = aggregate::result_texp(&rows, f, mode, tau)?;
-        for (t, e) in &rows {
-            // Equation 8 keeps the full input tuple and appends `a`. The
-            // mode supplies one partition-level bound (Equation 9 assigns
-            // "the same expiration time" to the partition), but a result
-            // tuple can never outlive its own base tuple: a fresh
-            // evaluation after texp_R(r) would not contain ⟨r, a⟩ at all,
-            // so the per-tuple expiration is min(texp_R(r), bound). (For
-            // Naive mode the bound is already ≤ every texp_R(r).)
-            out.insert(t.append(value.clone()), texp.min(*e))?;
-        }
-    }
-    Ok(out)
-}
-
 /// Expression-level metadata for a materialised aggregation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AggregateMeta {
@@ -413,8 +369,8 @@ pub struct AggregateMeta {
     pub texp: Time,
     /// The Schrödinger validity relative to query time `τ`: the
     /// intersection over partitions of `[τ, cut[ ∪ [death, ∞[`, where the
-    /// cut is the earlier of the first live value change and the
-    /// mode-induced row loss (see [`aggregate_meta`]).
+    /// cut is the earlier of the first value change and the mode-induced
+    /// row loss (see [`aggregate`]).
     ///
     /// Section 3.4.1 writes `I(e) = ⋂_t I_R(t)` over member tuples, with
     /// `I_R(t)` the intervals where the aggregate value equals its value
@@ -430,64 +386,184 @@ pub struct AggregateMeta {
     pub validity: IntervalSet,
 }
 
-/// Computes [`AggregateMeta`] at time `τ` for a given tuple-expiration
-/// `mode` — the mode matters because a conservative mode (Eq. 8 naive,
-/// Table 1 contributing) removes result tuples from the materialisation
-/// *before* their partition's value changes, and the expression is
-/// invalid from the first instant a removed row's base still lives
-/// (exactly why the paper's Figure 3(a) is invalid from time 10, the
-/// Eq. 8 bound). Under [`AggMode::Exact`] the mode bound coincides with
-/// the first live value change, so nothing extra triggers.
+/// One evaluation of `aggexp_{j1,…,jn,f}` at `τ`: rows go in one at a
+/// time — lent by a scan or read from a built relation — and are grouped
+/// once; [`finish`](Self::finish) reads the value, the mode's bound, ν and
+/// the partition's death off each group and derives the output rows and
+/// the [`AggregateMeta`] from them.
+#[derive(Debug)]
+pub(crate) struct Aggregation<'a> {
+    input: &'a Schema,
+    group_by: &'a [usize],
+    f: AggFunc,
+    mode: AggMode,
+    tau: Time,
+    partitions: Partitions,
+}
+
+/// What [`Aggregation::finish`] returns.
+#[derive(Debug)]
+pub(crate) struct Aggregated {
+    /// `aggexp(R)`, or `πexp(aggexp(R))` if a projection was asked for.
+    pub(crate) rel: Relation,
+    pub(crate) meta: AggregateMeta,
+    /// `|aggexp(R)|`: one Klug row per input row, built or not.
+    pub(crate) klug_rows: usize,
+}
+
+impl<'a> Aggregation<'a> {
+    /// # Errors
+    ///
+    /// Returns [`Error::AttributeOutOfRange`] on a grouping or aggregated
+    /// position outside `input`.
+    pub(crate) fn new(
+        input: &'a Schema,
+        group_by: &'a [usize],
+        f: AggFunc,
+        mode: AggMode,
+        tau: Time,
+    ) -> Result<Self> {
+        let arity = input.arity();
+        if let Some(&index) = group_by.iter().find(|&&j| j >= arity) {
+            return Err(Error::AttributeOutOfRange { index, arity });
+        }
+        f.validate(arity)?;
+        Ok(Aggregation {
+            input,
+            group_by,
+            f,
+            mode,
+            tau,
+            partitions: Partitions::default(),
+        })
+    }
+
+    /// Adds one row of `expτ(R)`.
+    pub(crate) fn push(&mut self, t: &Tuple, e: Time) {
+        self.partitions.push(self.group_by, t, e);
+    }
+
+    /// Equation 8, Klug-style: every input tuple extended with the
+    /// aggregate value `a` of its partition, expiring at the partition's
+    /// bound under `mode` (Equation 8 naive, Table 1 contributing sets, or
+    /// Equation 9 exact) or with its own base tuple, whichever is first —
+    /// the mode supplies one partition-level bound (Equation 9 assigns
+    /// "the same expiration time" to the partition), but a fresh
+    /// evaluation after `texp_R(r)` would not contain `⟨r, a⟩` at all.
+    ///
+    /// With `positions`, the result is `πexp_positions` of that. When every
+    /// position is a grouping attribute or the aggregate column — SQL's
+    /// `GROUP BY` output, Figure 3(a)'s `πexp_{2,3}(aggexp_{{2},count}(Pol))`
+    /// — the Klug rows are not built: all rows of a group coincide under
+    /// the projection, and Equation 3's maximum over them is
+    /// `min(bound, max texp of the group)`, so one row per group is
+    /// emitted (`KeepMax` merging groups that coincide because the
+    /// projection dropped a grouping attribute).
+    ///
+    /// The metadata, per partition: the result goes wrong at the first
+    /// change of the value (ν) or, under a conservative `mode`, already at
+    /// the bound that removes the partition's result rows *before* the
+    /// value changes (exactly why the paper's Figure 3(a) is invalid from
+    /// time 10, the Eq. 8 bound) — whichever is first, the cut — provided
+    /// a base row of the partition is still alive then: a partition that
+    /// is dead is right again, its tuples having legitimately disappeared.
+    ///
+    /// # Errors
+    ///
+    /// Returns non-numeric aggregation errors, then the projection's.
+    pub(crate) fn finish(self, positions: Option<&[usize]>) -> Result<Aggregated> {
+        let Aggregation {
+            input,
+            group_by,
+            f,
+            mode,
+            tau,
+            partitions,
+        } = self;
+        let arity = input.arity();
+        let input_ty = f.attribute().map(|i| input.attr(i).ty);
+        let schema = input.append(&f.to_string(), f.result_type(input_ty));
+        let per_group =
+            positions.filter(|ps| ps.iter().all(|&p| p == arity || group_by.contains(&p)));
+        let mut rel = Relation::new(match per_group {
+            Some(ps) => schema.project(ps)?,
+            None => schema,
+        });
+        let mut texp = Time::INFINITY;
+        let mut holes = Vec::new();
+        let mut klug_rows = 0;
+        for (_, rows) in partitions.into_groups() {
+            let value = f.apply(&rows)?.expect("partitions are non-empty");
+            let nu = aggregate::nu::first_change(tau, &rows, f)?;
+            let bound = match mode {
+                AggMode::Exact => nu,
+                _ => aggregate::result_texp(&rows, f, mode, tau)?,
+            };
+            let death = aggregate::nu::partition_death(&rows).expect("partitions are non-empty");
+            // Wrong from the cut until the partition is dead — even where
+            // the value returns, for the materialised tuples are gone and
+            // cannot reappear (see `AggregateMeta::validity`).
+            let cut = nu.min(bound);
+            if cut < death {
+                texp = texp.min(cut);
+                holes.push(Interval::new(cut, death));
+            }
+
+            klug_rows += rows.len();
+            match per_group {
+                Some(ps) => {
+                    let first = &rows[0].0;
+                    let row = ps.iter().map(|&p| match first.get(p) {
+                        Some(v) => v.clone(),
+                        None => value.clone(),
+                    });
+                    rel.insert_with(
+                        Tuple::new(row.collect::<Vec<_>>()),
+                        bound.min(death),
+                        DuplicatePolicy::KeepMax,
+                    )?;
+                }
+                None => {
+                    for (t, e) in &rows {
+                        rel.insert(t.append(value.clone()), bound.min(*e))?;
+                    }
+                }
+            }
+        }
+        if let (Some(ps), None) = (positions, per_group) {
+            rel = project(&rel, ps, tau)?;
+        }
+        let validity = IntervalSet::from_time(tau).subtract(&IntervalSet::from_intervals(holes));
+        Ok(Aggregated {
+            rel,
+            meta: AggregateMeta { texp, validity },
+            klug_rows,
+        })
+    }
+}
+
+/// Aggregation `aggexp_{j1,…,jn,f}(R)` (Equation 8, Klug-style) over a
+/// built relation: every unexpired input tuple extended with the aggregate
+/// value of its partition and expiring at the partition's bound under
+/// `mode` or with its own base tuple, whichever is first; and the
+/// expression-level metadata that goes with those rows.
 ///
 /// # Errors
 ///
-/// Propagates aggregation errors.
-pub fn aggregate_meta(
+/// Returns errors on bad grouping positions or non-numeric aggregation.
+pub fn aggregate(
     r: &Relation,
     group_by: &[usize],
     f: AggFunc,
     mode: AggMode,
     tau: Time,
-) -> Result<AggregateMeta> {
-    let mut texp = Time::INFINITY;
-    let mut validity = IntervalSet::from_time(tau);
-    for (_, rows) in aggregate::partition(r, group_by, tau) {
-        let mut apply = |p: &[aggregate::Row]| f.apply(p);
-        let timeline = aggregate::nu::value_timeline(tau, &rows, &mut apply)?;
-        // First change to a *live* value invalidates the expression.
-        let mut cut = Time::INFINITY;
-        if let Some((t, _)) = timeline.iter().skip(1).find(|(_, v)| v.is_some()) {
-            cut = cut.min(*t);
-        }
-        // Mode-induced row loss: at the mode bound the partition's result
-        // rows leave the materialisation; if any base row outlives the
-        // bound, a recomputation still contains it → invalid from there.
-        let bound = aggregate::result_texp(&rows, f, mode, tau)?;
-        if rows.iter().any(|(_, e)| *e > bound) {
-            cut = cut.min(bound);
-        }
-        texp = texp.min(cut);
-        // Ok-set of this partition: the prefix before the cut, plus
-        // everything after the partition has fully expired. (Value-return
-        // intervals are not ok: the materialised tuples are gone and
-        // cannot reappear — see `AggregateMeta::validity`.)
-        let mut ok = if cut.is_finite() {
-            if cut > tau {
-                IntervalSet::single(Interval::new(tau, cut))
-            } else {
-                IntervalSet::empty()
-            }
-        } else {
-            IntervalSet::from_time(tau)
-        };
-        if let Some(death) = aggregate::nu::partition_death(&rows) {
-            if death.is_finite() {
-                ok = ok.union(&IntervalSet::from_time(death));
-            }
-        }
-        validity = validity.intersect(&ok);
+) -> Result<(Relation, AggregateMeta)> {
+    let mut agg = Aggregation::new(r.schema(), group_by, f, mode, tau)?;
+    for (t, e) in r.iter_at(tau) {
+        agg.push(t, e);
     }
-    Ok(AggregateMeta { texp, validity })
+    let out = agg.finish(None)?;
+    Ok((out.rel, out.meta))
 }
 
 #[cfg(test)]
@@ -512,6 +588,16 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// The rows of [`aggregate`].
+    fn agg(r: &Relation, g: &[usize], f: AggFunc, mode: AggMode, tau: Time) -> Result<Relation> {
+        aggregate(r, g, f, mode, tau).map(|(rel, _)| rel)
+    }
+
+    /// The metadata of [`aggregate`].
+    fn agg_meta(r: &Relation, g: &[usize], f: AggFunc, mode: AggMode, tau: Time) -> AggregateMeta {
+        aggregate(r, g, f, mode, tau).unwrap().1
     }
 
     /// Figure 1(b): the elections table.
@@ -847,7 +933,7 @@ mod tests {
     fn aggregate_keeps_input_tuples_and_appends_value() {
         // aggexp_{{2},count}(Pol) at time 0 (paper Section 2.7 / Fig 3a
         // before the projection).
-        let a = aggregate(&pol(), &[1], AggFunc::Count, AggMode::Naive, Time::ZERO).unwrap();
+        let a = agg(&pol(), &[1], AggFunc::Count, AggMode::Naive, Time::ZERO).unwrap();
         assert_eq!(a.len(), 3);
         assert_eq!(a.arity(), 3);
         assert!(a.contains(&tuple![1, 25, 2]));
@@ -860,7 +946,7 @@ mod tests {
         // Under Equation 8, ⟨25,2⟩-rows expire at min(10,15) = 10 and the
         // projected histogram "⟨25, 2⟩ expires" at 10 — making the result
         // invalid from 10 (it should contain ⟨25, 1⟩).
-        let a = aggregate(&pol(), &[1], AggFunc::Count, AggMode::Naive, Time::ZERO).unwrap();
+        let a = agg(&pol(), &[1], AggFunc::Count, AggMode::Naive, Time::ZERO).unwrap();
         assert_eq!(a.texp(&tuple![1, 25, 2]), Some(t(10)));
         assert_eq!(a.texp(&tuple![2, 25, 2]), Some(t(10)));
         assert_eq!(a.texp(&tuple![3, 35, 1]), Some(t(10)));
@@ -872,7 +958,7 @@ mod tests {
 
     #[test]
     fn aggregate_exact_mode_same_texp_per_partition() {
-        let a = aggregate(&pol(), &[1], AggFunc::Count, AggMode::Exact, Time::ZERO).unwrap();
+        let a = agg(&pol(), &[1], AggFunc::Count, AggMode::Exact, Time::ZERO).unwrap();
         // Count of deg-25 partition changes at 10 (2 → 1): same as naive
         // here, but by the ν machinery.
         assert_eq!(a.texp(&tuple![1, 25, 2]), Some(t(10)));
@@ -885,8 +971,8 @@ mod tests {
         let mut r = Relation::new(Schema::of(&[("g", ValueType::Int), ("v", ValueType::Int)]));
         r.insert(tuple![1, 10], t(20)).unwrap();
         r.insert(tuple![1, 30], t(5)).unwrap();
-        let naive = aggregate(&r, &[0], AggFunc::Min(1), AggMode::Naive, Time::ZERO).unwrap();
-        let exact = aggregate(&r, &[0], AggFunc::Min(1), AggMode::Exact, Time::ZERO).unwrap();
+        let naive = agg(&r, &[0], AggFunc::Min(1), AggMode::Naive, Time::ZERO).unwrap();
+        let exact = agg(&r, &[0], AggFunc::Min(1), AggMode::Exact, Time::ZERO).unwrap();
         assert_eq!(naive.texp(&tuple![1, 10, 10]), Some(t(5)));
         assert_eq!(exact.texp(&tuple![1, 10, 10]), Some(t(20)));
     }
@@ -898,7 +984,7 @@ mod tests {
         let mut r = Relation::new(Schema::of(&[("g", ValueType::Int)]));
         r.insert(tuple![1], t(4)).unwrap();
         r.insert(tuple![2], t(7)).unwrap();
-        let meta = aggregate_meta(&r, &[0], AggFunc::Count, AggMode::Exact, Time::ZERO).unwrap();
+        let meta = agg_meta(&r, &[0], AggFunc::Count, AggMode::Exact, Time::ZERO);
         assert_eq!(meta.texp, Time::INFINITY);
         assert!(meta.validity.contains(t(100)));
     }
@@ -907,8 +993,7 @@ mod tests {
     fn aggregate_meta_live_change_invalidates() {
         // Figure 3(a): deg-25 partition's count changes at 10 while ⟨2,25⟩
         // is still alive → expression invalid from 10.
-        let meta =
-            aggregate_meta(&pol(), &[1], AggFunc::Count, AggMode::Exact, Time::ZERO).unwrap();
+        let meta = agg_meta(&pol(), &[1], AggFunc::Count, AggMode::Exact, Time::ZERO);
         assert_eq!(meta.texp, t(10));
         assert!(meta.validity.contains(t(9)));
         assert!(!meta.validity.contains(t(10)));
@@ -925,20 +1010,20 @@ mod tests {
         r.insert(tuple![1, 0], t(20)).unwrap();
         r.insert(tuple![1, 3], t(5)).unwrap();
         for mode in [AggMode::Naive, AggMode::Contributing, AggMode::Exact] {
-            let out = aggregate(&r, &[0], AggFunc::Min(1), mode, Time::ZERO).unwrap();
+            let out = agg(&r, &[0], AggFunc::Min(1), mode, Time::ZERO).unwrap();
             let short = out.texp(&tuple![1, 3, 0]).unwrap();
             assert!(short <= t(5), "{mode:?}: result row outlives base: {short}");
         }
         // Exact mode: the long-lived row keeps the full ν lifetime.
-        let out = aggregate(&r, &[0], AggFunc::Min(1), AggMode::Exact, Time::ZERO).unwrap();
+        let out = agg(&r, &[0], AggFunc::Min(1), AggMode::Exact, Time::ZERO).unwrap();
         assert_eq!(out.texp(&tuple![1, 0, 0]), Some(t(20)));
         assert_eq!(out.texp(&tuple![1, 3, 0]), Some(t(5)));
         // Sweep: materialised (unprojected!) aggregate equals fresh
         // evaluation at every instant while texp(e) = ∞ (no live change).
-        let meta = aggregate_meta(&r, &[0], AggFunc::Min(1), AggMode::Exact, Time::ZERO).unwrap();
+        let meta = agg_meta(&r, &[0], AggFunc::Min(1), AggMode::Exact, Time::ZERO);
         assert_eq!(meta.texp, Time::INFINITY);
         for now in 0..25 {
-            let fresh = aggregate(&r, &[0], AggFunc::Min(1), AggMode::Exact, t(now)).unwrap();
+            let fresh = agg(&r, &[0], AggFunc::Min(1), AggMode::Exact, t(now)).unwrap();
             assert!(
                 out.set_eq_at(&fresh, t(now)),
                 "at {now}: {:?} vs {:?}",
@@ -957,7 +1042,7 @@ mod tests {
         r.insert(tuple![1, 5], t(3)).unwrap();
         r.insert(tuple![1, -5], t(7)).unwrap();
         r.insert(tuple![1, 8], t(9)).unwrap();
-        let meta = aggregate_meta(&r, &[0], AggFunc::Sum(1), AggMode::Exact, Time::ZERO).unwrap();
+        let meta = agg_meta(&r, &[0], AggFunc::Sum(1), AggMode::Exact, Time::ZERO);
         assert!(meta.validity.contains(t(2)));
         assert!(!meta.validity.contains(t(4)));
         assert!(
@@ -970,9 +1055,9 @@ mod tests {
             "partition dead: both sides empty"
         );
         // And the claim is verified against reality.
-        let out = aggregate(&r, &[0], AggFunc::Sum(1), AggMode::Exact, Time::ZERO).unwrap();
+        let out = agg(&r, &[0], AggFunc::Sum(1), AggMode::Exact, Time::ZERO).unwrap();
         for now in 0..12 {
-            let fresh = aggregate(&r, &[0], AggFunc::Sum(1), AggMode::Exact, t(now)).unwrap();
+            let fresh = agg(&r, &[0], AggFunc::Sum(1), AggMode::Exact, t(now)).unwrap();
             let agree = out.tuples_eq_at(&fresh, t(now));
             assert_eq!(
                 meta.validity.contains(t(now)),
@@ -984,7 +1069,7 @@ mod tests {
 
     #[test]
     fn aggregate_sum_values() {
-        let a = aggregate(&pol(), &[1], AggFunc::Sum(0), AggMode::Naive, Time::ZERO).unwrap();
+        let a = agg(&pol(), &[1], AggFunc::Sum(0), AggMode::Naive, Time::ZERO).unwrap();
         // deg=25 partition: uids 1+2 = 3; deg=35: uid 3.
         assert!(a.contains(&tuple![1, 25, 3]));
         assert!(a.contains(&tuple![3, 35, 3]));
@@ -993,10 +1078,10 @@ mod tests {
     #[test]
     fn aggregate_validates_positions() {
         assert!(matches!(
-            aggregate(&pol(), &[9], AggFunc::Count, AggMode::Naive, Time::ZERO),
+            agg(&pol(), &[9], AggFunc::Count, AggMode::Naive, Time::ZERO),
             Err(Error::AttributeOutOfRange { .. })
         ));
-        assert!(aggregate(&pol(), &[0], AggFunc::Sum(9), AggMode::Naive, Time::ZERO).is_err());
+        assert!(agg(&pol(), &[0], AggFunc::Sum(9), AggMode::Naive, Time::ZERO).is_err());
     }
 
     #[test]
@@ -1010,12 +1095,11 @@ mod tests {
         assert!(union(&empty, &empty, Time::ZERO).unwrap().is_empty());
         assert!(difference(&empty, &pol(), Time::ZERO).unwrap().is_empty());
         assert!(
-            aggregate(&empty, &[0], AggFunc::Count, AggMode::Naive, Time::ZERO)
+            agg(&empty, &[0], AggFunc::Count, AggMode::Naive, Time::ZERO)
                 .unwrap()
                 .is_empty()
         );
-        let meta =
-            aggregate_meta(&empty, &[0], AggFunc::Count, AggMode::Exact, Time::ZERO).unwrap();
+        let meta = agg_meta(&empty, &[0], AggFunc::Count, AggMode::Exact, Time::ZERO);
         assert_eq!(meta.texp, Time::INFINITY);
     }
 
@@ -1045,7 +1129,7 @@ mod tests {
         assert_eq!(meta.texp, Time::INFINITY);
         assert_eq!(
             Value::Int(5),
-            aggregate(&r, &[], AggFunc::Count, AggMode::Exact, far)
+            agg(&r, &[], AggFunc::Count, AggMode::Exact, far)
                 .unwrap()
                 .iter()
                 .next()

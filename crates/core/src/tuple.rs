@@ -7,6 +7,7 @@
 //! paper's formulas.
 
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -127,6 +128,15 @@ impl Tuple {
     }
 }
 
+/// A tuple hashes and compares as its value slice, so a map keyed by
+/// tuples can be probed with values gathered in a scratch buffer, without
+/// building a tuple per probe (grouping does, once per input row).
+impl Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.values
+    }
+}
+
 impl fmt::Debug for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "⟨")?;
@@ -220,6 +230,10 @@ mod tests {
         set.insert(tuple![1, "a"]);
         assert!(set.contains(&tuple![1, "a"]));
         assert!(!set.contains(&tuple![1, "b"]));
+        // … so a tuple can be looked up by a slice of values (`Borrow`).
+        let by_slice = [Value::Int(1), Value::str("a")];
+        assert!(set.contains(by_slice.as_slice()));
+        assert!(!set.contains(&by_slice[..1]));
     }
 
     #[test]

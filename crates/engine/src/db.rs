@@ -3226,7 +3226,7 @@ mod tests {
         let big = |p: &dyn Fn(i64) -> bool| (0..1000).filter(|&k| live(k) && p(k)).count() as u64;
         let (big_live, small_live) = (big(&|_| true), big(&|k| k < 10));
         // (statement, tables named, rows copied out of storage)
-        let cases: [(&str, &[&str], u64); 5] = [
+        let cases: [(&str, &[&str], u64); 7] = [
             ("SELECT * FROM big WHERE k = 7", &["big"], 1),
             (
                 "SELECT * FROM big WHERE k >= 100 AND k < 200",
@@ -3240,6 +3240,14 @@ mod tests {
                 big_live + small_live,
             ),
             ("SELECT * FROM big", &["big"], big_live),
+            // An aggregation holds each row it groups, once: straight
+            // from the scan, not through a copy of the table first.
+            ("SELECT v, COUNT(*) FROM big GROUP BY v", &["big"], big_live),
+            (
+                "SELECT COUNT(*) FROM big WHERE k < 50",
+                &["big"],
+                big(&|k| k < 50),
+            ),
         ];
         const TABLES: [&str; 2] = ["big", "small"];
         // Per table: (scans, index_lookups).
@@ -3265,6 +3273,46 @@ mod tests {
                 assert_eq!((now.0 - was.0, now.1 - was.1), (scans, 0), "{sql}: {n}");
             }
         }
+    }
+
+    /// `GROUP BY` runs as one pass that builds neither the Klug rows nor
+    /// a copy of the table, and still reports every operator of its plan
+    /// with the rows it stands for (Figure 3(a): three Klug rows, two
+    /// groups, invalid from 10).
+    #[test]
+    fn explain_analyze_of_group_by_reports_the_operators_it_fused() {
+        let mut db = figure1_db();
+        let mut explain = |db: &mut Database| {
+            let text = db
+                .explain_analyze("SELECT deg, COUNT(*) FROM pol GROUP BY deg")
+                .unwrap()
+                .to_string();
+            // Mask the µs column.
+            let line = |l: &str| match l.rfind("  ") {
+                Some(at) if l.ends_with("µs") => l[..at].to_string(),
+                _ => l.to_string(),
+            };
+            text.lines().map(line).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            explain(&mut db),
+            [
+                "π[1,2]  rows=2 (in 3, expired 0)  texp=10",
+                "  γ[1; count]  rows=3 (in 3, expired 0)  texp=10",
+                "    Base(pol)  rows=3 (in 0, expired 0)  texp=∞",
+                "result: 2 rows",
+            ]
+        );
+        db.tick(12);
+        assert_eq!(
+            explain(&mut db),
+            [
+                "π[1,2]  rows=1 (in 1, expired 0)  texp=∞",
+                "  γ[1; count]  rows=1 (in 1, expired 0)  texp=∞",
+                "    Base(pol)  rows=1 (in 0, expired 0)  texp=∞",
+                "result: 1 rows",
+            ]
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! | R003 | Every crate root declares `#![forbid(unsafe_code)]` (the workspace contains no unsafe). |
 //! | R004 | No `std::thread::sleep` outside test/bench/fault-injection code and the few real-time boundaries (tickers, network backoff, daemon pacing): query/maintenance paths must advance the simulated clock, never stall the thread. |
 //! | R005 | No `Database::snapshot` call in production code under `crates/*/src`, and no `Table::to_relation` call in `crates/engine/src` outside `db/stored.rs` (where `snapshot` itself makes its one): a read is a pinned `τ` over the borrowed tables that copies only the rows that come out, not a copy of them. The copy stays as the reference that tests, benches, examples and the out-of-tree benchmark compare the read path against. |
+//! | R006 | No `value_timeline`, `nu_naive` or closure-form `nu::nu(` in production code under `crates/core/src/algebra/` or `crates/engine/src`: the timeline definitions of ν re-apply `f` to a copy of the survivors at every time slice (or tick) and are the oracle that `nu::first_change` — what evaluation computes — is tested against, not a path a query may take. |
 
 use std::fmt;
 use std::fs;
@@ -58,6 +59,7 @@ pub fn check_repo(root: &Path) -> io::Result<Vec<RepoViolation>> {
         check_r002(&rel, &content, &mut out);
         check_r004(&rel, &content, &mut out);
         check_r005(&rel, &content, &mut out);
+        check_r006(&rel, &content, &mut out);
     }
     check_r003(root, &mut out);
     out.sort_by(|a, b| (a.rule, &a.path, a.line).cmp(&(b.rule, &b.path, b.line)));
@@ -268,6 +270,38 @@ fn check_r005(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
     }
 }
 
+/// R006: the timeline definitions of ν (`value_timeline`, `nu_naive`, the
+/// closure-form `nu::nu(`) named in production code on the evaluation
+/// path — the algebra and the engine. They stay public in
+/// `core::aggregate::nu` for tests, `approx`, the experiments and the
+/// benches; evaluation calls `nu::first_change`.
+fn check_r006(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
+    const ORACLES: [&str; 3] = ["value_timeline", "nu_naive", "nu::nu("];
+    if !(rel.starts_with("crates/core/src/algebra") || rel.starts_with("crates/engine/src")) {
+        return;
+    }
+    let lines: Vec<&str> = content.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        let code = code_only(line);
+        let Some(name) = ORACLES.iter().find(|name| code.contains(**name)) else {
+            continue;
+        };
+        if line_is_in_tests(&lines, i) {
+            continue;
+        }
+        out.push(RepoViolation {
+            rule: "R006",
+            path: rel.to_path_buf(),
+            line: i + 1,
+            message: format!(
+                "`{}` on the evaluation path; the timeline definitions of ν are \
+                 the test oracle — evaluation computes nu::first_change",
+                name.trim_end_matches('(')
+            ),
+        });
+    }
+}
+
 /// R003: every crate root carries `#![forbid(unsafe_code)]`.
 fn check_r003(root: &Path, out: &mut Vec<RepoViolation>) {
     let mut roots: Vec<PathBuf> = vec![PathBuf::from("src/lib.rs")];
@@ -474,6 +508,41 @@ mod tests {
         assert_eq!(r005.len(), 1, "{v:?}");
         assert_eq!(r005[0].path, Path::new("crates/engine/src/db.rs"));
         assert_eq!(r005[0].line, 1);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn r006_keeps_the_nu_oracles_off_the_evaluation_path() {
+        let timeline = "fn meta(p: &[Row]) { nu::value_timeline(tau, p, &mut f); }\n\
+                        fn bound(p: &[Row]) { aggregate::nu::nu(tau, p, &mut f); }\n\
+                        fn tick(p: &[Row]) { nu_naive(tau, p, &mut f, h); }\n\
+                        /// Not [`value_timeline`]: see `nu::first_change`.\n\
+                        fn fine(p: &[Row]) { nu::first_change(tau, p, f); }\n\
+                        #[cfg(test)]\n\
+                        mod tests { fn t() { nu::nu(tau, p, &mut f); } }\n";
+        let dir = fixture(&[
+            ("crates/core/src/algebra/ops.rs", timeline),
+            ("crates/engine/src/db.rs", timeline),
+            ("crates/core/src/aggregate/approx.rs", timeline),
+            ("crates/bench/src/experiments.rs", timeline),
+            ("tests/prop_aggregate.rs", timeline),
+            ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
+        ]);
+        let v = check_repo(&dir).unwrap();
+        let r006: Vec<_> = v.iter().filter(|v| v.rule == "R006").collect();
+        // Three production lines in each of the two evaluation-path
+        // files; comments, `first_change`, test modules, the aggregate
+        // module itself, experiments and integration tests are free.
+        let at: Vec<_> = r006.iter().map(|v| (v.path.as_path(), v.line)).collect();
+        let (ops, db) = (
+            Path::new("crates/core/src/algebra/ops.rs"),
+            Path::new("crates/engine/src/db.rs"),
+        );
+        assert_eq!(
+            at,
+            [(ops, 1), (ops, 2), (ops, 3), (db, 1), (db, 2), (db, 3)],
+            "{v:?}"
+        );
         let _ = fs::remove_dir_all(dir);
     }
 

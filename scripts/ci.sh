@@ -16,7 +16,7 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 
-# Repo-invariant lint (exptime-lint R001–R005): no wall-clock reads
+# Repo-invariant lint (exptime-lint R001–R006): no wall-clock reads
 # outside core/time.rs, no unwrap/expect in durability paths (the WAL
 # crate, engine/durability.rs and the write path engine/db/write.rs),
 # #![forbid(unsafe_code)] in every crate root, no thread::sleep
@@ -25,7 +25,10 @@ cargo fmt --check
 # production code and no Table::to_relation in the engine outside
 # db/stored.rs, where the reference snapshot() keeps its one. (What the
 # read path does copy is pinned by count in the engine test
-# a_read_copies_only_the_rows_that_come_out.)
+# a_read_copies_only_the_rows_that_come_out.) And no way back to the
+# quadratic ν: the timeline definitions (value_timeline, nu_naive, the
+# closure nu::nu) are the oracle for nu::first_change and may not be
+# named in production code under core/src/algebra or engine/src.
 cargo run --release -q -p exptime-lint --bin repolint
 
 # Analyzer golden tests: the Fig. 3 anomalies must flag their exact

@@ -9,7 +9,7 @@ mod common;
 
 use common::literal;
 
-use exptime::core::aggregate::AggFunc;
+use exptime::core::aggregate::{AggFunc, AggMode};
 use exptime::core::algebra::Expr;
 use exptime::core::predicate::{CmpOp, Predicate};
 use exptime::core::time::Time;
@@ -56,12 +56,17 @@ fn assert_reducible(db: &mut Database) -> std::result::Result<(), TestCaseError>
             .select(Predicate::attr_cmp_const(1, CmpOp::Lt, 3)),
         t().product(u()).select(Predicate::attr_eq_attr(1, 3)),
         u().product(t()).select(Predicate::attr_eq_attr(1, 3)),
+        // GROUP BY as the planner writes it: grouped straight from the
+        // lent rows, one output row per group.
+        t().select(Predicate::attr_cmp_const(0, CmpOp::Ge, 2))
+            .aggregate([1], AggFunc::Sum(0))
+            .project([1, 2]),
     ];
     let tau = db.now();
     let copy = db.snapshot();
     for e in &exprs {
         let live = db.query_expr(e)?;
-        let reference = literal(e, &copy, tau)?;
+        let reference = literal(e, &copy, tau, AggMode::Exact)?;
         prop_assert_eq!(
             live.rel.iter().collect::<Vec<_>>(),
             reference.rel.iter().collect::<Vec<_>>(),

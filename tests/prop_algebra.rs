@@ -5,7 +5,7 @@
 mod common;
 
 use common::{arb_catalog, arb_expr, arb_row, inputs, literal, probe_times, schema2, Literal};
-use exptime::core::aggregate::AggMode;
+use exptime::core::aggregate::{AggFunc, AggMode};
 use exptime::core::algebra::{eval, eval_profiled, ops, EvalOptions, Expr, PlanProfile};
 use exptime::core::catalog::Catalog;
 use exptime::core::predicate::{CmpOp, Predicate};
@@ -344,9 +344,15 @@ fn assert_counts(
     Ok(())
 }
 
-/// Small trees of Base/σ/π/×/⋈ over `r` and `s`, each with its arity, so
-/// predicates and positions are in range — except that now and then a
+/// Small trees of Base/σ/π/×/⋈/agg over `r` and `s`, each with its arity,
+/// so predicates and positions are in range — except that now and then a
 /// position is one past the end or a leaf names a relation nobody bound.
+/// An aggregation (any of the five functions, over any column — `s.v` is
+/// the FLOAT one — grouped by none, one or two attributes) comes bare,
+/// under a π onto its grouping attributes and the aggregate column (the
+/// `GROUP BY` shape, emitted one row per group), and, through the general
+/// π, under one that needs the Klug rows; its input is whatever the
+/// recursion built: `σ* Base`, `π(Base)`, a join.
 fn arb_spj() -> impl Strategy<Value = (Expr, usize)> {
     // `n` picks an attribute below `arity`; 23 is the out-of-range draw.
     fn attr(n: usize, arity: usize) -> usize {
@@ -373,6 +379,15 @@ fn arb_spj() -> impl Strategy<Value = (Expr, usize)> {
             _ => pred(kind, a, b, c, ln + rn),
         }
     }
+    fn func(kind: u8, a: usize, arity: usize) -> AggFunc {
+        match kind {
+            0 => AggFunc::Count,
+            1 => AggFunc::Sum(attr(a, arity)),
+            2 => AggFunc::Avg(attr(a, arity)),
+            3 => AggFunc::Min(attr(a, arity)),
+            _ => AggFunc::Max(attr(a, arity)),
+        }
+    }
     let leaf = prop_oneof![
         8 => Just((Expr::base("r"), 2)),
         8 => Just((Expr::base("s"), 2)),
@@ -380,7 +395,31 @@ fn arb_spj() -> impl Strategy<Value = (Expr, usize)> {
     ];
     leaf.prop_recursive(3, 16, 2, |inner| {
         let draw = || (0u8..5, 0usize..24, 0usize..24, -2i64..8);
+        let agg = || {
+            (
+                0u8..5,
+                0usize..24,
+                proptest::collection::vec(0usize..24, 0..3),
+            )
+        };
         prop_oneof![
+            2 => (inner.clone(), agg()).prop_map(|((e, n), (k, a, g))| {
+                let g: Vec<usize> = g.into_iter().map(|j| attr(j, n)).collect();
+                (e.aggregate(g, func(k, a, n)), n + 1)
+            }),
+            // Grouping attributes (some dropped, some repeated) and the
+            // aggregate column, in any order.
+            2 => (inner.clone(), agg(), proptest::collection::vec(0usize..8, 1..4)).prop_map(
+                |((e, n), (k, a, g), picks)| {
+                    let g: Vec<usize> = g.into_iter().map(|j| attr(j, n)).collect();
+                    let ps: Vec<usize> = picks
+                        .into_iter()
+                        .map(|p| *g.get(p % (g.len() + 1)).unwrap_or(&n))
+                        .collect();
+                    let arity = ps.len();
+                    (e.aggregate(g, func(k, a, n)).project(ps), arity)
+                }
+            ),
             2 => (inner.clone(), draw())
                 .prop_map(|((e, n), (k, a, b, c))| (e.select(pred(k, a, b, c, n)), n)),
             2 => (inner.clone(), proptest::collection::vec(0usize..24, 1..4)).prop_map(
@@ -417,11 +456,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The evaluator fuses (`π? σ* Base` in one pass over lent rows,
-    /// `σ(×)` as a join); the literal interpreter does not. They must
-    /// agree on the result **as a sequence** of `(tuple, texp)`, on
+    /// `σ(×)` as a join, an aggregation grouped once from whatever feeds
+    /// it and emitted per group under a `GROUP BY` π); the literal
+    /// interpreter does not, and its aggregation is the timeline
+    /// definition. They must agree — under each of the three aggregate
+    /// modes — on the result **as a sequence** of `(tuple, texp)`, on
     /// `texp(e)` and validity, on which error wins, and — under the
-    /// recording probe — on the cardinality of every intermediate, built
-    /// or not. `r` may be larger or smaller than `s` (both hash-join
+    /// recording probe — on the cardinality and `texp` of every
+    /// intermediate, built or not. `r` may be larger or smaller than `s` (both hash-join
     /// builds), both carry rows already expired at `τ`, and the key
     /// domain is small enough that projections merge rows with different
     /// `texp`. `s.v` is a FLOAT column, so an equality that reaches it
@@ -432,10 +474,16 @@ proptest! {
         s in proptest::collection::vec(arb_row(), 1..6),
         (expr, _) in arb_spj(),
         tau in 0u64..20,
+        agg_mode in prop_oneof![
+            Just(AggMode::Naive),
+            Just(AggMode::Contributing),
+            Just(AggMode::Exact),
+        ],
     ) {
         // Keep the literal products small: at most four inputs multiplied.
         prop_assume!(leaf_count(&expr) <= 4);
         let tau = Time::new(tau);
+        let opts = || EvalOptions { agg_mode, ..opts() };
         let mut catalog = Catalog::new();
         catalog.register("r", Relation::from_rows(schema2(), r).unwrap());
         let s = s.into_iter().map(|(t, e)| {
@@ -444,12 +492,12 @@ proptest! {
         });
         let int_float = Schema::of(&[("k", ValueType::Int), ("v", ValueType::Float)]);
         catalog.register("s", Relation::from_rows(int_float, s).unwrap());
-        let want = literal(&expr, &catalog, tau);
+        let want = literal(&expr, &catalog, tau, agg_mode);
         let got = eval(&expr, &catalog, tau, &opts());
         let profiled = eval_profiled(&expr, &catalog, tau, &opts());
         match (want, got, profiled) {
             (Ok(want), Ok(got), Ok((profiled, profile))) => {
-                prop_assert_eq!(rows(&got.rel), rows(&want.rel), "{}", expr);
+                prop_assert_eq!(rows(&got.rel), rows(&want.rel), "{} {:?}", expr, agg_mode);
                 prop_assert_eq!(rows(&profiled.rel), rows(&want.rel), "{} profiled", expr);
                 prop_assert_eq!(got.rel.schema(), want.rel.schema());
                 prop_assert_eq!(got.texp, want.texp);

@@ -109,6 +109,36 @@ fn session_lifecycle_scenario() {
     assert!(idle.contains(&tuple![2]) && idle.contains(&tuple![3]));
 }
 
+/// `SUM` over an INT column is integer arithmetic: 2^53 + 1 is not an
+/// `f64`, and a total past `i64` saturates instead of wrapping.
+#[test]
+fn sum_over_ints_is_exact() {
+    let mut db = Database::default();
+    db.execute("CREATE TABLE n (g INT, v INT)").unwrap();
+    db.execute("INSERT INTO n VALUES (1, 9007199254740993)")
+        .unwrap();
+    db.execute("INSERT INTO n VALUES (2, 9223372036854775807), (2, 1), (3, 9007199254740992), (3, 1), (3, -2)")
+        .unwrap();
+    let sums = db
+        .execute("SELECT g, SUM(v) FROM n GROUP BY g")
+        .unwrap()
+        .rows()
+        .unwrap()
+        .clone();
+    let got: Vec<(i64, i64)> = sums
+        .iter()
+        .map(|(t, _)| (t.attr(0).as_int().unwrap(), t.attr(1).as_int().unwrap()))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (1, 9_007_199_254_740_993),
+            (2, i64::MAX),
+            (3, 9_007_199_254_740_991)
+        ]
+    );
+}
+
 #[test]
 fn aggregates_over_floats() {
     let mut db = fixture();

@@ -35,7 +35,7 @@ use crate::algebra::expr::Expr;
 use crate::algebra::ops::{self, Aggregation};
 use crate::catalog::Bindings;
 use crate::error::Result;
-use crate::interval::IntervalSet;
+use crate::interval::{Interval, IntervalSet};
 use crate::patch::PatchQueue;
 use crate::predicate::Predicate;
 use crate::relation::{DuplicatePolicy, Relation};
@@ -121,13 +121,51 @@ impl Materialized {
         self.validity.contains(t)
     }
 
-    /// The result as seen at time `t ≥ at`: the unexpired portion, with
-    /// due patches applied first if a patch queue is present.
-    pub fn read_at(&mut self, t: Time) -> Relation {
-        if let Some(q) = &mut self.patches {
-            q.apply_due(&mut self.rel, t);
+    /// The result as seen at `t ≥ at`: `expₜ` of the rows, plus every
+    /// queued patch whose tuple is in the result at `t` — Theorem 3's
+    /// materialisation is its rows *and* its helper queue. This is the
+    /// one way rows leave a materialisation, and it is a pure function:
+    /// a read that consumed the queue could not be asked about an earlier
+    /// instant afterwards (a query moved forward, then the next one).
+    /// Draining and eager removal are physical maintenance
+    /// ([`MaterializedView::maintain`](crate::materialize::MaterializedView::maintain))
+    /// and change no answer at or after the instant they ran at.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a queued tuple does not match the result schema — a
+    /// queue/result mismatch is a logic error, not user input.
+    #[must_use]
+    pub fn rows_at(&self, t: Time) -> Relation {
+        let mut rows = self.rel.exp(t);
+        // One peek when nothing is due, which is every read of a
+        // maintained view: `maintain` has just drained the queue to `t`.
+        let queue = self.patches.as_ref();
+        let due = queue.filter(|q| q.next_due().is_some_and(|next| next <= t));
+        for patch in due.into_iter().flat_map(|q| q.due_at(t)) {
+            let (tuple, texp) = (patch.tuple.clone(), patch.disappears_at);
+            rows.insert_with(tuple, texp, DuplicatePolicy::Replace)
+                .expect("patch tuple must match result schema");
         }
-        self.rel.exp(t)
+        rows
+    }
+
+    /// The instant a query at `τ` can be answered for without the base
+    /// relations (Sections 3.3–3.4): `τ` itself inside `I(e)`, else the
+    /// latest covered instant before it — the query moved backward — and
+    /// `None` when the materialisation covers neither.
+    #[must_use]
+    pub fn covered_at(&self, tau: Time) -> Option<Time> {
+        // `prev_covered` is `τ` itself when `τ` is covered.
+        let back = self.validity.prev_covered(tau)?;
+        (back >= self.at).then_some(back)
+    }
+
+    /// Answers a query at `τ` from the materialisation alone: the rows and
+    /// the instant they are correct for ([`Materialized::covered_at`]).
+    #[must_use]
+    pub fn answer(&self, tau: Time) -> Option<(Relation, Time)> {
+        self.covered_at(tau).map(|t| (self.rows_at(t), t))
     }
 }
 
@@ -495,13 +533,19 @@ fn eval_patched_root<P: Probe>(
     let rel = ops::difference(&l.rel, &r.rel, tau)?;
     let mut critical = ops::critical_tuples(&l.rel, &r.rel, tau);
     critical.sort_by_key(|c| c.appears_at);
-    // Bounded queue: keep the k earliest reappearances; the first
-    // dropped one caps texp(e) (the view must recompute then).
+    // Bounded queue: keep the k earliest reappearances. A critical tuple
+    // that did not fit is missing from the result for as long as it
+    // should be in it: the first one caps texp(e) (the view must recompute
+    // then) and each leaves its hole in I(e), as in an unpatched
+    // difference.
     let mut own_texp = Time::INFINITY;
+    let mut validity = l.validity.intersect(&r.validity);
     if let Some(cap) = opts.patch_queue_cap {
         if critical.len() > cap {
             own_texp = critical[cap].appears_at;
-            critical.truncate(cap);
+            let dropped = critical.drain(cap..);
+            let holes = dropped.map(|c| Interval::new(c.appears_at, c.disappears_at));
+            validity = validity.subtract(&IntervalSet::from_intervals(holes.collect()));
         }
     }
     let queue = PatchQueue::from_critical(critical);
@@ -511,7 +555,7 @@ fn eval_patched_root<P: Probe>(
         rel,
         at: tau,
         texp,
-        validity: l.validity.intersect(&r.validity),
+        validity,
         patches: Some(queue),
     })
 }
@@ -697,14 +741,16 @@ mod tests {
             patch_root_difference: true,
             ..EvalOptions::default()
         };
-        let mut m = eval(&e, &c, Time::ZERO, &opts).unwrap();
+        let m = eval(&e, &c, Time::ZERO, &opts).unwrap();
         assert_eq!(m.texp, Time::INFINITY, "Theorem 3");
         let q = m.patches.as_ref().expect("patch queue present");
         assert_eq!(q.len(), 2);
-        // Sweep: read_at must equal fresh recomputation at every instant.
-        for now in 0..20 {
+        // Sweep, then probe backwards: rows_at must equal a fresh
+        // recomputation at every instant, in any order, because it leaves
+        // the queue where it is.
+        for now in (0..20).chain((0..20).rev()) {
             let now = t(now);
-            let seen = m.read_at(now);
+            let seen = m.rows_at(now);
             let fresh = eval(&e, &c, now, &EvalOptions::default()).unwrap();
             assert!(
                 seen.set_eq_at(&fresh.rel, now),
@@ -806,6 +852,11 @@ mod tests {
         let m = eval(&e, &c, Time::ZERO, &opts).unwrap();
         assert_eq!(m.patches.as_ref().unwrap().len(), 1);
         assert_eq!(m.texp, t(5));
+        // ⟨1⟩, which no patch brings back, is missing on [5, 10[ — and
+        // only there, so the queued ⟨2⟩ is served on both sides of it.
+        assert_eq!(m.covered_at(t(9)), Some(t(4)));
+        assert_eq!(m.answer(t(4)).unwrap().0.len(), 2, "⟨3⟩ and ⟨2⟩");
+        assert_eq!(m.answer(t(12)).unwrap().0.len(), 1, "⟨2⟩, until 15");
         // Cap 0: no queue benefit; texp(e) = 3, like the unpatched case.
         let opts = EvalOptions {
             patch_queue_cap: Some(0),

@@ -162,6 +162,70 @@ impl Expr {
         }
     }
 
+    /// This node over `f` of each of its inputs (a `Base` has none): the
+    /// one place an expression is taken apart and put back together, which
+    /// every rewrite — the rule passes of [`crate::rewrite`], view inlining
+    /// through [`Expr::map_bases`] — recurses through.
+    #[must_use]
+    pub fn map_inputs(&self, mut f: impl FnMut(&Expr) -> Expr) -> Expr {
+        let mut over = |input: &Expr| Box::new(f(input));
+        match self {
+            Expr::Base(_) => self.clone(),
+            Expr::Select { input, predicate } => Expr::Select {
+                input: over(input),
+                predicate: predicate.clone(),
+            },
+            Expr::Project { input, positions } => Expr::Project {
+                input: over(input),
+                positions: positions.clone(),
+            },
+            Expr::Product { left, right } => Expr::Product {
+                left: over(left),
+                right: over(right),
+            },
+            Expr::Union { left, right } => Expr::Union {
+                left: over(left),
+                right: over(right),
+            },
+            Expr::Join {
+                left,
+                right,
+                predicate,
+            } => Expr::Join {
+                left: over(left),
+                right: over(right),
+                predicate: predicate.clone(),
+            },
+            Expr::Intersect { left, right } => Expr::Intersect {
+                left: over(left),
+                right: over(right),
+            },
+            Expr::Difference { left, right } => Expr::Difference {
+                left: over(left),
+                right: over(right),
+            },
+            Expr::Aggregate {
+                input,
+                group_by,
+                func,
+            } => Expr::Aggregate {
+                input: over(input),
+                group_by: group_by.clone(),
+                func: *func,
+            },
+        }
+    }
+
+    /// The expression with every base reference `f` has a definition for
+    /// replaced by it — how a catalog inlines its views.
+    #[must_use]
+    pub fn map_bases(&self, f: &impl Fn(&str) -> Option<Expr>) -> Expr {
+        match self {
+            Expr::Base(name) => f(name).unwrap_or_else(|| self.clone()),
+            _ => self.map_inputs(|input| input.map_bases(f)),
+        }
+    }
+
     /// Infers and validates the result schema against a catalog. This is
     /// the static type check: every evaluation-time error except
     /// non-numeric aggregation data is caught here.
@@ -287,6 +351,24 @@ impl Expr {
             | Expr::Join { left, right, .. }
             | Expr::Intersect { left, right }
             | Expr::Difference { left, right } => 1 + left.op_count() + right.op_count(),
+        }
+    }
+
+    /// Number of nodes, base references included. Each node computes its
+    /// result's expiration time from its inputs' (Section 3 of the paper),
+    /// so this is how many change points a statement over it evaluates.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        match self {
+            Expr::Base(_) => 1,
+            Expr::Select { input, .. }
+            | Expr::Project { input, .. }
+            | Expr::Aggregate { input, .. } => 1 + input.node_count(),
+            Expr::Product { left, right }
+            | Expr::Union { left, right }
+            | Expr::Join { left, right, .. }
+            | Expr::Intersect { left, right }
+            | Expr::Difference { left, right } => 1 + left.node_count() + right.node_count(),
         }
     }
 
@@ -469,6 +551,30 @@ mod tests {
             .difference(Expr::base("El"))
             .union(Expr::base("pol").project([0, 1]));
         assert_eq!(e.base_names(), vec!["Pol".to_string(), "El".to_string()]);
+    }
+
+    #[test]
+    fn map_bases_rebuilds_every_operator_around_the_replaced_leaves() {
+        // One node of each kind over `v`, which names π(Pol), and `El`.
+        let v = || Expr::base("v");
+        let e = v()
+            .select(Predicate::True)
+            .project([0, 1])
+            .product(v())
+            .union(Expr::base("El").join(v(), Predicate::attr_eq_attr(0, 2)))
+            .intersect(v().difference(Expr::base("El")))
+            .aggregate([0], AggFunc::Count);
+        let definition = Expr::base("Pol").project([0, 1]);
+        let inlined = e.map_bases(&|name| (name == "v").then(|| definition.clone()));
+        assert_eq!(inlined.base_names(), ["Pol", "El"]);
+        assert_eq!(inlined.op_count(), e.op_count() + 4, "a π per `v`");
+        assert_eq!(inlined.node_count(), inlined.op_count() + 6, "ops + leaves");
+        assert_eq!(
+            inlined.to_string(),
+            e.to_string().replace('v', &definition.to_string())
+        );
+        // Nothing to replace: the same expression.
+        assert_eq!(e.map_bases(&|_| None), e);
     }
 
     #[test]

@@ -294,10 +294,14 @@ impl MaterializedView {
         self.state.fresh_at(tau)
     }
 
-    /// Advances the view to time `τ` *without reading it*: applies due
-    /// patches, performs eager removal, and — if the materialisation has
-    /// expired — refreshes per policy. Returns `true` if the base
-    /// relations were accessed (a recomputation).
+    /// Advances the view to time `τ` *without reading it*: moves due
+    /// patches from the queue into the rows, performs eager removal, and —
+    /// if the materialisation has expired — refreshes per policy. The
+    /// first two are physical: neither changes what
+    /// [`Materialized::rows_at`] answers at or after `τ`, and a view's
+    /// clock only moves forward.
+    /// Returns `true` if the base relations were accessed (a
+    /// recomputation).
     ///
     /// # Errors
     ///
@@ -344,7 +348,8 @@ impl MaterializedView {
         Ok(recomputed)
     }
 
-    /// Reads the view at time `τ`, maintaining it first. The returned
+    /// Reads the view at time `τ`: maintains it, then serves the one read a
+    /// materialisation has, [`Materialized::rows_at`]. The returned
     /// relation is exactly what a fresh evaluation of the expression at `τ`
     /// would produce (Theorems 1–3).
     ///
@@ -357,7 +362,7 @@ impl MaterializedView {
         if !recomputed {
             self.counters.local_reads.inc();
         }
-        Ok(self.state.rel.exp(tau))
+        Ok(self.state.rows_at(tau))
     }
 
     /// Forces a re-materialisation from the base relations, regardless of

@@ -119,6 +119,18 @@ impl PatchQueue {
         self.heap.peek().map(|i| i.entry.appears_at)
     }
 
+    /// The queued patches whose tuple is in the result at `τ`
+    /// (`appears_at ≤ τ < disappears_at`), without consuming them: what a
+    /// read adds to the stored rows. Draining ([`PatchQueue::apply_due`])
+    /// moves the same tuples into the rows, so the two never count one
+    /// twice.
+    pub fn due_at(&self, tau: Time) -> impl Iterator<Item = &PatchEntry> {
+        self.heap
+            .iter()
+            .map(|item| &item.entry)
+            .filter(move |e| e.appears_at <= tau && tau < e.disappears_at)
+    }
+
     /// Pops every patch due at or before `τ` (those whose helper-relation
     /// copy has expired: `appears_at ≤ τ`).
     pub fn drain_due(&mut self, tau: Time) -> Vec<PatchEntry> {

@@ -56,52 +56,7 @@ pub fn rewrite(expr: &Expr) -> Expr {
 
 fn pass(expr: &Expr) -> Expr {
     // Rewrite children first, then the node itself.
-    let node = match expr {
-        Expr::Base(n) => Expr::Base(n.clone()),
-        Expr::Select { input, predicate } => Expr::Select {
-            input: Box::new(pass(input)),
-            predicate: predicate.clone(),
-        },
-        Expr::Project { input, positions } => Expr::Project {
-            input: Box::new(pass(input)),
-            positions: positions.clone(),
-        },
-        Expr::Product { left, right } => Expr::Product {
-            left: Box::new(pass(left)),
-            right: Box::new(pass(right)),
-        },
-        Expr::Union { left, right } => Expr::Union {
-            left: Box::new(pass(left)),
-            right: Box::new(pass(right)),
-        },
-        Expr::Join {
-            left,
-            right,
-            predicate,
-        } => Expr::Join {
-            left: Box::new(pass(left)),
-            right: Box::new(pass(right)),
-            predicate: predicate.clone(),
-        },
-        Expr::Intersect { left, right } => Expr::Intersect {
-            left: Box::new(pass(left)),
-            right: Box::new(pass(right)),
-        },
-        Expr::Difference { left, right } => Expr::Difference {
-            left: Box::new(pass(left)),
-            right: Box::new(pass(right)),
-        },
-        Expr::Aggregate {
-            input,
-            group_by,
-            func,
-        } => Expr::Aggregate {
-            input: Box::new(pass(input)),
-            group_by: group_by.clone(),
-            func: *func,
-        },
-    };
-    apply_node_rules(node)
+    apply_node_rules(expr.map_inputs(pass))
 }
 
 /// Splits a predicate into its top-level conjuncts.

@@ -79,9 +79,11 @@ impl QueryAnswer {
     }
 }
 
-/// Answers a query at time `τ` against a materialisation of `expr`,
-/// consulting the validity intervals first and applying `policy` outside
-/// them.
+/// Answers a query at time `τ` against a materialisation of `expr`:
+/// inside the validity intervals from the materialisation itself, outside
+/// them at the instant `policy` moves the query to, and from the base
+/// relations when there is none within the policy's bound. Whatever the
+/// instant, the rows are [`Materialized::rows_at`] of it.
 ///
 /// # Errors
 ///
@@ -94,71 +96,43 @@ pub fn answer(
     policy: QueryPolicy,
     opts: &EvalOptions,
 ) -> Result<QueryAnswer> {
-    if m.validity.contains(tau) {
-        return Ok(QueryAnswer {
-            rel: m.rel.exp(tau),
-            as_of: tau,
-            kind: AnswerKind::Local,
-        });
-    }
-    match policy {
-        QueryPolicy::Recompute => {
-            let fresh = eval(expr, catalog, tau, opts)?;
-            Ok(QueryAnswer {
-                rel: fresh.rel,
-                as_of: tau,
-                kind: AnswerKind::Recomputed,
-            })
-        }
-        QueryPolicy::MoveBackward { max_drift } => {
-            if let Some(back) = m.validity.prev_covered(tau) {
-                if back >= m.at
-                    && tau
-                        .finite()
-                        .zip(back.finite())
-                        .is_some_and(|(t, b)| t - b <= max_drift)
-                {
-                    return Ok(QueryAnswer {
-                        rel: m.rel.exp(back),
-                        as_of: back,
-                        kind: AnswerKind::MovedBackward,
-                    });
-                }
+    // Distance between two instants, `None` when either is `∞`.
+    let apart = |a: Time, b: Time| Some(a.finite()?.abs_diff(b.finite()?));
+    let moved = if m.valid_at(tau) {
+        Some((tau, AnswerKind::Local))
+    } else {
+        match policy {
+            QueryPolicy::Recompute => None,
+            QueryPolicy::MoveBackward { max_drift } => m
+                .covered_at(tau)
+                .filter(|back| apart(tau, *back).is_some_and(|d| d <= max_drift))
+                .map(|back| (back, AnswerKind::MovedBackward)),
+            QueryPolicy::MoveForward { max_delay } => m
+                .validity
+                .next_covered(tau)
+                .filter(|fwd| apart(*fwd, tau).is_some_and(|d| d <= max_delay))
+                .map(|fwd| (fwd, AnswerKind::MovedForward)),
+            QueryPolicy::Refuse => {
+                return Ok(QueryAnswer {
+                    rel: Relation::new(m.rel.schema().clone()),
+                    as_of: tau,
+                    kind: AnswerKind::Refused,
+                })
             }
-            let fresh = eval(expr, catalog, tau, opts)?;
-            Ok(QueryAnswer {
-                rel: fresh.rel,
-                as_of: tau,
-                kind: AnswerKind::Recomputed,
-            })
         }
-        QueryPolicy::MoveForward { max_delay } => {
-            if let Some(fwd) = m.validity.next_covered(tau) {
-                if fwd
-                    .finite()
-                    .zip(tau.finite())
-                    .is_some_and(|(f, t)| f - t <= max_delay)
-                {
-                    return Ok(QueryAnswer {
-                        rel: m.rel.exp(fwd),
-                        as_of: fwd,
-                        kind: AnswerKind::MovedForward,
-                    });
-                }
-            }
-            let fresh = eval(expr, catalog, tau, opts)?;
-            Ok(QueryAnswer {
-                rel: fresh.rel,
-                as_of: tau,
-                kind: AnswerKind::Recomputed,
-            })
-        }
-        QueryPolicy::Refuse => Ok(QueryAnswer {
-            rel: Relation::new(m.rel.schema().clone()),
+    };
+    Ok(match moved {
+        Some((as_of, kind)) => QueryAnswer {
+            rel: m.rows_at(as_of),
+            as_of,
+            kind,
+        },
+        None => QueryAnswer {
+            rel: eval(expr, catalog, tau, opts)?.rel,
             as_of: tau,
-            kind: AnswerKind::Refused,
-        }),
-    }
+            kind: AnswerKind::Recomputed,
+        },
+    })
 }
 
 #[cfg(test)]

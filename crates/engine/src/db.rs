@@ -16,21 +16,25 @@
 //!
 //! A statement moves through a pipeline — dispatch → read → write → policy
 //! touch → durability → maintenance — and this file is being cut along
-//! it. Of those stages it still owns **dispatch** (`execute*`, the catalog
-//! and DDL), **read** (`select` → `evaluate`, view reads), **durability**
-//! (open/recovery, checkpoint, the `wal_*` bracket and append helpers) and
-//! **maintenance** (`advance_to`, vacuum, the forecast and the telemetry
-//! sampler). The child modules own the rest: `stored` is the tables as the
-//! algebra's binding environment (what a read scans), `write` is the
-//! **write** and **policy touch** stages — every change to a stored row,
-//! live or redone, goes through its one `apply`.
+//! it. Of those stages it still owns **dispatch** (`execute*`, the table
+//! catalog and DDL), the query half of **read** (`select` → `evaluate`,
+//! and `bill_query`, through which every read is counted and profiled),
+//! **durability** (open/recovery, checkpoint, the `wal_*` bracket and
+//! append helpers) and **maintenance** (`advance_to`, vacuum, the forecast
+//! and the telemetry sampler), plus statement lint, the audit and
+//! dump/restore. The child modules own the rest: `stored` is the tables as
+//! the algebra's binding environment (what a read scans), `views` is the
+//! view catalog and the view half of **read** — what a view is, how one is
+//! inlined into a query, and how a materialised one is served — and `write`
+//! is the **write** and **policy touch** stages — every change to a stored
+//! row, live or redone, goes through its one `apply`.
 
 use crate::constraint::{Constraint, ConstraintViolation};
 use crate::durability::{CheckpointStats, Durability, RecoveryStats, WalSession, WalStatus};
 use crate::telemetry::{TelemetryConfig, TelemetryStatus, TELEMETRY_HEALTH, TELEMETRY_METRICS};
 use crate::trigger::{ExpirationEvent, TriggerFn, TriggerManager};
 use exptime_core::algebra::{eval, eval_profiled, EvalOptions, Expr, Materialized, PlanProfile};
-use exptime_core::materialize::{MaterializedView, RefreshDecision, RefreshPolicy, RemovalPolicy};
+use exptime_core::materialize::{RefreshDecision, RefreshPolicy};
 use exptime_core::relation::Relation;
 use exptime_core::rewrite::TickBound;
 use exptime_core::schema::Schema;
@@ -56,8 +60,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 mod stored;
+mod views;
 mod write;
-use stored::Stored;
+use views::{sliding_matview_diag, ViewEntry};
 use write::Change;
 
 /// How the engine physically removes expired base-table rows
@@ -421,55 +426,6 @@ impl fmt::Display for Explain {
     }
 }
 
-#[allow(clippy::large_enum_variant)] // few views exist; clarity over size
-enum ViewEntry {
-    Virtual {
-        expr: Expr,
-        schema: Schema,
-        /// The defining SQL query, when the view was created through SQL;
-        /// used by [`Database::dump_sql`]. API-created views have none.
-        definition: Option<exptime_sql::ast::Query>,
-    },
-    Materialized {
-        view: MaterializedView,
-        schema: Schema,
-        /// See [`ViewEntry::Virtual::definition`].
-        definition: Option<exptime_sql::ast::Query>,
-        /// Write versions of the base tables at (re)materialisation time.
-        /// Pure expiration never bumps these (the paper's machinery keeps
-        /// the view fresh for free); inserts and explicit deletes do, and
-        /// force a refresh on the next read.
-        base_versions: Vec<(String, u64)>,
-        /// What the static analyzer said about this view at creation time
-        /// (DESIGN.md §11); kept in the catalog so `\lint` and
-        /// [`Database::view_diagnostics`] can replay it without re-planning.
-        diagnostics: exptime_lint::LintReport,
-    },
-}
-
-impl ViewEntry {
-    fn schema(&self) -> &Schema {
-        match self {
-            ViewEntry::Virtual { schema, .. } | ViewEntry::Materialized { schema, .. } => schema,
-        }
-    }
-
-    fn definition(&self) -> Option<&exptime_sql::ast::Query> {
-        match self {
-            ViewEntry::Virtual { definition, .. } | ViewEntry::Materialized { definition, .. } => {
-                definition.as_ref()
-            }
-        }
-    }
-
-    fn expr(&self) -> &Expr {
-        match self {
-            ViewEntry::Virtual { expr, .. } => expr,
-            ViewEntry::Materialized { view, .. } => view.expr(),
-        }
-    }
-}
-
 /// A single-node expiration-time database.
 pub struct Database {
     config: DbConfig,
@@ -799,15 +755,11 @@ impl Database {
                         .filter(|p| !p.is_identity())
                         .and_then(|p| alter_ttl_sql(name, &p))
                 })
-                .chain(self.views.iter().filter_map(|(name, entry)| {
-                    entry.definition().map(|query| {
-                        exptime_sql::unparse::statement_to_sql(&Statement::CreateView {
-                            name: name.clone(),
-                            materialized: matches!(entry, ViewEntry::Materialized { .. }),
-                            query: query.clone(),
-                        })
-                    })
-                }))
+                .chain(
+                    self.views
+                        .iter()
+                        .filter_map(|(name, entry)| entry.create_sql(name)),
+                )
                 .collect(),
         };
         let session = self
@@ -1045,23 +997,6 @@ impl Database {
         self.monitor.health()
     }
 
-    /// Pushes every materialised view's `texp` into the staleness
-    /// monitor's `view.<name>.ttx` gauges.
-    fn observe_view_staleness(&self) {
-        let now = self.clock.now().finite().unwrap_or(u64::MAX);
-        let items: Vec<(&str, Option<u64>, Option<RefreshDecision>)> = self
-            .views
-            .iter()
-            .filter_map(|(name, entry)| match entry {
-                ViewEntry::Materialized { view, .. } => {
-                    Some((name.as_str(), view.texp().finite(), view.last_decision()))
-                }
-                ViewEntry::Virtual { .. } => None,
-            })
-            .collect();
-        self.monitor.observe_views(now, items);
-    }
-
     /// Forecasts future expiration load: every table's expiry index is
     /// folded into log₂ horizon buckets (`[now + 2^k, now + 2^(k+1))`),
     /// materialised views report their predicted refresh deadlines, and
@@ -1084,12 +1019,9 @@ impl Database {
         let views = self
             .views
             .iter()
-            .filter_map(|(name, entry)| match entry {
-                ViewEntry::Materialized { view, .. } => Some((
-                    name.clone(),
-                    view.texp().finite().map(|t| t.saturating_sub(now)),
-                )),
-                ViewEntry::Virtual { .. } => None,
+            .filter_map(|(name, entry)| {
+                let due = entry.materialized()?.texp().finite();
+                Some((name.clone(), due.map(|t| t.saturating_sub(now))))
             })
             .collect();
         let threshold = self.config.forecast.storm_threshold;
@@ -1353,17 +1285,10 @@ impl Database {
     pub fn drop_table(&mut self, name: &str) -> DbResult<()> {
         self.guard_reserved(name, "DROP TABLE")?;
         let key = name.to_ascii_lowercase();
-        for (vname, entry) in &self.views {
-            if entry
-                .expr()
-                .base_names()
-                .iter()
-                .any(|b| b.eq_ignore_ascii_case(&key))
-            {
-                return Err(DbError::Catalog(format!(
-                    "cannot drop `{name}`: view `{vname}` depends on it"
-                )));
-            }
+        if let Some((vname, _)) = self.views_over(&key).next() {
+            return Err(DbError::Catalog(format!(
+                "cannot drop `{name}`: view `{vname}` depends on it"
+            )));
         }
         self.policies.remove(&key);
         self.tables
@@ -1400,19 +1325,6 @@ impl Database {
         self.tables
             .get(&name.to_ascii_lowercase())
             .ok_or_else(|| DbError::Catalog(format!("unknown table `{name}`")))
-    }
-
-    /// The write version of every base table `expr` names: what a
-    /// materialised view over it remembers, and compares on each read.
-    fn current_versions(&self, expr: &Expr) -> Vec<(String, u64)> {
-        expr.base_names()
-            .into_iter()
-            .map(|n| {
-                let k = n.to_ascii_lowercase();
-                let v = self.tables.get(&k).map_or(0, Table::write_version);
-                (k, v)
-            })
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1458,26 +1370,11 @@ impl Database {
             at: at.unwrap_or(u64::MAX),
         });
         if policy.sliding != Sliding::Absolute {
-            let dependents: Vec<String> = self
-                .views
-                .iter()
-                .filter(|(_, e)| matches!(e, ViewEntry::Materialized { .. }))
-                .filter(|(_, e)| {
-                    e.expr()
-                        .base_names()
-                        .iter()
-                        .any(|b| b.eq_ignore_ascii_case(&key))
-                })
-                .map(|(v, _)| v.clone())
-                .collect();
-            for view in &dependents {
-                let d = sliding_matview_diag(&key, view);
-                self.obs.emit_with(at, || EventKind::LintDiagnostic {
-                    code: d.code.to_string(),
-                    severity: d.severity.to_string(),
-                    subject: view.clone(),
-                });
-                self.obs.registry().counter("lint.diagnostics").inc();
+            let kept = self
+                .views_over(&key)
+                .filter(|(_, e)| e.materialized().is_some());
+            for (view, _) in kept {
+                self.publish_diagnostics(view, &[sliding_matview_diag(&key, view)]);
             }
         }
         if self.wal.is_some() {
@@ -1641,71 +1538,100 @@ impl Database {
         expr: &Expr,
         explain: bool,
     ) -> DbResult<(Materialized, Option<Explain>)> {
-        let start = Instant::now();
-        let mut root = self.tracer.span("query");
-        let now = self.clock.now();
-        if let Some(t) = now.finite() {
-            root.at(t);
-        }
-        self.take_scan_tallies();
-        let patches_before = self.patches_applied_total();
-        let mut decisions = Vec::new();
-        if explain {
-            for name in expr.base_names() {
-                let key = name.to_ascii_lowercase();
-                if matches!(self.views.get(&key), Some(ViewEntry::Materialized { .. })) {
-                    self.read_materialized(&key)?;
-                    if let Some(ViewEntry::Materialized { view, .. }) = self.views.get(&key) {
-                        if let Some(d) = view.last_decision() {
+        self.bill_query(None, |db| {
+            let now = db.clock.now();
+            let mut decisions = Vec::new();
+            if explain {
+                for key in expr.base_names().iter().map(|n| n.to_ascii_lowercase()) {
+                    let kept = db.views.get(&key).and_then(ViewEntry::materialized);
+                    if kept.is_some() {
+                        if let (_, Some(d)) = db.read_materialized(&key)? {
                             decisions.push((key, d));
                         }
                     }
                 }
             }
+            let expr = db.prepare_expr(expr);
+            let mut eval_sp = db.tracer.span("eval");
+            let (m, profile) = if explain || db.profiler.next_is_sampled() {
+                let (m, profile) = eval_profiled(&expr, &*db, now, &db.config.eval)?;
+                (m, Some(profile))
+            } else {
+                (eval(&expr, &*db, now, &db.config.eval)?, None)
+            };
+            if let (true, Some(profile)) = (explain && eval_sp.is_recording(), &profile) {
+                let (id, at) = (eval_sp.id(), now.finite());
+                let end_ns = db.tracer.now_ns();
+                let start_ns = end_ns.saturating_sub(duration_ns(profile.elapsed));
+                graft_profile(&db.tracer, id, profile, start_ns, end_ns, at);
+            }
+            eval_sp.attr("rows_out", m.rel.len());
+            eval_sp.attr("texp", m.texp);
+            drop(eval_sp);
+            let bill = QueryProfile {
+                // The profiler keeps a label only with per-operator detail.
+                label: profile
+                    .as_ref()
+                    .map_or_else(String::new, |_| expr.to_string()),
+                tuples_materialized: m.rel.len() as u64,
+                change_points: expr.node_count() as u64,
+                operators: profile.as_ref().map_or_else(Vec::new, flatten_profile),
+                ..QueryProfile::default()
+            };
+            let report = profile.filter(|_| explain).map(|profile| Explain {
+                profile,
+                decisions,
+                rows: m.rel.len(),
+            });
+            Ok(((m, report), bill))
+        })
+    }
+
+    /// Runs `run` as one billed query: under the `query` span, counted in
+    /// `db.queries` / `db.query_ns`, and recorded by the profiler. `run`
+    /// returns its result with the part of the bill only it knows — label,
+    /// rows out, change points, per-operator detail; what is measured
+    /// around it — scan tallies, patch-queue work (views are inlined, so
+    /// only a view read or an explain's refreshes can have done any), wall
+    /// time — is filled in here.
+    fn bill_query<T>(
+        &mut self,
+        view: Option<&str>,
+        run: impl FnOnce(&mut Self) -> DbResult<(T, QueryProfile)>,
+    ) -> DbResult<T> {
+        let start = Instant::now();
+        let mut root = self.tracer.span("query");
+        if let Some(view) = view {
+            root.attr("view", view);
         }
-        let expr = self.prepare_expr(expr);
-        let mut eval_sp = self.tracer.span("eval");
-        let (m, profile) = if explain || self.profiler.next_is_sampled() {
-            let (m, profile) = eval_profiled(&expr, &*self, now, &self.config.eval)?;
-            (m, Some(profile))
-        } else {
-            (eval(&expr, &*self, now, &self.config.eval)?, None)
-        };
-        if let (true, Some(profile)) = (explain && eval_sp.is_recording(), &profile) {
-            let (id, at) = (eval_sp.id(), now.finite());
-            let end_ns = self.tracer.now_ns();
-            let start_ns = end_ns.saturating_sub(duration_ns(profile.elapsed));
-            graft_profile(&self.tracer, id, profile, start_ns, end_ns, at);
+        if let Some(t) = self.clock.now().finite() {
+            root.at(t);
         }
-        eval_sp.attr("rows_out", m.rel.len());
-        eval_sp.attr("texp", m.texp);
-        drop(eval_sp);
-        root.attr("rows", m.rel.len());
+        self.take_scan_tallies();
+        let patches_before = self.patches_applied_total();
+        let (out, bill) = run(self)?;
+        root.attr("rows", bill.tuples_materialized);
         self.counters.queries.inc();
         let elapsed = start.elapsed();
         self.counters.query_ns.record_duration(elapsed);
         let (rows_scanned, allocations) = self.take_scan_tallies();
         self.profiler.record(QueryProfile {
-            // The profiler keeps a label only with per-operator detail.
-            label: profile
-                .as_ref()
-                .map_or_else(String::new, |_| expr.to_string()),
             rows_scanned,
-            tuples_materialized: m.rel.len() as u64,
-            change_points: expr_node_count(&expr),
-            // Views are inlined, so only an explain's refreshes can have
-            // done patch-queue work.
             patch_ops: self.patches_applied_total() - patches_before,
             allocations,
             wall_ns: duration_ns(elapsed),
-            operators: profile.as_ref().map_or_else(Vec::new, flatten_profile),
+            ..bill
         });
-        let report = profile.filter(|_| explain).map(|profile| Explain {
-            profile,
-            decisions,
-            rows: m.rel.len(),
-        });
-        Ok((m, report))
+        Ok(out)
+    }
+
+    /// `(rows_scanned, allocations)`: the rows scans have lent the
+    /// evaluator since the last call, and how many of them it kept. A read
+    /// calls this as it starts — dropping what unprofiled evaluations (a
+    /// view's creation, a replica's own `eval`) left behind — and as it
+    /// ends, for its bill.
+    fn take_scan_tallies(&self) -> (u64, u64) {
+        (self.scanned.swap(0, Ordering::Relaxed), self.alloc.take())
     }
 
     /// Inlines views and (when configured) runs the cost-gated rewriter,
@@ -1730,283 +1656,6 @@ impl Database {
         }
     }
 
-    /// Replaces view references with their defining expressions, so every
-    /// expression bottoms out at base tables.
-    #[must_use]
-    pub fn inline_views(&self, expr: &Expr) -> Expr {
-        match expr {
-            Expr::Base(name) => match self.views.get(&name.to_ascii_lowercase()) {
-                Some(entry) => entry.expr().clone(),
-                None => expr.clone(),
-            },
-            Expr::Select { input, predicate } => Expr::Select {
-                input: Box::new(self.inline_views(input)),
-                predicate: predicate.clone(),
-            },
-            Expr::Project { input, positions } => Expr::Project {
-                input: Box::new(self.inline_views(input)),
-                positions: positions.clone(),
-            },
-            Expr::Product { left, right } => Expr::Product {
-                left: Box::new(self.inline_views(left)),
-                right: Box::new(self.inline_views(right)),
-            },
-            Expr::Union { left, right } => Expr::Union {
-                left: Box::new(self.inline_views(left)),
-                right: Box::new(self.inline_views(right)),
-            },
-            Expr::Join {
-                left,
-                right,
-                predicate,
-            } => Expr::Join {
-                left: Box::new(self.inline_views(left)),
-                right: Box::new(self.inline_views(right)),
-                predicate: predicate.clone(),
-            },
-            Expr::Intersect { left, right } => Expr::Intersect {
-                left: Box::new(self.inline_views(left)),
-                right: Box::new(self.inline_views(right)),
-            },
-            Expr::Difference { left, right } => Expr::Difference {
-                left: Box::new(self.inline_views(left)),
-                right: Box::new(self.inline_views(right)),
-            },
-            Expr::Aggregate {
-                input,
-                group_by,
-                func,
-            } => Expr::Aggregate {
-                input: Box::new(self.inline_views(input)),
-                group_by: group_by.clone(),
-                func: *func,
-            },
-        }
-    }
-
-    /// Creates a materialised view over an algebra expression (view names
-    /// inlined). The view maintains itself per the configured policies.
-    ///
-    /// # Errors
-    ///
-    /// Returns catalog or evaluation errors.
-    pub fn create_materialized_view(&mut self, name: &str, expr: Expr) -> DbResult<()> {
-        self.create_view_inner(name, expr, None, true)
-    }
-
-    /// Creates a virtual (non-materialised) view.
-    ///
-    /// # Errors
-    ///
-    /// Returns catalog or schema errors.
-    pub fn create_view(&mut self, name: &str, expr: Expr) -> DbResult<()> {
-        self.create_view_inner(name, expr, None, false)
-    }
-
-    fn create_view_inner(
-        &mut self,
-        name: &str,
-        expr: Expr,
-        definition: Option<exptime_sql::ast::Query>,
-        materialized: bool,
-    ) -> DbResult<()> {
-        let action = if materialized {
-            "CREATE MATERIALIZED VIEW"
-        } else {
-            "CREATE VIEW"
-        };
-        self.guard_reserved(name, action)?;
-        let key = name.to_ascii_lowercase();
-        if self.tables.contains_key(&key) || self.views.contains_key(&key) {
-            return Err(DbError::Catalog(format!("`{name}` already exists")));
-        }
-        let expr = self.inline_views(&expr);
-        let schema = expr.schema(&*self)?;
-        let log_sql = match (&definition, &self.wal) {
-            (Some(query), Some(_)) => Some(exptime_sql::unparse::statement_to_sql(
-                &Statement::CreateView {
-                    name: key.clone(),
-                    materialized,
-                    query: query.clone(),
-                },
-            )),
-            // API-created views have no SQL definition and are not
-            // durable — same limitation as dump_sql, documented there.
-            _ => None,
-        };
-        let entry = if materialized {
-            let mut view = MaterializedView::new(
-                expr,
-                &*self,
-                self.clock.now(),
-                self.config.eval,
-                self.config.view_refresh,
-                RemovalPolicy::Lazy,
-            )?;
-            view.attach_obs(&self.obs, &key);
-            view.attach_tracer(&self.tracer);
-            ViewEntry::Materialized {
-                base_versions: self.current_versions(view.expr()),
-                diagnostics: self.lint_materialization(&key, definition.as_ref(), &view),
-                view,
-                schema,
-                definition,
-            }
-        } else {
-            ViewEntry::Virtual {
-                expr,
-                schema,
-                definition,
-            }
-        };
-        self.views.insert(key, entry);
-        if let Some(sql) = log_sql {
-            self.wal_log_ddl(sql)?;
-        }
-        Ok(())
-    }
-
-    /// Drops a view.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Catalog`] for an unknown view.
-    pub fn drop_view(&mut self, name: &str) -> DbResult<()> {
-        self.guard_reserved(name, "DROP VIEW")?;
-        let key = name.to_ascii_lowercase();
-        self.views
-            .remove(&key)
-            .ok_or_else(|| DbError::Catalog(format!("unknown view `{name}`")))?;
-        if self.wal.is_some() {
-            let sql = exptime_sql::unparse::statement_to_sql(&Statement::DropView { name: key });
-            self.wal_log_ddl(sql)?;
-        }
-        Ok(())
-    }
-
-    /// Reads a view at the current time. Materialised views serve from
-    /// their local state when fresh (Theorems 1–3) and recompute otherwise;
-    /// virtual views always evaluate.
-    ///
-    /// # Errors
-    ///
-    /// Returns catalog or evaluation errors.
-    pub fn read_view(&mut self, name: &str) -> DbResult<Relation> {
-        let key = name.to_ascii_lowercase();
-        match self.views.get(&key) {
-            None => return Err(DbError::Catalog(format!("unknown view `{name}`"))),
-            // Reading a virtual view is the query that names it.
-            Some(ViewEntry::Virtual { .. }) => return Ok(self.query_expr(&Expr::Base(key))?.rel),
-            Some(ViewEntry::Materialized { .. }) => {}
-        }
-        let start = Instant::now();
-        let mut root = self.tracer.span("query");
-        root.attr("view", &key);
-        if let Some(t) = self.clock.now().finite() {
-            root.at(t);
-        }
-        self.take_scan_tallies();
-        let patches_before = self.patches_applied_total();
-        let rel = self.read_materialized(&key)?;
-        root.attr("rows", rel.len());
-        self.counters.queries.inc();
-        let elapsed = start.elapsed();
-        self.counters.query_ns.record_duration(elapsed);
-        let (rows_scanned, allocations) = self.take_scan_tallies();
-        let entry = self.views.get(&key).expect("read above");
-        self.profiler.record(QueryProfile {
-            label: format!("view {key}"),
-            rows_scanned,
-            tuples_materialized: rel.len() as u64,
-            change_points: expr_node_count(entry.expr()),
-            patch_ops: self.patches_applied_total() - patches_before,
-            allocations,
-            wall_ns: duration_ns(elapsed),
-            operators: Vec::new(),
-        });
-        Ok(rel)
-    }
-
-    /// `(rows_scanned, allocations)`: the rows scans have lent the
-    /// evaluator since the last call, and how many of them it kept. A read
-    /// calls this as it starts — dropping what unprofiled evaluations (a
-    /// view's creation, a replica's own `eval`) left behind — and as it
-    /// ends, for its bill.
-    fn take_scan_tallies(&self) -> (u64, u64) {
-        (self.scanned.swap(0, Ordering::Relaxed), self.alloc.take())
-    }
-
-    /// Patch-queue operations applied by every materialised view so far,
-    /// differenced per statement to bill Theorem 3 work to the query that
-    /// triggered it.
-    fn patches_applied_total(&self) -> u64 {
-        self.views
-            .values()
-            .map(|entry| match entry {
-                ViewEntry::Materialized { view, .. } => view.stats().patches_applied,
-                ViewEntry::Virtual { .. } => 0,
-            })
-            .sum()
-    }
-
-    /// Refreshes (if due) and reads the materialised view `key`, without
-    /// query accounting — the callers, [`Database::read_view`] and an
-    /// EXPLAIN ANALYZE that names the view, each count one query.
-    fn read_materialized(&mut self, key: &str) -> DbResult<Relation> {
-        let now = self.clock.now();
-        let Some(ViewEntry::Materialized { view, .. }) = self.views.get(key) else {
-            return Err(DbError::Catalog(format!(
-                "`{key}` is not a materialised view"
-            )));
-        };
-        // Views must see base-table *updates* (inserts / explicit
-        // deletes / expiration-time changes), which the paper's
-        // expiration-only maintenance model excludes: compare write
-        // versions and force a refresh when they moved.
-        let wanted = self.current_versions(view.expr());
-        let Some(ViewEntry::Materialized {
-            view,
-            base_versions,
-            ..
-        }) = self.views.get_mut(key)
-        else {
-            unreachable!("matched above")
-        };
-        // Storage is touched only if the view decides to recompute: a
-        // fresh view with unmoved base versions is a local read.
-        let stored = Stored {
-            tables: &self.tables,
-            alloc: &self.alloc,
-            scanned: &self.scanned,
-        };
-        let refresh_start = Instant::now();
-        let mut sp = self.tracer.span("view.refresh");
-        sp.attr("view", key);
-        if let Some(t) = now.finite() {
-            sp.at(t);
-        }
-        if *base_versions != wanted {
-            view.force_refresh(&stored, now)?;
-            *base_versions = wanted;
-        }
-        let rel = view.read(&stored, now)?;
-        if let Some(d) = view.last_decision() {
-            sp.attr("decision", d);
-        }
-        drop(sp);
-        // Refresh-latency SLO: maintaining + serving this view.
-        let ns = refresh_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.monitor
-            .observe_refresh(key, ns, now.finite().unwrap_or(u64::MAX));
-        Ok(rel)
-    }
-
-    /// The names of all views, in name order.
-    #[must_use]
-    pub fn view_names(&self) -> Vec<String> {
-        self.views.keys().cloned().collect()
-    }
-
     /// The schema of a table or view, for external planners (e.g. the
     /// CLI's `\plan`).
     ///
@@ -2015,20 +1664,6 @@ impl Database {
     /// Returns a plan error for unknown names.
     pub fn schema_of_relation(&self, name: &str) -> Result<Schema, SqlError> {
         self.schema_of(name)
-    }
-
-    /// Statistics of a materialised view (recomputations, local reads, …).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Catalog`] if the name is not a materialised view.
-    pub fn view_stats(&self, name: &str) -> DbResult<exptime_core::materialize::ViewStats> {
-        match self.views.get(&name.to_ascii_lowercase()) {
-            Some(ViewEntry::Materialized { view, .. }) => Ok(view.stats()),
-            _ => Err(DbError::Catalog(format!(
-                "`{name}` is not a materialised view"
-            ))),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -2063,12 +1698,35 @@ impl Database {
         };
         let expr = plan_query(query, self)?;
         let expr = self.inline_views(&expr);
-        let opts = exptime_lint::AnalyzerOptions {
+        let opts = self.analyzer_options(materialized);
+        Ok(exptime_lint::analyze(Some(query), &expr, &opts))
+    }
+
+    /// How the analyzer should read a plan under this configuration.
+    fn analyzer_options(&self, materialized: bool) -> exptime_lint::AnalyzerOptions {
+        exptime_lint::AnalyzerOptions {
             materialized,
             patch_root_difference: self.config.eval.patch_root_difference,
             schrodinger: self.config.eval.eq12_validity,
-        };
-        Ok(exptime_lint::analyze(Some(query), &expr, &opts))
+        }
+    }
+
+    /// Publishes analyzer findings about `subject`: one `lint_diagnostic`
+    /// event each, and the `lint.diagnostics` counter (which exists only
+    /// once something has been found).
+    fn publish_diagnostics(&self, subject: &str, diagnostics: &[exptime_lint::Diagnostic]) {
+        let at = self.clock.now().finite();
+        for d in diagnostics {
+            self.obs.emit_with(at, || EventKind::LintDiagnostic {
+                code: d.code.to_string(),
+                severity: d.severity.to_string(),
+                subject: subject.to_string(),
+            });
+        }
+        if !diagnostics.is_empty() {
+            let found = self.obs.registry().counter("lint.diagnostics");
+            found.add(diagnostics.len() as u64);
+        }
     }
 
     /// [`Database::lint`] rendered with source excerpts and caret lines —
@@ -2080,92 +1738,6 @@ impl Database {
     pub fn explain_lint(&self, sql: &str) -> DbResult<String> {
         let report = self.lint(sql)?;
         Ok(exptime_lint::render(&report, sql))
-    }
-
-    /// The diagnostics the analyzer recorded when a materialised view was
-    /// created (including the operational `W101` SLO check).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Catalog`] if the name is not a materialised view.
-    pub fn view_diagnostics(&self, name: &str) -> DbResult<exptime_lint::LintReport> {
-        match self.views.get(&name.to_ascii_lowercase()) {
-            Some(ViewEntry::Materialized { diagnostics, .. }) => Ok(diagnostics.clone()),
-            _ => Err(DbError::Catalog(format!(
-                "`{name}` is not a materialised view"
-            ))),
-        }
-    }
-
-    /// Analyzer pass run at `CREATE MATERIALIZED VIEW` time: the static
-    /// checks plus the operational `W101` — the view's first refresh falls
-    /// due within the SLO's tolerated trigger lateness, so a legally late
-    /// trigger would miss the refresh window. Every diagnostic becomes an
-    /// obs event and bumps the `lint.diagnostics` counter.
-    fn lint_materialization(
-        &self,
-        name: &str,
-        definition: Option<&exptime_sql::ast::Query>,
-        view: &MaterializedView,
-    ) -> exptime_lint::LintReport {
-        let opts = exptime_lint::AnalyzerOptions {
-            materialized: true,
-            patch_root_difference: self.config.eval.patch_root_difference,
-            schrodinger: self.config.eval.eq12_validity,
-        };
-        let report = exptime_lint::analyze(definition, view.expr(), &opts);
-        let mut diagnostics = report.diagnostics;
-        if let (Some(texp), Some(now)) = (view.texp().finite(), self.clock.now().finite()) {
-            let window = texp.saturating_sub(now);
-            if window <= self.config.slo.max_trigger_lateness {
-                diagnostics.push(
-                    exptime_lint::Diagnostic::new(
-                        exptime_lint::Code::W101,
-                        exptime_lint::Severity::Warning,
-                        format!(
-                            "view refresh falls due in {window} tick(s), within the SLO's \
-                             tolerated trigger lateness of {}; a legally late trigger misses \
-                             the refresh window",
-                            self.config.slo.max_trigger_lateness
-                        ),
-                        exptime_sql::span::Span::DUMMY,
-                    )
-                    .with_suggestion(
-                        "tighten SloConfig::max_trigger_lateness, switch to eager removal, \
-                         or give the view's inputs longer expiration times"
-                            .to_string(),
-                    ),
-                );
-            }
-        }
-        // W102: the view materialises over a base whose TTL slides — each
-        // touch bumps the base's write version and forces a refresh.
-        for base in view.expr().base_names() {
-            let key = base.to_ascii_lowercase();
-            if self
-                .policies
-                .get(&key)
-                .is_some_and(|tp| tp.policy.sliding != Sliding::Absolute)
-            {
-                diagnostics.push(sliding_matview_diag(&key, name));
-            }
-        }
-        let report = exptime_lint::LintReport::new(diagnostics);
-        let at = self.clock.now().finite();
-        for d in &report.diagnostics {
-            self.obs.emit_with(at, || EventKind::LintDiagnostic {
-                code: d.code.to_string(),
-                severity: d.severity.to_string(),
-                subject: name.to_string(),
-            });
-        }
-        if !report.is_clean() {
-            self.obs
-                .registry()
-                .counter("lint.diagnostics")
-                .add(report.diagnostics.len() as u64);
-        }
-        report
     }
 
     // ------------------------------------------------------------------
@@ -2233,7 +1805,7 @@ impl Database {
             });
             graph.views.push(exptime_lint::ViewNode {
                 name: name.clone(),
-                materialized: matches!(entry, ViewEntry::Materialized { .. }),
+                materialized: entry.materialized().is_some(),
                 soundness: expr.soundness(),
                 bases,
                 deps,
@@ -2293,19 +1865,7 @@ impl Database {
                 )
             }));
         self.monitor.set_staleness_bounds(bounds);
-        for d in &report.lint.diagnostics {
-            self.obs.emit_with(at, || EventKind::LintDiagnostic {
-                code: d.code.to_string(),
-                severity: d.severity.to_string(),
-                subject: "audit".to_string(),
-            });
-        }
-        if !report.lint.is_clean() {
-            self.obs
-                .registry()
-                .counter("lint.diagnostics")
-                .add(report.lint.diagnostics.len() as u64);
-        }
+        self.publish_diagnostics("audit", &report.lint.diagnostics);
         report
     }
 
@@ -2422,24 +1982,11 @@ impl Database {
             }
         }
         for (name, entry) in &self.views {
-            match entry.definition() {
-                Some(query) => {
-                    let stmt = Stmt::CreateView {
-                        name: name.clone(),
-                        materialized: matches!(entry, ViewEntry::Materialized { .. }),
-                        query: query.clone(),
-                    };
-                    out.push_str(&statement_to_sql(&stmt));
-                    out.push_str(";\n");
-                }
-                None => {
-                    // API-created: no SQL definition to replay.
-                    out.push_str(&format!(
-                        "-- view {name} (no SQL definition): {}\n",
-                        entry.expr()
-                    ));
-                }
-            }
+            out.push_str(&match entry.create_sql(name) {
+                Some(sql) => format!("{sql};\n"),
+                // API-created: no SQL definition to replay.
+                None => format!("-- view {name} (no SQL definition): {}\n", entry.expr()),
+            });
         }
         out
     }
@@ -2829,23 +2376,6 @@ fn gauge_i64(v: u64) -> i64 {
     i64::try_from(v).unwrap_or(i64::MAX)
 }
 
-/// Number of operator nodes in an expression. Each node computes its
-/// result's expiration time from its inputs' (Section 3 of the paper),
-/// so this is the statement's change-point count.
-fn expr_node_count(expr: &Expr) -> u64 {
-    match expr {
-        Expr::Base(_) => 1,
-        Expr::Select { input, .. }
-        | Expr::Project { input, .. }
-        | Expr::Aggregate { input, .. } => 1 + expr_node_count(input),
-        Expr::Product { left, right }
-        | Expr::Union { left, right }
-        | Expr::Join { left, right, .. }
-        | Expr::Intersect { left, right }
-        | Expr::Difference { left, right } => 1 + expr_node_count(left) + expr_node_count(right),
-    }
-}
-
 /// Flattens an executed [`PlanProfile`] tree into per-operator costs
 /// (self time, excluding children), pre-order.
 fn flatten_profile(profile: &PlanProfile) -> Vec<OperatorCost> {
@@ -2936,27 +2466,6 @@ fn alter_ttl_sql(table: &str, policy: &TtlPolicy) -> Option<String> {
             table: table.to_string(),
             ttl: Some(clause),
         },
-    ))
-}
-
-/// The `W102` diagnostic: a materialised view over a base table whose
-/// TTL slides. Emitted both when the view is created over an already-
-/// sliding base and when `ALTER TABLE … SET TTL … SLIDING` arrives
-/// under an existing view.
-fn sliding_matview_diag(table: &str, view: &str) -> exptime_lint::Diagnostic {
-    exptime_lint::Diagnostic::new(
-        exptime_lint::Code::W102,
-        exptime_lint::Severity::Warning,
-        format!(
-            "materialised view `{view}` reads `{table}`, whose TTL policy slides: \
-             every touch rewrites a base `texp`, so the monotone-expiration \
-             assumption behind Theorems 1–3 no longer holds and each touched \
-             read forces a view refresh"
-        ),
-        exptime_sql::span::Span::DUMMY,
-    )
-    .with_suggestion(format!(
-        "make `{table}`'s TTL absolute, or use a virtual (non-materialised) view"
     ))
 }
 

@@ -9,6 +9,7 @@
 //! | R004 | No `std::thread::sleep` outside test/bench/fault-injection code and the few real-time boundaries (tickers, network backoff, daemon pacing): query/maintenance paths must advance the simulated clock, never stall the thread. |
 //! | R005 | No `Database::snapshot` call in production code under `crates/*/src`, and no `Table::to_relation` call in `crates/engine/src` outside `db/stored.rs` (where `snapshot` itself makes its one): a read is a pinned `τ` over the borrowed tables that copies only the rows that come out, not a copy of them. The copy stays as the reference that tests, benches, examples and the out-of-tree benchmark compare the read path against. |
 //! | R006 | No `value_timeline`, `nu_naive` or closure-form `nu::nu(` in production code under `crates/core/src/algebra/` or `crates/engine/src`: the timeline definitions of ν re-apply `f` to a copy of the survivors at every time slice (or tick) and are the oracle that `nu::first_change` — what evaluation computes — is tested against, not a path a query may take. |
+//! | R007 | No `prev_covered(` and no `.rel.exp(` in production code that holds a materialisation — `crates/replica/src`, `crates/net/src`, `crates/engine/src` and `crates/core/src/{schrodinger,materialize}.rs`: which instant a materialisation can answer for, and the rows it has at one (the stored rows *plus* the due part of its Theorem 3 queue), are `Materialized::{covered_at, rows_at, answer}`. `crates/core/src/algebra/eval.rs`, where that kernel is defined, is the one place that does either by hand. |
 
 use std::fmt;
 use std::fs;
@@ -60,6 +61,7 @@ pub fn check_repo(root: &Path) -> io::Result<Vec<RepoViolation>> {
         check_r004(&rel, &content, &mut out);
         check_r005(&rel, &content, &mut out);
         check_r006(&rel, &content, &mut out);
+        check_r007(&rel, &content, &mut out);
     }
     check_r003(root, &mut out);
     out.sort_by(|a, b| (a.rule, &a.path, a.line).cmp(&(b.rule, &b.path, b.line)));
@@ -297,6 +299,47 @@ fn check_r006(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
                 "`{}` on the evaluation path; the timeline definitions of ν are \
                  the test oracle — evaluation computes nu::first_change",
                 name.trim_end_matches('(')
+            ),
+        });
+    }
+}
+
+/// R007: a hand-rolled read of a materialisation — `validity.prev_covered(`
+/// (which instant can it answer for?) or `.rel.exp(` (what are its rows
+/// then? — not those alone, under Theorem 3) — in production code of a
+/// holder: the replicas, the degraded-read cache, the engine's views, and
+/// the Schrödinger policies and `MaterializedView` in `core`. They ask
+/// `Materialized::{covered_at, rows_at, answer}`, defined in
+/// `core/src/algebra/eval.rs`, which is outside the rule's reach.
+fn check_r007(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
+    const BY_HAND: [&str; 2] = ["prev_covered(", ".rel.exp("];
+    const HOLDERS: [&str; 5] = [
+        "crates/replica/src",
+        "crates/net/src",
+        "crates/engine/src",
+        "crates/core/src/schrodinger.rs",
+        "crates/core/src/materialize.rs",
+    ];
+    if !HOLDERS.iter().any(|h| rel.starts_with(h)) {
+        return;
+    }
+    let lines: Vec<&str> = content.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        let code = code_only(line);
+        let Some(call) = BY_HAND.iter().find(|call| code.contains(**call)) else {
+            continue;
+        };
+        if line_is_in_tests(&lines, i) {
+            continue;
+        }
+        out.push(RepoViolation {
+            rule: "R007",
+            path: rel.to_path_buf(),
+            line: i + 1,
+            message: format!(
+                "`{call}…)` in a holder of a materialisation; ask it \
+                 (Materialized::answer / covered_at / rows_at) — its rows are \
+                 not its result while its patch queue has entries due"
             ),
         });
     }
@@ -543,6 +586,47 @@ mod tests {
             [(ops, 1), (ops, 2), (ops, 3), (db, 1), (db, 2), (db, 3)],
             "{v:?}"
         );
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn r007_sends_every_holder_of_a_materialisation_to_the_kernel() {
+        let by_hand = "fn back(m: &Materialized) { m.validity.prev_covered(now); }\n\
+                       fn rows(e: &Entry) -> Relation { e.m.rel.exp(back) }\n\
+                       /// Not `m.rel.exp(t)`: see `Materialized::rows_at`.\n\
+                       fn fine(m: &Materialized) { m.answer(now); m.rel.iter(); }\n\
+                       #[cfg(test)]\n\
+                       mod tests { fn t() { fresh.rel.exp(now); } }\n";
+        let dir = fixture(&[
+            ("crates/replica/src/session.rs", by_hand),
+            ("crates/net/src/degrade.rs", by_hand),
+            ("crates/engine/src/db/views.rs", by_hand),
+            ("crates/core/src/schrodinger.rs", by_hand),
+            ("crates/core/src/materialize.rs", by_hand),
+            ("crates/core/src/algebra/eval.rs", by_hand),
+            ("crates/core/src/interval.rs", by_hand),
+            ("crates/bench/src/experiments.rs", by_hand),
+            ("tests/prop_views.rs", by_hand),
+            ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
+        ]);
+        let v = check_repo(&dir).unwrap();
+        let r007: Vec<_> = v.iter().filter(|v| v.rule == "R007").collect();
+        // Lines 1 and 2 of each of the five holders; the kernel's file,
+        // the interval module, the experiments and integration tests may
+        // do either, and so may comments and test modules.
+        let at: Vec<_> = r007
+            .iter()
+            .map(|v| (v.path.to_str().unwrap(), v.line))
+            .collect();
+        let holders = [
+            "crates/core/src/materialize.rs",
+            "crates/core/src/schrodinger.rs",
+            "crates/engine/src/db/views.rs",
+            "crates/net/src/degrade.rs",
+            "crates/replica/src/session.rs",
+        ];
+        let want: Vec<_> = holders.iter().flat_map(|h| [(*h, 1), (*h, 2)]).collect();
+        assert_eq!(at, want, "{v:?}");
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -6,9 +6,10 @@
 //! logical time without re-evaluating it. Under queue pressure the
 //! server prefers a provably-valid cached answer over queueing the read
 //! behind writes — and when the cache has only a stale entry, it can
-//! still serve the most recent *covered* instant (`prev_covered`),
-//! labelled as stale, exactly as the chaos replica does when its link
-//! is down.
+//! still serve the most recent *covered* instant, labelled as stale. Both
+//! are [`Materialized::answer`], the one read every holder of a
+//! materialisation serves — the chaos replica with its link down does
+//! exactly this.
 
 use exptime_core::algebra::Materialized;
 use exptime_core::relation::Relation;
@@ -130,28 +131,23 @@ impl StaleCache {
             return None;
         };
         e.last_used = clock;
-        let m = &mut e.m;
-        if m.valid_at(now) {
-            self.valid_hits += 1;
-            return Some(DegradedRead {
-                rel: m.read_at(now),
-                as_of: now,
-                texp: m.texp,
-                stale: false,
-            });
-        }
-        if let Some(back) = m.validity.prev_covered(now) {
+        let Some((rel, as_of)) = e.m.answer(now) else {
+            self.entries.remove(sql);
+            self.misses += 1;
+            return None;
+        };
+        let stale = as_of < now;
+        if stale {
             self.stale_hits += 1;
-            return Some(DegradedRead {
-                rel: m.read_at(back),
-                as_of: back,
-                texp: m.texp,
-                stale: true,
-            });
+        } else {
+            self.valid_hits += 1;
         }
-        self.entries.remove(sql);
-        self.misses += 1;
-        None
+        Some(DegradedRead {
+            rel,
+            as_of,
+            texp: e.m.texp,
+            stale,
+        })
     }
 
     /// Cached entry count.

@@ -13,6 +13,7 @@
 //!   read: message cost Θ(reads), payload Θ(reads × result size).
 
 use crate::link::Link;
+use crate::session::Change;
 use crate::ReplicaResult;
 use exptime_core::algebra::{eval, EvalOptions, Expr};
 use exptime_core::relation::Relation;
@@ -54,28 +55,11 @@ impl DeletePushReplica {
     /// Propagates evaluation errors; a schema mismatch on apply surfaces
     /// as [`crate::ReplicaError::Db`] instead of panicking.
     pub fn server_sync(&mut self, server: &Database) -> ReplicaResult<()> {
-        let now = server.now();
-        let fresh = eval(&self.expr, server, now, &EvalOptions::default())?.rel;
-        // Deletions: cached tuples no longer in the result.
-        let stale: Vec<_> = self
-            .cache
-            .iter()
-            .filter(|(t, _)| !fresh.contains(t))
-            .map(|(t, _)| t.clone())
-            .collect();
-        for t in stale {
+        let fresh = eval(&self.expr, server, server.now(), &EvalOptions::default())?.rel;
+        // Deletions, then insertions (differences grow as S-side tuples
+        // expire): one notice each.
+        for _ in Change::diff(&mut self.cache, &fresh)? {
             self.link.push(1);
-            self.cache.remove(&t);
-        }
-        // Insertions (differences grow as S-side tuples expire).
-        let new: Vec<_> = fresh
-            .iter()
-            .filter(|(t, _)| !self.cache.contains(t))
-            .map(|(t, e)| (t.clone(), e))
-            .collect();
-        for (t, e) in new {
-            self.link.push(1);
-            self.cache.insert(t, e)?;
         }
         Ok(())
     }

@@ -11,8 +11,8 @@
 
 use crate::link::Link;
 use crate::{ReplicaError, ReplicaResult};
-use exptime_core::algebra::{EvalOptions, Expr};
-use exptime_core::materialize::{MaterializedView, RefreshPolicy, RemovalPolicy};
+use exptime_core::algebra::{EvalOptions, Expr, Materialized};
+use exptime_core::materialize::{MaterializedView, RefreshDecision, RefreshPolicy, RemovalPolicy};
 use exptime_core::relation::Relation;
 use exptime_core::time::Time;
 use exptime_engine::{Database, DbError};
@@ -30,6 +30,28 @@ pub enum ReadOutcome {
     Stale(Time),
     /// Link down and no usable local state.
     Unavailable,
+}
+
+/// A read the local state must answer alone (Schrödinger move-backward):
+/// [`Materialized::answer`] for `now` — the rows as of the newest instant
+/// `m` covers, patch queue included — reported as a divergence event of
+/// that many ticks (`u64::MAX` when `m` covers nothing and answers `None`).
+pub(crate) fn degraded(
+    m: &Materialized,
+    view: &str,
+    now: Time,
+    obs: &exptime_obs::Obs,
+) -> Option<(Relation, Time)> {
+    let answer = m.answer(now);
+    let behind = answer.as_ref().map_or(u64::MAX, |(_, back)| {
+        let ticks = now.finite().zip(back.finite());
+        ticks.map_or(0, |(n, b)| n.saturating_sub(b))
+    });
+    obs.emit_with(now.finite(), || exptime_obs::EventKind::ReplicaDivergence {
+        view: view.to_string(),
+        behind,
+    });
+    answer
 }
 
 /// A client holding expiration-aware materialised views.
@@ -122,46 +144,25 @@ impl Replica {
         })?;
 
         // A fresh view reads locally and never asks `server` for rows; a
-        // stale one needs the link. The recomputation counter says which
-        // of the two this read was.
+        // stale one needs the link, and says whether it used it.
         if view.fresh_at(now) || self.link.is_up() {
-            let before = view.stats().recomputations;
             let rel = view.read(server, now)?;
-            if view.stats().recomputations == before {
+            if view.last_decision() != Some(RefreshDecision::Recompute) {
                 return Ok((rel, ReadOutcome::Local));
             }
             self.link.round_trip(rel.len() as u64);
             return Ok((rel, ReadOutcome::Refreshed));
         }
 
-        // Disconnected: Schrödinger move-backward to the latest valid
-        // instant the local state covers.
+        // Disconnected: the newest locally-correct state, if any.
         let m = view.materialized();
-        match m.validity.prev_covered(now) {
-            Some(back) if back >= m.at => {
-                let rel = m.rel.exp(back);
-                self.obs
-                    .emit_with(now.finite(), || exptime_obs::EventKind::ReplicaDivergence {
-                        view: name.to_string(),
-                        behind: now
-                            .finite()
-                            .zip(back.finite())
-                            .map_or(0, |(n, b)| n.saturating_sub(b)),
-                    });
-                Ok((rel, ReadOutcome::Stale(back)))
-            }
-            _ => {
-                self.obs
-                    .emit_with(now.finite(), || exptime_obs::EventKind::ReplicaDivergence {
-                        view: name.to_string(),
-                        behind: u64::MAX,
-                    });
-                Ok((
-                    Relation::new(m.rel.schema().clone()),
-                    ReadOutcome::Unavailable,
-                ))
-            }
-        }
+        Ok(match degraded(m, name, now, &self.obs) {
+            Some((rel, back)) => (rel, ReadOutcome::Stale(back)),
+            None => (
+                Relation::new(m.rel.schema().clone()),
+                ReadOutcome::Unavailable,
+            ),
+        })
     }
 
     /// Total recomputations across all views (server round trips caused by

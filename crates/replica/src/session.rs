@@ -29,6 +29,7 @@
 
 use crate::fault::{Dir, Fate, FaultSpec, FaultyLink};
 use crate::link::LinkStats;
+use crate::replica::degraded;
 use crate::{ReplicaError, ReplicaResult};
 use exptime_core::algebra::{eval, EvalOptions, Expr, Materialized};
 use exptime_core::interval::IntervalSet;
@@ -39,7 +40,7 @@ use exptime_engine::Database;
 use exptime_obs::{EventKind, Health, Obs, SloConfig, StalenessMonitor, TraceContext, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
 /// Exponential backoff with jitter under a bounded total budget.
@@ -124,6 +125,40 @@ pub enum Change {
     Add(Tuple, Time),
     /// The tuple left the result.
     Remove(Tuple),
+}
+
+impl Change {
+    /// Applies the change to a cached result.
+    fn apply(self, cache: &mut Relation) -> ReplicaResult<()> {
+        match self {
+            Change::Add(t, e) => {
+                cache.remove(&t);
+                cache.insert(t, e)?;
+            }
+            Change::Remove(t) => {
+                cache.remove(&t);
+            }
+        }
+        Ok(())
+    }
+
+    /// What a delete-push server must send so that a client holding
+    /// `cached` holds `fresh`: a `Remove` per tuple that left the result,
+    /// then an `Add` per tuple that entered it. `cached` — the server's
+    /// record of what the client has been sent — is brought up to date
+    /// on the way out.
+    pub(crate) fn diff(cached: &mut Relation, fresh: &Relation) -> ReplicaResult<Vec<Change>> {
+        let left = cached.iter().filter(|(t, _)| !fresh.contains(t));
+        let entered = fresh.iter().filter(|(t, _)| !cached.contains(t));
+        let changes: Vec<Change> = left
+            .map(|(t, _)| Change::Remove(t.clone()))
+            .chain(entered.map(|(t, e)| Change::Add(t.clone(), e)))
+            .collect();
+        for change in &changes {
+            change.clone().apply(cached)?;
+        }
+        Ok(changes)
+    }
 }
 
 /// Messages of the session protocol. One enum for both endpoints: the
@@ -270,6 +305,24 @@ fn record_hop(
         ctx
     } else {
         ctx.hop(id)
+    }
+}
+
+/// Opens one trace on `tracer`: a zero-duration root span named `name` for
+/// the logical operation numbered `seq` (a session, a notice), which every
+/// hop of it — each transmission, the handling, the apply — hangs off.
+/// `seq + 1` is a unique, non-zero trace id. A disabled tracer records
+/// nothing (`record_child` returns 0) and yields the unsampled context.
+fn trace_root(tracer: &Tracer, name: &str, seq: u64, now: u64, view: Option<&str>) -> TraceContext {
+    let t = tracer.now_ns();
+    let mut attrs: Vec<_> = view
+        .map(|v| ("view".to_string(), v.to_string()))
+        .into_iter()
+        .collect();
+    attrs.push(("trace".to_string(), (seq + 1).to_string()));
+    match tracer.record_child(None, name, t, t, Some(now), attrs) {
+        0 => TraceContext::NONE,
+        root => TraceContext::new(seq + 1, root),
     }
 }
 
@@ -446,17 +499,6 @@ impl ChaosReplica {
         &self.tracer
     }
 
-    /// Records one traced hop (see [`record_hop`]).
-    fn trace_hop(
-        &self,
-        ctx: TraceContext,
-        name: &str,
-        now: u64,
-        retransmission: bool,
-    ) -> TraceContext {
-        record_hop(&self.tracer, ctx, name, now, retransmission)
-    }
-
     /// The replica's observability handle (link traces, divergence and
     /// resync events, SLO metrics).
     #[must_use]
@@ -561,184 +603,149 @@ impl ChaosReplica {
         Ok(())
     }
 
+    /// Server endpoint: answers a refresh or digest request with a fresh
+    /// evaluation — whole, or only where it diverges from the digests.
     fn handle_server(&mut self, frame: Frame, server: &Database) -> ReplicaResult<()> {
         let now = ticks(server.now());
-        match frame.payload {
-            Payload::RefreshRequest { view, seq } => {
-                let retransmission = self.answered.insert(seq, ()).is_some();
-                let Some(entry) = self.views.get(&view) else {
-                    return Ok(());
-                };
-                // The server's span parents under the *sender's* send
-                // span — the cross-endpoint stitch.
-                let ctx =
-                    self.trace_hop(frame.ctx, "server.handle.refresh_req", now, retransmission);
-                let state = eval(&entry.expr, server, server.now(), &EvalOptions::default())?;
-                let resp = Payload::RefreshResponse { view, seq, state };
-                let tuples = resp.tuples();
-                self.link.send(
-                    now,
-                    Dir::ToClient,
-                    Frame { ctx, payload: resp },
-                    tuples,
-                    retransmission,
-                    "refresh_resp",
-                );
-            }
-            Payload::DigestRequest { view, seq, digests } => {
-                let retransmission = self.answered.insert(seq, ()).is_some();
-                let Some(entry) = self.views.get(&view) else {
-                    return Ok(());
-                };
-                let ctx =
-                    self.trace_hop(frame.ctx, "server.handle.digest_req", now, retransmission);
-                let fresh = eval(&entry.expr, server, server.now(), &EvalOptions::default())?;
-                let server_digests: std::collections::BTreeSet<u64> =
-                    fresh.rel.iter().map(|(t, e)| tuple_digest(t, e)).collect();
-                let client_digests: std::collections::BTreeSet<u64> =
-                    digests.iter().copied().collect();
-                let add: Vec<(Tuple, Time)> = fresh
-                    .rel
-                    .iter()
-                    .filter(|(t, e)| !client_digests.contains(&tuple_digest(t, *e)))
-                    .map(|(t, e)| (t.clone(), e))
-                    .collect();
-                let drop: Vec<u64> = client_digests
-                    .iter()
-                    .copied()
-                    .filter(|d| !server_digests.contains(d))
-                    .collect();
-                let resp = Payload::DigestResponse {
+        let hop = format!("server.handle.{}", frame.payload.label());
+        let (view, seq, digests) = match frame.payload {
+            Payload::RefreshRequest { view, seq } => (view, seq, None),
+            Payload::DigestRequest { view, seq, digests } => (view, seq, Some(digests)),
+            // Responses/notices/acks never travel client → server here.
+            _ => return Ok(()),
+        };
+        let retransmission = self.answered.insert(seq, ()).is_some();
+        let Some(entry) = self.views.get(&view) else {
+            return Ok(());
+        };
+        // The server's span parents under the *sender's* send span — the
+        // cross-endpoint stitch.
+        let ctx = record_hop(&self.tracer, frame.ctx, &hop, now, retransmission);
+        let fresh = eval(&entry.expr, server, server.now(), &EvalOptions::default())?;
+        let resp = match digests {
+            None => Payload::RefreshResponse {
+                view,
+                seq,
+                state: fresh,
+            },
+            Some(digests) => {
+                let theirs: BTreeSet<u64> = digests.into_iter().collect();
+                let mut ours = BTreeSet::new();
+                let mut add = Vec::new();
+                for (t, e) in fresh.rel.iter() {
+                    let digest = tuple_digest(t, e);
+                    ours.insert(digest);
+                    if !theirs.contains(&digest) {
+                        add.push((t.clone(), e));
+                    }
+                }
+                Payload::DigestResponse {
                     view,
                     seq,
                     add,
-                    drop,
+                    drop: theirs.difference(&ours).copied().collect(),
                     at: fresh.at,
                     texp: fresh.texp,
                     validity: fresh.validity,
-                };
-                let tuples = resp.tuples();
-                self.link.send(
-                    now,
-                    Dir::ToClient,
-                    Frame { ctx, payload: resp },
-                    tuples,
-                    retransmission,
-                    "digest_resp",
-                );
+                }
             }
-            // Responses/notices/acks never travel client → server here.
-            _ => {}
-        }
+        };
+        let (tuples, label) = (resp.tuples(), resp.label());
+        let frame = Frame { ctx, payload: resp };
+        self.link
+            .send(now, Dir::ToClient, frame, tuples, retransmission, label);
         Ok(())
     }
 
+    /// Client endpoint: applies the response that answers a view's open
+    /// session and closes the session. Anything else — a duplicate, a
+    /// response to a session since superseded or abandoned — is counted
+    /// and dropped, which is what makes re-delivery idempotent.
     fn handle_client(&mut self, frame: Frame, now: u64) {
-        match frame.payload {
-            Payload::RefreshResponse { view, seq, state } => {
-                let Some(entry) = self.views.get_mut(&view) else {
-                    return;
-                };
-                let matches = entry
-                    .session
-                    .as_ref()
-                    .is_some_and(|s| s.kind == SessionKind::Refresh && s.seq == seq);
-                if !matches {
-                    // Duplicate or superseded response: idempotently dropped.
-                    self.stats.duplicates_ignored += 1;
-                    return;
-                }
-                self.trace_hop(frame.ctx, "client.apply.refresh_resp", now, false);
-                let Some(entry) = self.views.get_mut(&view) else {
-                    return;
-                };
-                entry.m = state;
-                let session = entry.session.take().unwrap();
-                entry.last_timeout = None;
-                entry.slo_reported = false;
-                self.stats.sessions_completed += 1;
-                if let Some(since) = entry.degraded_since.take() {
-                    let recovery = now.saturating_sub(since.min(session.started));
-                    self.monitor.observe_resync(&view, recovery, now);
-                }
+        let (view, seq, kind) = match &frame.payload {
+            Payload::RefreshResponse { view, seq, .. } => {
+                (view.clone(), *seq, SessionKind::Refresh)
             }
+            Payload::DigestResponse { view, seq, .. } => (view.clone(), *seq, SessionKind::Digest),
+            _ => {
+                self.stats.duplicates_ignored += 1;
+                return;
+            }
+        };
+        let Some(entry) = self.views.get_mut(&view) else {
+            return;
+        };
+        let session = match entry.session.take() {
+            Some(s) if s.kind == kind && s.seq == seq => s,
+            other => {
+                entry.session = other;
+                self.stats.duplicates_ignored += 1;
+                return;
+            }
+        };
+        let hop = format!("client.apply.{}", frame.payload.label());
+        record_hop(&self.tracer, frame.ctx, &hop, now, false);
+        let reconciled = match frame.payload {
             Payload::DigestResponse {
-                view,
-                seq,
                 add,
                 drop,
                 at,
                 texp,
                 validity,
+                ..
             } => {
-                let Some(entry) = self.views.get_mut(&view) else {
-                    return;
-                };
-                let matches = entry
-                    .session
-                    .as_ref()
-                    .is_some_and(|s| s.kind == SessionKind::Digest && s.seq == seq);
-                if !matches {
-                    self.stats.duplicates_ignored += 1;
-                    return;
-                }
-                self.trace_hop(frame.ctx, "client.apply.digest_resp", now, false);
-                let Some(entry) = self.views.get_mut(&view) else {
-                    return;
-                };
                 let shipped = add.len() as u64;
                 let divergent = shipped + drop.len() as u64;
                 // Drops first: a texp revision appears as drop(old) +
                 // add(new) for the same tuple.
-                let drop_set: std::collections::BTreeSet<u64> = drop.into_iter().collect();
-                let stale: Vec<Tuple> = entry
-                    .m
+                let drop: BTreeSet<u64> = drop.into_iter().collect();
+                let m = &mut entry.m;
+                let stale: Vec<Tuple> = m
                     .rel
                     .iter()
-                    .filter(|(t, e)| drop_set.contains(&tuple_digest(t, *e)))
+                    .filter(|(t, e)| drop.contains(&tuple_digest(t, *e)))
                     .map(|(t, _)| t.clone())
                     .collect();
                 for t in &stale {
-                    entry.m.rel.remove(t);
+                    m.rel.remove(t);
                 }
                 for (t, e) in add {
-                    // Divergent rows replace wholesale; the schema came
-                    // from the same expression server-side.
-                    let _ = entry.m.rel.remove(&t);
-                    if entry.m.rel.insert(t, e).is_err() {
-                        // Schema drifted — abandon the patch; the next
-                        // refresh session re-ships the full state.
-                        entry.session = None;
+                    // Divergent rows replace wholesale. A schema that
+                    // drifted abandons the session: the next refresh
+                    // re-ships the full state.
+                    if Change::Add(t, e).apply(&mut m.rel).is_err() {
                         return;
                     }
                 }
-                entry.m.at = at;
-                entry.m.texp = texp;
-                entry.m.validity = validity;
-                entry.m.patches = None;
-                let session = entry.session.take().unwrap();
-                entry.last_timeout = None;
-                entry.slo_reported = false;
-                self.stats.sessions_completed += 1;
-                self.stats.reconciliations += 1;
-                self.stats.divergent_tuples += divergent;
-                let recovery = entry.degraded_since.take().map_or_else(
-                    || now.saturating_sub(session.started),
-                    |since| now.saturating_sub(since.min(session.started)),
-                );
-                self.obs.emit_with(Some(now), || EventKind::ReplicaResync {
-                    view: view.clone(),
-                    divergent,
-                    shipped,
-                    recovery_ticks: recovery,
-                    at: now,
-                });
-                self.monitor.observe_resync(&view, recovery, now);
+                (m.at, m.texp, m.validity, m.patches) = (at, texp, validity, None);
+                Some((divergent, shipped))
             }
-            _ => {
-                self.stats.duplicates_ignored += 1;
+            Payload::RefreshResponse { state, .. } => {
+                entry.m = state;
+                None
             }
+            _ => unreachable!("matched a response above"),
+        };
+        entry.last_timeout = None;
+        entry.slo_reported = false;
+        self.stats.sessions_completed += 1;
+        // A session is opened by a reader or a reconciliation that has
+        // already marked the view degraded, possibly ticks earlier.
+        let since = entry.degraded_since.take();
+        let recovery =
+            now.saturating_sub(since.map_or(session.started, |d| d.min(session.started)));
+        if let Some((divergent, shipped)) = reconciled {
+            self.stats.reconciliations += 1;
+            self.stats.divergent_tuples += divergent;
+            self.obs.emit_with(Some(now), || EventKind::ReplicaResync {
+                view: view.clone(),
+                divergent,
+                shipped,
+                recovery_ticks: recovery,
+                at: now,
+            });
         }
+        self.monitor.observe_resync(&view, recovery, now);
     }
 
     /// Opens a session for `name` and transmits its first request.
@@ -746,33 +753,11 @@ impl ChaosReplica {
         let seq = self.next_seq;
         self.next_seq += 1;
         let first_delay = self.policy.delay(0, &mut self.rng);
-        // One trace per session: the root span represents the logical
-        // operation; every request, retransmission, server handling, and
-        // response application hangs off it. `seq + 1` is a unique,
-        // non-zero trace id. record_child returns 0 when the tracer is
-        // disabled, which maps to the unsampled (NONE) context.
-        let trace = {
-            let t = self.tracer.now_ns();
-            let root = self.tracer.record_child(
-                None,
-                match kind {
-                    SessionKind::Refresh => "session.refresh",
-                    SessionKind::Digest => "session.digest",
-                },
-                t,
-                t,
-                Some(now),
-                vec![
-                    ("view".to_string(), name.to_string()),
-                    ("trace".to_string(), (seq + 1).to_string()),
-                ],
-            );
-            if root == 0 {
-                TraceContext::NONE
-            } else {
-                TraceContext::new(seq + 1, root)
-            }
+        let root = match kind {
+            SessionKind::Refresh => "session.refresh",
+            SessionKind::Digest => "session.digest",
         };
+        let trace = trace_root(&self.tracer, root, seq, now, Some(name));
         let Some(entry) = self.views.get_mut(name) else {
             return Fate::Refused;
         };
@@ -785,13 +770,26 @@ impl ChaosReplica {
             trace,
         });
         self.stats.sessions_started += 1;
-        let req = match kind {
-            SessionKind::Refresh => Payload::RefreshRequest {
-                view: name.to_string(),
-                seq,
-            },
+        self.send_request(name, now, false)
+    }
+
+    /// Transmits the request of `name`'s open session: its first send and
+    /// every retransmission. A retransmission is a fresh hop under the same
+    /// session root — the trace shows each attempt, not just the one that
+    /// landed — and a digest request is rebuilt from the cache as it is
+    /// now.
+    fn send_request(&mut self, name: &str, now: u64, retransmission: bool) -> Fate {
+        let Some(entry) = self.views.get(name) else {
+            return Fate::Refused;
+        };
+        let Some(s) = &entry.session else {
+            return Fate::Refused;
+        };
+        let (view, seq) = (name.to_string(), s.seq);
+        let req = match s.kind {
+            SessionKind::Refresh => Payload::RefreshRequest { view, seq },
             SessionKind::Digest => Payload::DigestRequest {
-                view: name.to_string(),
+                view,
                 seq,
                 digests: entry
                     .m
@@ -802,15 +800,11 @@ impl ChaosReplica {
             },
         };
         let label = req.label();
-        let ctx = self.trace_hop(trace, &format!("client.send.{label}"), now, false);
-        self.link.send(
-            now,
-            Dir::ToServer,
-            Frame { ctx, payload: req },
-            0,
-            false,
-            label,
-        )
+        let hop = format!("client.send.{label}");
+        let ctx = record_hop(&self.tracer, s.trace, &hop, now, retransmission);
+        let frame = Frame { ctx, payload: req };
+        self.link
+            .send(now, Dir::ToServer, frame, 0, retransmission, label)
     }
 
     /// Retries overdue sessions and abandons those past the budget.
@@ -822,50 +816,18 @@ impl ChaosReplica {
                 continue;
             };
             if now.saturating_sub(s.started) >= self.policy.budget {
-                let (attempts, started) = (s.attempts, s.started);
+                entry.last_timeout = Some((s.attempts, now.saturating_sub(s.started)));
                 entry.session = None;
-                entry.last_timeout = Some((attempts, now.saturating_sub(started)));
                 self.stats.sessions_timed_out += 1;
                 continue;
             }
             if now < s.next_retry {
                 continue;
             }
-            let (kind, seq, attempts, trace) = (s.kind, s.seq, s.attempts, s.trace);
-            let req = match kind {
-                SessionKind::Refresh => Payload::RefreshRequest {
-                    view: name.clone(),
-                    seq,
-                },
-                SessionKind::Digest => Payload::DigestRequest {
-                    view: name.clone(),
-                    seq,
-                    digests: entry
-                        .m
-                        .rel
-                        .iter()
-                        .map(|(t, e)| tuple_digest(t, e))
-                        .collect(),
-                },
-            };
-            let label = req.label();
-            // Retransmissions are fresh hops under the same session root:
-            // the trace shows each attempt, not just the one that landed.
-            let ctx = self.trace_hop(trace, &format!("client.send.{label}"), now, true);
-            self.link.send(
-                now,
-                Dir::ToServer,
-                Frame { ctx, payload: req },
-                0,
-                true,
-                label,
-            );
+            s.next_retry = now + self.policy.delay(s.attempts, &mut self.rng);
+            s.attempts += 1;
+            self.send_request(&name, now, true);
             self.stats.retries += 1;
-            let entry = self.views.get_mut(&name).unwrap();
-            if let Some(s) = entry.session.as_mut() {
-                s.attempts = attempts + 1;
-                s.next_retry = now + self.policy.delay(attempts, &mut self.rng);
-            }
         }
     }
 
@@ -894,71 +856,45 @@ impl ChaosReplica {
             )))
         })?;
 
-        if entry.m.valid_at(now_t) && entry.session.is_none() {
-            let rel = entry.m.read_at(now_t);
-            return Ok((rel, ChaosReadOutcome::Local));
-        }
-
-        // Needs (or is mid-) sync.
-        if entry.session.is_none() {
-            if entry.degraded_since.is_none() {
-                entry.degraded_since = Some(now);
-            }
+        // Not covered now and no sync under way: open one. Its response
+        // may land this very tick.
+        let mut current = ChaosReadOutcome::Local;
+        if entry.session.is_none() && !entry.m.valid_at(now_t) {
+            entry.degraded_since.get_or_insert(now);
             self.open_session(name, SessionKind::Refresh, now);
-            self.pump(server)?; // the response may land this very tick
+            self.pump(server)?;
+            current = ChaosReadOutcome::Synced;
         }
-
         let entry = self.views.get_mut(name).unwrap();
-        if entry.m.valid_at(now_t) && entry.session.is_none() {
-            let rel = entry.m.read_at(now_t);
-            return Ok((rel, ChaosReadOutcome::Synced));
+        if entry.session.is_none() && entry.m.valid_at(now_t) {
+            return Ok((entry.m.rows_at(now_t), current));
         }
 
         // Degrade: newest instant the local state provably covers.
-        match entry.m.validity.prev_covered(now_t) {
-            Some(back) if back >= entry.m.at => {
-                let rel = entry.m.rel.exp(back);
-                let behind = now_t
-                    .finite()
-                    .zip(back.finite())
-                    .map_or(0, |(n, b)| n.saturating_sub(b));
-                self.obs
-                    .emit_with(Some(now), || EventKind::ReplicaDivergence {
-                        view: name.to_string(),
-                        behind,
-                    });
-                // An ongoing degradation episode past the SLO is reported
-                // once: the replica is divergence-exposed *right now*,
-                // without waiting for the eventual repair to record it.
-                if let Some(since) = entry.degraded_since {
-                    let lag = now.saturating_sub(since);
-                    if lag > self.monitor.config().max_resync_lag && !entry.slo_reported {
-                        entry.slo_reported = true;
-                        self.monitor.observe_resync(name, lag, now);
-                    }
-                }
-                Ok((rel, ChaosReadOutcome::Stale(back)))
-            }
-            _ => {
-                self.obs
-                    .emit_with(Some(now), || EventKind::ReplicaDivergence {
-                        view: name.to_string(),
-                        behind: u64::MAX,
-                    });
-                if let Some((attempts, waited)) = entry.last_timeout {
-                    Err(ReplicaError::Timeout {
-                        op: format!("sync `{name}`"),
-                        attempts,
-                        waited,
-                    })
-                } else {
-                    Err(ReplicaError::Divergence {
-                        view: name.to_string(),
-                        behind: u64::MAX,
-                    })
-                }
+        let Some((rel, back)) = degraded(&entry.m, name, now_t, &self.obs) else {
+            return Err(match entry.last_timeout {
+                Some((attempts, waited)) => ReplicaError::Timeout {
+                    op: format!("sync `{name}`"),
+                    attempts,
+                    waited,
+                },
+                None => ReplicaError::Divergence {
+                    view: name.to_string(),
+                    behind: u64::MAX,
+                },
+            });
+        };
+        // An ongoing degradation episode past the SLO is reported once:
+        // the replica is divergence-exposed *right now*, without waiting
+        // for the eventual repair to record it.
+        if let Some(since) = entry.degraded_since {
+            let lag = now.saturating_sub(since);
+            if lag > self.monitor.config().max_resync_lag && !entry.slo_reported {
+                entry.slo_reported = true;
+                self.monitor.observe_resync(name, lag, now);
             }
         }
+        Ok((rel, ChaosReadOutcome::Stale(back)))
     }
 
     /// Anti-entropy pass: opens a digest session for every subscribed
@@ -1114,24 +1050,8 @@ impl ChaosDeletePush {
         // 2. Server: diff fresh result against the shadow (the state the
         //    client will hold once every sent notice lands).
         let fresh = eval(&self.expr, server, server.now(), &EvalOptions::default())?.rel;
-        let stale: Vec<Tuple> = self
-            .shadow
-            .iter()
-            .filter(|(t, _)| !fresh.contains(t))
-            .map(|(t, _)| t.clone())
-            .collect();
-        for t in stale {
-            self.shadow.remove(&t);
-            self.enqueue(Change::Remove(t), now);
-        }
-        let new: Vec<(Tuple, Time)> = fresh
-            .iter()
-            .filter(|(t, _)| !self.shadow.contains(t))
-            .map(|(t, e)| (t.clone(), e))
-            .collect();
-        for (t, e) in new {
-            self.shadow.insert(t.clone(), e)?;
-            self.enqueue(Change::Add(t, e), now);
+        for change in Change::diff(&mut self.shadow, &fresh)? {
+            self.enqueue(change, now);
         }
 
         // 3. Server: transmit whatever is due (first sends and retries).
@@ -1181,22 +1101,7 @@ impl ChaosDeletePush {
     fn enqueue(&mut self, change: Change, now: u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        // One trace per notice: the root span is the logical change, and
-        // every (re)transmission and the eventual apply hang off it.
-        let t = self.tracer.now_ns();
-        let root = self.tracer.record_child(
-            None,
-            "push.notice",
-            t,
-            t,
-            Some(now),
-            vec![("trace".to_string(), (seq + 1).to_string())],
-        );
-        let trace = if root == 0 {
-            TraceContext::NONE
-        } else {
-            TraceContext::new(seq + 1, root)
-        };
+        let trace = trace_root(&self.tracer, "push.notice", seq, now, None);
         self.outbox.insert(seq, (change, now, 0, trace));
     }
 
@@ -1220,15 +1125,7 @@ impl ChaosDeletePush {
         }
         // Apply the in-order prefix.
         while let Some(change) = self.buffered.remove(&self.next_expected) {
-            match change {
-                Change::Add(t, e) => {
-                    let _ = self.cache.remove(&t);
-                    self.cache.insert(t, e)?;
-                }
-                Change::Remove(t) => {
-                    self.cache.remove(&t);
-                }
-            }
+            change.apply(&mut self.cache)?;
             self.next_expected += 1;
         }
         // Cumulative ack (also re-sent on duplicates, repairing ack loss).

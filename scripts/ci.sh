@@ -16,7 +16,7 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 
-# Repo-invariant lint (exptime-lint R001–R006): no wall-clock reads
+# Repo-invariant lint (exptime-lint R001–R007): no wall-clock reads
 # outside core/time.rs, no unwrap/expect in durability paths (the WAL
 # crate, engine/durability.rs and the write path engine/db/write.rs),
 # #![forbid(unsafe_code)] in every crate root, no thread::sleep
@@ -28,7 +28,12 @@ cargo fmt --check
 # a_read_copies_only_the_rows_that_come_out.) And no way back to the
 # quadratic ν: the timeline definitions (value_timeline, nu_naive, the
 # closure nu::nu) are the oracle for nu::first_change and may not be
-# named in production code under core/src/algebra or engine/src.
+# named in production code under core/src/algebra or engine/src. And
+# no second way to read a materialisation: no prev_covered( and no
+# .rel.exp( in production code of its holders (replica, net, engine,
+# core's schrodinger.rs and materialize.rs) — they ask
+# Materialized::{answer, covered_at, rows_at}, which counts the patch
+# queue in; core/src/algebra/eval.rs, where those are, is exempt.
 cargo run --release -q -p exptime-lint --bin repolint
 
 # Analyzer golden tests: the Fig. 3 anomalies must flag their exact

@@ -48,6 +48,26 @@ pub fn arb_catalog(max: usize) -> impl Strategy<Value = Catalog> {
     })
 }
 
+/// [`arb_catalog`] whose `s` also holds some of `r`'s tuples under
+/// expiration times of its own, so that a difference between the two has
+/// critical tuples (Theorem 3) — which two independent draws from the 56
+/// possible tuples seldom share.
+pub fn arb_overlapping_catalog(max: usize) -> impl Strategy<Value = Catalog> {
+    let echoes = proptest::collection::vec((0..max, 1u64..40), 0..max);
+    (arb_relation(max), arb_relation(max), echoes).prop_map(|(r, mut s, echoes)| {
+        for (i, texp) in echoes {
+            if let Some((tuple, _)) = r.iter().nth(i) {
+                s.insert(tuple.clone(), Time::new(texp))
+                    .expect("one schema");
+            }
+        }
+        let mut c = Catalog::new();
+        c.register("r", r);
+        c.register("s", s);
+        c
+    })
+}
+
 /// An arbitrary algebra expression over `r` and `s` (both arity 2).
 ///
 /// Every generated expression is well-typed against [`arb_catalog`]:

@@ -5,13 +5,36 @@
 
 mod common;
 
-use common::{arb_catalog, arb_expr, probe_times};
+use common::{arb_catalog, arb_expr, arb_overlapping_catalog, probe_times};
+use exptime::core::aggregate::AggMode;
 use exptime::core::algebra::{eval, ops, EvalOptions, Expr};
 use exptime::core::materialize::{MaterializedView, RefreshPolicy, RemovalPolicy};
 use exptime::core::patch::PatchQueue;
-use exptime::core::schrodinger::{self, QueryPolicy};
+use exptime::core::schrodinger::{self, AnswerKind, QueryPolicy};
 use exptime::core::time::Time;
+use exptime::prelude::{Database, ReadOutcome, Replica};
+use exptime::replica::{ChaosReadOutcome, ChaosReplica, FaultSpec, RetryPolicy};
+use exptime_net::StaleCache;
 use proptest::prelude::*;
+
+/// Every way a materialisation can be asked for: the aggregate expiration
+/// mode, a Theorem 3 queue at the root (whole or capped), either validity.
+fn arb_eval_options() -> impl Strategy<Value = EvalOptions> {
+    let agg_mode = prop_oneof![
+        Just(AggMode::Naive),
+        Just(AggMode::Contributing),
+        Just(AggMode::Exact),
+    ];
+    let cap = proptest::option::of(0usize..3);
+    (agg_mode, any::<bool>(), cap, any::<bool>()).prop_map(
+        |(agg_mode, patch_root_difference, patch_queue_cap, eq12_validity)| EvalOptions {
+            agg_mode,
+            patch_root_difference,
+            patch_queue_cap,
+            eq12_validity,
+        },
+    )
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -92,20 +115,28 @@ proptest! {
 
     /// Schrödinger query answering never returns a wrong relation: under
     /// every policy, if an answer is produced for time τ (not refused and
-    /// not moved), it equals the fresh evaluation at its `as_of` time.
+    /// not moved), it equals the fresh evaluation at its `as_of` time —
+    /// also when the materialisation is a patched root difference, whose
+    /// rows alone are not its result (Theorem 3) and whose queue may be
+    /// capped, and also when a query moved forward is followed by one for
+    /// an earlier instant, which a read that drained the queue would
+    /// answer wrongly.
     #[test]
     fn schrodinger_answers_are_correct_for_their_as_of(
-        catalog in arb_catalog(12),
+        catalog in arb_overlapping_catalog(12),
         expr in arb_expr(),
         policy in prop_oneof![
             Just(QueryPolicy::Recompute),
             Just(QueryPolicy::MoveBackward { max_drift: 5 }),
             Just(QueryPolicy::MoveForward { max_delay: 5 }),
         ],
+        patch_root_difference in any::<bool>(),
+        patch_queue_cap in proptest::option::of(0usize..3),
     ) {
-        let m = eval(&expr, &catalog, Time::ZERO, &EvalOptions::default())?;
+        let opts = EvalOptions { patch_root_difference, patch_queue_cap, ..EvalOptions::default() };
+        let m = eval(&expr, &catalog, Time::ZERO, &opts)?;
         for tau in probe_times(&catalog) {
-            let ans = schrodinger::answer(&m, &expr, &catalog, tau, policy, &EvalOptions::default())?;
+            let ans = schrodinger::answer(&m, &expr, &catalog, tau, policy, &opts)?;
             let fresh = eval(&expr, &catalog, ans.as_of, &EvalOptions::default())?;
             prop_assert!(
                 ans.rel.tuples_eq_at(&fresh.rel, ans.as_of),
@@ -125,6 +156,78 @@ proptest! {
                     }
                 }
                 _ => prop_assert_eq!(ans.as_of, tau),
+            }
+        }
+    }
+
+    /// Whoever holds a materialisation serves it the same way. Hand one
+    /// `Materialized` to `Materialized::answer`, to Schrödinger answering
+    /// with an unbounded move backward and to the degraded-read cache:
+    /// all three serve the same rows as of the same instant, or none
+    /// does. And a `Replica` beside a `ChaosReplica`, subscribed to one
+    /// server at the same instant and then cut off from it, read alike at
+    /// every tick.
+    #[test]
+    fn holders_of_one_materialisation_agree(
+        catalog in arb_overlapping_catalog(12),
+        expr in arb_expr(),
+        opts in arb_eval_options(),
+    ) {
+        let m = eval(&expr, &catalog, Time::ZERO, &opts)?;
+        let mut cache = StaleCache::new();
+        let anywhen = QueryPolicy::MoveBackward { max_drift: u64::MAX };
+        for tau in probe_times(&catalog) {
+            let kernel = m.answer(tau);
+            let moved = schrodinger::answer(&m, &expr, &catalog, tau, anywhen, &opts)?;
+            // An entry that cannot serve is dropped: cache it again.
+            cache.insert("q", m.clone());
+            let cached = cache.serve("q", tau);
+            let Some((rows, as_of)) = kernel else {
+                prop_assert_eq!(moved.kind, AnswerKind::Recomputed, "{expr} at {tau}");
+                prop_assert!(cached.is_none(), "{expr} at {tau}");
+                continue;
+            };
+            prop_assert_ne!(moved.kind, AnswerKind::Recomputed, "{expr} at {tau}");
+            prop_assert_eq!(moved.as_of, as_of, "{expr} at {tau}");
+            prop_assert!(moved.rel.set_eq(&rows), "{expr} at {tau}:\n{:?}\nvs {rows:?}", moved.rel);
+            let cached = cached.expect("the kernel serves, so the cache does");
+            prop_assert_eq!((cached.as_of, cached.stale), (as_of, as_of < tau), "{expr} at {tau}");
+            prop_assert!(cached.rel.set_eq(&rows), "{expr} at {tau}:\n{:?}\nvs {rows:?}", cached.rel);
+        }
+
+        let mut server = Database::default();
+        for name in ["r", "s"] {
+            server.execute(&format!("CREATE TABLE {name} (k INT, v INT)")).unwrap();
+            for (tuple, texp) in catalog.get(name)?.iter() {
+                server.insert(name, tuple.clone(), texp).unwrap();
+            }
+        }
+        let mut plain = Replica::new(RefreshPolicy::Recompute);
+        let mut chaos = ChaosReplica::new(FaultSpec::none(1), RetryPolicy::default());
+        plain.subscribe("v", expr.clone(), &server).unwrap();
+        chaos.subscribe("v", expr.clone(), &server).unwrap();
+        plain.link().disconnect();
+        chaos.link().link().disconnect();
+        for _ in 0..45 {
+            let now = server.tick(1);
+            let plain_served = match plain.read("v", &server).unwrap() {
+                (rows, ReadOutcome::Local) => Some((rows, now)),
+                (rows, ReadOutcome::Stale(back)) => Some((rows, back)),
+                (_, ReadOutcome::Unavailable) => None,
+                (_, ReadOutcome::Refreshed) => panic!("refreshed over a dead link"),
+            };
+            let chaos_served = match chaos.read("v", &server) {
+                Ok((rows, ChaosReadOutcome::Local)) => Some((rows, now)),
+                Ok((rows, ChaosReadOutcome::Stale(back))) => Some((rows, back)),
+                Ok((_, ChaosReadOutcome::Synced)) => panic!("synced over a dead link"),
+                Err(_) => None,
+            };
+            match (plain_served, chaos_served) {
+                (Some((a, a_as_of)), Some((b, b_as_of))) => {
+                    prop_assert_eq!(a_as_of, b_as_of, "{expr} at {now}");
+                    prop_assert!(a.set_eq(&b), "{expr} at {now}:\n{a:?}\nvs {b:?}");
+                }
+                (a, b) => prop_assert_eq!(a.is_some(), b.is_some(), "{expr} at {now}"),
             }
         }
     }

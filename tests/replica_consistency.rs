@@ -145,6 +145,52 @@ fn patched_difference_survives_total_disconnection() {
 }
 
 #[test]
+fn disconnected_patched_replica_serves_its_unread_patch_queue() {
+    // pol − (el − gone) under Theorem 3 patching. ⟨1⟩ is critical at the
+    // root (it reappears when its `el` copy expires at 5) and sits in the
+    // patch queue; ⟨3⟩ is critical inside the right argument (it reappears
+    // in `el − gone` at 8), which no queue covers, so texp(e) = 8. Cut off
+    // and first read at 10, the replica moves the query back to 7 — and
+    // the state as of 7 includes the patch that fell due at 5, though no
+    // read ever drained it.
+    let server = || {
+        let mut db = Database::default();
+        db.execute_script(
+            "CREATE TABLE pol (uid INT);
+             CREATE TABLE el (uid INT);
+             CREATE TABLE gone (uid INT);
+             INSERT INTO pol VALUES (1) EXPIRES AT 30;
+             INSERT INTO pol VALUES (2) EXPIRES AT 30;
+             INSERT INTO el VALUES (1) EXPIRES AT 5;
+             INSERT INTO el VALUES (3) EXPIRES AT 20;
+             INSERT INTO gone VALUES (3) EXPIRES AT 8;",
+        )
+        .unwrap();
+        db
+    };
+    let e = Expr::base("pol").difference(Expr::base("el").difference(Expr::base("gone")));
+    let mut srv = server();
+    let mut rep = Replica::new(RefreshPolicy::Patch);
+    rep.subscribe("others", e.clone(), &srv).unwrap();
+    rep.link().disconnect();
+    srv.tick(10);
+    let (rel, outcome) = rep.read("others", &srv).unwrap();
+    let ReadOutcome::Stale(back) = outcome else {
+        panic!("expected a stale read past texp(e) = 8, got {outcome:?}");
+    };
+    assert_eq!(back, Time::new(7), "latest covered instant before 8");
+    // The server's truth as of `back`: a twin that stopped there.
+    let mut then = server();
+    then.advance_to(back);
+    let want = truth(&then, &e);
+    assert_eq!(want.len(), 2, "⟨1⟩ and ⟨2⟩");
+    assert!(
+        rel.set_eq(&want),
+        "stale as of {back}:\n{rel:?}\nvs {want:?}"
+    );
+}
+
+#[test]
 fn chaos_sessions_are_truthful_at_every_event_time() {
     // The session-layer analogue of `replica_answers_are_truthful_under
     // _link_flaps`: under a full chaos schedule (loss, duplication,

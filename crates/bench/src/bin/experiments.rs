@@ -1,247 +1,89 @@
-//! Runs the synthetic experiments E1–E8 and the A1 ablation, printing the
-//! report tables recorded in EXPERIMENTS.md.
+//! Runs the synthetic experiments E1–E11 (with the E6-chaos, E8-scope,
+//! E9-telemetry and E10-net variants), the OBS overhead measurement and
+//! the A1/A2 ablations, printing the report tables recorded in
+//! EXPERIMENTS.md. The printed report is the only record a run leaves.
 //!
-//! Usage: `cargo run --release -p exptime-bench --bin experiments [--quick] [--check] [id…]`
-//! where `id` ∈ {e1, …, e10, e6chaos, e7wal, e8scope, e9telemetry, e10net,
-//! e11policy, obs, a1, a2}; omit ids for all.
-//! `--quick` shrinks the workloads (used in CI smoke runs); `--check` skips
-//! all file writes (CI runs the experiments for their assertions, not their
-//! artifacts). The `obs` experiment otherwise writes a `BENCH_obs.json`
-//! document — the metrics snapshot plus the monitor-overhead measurement —
-//! `e6chaos` writes `BENCH_replica.json` (message counts and recovery
-//! latency per loss rate and strategy), and `e7wal` writes `BENCH_wal.json`
-//! (crash-recovery replay work and latency vs log length, naive vs
-//! expiration-aware), and `e9telemetry` writes `BENCH_telemetry.json`
-//! (sampler overhead and scrape-under-load latency), and `e10net` writes
-//! `BENCH_net.json` (wire-protocol throughput/p99 vs connection count,
-//! shed rate vs offered load, and partition recovery time), and
-//! `e11policy` writes `BENCH_policy.json` (TTL policy layer vs
-//! application delete-push: maintenance operations, peaks, and the
-//! policy crash-recovery verdict) to the working directory.
+//! Usage: `cargo run --release -p exptime-bench --bin experiments [--quick] [id…]`
+//! where `id` ∈ {e1, …, e10, e6chaos, e8scope, e9telemetry, e10net,
+//! e11policy, obs, a1, a2}; omit ids for all. `--quick` shrinks the
+//! workloads (CI runs every id that way as a smoke test, and `obs` at
+//! full scale for its overhead gate).
 
-use exptime_bench::experiments as ex;
-use exptime_obs::JsonValue;
+use exptime_bench::experiments::{self as ex, Report};
+
+/// Every experiment id, in the order a run prints them.
+const IDS: &str = "e1 e2 e3 e4 e5 e6 e6chaos e7 e8 e8scope e9 e9telemetry e10 e10net \
+                   e11policy obs a1 a2";
+
+fn reports(id: &str, quick: bool) -> Vec<Report> {
+    let scale = if quick { 1 } else { 10 };
+    let pick = |q: &[usize], full: &[usize]| if quick { q.to_vec() } else { full.to_vec() };
+    match id {
+        "e1" => vec![ex::e1_monotonic_maintenance(300 * scale, 7).0],
+        "e2" => vec![ex::e2_patching(400 * scale, 11).0],
+        "e3" => vec![ex::e3_eager_vs_lazy(300 * scale, 3).0],
+        "e4" => vec![ex::e4_aggregate_modes(1500 * scale, 13).0],
+        "e5" => {
+            // Coarse drain: few large batches (bulk cleanup pattern).
+            let sizes = pick(&[10_000], &[10_000, 100_000, 1_000_000]);
+            let mut out = vec![ex::e5_expiry_indexes(&sizes, 200, 17).0];
+            // Fine-grained drain: one pop per tick (real-time trigger
+            // pattern) — this is where the O(n)-per-pop scan baseline loses.
+            if !quick {
+                out.push(ex::e5_expiry_indexes(&[50_000], 10_000, 18).0);
+            }
+            out
+        }
+        "e6" => vec![ex::e6_replica_sync(300 * scale, 240, 19).0],
+        "e6chaos" => {
+            let horizon = if quick { 60 } else { 240 };
+            vec![ex::e6_chaos(120 * scale, horizon, &[0.0, 0.25, 0.5, 0.75], 19).0]
+        }
+        // Fixed hole structure (the claim is about validity-model
+        // coverage, not data scale); more queries at full scale for
+        // tighter fractions.
+        "e7" => vec![ex::e7_schrodinger(400, 2000 * scale, 23).0],
+        "e8" => vec![ex::e8_rewriting(500 * scale, 29).0],
+        "e8scope" => vec![ex::e8scope_forecast_accuracy(512 * scale, 59).0],
+        "e9" => vec![ex::e9_approximate_aggregates(1500 * scale, 37).0],
+        "e9telemetry" => vec![ex::e9_telemetry(512 * scale, 67).0],
+        "e10" => vec![ex::e10_bounded_queue(600 * scale, 41).0],
+        "e10net" => {
+            let conns = pick(&[8, 32], &[100, 400, 1_000]);
+            let shed_loads = pick(&[2, 12], &[4, 16, 64]);
+            let stmts = if quick { 6 } else { 5 };
+            vec![ex::e10_net(&conns, stmts, &shed_loads, 71).0]
+        }
+        // Full scale is the acceptance bar: ≥1M sliding-TTL sessions.
+        "e11policy" => vec![ex::e11_policy(100_000 * scale, 73).0],
+        "obs" => vec![ex::obs_monitor_overhead(512 * scale, 53).0],
+        "a1" => vec![ex::a1_nu_ablation(20 * scale, 31)],
+        "a2" => {
+            let sizes = pick(&[500, 2_000], &[500, 2_000, 8_000]);
+            vec![ex::a2_join_ablation(&sizes, 43)]
+        }
+        _ => unreachable!("ids are checked against IDS"),
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
     let wanted: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
-    let scale = if quick { 1 } else { 10 };
-
-    let run = |id: &str| wanted.is_empty() || wanted.contains(&id);
-
-    if run("e1") {
-        println!(
-            "{}",
-            ex::e1_monotonic_maintenance(300 * scale, 7).0.render()
-        );
+    let ids: Vec<&str> = IDS.split_whitespace().collect();
+    if let Some(bad) = wanted.iter().find(|w| !ids.contains(w)) {
+        eprintln!("unknown experiment {bad:?}; ids: {IDS}");
+        std::process::exit(2);
     }
-    if run("e2") {
-        println!("{}", ex::e2_patching(400 * scale, 11).0.render());
-    }
-    if run("e3") {
-        println!("{}", ex::e3_eager_vs_lazy(300 * scale, 3).0.render());
-    }
-    if run("e4") {
-        println!("{}", ex::e4_aggregate_modes(1500 * scale, 13).0.render());
-    }
-    if run("e5") {
-        let sizes: Vec<usize> = if quick {
-            vec![10_000]
-        } else {
-            vec![10_000, 100_000, 1_000_000]
-        };
-        // Coarse drain: few large batches (bulk cleanup pattern).
-        println!("{}", ex::e5_expiry_indexes(&sizes, 200, 17).0.render());
-        // Fine-grained drain: one pop per tick (real-time trigger
-        // pattern) — this is where the O(n)-per-pop scan baseline loses.
-        if !quick {
-            println!(
-                "{}",
-                ex::e5_expiry_indexes(&[50_000], 10_000, 18).0.render()
-            );
-        }
-    }
-    if run("e6") {
-        println!("{}", ex::e6_replica_sync(300 * scale, 240, 19).0.render());
-    }
-    if run("e6chaos") {
-        let (report, _, json) = ex::e6_chaos(
-            120 * scale,
-            if quick { 60 } else { 240 },
-            &[0.0, 0.25, 0.5, 0.75],
-            19,
-        );
-        println!("{}", report.render());
-        let doc = json.render();
-        if check {
-            println!(
-                "--check: BENCH_replica.json not written ({} bytes)\n",
-                doc.len()
-            );
-        } else {
-            match std::fs::write("BENCH_replica.json", &doc) {
-                Ok(()) => println!("wrote BENCH_replica.json ({} bytes)\n", doc.len()),
-                Err(e) => eprintln!("could not write BENCH_replica.json: {e}"),
+    for id in ids {
+        if wanted.is_empty() || wanted.contains(&id) {
+            for report in reports(id, quick) {
+                println!("{}", report.render());
             }
         }
-    }
-    if run("e7") {
-        // Fixed hole structure (the claim is about validity-model
-        // coverage, not data scale); more queries at full scale for
-        // tighter fractions.
-        println!(
-            "{}",
-            ex::e7_schrodinger(400, 2000 * scale as usize, 23)
-                .0
-                .render()
-        );
-    }
-    if run("e7wal") {
-        let counts: Vec<usize> = if quick {
-            vec![300, 600]
-        } else {
-            vec![2_000, 8_000, 32_000]
-        };
-        let (report, _, json) = ex::e7_wal(&counts, if quick { 64 } else { 256 }, 61);
-        println!("{}", report.render());
-        let doc = json.render();
-        if check {
-            println!(
-                "--check: BENCH_wal.json not written ({} bytes)\n",
-                doc.len()
-            );
-        } else {
-            match std::fs::write("BENCH_wal.json", &doc) {
-                Ok(()) => println!("wrote BENCH_wal.json ({} bytes)\n", doc.len()),
-                Err(e) => eprintln!("could not write BENCH_wal.json: {e}"),
-            }
-        }
-    }
-    if run("e8") {
-        println!("{}", ex::e8_rewriting(500 * scale, 29).0.render());
-    }
-    if run("e8scope") {
-        let (report, _, json) = ex::e8scope_forecast_accuracy(512 * scale as usize, 59);
-        println!("{}", report.render());
-        let doc = json.render();
-        if check {
-            println!(
-                "--check: BENCH_scope.json not written ({} bytes)\n",
-                doc.len()
-            );
-        } else {
-            match std::fs::write("BENCH_scope.json", &doc) {
-                Ok(()) => println!("wrote BENCH_scope.json ({} bytes)\n", doc.len()),
-                Err(e) => eprintln!("could not write BENCH_scope.json: {e}"),
-            }
-        }
-    }
-    if run("e9") {
-        println!(
-            "{}",
-            ex::e9_approximate_aggregates(1500 * scale as usize, 37)
-                .0
-                .render()
-        );
-    }
-    if run("e9telemetry") {
-        let (report, _, json) = ex::e9_telemetry(512 * scale as usize, 67);
-        println!("{}", report.render());
-        let doc = json.render();
-        if check {
-            println!(
-                "--check: BENCH_telemetry.json not written ({} bytes)\n",
-                doc.len()
-            );
-        } else {
-            match std::fs::write("BENCH_telemetry.json", &doc) {
-                Ok(()) => println!("wrote BENCH_telemetry.json ({} bytes)\n", doc.len()),
-                Err(e) => eprintln!("could not write BENCH_telemetry.json: {e}"),
-            }
-        }
-    }
-    if run("e10") {
-        println!(
-            "{}",
-            ex::e10_bounded_queue(600 * scale as usize, 41).0.render()
-        );
-    }
-    if run("e10net") {
-        let conns: Vec<usize> = if quick {
-            vec![8, 32]
-        } else {
-            vec![100, 400, 1_000]
-        };
-        let shed_loads: Vec<usize> = if quick { vec![2, 12] } else { vec![4, 16, 64] };
-        let (report, _, json) = ex::e10_net(&conns, if quick { 6 } else { 5 }, &shed_loads, 71);
-        println!("{}", report.render());
-        let doc = json.render();
-        if check {
-            println!(
-                "--check: BENCH_net.json not written ({} bytes)\n",
-                doc.len()
-            );
-        } else {
-            match std::fs::write("BENCH_net.json", &doc) {
-                Ok(()) => println!("wrote BENCH_net.json ({} bytes)\n", doc.len()),
-                Err(e) => eprintln!("could not write BENCH_net.json: {e}"),
-            }
-        }
-    }
-    if run("e11policy") {
-        // Full scale is the acceptance bar: ≥1M sliding-TTL sessions.
-        let (report, _, json) = ex::e11_policy(100_000 * scale as usize, 73);
-        println!("{}", report.render());
-        let doc = json.render();
-        if check {
-            println!(
-                "--check: BENCH_policy.json not written ({} bytes)\n",
-                doc.len()
-            );
-        } else {
-            match std::fs::write("BENCH_policy.json", &doc) {
-                Ok(()) => println!("wrote BENCH_policy.json ({} bytes)\n", doc.len()),
-                Err(e) => eprintln!("could not write BENCH_policy.json: {e}"),
-            }
-        }
-    }
-    if run("obs") {
-        let (report, snapshot) = ex::obs_snapshot(512 * scale as usize, 47);
-        println!("{}", report.render());
-        let (overhead_report, overhead) = ex::obs_monitor_overhead(512 * scale as usize, 53);
-        println!("{}", overhead_report.render());
-        let json = JsonValue::Object(vec![
-            ("snapshot".into(), snapshot),
-            ("monitor_overhead".into(), overhead),
-        ])
-        .render();
-        if check {
-            println!(
-                "--check: BENCH_obs.json not written ({} bytes)\n",
-                json.len()
-            );
-        } else {
-            match std::fs::write("BENCH_obs.json", &json) {
-                Ok(()) => println!("wrote BENCH_obs.json ({} bytes)\n", json.len()),
-                Err(e) => eprintln!("could not write BENCH_obs.json: {e}"),
-            }
-        }
-    }
-    if run("a1") {
-        println!("{}", ex::a1_nu_ablation(20 * scale, 31).render());
-    }
-    if run("a2") {
-        let sizes: Vec<usize> = if quick {
-            vec![500, 2_000]
-        } else {
-            vec![500, 2_000, 8_000]
-        };
-        println!("{}", ex::a2_join_ablation(&sizes, 43).render());
     }
 }

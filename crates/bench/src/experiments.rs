@@ -1,11 +1,15 @@
-//! The synthetic experiments E1–E8 (see DESIGN.md §5).
+//! The synthetic experiments E1–E11, the OBS overhead measurement and
+//! the A1/A2 ablations (see DESIGN.md §5 and EXPERIMENTS.md).
 //!
 //! The paper has no empirical section; these experiments quantify the
 //! claims it makes qualitatively. Every experiment is a deterministic,
-//! seeded function returning a [`Report`] whose counters the unit tests
-//! pin down (who wins, and roughly by how much); the `experiments` binary
-//! renders the reports for EXPERIMENTS.md. Wall-clock timings appear in
-//! reports but are never asserted.
+//! seeded function returning a [`Report`] and the rows or summary its
+//! counters come from, which the unit tests pin down (who wins, and
+//! roughly by how much); the `experiments` binary renders the reports for
+//! EXPERIMENTS.md, and the report is the only record an experiment
+//! produces — the trajectory lives in `benchmark/`. Wall-clock timings
+//! appear in reports but are never asserted (the CI obs gate reads
+//! OBS's `overhead_pct` from the binary's output).
 
 use crate::workload::{difference_pair, LifetimeDist, TableGen};
 use exptime_core::aggregate::{self, AggFunc, AggMode};
@@ -16,7 +20,6 @@ use exptime_core::predicate::{CmpOp, Predicate};
 use exptime_core::rewrite;
 use exptime_core::time::Time;
 use exptime_engine::{Database, DbConfig, ExpirationEvent, ForecastConfig, Removal};
-use exptime_obs::JsonValue;
 use exptime_replica::{
     ChaosDeletePush, ChaosReplica, DeletePushReplica, FaultSpec, PollingReplica, Replica,
     RetryPolicy,
@@ -730,7 +733,7 @@ pub fn e6_chaos(
     horizon: u64,
     loss_rates: &[f64],
     seed: u64,
-) -> (Report, Vec<E6ChaosRow>, JsonValue) {
+) -> (Report, Vec<E6ChaosRow>) {
     let expr = || Expr::base("r").difference(Expr::base("s"));
     let build_server = |s: u64| {
         let mut db = Database::new(DbConfig::default());
@@ -868,43 +871,12 @@ pub fn e6_chaos(
         ));
     }
 
-    let json = JsonValue::Object(vec![
-        ("experiment".into(), JsonValue::String("e6-chaos".into())),
-        ("rows".into(), JsonValue::Uint(rows as u64)),
-        ("horizon".into(), JsonValue::Uint(horizon)),
-        ("seed".into(), JsonValue::Uint(seed)),
-        (
-            "results".into(),
-            JsonValue::Array(
-                out_rows
-                    .iter()
-                    .map(|r| {
-                        JsonValue::Object(vec![
-                            ("loss".into(), JsonValue::Float(r.loss)),
-                            ("strategy".into(), JsonValue::String(r.strategy.clone())),
-                            ("messages".into(), JsonValue::Uint(r.messages)),
-                            (
-                                "first_transmissions".into(),
-                                JsonValue::Uint(r.first_transmissions),
-                            ),
-                            ("retransmissions".into(), JsonValue::Uint(r.retransmissions)),
-                            ("tuples".into(), JsonValue::Uint(r.tuples)),
-                            ("recovery_ticks".into(), JsonValue::Uint(r.recovery_ticks)),
-                            ("converged".into(), JsonValue::Bool(r.converged)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-
     (
         Report {
             title: "E6-chaos: sync cost and recovery latency over a lossy link".into(),
             lines,
         },
         out_rows,
-        json,
     )
 }
 
@@ -1294,7 +1266,7 @@ mod tests {
 
     #[test]
     fn e6_chaos_shape_exp_aware_wins_at_every_loss_rate() {
-        let (_, rows, json) = e6_chaos(120, 60, &[0.0, 0.25, 0.5], 19);
+        let (_, rows) = e6_chaos(120, 60, &[0.0, 0.25, 0.5], 19);
         assert_eq!(rows.len(), 6, "two strategies at three loss rates");
         for pair in rows.chunks(2) {
             let aware = &pair[0];
@@ -1345,12 +1317,6 @@ mod tests {
             spread * 5 <= *push_first.iter().max().unwrap(),
             "first transmissions roughly stable: {push_first:?}"
         );
-        let rendered = json.render();
-        assert!(
-            rendered.contains("\"experiment\": \"e6-chaos\""),
-            "{rendered}"
-        );
-        assert!(rendered.contains("\"converged\": true"), "{rendered}");
     }
 
     #[test]
@@ -1726,133 +1692,45 @@ mod a2_tests {
 }
 
 // ---------------------------------------------------------------------
-// OBS — end-to-end observability snapshot
-// ---------------------------------------------------------------------
-
-/// OBS: one end-to-end mixed workload (heavy-tailed session inserts, a
-/// materialised view, periodic queries, expirations) run with the
-/// observability layer watching, then snapshotted: every `db.*`,
-/// `storage.*`, and `view.*` metric in the registry plus the profiled
-/// plan of the final query. The experiments binary writes the JSON to
-/// `BENCH_obs.json`.
-///
-/// # Panics
-///
-/// Panics if the workload's SQL fails (a bug, not an input condition).
-#[must_use]
-pub fn obs_snapshot(rows: usize, seed: u64) -> (Report, exptime_obs::JsonValue) {
-    use exptime_obs::JsonValue as J;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let mut db = Database::new(DbConfig::default());
-    let ring = db.obs().install_ring(4096);
-    db.execute("CREATE TABLE sessions (uid INT, deg INT)")
-        .unwrap();
-    db.execute("CREATE TABLE banned (uid INT, deg INT)")
-        .unwrap();
-    db.execute("CREATE MATERIALIZED VIEW hot AS SELECT uid FROM sessions WHERE deg >= 50")
-        .unwrap();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let life = LifetimeDist::HeavyTail {
-        base: 16,
-        spread: 4,
-    };
-    for i in 0..rows {
-        let uid = i as i64;
-        let deg = rng.gen_range(0i64..100);
-        let texp = db.now() + life.sample(&mut rng).max(1);
-        db.insert("sessions", exptime_core::tuple![uid, deg], texp)
-            .unwrap();
-        if rng.gen_bool(0.05) {
-            db.insert("banned", exptime_core::tuple![uid, deg], Time::INFINITY)
-                .unwrap();
-        }
-        if i % 64 == 0 {
-            db.tick(1);
-            db.read_view("hot").unwrap();
-            db.execute("SELECT uid FROM sessions EXCEPT SELECT uid FROM banned")
-                .unwrap();
-        }
-    }
-    db.tick(64); // drain a chunk of the tail
-
-    // The final query, profiled per operator. Routing it through the
-    // materialised view also captures the refresh decision in the snapshot.
-    let explain = db
-        .explain_analyze("SELECT uid FROM hot EXCEPT SELECT uid FROM banned")
-        .unwrap();
-
-    let stats = db.stats();
-    let json = J::Object(vec![
-        ("experiment".into(), J::String("obs_snapshot".into())),
-        ("rows".into(), J::Uint(rows as u64)),
-        ("seed".into(), J::Uint(seed)),
-        ("metrics".into(), db.metrics().snapshot()),
-        ("plan".into(), explain.profile.to_json()),
-        (
-            "refresh_decisions".into(),
-            J::Array(
-                explain
-                    .decisions
-                    .iter()
-                    .map(|(view, d)| {
-                        J::Object(vec![
-                            ("view".into(), J::String(view.clone())),
-                            ("decision".into(), J::String(d.to_string())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("events_buffered".into(), J::Uint(ring.len() as u64)),
-        ("events_dropped".into(), J::Uint(ring.dropped())),
-    ]);
-
-    let report = Report {
-        title: "OBS — observability snapshot (metrics + profiled plan)".into(),
-        lines: vec![
-            format!("workload: {rows} session inserts, heavy-tail lifetimes, view reads every 64"),
-            format!(
-                "inserts={} expired={} queries={} (registry == stats snapshot)",
-                stats.inserts, stats.expired, stats.queries
-            ),
-            format!(
-                "final plan: {} operators, {} rows out, decisions: {:?}",
-                explain.profile.node_count(),
-                explain.rows,
-                explain.decisions
-            ),
-            format!(
-                "events: {} buffered, {} dropped (ring cap 4096)",
-                ring.len(),
-                ring.dropped()
-            ),
-        ],
-    };
-    (report, json)
-}
-
-// ---------------------------------------------------------------------
 // OBS overhead — what the monitor + tracer cost on the hot path
 // ---------------------------------------------------------------------
 
-/// OBS overhead: run one expiry-heavy workload twice — dark (no event
-/// ring, tracer off, health never polled) and lit (ring installed,
-/// tracer on, health polled periodically) — and report the wall-clock
-/// difference. Lazy removal makes triggers fire late, so the lit run
-/// also demonstrates the staleness monitor catching real SLO breaches.
+/// Measured outcome of the OBS overhead experiment (what the unit test
+/// and the CI gate read).
+#[derive(Debug, Clone, Copy)]
+pub struct ObsOverhead {
+    /// Fastest dark run (no event ring, tracer off, health never polled), ms.
+    pub dark_ms: f64,
+    /// Fastest lit run (ring installed, tracer on, health polled), ms.
+    pub lit_ms: f64,
+    /// `(lit_ms − dark_ms) / dark_ms` in percent: the CI gate's number.
+    pub overhead_pct: f64,
+    /// SLO breaches the lit run's staleness monitor caught.
+    pub slo_breaches: u64,
+    /// Spans the lit run's tracer recorded (kept or dropped).
+    pub spans: u64,
+    /// Events left on the lit run's ring.
+    pub events_buffered: usize,
+}
+
+/// OBS overhead: run one expiry-heavy workload dark (no event ring,
+/// tracer off, health never polled) and lit (ring installed, tracer on,
+/// health polled periodically), alternately, five times each on fresh
+/// databases, and report the overhead of the fastest lit run over
+/// the fastest dark one — the minimum is the noise-robust estimator, and
+/// alternating puts both sides under the same drift. Lazy removal makes
+/// triggers fire late, so the lit run also demonstrates the staleness
+/// monitor catching real SLO breaches.
 ///
 /// # Panics
 ///
 /// Panics if the workload's SQL fails (a bug, not an input condition).
 #[must_use]
-pub fn obs_monitor_overhead(rows: usize, seed: u64) -> (Report, exptime_obs::JsonValue) {
-    use exptime_obs::JsonValue as J;
+pub fn obs_monitor_overhead(rows: usize, seed: u64) -> (Report, ObsOverhead) {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    const RUNS: usize = 5;
     let run_once = |lit: bool| -> (f64, u64, u64, usize) {
         let mut db = Database::new(DbConfig {
             removal: Removal::Lazy { vacuum_every: 96 },
@@ -1896,34 +1774,42 @@ pub fn obs_monitor_overhead(rows: usize, seed: u64) -> (Report, exptime_obs::Jso
         (wall_ms, breaches, spans, ring.map_or(0, |r| r.len()))
     };
 
-    let (dark_ms, _, _, _) = run_once(false);
-    let (lit_ms, breaches, spans, buffered) = run_once(true);
-    let overhead_pct = (lit_ms - dark_ms) / dark_ms.max(1e-9) * 100.0;
-
-    let json = J::Object(vec![
-        (
-            "experiment".into(),
-            J::String("obs_monitor_overhead".into()),
-        ),
-        ("rows".into(), J::Uint(rows as u64)),
-        ("seed".into(), J::Uint(seed)),
-        ("dark_ms".into(), J::Float(dark_ms)),
-        ("lit_ms".into(), J::Float(lit_ms)),
-        ("overhead_pct".into(), J::Float(overhead_pct)),
-        ("slo_breaches".into(), J::Uint(breaches)),
-        ("spans_recorded".into(), J::Uint(spans)),
-        ("events_buffered".into(), J::Uint(buffered as u64)),
-    ]);
+    let mut o = ObsOverhead {
+        dark_ms: f64::INFINITY,
+        lit_ms: f64::INFINITY,
+        overhead_pct: 0.0,
+        slo_breaches: 0,
+        spans: 0,
+        events_buffered: 0,
+    };
+    for _ in 0..RUNS {
+        o.dark_ms = o.dark_ms.min(run_once(false).0);
+        let (lit_ms, breaches, spans, buffered) = run_once(true);
+        o.lit_ms = o.lit_ms.min(lit_ms);
+        (o.slo_breaches, o.spans, o.events_buffered) = (breaches, spans, buffered);
+    }
+    o.overhead_pct = (o.lit_ms - o.dark_ms) / o.dark_ms.max(1e-9) * 100.0;
     let report = Report {
         title: "OBS — monitor/tracer overhead on an expiry-heavy workload".into(),
         lines: vec![
-            format!("workload: {rows} inserts, lazy removal (vacuum every 96), health polled every 64"),
-            format!("dark (no obs): {dark_ms:>8.2} ms"),
-            format!("lit  (ring + tracer + health): {lit_ms:>8.2} ms  ({overhead_pct:+.1}%)"),
-            format!("lit run saw {breaches} SLO breach(es), {spans} span(s), {buffered} event(s) buffered"),
+            format!(
+                "workload: {rows} inserts, lazy removal (vacuum every 96), health polled every 64"
+            ),
+            format!(
+                "dark (no obs), min of {RUNS}:                 {:>8.2} ms",
+                o.dark_ms
+            ),
+            format!(
+                "lit  (ring + tracer + health), min of {RUNS}: {:>8.2} ms  overhead_pct={:.1}",
+                o.lit_ms, o.overhead_pct
+            ),
+            format!(
+                "lit run saw {} SLO breach(es), {} span(s), {} event(s) buffered",
+                o.slo_breaches, o.spans, o.events_buffered
+            ),
         ],
     };
-    (report, json)
+    (report, o)
 }
 
 // ---------------------------------------------------------------------
@@ -1957,8 +1843,7 @@ pub struct ScopeSummary {
 /// cadence — within one bucket for lifetimes past the cadence. The
 /// flash-crowd cohort must also surface as a `storm_warning`.
 #[must_use]
-pub fn e8scope_forecast_accuracy(rows: usize, seed: u64) -> (Report, ScopeSummary, JsonValue) {
-    use exptime_obs::JsonValue as J;
+pub fn e8scope_forecast_accuracy(rows: usize, seed: u64) -> (Report, ScopeSummary) {
     use exptime_obs::{HorizonForecast, FORECAST_BUCKETS};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -2056,42 +1941,6 @@ pub fn e8scope_forecast_accuracy(rows: usize, seed: u64) -> (Report, ScopeSummar
         storms,
     };
 
-    let bucket_rows = |p: &[u64; FORECAST_BUCKETS], a: &[u64; FORECAST_BUCKETS]| -> Vec<J> {
-        (0..FORECAST_BUCKETS)
-            .filter(|&k| p[k] > 0 || a[k] > 0)
-            .map(|k| {
-                let (lo, hi) = HorizonForecast::bucket_bounds(k);
-                J::Object(vec![
-                    ("bucket".into(), J::Uint(k as u64)),
-                    ("lo".into(), J::Uint(lo)),
-                    ("hi".into(), J::Uint(hi)),
-                    ("predicted".into(), J::Uint(p[k])),
-                    ("actual".into(), J::Uint(a[k])),
-                ])
-            })
-            .collect()
-    };
-    let json = J::Object(vec![
-        ("experiment".into(), J::String("e8scope".into())),
-        ("rows".into(), J::Uint(rows as u64)),
-        ("seed".into(), J::Uint(seed)),
-        ("storm_threshold".into(), J::Uint(storm_threshold)),
-        ("predicted".into(), J::Uint(summary.predicted)),
-        ("actual".into(), J::Uint(summary.actual)),
-        ("eager_exact".into(), J::Bool(summary.eager_exact)),
-        (
-            "eager_within_one_bucket".into(),
-            J::Bool(summary.eager_within_one),
-        ),
-        (
-            "lazy_within_one_bucket".into(),
-            J::Bool(summary.lazy_within_one),
-        ),
-        ("storm_warnings".into(), J::Uint(summary.storms)),
-        ("eager".into(), J::Array(bucket_rows(&p_eager, &a_eager))),
-        ("lazy".into(), J::Array(bucket_rows(&p_lazy, &a_lazy))),
-    ]);
-
     let displaced_lazy: u64 = (0..FORECAST_BUCKETS)
         .map(|k| p_lazy[k].abs_diff(a_lazy[k]))
         .sum::<u64>()
@@ -2118,7 +1967,7 @@ pub fn e8scope_forecast_accuracy(rows: usize, seed: u64) -> (Report, ScopeSummar
             ),
         ],
     };
-    (report, summary, json)
+    (report, summary)
 }
 
 #[cfg(test)]
@@ -2127,7 +1976,7 @@ mod obs_tests {
 
     #[test]
     fn e8scope_forecast_matches_reality_within_one_bucket() {
-        let (report, summary, json) = e8scope_forecast_accuracy(256, 59);
+        let (report, summary) = e8scope_forecast_accuracy(256, 59);
         // Eager removal processes each row exactly at its texp: the t₀
         // prediction is bucket-for-bucket exact.
         assert!(summary.eager_exact, "{}", report.render());
@@ -2139,287 +1988,23 @@ mod obs_tests {
         assert_eq!(summary.actual, 256);
         // The flash-crowd cohort must trip the storm detector.
         assert!(summary.storms >= 1, "{}", report.render());
-        let doc = json.render();
-        assert!(doc.contains("\"eager_within_one_bucket\""), "{doc}");
-        assert!(doc.contains("\"lazy_within_one_bucket\""), "{doc}");
-        assert!(doc.contains("\"storm_warnings\""), "{doc}");
         // Deterministic: same seed, same histograms.
-        let (_, s2, _) = e8scope_forecast_accuracy(256, 59);
+        let (_, s2) = e8scope_forecast_accuracy(256, 59);
         assert_eq!(summary.predicted, s2.predicted);
         assert_eq!(summary.storms, s2.storms);
     }
 
     #[test]
-    fn obs_snapshot_json_is_consistent_with_stats() {
-        let (report, json) = obs_snapshot(512, 47);
-        let json = json.render();
-        assert_eq!(report.lines.len(), 4);
-        // The JSON embeds the registry: spot-check a few keys.
-        assert!(json.contains("\"db.inserts\""), "{json}");
-        assert!(json.contains("\"storage.sessions.inserts\""), "{json}");
-        assert!(json.contains("\"view.hot.reads\""), "{json}");
-        assert!(json.contains("\"db.query_ns\""), "{json}");
-        assert!(json.contains("\"operator\""), "{json}");
-        assert!(json.contains("\"expired_filtered\""), "{json}");
-        assert!(json.contains("\"refresh_decisions\""), "{json}");
-        assert!(json.contains("\"hot\""), "{json}");
-        // Deterministic: same seed, same counters (timings aside).
-        let (report2, _) = obs_snapshot(512, 47);
-        assert_eq!(report.lines[1], report2.lines[1]);
-    }
-
-    #[test]
     fn obs_overhead_lit_run_observes_the_workload() {
-        let (report, json) = obs_monitor_overhead(512, 53);
+        let (report, o) = obs_monitor_overhead(512, 53);
         assert_eq!(report.lines.len(), 4);
-        let json = json.render();
-        assert!(json.contains("\"overhead_pct\""), "{json}");
         // Lazy removal with a zero-lateness SLO must breach…
-        assert!(json.contains("\"slo_breaches\""), "{json}");
-        let breaches: u64 = json
-            .split("\"slo_breaches\": ")
-            .nth(1)
-            .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
-            .and_then(|s| s.parse().ok())
-            .unwrap();
-        assert!(breaches > 0, "lazy removal must be caught late: {json}");
+        assert!(
+            o.slo_breaches > 0,
+            "lazy removal must be caught late: {o:?}"
+        );
         // …and the lit run must actually have traced something.
-        let spans: u64 = json
-            .split("\"spans_recorded\": ")
-            .nth(1)
-            .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
-            .and_then(|s| s.parse().ok())
-            .unwrap();
-        assert!(spans > 0, "tracer was on: {json}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// E7-wal — crash-recovery work vs log length (expiration-aware replay)
-// ---------------------------------------------------------------------
-
-/// One recovery measurement of E7-wal.
-#[derive(Debug, Clone)]
-pub struct E7WalRow {
-    /// Rows written (and committed) before the crash.
-    pub rows: usize,
-    /// Recovery strategy: `naive`, `exp-aware`, or `post-checkpoint`.
-    pub strategy: String,
-    /// Log bytes scanned at open.
-    pub log_bytes: u64,
-    /// Records actually replayed.
-    pub replayed: u64,
-    /// Committed insert records skipped as provably dead.
-    pub skipped_expired: u64,
-    /// Live rows after recovery.
-    pub live_rows: u64,
-    /// Wall-clock open-with-recovery time in µs (reported, not asserted).
-    pub recovery_us: u64,
-}
-
-/// E7-wal: write `n` rows into a WAL-backed database while the clock
-/// advances, letting ~90% of them expire before a simulated power loss,
-/// then measure recovery three ways: *naive* replay (every committed
-/// record), *expiration-aware* replay (inserts that are provably dead at
-/// the recovered clock are skipped), and *post-checkpoint* (crash again
-/// after the recovery checkpoint — the log is empty, replay is zero).
-///
-/// The asserted claim is the paper-flavoured one: with expiration times
-/// attached to data, recovery work is proportional to *live* data, not to
-/// history. Naive replay grows linearly with the log; expiration-aware
-/// replay touches only what is still observable.
-#[must_use]
-pub fn e7_wal(row_counts: &[usize], horizon: u64, seed: u64) -> (Report, Vec<E7WalRow>, JsonValue) {
-    use exptime_core::tuple::Tuple;
-    use exptime_core::value::Value;
-    use exptime_engine::durability::MemStore;
-    use exptime_engine::Durability;
-    use rand::{Rng, SeedableRng};
-
-    let config = |aware: bool| DbConfig {
-        durability: Durability::Wal {
-            group_commit: 64,
-            checkpoint_every: 0, // manual: the crash must find a long log
-            expiration_aware: aware,
-        },
-        ..DbConfig::default()
-    };
-
-    let mut out_rows = Vec::new();
-    for (i, &n) in row_counts.iter().enumerate() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-        let store = MemStore::new();
-        {
-            let mut db = Database::open_with_store(Box::new(store.clone()), config(true)).unwrap();
-            db.execute("CREATE TABLE s (k INT, v INT)").unwrap();
-            let per_tick = (n / horizon as usize).max(1);
-            let mut t = 0u64;
-            for k in 0..n {
-                if k % per_tick == 0 && t < horizon {
-                    db.tick(1);
-                    t += 1;
-                }
-                // Mostly short-lived (dead long before the crash), a few
-                // survivors that outlive the horizon.
-                let life = if rng.gen_bool(0.9) {
-                    rng.gen_range(1..(horizon / 8).max(2))
-                } else {
-                    horizon * 2
-                };
-                db.insert(
-                    "s",
-                    Tuple::new(vec![
-                        Value::Int(k as i64),
-                        Value::Int(rng.gen_range(0..100)),
-                    ]),
-                    Time::new(t + life),
-                )
-                .unwrap();
-            }
-            if t < horizon {
-                db.tick(horizon - t);
-            }
-        } // dropping the database syncs the group-commit tail
-        let log_bytes = store.len();
-
-        // Power loss with the full log intact, recovered two ways.
-        let recover = |aware: bool| {
-            let crashed = store.crash(log_bytes);
-            let start = Instant::now();
-            let mut db =
-                Database::open_with_store(Box::new(crashed.clone()), config(aware)).unwrap();
-            let us = start.elapsed().as_micros() as u64;
-            let rec = db.recovery_stats().unwrap();
-            let rel = db
-                .execute("SELECT * FROM s")
-                .unwrap()
-                .rows()
-                .unwrap()
-                .clone();
-            (rec, rel, us, crashed)
-        };
-        let (rec_n, rel_n, us_n, _) = recover(false);
-        let (rec_a, rel_a, us_a, store_a) = recover(true);
-
-        // Both strategies recover the same observable state, and naive
-        // replay does exactly the work the aware one skipped on top.
-        assert!(rel_n.set_eq(&rel_a), "replay strategies diverged at n={n}");
-        assert_eq!(rec_n.replayed, rec_a.replayed + rec_a.skipped_expired);
-        assert!(rec_a.skipped_expired > 0, "workload produced no dead rows");
-
-        // Recovery ends with a checkpoint; crash again on top of it.
-        let crashed = store_a.crash(store_a.len());
-        let start = Instant::now();
-        let db = Database::open_with_store(Box::new(crashed), config(true)).unwrap();
-        let us_c = start.elapsed().as_micros() as u64;
-        let rec_c = db.recovery_stats().unwrap();
-        assert_eq!(rec_c.replayed, 0, "post-checkpoint recovery replays");
-        assert_eq!(rec_c.checkpoint_rows, rel_a.len() as u64);
-
-        for (strategy, rec, live, us) in [
-            ("naive", rec_n, rel_n.len(), us_n),
-            ("exp-aware", rec_a, rel_a.len(), us_a),
-            ("post-checkpoint", rec_c, rel_a.len(), us_c),
-        ] {
-            out_rows.push(E7WalRow {
-                rows: n,
-                strategy: strategy.into(),
-                log_bytes: if strategy == "post-checkpoint" {
-                    0
-                } else {
-                    log_bytes
-                },
-                replayed: rec.replayed,
-                skipped_expired: rec.skipped_expired,
-                live_rows: live as u64,
-                recovery_us: us,
-            });
-        }
-    }
-
-    let mut lines = vec![format!(
-        "{:<10}{:<18}{:>10}{:>10}{:>10}{:>8}{:>12}",
-        "rows", "strategy", "log KiB", "replayed", "skipped", "live", "recovery"
-    )];
-    for r in &out_rows {
-        lines.push(format!(
-            "{:<10}{:<18}{:>10.1}{:>10}{:>10}{:>8}{:>10}µs",
-            r.rows,
-            r.strategy,
-            r.log_bytes as f64 / 1024.0,
-            r.replayed,
-            r.skipped_expired,
-            r.live_rows,
-            r.recovery_us,
-        ));
-    }
-
-    let json = JsonValue::Object(vec![
-        ("experiment".into(), JsonValue::String("e7-wal".into())),
-        ("horizon".into(), JsonValue::Uint(horizon)),
-        ("seed".into(), JsonValue::Uint(seed)),
-        (
-            "results".into(),
-            JsonValue::Array(
-                out_rows
-                    .iter()
-                    .map(|r| {
-                        JsonValue::Object(vec![
-                            ("rows".into(), JsonValue::Uint(r.rows as u64)),
-                            ("strategy".into(), JsonValue::String(r.strategy.clone())),
-                            ("log_bytes".into(), JsonValue::Uint(r.log_bytes)),
-                            ("replayed".into(), JsonValue::Uint(r.replayed)),
-                            ("skipped_expired".into(), JsonValue::Uint(r.skipped_expired)),
-                            ("live_rows".into(), JsonValue::Uint(r.live_rows)),
-                            ("recovery_us".into(), JsonValue::Uint(r.recovery_us)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-
-    (
-        Report {
-            title: "E7-wal: recovery work vs log length (expiration-aware replay)".into(),
-            lines,
-        },
-        out_rows,
-        json,
-    )
-}
-
-#[cfg(test)]
-mod e7_wal_tests {
-    use super::*;
-
-    #[test]
-    fn e7_wal_shape_aware_replay_beats_naive_and_checkpoint_wins() {
-        let (report, rows, json) = e7_wal(&[300, 600], 64, 61);
-        assert_eq!(rows.len(), 6);
-        for chunk in rows.chunks(3) {
-            let (naive, aware, ckpt) = (&chunk[0], &chunk[1], &chunk[2]);
-            assert!(
-                aware.replayed < naive.replayed,
-                "expiration-aware replay must skip work: {aware:?} vs {naive:?}"
-            );
-            assert_eq!(naive.replayed, aware.replayed + aware.skipped_expired);
-            assert_eq!(naive.live_rows, aware.live_rows);
-            assert_eq!(ckpt.replayed, 0);
-            assert_eq!(ckpt.log_bytes, 0);
-        }
-        // More history, same horizon: naive replay grows with the log.
-        assert!(rows[3].replayed > rows[0].replayed);
-        let json = json.render();
-        assert!(json.contains("\"e7-wal\""), "{json}");
-        assert!(json.contains("\"skipped_expired\""), "{json}");
-        assert!(report.render().contains("exp-aware"), "{}", report.render());
-        // Deterministic (timings aside): same seed, same counters.
-        let (_, rows2, _) = e7_wal(&[300, 600], 64, 61);
-        for (a, b) in rows.iter().zip(&rows2) {
-            assert_eq!(a.replayed, b.replayed);
-            assert_eq!(a.skipped_expired, b.skipped_expired);
-        }
+        assert!(o.spans > 0, "tracer was on: {o:?}");
     }
 }
 
@@ -2461,10 +2046,9 @@ pub struct TelemetrySummary {
 /// Panics if the workload's SQL fails or the loopback server cannot
 /// bind (bugs or a hostile sandbox, not input conditions).
 #[must_use]
-pub fn e9_telemetry(rows: usize, seed: u64) -> (Report, TelemetrySummary, JsonValue) {
+pub fn e9_telemetry(rows: usize, seed: u64) -> (Report, TelemetrySummary) {
     use exptime_engine::{SharedDatabase, TelemetryConfig};
     use exptime_obs::parse_prometheus_text;
-    use exptime_obs::JsonValue as J;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::io::{Read as _, Write as _};
@@ -2556,32 +2140,6 @@ pub fn e9_telemetry(rows: usize, seed: u64) -> (Report, TelemetrySummary, JsonVa
         scrapes_ok,
         scrape_metric_samples,
     };
-    let json = J::Object(vec![
-        ("experiment".into(), J::String("e9-telemetry".into())),
-        ("rows".into(), J::Uint(rows as u64)),
-        ("seed".into(), J::Uint(seed)),
-        ("sample_every".into(), J::Uint(SAMPLE_EVERY)),
-        ("retention".into(), J::Uint(RETENTION)),
-        ("dark_ms".into(), J::Float(dark_ms)),
-        ("lit_ms".into(), J::Float(lit_ms)),
-        ("overhead_pct".into(), J::Float(overhead_pct)),
-        ("samples".into(), J::Uint(samples)),
-        ("history_rows".into(), J::Uint(history_rows)),
-        (
-            "distinct_samples_live".into(),
-            J::Uint(distinct_samples_live),
-        ),
-        ("live_bound".into(), J::Uint(live_bound)),
-        ("scrapes".into(), J::Uint(SCRAPES)),
-        ("scrapes_ok".into(), J::Uint(scrapes_ok)),
-        (
-            "scrape_metric_samples".into(),
-            J::Uint(scrape_metric_samples),
-        ),
-        ("scrape_ms".into(), J::Float(scrape_ms)),
-        ("scrape_latency_p50_ns".into(), J::Float(lat_p50)),
-        ("scrape_latency_p99_ns".into(), J::Float(lat_p99)),
-    ]);
     let report = Report {
         title: "E9-telemetry: sampler overhead and scrape-under-load".into(),
         lines: vec![
@@ -2600,7 +2158,7 @@ pub fn e9_telemetry(rows: usize, seed: u64) -> (Report, TelemetrySummary, JsonVa
             ),
         ],
     };
-    (report, summary, json)
+    (report, summary)
 }
 
 #[cfg(test)]
@@ -2609,7 +2167,7 @@ mod e9_telemetry_tests {
 
     #[test]
     fn e9_telemetry_shape_bounded_history_and_valid_scrapes() {
-        let (report, s, json) = e9_telemetry(256, 67);
+        let (report, s) = e9_telemetry(256, 67);
         assert!(s.samples > 0, "{s:?}");
         assert!(s.history_rows > 0, "{s:?}");
         // Retention is the only cleanup mechanism, and it suffices.
@@ -2620,9 +2178,6 @@ mod e9_telemetry_tests {
         // Every live scrape round-tripped through the repo's own parser.
         assert_eq!(s.scrapes_ok, s.scrapes, "{s:?}");
         assert!(s.scrape_metric_samples > 0, "{s:?}");
-        let doc = json.render();
-        assert!(doc.contains("\"e9-telemetry\""), "{doc}");
-        assert!(doc.contains("\"scrape_latency_p99_ns\""), "{doc}");
         assert!(
             report.render().contains("zero DELETEs"),
             "{}",
@@ -2905,9 +2460,8 @@ pub fn e10_net(
     stmts_per_conn: usize,
     shed_loads: &[usize],
     seed: u64,
-) -> (Report, E10NetSummary, JsonValue) {
+) -> (Report, E10NetSummary) {
     use exptime_net::ChaosNet;
-    use exptime_obs::JsonValue as J;
 
     // -- throughput vs connection count --------------------------------
     let levels: Vec<E10NetLevel> = conn_counts
@@ -3008,65 +2562,7 @@ pub fn e10_net(
             .into(),
         lines,
     };
-
-    let json = J::Object(vec![
-        ("experiment".into(), J::String("e10-net".into())),
-        ("seed".into(), J::Uint(seed)),
-        ("stmts_per_conn".into(), J::Uint(stmts_per_conn as u64)),
-        (
-            "throughput".into(),
-            J::Array(
-                levels
-                    .iter()
-                    .map(|l| {
-                        J::Object(vec![
-                            ("connections".into(), J::Uint(l.connections as u64)),
-                            (
-                                "concurrent_observed".into(),
-                                J::Uint(l.concurrent_observed as u64),
-                            ),
-                            ("statements".into(), J::Uint(l.statements)),
-                            ("sheds".into(), J::Uint(l.sheds)),
-                            ("degraded_reads".into(), J::Uint(l.degraded_reads)),
-                            ("reconnects".into(), J::Uint(l.reconnects)),
-                            ("wall_ms".into(), J::Float(l.wall_ms)),
-                            ("stmts_per_sec".into(), J::Float(l.stmts_per_sec)),
-                            ("p50_us".into(), J::Float(l.p50_us)),
-                            ("p99_us".into(), J::Float(l.p99_us)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "shed".into(),
-            J::Array(
-                shed_levels
-                    .iter()
-                    .map(|l| {
-                        J::Object(vec![
-                            ("clients".into(), J::Uint(l.clients as u64)),
-                            ("offered".into(), J::Uint(l.offered)),
-                            ("sheds".into(), J::Uint(l.sheds)),
-                            ("shed_rate".into(), J::Float(l.shed_rate)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "partition".into(),
-            J::Object(vec![
-                ("statements".into(), J::Uint(30)),
-                ("partition_ticks".into(), J::Uint(partition_ticks)),
-                ("recovery_ticks".into(), J::Uint(recovery.ticks)),
-                ("retransmissions".into(), J::Uint(recovery.retransmissions)),
-                ("replays_absorbed".into(), J::Uint(recovery.replays)),
-                ("exactly_once".into(), J::Bool(exactly_once)),
-            ]),
-        ),
-    ]);
-    (report, summary, json)
+    (report, summary)
 }
 
 #[cfg(test)]
@@ -3075,7 +2571,7 @@ mod e10_net_tests {
 
     #[test]
     fn e10_net_small_levels_shed_curve_and_partition_recovery() {
-        let (report, s, json) = e10_net(&[4, 12], 6, &[2, 12], 71);
+        let (report, s) = e10_net(&[4, 12], 6, &[2, 12], 71);
         // The server must actually have seen the advertised concurrency.
         assert_eq!(s.peak_connections, 12, "{}", report.render());
         assert_eq!(s.total_statements, (4 + 12) * 6, "{}", report.render());
@@ -3087,11 +2583,6 @@ mod e10_net_tests {
         assert!(s.exactly_once, "{}", report.render());
         assert!(s.partition_recovery_ticks > 0, "{}", report.render());
         assert!(s.partition_retransmissions > 0, "{}", report.render());
-        let doc = json.render();
-        assert!(doc.contains("\"e10-net\""), "{doc}");
-        assert!(doc.contains("\"concurrent_observed\""), "{doc}");
-        assert!(doc.contains("\"shed_rate\""), "{doc}");
-        assert!(doc.contains("\"recovery_ticks\""), "{doc}");
     }
 }
 
@@ -3122,7 +2613,7 @@ pub struct E11Row {
 }
 
 /// E11 summary: per-workload rows plus the policy counters and the
-/// crash-recovery verdict, for assertions and `BENCH_policy.json`.
+/// crash-recovery verdict, for assertions.
 #[derive(Debug, Clone)]
 pub struct E11PolicySummary {
     /// Session count of the headline session-store workload.
@@ -3422,7 +2913,6 @@ fn e11_policy_recovery() -> bool {
         durability: Durability::Wal {
             group_commit: 1,
             checkpoint_every: 0, // crash must recover from pure log replay
-            expiration_aware: true,
         },
         ..DbConfig::default()
     };
@@ -3463,9 +2953,7 @@ fn e11_policy_recovery() -> bool {
 /// work, not the semantics); and policies plus sliding touches survive
 /// WAL recovery.
 #[must_use]
-pub fn e11_policy(sessions: usize, seed: u64) -> (Report, E11PolicySummary, JsonValue) {
-    use exptime_obs::JsonValue as J;
-
+pub fn e11_policy(sessions: usize, seed: u64) -> (Report, E11PolicySummary) {
     let ttl = 40u64;
     let (sess_policy, sess_push, sliding_touches) = e11_session_store(sessions, ttl, seed);
     let cache_entries = (sessions / 8).max(2_000);
@@ -3498,14 +2986,6 @@ pub fn e11_policy(sessions: usize, seed: u64) -> (Report, E11PolicySummary, Json
         sensor_policy,
         sensor_push,
     ];
-    let summary = E11PolicySummary {
-        sessions,
-        rows: rows.clone(),
-        sliding_touches,
-        clamped,
-        recovery_ok,
-    };
-
     let mut lines = vec![format!(
         "{} sessions (ttl {}, sliding), {} cache entries (clamp 5..60), {} sensor ticks × 32",
         sessions, ttl, cache_entries, sensor_ticks
@@ -3526,42 +3006,14 @@ pub fn e11_policy(sessions: usize, seed: u64) -> (Report, E11PolicySummary, Json
         title: "E11-policy — TTL policies vs application delete-push".into(),
         lines,
     };
-
-    let row_json = |r: &E11Row| {
-        J::Object(vec![
-            ("workload".into(), J::String(r.workload.clone())),
-            ("variant".into(), J::String(r.variant.clone())),
-            ("wall_ms".into(), J::Float(r.wall_ms)),
-            ("maintenance_ops".into(), J::Uint(r.maintenance_ops)),
-            ("peak_rows".into(), J::Uint(r.peak_rows as u64)),
-            ("live_end".into(), J::Uint(r.live_end as u64)),
-        ])
+    let summary = E11PolicySummary {
+        sessions,
+        rows,
+        sliding_touches,
+        clamped,
+        recovery_ok,
     };
-    let json = J::Object(vec![
-        ("experiment".into(), J::String("e11-policy".into())),
-        ("seed".into(), J::Uint(seed)),
-        ("sessions".into(), J::Uint(sessions as u64)),
-        (
-            "workloads".into(),
-            J::Array(summary.rows.iter().map(row_json).collect()),
-        ),
-        (
-            "policy_counters".into(),
-            J::Object(vec![
-                ("sliding_touches".into(), J::Uint(sliding_touches)),
-                ("clamped".into(), J::Uint(clamped)),
-            ]),
-        ),
-        (
-            "recovery".into(),
-            J::Object(vec![
-                ("policy_restored".into(), J::Bool(recovery_ok)),
-                ("touch_survived".into(), J::Bool(recovery_ok)),
-                ("expired_resurrected".into(), J::Bool(!recovery_ok)),
-            ]),
-        ),
-    ]);
-    (report, summary, json)
+    (report, summary)
 }
 
 #[cfg(test)]
@@ -3570,7 +3022,7 @@ mod e11_policy_tests {
 
     #[test]
     fn e11_policy_zero_maintenance_and_durable_touches() {
-        let (report, s, json) = e11_policy(2_000, 5);
+        let (report, s) = e11_policy(2_000, 5);
         // e11_policy asserts the semantic claims internally; pin the
         // shape of the evidence here.
         assert_eq!(s.rows.len(), 6, "{}", report.render());
@@ -3582,10 +3034,5 @@ mod e11_policy_tests {
         );
         assert!(s.sliding_touches > 100, "{}", report.render());
         assert!(s.recovery_ok, "{}", report.render());
-        let doc = json.render();
-        assert!(doc.contains("\"e11-policy\""), "{doc}");
-        assert!(doc.contains("\"maintenance_ops\""), "{doc}");
-        assert!(doc.contains("\"sliding_touches\""), "{doc}");
-        assert!(doc.contains("\"policy_restored\""), "{doc}");
     }
 }

@@ -515,8 +515,7 @@ impl Repl {
                     return Outcome::Text("no WAL attached (volatile database)\n".into());
                 };
                 let mut out = format!(
-                    "log: {} bytes  group_commit: {}  checkpoint_every: {}  \
-                     expiration_aware: {}\n",
+                    "log: {} bytes  group_commit: {}  checkpoint_every: {}\n",
                     s.log_bytes,
                     s.group_commit,
                     if s.checkpoint_every == 0 {
@@ -524,7 +523,6 @@ impl Repl {
                     } else {
                         format!("{} ticks", s.checkpoint_every)
                     },
-                    s.expiration_aware,
                 );
                 out.push_str(&format!(
                     "last checkpoint: t={}  degraded: {}\n",
@@ -1104,7 +1102,6 @@ mod tests {
             durability: Durability::Wal {
                 group_commit: 1,
                 checkpoint_every: 0,
-                expiration_aware: true,
             },
             ..DbConfig::default()
         };

@@ -7,8 +7,6 @@
 
 use std::time::{Duration, Instant};
 
-use exptime_obs::JsonValue;
-
 use crate::algebra::eval::{eval_probed, EvalOptions, Materialized, Probe};
 use crate::algebra::expr::Expr;
 use crate::catalog::Bindings;
@@ -87,32 +85,6 @@ impl PlanProfile {
         for child in &self.children {
             child.render_into(out, depth + 1);
         }
-    }
-
-    /// The plan tree as JSON, one object per operator.
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("operator".into(), JsonValue::String(self.label.clone())),
-            ("rows_in".into(), JsonValue::Uint(self.rows_in())),
-            ("rows_out".into(), JsonValue::Uint(self.rows_out)),
-            (
-                "expired_filtered".into(),
-                JsonValue::Uint(self.expired_filtered),
-            ),
-            (
-                "texp".into(),
-                self.texp.finite().map_or(JsonValue::Null, JsonValue::Uint),
-            ),
-            (
-                "elapsed_ns".into(),
-                JsonValue::Uint(self.elapsed.as_nanos() as u64),
-            ),
-            (
-                "children".into(),
-                JsonValue::Array(self.children.iter().map(PlanProfile::to_json).collect()),
-            ),
-        ])
     }
 }
 

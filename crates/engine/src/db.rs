@@ -544,12 +544,7 @@ impl Database {
     ///
     /// As [`Database::open`].
     pub fn open_with_store(store: Box<dyn WalStore>, config: DbConfig) -> DbResult<Self> {
-        let Durability::Wal {
-            group_commit,
-            checkpoint_every,
-            expiration_aware,
-        } = config.durability
-        else {
+        let Durability::Wal { group_commit, .. } = config.durability else {
             return Err(DbError::Wal(
                 "config.durability is Volatile; use Database::new".into(),
             ));
@@ -585,7 +580,7 @@ impl Database {
             .max()
             .unwrap_or(0);
         let (ops, skipped_uncommitted) = committed_prefix(&scan.records);
-        let plan = replay_plan(ops, base_clock, expiration_aware);
+        let plan = replay_plan(ops, base_clock, true);
         let replayed = plan.ops.len() as u64;
         for op in &plan.ops {
             db.apply_wal_op(op)?;
@@ -627,8 +622,6 @@ impl Database {
         wal.bump_txn(max_txn);
         db.wal = Some(WalSession {
             wal,
-            checkpoint_every,
-            expiration_aware,
             last_checkpoint_clock: base_clock,
             degraded: false,
             active_txn: None,
@@ -789,14 +782,17 @@ impl Database {
     /// WAL status, or `None` for a volatile database.
     #[must_use]
     pub fn wal_status(&self) -> Option<WalStatus> {
+        let Durability::Wal {
+            group_commit,
+            checkpoint_every,
+        } = self.config.durability
+        else {
+            return None;
+        };
         self.wal.as_ref().map(|s| WalStatus {
             log_bytes: s.wal.log_len(),
-            group_commit: match self.config.durability {
-                Durability::Wal { group_commit, .. } => group_commit,
-                Durability::Volatile => 1,
-            },
-            checkpoint_every: s.checkpoint_every,
-            expiration_aware: s.expiration_aware,
+            group_commit,
+            checkpoint_every,
             last_checkpoint_clock: s.last_checkpoint_clock,
             degraded: s.degraded,
             recovery: s.recovery,
@@ -856,10 +852,7 @@ impl Database {
     /// even after a statement error: the engine's statements are not
     /// atomic, so the operations that did apply must stay durable.
     fn wal_stmt_end(&mut self, owned: bool) -> DbResult<()> {
-        if !owned {
-            return Ok(());
-        }
-        let Some(s) = self.wal.as_mut() else {
+        let Some(s) = self.wal.as_mut().filter(|_| owned) else {
             return Ok(());
         };
         let Some(txn) = s.active_txn.take() else {
@@ -909,9 +902,13 @@ impl Database {
     /// errors here mark the session degraded instead of propagating.
     fn wal_after_advance(&mut self, to: Time) {
         let Some(to_u) = to.finite() else { return };
-        let due = match self.wal.as_mut() {
-            None => return,
-            Some(s) => {
+        let due = match (self.wal.as_mut(), self.config.durability) {
+            (
+                Some(s),
+                Durability::Wal {
+                    checkpoint_every, ..
+                },
+            ) => {
                 if let Err(_e) = s
                     .wal
                     .append(&WalRecord::ClockAdvance { to: to_u })
@@ -920,8 +917,9 @@ impl Database {
                     s.degraded = true;
                     return;
                 }
-                s.checkpoint_every > 0 && to_u - s.last_checkpoint_clock >= s.checkpoint_every
+                checkpoint_every > 0 && to_u - s.last_checkpoint_clock >= checkpoint_every
             }
+            _ => return,
         };
         if due {
             // Cadence checkpoints are best-effort: a failure leaves the
@@ -3201,7 +3199,6 @@ mod tests {
             durability: Durability::Wal {
                 group_commit: 1,
                 checkpoint_every: 0, // manual only: exercise pure log replay
-                expiration_aware: true,
             },
             ..DbConfig::default()
         };
@@ -3690,7 +3687,6 @@ mod tests {
             durability: Durability::Wal {
                 group_commit: 1,
                 checkpoint_every: 0, // pure log replay
-                expiration_aware: true,
             },
             ..DbConfig::default()
         };

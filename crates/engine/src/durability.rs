@@ -24,12 +24,10 @@
 //!   truncated. This is expiration-aware truncation: log bytes spent on
 //!   tuples that died before the checkpoint are reclaimed with it.
 //! * Recovery on open replays the committed prefix of the log on top of
-//!   the checkpoint, skipping (in [`expiration_aware`] mode) insert
-//!   records whose tuples are provably dead at the recovered clock, then
-//!   writes a fresh checkpoint so the torn tail is discarded and the
-//!   next crash starts from a clean log.
-//!
-//! [`expiration_aware`]: Durability::Wal::expiration_aware
+//!   the checkpoint, skipping insert records whose tuples are provably
+//!   dead at the recovered clock — replay work is proportional to live
+//!   data, not history — then writes a fresh checkpoint so the torn tail
+//!   is discarded and the next crash starts from a clean log.
 
 pub use exptime_wal::{FileStore, MemStore, TruncationStats, Wal, WalStore};
 
@@ -49,22 +47,17 @@ pub enum Durability {
         /// Automatic checkpoint cadence in logical ticks (`0` = manual
         /// checkpoints only, via [`Database::checkpoint`](crate::Database::checkpoint)).
         checkpoint_every: u64,
-        /// Skip replaying insert records whose tuples are already dead at
-        /// the recovered clock (and provably never resurrected). Replay
-        /// work becomes proportional to live data instead of history.
-        expiration_aware: bool,
     },
 }
 
 impl Durability {
     /// WAL durability with the defaults used by the CLI and tests:
-    /// sync every commit, checkpoint every 64 ticks, expiration-aware.
+    /// sync every commit, checkpoint every 64 ticks.
     #[must_use]
     pub fn wal() -> Self {
         Durability::Wal {
             group_commit: 1,
             checkpoint_every: 64,
-            expiration_aware: true,
         }
     }
 }
@@ -79,8 +72,7 @@ pub struct RecoveryStats {
     pub checkpoint_rows: u64,
     /// Log records actually replayed.
     pub replayed: u64,
-    /// Committed insert records skipped as already expired
-    /// (expiration-aware replay only).
+    /// Committed insert records skipped as already expired.
     pub skipped_expired: u64,
     /// Records dropped because their transaction never committed.
     pub skipped_uncommitted: u64,
@@ -115,8 +107,6 @@ pub struct WalStatus {
     pub group_commit: usize,
     /// Automatic checkpoint cadence (`0` = manual only).
     pub checkpoint_every: u64,
-    /// Whether replay skips provably dead inserts.
-    pub expiration_aware: bool,
     /// Logical time of the last checkpoint.
     pub last_checkpoint_clock: u64,
     /// Set when a WAL write failed after its statement partially
@@ -129,11 +119,11 @@ pub struct WalStatus {
 }
 
 /// The live WAL attachment a durable [`Database`](crate::Database)
-/// carries. Crate-internal: `db.rs` drives it.
+/// carries: live state only — its knobs stay in
+/// [`DbConfig::durability`](crate::DbConfig::durability). Crate-internal:
+/// `db.rs` drives it.
 pub(crate) struct WalSession {
     pub(crate) wal: Wal,
-    pub(crate) checkpoint_every: u64,
-    pub(crate) expiration_aware: bool,
     pub(crate) last_checkpoint_clock: u64,
     pub(crate) degraded: bool,
     pub(crate) active_txn: Option<u64>,

@@ -303,6 +303,13 @@ mod tests {
         let plan = replay_plan(ops.clone(), 0, false);
         assert_eq!(plan.skipped_expired, 0);
         assert_eq!(plan.ops, ops);
+        // Naive replay is the aware plan plus exactly what it skipped.
+        let aware = replay_plan(ops, 0, true);
+        assert_eq!(aware.skipped_expired, 1);
+        assert_eq!(
+            plan.ops.len() as u64,
+            aware.ops.len() as u64 + aware.skipped_expired
+        );
     }
 
     #[test]

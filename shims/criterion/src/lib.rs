@@ -6,8 +6,9 @@
 //! warmed up, calibrated to a small time budget, measured with
 //! `std::time::Instant`, and reported as `ns/iter` (plus element
 //! throughput when configured). There are no plots, baselines, or
-//! significance tests — the numbers are for eyeballing relative cost and
-//! feeding `BENCH_*.json` snapshots, which is all this repository needs.
+//! significance tests — the numbers are for eyeballing relative cost,
+//! which is all this repository needs (the gated trajectory is
+//! `benchmark/`).
 
 #![forbid(unsafe_code)]
 

@@ -194,7 +194,6 @@ fn check_policy_crash(seed: u64) -> std::result::Result<(), String> {
         durability: Durability::Wal {
             group_commit: 1,
             checkpoint_every: 0, // recovery is pure log replay
-            expiration_aware: true,
         },
         ..DbConfig::default()
     };

@@ -77,7 +77,7 @@ proptest! {
     /// Theorem 3 at the view level: a root difference with patching never
     /// recomputes, at any probe instant.
     #[test]
-    fn patched_root_difference_never_recomputes(catalog in arb_catalog(12)) {
+    fn patched_root_difference_never_recomputes(catalog in arb_overlapping_catalog(12)) {
         let expr = Expr::base("r").difference(Expr::base("s"));
         let mut view = MaterializedView::new(
             expr.clone(), &catalog, Time::ZERO, EvalOptions::default(),
@@ -95,7 +95,7 @@ proptest! {
     /// patched tuples: the patched materialisation equals recomputation
     /// with texps at every instant (set_eq, not just tuple equality).
     #[test]
-    fn patch_queue_matches_recomputation_with_texps(catalog in arb_catalog(12)) {
+    fn patch_queue_matches_recomputation_with_texps(catalog in arb_overlapping_catalog(12)) {
         let r = catalog.get("r")?;
         let s = catalog.get("s")?;
         let mut materialised = ops::difference(r, s, Time::ZERO)?;

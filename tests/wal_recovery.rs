@@ -29,7 +29,6 @@ fn wal_config(group_commit: usize) -> DbConfig {
         durability: Durability::Wal {
             group_commit,
             checkpoint_every: 0, // manual checkpoints only: eras are explicit
-            expiration_aware: true,
         },
         ..DbConfig::default()
     }

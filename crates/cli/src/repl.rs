@@ -89,9 +89,9 @@ Meta commands:
   \\forecast       expiration-horizon forecast: predicted expirations per
                   log2 time bucket, per-table load, view refresh
                   deadlines, and storm warnings
-  \\profile        query-profile rollup: always-on statement totals,
-                  sampled per-operator costs, and a flamegraph-style
-                  self-time rollup of the span ring
+  \\profile        statements, wall time, rows scanned/copied since open
+                  (view builds included: not per statement), sampled
+                  operator costs, and a self-time flame of the span ring
   \\events [N]     show the last N engine events (default 20)
   \\spans [N]      show the last N tracing spans as a call tree (default 20)
   \\watch [SECS]   live dashboard (stats + health), re-rendered every
@@ -375,7 +375,11 @@ impl Repl {
                 if !arg.is_empty() {
                     return Outcome::Text("usage: \\profile\n".into());
                 }
-                let mut out = db.profile_stats().render();
+                let (s, p) = (db.stats(), db.profile_stats());
+                let (n, sampled, wall, table) = (s.queries, p.sampled, s.query_ns, p.render());
+                let (scanned, copied) = (s.rows_scanned, s.rows_copied);
+                let mut out = format!("statements={n} sampled={sampled} wall={wall}ns\n");
+                out += &format!("rows_scanned={scanned} rows_copied={copied}\n{table}");
                 let spans = db.tracer().recent(SPAN_RING_CAP);
                 if !spans.is_empty() {
                     out.push_str("\nflame (self-time per stack):\n");
@@ -1019,8 +1023,8 @@ mod tests {
         text(r.feed("SELECT * FROM pol;"));
         text(r.feed("SELECT * FROM el;"));
         let out = text(r.feed("\\profile"));
-        assert!(out.contains("statements=2 sampled="), "{out}");
-        assert!(out.contains("rows_scanned=6"), "{out}");
+        assert!(out.contains("statements=2 sampled=1"), "{out}");
+        assert!(out.contains("rows_scanned=6 rows_copied=6"), "{out}");
         // The first statement is always sampled, so Base shows up in the
         // per-operator table; the interactive tracer feeds the flame.
         assert!(out.contains("Base"), "{out}");

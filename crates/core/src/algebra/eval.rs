@@ -169,18 +169,19 @@ impl Materialized {
     }
 }
 
-/// What the one evaluator tells an observer, per operator: `enter` before
-/// the operator's inputs are evaluated, `leave` once its own result
-/// exists. Calls nest exactly like the expression, so an implementation
-/// can rebuild the operator tree with a stack. There are two: [`NoProbe`]
-/// (every call is an empty inline body, so `eval` compiles to the bare
-/// recursion) and the `PlanProfile` recorder behind
-/// [`eval_profiled`](crate::algebra::profile::eval_profiled).
+/// What the one evaluator tells an observer, per operator: `enter` with
+/// the operator's node before its inputs are evaluated, `leave` once its
+/// own result exists. Calls nest exactly like the expression, so an
+/// implementation can rebuild the operator tree with a stack. There are
+/// two: [`NoProbe`] (every call is an empty inline body, so `eval`
+/// compiles to the bare recursion) and the `PlanProfile` recorder behind
+/// [`eval_profiled`](crate::algebra::profile::eval_profiled), which also
+/// opens and closes each operator's span when handed a tracer.
 pub(crate) trait Probe {
-    fn enter(&mut self);
+    fn enter(&mut self, expr: &Expr);
     /// `expired_filtered` is non-zero only at `Base` leaves: physically
     /// present tuples the scan skipped because `texp ≤ τ`.
-    fn leave(&mut self, expr: &Expr, rows_out: usize, expired_filtered: usize, texp: Time);
+    fn leave(&mut self, rows_out: usize, expired_filtered: usize, texp: Time);
 }
 
 /// The probe that observes nothing.
@@ -188,9 +189,9 @@ pub(crate) struct NoProbe;
 
 impl Probe for NoProbe {
     #[inline]
-    fn enter(&mut self) {}
+    fn enter(&mut self, _: &Expr) {}
     #[inline]
-    fn leave(&mut self, _: &Expr, _: usize, _: usize, _: Time) {}
+    fn leave(&mut self, _: usize, _: usize, _: Time) {}
 }
 
 struct Sub {
@@ -230,9 +231,10 @@ impl<'a> Scan<'a> {
     /// raising errors in the order the unfused operators do: the base,
     /// then each σ from the inside out.
     fn open<P: Probe>(&self, catalog: &dyn Bindings, probe: &mut P) -> Result<Schema> {
-        for _ in 0..=self.selects.len() {
-            probe.enter();
+        for (select, _) in &self.selects {
+            probe.enter(select);
         }
+        probe.enter(self.base);
         let schema = catalog.schema(self.name)?;
         for (_, p) in self.selects.iter().rev() {
             p.validate(schema.arity())?;
@@ -273,9 +275,9 @@ impl<'a> Scan<'a> {
         }
         // "The expiration time of a base relation is defined to be
         // infinity", and σ passes its input's on.
-        probe.leave(self.base, visible, skipped, Time::INFINITY);
-        for ((select, _), n) in self.selects.iter().zip(&passed).rev() {
-            probe.leave(select, *n, 0, Time::INFINITY);
+        probe.leave(visible, skipped, Time::INFINITY);
+        for n in passed.iter().rev() {
+            probe.leave(*n, 0, Time::INFINITY);
         }
         Ok(())
     }
@@ -301,7 +303,7 @@ fn eval_leaf<P: Probe>(
         return Ok(None);
     };
     if positions.is_some() {
-        probe.enter();
+        probe.enter(expr);
     }
     let schema = scan.open(catalog, probe)?;
     let mut out = Relation::new(match positions {
@@ -314,7 +316,7 @@ fn eval_leaf<P: Probe>(
         None => out.insert(t.clone(), e),
     })?;
     if positions.is_some() {
-        probe.leave(expr, out.len(), 0, Time::INFINITY);
+        probe.leave(out.len(), 0, Time::INFINITY);
     }
     Ok(Some(out))
 }
@@ -346,9 +348,10 @@ fn eval_aggregate<P: Probe>(
     else {
         return Ok(None);
     };
-    for _ in 0..=usize::from(positions.is_some()) {
-        probe.enter();
+    if positions.is_some() {
+        probe.enter(expr);
     }
+    probe.enter(node);
     let (out, texp, validity) = match Scan::of(input) {
         Some(scan) => {
             let schema = scan.open(catalog, probe)?;
@@ -370,9 +373,9 @@ fn eval_aggregate<P: Probe>(
         }
     };
     let texp = texp.min(out.meta.texp);
-    probe.leave(node, out.klug_rows, 0, texp);
+    probe.leave(out.klug_rows, 0, texp);
     if positions.is_some() {
-        probe.leave(expr, out.rel.len(), 0, texp);
+        probe.leave(out.rel.len(), 0, texp);
     }
     Ok(Some(Sub {
         rel: out.rel,
@@ -393,18 +396,18 @@ fn eval_join<P: Probe>(
     opts: &EvalOptions,
     probe: &mut P,
 ) -> Result<Sub> {
-    if product.is_some() {
-        probe.enter();
+    if let Some(product) = product {
+        probe.enter(product);
     }
     let l = eval_rec(left, catalog, tau, opts, probe)?;
     let r = eval_rec(right, catalog, tau, opts, probe)?;
     let texp = l.texp.min(r.texp);
-    if let Some(product) = product {
+    if product.is_some() {
         let pairs = l
             .rel
             .count_unexpired(tau)
             .saturating_mul(r.rel.count_unexpired(tau));
-        probe.leave(product, pairs, 0, texp);
+        probe.leave(pairs, 0, texp);
     }
     Ok(Sub {
         rel: ops::join(&l.rel, &r.rel, predicate, tau)?,
@@ -430,7 +433,7 @@ fn eval_rec<P: Probe>(
     if let Some(sub) = eval_aggregate(expr, catalog, tau, opts, probe)? {
         return Ok(sub);
     }
-    probe.enter();
+    probe.enter(expr);
     let sub = match expr {
         Expr::Base(_) => unreachable!("a Base is a leaf"),
         Expr::Select { input, predicate } => match &**input {
@@ -507,7 +510,7 @@ fn eval_rec<P: Probe>(
         }
         Expr::Aggregate { .. } => unreachable!("an aggregation is evaluated above"),
     };
-    probe.leave(expr, sub.rel.len(), 0, sub.texp);
+    probe.leave(sub.rel.len(), 0, sub.texp);
     Ok(sub)
 }
 
@@ -527,7 +530,7 @@ fn eval_patched_root<P: Probe>(
     let Expr::Difference { left, right } = expr else {
         unreachable!("eval_patched_root requires a root-level difference")
     };
-    probe.enter();
+    probe.enter(expr);
     let l = eval_rec(left, catalog, tau, opts, probe)?;
     let r = eval_rec(right, catalog, tau, opts, probe)?;
     let rel = ops::difference(&l.rel, &r.rel, tau)?;
@@ -550,7 +553,7 @@ fn eval_patched_root<P: Probe>(
     }
     let queue = PatchQueue::from_critical(critical);
     let texp = l.texp.min(r.texp).min(own_texp);
-    probe.leave(expr, rel.len(), 0, texp);
+    probe.leave(rel.len(), 0, texp);
     Ok(Materialized {
         rel,
         at: tau,

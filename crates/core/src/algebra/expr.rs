@@ -354,24 +354,6 @@ impl Expr {
         }
     }
 
-    /// Number of nodes, base references included. Each node computes its
-    /// result's expiration time from its inputs' (Section 3 of the paper),
-    /// so this is how many change points a statement over it evaluates.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        match self {
-            Expr::Base(_) => 1,
-            Expr::Select { input, .. }
-            | Expr::Project { input, .. }
-            | Expr::Aggregate { input, .. } => 1 + input.node_count(),
-            Expr::Product { left, right }
-            | Expr::Union { left, right }
-            | Expr::Join { left, right, .. }
-            | Expr::Intersect { left, right }
-            | Expr::Difference { left, right } => 1 + left.node_count() + right.node_count(),
-        }
-    }
-
     /// Number of non-monotonic operator nodes (aggregations and
     /// differences). Zero iff [`Expr::is_monotonic`].
     #[must_use]
@@ -568,7 +550,6 @@ mod tests {
         let inlined = e.map_bases(&|name| (name == "v").then(|| definition.clone()));
         assert_eq!(inlined.base_names(), ["Pol", "El"]);
         assert_eq!(inlined.op_count(), e.op_count() + 4, "a π per `v`");
-        assert_eq!(inlined.node_count(), inlined.op_count() + 6, "ops + leaves");
         assert_eq!(
             inlined.to_string(),
             e.to_string().replace('v', &definition.to_string())

@@ -16,4 +16,4 @@ pub mod profile;
 
 pub use eval::{eval, EvalOptions, Materialized};
 pub use expr::Expr;
-pub use profile::{eval_profiled, PlanProfile};
+pub use profile::{eval_profiled, OperatorAgg, PlanProfile, ProfileStats, Profiler};

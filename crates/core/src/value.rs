@@ -208,10 +208,15 @@ impl Value {
     /// order is by type tag (Int/Float < Str < Bool). Total, so usable by
     /// sort-based operators without panicking on heterogeneous columns.
     #[must_use]
+    #[inline]
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::{Bool, Float, Int, Str};
+        // INT against INT as a plain branch before the type dispatch: a
+        // scan's σ runs this once per row.
+        if let (Int(a), Int(b)) = (self, other) {
+            return a.cmp(b);
+        }
         match (self, other) {
-            (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.cmp(b),
             (Int(a), Float(b)) => F64::new(*a as f64).cmp(b),
             (Float(a), Int(b)) => a.cmp(&F64::new(*b as f64)),

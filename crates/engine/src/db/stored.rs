@@ -10,24 +10,21 @@
 //! a whole table ([`Table::to_relation`]) is left to the reference
 //! [`Database::snapshot`] below.
 
-use super::Database;
+use super::{Database, DbCounters};
 use exptime_core::catalog::{Bindings, Catalog};
 use exptime_core::error::{Error, Result};
 use exptime_core::schema::Schema;
 use exptime_core::time::Time;
 use exptime_core::tuple::Tuple;
-use exptime_obs::AllocCounter;
 use exptime_storage::Table;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The table map plus the statement's tallies, borrowed field by field, so
-/// a materialised view held in `Database::views` can refresh against it
+/// The table map plus the `db.*` counters, borrowed field by field, so a
+/// materialised view held in `Database::views` can refresh against it
 /// while being mutably borrowed itself.
 pub(super) struct Stored<'a> {
     pub(super) tables: &'a BTreeMap<String, Table>,
-    pub(super) alloc: &'a AllocCounter,
-    pub(super) scanned: &'a AtomicU64,
+    pub(super) counters: &'a DbCounters,
 }
 
 impl Stored<'_> {
@@ -44,9 +41,8 @@ impl Bindings for Stored<'_> {
     }
 
     /// One pass over the named table's heap: the table counts it in
-    /// `storage.<t>.scans`, the rows it lent go to the statement's
-    /// `rows_scanned`, and only the rows the evaluator kept to its
-    /// `allocations`.
+    /// `storage.<t>.scans`, the rows it lent go to `db.rows_scanned`, and
+    /// only the rows the evaluator kept to `db.rows_copied`.
     fn visit(
         &self,
         name: &str,
@@ -56,8 +52,8 @@ impl Bindings for Stored<'_> {
         let table = self.table(name)?;
         let mut kept = 0;
         let visible = table.visit(tau, |t, e| kept += u64::from(row(t, e)));
-        self.scanned.fetch_add(visible as u64, Ordering::Relaxed);
-        self.alloc.note(kept);
+        self.counters.rows_scanned.add(visible as u64);
+        self.counters.rows_copied.add(kept);
         Ok(table.len() - visible)
     }
 }
@@ -84,8 +80,7 @@ impl Database {
     fn stored(&self) -> Stored<'_> {
         Stored {
             tables: &self.tables,
-            alloc: &self.alloc,
-            scanned: &self.scanned,
+            counters: &self.counters,
         }
     }
 
@@ -101,9 +96,7 @@ impl Database {
         let now = self.clock.now();
         let mut c = Catalog::new();
         for (name, table) in &self.tables {
-            let rel = table.to_relation(now);
-            self.alloc.note(rel.len() as u64);
-            c.register(name.clone(), rel);
+            c.register(name.clone(), table.to_relation(now));
         }
         c
     }

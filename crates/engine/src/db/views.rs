@@ -18,7 +18,6 @@ use exptime_core::materialize::{MaterializedView, RefreshDecision, RemovalPolicy
 use exptime_core::relation::Relation;
 use exptime_core::schema::Schema;
 use exptime_lint::{Code, Diagnostic, LintReport, Severity};
-use exptime_obs::QueryProfile;
 use exptime_policy::Sliding;
 use exptime_sql::ast::{Query, Statement};
 use exptime_sql::span::Span;
@@ -218,30 +217,17 @@ impl Database {
     /// Returns catalog or evaluation errors.
     pub fn read_view(&mut self, name: &str) -> DbResult<Relation> {
         let key = name.to_ascii_lowercase();
-        let nodes = match self.views.get(&key) {
+        match self.views.get(&key) {
             None => return Err(DbError::Catalog(format!("unknown view `{name}`"))),
             // Reading a virtual view is the query that names it.
             Some(ViewEntry::Virtual { .. }) => return Ok(self.query_expr(&Expr::Base(key))?.rel),
-            Some(ViewEntry::Materialized { view, .. }) => view.expr().node_count(),
-        };
+            Some(ViewEntry::Materialized { .. }) => {}
+        }
         self.bill_query(Some(&key), |db| {
             let (rel, _) = db.read_materialized(&key)?;
-            let bill = QueryProfile {
-                label: format!("view {key}"),
-                tuples_materialized: rel.len() as u64,
-                change_points: nodes as u64,
-                ..QueryProfile::default()
-            };
-            Ok((rel, bill))
+            let rows = rel.len();
+            Ok((rel, rows))
         })
-    }
-
-    /// Patch-queue operations applied by every materialised view so far,
-    /// differenced per statement to bill Theorem 3 work to the query that
-    /// triggered it.
-    pub(super) fn patches_applied_total(&self) -> u64 {
-        let kept = self.views.values().filter_map(ViewEntry::materialized);
-        kept.map(|view| view.stats().patches_applied).sum()
     }
 
     /// Refreshes (if due) and reads the materialised view `key`, without
@@ -270,8 +256,7 @@ impl Database {
         // fresh view with unmoved base versions is a local read.
         let stored = Stored {
             tables: &self.tables,
-            alloc: &self.alloc,
-            scanned: &self.scanned,
+            counters: &self.counters,
         };
         let refresh_start = Instant::now();
         let mut sp = self.tracer.span("view.refresh");

@@ -35,10 +35,11 @@ pub use db::{
     ForecastConfig, PolicyStatus, Removal,
 };
 pub use durability::{CheckpointStats, Durability, RecoveryStats, WalStatus};
+pub use exptime_core::algebra::{ProfileStats, Profiler};
 pub use exptime_lint::{audit, AuditGraph, AuditReport, BoundBasis, StaleServing};
 pub use exptime_obs::{
-    Health, HealthStatus, HorizonForecast, ProfileStats, Profiler, QueryProfile, SloConfig,
-    StalenessBound, StormBucket, TraceContext, Tracer, ViewHealth,
+    Health, HealthStatus, HorizonForecast, SloConfig, StalenessBound, StormBucket, TraceContext,
+    Tracer, ViewHealth,
 };
 pub use exptime_policy::{Clamp, MaintenanceWindow, Sliding, TouchKind, TtlPolicy};
 pub use shared::{SharedDatabase, TickerHandle};

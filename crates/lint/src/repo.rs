@@ -10,6 +10,7 @@
 //! | R005 | No `Database::snapshot` call in production code under `crates/*/src`, and no `Table::to_relation` call in `crates/engine/src` outside `db/stored.rs` (where `snapshot` itself makes its one): a read is a pinned `τ` over the borrowed tables that copies only the rows that come out, not a copy of them. The copy stays as the reference that tests, benches, examples and the out-of-tree benchmark compare the read path against. |
 //! | R006 | No `value_timeline`, `nu_naive` or closure-form `nu::nu(` in production code under `crates/core/src/algebra/` or `crates/engine/src`: the timeline definitions of ν re-apply `f` to a copy of the survivors at every time slice (or tick) and are the oracle that `nu::first_change` — what evaluation computes — is tested against, not a path a query may take. |
 //! | R007 | No `prev_covered(` and no `.rel.exp(` in production code that holds a materialisation — `crates/replica/src`, `crates/net/src`, `crates/engine/src` and `crates/core/src/{schrodinger,materialize}.rs`: which instant a materialisation can answer for, and the rows it has at one (the stored rows *plus* the due part of its Theorem 3 queue), are `Materialized::{covered_at, rows_at, answer}`. `crates/core/src/algebra/eval.rs`, where that kernel is defined, is the one place that does either by hand. |
+//! | R008 | The `db.*` metrics are documented, both ways: every `db.`-prefixed literal that production code under `crates/engine/src` passes to `.counter(`, `.gauge(` or `.histogram(` appears in DESIGN.md's `` | `db.*` | `` metric-table row, and every name in that row is registered there. |
 
 use std::fmt;
 use std::fs;
@@ -64,6 +65,7 @@ pub fn check_repo(root: &Path) -> io::Result<Vec<RepoViolation>> {
         check_r007(&rel, &content, &mut out);
     }
     check_r003(root, &mut out);
+    check_r008(root, &sources, &mut out);
     out.sort_by(|a, b| (a.rule, &a.path, a.line).cmp(&(b.rule, &b.path, b.line)));
     Ok(out)
 }
@@ -340,6 +342,78 @@ fn check_r007(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
                 "`{call}…)` in a holder of a materialisation; ask it \
                  (Materialized::answer / covered_at / rows_at) — its rows are \
                  not its result while its patch queue has entries due"
+            ),
+        });
+    }
+}
+
+/// R008: the engine's `db.*` metric names against DESIGN.md's `db.*`
+/// metric-table row — a registered name the row does not list, or a
+/// listed name nothing registers. A tree without a DESIGN.md (a fixture)
+/// has nothing to check against.
+fn check_r008(root: &Path, sources: &[PathBuf], out: &mut Vec<RepoViolation>) {
+    const ROW: &str = "| `db.*` |";
+    let Ok(design) = fs::read_to_string(root.join("DESIGN.md")) else {
+        return;
+    };
+    let row = design.lines().position(|l| l.starts_with(ROW));
+    let documented: Vec<&str> = row.map_or_else(Vec::new, |i| {
+        let code_spans = design
+            .lines()
+            .nth(i)
+            .unwrap_or("")
+            .split('`')
+            .skip(1)
+            .step_by(2);
+        code_spans
+            .filter(|n| n.starts_with("db.") && *n != "db.*")
+            .collect()
+    });
+    let mut registered = Vec::new();
+    for path in sources {
+        let rel = path.strip_prefix(root).unwrap_or(path);
+        if !rel.starts_with("crates/engine/src") {
+            continue;
+        }
+        let Ok(content) = fs::read_to_string(path) else {
+            continue;
+        };
+        let lines: Vec<&str> = content.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let code = code_only(line);
+            for call in [".counter(\"db.", ".gauge(\"db.", ".histogram(\"db."] {
+                for (at, _) in code.match_indices(call) {
+                    let name = code[at + call.len() - 3..].split('"').next().unwrap_or("");
+                    if line_is_in_tests(&lines, i) {
+                        continue;
+                    }
+                    registered.push(name.to_string());
+                    if !documented.contains(&name) {
+                        out.push(RepoViolation {
+                            rule: "R008",
+                            path: rel.to_path_buf(),
+                            line: i + 1,
+                            message: format!(
+                                "`{name}` is registered but not listed in DESIGN.md's \
+                                 `db.*` metric-table row"
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+    }
+    for name in documented
+        .iter()
+        .filter(|n| !registered.iter().any(|r| r == *n))
+    {
+        out.push(RepoViolation {
+            rule: "R008",
+            path: PathBuf::from("DESIGN.md"),
+            line: row.map_or(0, |i| i + 1),
+            message: format!(
+                "`{name}` is listed in the `db.*` metric-table row but nothing under \
+                 crates/engine/src registers it"
             ),
         });
     }
@@ -627,6 +701,47 @@ mod tests {
         ];
         let want: Vec<_> = holders.iter().flat_map(|h| [(*h, 1), (*h, 2)]).collect();
         assert_eq!(at, want, "{v:?}");
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn r008_holds_the_db_metrics_to_their_design_row() {
+        let engine = "fn in_registry(r: &R) {\n\
+                      r.counter(\"db.inserts\"); r.histogram(\"db.query_ns\");\n\
+                      r.counter(\"db.deletes\");\n\
+                      // r.gauge(\"db.commented\");\n\
+                      r.counter(\"storage.pol.scans\"); }\n\
+                      #[cfg(test)]\n\
+                      mod tests { fn t(r: &R) { r.counter(\"db.test_only\"); } }\n";
+        let dir = fixture(&[
+            (
+                "DESIGN.md",
+                "# metrics\n\n| Prefix | Owner | Examples |\n\
+                 | `db.*` | `engine::Database` | `db.inserts`, `db.query_ns`, `db.gone` |\n",
+            ),
+            ("crates/engine/src/db.rs", engine),
+            (
+                "crates/cli/src/repl.rs",
+                "fn m(r: &R) { r.counter(\"db.elsewhere\"); }\n",
+            ),
+            ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
+        ]);
+        let v = check_repo(&dir).unwrap();
+        let r008: Vec<_> = v.iter().filter(|v| v.rule == "R008").collect();
+        // The undocumented `db.deletes` at its registration, and the
+        // documented `db.gone` at the row; comments, test modules, other
+        // prefixes and other crates are out of scope.
+        let at: Vec<_> = r008
+            .iter()
+            .map(|v| (v.path.to_str().unwrap(), v.line))
+            .collect();
+        assert_eq!(
+            at,
+            [("DESIGN.md", 4), ("crates/engine/src/db.rs", 3)],
+            "{v:?}"
+        );
+        assert!(r008[0].message.contains("`db.gone`"), "{v:?}");
+        assert!(r008[1].message.contains("`db.deletes`"), "{v:?}");
         let _ = fs::remove_dir_all(dir);
     }
 

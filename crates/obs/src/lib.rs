@@ -45,9 +45,6 @@ pub use monitor::{
     Health, HealthStatus, SloConfig, StalenessBound, StalenessMonitor, ViewHealth, BOUND_UNBOUNDED,
     TTX_ETERNAL,
 };
-pub use profile::{
-    fold_spans, render_flame, AllocCounter, FoldedStack, OperatorAgg, OperatorCost, ProfileStats,
-    Profiler, QueryProfile,
-};
+pub use profile::{fold_spans, render_flame, FoldedStack};
 pub use span::{render_span_tree, SpanGuard, SpanRecord, Tracer, SPAN_RING_CAP};
 pub use trace::TraceContext;

@@ -172,9 +172,9 @@ impl Tracer {
     }
 
     /// Records a pre-measured span as a child of `parent` without going
-    /// through a guard. Used to graft externally timed trees — e.g. the
-    /// per-operator rows of `\explain analyze` — into the trace. Returns
-    /// the new span's id (0 when the tracer is disabled).
+    /// through a guard — the replica session's hop spans, parented on a
+    /// span id carried across the link rather than on the open stack.
+    /// Returns the new span's id (0 when the tracer is disabled).
     pub fn record_child(
         &self,
         parent: Option<u64>,
@@ -289,11 +289,6 @@ impl SpanGuard {
             logical_time: None,
             attrs: Vec::new(),
         }
-    }
-
-    /// Whether this guard records anything (tracer enabled at open).
-    pub fn is_recording(&self) -> bool {
-        self.tracer.is_some()
     }
 
     /// This span's id, if recording (0 otherwise).

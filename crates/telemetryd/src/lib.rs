@@ -11,7 +11,9 @@
 //! * `GET /forecast` — the expiration-horizon forecast: log₂ buckets,
 //!   per-table load, view refresh deadlines, storm warnings
 //! * `GET /spans`    — the tracer's recent span ring
-//! * `GET /profile`  — the query-profile rollup
+//! * `GET /profile`  — the query-profile rollup: statements and their wall
+//!   time, rows scanned/copied since open (view builds and refreshes
+//!   included — not per statement), and the sampled statements' operators
 //! * `GET /`         — a plain-text index of the above
 //!
 //! The server observes itself: every request lands in a per-endpoint
@@ -29,10 +31,10 @@
 
 #![forbid(unsafe_code)]
 
-use exptime_engine::SharedDatabase;
+use exptime_engine::{DbStats, ProfileStats, Profiler, SharedDatabase};
 use exptime_obs::{
-    expose_json, expose_prometheus, EventKind, JsonValue, MetricsRegistry, Obs, ProfileStats,
-    Profiler, SpanRecord, Tracer, SPAN_RING_CAP,
+    expose_json, expose_prometheus, EventKind, JsonValue, MetricsRegistry, Obs, SpanRecord, Tracer,
+    SPAN_RING_CAP,
 };
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -324,11 +326,8 @@ impl ServerState {
                 Response::ok("application/json", format!("{}\n", doc.render()))
             }
             "/profile" => {
-                let stats = self.profiler.snapshot();
-                Response::ok(
-                    "application/json",
-                    format!("{}\n", profile_json(&stats).render()),
-                )
+                let doc = profile_json(&DbStats::of(&self.registry), &self.profiler.snapshot());
+                Response::ok("application/json", format!("{}\n", doc.render()))
             }
             _ => Response::error(404, "unknown endpoint; GET / lists the available ones"),
         }
@@ -595,48 +594,37 @@ pub fn spans_json(spans: &[SpanRecord], dropped: u64) -> JsonValue {
     ])
 }
 
-/// The `/profile` document: always-on statement totals plus the sampled
-/// per-operator aggregate.
+/// The `/profile` document: the statements' count and wall time and the
+/// rows scanned and copied since open, from [`DbStats`], plus the sampled
+/// statements' per-operator aggregate and the last of them.
 #[must_use]
-pub fn profile_json(p: &ProfileStats) -> JsonValue {
+pub fn profile_json(s: &DbStats, p: &ProfileStats) -> JsonValue {
+    let ns = |d: Duration| JsonValue::Uint(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+    let by_operator = p.by_operator.iter().map(|(op, agg)| {
+        JsonValue::Object(vec![
+            ("operator".into(), JsonValue::String(op.clone())),
+            ("calls".into(), JsonValue::Uint(agg.calls)),
+            ("rows_out".into(), JsonValue::Uint(agg.rows_out)),
+            ("self_ns".into(), ns(agg.self_elapsed)),
+        ])
+    });
+    let last = p.last.as_ref().map_or(JsonValue::Null, |(label, tree)| {
+        JsonValue::Object(vec![
+            ("label".into(), JsonValue::String(label.clone())),
+            ("elapsed_ns".into(), ns(tree.elapsed)),
+        ])
+    });
     JsonValue::Object(vec![
-        ("statements".into(), JsonValue::Uint(p.statements)),
+        ("statements".into(), JsonValue::Uint(s.queries)),
         ("sampled".into(), JsonValue::Uint(p.sampled)),
-        ("rows_scanned".into(), JsonValue::Uint(p.rows_scanned)),
-        (
-            "tuples_materialized".into(),
-            JsonValue::Uint(p.tuples_materialized),
-        ),
-        ("change_points".into(), JsonValue::Uint(p.change_points)),
-        ("patch_ops".into(), JsonValue::Uint(p.patch_ops)),
-        ("allocations".into(), JsonValue::Uint(p.allocations)),
-        ("wall_ns".into(), JsonValue::Uint(p.wall_ns)),
+        ("wall_ns".into(), JsonValue::Uint(s.query_ns)),
+        ("rows_scanned".into(), JsonValue::Uint(s.rows_scanned)),
+        ("rows_copied".into(), JsonValue::Uint(s.rows_copied)),
         (
             "by_operator".into(),
-            JsonValue::Array(
-                p.by_operator
-                    .iter()
-                    .map(|(op, agg)| {
-                        JsonValue::Object(vec![
-                            ("operator".into(), JsonValue::String(op.clone())),
-                            ("calls".into(), JsonValue::Uint(agg.calls)),
-                            ("rows_out".into(), JsonValue::Uint(agg.rows_out)),
-                            ("self_ns".into(), JsonValue::Uint(agg.self_ns)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            JsonValue::Array(by_operator.collect()),
         ),
-        (
-            "last".into(),
-            p.last.as_ref().map_or(JsonValue::Null, |q| {
-                JsonValue::Object(vec![
-                    ("label".into(), JsonValue::String(q.label.clone())),
-                    ("wall_ns".into(), JsonValue::Uint(q.wall_ns)),
-                    ("rows_scanned".into(), JsonValue::Uint(q.rows_scanned)),
-                ])
-            }),
-        ),
+        ("last".into(), last),
     ])
 }
 
@@ -835,7 +823,11 @@ mod tests {
 
         let (status, _, body) = get(srv.addr(), "/profile", "*/*");
         assert_eq!(status, 200);
-        assert!(body.contains("\"statements\""), "{body}");
+        // Two SELECTs; the first is sampled.
+        assert!(body.contains("\"statements\": 2"), "{body}");
+        assert!(body.contains("\"sampled\": 1"), "{body}");
+        assert!(body.contains("\"rows_copied\""), "{body}");
+        assert!(body.contains("\"operator\": \"Base(pol)\""), "{body}");
 
         let (status, _, body) = get(srv.addr(), "/", "*/*");
         assert_eq!(status, 200);

@@ -16,7 +16,7 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 
-# Repo-invariant lint (exptime-lint R001–R007): no wall-clock reads
+# Repo-invariant lint (exptime-lint R001–R008): no wall-clock reads
 # outside core/time.rs, no unwrap/expect in durability paths (the WAL
 # crate, engine/durability.rs and the write path engine/db/write.rs),
 # #![forbid(unsafe_code)] in every crate root, no thread::sleep
@@ -34,6 +34,9 @@ cargo fmt --check
 # core's schrodinger.rs and materialize.rs) — they ask
 # Materialized::{answer, covered_at, rows_at}, which counts the patch
 # queue in; core/src/algebra/eval.rs, where those are, is exempt.
+# And no undocumented engine metric: every db.* name the engine
+# registers is in DESIGN.md's db.* metric-table row, and every name
+# there is registered.
 cargo run --release -q -p exptime-lint --bin repolint
 
 # Analyzer golden tests: the Fig. 3 anomalies must flag their exact

@@ -4,7 +4,10 @@
 
 mod common;
 
-use common::{arb_catalog, arb_expr, arb_row, inputs, literal, probe_times, schema2, Literal};
+use common::{
+    arb_catalog, arb_expr, arb_overlapping_catalog, arb_row, inputs, literal, probe_times, schema2,
+    Literal,
+};
 use exptime::core::aggregate::{AggFunc, AggMode};
 use exptime::core::algebra::{eval, eval_profiled, ops, EvalOptions, Expr, PlanProfile};
 use exptime::core::catalog::Catalog;
@@ -193,7 +196,7 @@ proptest! {
     /// Difference identities: R − S ⊆ R, (R − S) ∩ S = ∅ at evaluation
     /// time, and R − ∅ = R (all through expτ).
     #[test]
-    fn difference_laws(catalog in arb_catalog(14), tau in 0u64..45) {
+    fn difference_laws(catalog in arb_overlapping_catalog(14), tau in 0u64..45) {
         let tau = Time::new(tau);
         let r = catalog.get("r").unwrap();
         let s = catalog.get("s").unwrap();
@@ -274,14 +277,14 @@ proptest! {
     /// every operator and every `Base` leaf visited exactly once.
     #[test]
     fn recorder_is_the_no_op_probe_plus_a_profile(
-        catalog in arb_catalog(12),
+        catalog in arb_overlapping_catalog(12),
         expr in arb_expr(),
         opts in arb_opts(),
         tau in 0u64..45,
     ) {
         let tau = Time::new(tau);
         let plain = eval(&expr, &catalog, tau, &opts)?;
-        let (profiled, profile) = eval_profiled(&expr, &catalog, tau, &opts)?;
+        let (profiled, profile) = eval_profiled(&expr, &catalog, tau, &opts, None)?;
         prop_assert!(profiled.rel.set_eq(&plain.rel), "{expr} under {opts:?}");
         prop_assert_eq!(profiled.texp, plain.texp);
         prop_assert_eq!(&profiled.validity, &plain.validity);
@@ -494,7 +497,7 @@ proptest! {
         catalog.register("s", Relation::from_rows(int_float, s).unwrap());
         let want = literal(&expr, &catalog, tau, agg_mode);
         let got = eval(&expr, &catalog, tau, &opts());
-        let profiled = eval_profiled(&expr, &catalog, tau, &opts());
+        let profiled = eval_profiled(&expr, &catalog, tau, &opts(), None);
         match (want, got, profiled) {
             (Ok(want), Ok(got), Ok((profiled, profile))) => {
                 prop_assert_eq!(rows(&got.rel), rows(&want.rel), "{} {:?}", expr, agg_mode);

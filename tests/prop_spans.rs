@@ -1,12 +1,13 @@
 //! Property tests for the tracing layer: spans nest properly (every
-//! child's interval is contained in its parent's), and the span tree a
-//! profiled query leaves behind mirrors the EXPLAIN ANALYZE operator
-//! rows exactly.
+//! child's interval is contained in its parent's, an evaluation that
+//! fails included), and the span tree a profiled query leaves behind
+//! mirrors the EXPLAIN ANALYZE operator rows exactly.
 
 mod common;
 
 use common::schema2;
-use exptime::core::algebra::PlanProfile;
+use exptime::core::algebra::{Expr, PlanProfile};
+use exptime::core::predicate::Predicate;
 use exptime::core::tuple;
 use exptime::engine::{Database, DbConfig};
 use exptime::obs::SpanRecord;
@@ -15,10 +16,18 @@ use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { v: i64, ttl: u64 },
-    Tick { d: u64 },
+    Insert {
+        v: i64,
+        ttl: u64,
+    },
+    Tick {
+        d: u64,
+    },
     Query,
     Explain,
+    /// An EXPLAIN ANALYZE whose σ names an attribute `t` does not have:
+    /// it fails inside the evaluation, with operators entered.
+    ExplainFailing,
     Vacuum,
 }
 
@@ -28,6 +37,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         2 => (1u64..12).prop_map(|d| Op::Tick { d }),
         2 => Just(Op::Query),
         1 => Just(Op::Explain),
+        1 => Just(Op::ExplainFailing),
         1 => Just(Op::Vacuum),
     ]
 }
@@ -100,6 +110,14 @@ proptest! {
                 Op::Tick { d } => { db.tick(d); }
                 Op::Query => { db.execute("SELECT k FROM t").unwrap(); }
                 Op::Explain => { db.explain_analyze("SELECT k, v FROM t WHERE v >= 0").unwrap(); }
+                Op::ExplainFailing => {
+                    let bad = Expr::base("t").select(Predicate::attr_eq_const(5, 0));
+                    prop_assert!(db.explain_analyze_expr(&bad).is_err());
+                    db.execute("SELECT k FROM t").unwrap();
+                    let spans = db.tracer().recent(usize::MAX);
+                    let sql = spans.iter().rev().find(|s| s.name == "sql").unwrap();
+                    prop_assert_eq!(sql.parent, None, "the failure left a span open");
+                }
                 Op::Vacuum => { db.vacuum(); }
             }
             let spans = db.tracer().recent(usize::MAX);
@@ -118,8 +136,8 @@ proptest! {
         }
     }
 
-    /// The grafted span tree under `eval` has exactly the EXPLAIN ANALYZE
-    /// operator rows as its leaves, whatever the plan shape.
+    /// The operator spans under `eval` have exactly the EXPLAIN ANALYZE
+    /// operator rows as their leaves, whatever the plan shape.
     #[test]
     fn explain_analyze_leaves_match_span_tree(
         rows in proptest::collection::vec((0i64..8, -3i64..4, 5u64..40), 1..25),
@@ -147,7 +165,7 @@ proptest! {
         profile_leaves(&explain.profile, &mut want);
         let got = span_leaves(&spans, eval.id);
         prop_assert_eq!(&got, &want, "span-tree leaves ≠ operator rows");
-        // And the whole grafted subtree is node-for-node the profile.
+        // And the whole subtree is node-for-node the profile.
         let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|x| (x.id, x)).collect();
         let grafted = spans.iter().filter(|s| {
             // Descendant of eval: walk parents.

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{arb_catalog, arb_expr, arb_overlapping_catalog, probe_times};
+use common::{arb_expr, arb_overlapping_catalog, probe_times};
 use exptime::core::aggregate::AggMode;
 use exptime::core::algebra::{eval, ops, EvalOptions, Expr};
 use exptime::core::materialize::{MaterializedView, RefreshPolicy, RemovalPolicy};
@@ -46,7 +46,7 @@ proptest! {
     /// recomputes exactly when rows would go missing).
     #[test]
     fn view_reads_equal_fresh_evaluation(
-        catalog in arb_catalog(12),
+        catalog in arb_overlapping_catalog(12),
         expr in arb_expr(),
         refresh in prop_oneof![Just(RefreshPolicy::Recompute), Just(RefreshPolicy::Patch)],
         removal in prop_oneof![Just(RemovalPolicy::Eager), Just(RemovalPolicy::Lazy)],
@@ -235,7 +235,7 @@ proptest! {
     /// Vacuuming (lazy physical removal) never changes what reads observe.
     #[test]
     fn vacuum_is_observationally_neutral(
-        catalog in arb_catalog(12),
+        catalog in arb_overlapping_catalog(12),
         expr in arb_expr(),
         vacuum_at in 0u64..40,
     ) {

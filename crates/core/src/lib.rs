@@ -43,7 +43,6 @@
 pub mod aggregate;
 pub mod algebra;
 pub mod catalog;
-pub mod cost;
 pub mod error;
 pub mod interval;
 pub mod materialize;
@@ -63,7 +62,6 @@ pub mod prelude {
     pub use crate::aggregate::{AggFunc, AggMode};
     pub use crate::algebra::{eval, eval_profiled, EvalOptions, Expr, Materialized, PlanProfile};
     pub use crate::catalog::{Bindings, Catalog};
-    pub use crate::cost::{estimate, optimize, PlanCost, Stats};
     pub use crate::error::{Error, Result};
     pub use crate::interval::{Interval, IntervalSet};
     pub use crate::materialize::{MaterializedView, RefreshDecision, RefreshPolicy, ViewStats};

@@ -128,7 +128,6 @@ impl ViewCounters {
 pub struct MaterializedView {
     expr: Expr,
     opts: EvalOptions,
-    refresh: RefreshPolicy,
     removal: RemovalPolicy,
     state: Materialized,
     counters: ViewCounters,
@@ -148,7 +147,6 @@ impl Clone for MaterializedView {
         MaterializedView {
             expr: self.expr.clone(),
             opts: self.opts,
-            refresh: self.refresh,
             removal: self.removal,
             state: self.state.clone(),
             counters,
@@ -163,8 +161,9 @@ impl Clone for MaterializedView {
 impl MaterializedView {
     /// Materialises `expr` at time `τ` and wraps it as a maintained view.
     ///
-    /// Under [`RefreshPolicy::Patch`], a root-level difference gets a
-    /// Theorem 3 patch queue and will never recompute.
+    /// `refresh` alone decides patching: under [`RefreshPolicy::Patch`] a
+    /// root-level difference gets a Theorem 3 patch queue and will never
+    /// recompute, and `opts.patch_root_difference` is overridden either way.
     ///
     /// # Errors
     ///
@@ -185,7 +184,6 @@ impl MaterializedView {
         Ok(MaterializedView {
             expr,
             opts,
-            refresh,
             removal,
             state,
             counters: ViewCounters::detached(),
@@ -243,12 +241,6 @@ impl MaterializedView {
     #[must_use]
     pub fn expr(&self) -> &Expr {
         &self.expr
-    }
-
-    /// The refresh policy the view was created with.
-    #[must_use]
-    pub fn refresh_policy(&self) -> RefreshPolicy {
-        self.refresh
     }
 
     /// The removal policy the view was created with.

@@ -18,15 +18,17 @@
 //! touch → durability → maintenance — and this file is being cut along
 //! it. Of those stages it still owns **dispatch** (`execute*`, the table
 //! catalog and DDL), the query half of **read** (`select` → `evaluate`,
-//! which profiles the statements it samples, and `bill_query`, through
-//! which every read is counted),
+//! which inlines views, evaluates under the default `EvalOptions` and
+//! profiles the statements it samples, and `bill_query`, through which
+//! every read is counted),
 //! **durability** (open/recovery, checkpoint, the `wal_*` bracket and
 //! append helpers) and **maintenance** (`advance_to`, vacuum, the forecast
 //! and the telemetry sampler), plus statement lint, the audit and
 //! dump/restore. The child modules own the rest: `stored` is the tables as
 //! the algebra's binding environment (what a read scans), `views` is the
 //! view catalog and the view half of **read** — what a view is, how one is
-//! inlined into a query, and how a materialised one is served — and `write`
+//! inlined into a query, and how a materialised one is served, under the
+//! one refresh policy the analyzer's X002 also reads — and `write`
 //! is the **write** and **policy touch** stages — every change to a stored
 //! row, live or redone, goes through its one `apply`.
 
@@ -37,7 +39,7 @@ use crate::trigger::{ExpirationEvent, TriggerFn, TriggerManager};
 use exptime_core::algebra::{
     eval, eval_profiled, EvalOptions, Expr, Materialized, PlanProfile, ProfileStats, Profiler,
 };
-use exptime_core::materialize::{RefreshDecision, RefreshPolicy};
+use exptime_core::materialize::RefreshDecision;
 use exptime_core::relation::Relation;
 use exptime_core::rewrite::TickBound;
 use exptime_core::schema::Schema;
@@ -63,7 +65,7 @@ use std::time::Instant;
 mod stored;
 mod views;
 mod write;
-use views::{sliding_matview_diag, ViewEntry};
+use views::{analyzer_options, sliding_matview_diag, ViewEntry};
 use write::Change;
 
 /// How the engine physically removes expired base-table rows
@@ -103,22 +105,14 @@ impl Default for ForecastConfig {
     }
 }
 
-/// Engine configuration.
+/// Engine configuration: what a deployment sets. How statements evaluate
+/// and how materialised views refresh are not settings (see `db/views.rs`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DbConfig {
     /// Expiration index implementation for new tables.
     pub index: IndexKind,
     /// Removal policy.
     pub removal: Removal,
-    /// Algebra evaluation options (aggregate expiration mode, …).
-    pub eval: EvalOptions,
-    /// Refresh policy for materialised views.
-    pub view_refresh: RefreshPolicy,
-    /// Run the cost-gated rewriter (`exptime_core::cost::optimize`) on
-    /// query expressions before evaluation. The rewrite is
-    /// semantics-preserving; the cost model keeps it only when it reduces
-    /// estimated fragility/work (paper Section 3.1).
-    pub optimize: bool,
     /// Service-level objectives watched by the staleness monitor
     /// ([`Database::health`]): trigger punctuality and refresh latency.
     pub slo: SloConfig,
@@ -970,7 +964,7 @@ impl Database {
     /// `db.*`, `storage.<table>.*`, and `view.<name>.*` metric) and event
     /// stream. Install a sink (e.g. [`exptime_obs::RingSink`]) to watch
     /// expirations, trigger firings, vacuum passes, clock advances, view
-    /// refresh decisions, and optimizer rewrites as they happen.
+    /// and refresh decisions as they happen.
     #[must_use]
     pub fn obs(&self) -> &Obs {
         &self.obs
@@ -1573,16 +1567,17 @@ impl Database {
                     }
                 }
             }
-            let expr = db.prepare_expr(expr);
+            let expr = db.inline_views(expr);
             let mut eval_sp = db.tracer.span("eval");
             let sampled = explain || db.counters.queries.get() % SAMPLE_EVERY == 0;
+            let opts = EvalOptions::default();
             let (m, profile) = if sampled {
                 let tracer = explain.then_some(&db.tracer);
-                let (m, profile) = eval_profiled(&expr, &*db, now, &db.config.eval, tracer)?;
+                let (m, profile) = eval_profiled(&expr, &*db, now, &opts, tracer)?;
                 db.profiler.record(expr.to_string(), &profile);
                 (m, Some(profile))
             } else {
-                (eval(&expr, &*db, now, &db.config.eval)?, None)
+                (eval(&expr, &*db, now, &opts)?, None)
             };
             eval_sp.attr("rows_out", m.rel.len());
             eval_sp.attr("texp", m.texp);
@@ -1618,28 +1613,6 @@ impl Database {
         self.counters.queries.inc();
         self.counters.query_ns.record_duration(start.elapsed());
         Ok(out)
-    }
-
-    /// Inlines views and (when configured) runs the cost-gated rewriter,
-    /// emitting a [`EventKind::RewriteApplied`] event when the plan
-    /// actually changed.
-    fn prepare_expr(&mut self, expr: &Expr) -> Expr {
-        let expr = self.inline_views(expr);
-        if self.config.optimize {
-            let mut sp = self.tracer.span("rewrite");
-            let rewritten = exptime_core::cost::optimize(&expr, &*self, self.clock.now());
-            sp.attr("applied", rewritten != expr);
-            if rewritten != expr {
-                self.obs
-                    .emit_with(self.clock.now().finite(), || EventKind::RewriteApplied {
-                        rule: "cost_gated_rewrite".into(),
-                        detail: format!("{expr} => {rewritten}"),
-                    });
-            }
-            rewritten
-        } else {
-            expr
-        }
     }
 
     /// The schema of a table or view, for external planners (e.g. the
@@ -1684,17 +1657,8 @@ impl Database {
         };
         let expr = plan_query(query, self)?;
         let expr = self.inline_views(&expr);
-        let opts = self.analyzer_options(materialized);
+        let opts = analyzer_options(materialized);
         Ok(exptime_lint::analyze(Some(query), &expr, &opts))
-    }
-
-    /// How the analyzer should read a plan under this configuration.
-    fn analyzer_options(&self, materialized: bool) -> exptime_lint::AnalyzerOptions {
-        exptime_lint::AnalyzerOptions {
-            materialized,
-            patch_root_difference: self.config.eval.patch_root_difference,
-            schrodinger: self.config.eval.eq12_validity,
-        }
     }
 
     /// Publishes analyzer findings about `subject`: one `lint_diagnostic`
@@ -2720,7 +2684,7 @@ mod tests {
     #[test]
     fn explain_analyze_of_group_by_reports_the_operators_it_fused() {
         let mut db = figure1_db();
-        let mut explain = |db: &mut Database| {
+        let explain = |db: &mut Database| {
             let text = db
                 .explain_analyze("SELECT deg, COUNT(*) FROM pol GROUP BY deg")
                 .unwrap()
@@ -3206,42 +3170,6 @@ mod tests {
         assert!(dump.contains("-- view v (no SQL definition)"), "{dump}");
         // The dump still restores (the comment is skipped).
         assert!(Database::restore(&dump).is_ok());
-    }
-
-    #[test]
-    fn optimizer_config_preserves_semantics() {
-        let build = |optimize: bool| {
-            let mut db = Database::new(DbConfig {
-                optimize,
-                ..DbConfig::default()
-            });
-            db.execute_script(
-                "CREATE TABLE pol (uid INT, deg INT);
-                 CREATE TABLE el (uid INT, deg INT);
-                 INSERT INTO pol VALUES (1, 25) EXPIRES AT 10;
-                 INSERT INTO pol VALUES (2, 25) EXPIRES AT 15;
-                 INSERT INTO pol VALUES (3, 35) EXPIRES AT 10;
-                 INSERT INTO el VALUES (1, 25) EXPIRES AT 5;
-                 INSERT INTO el VALUES (2, 85) EXPIRES AT 3;",
-            )
-            .unwrap();
-            db
-        };
-        let mut plain = build(false);
-        let mut opt = build(true);
-        // A selection above a difference: the optimizer pushes it down;
-        // answers must be identical at every instant.
-        let q = "SELECT uid FROM pol EXCEPT SELECT uid FROM el";
-        let q2 = "SELECT deg, COUNT(*) FROM pol WHERE deg = 25 GROUP BY deg";
-        for _ in 0..16 {
-            for sql in [q, q2] {
-                let a = plain.execute(sql).unwrap().rows().unwrap().clone();
-                let b = opt.execute(sql).unwrap().rows().unwrap().clone();
-                assert!(a.set_eq(&b), "{sql} at {:?}", plain.now());
-            }
-            plain.tick(1);
-            opt.tick(1);
-        }
     }
 
     #[test]

@@ -13,8 +13,10 @@
 
 use super::stored::Stored;
 use super::{Database, DbError, DbResult};
-use exptime_core::algebra::Expr;
-use exptime_core::materialize::{MaterializedView, RefreshDecision, RemovalPolicy, ViewStats};
+use exptime_core::algebra::{EvalOptions, Expr};
+use exptime_core::materialize::{
+    MaterializedView, RefreshDecision, RefreshPolicy, RemovalPolicy, ViewStats,
+};
 use exptime_core::relation::Relation;
 use exptime_core::schema::Schema;
 use exptime_lint::{Code, Diagnostic, LintReport, Severity};
@@ -25,6 +27,21 @@ use exptime_sql::unparse::statement_to_sql;
 use exptime_storage::Table;
 use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// How every materialised view reacts when its materialisation expires.
+/// The analyzer reads the same constant ([`analyzer_options`]), so X002
+/// is reported exactly for the views that recompute.
+const VIEW_REFRESH: RefreshPolicy = RefreshPolicy::Recompute;
+
+/// How the analyzer should read a plan: a view patches exactly when
+/// [`VIEW_REFRESH`] says so, and reads are not Schrödinger reads.
+pub(super) fn analyzer_options(materialized: bool) -> exptime_lint::AnalyzerOptions {
+    exptime_lint::AnalyzerOptions {
+        materialized,
+        patch_root_difference: VIEW_REFRESH == RefreshPolicy::Patch,
+        schrodinger: false,
+    }
+}
 
 #[allow(clippy::large_enum_variant)] // few views exist; clarity over size
 pub(super) enum ViewEntry {
@@ -140,8 +157,8 @@ impl Database {
                 expr,
                 &*self,
                 self.clock.now(),
-                self.config.eval,
-                self.config.view_refresh,
+                EvalOptions::default(),
+                VIEW_REFRESH,
                 RemovalPolicy::Lazy,
             )?;
             view.attach_obs(&self.obs, &key);
@@ -333,7 +350,7 @@ impl Database {
         definition: Option<&Query>,
         view: &MaterializedView,
     ) -> LintReport {
-        let opts = self.analyzer_options(true);
+        let opts = analyzer_options(true);
         let mut diagnostics = exptime_lint::analyze(definition, view.expr(), &opts).diagnostics;
         let lateness = self.config.slo.max_trigger_lateness;
         let due_in = view.texp().finite().zip(self.clock.now().finite());

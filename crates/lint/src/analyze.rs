@@ -80,8 +80,9 @@ pub fn analyze(query: Option<&Query>, plan: &Expr, opts: &AnalyzerOptions) -> Li
                 span,
             )
             .with_suggestion(
-                "enable the root-difference patch queue (EvalOptions::patch_root_difference, \
-                 Theorem 3): patches replace recomputations entirely"
+                "hold the view where a Theorem 3 patch queue maintains it \
+                 (RefreshPolicy::Patch, as a Replica does): patches replace recomputations \
+                 entirely"
                     .to_string(),
             ),
         );

@@ -1,5 +1,5 @@
 //! Repo-invariant lint gate: walks the workspace sources and enforces the
-//! `R001`–`R008` rules. Exits non-zero on any violation, so `scripts/ci.sh`
+//! `R001`–`R009` rules. Exits non-zero on any violation, so `scripts/ci.sh`
 //! can use it directly.
 
 #![forbid(unsafe_code)]
@@ -19,7 +19,8 @@ fn main() -> ExitCode {
             println!(
                 "repolint: ok (R001 wall-clock, R002 durability unwrap, \
                  R003 forbid-unsafe, R004 thread-sleep, R005 table-copy, \
-                 R006 nu-oracle, R007 one-read, R008 db-metrics-documented)"
+                 R006 nu-oracle, R007 one-read, R008 db-metrics-documented, \
+                 R009 events-documented)"
             );
             ExitCode::SUCCESS
         }

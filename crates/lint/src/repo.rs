@@ -11,6 +11,7 @@
 //! | R006 | No `value_timeline`, `nu_naive` or closure-form `nu::nu(` in production code under `crates/core/src/algebra/` or `crates/engine/src`: the timeline definitions of ν re-apply `f` to a copy of the survivors at every time slice (or tick) and are the oracle that `nu::first_change` — what evaluation computes — is tested against, not a path a query may take. |
 //! | R007 | No `prev_covered(` and no `.rel.exp(` in production code that holds a materialisation — `crates/replica/src`, `crates/net/src`, `crates/engine/src` and `crates/core/src/{schrodinger,materialize}.rs`: which instant a materialisation can answer for, and the rows it has at one (the stored rows *plus* the due part of its Theorem 3 queue), are `Materialized::{covered_at, rows_at, answer}`. `crates/core/src/algebra/eval.rs`, where that kernel is defined, is the one place that does either by hand. |
 //! | R008 | The `db.*` metrics are documented, both ways: every `db.`-prefixed literal that production code under `crates/engine/src` passes to `.counter(`, `.gauge(` or `.histogram(` appears in DESIGN.md's `` | `db.*` | `` metric-table row, and every name in that row is registered there. |
+//! | R009 | The events are documented, both ways: every tag `EventKind::tag` returns in `crates/obs/src/events.rs` is a row of DESIGN.md's `` | Tag | `` event table, and every tag in that table is one `EventKind::tag` returns. |
 
 use std::fmt;
 use std::fs;
@@ -66,6 +67,7 @@ pub fn check_repo(root: &Path) -> io::Result<Vec<RepoViolation>> {
     }
     check_r003(root, &mut out);
     check_r008(root, &sources, &mut out);
+    check_r009(root, &mut out);
     out.sort_by(|a, b| (a.rule, &a.path, a.line).cmp(&(b.rule, &b.path, b.line)));
     Ok(out)
 }
@@ -419,6 +421,58 @@ fn check_r008(root: &Path, sources: &[PathBuf], out: &mut Vec<RepoViolation>) {
     }
 }
 
+/// R009: the `EventKind::tag` strings against DESIGN.md's event table —
+/// a tag the table does not list, or a listed tag no event has. A tree
+/// without a DESIGN.md (a fixture) has nothing to check against.
+fn check_r009(root: &Path, out: &mut Vec<RepoViolation>) {
+    const HEADER: &str = "| Tag |";
+    const EVENTS: &str = "crates/obs/src/events.rs";
+    const ARM: &str = "} => \"";
+    let Ok(design) = fs::read_to_string(root.join("DESIGN.md")) else {
+        return;
+    };
+    let lines: Vec<&str> = design.lines().collect();
+    let header = lines.iter().position(|l| l.starts_with(HEADER));
+    let documented: Vec<(usize, &str)> = header.map_or_else(Vec::new, |h| {
+        let rows = lines.iter().enumerate().skip(h + 2);
+        rows.take_while(|(_, l)| l.starts_with('|'))
+            .filter_map(|(i, l)| Some((i + 1, l.split('`').nth(1)?)))
+            .collect()
+    });
+    let content = fs::read_to_string(root.join(EVENTS)).unwrap_or_default();
+    let lines: Vec<&str> = content.lines().collect();
+    let mut tags = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let code = code_only(line);
+        let Some(at) = code.find(ARM) else {
+            continue;
+        };
+        if !code.trim_start().starts_with("EventKind::") || line_is_in_tests(&lines, i) {
+            continue;
+        }
+        let tag = code[at + ARM.len()..].split('"').next().unwrap_or("");
+        tags.push(tag);
+        if !documented.iter().any(|(_, d)| *d == tag) {
+            out.push(RepoViolation {
+                rule: "R009",
+                path: PathBuf::from(EVENTS),
+                line: i + 1,
+                message: format!("event tag `{tag}` is not a row of DESIGN.md's event table"),
+            });
+        }
+    }
+    for (line, tag) in documented.iter().filter(|(_, d)| !tags.contains(d)) {
+        out.push(RepoViolation {
+            rule: "R009",
+            path: PathBuf::from("DESIGN.md"),
+            line: *line,
+            message: format!(
+                "`{tag}` is a row of the event table but no `EventKind::tag` returns it"
+            ),
+        });
+    }
+}
+
 /// R003: every crate root carries `#![forbid(unsafe_code)]`.
 fn check_r003(root: &Path, out: &mut Vec<RepoViolation>) {
     let mut roots: Vec<PathBuf> = vec![PathBuf::from("src/lib.rs")];
@@ -742,6 +796,46 @@ mod tests {
         );
         assert!(r008[0].message.contains("`db.gone`"), "{v:?}");
         assert!(r008[1].message.contains("`db.deletes`"), "{v:?}");
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn r009_holds_the_event_tags_to_their_design_table() {
+        let events = "impl EventKind {\n\
+                      pub fn tag(&self) -> &'static str {\n\
+                      match self {\n\
+                      EventKind::TupleExpired { .. } => \"tuple_expired\",\n\
+                      EventKind::VacuumPass { .. } => \"vacuum_pass\",\n\
+                      // EventKind::Commented { .. } => \"commented\",\n\
+                      } } }\n\
+                      #[cfg(test)]\n\
+                      mod tests { fn t(k: K) { match k { EventKind::X { .. } => \"x\" } } }\n";
+        let dir = fixture(&[
+            (
+                "DESIGN.md",
+                "# events\n\n| Tag | Emitted when |\n|---|---|\n\
+                 | `tuple_expired` | a tuple left a table |\n\
+                 | `gone` | nothing any more |\n\nAfter the table: `vacuum_pass`.\n",
+            ),
+            ("crates/obs/src/events.rs", events),
+            ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
+        ]);
+        let v = check_repo(&dir).unwrap();
+        let r009: Vec<_> = v.iter().filter(|v| v.rule == "R009").collect();
+        // The unlisted `vacuum_pass` at its arm (a mention after the table
+        // is not a row), and the listed `gone` at its row; comments and
+        // test modules are out of scope.
+        let at: Vec<_> = r009
+            .iter()
+            .map(|v| (v.path.to_str().unwrap(), v.line))
+            .collect();
+        assert_eq!(
+            at,
+            [("DESIGN.md", 6), ("crates/obs/src/events.rs", 5)],
+            "{v:?}"
+        );
+        assert!(r009[0].message.contains("`gone`"), "{v:?}");
+        assert!(r009[1].message.contains("`vacuum_pass`"), "{v:?}");
         let _ = fs::remove_dir_all(dir);
     }
 

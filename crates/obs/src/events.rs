@@ -69,8 +69,6 @@ pub enum EventKind {
         decision: RefreshDecision,
         at: u64,
     },
-    /// The optimizer rewrote a query.
-    RewriteApplied { rule: String, detail: String },
     /// A replica link carried a message.
     ReplicaMessage { kind: String, tuples: u64 },
     /// A replica answered from a stale (but Schrödinger-covered)
@@ -236,7 +234,6 @@ impl EventKind {
             EventKind::VacuumPass { .. } => "vacuum_pass",
             EventKind::ClockAdvance { .. } => "clock_advance",
             EventKind::ViewRefresh { .. } => "view_refresh",
-            EventKind::RewriteApplied { .. } => "rewrite_applied",
             EventKind::ReplicaMessage { .. } => "replica_message",
             EventKind::ReplicaDivergence { .. } => "replica_divergence",
             EventKind::ReplicaResync { .. } => "replica_resync",
@@ -305,9 +302,6 @@ impl std::fmt::Display for Event {
             }
             EventKind::ViewRefresh { view, decision, at } => {
                 write!(f, "view_refresh    view={view} at={at} decision={decision}")
-            }
-            EventKind::RewriteApplied { rule, detail } => {
-                write!(f, "rewrite_applied rule={rule} {detail}")
             }
             EventKind::ReplicaMessage { kind, tuples } => {
                 write!(f, "replica_message kind={kind} tuples={tuples}")

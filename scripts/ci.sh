@@ -16,7 +16,7 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 
-# Repo-invariant lint (exptime-lint R001–R008): no wall-clock reads
+# Repo-invariant lint (exptime-lint R001–R009): no wall-clock reads
 # outside core/time.rs, no unwrap/expect in durability paths (the WAL
 # crate, engine/durability.rs and the write path engine/db/write.rs),
 # #![forbid(unsafe_code)] in every crate root, no thread::sleep
@@ -36,7 +36,8 @@ cargo fmt --check
 # queue in; core/src/algebra/eval.rs, where those are, is exempt.
 # And no undocumented engine metric: every db.* name the engine
 # registers is in DESIGN.md's db.* metric-table row, and every name
-# there is registered.
+# there is registered. And no undocumented event: every EventKind::tag
+# string is a row of DESIGN.md's §8 event table, and every row is a tag.
 cargo run --release -q -p exptime-lint --bin repolint
 
 # Analyzer golden tests: the Fig. 3 anomalies must flag their exact

@@ -38,20 +38,10 @@ pub fn arb_relation(max: usize) -> impl Strategy<Value = Relation> {
         .prop_map(|rows| Relation::from_rows(schema2(), rows).expect("generated rows are valid"))
 }
 
-/// A catalog with two generated relations `r` and `s`.
-pub fn arb_catalog(max: usize) -> impl Strategy<Value = Catalog> {
-    (arb_relation(max), arb_relation(max)).prop_map(|(r, s)| {
-        let mut c = Catalog::new();
-        c.register("r", r);
-        c.register("s", s);
-        c
-    })
-}
-
-/// [`arb_catalog`] whose `s` also holds some of `r`'s tuples under
-/// expiration times of its own, so that a difference between the two has
-/// critical tuples (Theorem 3) — which two independent draws from the 56
-/// possible tuples seldom share.
+/// A catalog with two generated relations `r` and `s`, where `s` also
+/// holds some of `r`'s tuples under expiration times of its own, so that a
+/// difference between the two has critical tuples (Theorem 3) — which two
+/// independent draws from the 56 possible tuples seldom share.
 pub fn arb_overlapping_catalog(max: usize) -> impl Strategy<Value = Catalog> {
     let echoes = proptest::collection::vec((0..max, 1u64..40), 0..max);
     (arb_relation(max), arb_relation(max), echoes).prop_map(|(r, mut s, echoes)| {
@@ -70,7 +60,8 @@ pub fn arb_overlapping_catalog(max: usize) -> impl Strategy<Value = Catalog> {
 
 /// An arbitrary algebra expression over `r` and `s` (both arity 2).
 ///
-/// Every generated expression is well-typed against [`arb_catalog`]:
+/// Every generated expression is well-typed against
+/// [`arb_overlapping_catalog`]:
 /// projections/products are tracked through a recursive strategy that
 /// always yields arity-2 results, so unions/differences stay compatible.
 pub fn arb_expr() -> impl Strategy<Value = Expr> {

@@ -5,6 +5,7 @@
 
 use exptime::engine::{Database, DbConfig};
 use exptime::lint::{Code, Severity};
+use exptime::prelude::Time;
 
 fn figure1_db() -> Database {
     let mut db = Database::new(DbConfig::default());
@@ -85,16 +86,31 @@ fn figure_3b_materialized_difference() {
         "{:?}",
         d.suggestion
     );
-    // With the Theorem 3 patch queue enabled, the hazard is gone.
-    let mut config = DbConfig::default();
-    config.eval.patch_root_difference = true;
-    let mut db = Database::new(config);
+}
+
+/// X002 describes what the engine's views do: a materialised
+/// `pol EXCEPT el` carries it, and each critical tuple of `el` that
+/// expires (at 10 and at 12) costs the view a recomputation, not a patch.
+#[test]
+fn x002_agrees_with_the_views_recomputations() {
+    let mut db = Database::new(DbConfig::default());
     db.execute_script(
         "CREATE TABLE pol (uid INT, deg INT);
-         CREATE TABLE el (uid INT, deg INT);",
+         CREATE TABLE el (uid INT, deg INT);
+         INSERT INTO pol VALUES (1, 25), (2, 25) EXPIRES AT 20;
+         INSERT INTO el VALUES (1, 75) EXPIRES AT 10;
+         INSERT INTO el VALUES (2, 85) EXPIRES AT 12;
+         CREATE MATERIALIZED VIEW d AS SELECT uid FROM pol EXCEPT SELECT uid FROM el;",
     )
     .unwrap();
-    assert!(db.lint(sql).unwrap().is_clean());
+    assert_eq!(db.view_diagnostics("d").unwrap().codes(), vec![Code::X002]);
+    assert!(db.read_view("d").unwrap().is_empty());
+    for (at, live) in [(10, 1), (12, 2)] {
+        db.advance_to(Time::new(at));
+        assert_eq!(db.read_view("d").unwrap().len(), live, "at {at}");
+    }
+    let stats = db.view_stats("d").unwrap();
+    assert_eq!((stats.recomputations, stats.patches_applied), (2, 0));
 }
 
 /// Both anomalies stacked: aggregate over a difference. Every code keeps

@@ -5,8 +5,7 @@
 mod common;
 
 use common::{
-    arb_catalog, arb_expr, arb_overlapping_catalog, arb_row, inputs, literal, probe_times, schema2,
-    Literal,
+    arb_expr, arb_overlapping_catalog, arb_row, inputs, literal, probe_times, schema2, Literal,
 };
 use exptime::core::aggregate::{AggFunc, AggMode};
 use exptime::core::algebra::{eval, eval_profiled, ops, EvalOptions, Expr, PlanProfile};
@@ -26,7 +25,8 @@ fn opts() -> EvalOptions {
 
 /// Every evaluator option: the three aggregate modes, Equation 12
 /// validity, and Theorem 3 root patching with an unbounded and a bounded
-/// queue.
+/// queue. Patching is on in nine cases of ten, since a patched root
+/// difference is the rarest shape to draw.
 fn arb_opts() -> impl Strategy<Value = EvalOptions> {
     (
         prop_oneof![
@@ -34,7 +34,7 @@ fn arb_opts() -> impl Strategy<Value = EvalOptions> {
             Just(AggMode::Contributing),
             Just(AggMode::Exact),
         ],
-        any::<bool>(),
+        prop_oneof![9 => Just(true), 1 => Just(false)],
         prop_oneof![Just(None), (0usize..4).prop_map(Some)],
         any::<bool>(),
     )
@@ -46,6 +46,18 @@ fn arb_opts() -> impl Strategy<Value = EvalOptions> {
                 eq12_validity,
             },
         )
+}
+
+/// [`arb_expr`] with a root difference three times in four, its left
+/// operand `r` or an [`arb_expr`] and its right `s` or one, so that a
+/// patched root (Theorem 3) meets the critical tuples
+/// [`arb_overlapping_catalog`] plants and a non-empty queue.
+fn arb_root_difference_expr() -> impl Strategy<Value = Expr> {
+    let operand = |base: &str| prop_oneof![Just(Expr::base(base)), arb_expr()];
+    prop_oneof![
+        1 => arb_expr(),
+        3 => (operand("r"), operand("s")).prop_map(|(a, b)| a.difference(b)),
+    ]
 }
 
 /// The `Base(..)` labels of a profile's leaves, left to right.
@@ -85,7 +97,7 @@ proptest! {
     /// at τ′ — including the expiration times themselves.
     #[test]
     fn theorem_1_monotonic_expiry_commutes(
-        catalog in arb_catalog(14),
+        catalog in arb_overlapping_catalog(14),
         expr in arb_expr(),
     ) {
         prop_assume!(expr.is_monotonic());
@@ -107,7 +119,7 @@ proptest! {
     /// expiration times also match recomputation up to texp(e).
     #[test]
     fn theorem_2_valid_until_texp(
-        catalog in arb_catalog(14),
+        catalog in arb_overlapping_catalog(14),
         expr in arb_expr(),
     ) {
         let m = eval(&expr, &catalog, Time::ZERO, &opts())?;
@@ -130,7 +142,7 @@ proptest! {
     /// *after* texp(e) has passed (the "valid again" tail).
     #[test]
     fn validity_intervals_are_sound(
-        catalog in arb_catalog(14),
+        catalog in arb_overlapping_catalog(14),
         expr in arb_expr(),
     ) {
         let m = eval(&expr, &catalog, Time::ZERO, &opts())?;
@@ -178,7 +190,7 @@ proptest! {
     /// union is commutative and associative (max-texp is too), and
     /// intersection is commutative (min-texp is too).
     #[test]
-    fn union_and_intersection_laws(catalog in arb_catalog(14), tau in 0u64..45) {
+    fn union_and_intersection_laws(catalog in arb_overlapping_catalog(14), tau in 0u64..45) {
         let tau = Time::new(tau);
         let r = catalog.get("r").unwrap();
         let s = catalog.get("s").unwrap();
@@ -214,7 +226,7 @@ proptest! {
 
     /// The join rewrite of Equation 5 agrees with select-over-product.
     #[test]
-    fn join_is_select_over_product(catalog in arb_catalog(10), tau in 0u64..45) {
+    fn join_is_select_over_product(catalog in arb_overlapping_catalog(10), tau in 0u64..45) {
         let tau = Time::new(tau);
         let r = catalog.get("r").unwrap();
         let s = catalog.get("s").unwrap();
@@ -228,7 +240,7 @@ proptest! {
     /// relations and randomly shaped join predicates.
     #[test]
     fn hash_join_equals_nested_loop(
-        catalog in arb_catalog(14),
+        catalog in arb_overlapping_catalog(14),
         tau in 0u64..45,
         shape in 0u8..5,
     ) {
@@ -254,7 +266,7 @@ proptest! {
     /// instant.
     #[test]
     fn rewriter_preserves_semantics(
-        catalog in arb_catalog(12),
+        catalog in arb_overlapping_catalog(12),
         expr in arb_expr(),
     ) {
         let rewritten = rewrite::rewrite(&expr);
@@ -278,7 +290,7 @@ proptest! {
     #[test]
     fn recorder_is_the_no_op_probe_plus_a_profile(
         catalog in arb_overlapping_catalog(12),
-        expr in arb_expr(),
+        expr in arb_root_difference_expr(),
         opts in arb_opts(),
         tau in 0u64..45,
     ) {
@@ -306,7 +318,7 @@ proptest! {
     /// with expτ(R)" definition.
     #[test]
     fn eval_commutes_with_base_snapshots(
-        catalog in arb_catalog(14),
+        catalog in arb_overlapping_catalog(14),
         expr in arb_expr(),
         tau in 0u64..45,
     ) {

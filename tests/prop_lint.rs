@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{arb_catalog, arb_expr, probe_times};
+use common::{arb_expr, arb_overlapping_catalog, probe_times};
 use exptime::core::algebra::{eval, EvalOptions};
 use exptime::core::materialize::{MaterializedView, RefreshPolicy, RemovalPolicy};
 use exptime::core::rewrite::{rewrite, Monotonicity, StaticBound, TickBound};
@@ -22,7 +22,7 @@ proptest! {
     /// serves a stale read and never recomputes, at any probe instant.
     #[test]
     fn sound_infinite_plans_never_go_stale(
-        catalog in arb_catalog(12),
+        catalog in arb_overlapping_catalog(12),
         expr in arb_expr(),
     ) {
         let s = expr.soundness();

@@ -2375,7 +2375,6 @@ fn e10_shed_level(clients: usize, stmts_per_client: usize, seed: u64) -> E10Shed
         queue: 4,
         degrade_at: 4,
         retry_after_ms: 2,
-        ..NetConfig::default()
     };
     let server = NetServer::serve(&shared, "127.0.0.1:0", cfg).expect("bind");
     let addr = server.local_addr().to_string();

@@ -121,6 +121,7 @@ Meta commands:
   \\checkpoint     snapshot live rows + views and truncate the WAL
   \\save FILE      dump the database (tables, rows, views, clock) as SQL
   \\load FILE      replace the database with a previously saved dump
+                  (refused under --wal: it would detach the log)
   \\demo           load the paper's Figure 1 database (tables pol, el)
   \\chaos [SEED]   replica chaos demo: sync a view over a faulty link
                   (drops, duplicates, delays, partitions), then heal and
@@ -568,6 +569,14 @@ impl Repl {
             "\\load" => {
                 if arg.is_empty() {
                     return Outcome::Text("usage: \\load FILE\n".into());
+                }
+                if db.wal_status().is_some() {
+                    return Outcome::Text(
+                        "error: \\load replaces the database, which would detach its \
+                         write-ahead log (later writes would not be durable); load the \
+                         dump into a shell started without --wal\n"
+                            .into(),
+                    );
                 }
                 match std::fs::read_to_string(arg) {
                     Ok(dump) => match Database::restore(&dump) {
@@ -1193,6 +1202,36 @@ mod persistence_tests {
         text(fresh.feed("\\tick 11"));
         let out = text(fresh.feed("SELECT * FROM pol;"));
         assert!(out.contains("0 rows"), "{out}");
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_refuses_on_a_durable_database_and_save_still_works() {
+        use exptime_engine::durability::MemStore;
+        use exptime_engine::Durability;
+
+        let dir = std::env::temp_dir().join(format!("exptime-cli-wal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("dump.sql");
+        let file = file.to_str().unwrap();
+
+        let config = DbConfig {
+            durability: Durability::wal(),
+            ..DbConfig::default()
+        };
+        let db = Database::open_with_store(Box::new(MemStore::new()), config).unwrap();
+        let mut r = Repl::with_database(db);
+        text(r.feed("\\demo"));
+        assert!(text(r.feed(&format!("\\save {file}"))).contains("saved"));
+        let out = text(r.feed(&format!("\\load {file}")));
+        assert!(out.contains("error"), "{out}");
+        assert!(out.contains("write-ahead log"), "{out}");
+        // The log is still attached, and the database was not replaced.
+        let st = text(r.feed("\\wal status"));
+        assert!(st.contains("group_commit: 1"), "{st}");
+        let out = text(r.feed("SELECT * FROM pol;"));
+        assert!(out.contains("3 rows"), "{out}");
 
         std::fs::remove_dir_all(&dir).ok();
     }

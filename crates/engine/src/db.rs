@@ -20,20 +20,19 @@
 //! catalog and DDL), the query half of **read** (`select` → `evaluate`,
 //! which inlines views, evaluates under the default `EvalOptions` and
 //! profiles the statements it samples, and `bill_query`, through which
-//! every read is counted),
-//! **durability** (open/recovery, checkpoint, the `wal_*` bracket and
-//! append helpers) and **maintenance** (`advance_to`, vacuum, the forecast
-//! and the telemetry sampler), plus statement lint, the audit and
-//! dump/restore. The child modules own the rest: `stored` is the tables as
-//! the algebra's binding environment (what a read scans), `views` is the
-//! view catalog and the view half of **read** — what a view is, how one is
-//! inlined into a query, and how a materialised one is served, under the
-//! one refresh policy the analyzer's X002 also reads — and `write`
-//! is the **write** and **policy touch** stages — every change to a stored
-//! row, live or redone, goes through its one `apply`.
+//! every read is counted) and **maintenance** (`advance_to`, vacuum, the
+//! forecast and the telemetry sampler), plus statement lint and the audit.
+//! The child modules own the rest: `stored` is the tables as the algebra's
+//! binding environment (what a read scans), `views` is the view catalog
+//! and the view half of **read** — what a view is, how one is inlined into
+//! a query, and how a materialised one is served, under the one refresh
+//! policy the analyzer's X002 also reads — `write` is the **write** and
+//! **policy touch** stages — every change to a stored row, live or redone,
+//! goes through its one `apply` — and `durable` is **durability**: open and
+//! recovery, checkpoints, the WAL statement bracket, and dump/restore.
 
 use crate::constraint::{Constraint, ConstraintViolation};
-use crate::durability::{CheckpointStats, Durability, RecoveryStats, WalSession, WalStatus};
+use crate::durability::Durability;
 use crate::telemetry::{TelemetryConfig, TelemetryStatus, TELEMETRY_HEALTH, TELEMETRY_METRICS};
 use crate::trigger::{ExpirationEvent, TriggerFn, TriggerManager};
 use exptime_core::algebra::{
@@ -42,7 +41,7 @@ use exptime_core::algebra::{
 use exptime_core::materialize::RefreshDecision;
 use exptime_core::relation::Relation;
 use exptime_core::rewrite::TickBound;
-use exptime_core::schema::Schema;
+use exptime_core::schema::{Attribute, Schema};
 use exptime_core::time::{Clock, Time};
 use exptime_core::tuple::Tuple;
 use exptime_core::value::{Value, ValueType};
@@ -54,19 +53,16 @@ use exptime_policy::{MaintenanceWindow, Sliding, TtlPolicy};
 use exptime_sql::ast::{Statement, TtlClause};
 use exptime_sql::{plan_query, SchemaProvider, SqlError};
 use exptime_storage::{IndexKind, Table};
-use exptime_wal::{
-    committed_prefix, replay_plan, Checkpoint, FileStore, TableSnapshot, Wal, WalRecord, WalStore,
-};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::path::Path;
 use std::time::Instant;
 
+mod durable;
 mod stored;
 mod views;
 mod write;
+use durable::{clause_of_policy, WalSession};
 use views::{analyzer_options, sliding_matview_diag, ViewEntry};
-use write::Change;
 
 /// How the engine physically removes expired base-table rows
 /// (Section 3.2).
@@ -470,13 +466,11 @@ pub struct Database {
     profiler: Profiler,
     /// Attached write-ahead log, when opened with [`Durability::Wal`].
     /// `None` both for volatile databases and *during* recovery replay
-    /// (so replayed operations are not re-logged).
+    /// (so replayed operations are not re-logged). Only `db/durable.rs`
+    /// touches it (repolint R010).
     wal: Option<WalSession>,
-    /// True while the engine itself is executing statements: WAL
-    /// recovery replay, dump restore, and the telemetry sampler. Lifts
-    /// the `_telemetry` reserved-schema write guard and suppresses
-    /// sampling (replayed history must reproduce the original run's
-    /// samples as rows, not synthesise new ones).
+    /// True while the engine itself is executing statements
+    /// ([`Database::as_system`]: recovery, restore, the telemetry sampler).
     system_ctx: bool,
     /// Logical instant of the last telemetry sample.
     telemetry_last_sample: Option<u64>,
@@ -533,418 +527,6 @@ impl Database {
             telemetry_last_sample: None,
             telemetry_samples: 0,
             serving: None,
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Durability: open, recovery, checkpoint
-    // ------------------------------------------------------------------
-
-    /// Opens (creating if needed) a durable database backed by a WAL
-    /// directory, recovering committed state from the checkpoint and log
-    /// first. `config.durability` must be [`Durability::Wal`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Wal`] for IO failures, a corrupt checkpoint, or
-    /// a [`Durability::Volatile`] config; replay errors propagate.
-    pub fn open(dir: impl AsRef<Path>, config: DbConfig) -> DbResult<Self> {
-        let store = FileStore::open(dir).map_err(|e| DbError::Wal(format!("open: {e}")))?;
-        Self::open_with_store(Box::new(store), config)
-    }
-
-    /// [`Database::open`] over any [`WalStore`] — the crash-injection
-    /// tests use this with an `exptime_wal::MemStore`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Database::open`].
-    pub fn open_with_store(store: Box<dyn WalStore>, config: DbConfig) -> DbResult<Self> {
-        let Durability::Wal { group_commit, .. } = config.durability else {
-            return Err(DbError::Wal(
-                "config.durability is Volatile; use Database::new".into(),
-            ));
-        };
-        let mut db = Database::new(config);
-        // Recovery replays history verbatim — including `_telemetry`
-        // DDL/rows — so the reserved-schema guard must stand down and
-        // the sampler must not synthesise new samples mid-replay.
-        db.system_ctx = true;
-        let mut wal = Wal::new(store, group_commit);
-        wal.attach(db.metrics());
-
-        let mut span = db.tracer.span("recovery");
-        let (ckpt, scan) = wal
-            .read_state()
-            .map_err(|e| DbError::Wal(format!("read state: {e}")))?;
-        let base_clock = ckpt.as_ref().map_or(0, |c| c.clock);
-        let checkpoint_rows = ckpt.as_ref().map_or(0, Checkpoint::live_rows);
-        if let Some(ck) = &ckpt {
-            db.apply_checkpoint(ck)?;
-        }
-        let max_txn = scan
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                WalRecord::TxnBegin { txn }
-                | WalRecord::TxnCommit { txn }
-                | WalRecord::Insert { txn, .. }
-                | WalRecord::Delete { txn, .. }
-                | WalRecord::UpdateTexp { txn, .. } => Some(*txn),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        let (ops, skipped_uncommitted) = committed_prefix(&scan.records);
-        let plan = replay_plan(ops, base_clock, true);
-        let replayed = plan.ops.len() as u64;
-        for op in &plan.ops {
-            db.apply_wal_op(op)?;
-        }
-        // Replayed history fired expiration events into the trigger log;
-        // they are not *this* run's events.
-        db.triggers.clear_log();
-        let stats = RecoveryStats {
-            checkpoint_clock: base_clock,
-            checkpoint_rows,
-            replayed,
-            skipped_expired: plan.skipped_expired,
-            skipped_uncommitted,
-            torn_bytes: scan.torn_bytes,
-            clock: db.clock.now().finite().unwrap_or(u64::MAX),
-        };
-        span.attr("replayed", stats.replayed);
-        span.attr("skipped_expired", stats.skipped_expired);
-        span.attr("torn_bytes", stats.torn_bytes);
-        if let Some(t) = db.clock.now().finite() {
-            span.at(t);
-        }
-        drop(span);
-        db.obs
-            .emit_with(db.clock.now().finite(), || EventKind::WalRecovery {
-                at: stats.clock,
-                replayed: stats.replayed,
-                skipped_expired: stats.skipped_expired,
-                skipped_uncommitted: stats.skipped_uncommitted,
-                torn_bytes: stats.torn_bytes,
-            });
-
-        // Recovery-time forecast: records that were replayable but
-        // already expired at the recovered clock are future work the
-        // vacuum never sees — surface them next to the live horizon.
-        db.metrics()
-            .gauge("forecast.recovery_skipped_expired")
-            .set(gauge_i64(stats.skipped_expired));
-        wal.bump_txn(max_txn);
-        db.wal = Some(WalSession {
-            wal,
-            last_checkpoint_clock: base_clock,
-            degraded: false,
-            active_txn: None,
-            recovery: Some(stats),
-        });
-        // End recovery with a checkpoint (ARIES restart does the same):
-        // the torn tail is discarded, replayed history is compacted, and
-        // the next crash recovers from a clean prefix.
-        db.checkpoint()?;
-        db.system_ctx = false;
-        // The recovered state's horizon, before the first advance.
-        db.refresh_forecast_gauges();
-        Ok(db)
-    }
-
-    /// Rebuilds tables, clock, and SQL-defined views from a checkpoint.
-    /// Rows in a checkpoint are live (`texp > clock`), so inserting them
-    /// at time 0 and then advancing to the checkpoint clock fires no
-    /// spurious expirations.
-    fn apply_checkpoint(&mut self, ck: &Checkpoint) -> DbResult<()> {
-        for snap in &ck.tables {
-            let schema = Schema::new(
-                snap.columns
-                    .iter()
-                    .map(|(n, ty)| exptime_core::schema::Attribute::new(n.clone(), *ty))
-                    .collect(),
-            )?;
-            self.create_table(&snap.name, schema)?;
-            let key = snap.name.to_ascii_lowercase();
-            for (values, texp) in &snap.rows {
-                let tuple = &Tuple::new(values.clone());
-                self.apply(&key, Change::Put { tuple, texp: *texp }, |_| {})?;
-            }
-        }
-        if ck.clock > 0 {
-            self.advance_to(Time::new(ck.clock));
-        }
-        for sql in &ck.view_sql {
-            self.execute(sql)?;
-        }
-        Ok(())
-    }
-
-    /// Redoes one committed log record. The data records go through the
-    /// same [`Database::apply`] that logged them; it runs with
-    /// `self.wal == None`, so nothing here re-logs, and a redo is not this
-    /// run's statement, so nothing is counted.
-    fn apply_wal_op(&mut self, op: &WalRecord) -> DbResult<()> {
-        match op {
-            WalRecord::Insert {
-                table,
-                values,
-                texp,
-                ..
-            } => {
-                let tuple = &Tuple::new(values.clone());
-                self.apply(table, Change::Put { tuple, texp: *texp }, |_| {})?;
-            }
-            WalRecord::Delete { table, values, .. } => {
-                let tuple = &Tuple::new(values.clone());
-                self.apply(table, Change::Remove { tuple }, |_| {})?;
-            }
-            WalRecord::UpdateTexp {
-                table,
-                values,
-                texp,
-                ..
-            } => {
-                let tuple = &Tuple::new(values.clone());
-                self.apply(table, Change::Retime { tuple, texp: *texp }, |_| {})?;
-            }
-            WalRecord::ClockAdvance { to } => {
-                let target = Time::new(*to);
-                if target > self.clock.now() {
-                    self.advance_to(target);
-                }
-            }
-            WalRecord::Ddl { sql } => {
-                self.execute(sql)?;
-            }
-            WalRecord::TxnBegin { .. } | WalRecord::TxnCommit { .. } => {}
-        }
-        Ok(())
-    }
-
-    /// Writes a checkpoint now: fsyncs the log, snapshots the clock plus
-    /// every table's live rows and every SQL-defined view, atomically
-    /// replaces the checkpoint blob, and truncates the log. Clears the
-    /// degraded flag — durable state is exactly in-memory state again.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Wal`] on IO failure or for volatile databases.
-    pub fn checkpoint(&mut self) -> DbResult<CheckpointStats> {
-        let now = self.clock.now();
-        let at = now.finite().unwrap_or(u64::MAX);
-        let ck = Checkpoint {
-            clock: at,
-            tables: self
-                .tables
-                .iter()
-                .map(|(name, table)| TableSnapshot {
-                    name: name.clone(),
-                    columns: table
-                        .schema()
-                        .attributes()
-                        .iter()
-                        .map(|a| (a.name.clone(), a.ty))
-                        .collect(),
-                    rows: table
-                        .scan_at(now)
-                        .map(|(tuple, texp)| (tuple.values().to_vec(), texp))
-                        .collect(),
-                })
-                .collect(),
-            // TTL policies checkpoint as `ALTER TABLE … SET TTL …` DDL,
-            // replayed (before the views) once the tables exist; policy
-            // shapes with no SQL spelling are session-scoped by design.
-            view_sql: self
-                .tables
-                .keys()
-                .filter_map(|name| {
-                    self.ttl_policy(name)
-                        .filter(|p| !p.is_identity())
-                        .and_then(|p| alter_ttl_sql(name, &p))
-                })
-                .chain(
-                    self.views
-                        .iter()
-                        .filter_map(|(name, entry)| entry.create_sql(name)),
-                )
-                .collect(),
-        };
-        let session = self
-            .wal
-            .as_mut()
-            .ok_or_else(|| DbError::Wal("checkpoint on a volatile database".into()))?;
-        let stats = session
-            .wal
-            .write_checkpoint(&ck)
-            .map_err(|e| DbError::Wal(format!("checkpoint: {e}")))?;
-        session.last_checkpoint_clock = at;
-        session.degraded = false;
-        let out = CheckpointStats {
-            at,
-            live_rows: stats.live_rows,
-            reclaimed_bytes: stats.reclaimed_bytes,
-            checkpoint_bytes: stats.checkpoint_bytes,
-        };
-        self.obs.emit_with(now.finite(), || EventKind::Checkpoint {
-            at,
-            live_rows: out.live_rows,
-            log_bytes_reclaimed: out.reclaimed_bytes,
-        });
-        Ok(out)
-    }
-
-    /// WAL status, or `None` for a volatile database.
-    #[must_use]
-    pub fn wal_status(&self) -> Option<WalStatus> {
-        let Durability::Wal {
-            group_commit,
-            checkpoint_every,
-        } = self.config.durability
-        else {
-            return None;
-        };
-        self.wal.as_ref().map(|s| WalStatus {
-            log_bytes: s.wal.log_len(),
-            group_commit,
-            checkpoint_every,
-            last_checkpoint_clock: s.last_checkpoint_clock,
-            degraded: s.degraded,
-            recovery: s.recovery,
-        })
-    }
-
-    /// What recovery did when this database was opened, if it was opened
-    /// from a WAL.
-    #[must_use]
-    pub fn recovery_stats(&self) -> Option<RecoveryStats> {
-        self.wal.as_ref().and_then(|s| s.recovery)
-    }
-
-    /// Forces an fsync of the log (beyond the group-commit cadence).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Wal`] on IO failure; no-op when volatile.
-    pub fn wal_sync(&mut self) -> DbResult<()> {
-        if let Some(s) = self.wal.as_mut() {
-            s.wal.sync().map_err(|e| {
-                s.degraded = true;
-                DbError::Wal(format!("sync: {e}"))
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Runs `body` as one statement-scoped WAL transaction: `TxnBegin`,
-    /// the redo record of every change `body` applies, `TxnCommit`. A
-    /// nested call joins the transaction already open.
-    fn wal_stmt<T>(&mut self, body: impl FnOnce(&mut Self) -> DbResult<T>) -> DbResult<T> {
-        let owned = self.wal_stmt_begin()?;
-        let res = body(self);
-        self.wal_stmt_end(owned).and(res)
-    }
-
-    /// Opens a statement-scoped WAL transaction if none is active.
-    /// Returns whether this call owns (and must commit) it.
-    fn wal_stmt_begin(&mut self) -> DbResult<bool> {
-        let Some(s) = self.wal.as_mut() else {
-            return Ok(false);
-        };
-        if s.active_txn.is_some() {
-            return Ok(false);
-        }
-        let txn = s.wal.begin_txn();
-        s.wal.append(&WalRecord::TxnBegin { txn }).map_err(|e| {
-            s.degraded = true;
-            DbError::Wal(format!("append: {e}"))
-        })?;
-        s.active_txn = Some(txn);
-        Ok(true)
-    }
-
-    /// Commits the statement's WAL transaction (when `owned`). Written
-    /// even after a statement error: the engine's statements are not
-    /// atomic, so the operations that did apply must stay durable.
-    fn wal_stmt_end(&mut self, owned: bool) -> DbResult<()> {
-        let Some(s) = self.wal.as_mut().filter(|_| owned) else {
-            return Ok(());
-        };
-        let Some(txn) = s.active_txn.take() else {
-            return Ok(());
-        };
-        s.wal
-            .append(&WalRecord::TxnCommit { txn })
-            .and_then(|()| s.wal.commit())
-            .map_err(|e| {
-                s.degraded = true;
-                DbError::Wal(format!("commit: {e}"))
-            })
-    }
-
-    /// Logs one applied operation under the active statement transaction.
-    fn wal_log_op(&mut self, build: impl FnOnce(u64) -> WalRecord) -> DbResult<()> {
-        let Some(s) = self.wal.as_mut() else {
-            return Ok(());
-        };
-        let Some(txn) = s.active_txn else {
-            return Ok(());
-        };
-        s.wal.append(&build(txn)).map_err(|e| {
-            s.degraded = true;
-            DbError::Wal(format!("append: {e}"))
-        })
-    }
-
-    /// Logs a self-committing DDL record (counts toward group commit).
-    /// Callers gate on [`self.wal.is_some()`] so the SQL string is only
-    /// built for durable databases.
-    fn wal_log_ddl(&mut self, sql: String) -> DbResult<()> {
-        let Some(s) = self.wal.as_mut() else {
-            return Ok(());
-        };
-        s.wal
-            .append(&WalRecord::Ddl { sql })
-            .and_then(|()| s.wal.commit())
-            .map_err(|e| {
-                s.degraded = true;
-                DbError::Wal(format!("ddl: {e}"))
-            })
-    }
-
-    /// Logs a clock advance and runs the automatic checkpoint cadence.
-    /// Called from [`Database::advance_to`], which is infallible: WAL
-    /// errors here mark the session degraded instead of propagating.
-    fn wal_after_advance(&mut self, to: Time) {
-        let Some(to_u) = to.finite() else { return };
-        let due = match (self.wal.as_mut(), self.config.durability) {
-            (
-                Some(s),
-                Durability::Wal {
-                    checkpoint_every, ..
-                },
-            ) => {
-                if let Err(_e) = s
-                    .wal
-                    .append(&WalRecord::ClockAdvance { to: to_u })
-                    .and_then(|()| s.wal.commit())
-                {
-                    s.degraded = true;
-                    return;
-                }
-                checkpoint_every > 0 && to_u - s.last_checkpoint_clock >= checkpoint_every
-            }
-            _ => return,
-        };
-        if due {
-            // Cadence checkpoints are best-effort: a failure leaves the
-            // log longer (and the session degraded), never the state wrong.
-            if let Err(_e) = self.checkpoint() {
-                if let Some(s) = self.wal.as_mut() {
-                    s.degraded = true;
-                }
-            }
         }
     }
 
@@ -1269,26 +851,18 @@ impl Database {
         if self.tables.contains_key(&key) || self.views.contains_key(&key) {
             return Err(DbError::Catalog(format!("`{name}` already exists")));
         }
+        let columns = columns(&schema);
         let mut table = Table::new(key.clone(), schema, self.config.index);
         table.attach_obs(&self.obs);
         table.attach_tracer(&self.tracer);
         self.tables.insert(key.clone(), table);
-        if self.wal.is_some() {
-            let sql = exptime_sql::unparse::statement_to_sql(&Statement::CreateTable {
-                name: key.clone(),
-                columns: self.tables[&key]
-                    .schema()
-                    .attributes()
-                    .iter()
-                    .map(|a| (a.name.clone(), a.ty))
-                    .collect(),
-                // Any TTL policy is set after creation and logged as its
-                // own ALTER record (see [`Database::set_ttl_policy`]).
-                ttl: None,
-            });
-            self.wal_log_ddl(sql)?;
-        }
-        Ok(())
+        self.log_ddl(Statement::CreateTable {
+            name: key,
+            columns,
+            // Any TTL policy is set after creation and logged as its own
+            // ALTER record (see [`Database::set_ttl_policy`]).
+            ttl: None,
+        })
     }
 
     /// Drops a table.
@@ -1309,11 +883,7 @@ impl Database {
         self.tables
             .remove(&key)
             .ok_or_else(|| DbError::Catalog(format!("unknown table `{name}`")))?;
-        if self.wal.is_some() {
-            let sql = exptime_sql::unparse::statement_to_sql(&Statement::DropTable { name: key });
-            self.wal_log_ddl(sql)?;
-        }
-        Ok(())
+        self.log_ddl(Statement::DropTable { name: key })
     }
 
     /// Direct access to a table (e.g. to create secondary indexes). A
@@ -1392,20 +962,10 @@ impl Database {
                 self.publish_diagnostics(view, &[sliding_matview_diag(&key, view)]);
             }
         }
-        if self.wal.is_some() {
-            let sql = if policy.is_identity() {
-                Some(exptime_sql::unparse::statement_to_sql(
-                    &Statement::AlterTtl {
-                        table: key,
-                        ttl: None,
-                    },
-                ))
-            } else {
-                alter_ttl_sql(&key, &policy)
-            };
-            if let Some(sql) = sql {
-                self.wal_log_ddl(sql)?;
-            }
+        // An identity policy logs as `SET TTL NONE`.
+        let ttl = clause_of_policy(&policy);
+        if ttl.is_some() || policy.is_identity() {
+            self.log_ddl(Statement::AlterTtl { table: key, ttl })?;
         }
         Ok(())
     }
@@ -1458,7 +1018,6 @@ impl Database {
     }
 
     fn exec_show_ttl(&self, table: Option<&str>) -> DbResult<ExecResult> {
-        use exptime_core::schema::Attribute;
         let schema = Schema::new(vec![
             Attribute::new("table".to_string(), ValueType::Str),
             Attribute::new("policy".to_string(), ValueType::Str),
@@ -1861,130 +1420,6 @@ impl Database {
     }
 
     // ------------------------------------------------------------------
-    // Dump / restore
-    // ------------------------------------------------------------------
-
-    /// Serialises the database as a SQL script: every table's schema and
-    /// live rows (with their absolute `EXPIRES AT` times), and every view
-    /// that was created through SQL. The first line records the logical
-    /// clock; [`Database::restore`] replays the script and advances the
-    /// clock back to it.
-    ///
-    /// Not captured: expired-but-unvacuumed rows (semantically absent),
-    /// triggers and constraints (runtime closures), API-created views
-    /// (no SQL definition — emitted as comments), and engine statistics.
-    #[must_use]
-    pub fn dump_sql(&self) -> String {
-        use exptime_sql::ast::{Expires, Literal, Statement as Stmt};
-        use exptime_sql::unparse::statement_to_sql;
-
-        let now = self.clock.now();
-        let mut out = format!(
-            "-- exptime dump at t={}\n",
-            now.finite().expect("clock is finite")
-        );
-        for (name, table) in &self.tables {
-            // TTL policies ride on the CREATE TABLE when expressible in
-            // SQL; API-only shapes (maintenance windows, clamps without a
-            // default TTL) are session-scoped and dumped as comments.
-            let policy = self.ttl_policy(name).unwrap_or_default();
-            let stmt = Stmt::CreateTable {
-                name: name.clone(),
-                columns: table
-                    .schema()
-                    .attributes()
-                    .iter()
-                    .map(|a| (a.name.clone(), a.ty))
-                    .collect(),
-                ttl: clause_of_policy(&policy),
-            };
-            out.push_str(&statement_to_sql(&stmt));
-            out.push_str(";\n");
-            if !policy.is_identity() && clause_of_policy(&policy).is_none() {
-                out.push_str(&format!("-- ttl policy on {name} (API-only): {policy}\n"));
-            }
-            // Group live rows by expiration time: one INSERT per group.
-            let mut by_texp: BTreeMap<Time, Vec<Vec<Literal>>> = BTreeMap::new();
-            for (tuple, texp) in table.scan_at(now) {
-                let row = tuple
-                    .values()
-                    .iter()
-                    .map(|v| match v {
-                        Value::Int(i) => Literal::Int(*i),
-                        Value::Float(f) => Literal::Float(f.get()),
-                        Value::Str(st) => Literal::Str(st.to_string()),
-                        Value::Bool(b) => Literal::Bool(*b),
-                    })
-                    .collect();
-                by_texp.entry(texp).or_default().push(row);
-            }
-            for (texp, rows) in by_texp {
-                let stmt = Stmt::Insert {
-                    table: name.clone(),
-                    rows,
-                    expires: match texp.finite() {
-                        Some(t) => Expires::At(t),
-                        None => Expires::Never,
-                    },
-                };
-                out.push_str(&statement_to_sql(&stmt));
-                out.push_str(";\n");
-            }
-        }
-        for (name, entry) in &self.views {
-            out.push_str(&match entry.create_sql(name) {
-                Some(sql) => format!("{sql};\n"),
-                // API-created: no SQL definition to replay.
-                None => format!("-- view {name} (no SQL definition): {}\n", entry.expr()),
-            });
-        }
-        out
-    }
-
-    /// Rebuilds a database from a [`Database::dump_sql`] script, with the
-    /// given configuration. The logical clock is restored from the
-    /// header, so expiration behaviour continues exactly where the dump
-    /// left off.
-    ///
-    /// # Errors
-    ///
-    /// Returns catalog/SQL errors from replaying the script.
-    pub fn restore_with(dump: &str, config: DbConfig) -> DbResult<Self> {
-        let mut db = Database::new(config);
-        // The header is the first *meaningful* line: leading blank lines
-        // and ordinary `--` comments (hand-edited or concatenated dumps)
-        // are tolerated; any SQL before the header is not.
-        let clock = dump
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .take_while(|l| l.starts_with("--"))
-            .find_map(|l| l.strip_prefix("-- exptime dump at t="))
-            .and_then(|n| n.trim().parse::<u64>().ok())
-            .ok_or_else(|| DbError::Catalog("missing `-- exptime dump at t=N` header".into()))?;
-        // A dump legitimately contains `_telemetry` DDL and rows (its
-        // history is data like any other); replay them in system context.
-        db.system_ctx = true;
-        let replayed = db.execute_script(dump);
-        db.system_ctx = false;
-        replayed?;
-        // Rows in the dump were live (texp > clock), so advancing fires
-        // no spurious expirations.
-        db.advance_to(Time::new(clock));
-        db.triggers.clear_log();
-        Ok(db)
-    }
-
-    /// [`Database::restore_with`] under the default configuration.
-    ///
-    /// # Errors
-    ///
-    /// As [`Database::restore_with`].
-    pub fn restore(dump: &str) -> DbResult<Self> {
-        Database::restore_with(dump, DbConfig::default())
-    }
-
-    // ------------------------------------------------------------------
     // SQL
     // ------------------------------------------------------------------
 
@@ -2039,13 +1474,7 @@ impl Database {
         root.attr("stmt", stmt.kind());
         match stmt {
             Statement::CreateTable { name, columns, ttl } => {
-                let schema = Schema::new(
-                    columns
-                        .into_iter()
-                        .map(|(n, t)| exptime_core::schema::Attribute::new(n, t))
-                        .collect(),
-                )?;
-                self.create_table(&name, schema)?;
+                self.create_table(&name, schema_of_columns(columns)?)?;
                 if let Some(clause) = ttl {
                     self.set_ttl_policy(&name, policy_of_clause(&clause))?;
                 }
@@ -2152,10 +1581,7 @@ impl Database {
             return;
         }
         self.telemetry_last_sample = Some(now);
-        self.system_ctx = true;
-        let res = self.sample_telemetry(now);
-        self.system_ctx = false;
-        match res {
+        match self.as_system(|db| db.sample_telemetry(now)) {
             Ok(rows) => {
                 self.telemetry_samples += 1;
                 let retention = self.config.telemetry.retention;
@@ -2185,7 +1611,6 @@ impl Database {
     /// retention is nothing but the rows' expiration times: no deletion
     /// code exists anywhere in this path.
     fn sample_telemetry(&mut self, now: u64) -> DbResult<u64> {
-        use exptime_core::schema::Attribute;
         let retention = self.config.telemetry.retention.max(1);
         let texp = Time::new(now.saturating_add(retention));
         if !self.tables.contains_key(TELEMETRY_METRICS) {
@@ -2337,32 +1762,16 @@ fn policy_of_clause(clause: &TtlClause) -> TtlPolicy {
     }
 }
 
-/// The `TTL …` clause spelling a policy, when it has one: a default TTL
-/// is the clause's anchor, so TTL-less shapes (clamp-only policies,
-/// maintenance windows) have no SQL spelling and return `None`.
-fn clause_of_policy(policy: &TtlPolicy) -> Option<TtlClause> {
-    if policy.maintenance.is_some() {
-        return None;
-    }
-    let ttl = policy.ttl.filter(|&d| d > 0)?;
-    Some(TtlClause {
-        ttl,
-        sliding: policy.sliding,
-        clamp: policy.clamp,
-        span: exptime_sql::span::Span::DUMMY,
-    })
+/// A schema's columns as `CREATE TABLE` (and a checkpoint) spells them.
+fn columns(schema: &Schema) -> Vec<(String, ValueType)> {
+    let column = |a: &Attribute| (a.name.clone(), a.ty);
+    schema.attributes().iter().map(column).collect()
 }
 
-/// `ALTER TABLE … SET TTL …` DDL for a non-identity policy with a SQL
-/// spelling; `None` otherwise.
-fn alter_ttl_sql(table: &str, policy: &TtlPolicy) -> Option<String> {
-    let clause = clause_of_policy(policy)?;
-    Some(exptime_sql::unparse::statement_to_sql(
-        &Statement::AlterTtl {
-            table: table.to_string(),
-            ttl: Some(clause),
-        },
-    ))
+/// The schema `CREATE TABLE` (or a checkpoint) columns declare.
+fn schema_of_columns(columns: Vec<(String, ValueType)>) -> DbResult<Schema> {
+    let attrs = columns.into_iter().map(|(n, ty)| Attribute::new(n, ty));
+    Ok(Schema::new(attrs.collect())?)
 }
 
 /// The planner's view of the catalog: tables and views, by name.

@@ -23,7 +23,6 @@ use exptime_lint::{Code, Diagnostic, LintReport, Severity};
 use exptime_policy::Sliding;
 use exptime_sql::ast::{Query, Statement};
 use exptime_sql::span::Span;
-use exptime_sql::unparse::statement_to_sql;
 use exptime_storage::Table;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -49,7 +48,7 @@ pub(super) enum ViewEntry {
         expr: Expr,
         schema: Schema,
         /// The defining SQL query, when the view was created through SQL;
-        /// see [`ViewEntry::create_sql`]. API-created views have none.
+        /// see [`ViewEntry::create_stmt`]. API-created views have none.
         definition: Option<Query>,
     },
     Materialized {
@@ -103,13 +102,12 @@ impl ViewEntry {
     /// as `name` — what the WAL logs, a checkpoint keeps and a dump prints.
     /// `None` for an API-created view: it has no SQL definition, so it is
     /// not durable.
-    pub(super) fn create_sql(&self, name: &str) -> Option<String> {
-        let stmt = Statement::CreateView {
+    pub(super) fn create_stmt(&self, name: &str) -> Option<Statement> {
+        Some(Statement::CreateView {
             name: name.to_string(),
             materialized: self.materialized().is_some(),
             query: self.definition()?.clone(),
-        };
-        Some(statement_to_sql(&stmt))
+        })
     }
 }
 
@@ -177,12 +175,9 @@ impl Database {
                 definition,
             }
         };
-        let log_sql = self.wal.as_ref().and_then(|_| entry.create_sql(&key));
+        let create = entry.create_stmt(&key);
         self.views.insert(key, entry);
-        if let Some(sql) = log_sql {
-            self.wal_log_ddl(sql)?;
-        }
-        Ok(())
+        create.map_or(Ok(()), |stmt| self.log_ddl(stmt))
     }
 
     /// Drops a view.
@@ -196,10 +191,7 @@ impl Database {
         self.views
             .remove(&key)
             .ok_or_else(|| DbError::Catalog(format!("unknown view `{name}`")))?;
-        if self.wal.is_some() {
-            self.wal_log_ddl(statement_to_sql(&Statement::DropView { name: key }))?;
-        }
-        Ok(())
+        self.log_ddl(Statement::DropView { name: key })
     }
 
     /// Replaces view references with their defining expressions —

@@ -2,8 +2,9 @@
 //!
 //! The mechanics live in `exptime-wal` (record format, stores, replay
 //! planning), in `db/write.rs` (which change logs which record) and in
-//! `db.rs` (the statement bracket, recovery, checkpoints); this module
-//! holds the knobs and the reports.
+//! `db/durable.rs` (the live log session, the statement bracket, recovery,
+//! checkpoints, dump/restore); this module holds the knobs and the
+//! reports.
 //!
 //! The protocol, end to end:
 //!
@@ -109,32 +110,13 @@ pub struct WalStatus {
     pub checkpoint_every: u64,
     /// Logical time of the last checkpoint.
     pub last_checkpoint_clock: u64,
-    /// Set when a WAL write failed after its statement partially
-    /// applied: durable and in-memory state may have diverged by that
-    /// statement. A successful [`Database::checkpoint`](crate::Database::checkpoint)
-    /// re-snapshots everything and clears the flag.
+    /// Set when any write to the log failed — a record, a commit, an
+    /// fsync or a checkpoint, whether a statement, a clock advance or the
+    /// checkpoint cadence made it: durable and in-memory state may have
+    /// diverged since. Only a successful
+    /// [`Database::checkpoint`](crate::Database::checkpoint), which
+    /// re-snapshots everything, clears it.
     pub degraded: bool,
     /// Recovery statistics from open, if this database recovered.
     pub recovery: Option<RecoveryStats>,
-}
-
-/// The live WAL attachment a durable [`Database`](crate::Database)
-/// carries: live state only — its knobs stay in
-/// [`DbConfig::durability`](crate::DbConfig::durability). Crate-internal:
-/// `db.rs` drives it.
-pub(crate) struct WalSession {
-    pub(crate) wal: Wal,
-    pub(crate) last_checkpoint_clock: u64,
-    pub(crate) degraded: bool,
-    pub(crate) active_txn: Option<u64>,
-    pub(crate) recovery: Option<RecoveryStats>,
-}
-
-impl std::fmt::Debug for WalSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WalSession")
-            .field("log_bytes", &self.wal.log_len())
-            .field("degraded", &self.degraded)
-            .finish_non_exhaustive()
-    }
 }

@@ -4,7 +4,7 @@
 //! | Rule | Invariant |
 //! |------|-----------|
 //! | R001 | No wall-clock reads (`SystemTime`) outside `crates/core/src/time.rs` — simulated `Time` is the only clock queries may observe. |
-//! | R002 | No `unwrap()`/`expect(` in durability paths (`crates/wal/src`, `crates/engine/src/durability.rs`, and `crates/engine/src/db/write.rs` — the write path produces every data record and is what recovery redoes them with): such code must return errors, not die. Mutex-poisoning `lock().unwrap()` is the one allowed idiom. |
+//! | R002 | No `unwrap()`/`expect(` in durability paths (`crates/wal/src`, `crates/engine/src/durability.rs`, the durability stage `crates/engine/src/db/durable.rs` — recovery, checkpoints, dump/restore — and `crates/engine/src/db/write.rs` — the write path produces every data record and is what recovery redoes them with): such code must return errors, not die. Mutex-poisoning `lock().unwrap()` is the one allowed idiom. |
 //! | R003 | Every crate root declares `#![forbid(unsafe_code)]` (the workspace contains no unsafe). |
 //! | R004 | No `std::thread::sleep` outside test/bench/fault-injection code and the few real-time boundaries (tickers, network backoff, daemon pacing): query/maintenance paths must advance the simulated clock, never stall the thread. |
 //! | R005 | No `Database::snapshot` call in production code under `crates/*/src`, and no `Table::to_relation` call in `crates/engine/src` outside `db/stored.rs` (where `snapshot` itself makes its one): a read is a pinned `τ` over the borrowed tables that copies only the rows that come out, not a copy of them. The copy stays as the reference that tests, benches, examples and the out-of-tree benchmark compare the read path against. |
@@ -12,6 +12,7 @@
 //! | R007 | No `prev_covered(` and no `.rel.exp(` in production code that holds a materialisation — `crates/replica/src`, `crates/net/src`, `crates/engine/src` and `crates/core/src/{schrodinger,materialize}.rs`: which instant a materialisation can answer for, and the rows it has at one (the stored rows *plus* the due part of its Theorem 3 queue), are `Materialized::{covered_at, rows_at, answer}`. `crates/core/src/algebra/eval.rs`, where that kernel is defined, is the one place that does either by hand. |
 //! | R008 | The `db.*` metrics are documented, both ways: every `db.`-prefixed literal that production code under `crates/engine/src` passes to `.counter(`, `.gauge(` or `.histogram(` appears in DESIGN.md's `` | `db.*` | `` metric-table row, and every name in that row is registered there. |
 //! | R009 | The events are documented, both ways: every tag `EventKind::tag` returns in `crates/obs/src/events.rs` is a row of DESIGN.md's `` | Tag | `` event table, and every tag in that table is one `EventKind::tag` returns. |
+//! | R010 | In `crates/engine/src`, only the durability stage — `db/durable.rs`, and `durability.rs`, which reports the flag — names the log session (a `.wal` field) or its `degraded` flag in production code: every write to the log, and the one rule that a failed one degrades the session, is in one module. |
 
 use std::fmt;
 use std::fs;
@@ -64,6 +65,7 @@ pub fn check_repo(root: &Path) -> io::Result<Vec<RepoViolation>> {
         check_r005(&rel, &content, &mut out);
         check_r006(&rel, &content, &mut out);
         check_r007(&rel, &content, &mut out);
+        check_r010(&rel, &content, &mut out);
     }
     check_r003(root, &mut out);
     check_r008(root, &sources, &mut out);
@@ -146,6 +148,7 @@ fn check_r001(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
 fn check_r002(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
     let is_durability = rel.starts_with("crates/wal/src")
         || rel == Path::new("crates/engine/src/durability.rs")
+        || rel == Path::new("crates/engine/src/db/durable.rs")
         || rel == Path::new("crates/engine/src/db/write.rs");
     if !is_durability {
         return;
@@ -347,6 +350,52 @@ fn check_r007(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
             ),
         });
     }
+}
+
+/// R010: the engine's log session — a `.wal` field access, or its
+/// `degraded` flag — named in production code under `crates/engine/src`
+/// outside the durability stage. `db/write.rs` decides which change logs
+/// which record and hands it to `Database::wal_log_op`; everything that
+/// writes, and the rule that a failed write degrades the session, is in
+/// `db/durable.rs` (`durability.rs` declares the reported flag).
+fn check_r010(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
+    const STAGE: [&str; 2] = [
+        "crates/engine/src/db/durable.rs",
+        "crates/engine/src/durability.rs",
+    ];
+    if !rel.starts_with("crates/engine/src") || STAGE.iter().any(|s| rel == Path::new(s)) {
+        return;
+    }
+    let lines: Vec<&str> = content.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        let code = code_only(line);
+        let Some(name) = [".wal", "degraded"].into_iter().find(|n| names(code, n)) else {
+            continue;
+        };
+        if line_is_in_tests(&lines, i) {
+            continue;
+        }
+        out.push(RepoViolation {
+            rule: "R010",
+            path: rel.to_path_buf(),
+            line: i + 1,
+            message: format!(
+                "`{name}` outside the durability stage; log through \
+                 Database::{{wal_stmt, wal_log_op, log_ddl}} in db/durable.rs"
+            ),
+        });
+    }
+}
+
+/// Whether `code` names `word` as a whole identifier (a `.field` keeps its
+/// dot): `self.wal` and `degraded`, not `self.wal_stmt` or `undegraded`.
+fn names(code: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(word).any(|(at, _)| {
+        let glued_before = word.starts_with(ident) && code[..at].ends_with(ident);
+        let glued_after = code[at + word.len()..].starts_with(ident);
+        !glued_before && !glued_after
+    })
 }
 
 /// R008: the engine's `db.*` metric names against DESIGN.md's `db.*`
@@ -578,12 +627,26 @@ mod tests {
                 "crates/engine/src/db/write.rs",
                 "fn apply() { t.get_mut(k).expect(\"resolved above\"); }\n",
             ),
+            (
+                "crates/engine/src/db/durable.rs",
+                "fn dump() { now.finite().expect(\"clock is finite\"); }\n",
+            ),
             ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
         ]);
         let v = check_repo(&dir).unwrap();
-        let r002: Vec<_> = v.iter().filter(|v| v.rule == "R002").collect();
-        assert_eq!(r002.len(), 1, "{v:?}");
-        assert_eq!(r002[0].path, Path::new("crates/engine/src/db/write.rs"));
+        let at: Vec<_> = v
+            .iter()
+            .filter(|v| v.rule == "R002")
+            .map(|v| v.path.to_str().unwrap())
+            .collect();
+        assert_eq!(
+            at,
+            [
+                "crates/engine/src/db/durable.rs",
+                "crates/engine/src/db/write.rs"
+            ],
+            "{v:?}"
+        );
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -836,6 +899,45 @@ mod tests {
         );
         assert!(r009[0].message.contains("`gone`"), "{v:?}");
         assert!(r009[1].message.contains("`vacuum_pass`"), "{v:?}");
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn r010_keeps_the_log_session_in_the_durability_stage() {
+        let touching = "fn log(&mut self) { self.wal.as_mut(); }\n\
+                        fn heal(s: &mut S) { s.degraded = false; }\n\
+                        /// Not `self.wal`: see `degraded`.\n\
+                        fn fine(&mut self) { self.wal_stmt(f); self.wal_log_op(b); undegraded(); }\n\
+                        #[cfg(test)]\n\
+                        mod tests { fn t(db: &Database) { db.wal_status().unwrap().degraded; } }\n";
+        let dir = fixture(&[
+            ("crates/engine/src/db.rs", touching),
+            ("crates/engine/src/db/write.rs", touching),
+            ("crates/engine/src/db/durable.rs", touching),
+            ("crates/engine/src/durability.rs", touching),
+            ("crates/net/src/server.rs", touching),
+            ("tests/wal_recovery.rs", touching),
+            ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
+        ]);
+        let v = check_repo(&dir).unwrap();
+        // Lines 1 and 2 of each engine file outside the stage; the stage's
+        // two files, other crates, comments, `wal_*` methods and test
+        // modules are free.
+        let at: Vec<_> = v
+            .iter()
+            .filter(|v| v.rule == "R010")
+            .map(|v| (v.path.to_str().unwrap(), v.line))
+            .collect();
+        assert_eq!(
+            at,
+            [
+                ("crates/engine/src/db/write.rs", 1),
+                ("crates/engine/src/db/write.rs", 2),
+                ("crates/engine/src/db.rs", 1),
+                ("crates/engine/src/db.rs", 2),
+            ],
+            "{v:?}"
+        );
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -62,15 +62,15 @@ pub struct NetConfig {
     pub queue: usize,
     /// In-flight count at which degraded mode engages for reads.
     pub degrade_at: usize,
-    /// Per-read socket timeout; also the cadence at which connection
-    /// threads notice a drain.
-    pub read_timeout: Duration,
-    /// Per-write socket timeout.
-    pub write_timeout: Duration,
     /// The backoff hint shipped with `Shed` and retryable errors.
     pub retry_after_ms: u32,
 }
 
+/// Per-read socket timeout; also the cadence at which connection threads
+/// notice a drain.
+const READ_TIMEOUT: Duration = Duration::from_millis(200);
+/// Per-write socket timeout.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 /// Sweeper period for idle-session eviction.
 const SWEEP_EVERY: Duration = Duration::from_secs(5);
 /// Sweeps a session may stay idle before eviction.
@@ -81,8 +81,6 @@ impl Default for NetConfig {
         NetConfig {
             queue: 64,
             degrade_at: 32,
-            read_timeout: Duration::from_millis(200),
-            write_timeout: Duration::from_secs(2),
             retry_after_ms: 25,
         }
     }
@@ -436,12 +434,8 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) -> Vec<JoinHandle
 /// One connection: handshake, then a statement/reply loop until the
 /// peer says `Bye`, the connection dies, or the server drains.
 fn connection_loop(mut stream: TcpStream, shared: &Shared) {
-    if stream
-        .set_read_timeout(Some(shared.cfg.read_timeout))
-        .is_err()
-        || stream
-            .set_write_timeout(Some(shared.cfg.write_timeout))
-            .is_err()
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
         || stream.set_nodelay(true).is_err()
     {
         return;

@@ -116,12 +116,6 @@ impl Wal {
         txn
     }
 
-    /// Ensures future [`Wal::begin_txn`] ids don't collide with ids seen
-    /// in a recovered log.
-    pub fn bump_txn(&mut self, seen: u64) {
-        self.next_txn = self.next_txn.max(seen.saturating_add(1));
-    }
-
     /// Appends one record (framed). No durability until the next sync.
     pub fn append(&mut self, rec: &WalRecord) -> io::Result<()> {
         let frame = encode_frame(rec);
@@ -192,14 +186,26 @@ impl Wal {
     }
 
     /// Reads everything recovery needs: the latest checkpoint (if any)
-    /// and a scan of the log up to the first torn/corrupt frame.
+    /// and a scan of the log up to the first torn/corrupt frame. Every
+    /// transaction id the scan saw is spent: [`Wal::begin_txn`] hands out
+    /// only later ones.
     pub fn read_state(&mut self) -> io::Result<(Option<Checkpoint>, LogScan)> {
         let ck = match self.store.checkpoint_read()? {
             Some(bytes) => Some(Checkpoint::decode(&bytes)?),
             None => None,
         };
-        let log = self.store.log_read()?;
-        Ok((ck, scan_log(&log)))
+        let scan = scan_log(&self.store.log_read()?);
+        for rec in &scan.records {
+            if let WalRecord::TxnBegin { txn }
+            | WalRecord::TxnCommit { txn }
+            | WalRecord::Insert { txn, .. }
+            | WalRecord::Delete { txn, .. }
+            | WalRecord::UpdateTexp { txn, .. } = rec
+            {
+                self.next_txn = self.next_txn.max(txn.saturating_add(1));
+            }
+        }
+        Ok((ck, scan))
     }
 }
 
@@ -246,6 +252,32 @@ mod tests {
             assert_eq!(disk.fsyncs(), 0);
         }
         assert_eq!(disk.fsyncs(), 1);
+    }
+
+    #[test]
+    fn read_state_spends_every_txn_id_the_log_holds() {
+        let disk = MemStore::new();
+        let mut wal = Wal::new(Box::new(disk.clone()), 1);
+        // A begun-but-uncommitted transaction's id is spent too, and ids
+        // need not be logged in order.
+        wal.append(&WalRecord::TxnBegin { txn: 3 }).unwrap();
+        wal.append(&WalRecord::TxnCommit { txn: 3 }).unwrap();
+        wal.append(&WalRecord::Delete {
+            txn: 9,
+            table: "t".into(),
+            values: vec![],
+        })
+        .unwrap();
+        wal.append(&WalRecord::ClockAdvance { to: 40 }).unwrap();
+        wal.append(&WalRecord::TxnBegin { txn: 5 }).unwrap();
+        let mut reopened = Wal::new(Box::new(disk.clone()), 1);
+        assert_eq!(reopened.begin_txn(), 1, "nothing read yet");
+        reopened.read_state().unwrap();
+        assert_eq!(reopened.begin_txn(), 10);
+        // An empty log leaves the ids where they were.
+        let mut fresh = Wal::new(Box::new(MemStore::new()), 1);
+        fresh.read_state().unwrap();
+        assert_eq!(fresh.begin_txn(), 1);
     }
 
     #[test]

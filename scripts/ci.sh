@@ -16,9 +16,10 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 
-# Repo-invariant lint (exptime-lint R001–R009): no wall-clock reads
+# Repo-invariant lint (exptime-lint R001–R010): no wall-clock reads
 # outside core/time.rs, no unwrap/expect in durability paths (the WAL
-# crate, engine/durability.rs and the write path engine/db/write.rs),
+# crate, engine/durability.rs, the durability stage engine/db/durable.rs
+# and the write path engine/db/write.rs),
 # #![forbid(unsafe_code)] in every crate root, no thread::sleep
 # outside tests/benches and the real-time boundary files, and no way
 # back to copying a table to read it: no Database::snapshot call in
@@ -38,6 +39,10 @@ cargo fmt --check
 # registers is in DESIGN.md's db.* metric-table row, and every name
 # there is registered. And no undocumented event: every EventKind::tag
 # string is a row of DESIGN.md's §8 event table, and every row is a tag.
+# And one durability stage: in engine/src only db/durable.rs (and
+# durability.rs, which reports the flag) names the log session (.wal) or
+# its degraded flag, so every log write and the rule that a failed one
+# degrades the session live in one module.
 cargo run --release -q -p exptime-lint --bin repolint
 
 # Analyzer golden tests: the Fig. 3 anomalies must flag their exact

@@ -127,25 +127,22 @@ fn slow_frame_straddling_server_read_timeout_survives() {
     let mut db = Database::default();
     db.execute("CREATE TABLE s (k INT)").unwrap();
     let shared = SharedDatabase::from_database(db);
-    let cfg = NetConfig {
-        read_timeout: Duration::from_millis(50),
-        ..NetConfig::default()
-    };
-    let server = NetServer::serve(&shared, "127.0.0.1:0", cfg).expect("bind");
+    let server = NetServer::serve(&shared, "127.0.0.1:0", NetConfig::default()).expect("bind");
     let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_nodelay(true).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
 
-    // Hello split mid-header, with a pause well past the read timeout.
+    // Hello split mid-header, with a pause well past the server's 200 ms
+    // read timeout.
     let hello = encode_msg(&Msg::Hello {
         token: 0,
         last_seq: 0,
     });
     let (head, tail) = hello.split_at(5);
     stream.write_all(head).unwrap();
-    std::thread::sleep(Duration::from_millis(150));
+    std::thread::sleep(Duration::from_millis(450));
     stream.write_all(tail).unwrap();
     let mut frames = FrameReader::new();
     let msg = frames.read_msg(&mut stream).expect("welcome");
@@ -163,7 +160,7 @@ fn slow_frame_straddling_server_read_timeout_survives() {
     });
     let (a, b) = stmt.split_at(stmt.len() / 2);
     stream.write_all(a).unwrap();
-    std::thread::sleep(Duration::from_millis(120));
+    std::thread::sleep(Duration::from_millis(300));
     stream.write_all(b).unwrap();
     let reply = frames.read_msg(&mut stream).expect("reply");
     assert!(

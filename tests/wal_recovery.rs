@@ -432,6 +432,74 @@ fn io_fault_degrades_and_checkpoint_heals() {
     }
 }
 
+/// The same rule off the data path: a torn DDL record and a torn clock
+/// advance each flag the database degraded — the statement errors; a tick,
+/// which cannot fail, still moves the clock in memory — a reopen never
+/// sees the torn change, and a checkpoint heals.
+#[test]
+fn torn_ddl_and_clock_advance_degrade_and_checkpoint_heals() {
+    let open = |store: &MemStore| {
+        let mut db = Database::open_with_store(Box::new(store.clone()), wal_config(1)).unwrap();
+        db.execute("CREATE TABLE t (k INT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1), (2) EXPIRES NEVER")
+            .unwrap();
+        db.tick(3);
+        db
+    };
+    // Every append from here on is torn after 3 bytes.
+    let tear = |store: &MemStore| {
+        store.set_fault(Some(FaultPlan {
+            fail_after_bytes: store.len(),
+            torn_bytes: 3,
+        }));
+    };
+    let reopen = |store: &MemStore| {
+        Database::open_with_store(Box::new(store.crash(store.len())), wal_config(1)).unwrap()
+    };
+    let degraded = |db: &Database| db.wal_status().unwrap().degraded;
+
+    // A torn DDL record: the view exists in memory only.
+    let store = MemStore::new();
+    let mut db = open(&store);
+    tear(&store);
+    assert!(db.execute("CREATE VIEW w AS SELECT k FROM t").is_err());
+    assert!(degraded(&db), "a torn DDL record degrades");
+    assert_eq!(db.view_names(), ["w"]);
+    store.set_fault(None);
+    assert!(
+        reopen(&store).view_names().is_empty(),
+        "the torn view is gone"
+    );
+    db.checkpoint().unwrap();
+    assert!(!degraded(&db));
+    assert_eq!(
+        reopen(&store).view_names(),
+        ["w"],
+        "healed by the checkpoint"
+    );
+
+    // A torn clock advance: the clock moved in memory, not on the log.
+    let store = MemStore::new();
+    let mut db = open(&store);
+    tear(&store);
+    db.tick(1);
+    assert_eq!(db.now(), Time::new(4));
+    assert!(degraded(&db), "a torn clock advance degrades");
+    store.set_fault(None);
+    assert_eq!(
+        reopen(&store).now(),
+        Time::new(3),
+        "back at the last durable clock"
+    );
+    db.checkpoint().unwrap();
+    assert!(!degraded(&db));
+    assert_eq!(
+        reopen(&store).now(),
+        Time::new(4),
+        "healed by the checkpoint"
+    );
+}
+
 /// End-to-end through the real file store: write, drop, reopen from the
 /// directory, verify, then crash-cut the log file by hand and reopen.
 #[test]

@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the algebra operators (Figures 2–3 at
 //! scale): evaluation cost of each expiration-time operator as input size
 //! grows, plus the expression-metadata (texp/validity) overhead of the
-//! non-monotonic operators, and `GROUP BY` as SQL plans it
-//! (`π(agg(Base))`) through `eval`.
+//! non-monotonic operators, and `GROUP BY`, `JOIN … ON` and `EXCEPT` as
+//! SQL plans them through `eval`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use exptime_bench::workload::{difference_pair, LifetimeDist, TableGen};
@@ -62,6 +62,45 @@ fn bench_monotonic(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("nested_loop", n), &n, |b, _| {
             b.iter(|| ops::join_nested_loop(black_box(&r), &s, &p, Time::new(500)).unwrap());
+        });
+    }
+    g.finish();
+}
+
+/// The planner's binary shapes through `eval` over a `Catalog`, where a
+/// `σ* Base` input is read from the lent rows instead of a built
+/// relation: `JOIN … ON` (σ over ×) of 8 000 rows with 16, and `EXCEPT`
+/// of two single-column projections.
+fn bench_eval_binary(c: &mut Criterion) {
+    let gen = |rows, seed| TableGen {
+        rows,
+        keys: 200,
+        values: 1000,
+        lifetimes: LifetimeDist::Uniform { min: 1, max: 1000 },
+        seed,
+        ..TableGen::default()
+    };
+    let mut catalog = Catalog::new();
+    catalog.register("l", gen(8_000, 6).generate().to_relation());
+    catalog.register("r", gen(16, 7).generate().to_relation());
+    let (l, r) = (Expr::base("l"), Expr::base("r"));
+    let cases = [
+        (
+            "join_8000x16",
+            l.clone()
+                .product(r.clone())
+                .select(Predicate::attr_eq_attr(0, 2)),
+        ),
+        (
+            "project_difference",
+            l.project([0]).difference(r.project([0])),
+        ),
+    ];
+    let opts = EvalOptions::default();
+    let mut g = c.benchmark_group("operators/eval");
+    for (name, e) in &cases {
+        g.bench_function(*name, |b| {
+            b.iter(|| eval(black_box(e), &catalog, Time::new(500), &opts).unwrap());
         });
     }
     g.finish();
@@ -154,5 +193,11 @@ fn bench_expire(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_monotonic, bench_non_monotonic, bench_expire);
+criterion_group!(
+    benches,
+    bench_monotonic,
+    bench_eval_binary,
+    bench_non_monotonic,
+    bench_expire
+);
 criterion_main!(benches);

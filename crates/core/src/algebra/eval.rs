@@ -17,18 +17,23 @@
 //!   eternally maintainable (Theorem 3).
 //!
 //! Every operator is one `ops::` call over its materialised inputs, with
-//! three exceptions that exist so a row that does not come out is never
+//! four exceptions that exist so a row that does not come out is never
 //! copied. A fragment `π? σ* Base` — a bare `Base` included — runs as a
 //! single pass over the rows [`Bindings::visit`] lends (`eval_leaf` over a
 //! `Scan`): each row is tested in place and only survivors are inserted.
 //! `σ_p(L × R)` runs as `L ⋈_p R`, which is Equation 5 read right to left,
-//! so the product is never built. And an aggregation groups its input
-//! exactly once (`eval_aggregate`): straight from the same `Scan` when the
-//! input is `σ* Base`, so no input relation is built, and under a π onto
-//! grouping attributes and the aggregate column — what a single-aggregate
+//! so the product is never built. A join reads a `σ* Base` input from the
+//! same `Scan` (`eval_join`): the left's lent rows are kept as they are,
+//! the right's hashed by key as they are lent, so neither input becomes a
+//! relation. And an aggregation groups its input exactly once
+//! (`eval_aggregate`): straight from the same `Scan` when the input is
+//! `σ* Base`, so no input relation is built, and under a π onto grouping
+//! attributes and the aggregate column — what a single-aggregate
 //! `GROUP BY` plans to — it emits one row per group, so the Klug rows of
-//! Equation 8 are not built either. All three report to the probe as the
-//! operators they stand for.
+//! Equation 8 are not built either. All four report to the probe as the
+//! operators they stand for. A π, fused or not, looks each projected row
+//! up by its values ([`Relation::insert_projection`]) and builds a tuple
+//! only for a new one.
 
 use crate::aggregate::AggMode;
 use crate::algebra::expr::Expr;
@@ -244,15 +249,17 @@ impl<'a> Scan<'a> {
 
     /// Equation 1 applied row by row: `keep` is handed each visible row
     /// that passes every σ — a row that fails one is never copied — and
-    /// the probe hears the operators with the counts they would have had
-    /// unfused: the `Base` its visible and expired-but-present rows, each
-    /// σ the rows that passed it.
+    /// answers whether it copied it (a row merged into an existing π group
+    /// is not), which is what the visit bills. The probe hears the
+    /// operators with the counts they would have had unfused: the `Base`
+    /// its visible and expired-but-present rows, each σ the rows that
+    /// passed it.
     fn run<P: Probe>(
         &self,
         catalog: &dyn Bindings,
         tau: Time,
         probe: &mut P,
-        keep: &mut dyn FnMut(&Tuple, Time) -> Result<()>,
+        keep: &mut dyn FnMut(&Tuple, Time) -> Result<bool>,
     ) -> Result<()> {
         let mut passed = vec![0; self.selects.len()];
         let mut visible = 0;
@@ -265,10 +272,10 @@ impl<'a> Scan<'a> {
                 }
                 *n += 1;
             }
-            if let Err(err) = keep(t, e) {
+            keep(t, e).unwrap_or_else(|err| {
                 failed.get_or_insert(err);
-            }
-            true
+                false
+            })
         })?;
         if let Some(err) = failed {
             return Err(err);
@@ -287,8 +294,8 @@ impl<'a> Scan<'a> {
 /// single-table `SELECT` plans to, a bare `Base` being the degenerate
 /// case — in one pass; `None` for any other shape. A survivor keeps its
 /// `texp`, and survivors that coincide under the projection keep the
-/// maximum (Equation 3); the π reports its distinct output and raises its
-/// error after the σs'.
+/// maximum (Equation 3), a tuple being built only for the first of them;
+/// the π reports its distinct output and raises its error after the σs'.
 fn eval_leaf<P: Probe>(
     expr: &Expr,
     catalog: &dyn Bindings,
@@ -310,10 +317,10 @@ fn eval_leaf<P: Probe>(
         Some(ps) => schema.project(ps)?,
         None => schema,
     });
+    let mut scratch = Vec::new();
     scan.run(catalog, tau, probe, &mut |t, e| match positions {
-        // KeepMax is exactly Equation 3's max over coinciding tuples.
-        Some(ps) => out.insert_with(t.project(ps), e, DuplicatePolicy::KeepMax),
-        None => out.insert(t.clone(), e),
+        Some(ps) => out.insert_projection(t, ps, e, &mut scratch),
+        None => out.insert(t.clone(), e).map(|()| true),
     })?;
     if positions.is_some() {
         probe.leave(out.len(), 0, Time::INFINITY);
@@ -358,7 +365,7 @@ fn eval_aggregate<P: Probe>(
             let mut agg = Aggregation::new(&schema, group_by, *func, opts.agg_mode, tau)?;
             scan.run(catalog, tau, probe, &mut |t, e| {
                 agg.push(t, e);
-                Ok(())
+                Ok(true)
             })?;
             let all = IntervalSet::from_time(tau);
             (agg.finish(positions)?, Time::INFINITY, all)
@@ -384,9 +391,96 @@ fn eval_aggregate<P: Probe>(
     }))
 }
 
+/// One input of a join: a `σ* Base` fragment, opened, whose rows its
+/// [`Scan`] lends; or any other expression, evaluated.
+enum Input<'a> {
+    Lent(Scan<'a>, Schema),
+    Built(Sub),
+}
+
+/// A join input whose rows have been handed on.
+struct ReadInput {
+    schema: Schema,
+    /// `|expτ|` of the input.
+    rows: usize,
+    texp: Time,
+    validity: IntervalSet,
+}
+
+impl<'a> Input<'a> {
+    fn open<P: Probe>(
+        expr: &'a Expr,
+        catalog: &dyn Bindings,
+        tau: Time,
+        opts: &EvalOptions,
+        probe: &mut P,
+    ) -> Result<Self> {
+        Ok(match Scan::of(expr) {
+            Some(scan) => {
+                let schema = scan.open(catalog, probe)?;
+                Input::Lent(scan, schema)
+            }
+            None => Input::Built(eval_rec(expr, catalog, tau, opts, probe)?),
+        })
+    }
+
+    fn schema(&self) -> &Schema {
+        match self {
+            Input::Lent(_, schema) => schema,
+            Input::Built(sub) => sub.rel.schema(),
+        }
+    }
+
+    /// Hands `keep` each row of the input's `expτ`, in order; a lent row
+    /// is billed as copied, for `keep` holds on to every row it is handed.
+    fn run<P: Probe>(
+        self,
+        catalog: &dyn Bindings,
+        tau: Time,
+        probe: &mut P,
+        keep: &mut dyn FnMut(&Tuple, Time),
+    ) -> Result<ReadInput> {
+        let mut rows = 0;
+        match self {
+            Input::Lent(scan, schema) => {
+                scan.run(catalog, tau, probe, &mut |t, e| {
+                    rows += 1;
+                    keep(t, e);
+                    Ok(true)
+                })?;
+                // A base relation never expires; σ passes that on.
+                Ok(ReadInput {
+                    schema,
+                    rows,
+                    texp: Time::INFINITY,
+                    validity: IntervalSet::from_time(tau),
+                })
+            }
+            Input::Built(sub) => {
+                for (t, e) in sub.rel.iter_at(tau) {
+                    rows += 1;
+                    keep(t, e);
+                }
+                Ok(ReadInput {
+                    schema: sub.rel.schema().clone(),
+                    rows,
+                    texp: sub.texp,
+                    validity: sub.validity,
+                })
+            }
+        }
+    }
+}
+
 /// Equation 5 in both its spellings: `L ⋈_p R`, and `σ_p(L × R)` read
 /// right to left, whose `product` node is reported to the probe (its
-/// cardinality is `|L|·|R|`) but never built.
+/// cardinality is `|L|·|R|`) but never built. The inputs feed the one
+/// join kernel ([`HashJoin`](ops::HashJoin)), a `σ* Base` input straight
+/// from the rows its scan lends: the left's rows are kept as they are, in
+/// order, with no `Relation` built around them; the right's are hashed by
+/// key as they are lent; then the left probes. The left input is read
+/// before the right is opened, so the probe hears the operators, and
+/// errors are raised, in tree order.
 fn eval_join<P: Probe>(
     (left, right): (&Expr, &Expr),
     predicate: &Predicate,
@@ -399,18 +493,18 @@ fn eval_join<P: Probe>(
     if let Some(product) = product {
         probe.enter(product);
     }
-    let l = eval_rec(left, catalog, tau, opts, probe)?;
-    let r = eval_rec(right, catalog, tau, opts, probe)?;
+    let mut lent = Vec::new();
+    let l = Input::open(left, catalog, tau, opts, probe)?;
+    let l = l.run(catalog, tau, probe, &mut |t, e| lent.push((t.clone(), e)))?;
+    let r = Input::open(right, catalog, tau, opts, probe)?;
+    let mut join = ops::HashJoin::new(&l.schema, r.schema(), predicate)?;
+    let r = r.run(catalog, tau, probe, &mut |t, e| join.build(t, e))?;
     let texp = l.texp.min(r.texp);
     if product.is_some() {
-        let pairs = l
-            .rel
-            .count_unexpired(tau)
-            .saturating_mul(r.rel.count_unexpired(tau));
-        probe.leave(pairs, 0, texp);
+        probe.leave(l.rows.saturating_mul(r.rows), 0, texp);
     }
     Ok(Sub {
-        rel: ops::join(&l.rel, &r.rel, predicate, tau)?,
+        rel: join.probe(lent.iter().map(|(t, e)| (t, *e)))?,
         texp,
         validity: l.validity.intersect(&r.validity),
     })
@@ -452,8 +546,13 @@ fn eval_rec<P: Probe>(
         },
         Expr::Project { input, positions } => {
             let i = eval_rec(input, catalog, tau, opts, probe)?;
+            let mut rel = Relation::new(i.rel.schema().project(positions)?);
+            let mut scratch = Vec::new();
+            for (t, e) in i.rel.iter_at(tau) {
+                rel.insert_projection(t, positions, e, &mut scratch)?;
+            }
             Sub {
-                rel: ops::project(&i.rel, positions, tau)?,
+                rel,
                 texp: i.texp,
                 validity: i.validity,
             }

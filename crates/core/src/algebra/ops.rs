@@ -18,6 +18,7 @@ use crate::schema::Schema;
 use crate::time::Time;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::collections::HashMap;
 
 /// Selection `σexp_p(R)` (Equation 1): keeps unexpired tuples satisfying
 /// `p`; result tuples retain their expiration times.
@@ -95,32 +96,22 @@ pub fn union(r: &Relation, s: &Relation, tau: Time) -> Result<Relation> {
 /// predicate addresses the concatenated attributes (left attributes at
 /// `0..α(R)`, right at `α(R)..`).
 ///
-/// Evaluation picks a physical strategy by predicate shape: cross-side
-/// equality conjuncts between columns of one type drive a
-/// build-smaller/probe-larger hash join (the full predicate is re-checked
-/// on candidates, so residual conjuncts are honoured); anything else falls
-/// back to the literal nested loop ([`join_nested_loop`]). Both are
-/// property-tested equivalent.
+/// Evaluation is one kernel ([`HashJoin`]): `s` is hashed on the
+/// cross-side equality conjuncts between columns of one type and `r`
+/// probes it row by row, in order, with the full predicate re-checked on
+/// each candidate, so residual conjuncts are honoured. Without such a
+/// conjunct the key is empty and the probe is the literal nested loop
+/// ([`join_nested_loop`]), which the kernel is property-tested against.
 ///
 /// # Errors
 ///
 /// Returns an error if `p` references attributes outside the product arity.
 pub fn join(r: &Relation, s: &Relation, p: &Predicate, tau: Time) -> Result<Relation> {
-    p.validate(r.arity() + s.arity())?;
-    // Fast path: cross-side equality conjuncts drive a hash join; any
-    // residual predicate filters the matches. Falls back to the literal
-    // Equation 5 nested loop when no equi-key exists. A pair is a hash key
-    // only if both columns have one type: `p` compares with
-    // `Value::total_cmp`, where `Int(2) = Float(2.0)`, while a hash key
-    // compares with `Eq`, where they differ — an INT = FLOAT conjunct is
-    // left to the re-check.
-    let mut keys = equi_keys(p, r.arity());
-    keys.retain(|&(i, j)| r.schema().attr(i).ty == s.schema().attr(j).ty);
-    if keys.is_empty() {
-        join_nested_loop(r, s, p, tau)
-    } else {
-        join_hash(r, s, p, &keys, tau)
+    let mut join = HashJoin::new(r.schema(), s.schema(), p)?;
+    for (t, e) in s.iter_at(tau) {
+        join.build(t, e);
     }
+    join.probe(r.iter_at(tau))
 }
 
 /// The literal Equation 5 evaluation: filtered nested loop over the
@@ -179,64 +170,100 @@ fn equi_keys(p: &Predicate, left_arity: usize) -> Vec<(usize, usize)> {
     keys
 }
 
-/// Hash join on the extracted equi-keys; the full predicate `p` is
-/// re-checked on each candidate pair, so residual conjuncts (and repeated
-/// keys) are honoured. Whichever side is hashed, rows come out in the
-/// product's order — left-major, right-minor — so the result equals
-/// `select(product(r, s), p)` as a sequence, not just as a set.
-fn join_hash(
-    r: &Relation,
-    s: &Relation,
-    p: &Predicate,
-    keys: &[(usize, usize)],
-    tau: Time,
-) -> Result<Relation> {
-    use std::collections::HashMap;
-    fn key<'t>(t: &'t Tuple, attrs: &[usize]) -> Vec<&'t Value> {
-        attrs.iter().map(|&a| t.attr(a)).collect()
+/// The one join kernel, Equation 5 over rows handed in one at a time:
+/// the right input is hashed by its equi-key ([`build`](Self::build)),
+/// then the left input probes it in its own order
+/// ([`probe`](Self::probe)). A bucket keeps its right rows in the order
+/// they came, so rows come out in the product's order — left-major,
+/// right-minor — and the result equals `select(product(r, s), p)` as a
+/// sequence, not just as a set. The full predicate is re-checked on each
+/// candidate pair, so residual conjuncts and repeated keys are honoured,
+/// and each joined row takes the `min` of its two expiration times.
+///
+/// A pair of columns is a key only if both have one type: `p` compares
+/// with `Value::total_cmp`, where `Int(2) = Float(2.0)`, while a hash key
+/// compares with `Eq`, where they differ — an INT = FLOAT conjunct is
+/// left to the re-check. With no key every right row shares the empty
+/// key's bucket and the probe is the nested loop.
+#[derive(Debug)]
+pub(crate) struct HashJoin<'p> {
+    p: &'p Predicate,
+    schema: Schema,
+    /// `(left attr, right attr)` pairs.
+    keys: Vec<(usize, usize)>,
+    table: HashMap<Tuple, Vec<(Tuple, Time)>>,
+    /// A key's values, gathered to look a bucket up without building a
+    /// tuple per row.
+    scratch: Vec<Value>,
+}
+
+impl<'p> HashJoin<'p> {
+    /// # Errors
+    ///
+    /// Returns an error if `p` references attributes outside the product
+    /// arity.
+    pub(crate) fn new(left: &Schema, right: &Schema, p: &'p Predicate) -> Result<Self> {
+        p.validate(left.arity() + right.arity())?;
+        let mut keys = equi_keys(p, left.arity());
+        keys.retain(|&(i, j)| left.attr(i).ty == right.attr(j).ty);
+        Ok(HashJoin {
+            p,
+            schema: left.product(right),
+            keys,
+            table: HashMap::new(),
+            scratch: Vec::new(),
+        })
     }
-    let (left_attrs, right_attrs): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
-    let mut out = Relation::new(r.schema().product(s.schema()));
-    // Build on the smaller side.
-    if s.count_unexpired(tau) <= r.count_unexpired(tau) {
-        let mut table: HashMap<Vec<&Value>, Vec<(&Tuple, Time)>> = HashMap::new();
-        for (st, se) in s.iter_at(tau) {
-            table
-                .entry(key(st, &right_attrs))
-                .or_default()
-                .push((st, se));
+
+    /// Hashes one row of the right input's `expτ`.
+    pub(crate) fn build(&mut self, t: &Tuple, e: Time) {
+        let HashJoin {
+            keys,
+            table,
+            scratch,
+            ..
+        } = self;
+        scratch.clear();
+        scratch.extend(keys.iter().map(|&(_, j)| t.attr(j).clone()));
+        match table.get_mut(scratch.as_slice()) {
+            Some(bucket) => bucket.push((t.clone(), e)),
+            None => {
+                table.insert(Tuple::new(scratch.as_slice()), vec![(t.clone(), e)]);
+            }
         }
-        for (rt, re) in r.iter_at(tau) {
-            for &(st, se) in table.get(&key(rt, &left_attrs)).into_iter().flatten() {
-                let joined = rt.concat(st);
+    }
+
+    /// Probes with the left input's `expτ`, in order, and returns the
+    /// join.
+    ///
+    /// # Errors
+    ///
+    /// Propagates schema errors (none arise in practice; the product
+    /// schema is always valid).
+    pub(crate) fn probe<'a>(
+        self,
+        left: impl IntoIterator<Item = (&'a Tuple, Time)>,
+    ) -> Result<Relation> {
+        let HashJoin {
+            p,
+            schema,
+            keys,
+            table,
+            mut scratch,
+        } = self;
+        let mut out = Relation::new(schema);
+        for (lt, le) in left {
+            scratch.clear();
+            scratch.extend(keys.iter().map(|&(i, _)| lt.attr(i).clone()));
+            for (rt, re) in table.get(scratch.as_slice()).into_iter().flatten() {
+                let joined = lt.concat(rt);
                 if p.eval(&joined) {
-                    out.insert(joined, re.min(se))?;
+                    out.insert(joined, le.min(*re))?;
                 }
             }
         }
-    } else {
-        // Probing with the right side finds matches right-major: collect
-        // them per left row, then emit the left rows in order.
-        let left: Vec<(&Tuple, Time)> = r.iter_at(tau).collect();
-        let mut table: HashMap<Vec<&Value>, Vec<usize>> = HashMap::new();
-        for (i, (rt, _)) in left.iter().enumerate() {
-            table.entry(key(rt, &left_attrs)).or_default().push(i);
-        }
-        let mut matches: Vec<Vec<(Tuple, Time)>> = vec![Vec::new(); left.len()];
-        for (st, se) in s.iter_at(tau) {
-            for &i in table.get(&key(st, &right_attrs)).into_iter().flatten() {
-                let (rt, re) = left[i];
-                let joined = rt.concat(st);
-                if p.eval(&joined) {
-                    matches[i].push((joined, re.min(se)));
-                }
-            }
-        }
-        for (joined, e) in matches.into_iter().flatten() {
-            out.insert(joined, e)?;
-        }
+        Ok(out)
     }
-    Ok(out)
 }
 
 /// Intersection `R ∩exp S` (Equation 6): tuples in both sides, with the
@@ -698,12 +725,13 @@ mod tests {
         }
     }
 
-    /// Whichever side the hash join builds on, `join` is
-    /// `select(product(..))` as a *sequence*: left-major, right-minor. With
-    /// the smaller input on the left it is the left side that is hashed
-    /// and the right that probes.
+    /// The one kernel hashes the right input and probes with the left in
+    /// order, so `join` is `select(product(..))` as a *sequence* —
+    /// left-major, right-minor — whichever input is the larger, with a
+    /// residual conjunct, an empty right input, and keys repeated on both
+    /// sides (a bucket keeps its right rows in their order).
     #[test]
-    fn join_emits_the_products_order_whichever_side_is_hashed() {
+    fn join_probes_the_left_in_order_and_emits_the_products_sequence() {
         let schema = Schema::of(&[("k", ValueType::Int), ("v", ValueType::Int)]);
         let a = Relation::from_rows(
             schema.clone(),
@@ -738,7 +766,27 @@ mod tests {
                 (tuple![1, 11, 1, 22], t(6)),
             ]
         );
-        for (l, r, p) in [(&a, &b, &on), (&b, &a, &on), (&a, &b, &residual)] {
+        let empty = Relation::new(a.schema().clone());
+        // Keys 1 and 2 each on two rows of either side.
+        let dup = Relation::from_rows(
+            a.schema().clone(),
+            vec![
+                (tuple![1, 30], t(5)),
+                (tuple![2, 31], t(9)),
+                (tuple![1, 32], t(11)),
+                (tuple![2, 33], t(4)),
+            ],
+        )
+        .unwrap();
+        let cases = [
+            (&a, &b, &on),
+            (&b, &a, &on),
+            (&a, &b, &residual),
+            (&a, &empty, &on),
+            (&dup, &b, &on),
+            (&b, &dup, &residual),
+        ];
+        for (l, r, p) in cases {
             let want = select(&product(l, r, Time::ZERO).unwrap(), p, Time::ZERO).unwrap();
             assert_eq!(rows(&join(l, r, p, Time::ZERO).unwrap()), rows(&want));
             assert_eq!(
@@ -746,6 +794,8 @@ mod tests {
                 rows(&want)
             );
         }
+        assert!(join(&a, &empty, &on, Time::ZERO).unwrap().is_empty());
+        assert_eq!(join(&dup, &b, &on, Time::ZERO).unwrap().len(), 8);
     }
 
     /// `p` says `Int(2) = Float(2.0)` and a hash key says otherwise, so an

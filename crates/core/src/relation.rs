@@ -21,6 +21,7 @@ use crate::error::{Error, Result};
 use crate::schema::Schema;
 use crate::time::Time;
 use crate::tuple::Tuple;
+use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -141,6 +142,40 @@ impl Relation {
             }
         }
         Ok(())
+    }
+
+    /// Inserts `t` projected onto `positions` with
+    /// [`DuplicatePolicy::KeepMax`] — Equation 3's maximum over the rows
+    /// that coincide under the projection — and builds the projected tuple
+    /// only if no equal one is present: the lookup is by the values,
+    /// gathered in `scratch`. Returns whether a tuple was added.
+    ///
+    /// # Errors
+    ///
+    /// Returns a schema error if a new tuple fails [`Schema::check`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is out of `t`'s range.
+    pub fn insert_projection(
+        &mut self,
+        t: &Tuple,
+        positions: &[usize],
+        texp: Time,
+        scratch: &mut Vec<Value>,
+    ) -> Result<bool> {
+        scratch.clear();
+        scratch.extend(positions.iter().map(|&j| t.attr(j).clone()));
+        if let Some(&i) = self.index.get(scratch.as_slice()) {
+            let stored = &mut self.rows[i].1;
+            *stored = (*stored).max(texp);
+            return Ok(false);
+        }
+        let tuple = Tuple::new(scratch.as_slice());
+        self.schema.check(&tuple)?;
+        self.index.insert(tuple.clone(), self.rows.len());
+        self.rows.push((tuple, texp));
+        Ok(true)
     }
 
     /// Removes a tuple, returning its expiration time if it was present.
@@ -404,6 +439,30 @@ mod tests {
             .unwrap();
         assert_eq!(r.texp(&tuple![1, 1]), Some(Time::new(7)));
         assert_eq!(r.len(), 1, "duplicates never create new rows");
+    }
+
+    /// Row by row, `insert_projection` is `ops::project`'s
+    /// `insert_with(t.project(ps), e, KeepMax)`, and says which rows
+    /// started a group.
+    #[test]
+    fn insert_projection_keeps_the_max_and_reports_new_tuples() {
+        let mut r = Relation::new(schema().project(&[1]).unwrap());
+        let mut scratch = Vec::new();
+        let added: Vec<bool> = pol()
+            .iter()
+            .map(|(t, e)| r.insert_projection(t, &[1], e, &mut scratch).unwrap())
+            .collect();
+        assert_eq!(added, [true, false, true]);
+        let rows: Vec<_> = r.iter().map(|(t, e)| (t.clone(), e)).collect();
+        assert_eq!(
+            rows,
+            [(tuple![25], Time::new(15)), (tuple![35], Time::new(10))]
+        );
+        let mut bad = Relation::new(Schema::of(&[("s", ValueType::Str)]));
+        assert!(bad
+            .insert_projection(&tuple![1, 25], &[0], Time::INFINITY, &mut scratch)
+            .is_err());
+        assert!(bad.is_empty());
     }
 
     #[test]

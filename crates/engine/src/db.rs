@@ -2010,8 +2010,9 @@ mod tests {
     /// The count gate on "a row that does not come out is never copied":
     /// counts, not timings, so it is exact on any host. Per statement,
     /// `db.rows_copied` grows by the rows copied out of storage — the
-    /// survivors of a single-table read, `|L| + |R|` and never `|L|·|R|`
-    /// for a join — `db.rows_scanned` by the rows visible at `τ`,
+    /// survivors of a single-table read, one per group under a π,
+    /// `|L| + |R|` and never `|L|·|R|` for a join — `db.rows_scanned` by
+    /// the rows visible at `τ`,
     /// `storage.<t>.scans` by one per table named and `index_lookups` by
     /// none. A quarter of the rows are expired but still in the heap.
     #[test]
@@ -2036,15 +2037,30 @@ mod tests {
         assert_eq!(db.table("big").unwrap().len(), 1000, "expired but present");
         let big = |p: &dyn Fn(i64) -> bool| (0..1000).filter(|&k| live(k) && p(k)).count() as u64;
         let (big_live, small_live) = (big(&|_| true), big(&|k| k < 10));
+        let distinct_v_below_50 = (0..50)
+            .filter(|&k| live(k))
+            .map(|k| k % 10)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len() as u64;
         // (statement, tables named, rows copied out of storage)
-        let cases: [(&str, &[&str], u64); 7] = [
+        let cases: [(&str, &[&str], u64); 8] = [
             ("SELECT * FROM big WHERE k = 7", &["big"], 1),
             (
                 "SELECT * FROM big WHERE k >= 100 AND k < 200",
                 &["big"],
                 big(&|k| (100..200).contains(&k)),
             ),
-            ("SELECT v FROM big WHERE k < 50", &["big"], big(&|k| k < 50)),
+            // A π copies a row only when it starts a group.
+            (
+                "SELECT v FROM big WHERE k < 50",
+                &["big"],
+                distinct_v_below_50,
+            ),
+            (
+                "SELECT k FROM big EXCEPT SELECT k FROM small",
+                &["big", "small"],
+                big_live + small_live,
+            ),
             (
                 "SELECT * FROM big JOIN small ON big.k = small.k",
                 &["big", "small"],

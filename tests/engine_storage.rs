@@ -56,6 +56,16 @@ fn assert_reducible(db: &mut Database) -> std::result::Result<(), TestCaseError>
             .select(Predicate::attr_cmp_const(1, CmpOp::Lt, 3)),
         t().product(u()).select(Predicate::attr_eq_attr(1, 3)),
         u().product(t()).select(Predicate::attr_eq_attr(1, 3)),
+        // A join whose `σ* Base` inputs are read from the lent rows: with
+        // a residual conjunct, and with the larger input (`t`) hashed.
+        t().select(Predicate::attr_cmp_const(1, CmpOp::Lt, 3)).join(
+            u().select(Predicate::attr_cmp_const(0, CmpOp::Ge, 1)),
+            Predicate::attr_eq_attr(0, 2).and(Predicate::attr_cmp_attr(1, CmpOp::Le, 3)),
+        ),
+        u().join(t(), Predicate::attr_eq_attr(0, 2)),
+        // π onto `v` merges rows of different `k`, and so of different
+        // `texp`, on both sides of the difference.
+        t().project([1]).difference(u().project([1])),
         // GROUP BY as the planner writes it: grouped straight from the
         // lent rows, one output row per group.
         t().select(Predicate::attr_cmp_const(0, CmpOp::Ge, 2))

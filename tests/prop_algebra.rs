@@ -478,8 +478,8 @@ proptest! {
     /// modes — on the result **as a sequence** of `(tuple, texp)`, on
     /// `texp(e)` and validity, on which error wins, and — under the
     /// recording probe — on the cardinality and `texp` of every
-    /// intermediate, built or not. `r` may be larger or smaller than `s` (both hash-join
-    /// builds), both carry rows already expired at `τ`, and the key
+    /// intermediate, built or not. `r` may be larger or smaller than `s` (the
+    /// hashed right input is either), both carry rows already expired at `τ`, and the key
     /// domain is small enough that projections merge rows with different
     /// `texp`. `s.v` is a FLOAT column, so an equality that reaches it
     /// from an INT one holds numerically (`2 = 2.0`) or not at all.

@@ -31,9 +31,10 @@
 //! attributes and the aggregate column — what a single-aggregate
 //! `GROUP BY` plans to — it emits one row per group, so the Klug rows of
 //! Equation 8 are not built either. All four report to the probe as the
-//! operators they stand for. A π, fused or not, looks each projected row
-//! up by its values ([`Relation::insert_projection`]) and builds a tuple
-//! only for a new one.
+//! operators they stand for. The π of a fragment `π σ* Base` looks each
+//! projected row up by its values ([`Relation::insert_projection`]) and
+//! builds a tuple only for a new one; a π over anything else is
+//! `ops::project`.
 
 use crate::aggregate::AggMode;
 use crate::algebra::expr::Expr;
@@ -407,6 +408,14 @@ struct ReadInput {
     validity: IntervalSet,
 }
 
+/// The left input of a join, held until the right is hashed: a lent
+/// input's rows copied out of its scan, in order, or an evaluated input's
+/// result as it is.
+enum Kept {
+    Lent(Vec<(Tuple, Time)>),
+    Built(Relation),
+}
+
 impl<'a> Input<'a> {
     fn open<P: Probe>(
         expr: &'a Expr,
@@ -428,6 +437,32 @@ impl<'a> Input<'a> {
         match self {
             Input::Lent(_, schema) => schema,
             Input::Built(sub) => sub.rel.schema(),
+        }
+    }
+
+    /// Reads the input a join probes with: only a lent input's rows are
+    /// copied, for its scan lends them for the visit alone.
+    fn keep<P: Probe>(
+        self,
+        catalog: &dyn Bindings,
+        tau: Time,
+        probe: &mut P,
+    ) -> Result<(ReadInput, Kept)> {
+        match self {
+            Input::Built(sub) => {
+                let read = ReadInput {
+                    schema: sub.rel.schema().clone(),
+                    rows: sub.rel.count_unexpired(tau),
+                    texp: sub.texp,
+                    validity: sub.validity,
+                };
+                Ok((read, Kept::Built(sub.rel)))
+            }
+            lent => {
+                let mut rows = Vec::new();
+                let read = lent.run(catalog, tau, probe, &mut |t, e| rows.push((t.clone(), e)))?;
+                Ok((read, Kept::Lent(rows)))
+            }
         }
     }
 
@@ -478,9 +513,10 @@ impl<'a> Input<'a> {
 /// join kernel ([`HashJoin`](ops::HashJoin)), a `σ* Base` input straight
 /// from the rows its scan lends: the left's rows are kept as they are, in
 /// order, with no `Relation` built around them; the right's are hashed by
-/// key as they are lent; then the left probes. The left input is read
-/// before the right is opened, so the probe hears the operators, and
-/// errors are raised, in tree order.
+/// key as they are lent; then the left probes. An evaluated left input
+/// probes from its own result. The left input is read before the right is
+/// opened, so the probe hears the operators, and errors are raised, in
+/// tree order.
 fn eval_join<P: Probe>(
     (left, right): (&Expr, &Expr),
     predicate: &Predicate,
@@ -493,9 +529,8 @@ fn eval_join<P: Probe>(
     if let Some(product) = product {
         probe.enter(product);
     }
-    let mut lent = Vec::new();
     let l = Input::open(left, catalog, tau, opts, probe)?;
-    let l = l.run(catalog, tau, probe, &mut |t, e| lent.push((t.clone(), e)))?;
+    let (l, kept) = l.keep(catalog, tau, probe)?;
     let r = Input::open(right, catalog, tau, opts, probe)?;
     let mut join = ops::HashJoin::new(&l.schema, r.schema(), predicate)?;
     let r = r.run(catalog, tau, probe, &mut |t, e| join.build(t, e))?;
@@ -503,8 +538,12 @@ fn eval_join<P: Probe>(
     if product.is_some() {
         probe.leave(l.rows.saturating_mul(r.rows), 0, texp);
     }
+    let rel = match &kept {
+        Kept::Lent(rows) => join.probe(rows.iter().map(|(t, e)| (t, *e)))?,
+        Kept::Built(rel) => join.probe(rel.iter_at(tau))?,
+    };
     Ok(Sub {
-        rel: join.probe(lent.iter().map(|(t, e)| (t, *e)))?,
+        rel,
         texp,
         validity: l.validity.intersect(&r.validity),
     })
@@ -546,13 +585,8 @@ fn eval_rec<P: Probe>(
         },
         Expr::Project { input, positions } => {
             let i = eval_rec(input, catalog, tau, opts, probe)?;
-            let mut rel = Relation::new(i.rel.schema().project(positions)?);
-            let mut scratch = Vec::new();
-            for (t, e) in i.rel.iter_at(tau) {
-                rel.insert_projection(t, positions, e, &mut scratch)?;
-            }
             Sub {
-                rel,
+                rel: ops::project(&i.rel, positions, tau)?,
                 texp: i.texp,
                 validity: i.validity,
             }

@@ -67,10 +67,12 @@ fn bench_monotonic(c: &mut Criterion) {
     g.finish();
 }
 
-/// The planner's binary shapes through `eval` over a `Catalog`, where a
+/// The planner's shapes through `eval` over a `Catalog`, where a
 /// `σ* Base` input is read from the lent rows instead of a built
-/// relation: `JOIN … ON` (σ over ×) of 8 000 rows with 16, and `EXCEPT`
-/// of two single-column projections.
+/// relation: `JOIN … ON` (σ over ×) of 8 000 rows with 16, `EXCEPT` of two
+/// single-column projections, and `WHERE val >= 250 AND val < 750` over
+/// the 8 000 rows — a σ compiled once for the scan, about a quarter of the
+/// rows kept (half are expired at τ = 500), none of them hashed.
 fn bench_eval_binary(c: &mut Criterion) {
     let gen = |rows, seed| TableGen {
         rows,
@@ -93,7 +95,17 @@ fn bench_eval_binary(c: &mut Criterion) {
         ),
         (
             "project_difference",
-            l.project([0]).difference(r.project([0])),
+            l.clone().project([0]).difference(r.project([0])),
+        ),
+        (
+            "range_select_8000",
+            l.select(
+                Predicate::attr_cmp_const(1, CmpOp::Ge, 250).and(Predicate::attr_cmp_const(
+                    1,
+                    CmpOp::Lt,
+                    750,
+                )),
+            ),
         ),
     ];
     let opts = EvalOptions::default();
@@ -188,6 +200,20 @@ fn bench_expire(c: &mut Criterion) {
                 |mut rel| rel.expire(Time::new(500)),
                 criterion::BatchSize::SmallInput,
             );
+        });
+    }
+    g.finish();
+
+    // What `exp` no longer pays: its snapshot hashes nothing until the
+    // first lookup builds the index.
+    let mut g = c.benchmark_group("relation");
+    {
+        let n = 10_000usize;
+        let r = table(n, 5);
+        let probe = r.iter().last().expect("rows").0.clone();
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_with_input(BenchmarkId::new("exp_then_lookup", n), &n, |b, _| {
+            b.iter(|| black_box(&r).exp(Time::new(500)).texp(&probe));
         });
     }
     g.finish();

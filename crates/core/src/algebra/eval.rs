@@ -20,7 +20,10 @@
 //! four exceptions that exist so a row that does not come out is never
 //! copied. A fragment `π? σ* Base` — a bare `Base` included — runs as a
 //! single pass over the rows [`Bindings::visit`] lends (`eval_leaf` over a
-//! `Scan`): each row is tested in place and only survivors are inserted.
+//! `Scan`): each row is tested in place and only survivors are kept. The
+//! scan compiles each σ once, when it opens ([`Predicate::compile`]): an
+//! attribute compared with a constant of its own type is one typed
+//! comparison per row, and any other conjunct is `Predicate::eval`.
 //! `σ_p(L × R)` runs as `L ⋈_p R`, which is Equation 5 read right to left,
 //! so the product is never built. A join reads a `σ* Base` input from the
 //! same `Scan` (`eval_join`): the left's lent rows are kept as they are,
@@ -35,6 +38,12 @@
 //! projected row up by its values ([`Relation::insert_projection`]) and
 //! builds a tuple only for a new one; a π over anything else is
 //! `ops::project`.
+//!
+//! No result is hashed on the way: only π and ∪ can make two rows
+//! coincide (Equations 3 and 4), so they alone deduplicate, and every
+//! other operator appends its rows to a [`Relation`] whose tuple index is
+//! built only if something later looks a tuple up (a difference's right
+//! input, a patch, a caller).
 
 use crate::aggregate::AggMode;
 use crate::algebra::expr::Expr;
@@ -43,7 +52,7 @@ use crate::catalog::Bindings;
 use crate::error::Result;
 use crate::interval::{Interval, IntervalSet};
 use crate::patch::PatchQueue;
-use crate::predicate::Predicate;
+use crate::predicate::{Predicate, Test};
 use crate::relation::{DuplicatePolicy, Relation};
 use crate::schema::Schema;
 use crate::time::Time;
@@ -213,6 +222,9 @@ struct Scan<'a> {
     name: &'a str,
     /// Outermost first.
     selects: Vec<(&'a Expr, &'a Predicate)>,
+    /// Each σ's conjuncts compiled against the base's schema, in the order
+    /// of `selects`; [`open`](Self::open) fills it.
+    tests: Vec<Vec<Test<'a>>>,
 }
 
 impl<'a> Scan<'a> {
@@ -228,6 +240,7 @@ impl<'a> Scan<'a> {
                 base: node,
                 name,
                 selects,
+                tests: Vec::new(),
             }),
             _ => None,
         }
@@ -235,8 +248,9 @@ impl<'a> Scan<'a> {
 
     /// Enters every operator of the fragment and resolves its schema,
     /// raising errors in the order the unfused operators do: the base,
-    /// then each σ from the inside out.
-    fn open<P: Probe>(&self, catalog: &dyn Bindings, probe: &mut P) -> Result<Schema> {
+    /// then each σ from the inside out. Then compiles each σ against the
+    /// schema ([`Predicate::compile`]), once for the whole scan.
+    fn open<P: Probe>(&mut self, catalog: &dyn Bindings, probe: &mut P) -> Result<Schema> {
         for (select, _) in &self.selects {
             probe.enter(select);
         }
@@ -245,6 +259,11 @@ impl<'a> Scan<'a> {
         for (_, p) in self.selects.iter().rev() {
             p.validate(schema.arity())?;
         }
+        self.tests = self
+            .selects
+            .iter()
+            .map(|(_, p)| p.compile(&schema))
+            .collect();
         Ok(schema)
     }
 
@@ -262,13 +281,18 @@ impl<'a> Scan<'a> {
         probe: &mut P,
         keep: &mut dyn FnMut(&Tuple, Time) -> Result<bool>,
     ) -> Result<()> {
-        let mut passed = vec![0; self.selects.len()];
+        debug_assert_eq!(
+            self.tests.len(),
+            self.selects.len(),
+            "a scan runs once open"
+        );
+        let mut passed = vec![0; self.tests.len()];
         let mut visible = 0;
         let mut failed = None;
         let skipped = catalog.visit(self.name, tau, &mut |t, e| {
             visible += 1;
-            for ((_, p), n) in self.selects.iter().zip(&mut passed).rev() {
-                if !p.eval(t) {
+            for (tests, n) in self.tests.iter().zip(&mut passed).rev() {
+                if !tests.iter().all(|test| test.holds(t)) {
                     return false;
                 }
                 *n += 1;
@@ -307,7 +331,7 @@ fn eval_leaf<P: Probe>(
         Expr::Project { input, positions } => (Some(positions.as_slice()), &**input),
         _ => (None, expr),
     };
-    let Some(scan) = Scan::of(node) else {
+    let Some(mut scan) = Scan::of(node) else {
         return Ok(None);
     };
     if positions.is_some() {
@@ -321,7 +345,10 @@ fn eval_leaf<P: Probe>(
     let mut scratch = Vec::new();
     scan.run(catalog, tau, probe, &mut |t, e| match positions {
         Some(ps) => out.insert_projection(t, ps, e, &mut scratch),
-        None => out.insert(t.clone(), e).map(|()| true),
+        None => {
+            out.push_distinct(t.clone(), e);
+            Ok(true)
+        }
     })?;
     if positions.is_some() {
         probe.leave(out.len(), 0, Time::INFINITY);
@@ -361,7 +388,7 @@ fn eval_aggregate<P: Probe>(
     }
     probe.enter(node);
     let (out, texp, validity) = match Scan::of(input) {
-        Some(scan) => {
+        Some(mut scan) => {
             let schema = scan.open(catalog, probe)?;
             let mut agg = Aggregation::new(&schema, group_by, *func, opts.agg_mode, tau)?;
             scan.run(catalog, tau, probe, &mut |t, e| {
@@ -425,7 +452,7 @@ impl<'a> Input<'a> {
         probe: &mut P,
     ) -> Result<Self> {
         Ok(match Scan::of(expr) {
-            Some(scan) => {
+            Some(mut scan) => {
                 let schema = scan.open(catalog, probe)?;
                 Input::Lent(scan, schema)
             }
@@ -539,8 +566,8 @@ fn eval_join<P: Probe>(
         probe.leave(l.rows.saturating_mul(r.rows), 0, texp);
     }
     let rel = match &kept {
-        Kept::Lent(rows) => join.probe(rows.iter().map(|(t, e)| (t, *e)))?,
-        Kept::Built(rel) => join.probe(rel.iter_at(tau))?,
+        Kept::Lent(rows) => join.probe(rows.iter().map(|(t, e)| (t, *e))),
+        Kept::Built(rel) => join.probe(rel.iter_at(tau)),
     };
     Ok(Sub {
         rel,

@@ -31,7 +31,7 @@ pub fn select(r: &Relation, p: &Predicate, tau: Time) -> Result<Relation> {
     let mut out = Relation::new(r.schema().clone());
     for (t, e) in r.iter_at(tau) {
         if p.eval(t) {
-            out.insert(t.clone(), e)?;
+            out.push_distinct(t.clone(), e);
         }
     }
     Ok(out)
@@ -60,14 +60,14 @@ pub fn project(r: &Relation, positions: &[usize], tau: Time) -> Result<Relation>
 ///
 /// # Errors
 ///
-/// Propagates schema errors (none arise in practice; the product schema is
-/// always valid).
+/// None arise: the product schema is always valid, and concatenations of
+/// rows of two sets are distinct and of its types.
 pub fn product(r: &Relation, s: &Relation, tau: Time) -> Result<Relation> {
     let schema = r.schema().product(s.schema());
     let mut out = Relation::new(schema);
     for (rt, re) in r.iter_at(tau) {
         for (st, se) in s.iter_at(tau) {
-            out.insert(rt.concat(st), re.min(se))?;
+            out.push_distinct(rt.concat(st), re.min(se));
         }
     }
     Ok(out)
@@ -111,7 +111,7 @@ pub fn join(r: &Relation, s: &Relation, p: &Predicate, tau: Time) -> Result<Rela
     for (t, e) in s.iter_at(tau) {
         join.build(t, e);
     }
-    join.probe(r.iter_at(tau))
+    Ok(join.probe(r.iter_at(tau)))
 }
 
 /// The literal Equation 5 evaluation: filtered nested loop over the
@@ -234,16 +234,8 @@ impl<'p> HashJoin<'p> {
     }
 
     /// Probes with the left input's `expτ`, in order, and returns the
-    /// join.
-    ///
-    /// # Errors
-    ///
-    /// Propagates schema errors (none arise in practice; the product
-    /// schema is always valid).
-    pub(crate) fn probe<'a>(
-        self,
-        left: impl IntoIterator<Item = (&'a Tuple, Time)>,
-    ) -> Result<Relation> {
+    /// join: pairs of rows of two sets, so each joined row is new.
+    pub(crate) fn probe<'a>(self, left: impl IntoIterator<Item = (&'a Tuple, Time)>) -> Relation {
         let HashJoin {
             p,
             schema,
@@ -258,11 +250,11 @@ impl<'p> HashJoin<'p> {
             for (rt, re) in table.get(scratch.as_slice()).into_iter().flatten() {
                 let joined = lt.concat(rt);
                 if p.eval(&joined) {
-                    out.insert(joined, le.min(*re))?;
+                    out.push_distinct(joined, le.min(*re));
                 }
             }
         }
-        Ok(out)
+        out
     }
 }
 
@@ -279,7 +271,7 @@ pub fn intersect(r: &Relation, s: &Relation, tau: Time) -> Result<Relation> {
     for (t, re) in r.iter_at(tau) {
         if let Some(se) = s.texp(t) {
             if se > tau {
-                out.insert(t.clone(), re.min(se))?;
+                out.push_distinct(t.clone(), re.min(se));
             }
         }
     }
@@ -297,7 +289,7 @@ pub fn difference(r: &Relation, s: &Relation, tau: Time) -> Result<Relation> {
     let mut out = Relation::new(r.schema().clone());
     for (t, re) in r.iter_at(tau) {
         if !s.contains_at(t, tau) {
-            out.insert(t.clone(), re)?;
+            out.push_distinct(t.clone(), re);
         }
     }
     Ok(out)
@@ -484,8 +476,10 @@ impl<'a> Aggregation<'a> {
     /// — the Klug rows are not built: all rows of a group coincide under
     /// the projection, and Equation 3's maximum over them is
     /// `min(bound, max texp of the group)`, so one row per group is
-    /// emitted (`KeepMax` merging groups that coincide because the
-    /// projection dropped a grouping attribute).
+    /// emitted. The groups' rows are distinct when the projection keeps
+    /// every grouping attribute; when it drops one, groups can coincide
+    /// and `KeepMax` merges them. The Klug rows are distinct because the
+    /// input rows are.
     ///
     /// The metadata, per partition: the result goes wrong at the first
     /// change of the value (ν) or, under a conservative `mode`, already at
@@ -512,6 +506,7 @@ impl<'a> Aggregation<'a> {
         let schema = input.append(&f.to_string(), f.result_type(input_ty));
         let per_group =
             positions.filter(|ps| ps.iter().all(|&p| p == arity || group_by.contains(&p)));
+        let groups_distinct = per_group.is_some_and(|ps| group_by.iter().all(|g| ps.contains(g)));
         let mut rel = Relation::new(match per_group {
             Some(ps) => schema.project(ps)?,
             None => schema,
@@ -544,15 +539,16 @@ impl<'a> Aggregation<'a> {
                         Some(v) => v.clone(),
                         None => value.clone(),
                     });
-                    rel.insert_with(
-                        Tuple::new(row.collect::<Vec<_>>()),
-                        bound.min(death),
-                        DuplicatePolicy::KeepMax,
-                    )?;
+                    let row = Tuple::new(row.collect::<Vec<_>>());
+                    if groups_distinct {
+                        rel.push_distinct(row, bound.min(death));
+                    } else {
+                        rel.insert_with(row, bound.min(death), DuplicatePolicy::KeepMax)?;
+                    }
                 }
                 None => {
                     for (t, e) in &rows {
-                        rel.insert(t.append(value.clone()), bound.min(*e))?;
+                        rel.push_distinct(t.append(value.clone()), bound.min(*e));
                     }
                 }
             }

@@ -12,10 +12,12 @@
 //! is not user-accessible in queries).
 
 use crate::error::{Error, Result};
+use crate::schema::Schema;
 use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::value::{Value, ValueType, F64};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -339,6 +341,100 @@ impl Predicate {
     }
 }
 
+/// One conjunct of a predicate, compiled against the schema of the rows it
+/// will test ([`Predicate::compile`]): an attribute compared with a
+/// constant of the attribute's own type is one comparison of two values of
+/// that type, the type being decided once instead of per row; any other
+/// conjunct is left to [`Predicate::eval`], which stays the definition.
+#[derive(Debug)]
+pub(crate) enum Test<'a> {
+    /// `#col op k` over an INT column.
+    Int(usize, CmpOp, i64),
+    /// `#col op k` over a FLOAT column.
+    Float(usize, CmpOp, F64),
+    /// `#col op k` over a TEXT column.
+    Str(usize, CmpOp, &'a Arc<str>),
+    /// `#col op k` over a BOOL column.
+    Bool(usize, CmpOp, bool),
+    /// Anything else: an attribute against an attribute, `∨`, `¬`, and
+    /// constants of another type than their column's (`INT` against
+    /// `FLOAT` compares numerically).
+    Eval(&'a Predicate),
+}
+
+impl Test<'_> {
+    /// Whether `t` passes, exactly as the conjunct's [`Predicate::eval`]
+    /// says. A value not of its column's type — which a schema-checked row
+    /// does not have — is compared as `eval` compares it.
+    #[inline]
+    pub(crate) fn holds(&self, t: &Tuple) -> bool {
+        match *self {
+            Test::Int(col, op, k) => op.matches(match t.attr(col) {
+                Value::Int(v) => v.cmp(&k),
+                v => v.total_cmp(&Value::Int(k)),
+            }),
+            Test::Float(col, op, k) => op.matches(match t.attr(col) {
+                Value::Float(v) => v.cmp(&k),
+                v => v.total_cmp(&Value::Float(k)),
+            }),
+            Test::Str(col, op, k) => op.matches(match t.attr(col) {
+                Value::Str(v) => v.cmp(k),
+                v => v.total_cmp(&Value::Str(Arc::clone(k))),
+            }),
+            Test::Bool(col, op, k) => op.matches(match t.attr(col) {
+                Value::Bool(v) => v.cmp(&k),
+                v => v.total_cmp(&Value::Bool(k)),
+            }),
+            Test::Eval(p) => p.eval(t),
+        }
+    }
+}
+
+impl Predicate {
+    /// Flattens the predicate's top-level conjunction into [`Test`]s for
+    /// rows of `schema`: a row satisfies the predicate exactly when it
+    /// passes every test. A `true` conjunct yields no test, and a constant
+    /// on the left is moved to the right by flipping the operator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the predicate references an attribute outside `schema`;
+    /// [`validate`](Self::validate) it first.
+    pub(crate) fn compile(&self, schema: &Schema) -> Vec<Test<'_>> {
+        fn flatten<'a>(p: &'a Predicate, schema: &Schema, out: &mut Vec<Test<'a>>) {
+            let (col, op, k) = match p {
+                Predicate::True => return,
+                Predicate::And(a, b) => {
+                    flatten(a, schema, out);
+                    flatten(b, schema, out);
+                    return;
+                }
+                Predicate::Cmp {
+                    left: Operand::Attr(col),
+                    op,
+                    right: Operand::Const(k),
+                } => (*col, *op, k),
+                Predicate::Cmp {
+                    left: Operand::Const(k),
+                    op,
+                    right: Operand::Attr(col),
+                } => (*col, op.flip(), k),
+                _ => return out.push(Test::Eval(p)),
+            };
+            out.push(match (schema.attr(col).ty, k) {
+                (ValueType::Int, Value::Int(k)) => Test::Int(col, op, *k),
+                (ValueType::Float, Value::Float(k)) => Test::Float(col, op, *k),
+                (ValueType::Str, Value::Str(k)) => Test::Str(col, op, k),
+                (ValueType::Bool, Value::Bool(k)) => Test::Bool(col, op, *k),
+                _ => Test::Eval(p),
+            });
+        }
+        let mut out = Vec::new();
+        flatten(self, schema, &mut out);
+        out
+    }
+}
+
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -483,6 +579,166 @@ mod tests {
             c.unproject(&[4, 2]).unwrap(),
             Predicate::attr_eq_attr(4, 2).or(Predicate::True)
         );
+    }
+
+    /// A same-type constant compiles to a typed test on either side of the
+    /// operator; attribute pairs, `∨`/`¬` and INT against FLOAT stay
+    /// with `eval`, and `true` disappears.
+    #[test]
+    fn compile_types_same_type_constants_and_leaves_the_rest_to_eval() {
+        let schema = crate::schema::Schema::of(&[
+            ("i", ValueType::Int),
+            ("f", ValueType::Float),
+            ("s", ValueType::Str),
+        ]);
+        let flipped = Predicate::Cmp {
+            left: Operand::Const(Value::Int(3)),
+            op: CmpOp::Lt,
+            right: Operand::Attr(0),
+        };
+        let p = flipped
+            .and(Predicate::True)
+            .and(Predicate::attr_cmp_const(1, CmpOp::Ge, 2.5))
+            .and(Predicate::attr_eq_const(2, "x"))
+            .and(Predicate::attr_eq_const(1, 2))
+            .and(Predicate::attr_eq_attr(0, 1))
+            .and(Predicate::attr_eq_const(0, 1).or(Predicate::False));
+        let kinds: Vec<_> = p
+            .compile(&schema)
+            .iter()
+            .map(|test| match test {
+                Test::Int(0, CmpOp::Gt, 3) => "int, flipped",
+                Test::Float(1, CmpOp::Ge, _) => "float",
+                Test::Str(2, CmpOp::Eq, _) => "str",
+                Test::Eval(_) => "eval",
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            ["int, flipped", "float", "str", "eval", "eval", "eval"]
+        );
+        assert!(Predicate::True.compile(&schema).is_empty());
+    }
+
+    mod compiled {
+        use super::*;
+        use crate::schema::Schema;
+        use proptest::prelude::*;
+
+        fn schema() -> Schema {
+            Schema::of(&[
+                ("i", ValueType::Int),
+                ("f", ValueType::Float),
+                ("s", ValueType::Str),
+                ("b", ValueType::Bool),
+            ])
+        }
+
+        fn arb_int() -> impl Strategy<Value = Value> {
+            (-2i64..3).prop_map(Value::Int)
+        }
+
+        /// Integral floats meet INT values; `-0.0` and NaN are folded by
+        /// `Value::float`, and NaN sorts above `+∞`.
+        fn arb_float() -> impl Strategy<Value = Value> {
+            let xs = [-1.5, -0.0, 0.0, 1.0, 2.0, 2.5, f64::NAN, f64::INFINITY];
+            (0..xs.len()).prop_map(move |i| Value::float(xs[i]))
+        }
+
+        fn arb_str() -> impl Strategy<Value = Value> {
+            let xs = ["", "a", "ab", "b"];
+            (0..xs.len()).prop_map(move |i| Value::str(xs[i]))
+        }
+
+        fn arb_value() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                arb_int(),
+                arb_float(),
+                arb_str(),
+                any::<bool>().prop_map(Value::Bool),
+            ]
+        }
+
+        /// A row of [`schema`], now and then with a value of another type
+        /// than its column's, which the tests must judge as `eval` does.
+        fn arb_row() -> impl Strategy<Value = Tuple> {
+            let typed = (
+                arb_int(),
+                arb_float(),
+                arb_str(),
+                any::<bool>().prop_map(Value::Bool),
+            )
+                .prop_map(|(i, f, s, b)| vec![i, f, s, b]);
+            let stray = (0usize..4, arb_value());
+            (
+                typed,
+                prop_oneof![4 => Just(None), 1 => stray.prop_map(Some)],
+            )
+                .prop_map(|(mut values, stray)| {
+                    if let Some((col, v)) = stray {
+                        values[col] = v;
+                    }
+                    Tuple::new(values)
+                })
+        }
+
+        fn arb_op() -> impl Strategy<Value = CmpOp> {
+            let ops = [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ];
+            (0..ops.len()).prop_map(move |i| ops[i])
+        }
+
+        fn arb_operand() -> impl Strategy<Value = Operand> {
+            prop_oneof![
+                (0usize..4).prop_map(Operand::Attr),
+                arb_value().prop_map(Operand::Const),
+            ]
+        }
+
+        /// Comparisons with the constant on either side, of the column's
+        /// type or another, between attributes or between constants,
+        /// under `∧`, `∨` and `¬`.
+        fn arb_predicate() -> impl Strategy<Value = Predicate> {
+            let cmp = (arb_operand(), arb_op(), arb_operand())
+                .prop_map(|(left, op, right)| Predicate::Cmp { left, op, right });
+            let leaf =
+                prop_oneof![6 => cmp, 1 => Just(Predicate::True), 1 => Just(Predicate::False)];
+            leaf.prop_recursive(3, 16, 2, |inner| {
+                prop_oneof![
+                    3 => (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+                    1 => (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+                    1 => inner.prop_map(Predicate::not),
+                ]
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// `Predicate::eval` is the definition: a row passes the
+            /// compiled tests exactly when it satisfies the predicate.
+            #[test]
+            fn compiled_tests_agree_with_eval(
+                p in arb_predicate(),
+                rows in proptest::collection::vec(arb_row(), 1..16),
+            ) {
+                let tests = p.compile(&schema());
+                for row in &rows {
+                    prop_assert_eq!(
+                        tests.iter().all(|test| test.holds(row)),
+                        p.eval(row),
+                        "{} on {}", p, row
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,14 @@
 //! `R`, a function `texp_R(·)` mapping each tuple to its expiration time
 //! (Section 2.2). A [`Relation`] stores exactly that: a *set* of tuples
 //! (relations are sets, not bags — projection and union deduplicate) plus
-//! the expiration-time function, realised as an insertion-ordered map from
-//! tuple to [`Time`].
+//! the expiration-time function: a `Vec` of `(tuple, texp)` rows in
+//! insertion order, and a tuple → row index that is built only when
+//! something asks a membership question (`texp`, `contains`, a
+//! deduplicating insert, `remove`). Only π and ∪ can make two rows
+//! coincide (Equations 3 and 4); a σ, a product, a join, an intersection
+//! and a difference of sets are sets, so those operators append their rows
+//! without hashing them, and a result that nobody looks a tuple up in is
+//! never hashed at all.
 //!
 //! The other central definition of the paper is
 //!
@@ -22,8 +28,10 @@ use crate::schema::Schema;
 use crate::time::Time;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// What to do when a tuple is inserted that is already present.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +59,12 @@ pub enum DuplicatePolicy {
 pub struct Relation {
     schema: Schema,
     rows: Vec<(Tuple, Time)>,
-    index: HashMap<Tuple, usize>,
+    /// Tuple → position in `rows`. Built by the first lookup,
+    /// deduplicating insert or removal, kept up to date from then on, and
+    /// dropped by what moves rows wholesale (`expire`, a sort, a
+    /// truncation); an `exp` snapshot starts without one. A relation
+    /// nobody asks about is never hashed.
+    index: OnceLock<HashMap<Tuple, usize>>,
 }
 
 impl Relation {
@@ -61,8 +74,16 @@ impl Relation {
         Relation {
             schema,
             rows: Vec::new(),
-            index: HashMap::new(),
+            index: OnceLock::new(),
         }
+    }
+
+    /// The tuple index, built on first use.
+    fn index(&self) -> &HashMap<Tuple, usize> {
+        self.index.get_or_init(|| {
+            let positions = self.rows.iter().enumerate();
+            positions.map(|(i, (t, _))| (t.clone(), i)).collect()
+        })
     }
 
     /// Creates a relation and inserts `(tuple, texp)` rows with
@@ -127,7 +148,7 @@ impl Relation {
     /// Returns a schema error if the tuple fails [`Schema::check`].
     pub fn insert_with(&mut self, tuple: Tuple, texp: Time, policy: DuplicatePolicy) -> Result<()> {
         self.schema.check(&tuple)?;
-        match self.index.get(&tuple) {
+        match self.index().get(&tuple) {
             Some(&i) => {
                 let stored = &mut self.rows[i].1;
                 *stored = match policy {
@@ -136,12 +157,29 @@ impl Relation {
                     DuplicatePolicy::Replace => texp,
                 };
             }
-            None => {
-                self.index.insert(tuple.clone(), self.rows.len());
-                self.rows.push((tuple, texp));
-            }
+            None => self.push_distinct(tuple, texp),
         }
         Ok(())
+    }
+
+    /// Appends a row whose tuple is known not to be in the relation and to
+    /// be of the schema's types, without looking it up or checking it: the
+    /// insert of an operator whose output is a set because its inputs are —
+    /// σ, ×, ⋈, ∩, − and the aggregation's Klug rows (every `Relation` and
+    /// every stored table is a set). The index is kept up to date only if
+    /// something has built it.
+    pub(crate) fn push_distinct(&mut self, tuple: Tuple, texp: Time) {
+        debug_assert!(
+            self.schema.check(&tuple).is_ok(),
+            "{tuple} is not of {:?}",
+            self.schema
+        );
+        let at = self.rows.len();
+        if let Some(index) = self.index.get_mut() {
+            let old = index.insert(tuple.clone(), at);
+            debug_assert!(old.is_none(), "{tuple} is already in the relation");
+        }
+        self.rows.push((tuple, texp));
     }
 
     /// Inserts `t` projected onto `positions` with
@@ -166,25 +204,26 @@ impl Relation {
     ) -> Result<bool> {
         scratch.clear();
         scratch.extend(positions.iter().map(|&j| t.attr(j).clone()));
-        if let Some(&i) = self.index.get(scratch.as_slice()) {
+        if let Some(&i) = self.index().get(scratch.as_slice()) {
             let stored = &mut self.rows[i].1;
             *stored = (*stored).max(texp);
             return Ok(false);
         }
         let tuple = Tuple::new(scratch.as_slice());
         self.schema.check(&tuple)?;
-        self.index.insert(tuple.clone(), self.rows.len());
-        self.rows.push((tuple, texp));
+        self.push_distinct(tuple, texp);
         Ok(true)
     }
 
     /// Removes a tuple, returning its expiration time if it was present.
     /// Preserves the insertion order of the remaining tuples.
     pub fn remove(&mut self, tuple: &Tuple) -> Option<Time> {
-        let i = self.index.remove(tuple)?;
+        self.index();
+        let index = self.index.get_mut().expect("the index was just built");
+        let i = index.remove(tuple)?;
         let (_, texp) = self.rows.remove(i);
         for (j, (t, _)) in self.rows.iter().enumerate().skip(i) {
-            *self.index.get_mut(t).expect("index out of sync") = j;
+            *index.get_mut(t).expect("index out of sync") = j;
         }
         Some(texp)
     }
@@ -193,13 +232,13 @@ impl Relation {
     /// tuple, or `None` if the tuple is not in the relation.
     #[must_use]
     pub fn texp(&self, tuple: &Tuple) -> Option<Time> {
-        self.index.get(tuple).map(|&i| self.rows[i].1)
+        self.index().get(tuple).map(|&i| self.rows[i].1)
     }
 
     /// Whether the tuple is physically present (expired or not).
     #[must_use]
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.index.contains_key(tuple)
+        self.index().contains_key(tuple)
     }
 
     /// Whether the tuple is present *and* unexpired at `τ`
@@ -234,32 +273,20 @@ impl Relation {
     /// times.
     #[must_use]
     pub fn exp(&self, tau: Time) -> Relation {
-        let mut out = Relation::new(self.schema.clone());
-        for (t, e) in self.iter_at(tau) {
-            out.index.insert(t.clone(), out.rows.len());
-            out.rows.push((t.clone(), e));
+        Relation {
+            schema: self.schema.clone(),
+            rows: self.iter_at(tau).map(|(t, e)| (t.clone(), e)).collect(),
+            index: OnceLock::new(),
         }
-        out
     }
 
     /// Eager removal (Section 3.2): physically deletes every tuple with
     /// `texp ≤ τ` and returns the removed rows (so triggers can fire on
     /// them). Insertion order of survivors is preserved.
     pub fn expire(&mut self, tau: Time) -> Vec<(Tuple, Time)> {
-        let mut removed = Vec::new();
-        let mut kept = Vec::with_capacity(self.rows.len());
-        for (t, e) in self.rows.drain(..) {
-            if e > tau {
-                kept.push((t, e));
-            } else {
-                removed.push((t, e));
-            }
-        }
+        let (kept, removed) = self.rows.drain(..).partition(|&(_, e)| e > tau);
         self.rows = kept;
-        self.index.clear();
-        for (i, (t, _)) in self.rows.iter().enumerate() {
-            self.index.insert(t.clone(), i);
-        }
+        self.index.take();
         removed
     }
 
@@ -330,17 +357,29 @@ impl Relation {
     /// Sorts rows by tuple value (total order), useful for deterministic
     /// output in reports.
     pub fn sort_by_tuple(&mut self) {
-        self.rows.sort_by(|(a, _), (b, _)| {
+        self.sort_rows_by(|a, b| {
             a.values()
                 .iter()
                 .zip(b.values().iter())
                 .map(|(x, y)| x.total_cmp(y))
                 .find(|o| !o.is_eq())
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .unwrap_or(Ordering::Equal)
         });
-        self.index.clear();
-        for (i, (t, _)) in self.rows.iter().enumerate() {
-            self.index.insert(t.clone(), i);
+    }
+
+    /// Reorders the rows by `cmp` on their tuples, stably — `ORDER BY`.
+    /// The set and every `texp` are unchanged.
+    pub fn sort_rows_by(&mut self, mut cmp: impl FnMut(&Tuple, &Tuple) -> Ordering) {
+        self.rows.sort_by(|(a, _), (b, _)| cmp(a, b));
+        self.index.take();
+    }
+
+    /// Keeps the first `n` rows in iteration order — `LIMIT`: a subset, so
+    /// still a set, each survivor with its own `texp`.
+    pub fn truncate(&mut self, n: usize) {
+        if n < self.rows.len() {
+            self.rows.truncate(n);
+            self.index.take();
         }
     }
 
@@ -582,5 +621,95 @@ mod tests {
         let order: Vec<_> = r.iter().map(|(t, _)| t.attr(0).as_int().unwrap()).collect();
         assert_eq!(order, vec![1, 2, 3]);
         assert!(r.contains(&tuple![3, 1]), "index rebuilt after sort");
+    }
+
+    /// `ORDER BY … LIMIT`: a stable reorder, then a prefix; every survivor
+    /// keeps its `texp`, and lookups see exactly the survivors.
+    #[test]
+    fn sort_rows_by_and_truncate_keep_a_subset() {
+        let mut r = pol();
+        assert!(r.contains(&tuple![3, 35]), "index built before the sort");
+        r.sort_rows_by(|a, b| b.attr(1).total_cmp(a.attr(1)));
+        let order: Vec<_> = r.iter().map(|(t, e)| (t.clone(), e)).collect();
+        assert_eq!(
+            order,
+            [
+                (tuple![3, 35], Time::new(10)),
+                (tuple![1, 25], Time::new(10)),
+                (tuple![2, 25], Time::new(15)),
+            ],
+            "descending on deg, ties in insertion order"
+        );
+        r.truncate(5);
+        assert_eq!(r.len(), 3, "a longer limit keeps everything");
+        r.truncate(2);
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.texp(&tuple![1, 25]), Some(Time::new(10)));
+        assert!(!r.contains(&tuple![2, 25]), "the cut row is gone");
+        r.insert(tuple![2, 25], Time::new(4)).unwrap();
+        assert_eq!(r.len(), 3, "and can come back as a new row");
+    }
+
+    /// A row appended before anything looked a tuple up is found by the
+    /// first lookup, which builds the index from the rows.
+    #[test]
+    fn push_distinct_then_lookup_builds_the_index() {
+        let mut r = Relation::new(schema());
+        r.push_distinct(tuple![1, 25], Time::new(10));
+        r.push_distinct(tuple![2, 25], Time::new(15));
+        assert!(r.index.get().is_none(), "nothing looked a tuple up yet");
+        assert_eq!(r.texp(&tuple![2, 25]), Some(Time::new(15)));
+        assert!(r.index.get().is_some());
+        assert!(!r.contains(&tuple![3, 35]));
+    }
+
+    /// Once built, the index follows every append, and a deduplicating
+    /// insert after that finds the appended row.
+    #[test]
+    fn push_distinct_after_a_lookup_keeps_the_index() {
+        let mut r = pol();
+        assert!(r.contains(&tuple![1, 25]));
+        r.push_distinct(tuple![4, 45], Time::new(20));
+        assert_eq!(r.texp(&tuple![4, 45]), Some(Time::new(20)));
+        r.insert(tuple![4, 45], Time::new(30)).unwrap();
+        assert_eq!(r.len(), 4, "the insert merged into the appended row");
+        assert_eq!(r.texp(&tuple![4, 45]), Some(Time::new(30)));
+        assert_eq!(r.remove(&tuple![1, 25]), Some(Time::new(10)));
+        assert_eq!(r.texp(&tuple![4, 45]), Some(Time::new(30)));
+    }
+
+    /// A clone answers lookups whether or not the original had built its
+    /// index, and the two evolve apart.
+    #[test]
+    fn clone_with_and_without_a_built_index() {
+        let mut unbuilt = Relation::new(schema());
+        unbuilt.push_distinct(tuple![1, 25], Time::new(10));
+        let built = pol();
+        assert!(built.contains(&tuple![1, 25]));
+        for original in [unbuilt, built] {
+            let had_index = original.index.get().is_some();
+            let mut copy = original.clone();
+            assert_eq!(copy.index.get().is_some(), had_index);
+            copy.push_distinct(tuple![9, 99], Time::new(7));
+            assert_eq!(copy.texp(&tuple![1, 25]), Some(Time::new(10)));
+            assert_eq!(copy.texp(&tuple![9, 99]), Some(Time::new(7)));
+            assert!(!original.contains(&tuple![9, 99]));
+            assert_eq!(copy.len(), original.len() + 1);
+        }
+    }
+
+    /// `exp` and `expire` hash nothing: their results build an index only
+    /// when asked.
+    #[test]
+    fn exp_and_expire_leave_the_index_unbuilt() {
+        let r = pol();
+        assert!(r.contains(&tuple![1, 25]));
+        let snap = r.exp(Time::new(10));
+        assert!(snap.index.get().is_none());
+        assert!(snap.contains(&tuple![2, 25]));
+        let mut r = r;
+        r.expire(Time::new(10));
+        assert!(r.index.get().is_none());
+        assert_eq!(r.texp(&tuple![2, 25]), Some(Time::new(15)));
     }
 }

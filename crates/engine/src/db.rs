@@ -1086,7 +1086,7 @@ impl Database {
             plan_query(query, &*self)?
         };
         let mut m = self.query_expr(&expr)?;
-        m.rel = apply_presentation(m.rel, query)?;
+        apply_presentation(&mut m.rel, query)?;
         // Sliding-on-access policies see the read *after* the result is
         // computed: this query observes the pre-touch state; only future
         // visibility is extended.
@@ -1097,8 +1097,9 @@ impl Database {
     /// The one read path (DESIGN.md §8.1). Every way a query reaches the
     /// algebra — [`Database::select`] (so `execute` and the wire server),
     /// [`Database::query_expr`] (so `\plan`), virtual-view reads and
-    /// EXPLAIN ANALYZE — runs this: inline views, optionally rewrite,
-    /// evaluate over the borrowed tables at the pinned `τ` under the
+    /// EXPLAIN ANALYZE — runs this: inline views, then evaluate the
+    /// planned expression as it stands (there is no rewrite on the read
+    /// path) over the borrowed tables at the pinned `τ` under the
     /// `query`/`eval` spans, count, and hand a sampled statement's
     /// [`PlanProfile`] to the profiler.
     ///
@@ -1699,12 +1700,9 @@ impl Database {
 /// Applies the presentation-level `ORDER BY` / `LIMIT` clauses to a final
 /// result. The expiration-time algebra is set-based, so ordering is not an
 /// operator; it reorders (and truncates) the result relation's iteration
-/// order. `ORDER BY` references *output* column names.
-fn apply_presentation(rel: Relation, query: &exptime_sql::ast::Query) -> Result<Relation, DbError> {
-    if query.order_by.is_empty() && query.limit.is_none() {
-        return Ok(rel);
-    }
-    let schema = rel.schema().clone();
+/// order in place. `ORDER BY` references *output* column names.
+fn apply_presentation(rel: &mut Relation, query: &exptime_sql::ast::Query) -> Result<(), DbError> {
+    let schema = rel.schema();
     let mut keys = Vec::with_capacity(query.order_by.len());
     for (col, desc) in &query.order_by {
         if col.table.is_some() {
@@ -1721,24 +1719,21 @@ fn apply_presentation(rel: Relation, query: &exptime_sql::ast::Query) -> Result<
         })?;
         keys.push((pos, *desc));
     }
-    let mut rows: Vec<(Tuple, Time)> = rel.iter().map(|(t, e)| (t.clone(), e)).collect();
-    rows.sort_by(|(a, _), (b, _)| {
-        for &(pos, desc) in &keys {
-            let ord = a.attr(pos).total_cmp(b.attr(pos));
-            if !ord.is_eq() {
-                return if desc { ord.reverse() } else { ord };
+    if !keys.is_empty() {
+        rel.sort_rows_by(|a, b| {
+            for &(pos, desc) in &keys {
+                let ord = a.attr(pos).total_cmp(b.attr(pos));
+                if !ord.is_eq() {
+                    return if desc { ord.reverse() } else { ord };
+                }
             }
-        }
-        std::cmp::Ordering::Equal
-    });
+            std::cmp::Ordering::Equal
+        });
+    }
     if let Some(n) = query.limit {
-        rows.truncate(n);
+        rel.truncate(n);
     }
-    let mut out = Relation::new(schema);
-    for (t, e) in rows {
-        out.insert(t, e).map_err(DbError::Core)?;
-    }
-    Ok(out)
+    Ok(())
 }
 
 /// A [`std::time::Duration`] as saturating nanoseconds.
@@ -1827,6 +1822,34 @@ mod tests {
         db.tick(2);
         let r = db.execute(q).unwrap();
         assert!(r.rows().unwrap().is_empty(), "Figure 2(g)");
+    }
+
+    /// `ORDER BY … LIMIT` reorders and cuts the result in place: a kept
+    /// row keeps its `texp`, and `texp(e)` and `I(e)` stay those of the
+    /// whole result, which a truncated one must not be expired forward by.
+    #[test]
+    fn limit_keeps_the_whole_results_texp_and_validity() {
+        let mut db = figure1_db();
+        db.tick(3);
+        let mut select = |sql: &str| match exptime_sql::parse(sql).unwrap() {
+            Statement::Select(query) => db.select(&query).unwrap(),
+            other => panic!("not a query: {other:?}"),
+        };
+        let diff = "SELECT uid FROM pol EXCEPT SELECT uid FROM el";
+        let whole = select(diff);
+        let top = select(&format!("{diff} ORDER BY uid DESC LIMIT 1"));
+        let rows = |m: &Materialized| {
+            m.rel
+                .iter()
+                .map(|(t, e)| (t.clone(), e))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rows(&whole), [(tuple![2], t(15)), (tuple![3], t(10))]);
+        assert_eq!(rows(&top), [(tuple![3], t(10))]);
+        assert_eq!(whole.texp, t(5), "⟨1⟩ reappears when el's copy expires");
+        assert_eq!(top.texp, whole.texp);
+        assert_eq!(top.validity, whole.validity);
+        assert!(!top.valid_at(t(5)));
     }
 
     #[test]

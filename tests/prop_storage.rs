@@ -16,11 +16,31 @@ use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum RelOp {
-    InsertMax { k: i64, e: u64 },
-    InsertReplace { k: i64, e: u64 },
-    Remove { k: i64 },
-    Expire { tau: u64 },
+    InsertMax {
+        k: i64,
+        e: u64,
+    },
+    InsertReplace {
+        k: i64,
+        e: u64,
+    },
+    Remove {
+        k: i64,
+    },
+    Expire {
+        tau: u64,
+    },
+    /// Continue with the snapshot `expτ`.
+    Exp {
+        tau: u64,
+    },
+    /// Continue with a copy, dropping the original.
+    Clone,
     Sort,
+    /// Check every tuple against the model; until one of these (or a
+    /// deduplicating insert or a remove) looks a tuple up, the index is
+    /// not built, so the other ops also run against an unbuilt index.
+    Check,
 }
 
 fn arb_rel_op() -> impl Strategy<Value = RelOp> {
@@ -29,7 +49,10 @@ fn arb_rel_op() -> impl Strategy<Value = RelOp> {
         1 => (0i64..10, 1u64..40).prop_map(|(k, e)| RelOp::InsertReplace { k, e }),
         1 => (0i64..10).prop_map(|k| RelOp::Remove { k }),
         1 => (0u64..40).prop_map(|tau| RelOp::Expire { tau }),
+        1 => (0u64..40).prop_map(|tau| RelOp::Exp { tau }),
+        1 => Just(RelOp::Clone),
         1 => Just(RelOp::Sort),
+        2 => Just(RelOp::Check),
     ]
 }
 
@@ -37,7 +60,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The relation's tuple index stays coherent with a HashMap model
-    /// under inserts (both policies), removals, eager expiry, and sorts.
+    /// under inserts (both policies), removals, eager expiry, snapshots,
+    /// copies and sorts, whether or not a lookup has built it yet.
     #[test]
     fn relation_index_coherence(ops in proptest::collection::vec(arb_rel_op(), 1..60)) {
         let mut rel = Relation::new(schema2());
@@ -71,17 +95,24 @@ proptest! {
                     prop_assert_eq!(removed.len(), expect.len());
                     model.retain(|_, &mut e| e > tau);
                 }
+                RelOp::Exp { tau } => {
+                    rel = rel.exp(Time::new(tau));
+                    model.retain(|_, &mut e| e > tau);
+                }
+                RelOp::Clone => rel = rel.clone(),
                 RelOp::Sort => rel.sort_by_tuple(),
+                RelOp::Check => {
+                    prop_assert_eq!(rel.len(), model.len());
+                    for (&k, &e) in &model {
+                        prop_assert_eq!(rel.texp(&tuple![k, 0]), Some(Time::new(e)), "key {}", k);
+                    }
+                    for (t, e) in rel.iter() {
+                        let k = t.attr(0).as_int().unwrap();
+                        prop_assert_eq!(model.get(&k).copied(), e.finite(), "stray key {}", k);
+                    }
+                }
             }
-            // Full coherence check after every step.
             prop_assert_eq!(rel.len(), model.len());
-            for (&k, &e) in &model {
-                prop_assert_eq!(rel.texp(&tuple![k, 0]), Some(Time::new(e)), "key {}", k);
-            }
-            for (t, e) in rel.iter() {
-                let k = t.attr(0).as_int().unwrap();
-                prop_assert_eq!(model.get(&k).copied(), e.finite(), "stray key {}", k);
-            }
         }
     }
 

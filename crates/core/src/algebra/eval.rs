@@ -21,9 +21,9 @@
 //! copied. A fragment `π? σ* Base` — a bare `Base` included — runs as a
 //! single pass over the rows [`Bindings::visit`] lends (`eval_leaf` over a
 //! `Scan`): each row is tested in place and only survivors are kept. The
-//! scan compiles each σ once, when it opens ([`Predicate::compile`]): an
-//! attribute compared with a constant of its own type is one typed
-//! comparison per row, and any other conjunct is `Predicate::eval`.
+//! scan compiles each σ once ([`Predicate::compile`]): an attribute
+//! compared with a constant is one `Value::total_cmp` per row, and any
+//! other conjunct is `Predicate::eval`.
 //! `σ_p(L × R)` runs as `L ⋈_p R`, which is Equation 5 read right to left,
 //! so the product is never built. A join reads a `σ* Base` input from the
 //! same `Scan` (`eval_join`): the left's lent rows are kept as they are,
@@ -222,13 +222,14 @@ struct Scan<'a> {
     name: &'a str,
     /// Outermost first.
     selects: Vec<(&'a Expr, &'a Predicate)>,
-    /// Each σ's conjuncts compiled against the base's schema, in the order
-    /// of `selects`; [`open`](Self::open) fills it.
+    /// Each σ's conjuncts ([`Predicate::compile`]), in the order of
+    /// `selects`.
     tests: Vec<Vec<Test<'a>>>,
 }
 
 impl<'a> Scan<'a> {
-    /// `None` unless `node` has the shape `σ* Base`.
+    /// `None` unless `node` has the shape `σ* Base`. Compiles each σ, once
+    /// for the whole scan.
     fn of(mut node: &'a Expr) -> Option<Self> {
         let mut selects = Vec::new();
         while let Expr::Select { input, predicate } = node {
@@ -239,8 +240,8 @@ impl<'a> Scan<'a> {
             Expr::Base(name) => Some(Scan {
                 base: node,
                 name,
+                tests: selects.iter().map(|(_, p)| p.compile()).collect(),
                 selects,
-                tests: Vec::new(),
             }),
             _ => None,
         }
@@ -248,9 +249,8 @@ impl<'a> Scan<'a> {
 
     /// Enters every operator of the fragment and resolves its schema,
     /// raising errors in the order the unfused operators do: the base,
-    /// then each σ from the inside out. Then compiles each σ against the
-    /// schema ([`Predicate::compile`]), once for the whole scan.
-    fn open<P: Probe>(&mut self, catalog: &dyn Bindings, probe: &mut P) -> Result<Schema> {
+    /// then each σ from the inside out.
+    fn open<P: Probe>(&self, catalog: &dyn Bindings, probe: &mut P) -> Result<Schema> {
         for (select, _) in &self.selects {
             probe.enter(select);
         }
@@ -259,11 +259,6 @@ impl<'a> Scan<'a> {
         for (_, p) in self.selects.iter().rev() {
             p.validate(schema.arity())?;
         }
-        self.tests = self
-            .selects
-            .iter()
-            .map(|(_, p)| p.compile(&schema))
-            .collect();
         Ok(schema)
     }
 
@@ -281,11 +276,6 @@ impl<'a> Scan<'a> {
         probe: &mut P,
         keep: &mut dyn FnMut(&Tuple, Time) -> Result<bool>,
     ) -> Result<()> {
-        debug_assert_eq!(
-            self.tests.len(),
-            self.selects.len(),
-            "a scan runs once open"
-        );
         let mut passed = vec![0; self.tests.len()];
         let mut visible = 0;
         let mut failed = None;
@@ -331,7 +321,7 @@ fn eval_leaf<P: Probe>(
         Expr::Project { input, positions } => (Some(positions.as_slice()), &**input),
         _ => (None, expr),
     };
-    let Some(mut scan) = Scan::of(node) else {
+    let Some(scan) = Scan::of(node) else {
         return Ok(None);
     };
     if positions.is_some() {
@@ -388,7 +378,7 @@ fn eval_aggregate<P: Probe>(
     }
     probe.enter(node);
     let (out, texp, validity) = match Scan::of(input) {
-        Some(mut scan) => {
+        Some(scan) => {
             let schema = scan.open(catalog, probe)?;
             let mut agg = Aggregation::new(&schema, group_by, *func, opts.agg_mode, tau)?;
             scan.run(catalog, tau, probe, &mut |t, e| {
@@ -452,7 +442,7 @@ impl<'a> Input<'a> {
         probe: &mut P,
     ) -> Result<Self> {
         Ok(match Scan::of(expr) {
-            Some(mut scan) => {
+            Some(scan) => {
                 let schema = scan.open(catalog, probe)?;
                 Input::Lent(scan, schema)
             }

@@ -12,12 +12,10 @@
 //! is not user-accessible in queries).
 
 use crate::error::{Error, Result};
-use crate::schema::Schema;
 use crate::tuple::Tuple;
-use crate::value::{Value, ValueType, F64};
+use crate::value::Value;
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Arc;
 
 /// A comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -341,96 +339,59 @@ impl Predicate {
     }
 }
 
-/// One conjunct of a predicate, compiled against the schema of the rows it
-/// will test ([`Predicate::compile`]): an attribute compared with a
-/// constant of the attribute's own type is one comparison of two values of
-/// that type, the type being decided once instead of per row; any other
-/// conjunct is left to [`Predicate::eval`], which stays the definition.
+/// One conjunct of a predicate, compiled once ([`Predicate::compile`]) so a
+/// row is not tested by walking the predicate tree: an attribute compared
+/// with a constant is one [`Value::total_cmp`] against the constant; any
+/// other conjunct is left to [`Predicate::eval`], which stays the
+/// definition.
 #[derive(Debug)]
 pub(crate) enum Test<'a> {
-    /// `#col op k` over an INT column.
-    Int(usize, CmpOp, i64),
-    /// `#col op k` over a FLOAT column.
-    Float(usize, CmpOp, F64),
-    /// `#col op k` over a TEXT column.
-    Str(usize, CmpOp, &'a Arc<str>),
-    /// `#col op k` over a BOOL column.
-    Bool(usize, CmpOp, bool),
-    /// Anything else: an attribute against an attribute, `∨`, `¬`, and
-    /// constants of another type than their column's (`INT` against
-    /// `FLOAT` compares numerically).
+    /// `#col op k`.
+    Cmp(usize, CmpOp, &'a Value),
+    /// Anything else: an attribute against an attribute, `∨`, `¬`.
     Eval(&'a Predicate),
 }
 
 impl Test<'_> {
     /// Whether `t` passes, exactly as the conjunct's [`Predicate::eval`]
-    /// says. A value not of its column's type — which a schema-checked row
-    /// does not have — is compared as `eval` compares it.
+    /// says.
     #[inline]
     pub(crate) fn holds(&self, t: &Tuple) -> bool {
         match *self {
-            Test::Int(col, op, k) => op.matches(match t.attr(col) {
-                Value::Int(v) => v.cmp(&k),
-                v => v.total_cmp(&Value::Int(k)),
-            }),
-            Test::Float(col, op, k) => op.matches(match t.attr(col) {
-                Value::Float(v) => v.cmp(&k),
-                v => v.total_cmp(&Value::Float(k)),
-            }),
-            Test::Str(col, op, k) => op.matches(match t.attr(col) {
-                Value::Str(v) => v.cmp(k),
-                v => v.total_cmp(&Value::Str(Arc::clone(k))),
-            }),
-            Test::Bool(col, op, k) => op.matches(match t.attr(col) {
-                Value::Bool(v) => v.cmp(&k),
-                v => v.total_cmp(&Value::Bool(k)),
-            }),
+            Test::Cmp(col, op, k) => op.matches(t.attr(col).total_cmp(k)),
             Test::Eval(p) => p.eval(t),
         }
     }
 }
 
 impl Predicate {
-    /// Flattens the predicate's top-level conjunction into [`Test`]s for
-    /// rows of `schema`: a row satisfies the predicate exactly when it
-    /// passes every test. A `true` conjunct yields no test, and a constant
-    /// on the left is moved to the right by flipping the operator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the predicate references an attribute outside `schema`;
-    /// [`validate`](Self::validate) it first.
-    pub(crate) fn compile(&self, schema: &Schema) -> Vec<Test<'_>> {
-        fn flatten<'a>(p: &'a Predicate, schema: &Schema, out: &mut Vec<Test<'a>>) {
-            let (col, op, k) = match p {
+    /// Flattens the predicate's top-level conjunction into [`Test`]s: a row
+    /// satisfies the predicate exactly when it passes every test. A `true`
+    /// conjunct yields no test, and a constant on the left is moved to the
+    /// right by flipping the operator.
+    pub(crate) fn compile(&self) -> Vec<Test<'_>> {
+        fn flatten<'a>(p: &'a Predicate, out: &mut Vec<Test<'a>>) {
+            out.push(match p {
                 Predicate::True => return,
                 Predicate::And(a, b) => {
-                    flatten(a, schema, out);
-                    flatten(b, schema, out);
-                    return;
+                    flatten(a, out);
+                    return flatten(b, out);
                 }
                 Predicate::Cmp {
                     left: Operand::Attr(col),
                     op,
                     right: Operand::Const(k),
-                } => (*col, *op, k),
+                } => Test::Cmp(*col, *op, k),
                 Predicate::Cmp {
                     left: Operand::Const(k),
                     op,
                     right: Operand::Attr(col),
-                } => (*col, op.flip(), k),
-                _ => return out.push(Test::Eval(p)),
-            };
-            out.push(match (schema.attr(col).ty, k) {
-                (ValueType::Int, Value::Int(k)) => Test::Int(col, op, *k),
-                (ValueType::Float, Value::Float(k)) => Test::Float(col, op, *k),
-                (ValueType::Str, Value::Str(k)) => Test::Str(col, op, k),
-                (ValueType::Bool, Value::Bool(k)) => Test::Bool(col, op, *k),
+                } => Test::Cmp(*col, op.flip(), k),
                 _ => Test::Eval(p),
             });
         }
         let mut out = Vec::new();
-        flatten(self, schema, &mut out);
+        flatten(self, &mut out);
         out
     }
 }
@@ -581,16 +542,11 @@ mod tests {
         );
     }
 
-    /// A same-type constant compiles to a typed test on either side of the
-    /// operator; attribute pairs, `∨`/`¬` and INT against FLOAT stay
-    /// with `eval`, and `true` disappears.
+    /// An attribute against a constant compiles to one comparison on
+    /// either side of the operator; attribute pairs and `∨`/`¬` stay with
+    /// `eval`, and `true` disappears.
     #[test]
-    fn compile_types_same_type_constants_and_leaves_the_rest_to_eval() {
-        let schema = crate::schema::Schema::of(&[
-            ("i", ValueType::Int),
-            ("f", ValueType::Float),
-            ("s", ValueType::Str),
-        ]);
+    fn compile_flattens_constant_comparisons_and_leaves_the_rest_to_eval() {
         let flipped = Predicate::Cmp {
             left: Operand::Const(Value::Int(3)),
             op: CmpOp::Lt,
@@ -600,40 +556,26 @@ mod tests {
             .and(Predicate::True)
             .and(Predicate::attr_cmp_const(1, CmpOp::Ge, 2.5))
             .and(Predicate::attr_eq_const(2, "x"))
-            .and(Predicate::attr_eq_const(1, 2))
             .and(Predicate::attr_eq_attr(0, 1))
             .and(Predicate::attr_eq_const(0, 1).or(Predicate::False));
         let kinds: Vec<_> = p
-            .compile(&schema)
+            .compile()
             .iter()
             .map(|test| match test {
-                Test::Int(0, CmpOp::Gt, 3) => "int, flipped",
-                Test::Float(1, CmpOp::Ge, _) => "float",
-                Test::Str(2, CmpOp::Eq, _) => "str",
+                Test::Cmp(0, CmpOp::Gt, Value::Int(3)) => "flipped",
+                Test::Cmp(1, CmpOp::Ge, _) => "float",
+                Test::Cmp(2, CmpOp::Eq, _) => "str",
                 Test::Eval(_) => "eval",
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        assert_eq!(
-            kinds,
-            ["int, flipped", "float", "str", "eval", "eval", "eval"]
-        );
-        assert!(Predicate::True.compile(&schema).is_empty());
+        assert_eq!(kinds, ["flipped", "float", "str", "eval", "eval"]);
+        assert!(Predicate::True.compile().is_empty());
     }
 
     mod compiled {
         use super::*;
-        use crate::schema::Schema;
         use proptest::prelude::*;
-
-        fn schema() -> Schema {
-            Schema::of(&[
-                ("i", ValueType::Int),
-                ("f", ValueType::Float),
-                ("s", ValueType::Str),
-                ("b", ValueType::Bool),
-            ])
-        }
 
         fn arb_int() -> impl Strategy<Value = Value> {
             (-2i64..3).prop_map(Value::Int)
@@ -660,8 +602,9 @@ mod tests {
             ]
         }
 
-        /// A row of [`schema`], now and then with a value of another type
-        /// than its column's, which the tests must judge as `eval` does.
+        /// A row of INT, FLOAT, TEXT and BOOL columns, now and then with a
+        /// value of another type than its column's, which the tests must
+        /// judge as `eval` does.
         fn arb_row() -> impl Strategy<Value = Tuple> {
             let typed = (
                 arb_int(),
@@ -729,7 +672,7 @@ mod tests {
                 p in arb_predicate(),
                 rows in proptest::collection::vec(arb_row(), 1..16),
             ) {
-                let tests = p.compile(&schema());
+                let tests = p.compile();
                 for row in &rows {
                     prop_assert_eq!(
                         tests.iter().all(|test| test.holds(row)),

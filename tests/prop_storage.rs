@@ -56,6 +56,20 @@ fn arb_rel_op() -> impl Strategy<Value = RelOp> {
     ]
 }
 
+/// Every tuple of the model is in the relation with its texp, and the
+/// relation holds no other.
+fn check_against_model(rel: &Relation, model: &HashMap<i64, u64>) -> Result<(), TestCaseError> {
+    prop_assert_eq!(rel.len(), model.len());
+    for (&k, &e) in model {
+        prop_assert_eq!(rel.texp(&tuple![k, 0]), Some(Time::new(e)), "key {}", k);
+    }
+    for (t, e) in rel.iter() {
+        let k = t.attr(0).as_int().unwrap();
+        prop_assert_eq!(model.get(&k).copied(), e.finite(), "stray key {}", k);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -101,19 +115,12 @@ proptest! {
                 }
                 RelOp::Clone => rel = rel.clone(),
                 RelOp::Sort => rel.sort_by_tuple(),
-                RelOp::Check => {
-                    prop_assert_eq!(rel.len(), model.len());
-                    for (&k, &e) in &model {
-                        prop_assert_eq!(rel.texp(&tuple![k, 0]), Some(Time::new(e)), "key {}", k);
-                    }
-                    for (t, e) in rel.iter() {
-                        let k = t.attr(0).as_int().unwrap();
-                        prop_assert_eq!(model.get(&k).copied(), e.finite(), "stray key {}", k);
-                    }
-                }
+                RelOp::Check => check_against_model(&rel, &model)?,
             }
             prop_assert_eq!(rel.len(), model.len());
         }
+        // The ops after the last drawn check still meet the model.
+        check_against_model(&rel, &model)?;
     }
 
     /// Row-heap slots: ids stay valid across deletions and reuse; stale

@@ -16,34 +16,29 @@
 //! * optionally a [`PatchQueue`] that makes a root-level difference
 //!   eternally maintainable (Theorem 3).
 //!
-//! Every operator is one `ops::` call over its materialised inputs, with
-//! four exceptions that exist so a row that does not come out is never
-//! copied. A fragment `π? σ* Base` — a bare `Base` included — runs as a
-//! single pass over the rows [`Bindings::visit`] lends (`eval_leaf` over a
-//! `Scan`): each row is tested in place and only survivors are kept. The
-//! scan compiles each σ once ([`Predicate::compile`]): an attribute
-//! compared with a constant is one `Value::total_cmp` per row, and any
-//! other conjunct is `Predicate::eval`.
-//! `σ_p(L × R)` runs as `L ⋈_p R`, which is Equation 5 read right to left,
-//! so the product is never built. A join reads a `σ* Base` input from the
-//! same `Scan` (`eval_join`): the left's lent rows are kept as they are,
-//! the right's hashed by key as they are lent, so neither input becomes a
-//! relation. And an aggregation groups its input exactly once
-//! (`eval_aggregate`): straight from the same `Scan` when the input is
-//! `σ* Base`, so no input relation is built, and under a π onto grouping
-//! attributes and the aggregate column — what a single-aggregate
-//! `GROUP BY` plans to — it emits one row per group, so the Klug rows of
-//! Equation 8 are not built either. All four report to the probe as the
-//! operators they stand for. The π of a fragment `π σ* Base` looks each
-//! projected row up by its values ([`Relation::insert_projection`]) and
-//! builds a tuple only for a new one; a π over anything else is
-//! `ops::project`.
+//! Every operator reads each of its inputs one way ([`Input`]): a
+//! fragment `σ* Base` — a bare `Base` included — is opened as a [`Scan`]
+//! over the rows [`Bindings::visit`] lends, each row tested in place
+//! against each σ, compiled once ([`Predicate::compile`]); any other
+//! expression is evaluated and its result read. So a row that fails a σ
+//! is never copied, and of a lent row an operator copies only what it
+//! keeps. By snapshot reducibility an operator is the same function of
+//! the rows it is handed either way. `σ_p(L × R)` is `L ⋈_p R` (Equation 5
+//! read right to left) and a bare `L × R` is `L ⋈_true R`: one join
+//! kernel, the right input hashed as it is read and the left probing it in
+//! order. An aggregation groups its input once ([`Aggregation`]) and,
+//! under a π onto grouping attributes and the aggregate column — what a
+//! single-aggregate `GROUP BY` plans to — emits one row per group, so the
+//! Klug rows of Equation 8 are not built. A fused operator reports to the
+//! probe as the operators it stands for. σ over an evaluated input, ∪, ∩
+//! and − are one `ops::` call over evaluated inputs.
 //!
-//! No result is hashed on the way: only π and ∪ can make two rows
-//! coincide (Equations 3 and 4), so they alone deduplicate, and every
-//! other operator appends its rows to a [`Relation`] whose tuple index is
-//! built only if something later looks a tuple up (a difference's right
-//! input, a patch, a caller).
+//! Only π and ∪ can make two rows coincide (Equations 3 and 4), so they
+//! alone deduplicate: a π looks each projected row up by its values
+//! ([`Relation::insert_projection`]) and builds a tuple only for a new one.
+//! Every other operator appends its rows to a [`Relation`] whose tuple
+//! index is built only if something later looks a tuple up (a
+//! difference's right input, a patch, a caller).
 
 use crate::aggregate::AggMode;
 use crate::algebra::expr::Expr;
@@ -305,118 +300,55 @@ impl<'a> Scan<'a> {
     }
 }
 
-/// Evaluates `expr` if it has the shape `π? σ* Base` — what a
-/// single-table `SELECT` plans to, a bare `Base` being the degenerate
-/// case — in one pass; `None` for any other shape. A survivor keeps its
-/// `texp`, and survivors that coincide under the projection keep the
-/// maximum (Equation 3), a tuple being built only for the first of them;
-/// the π reports its distinct output and raises its error after the σs'.
-fn eval_leaf<P: Probe>(
-    expr: &Expr,
-    catalog: &dyn Bindings,
-    tau: Time,
-    probe: &mut P,
-) -> Result<Option<Relation>> {
-    let (positions, node) = match expr {
-        Expr::Project { input, positions } => (Some(positions.as_slice()), &**input),
-        _ => (None, expr),
-    };
-    let Some(scan) = Scan::of(node) else {
-        return Ok(None);
-    };
-    if positions.is_some() {
-        probe.enter(expr);
-    }
-    let schema = scan.open(catalog, probe)?;
-    let mut out = Relation::new(match positions {
-        Some(ps) => schema.project(ps)?,
-        None => schema,
-    });
-    let mut scratch = Vec::new();
-    scan.run(catalog, tau, probe, &mut |t, e| match positions {
-        Some(ps) => out.insert_projection(t, ps, e, &mut scratch),
-        None => {
-            out.push_distinct(t.clone(), e);
-            Ok(true)
-        }
-    })?;
-    if positions.is_some() {
-        probe.leave(out.len(), 0, Time::INFINITY);
-    }
-    Ok(Some(out))
-}
-
-/// Evaluates `expr` if it has the shape `π? aggexp(e)`; `None` for any
-/// other shape. The input is grouped exactly once ([`Aggregation`]) — from
-/// the lent rows of a [`Scan`] when `e` is `σ* Base`, so no input relation
-/// is built, else from `e`'s result — and rows, `texp(e)` and validity
-/// all come from that one grouping. A π directly above is handed down:
-/// `GROUP BY` output is then emitted one row per group. The aggregation
-/// reports the Klug cardinality it stands for, built or not, and errors
-/// keep the unfused order: the input's, the aggregation's, then the π's.
+/// `aggexp(e)`, or `πexp(aggexp(e))` with `positions`: the input is grouped
+/// exactly once ([`Aggregation`]) from the rows [`Input`] hands it, and
+/// rows, `texp(e)` and validity all come from that one grouping. The
+/// positions of a π directly above go to [`Aggregation::finish`], which
+/// emits `GROUP BY` output one row per group. The aggregation reports the
+/// Klug cardinality it stands for, built or not, and errors keep the
+/// unfused order: the input's, the aggregation's, then the π's.
 fn eval_aggregate<P: Probe>(
-    expr: &Expr,
+    node: &Expr,
+    positions: Option<&[usize]>,
     catalog: &dyn Bindings,
     tau: Time,
     opts: &EvalOptions,
     probe: &mut P,
-) -> Result<Option<Sub>> {
-    let (positions, node) = match expr {
-        Expr::Project { input, positions } => (Some(positions.as_slice()), &**input),
-        _ => (None, expr),
-    };
+) -> Result<Sub> {
     let Expr::Aggregate {
         input,
         group_by,
         func,
     } = node
     else {
-        return Ok(None);
+        unreachable!("eval_aggregate requires an aggregation")
     };
-    if positions.is_some() {
-        probe.enter(expr);
-    }
     probe.enter(node);
-    let (out, texp, validity) = match Scan::of(input) {
-        Some(scan) => {
-            let schema = scan.open(catalog, probe)?;
-            let mut agg = Aggregation::new(&schema, group_by, *func, opts.agg_mode, tau)?;
-            scan.run(catalog, tau, probe, &mut |t, e| {
-                agg.push(t, e);
-                Ok(true)
-            })?;
-            let all = IntervalSet::from_time(tau);
-            (agg.finish(positions)?, Time::INFINITY, all)
-        }
-        None => {
-            let i = eval_rec(input, catalog, tau, opts, probe)?;
-            let mut agg = Aggregation::new(i.rel.schema(), group_by, *func, opts.agg_mode, tau)?;
-            for (t, e) in i.rel.iter_at(tau) {
-                agg.push(t, e);
-            }
-            (agg.finish(positions)?, i.texp, i.validity)
-        }
-    };
-    let texp = texp.min(out.meta.texp);
+    let i = Input::open(input, catalog, tau, opts, probe)?;
+    let schema = i.schema().clone();
+    let mut agg = Aggregation::new(&schema, group_by, *func, opts.agg_mode, tau)?;
+    let i = i.run(catalog, tau, probe, |t, e| {
+        agg.push(t, e);
+        Ok(true)
+    })?;
+    let out = agg.finish(positions)?;
+    let texp = i.texp.min(out.meta.texp);
     probe.leave(out.klug_rows, 0, texp);
-    if positions.is_some() {
-        probe.leave(out.rel.len(), 0, texp);
-    }
-    Ok(Some(Sub {
+    Ok(Sub {
         rel: out.rel,
         texp,
-        validity: validity.intersect(&out.meta.validity),
-    }))
+        validity: i.validity.intersect(&out.meta.validity),
+    })
 }
 
-/// One input of a join: a `σ* Base` fragment, opened, whose rows its
+/// One input of an operator: a `σ* Base` fragment, opened, whose rows its
 /// [`Scan`] lends; or any other expression, evaluated.
 enum Input<'a> {
     Lent(Scan<'a>, Schema),
     Built(Sub),
 }
 
-/// A join input whose rows have been handed on.
+/// An input whose rows have been handed on.
 struct ReadInput {
     schema: Schema,
     /// `|expτ|` of the input.
@@ -477,63 +409,64 @@ impl<'a> Input<'a> {
             }
             lent => {
                 let mut rows = Vec::new();
-                let read = lent.run(catalog, tau, probe, &mut |t, e| rows.push((t.clone(), e)))?;
+                let read = lent.run(catalog, tau, probe, |t, e| {
+                    rows.push((t.clone(), e));
+                    Ok(true)
+                })?;
                 Ok((read, Kept::Lent(rows)))
             }
         }
     }
 
-    /// Hands `keep` each row of the input's `expτ`, in order; a lent row
-    /// is billed as copied, for `keep` holds on to every row it is handed.
+    /// Hands `keep` each row of the input's `expτ`, in order. `keep`
+    /// answers whether it copied the row, which is what a lent row is
+    /// billed as (a row merged into an existing π group is not copied);
+    /// its first error is the read's.
     fn run<P: Probe>(
         self,
         catalog: &dyn Bindings,
         tau: Time,
         probe: &mut P,
-        keep: &mut dyn FnMut(&Tuple, Time),
+        mut keep: impl FnMut(&Tuple, Time) -> Result<bool>,
     ) -> Result<ReadInput> {
         let mut rows = 0;
-        match self {
+        let mut keep = |t: &Tuple, e: Time| {
+            rows += 1;
+            keep(t, e)
+        };
+        let (schema, texp, validity) = match self {
             Input::Lent(scan, schema) => {
-                scan.run(catalog, tau, probe, &mut |t, e| {
-                    rows += 1;
-                    keep(t, e);
-                    Ok(true)
-                })?;
+                scan.run(catalog, tau, probe, &mut keep)?;
                 // A base relation never expires; σ passes that on.
-                Ok(ReadInput {
-                    schema,
-                    rows,
-                    texp: Time::INFINITY,
-                    validity: IntervalSet::from_time(tau),
-                })
+                (schema, Time::INFINITY, IntervalSet::from_time(tau))
             }
             Input::Built(sub) => {
                 for (t, e) in sub.rel.iter_at(tau) {
-                    rows += 1;
-                    keep(t, e);
+                    keep(t, e)?;
                 }
-                Ok(ReadInput {
-                    schema: sub.rel.schema().clone(),
-                    rows,
-                    texp: sub.texp,
-                    validity: sub.validity,
-                })
+                (sub.rel.schema().clone(), sub.texp, sub.validity)
             }
-        }
+        };
+        Ok(ReadInput {
+            schema,
+            rows,
+            texp,
+            validity,
+        })
     }
 }
 
-/// Equation 5 in both its spellings: `L ⋈_p R`, and `σ_p(L × R)` read
-/// right to left, whose `product` node is reported to the probe (its
-/// cardinality is `|L|·|R|`) but never built. The inputs feed the one
-/// join kernel ([`HashJoin`](ops::HashJoin)), a `σ* Base` input straight
-/// from the rows its scan lends: the left's rows are kept as they are, in
-/// order, with no `Relation` built around them; the right's are hashed by
-/// key as they are lent; then the left probes. An evaluated left input
-/// probes from its own result. The left input is read before the right is
-/// opened, so the probe hears the operators, and errors are raised, in
-/// tree order.
+/// Equation 5 in all its spellings: `L ⋈_p R`; `σ_p(L × R)` read right to
+/// left, whose `product` node is reported to the probe (its cardinality
+/// is `|L|·|R|`) but never built; and a bare `L × R`, which is
+/// `L ⋈_true R` — an empty key, so one bucket, and the product's
+/// left-major order. The inputs feed the one join kernel
+/// ([`HashJoin`](ops::HashJoin)), a `σ* Base` input straight from the rows
+/// its scan lends: the left's rows are kept as they are, in order, with no
+/// `Relation` built around them; the right's are hashed by key as they are
+/// lent; then the left probes. An evaluated left input probes from its own
+/// result. The left input is read before the right is opened, so the
+/// probe hears the operators, and errors are raised, in tree order.
 fn eval_join<P: Probe>(
     (left, right): (&Expr, &Expr),
     predicate: &Predicate,
@@ -550,7 +483,10 @@ fn eval_join<P: Probe>(
     let (l, kept) = l.keep(catalog, tau, probe)?;
     let r = Input::open(right, catalog, tau, opts, probe)?;
     let mut join = ops::HashJoin::new(&l.schema, r.schema(), predicate)?;
-    let r = r.run(catalog, tau, probe, &mut |t, e| join.build(t, e))?;
+    let r = r.run(catalog, tau, probe, |t, e| {
+        join.build(t, e);
+        Ok(true)
+    })?;
     let texp = l.texp.min(r.texp);
     if product.is_some() {
         probe.leave(l.rows.saturating_mul(r.rows), 0, texp);
@@ -573,19 +509,25 @@ fn eval_rec<P: Probe>(
     opts: &EvalOptions,
     probe: &mut P,
 ) -> Result<Sub> {
-    if let Some(rel) = eval_leaf(expr, catalog, tau, probe)? {
+    // A bare `σ* Base`: its survivors, kept as they are.
+    if let Some(scan) = Scan::of(expr) {
+        let mut rel = Relation::new(scan.open(catalog, probe)?);
+        scan.run(catalog, tau, probe, &mut |t, e| {
+            rel.push_distinct(t.clone(), e);
+            Ok(true)
+        })?;
         return Ok(Sub {
             rel,
             texp: Time::INFINITY,
             validity: IntervalSet::from_time(tau),
         });
     }
-    if let Some(sub) = eval_aggregate(expr, catalog, tau, opts, probe)? {
-        return Ok(sub);
+    if let Expr::Aggregate { .. } = expr {
+        return eval_aggregate(expr, None, catalog, tau, opts, probe);
     }
     probe.enter(expr);
     let sub = match expr {
-        Expr::Base(_) => unreachable!("a Base is a leaf"),
+        Expr::Base(_) | Expr::Aggregate { .. } => unreachable!("evaluated above"),
         Expr::Select { input, predicate } => match &**input {
             Expr::Product { left, right } => {
                 let product = Some(&**input);
@@ -600,22 +542,27 @@ fn eval_rec<P: Probe>(
                 }
             }
         },
-        Expr::Project { input, positions } => {
-            let i = eval_rec(input, catalog, tau, opts, probe)?;
-            Sub {
-                rel: ops::project(&i.rel, positions, tau)?,
-                texp: i.texp,
-                validity: i.validity,
+        Expr::Project { input, positions } => match &**input {
+            agg @ Expr::Aggregate { .. } => {
+                eval_aggregate(agg, Some(positions), catalog, tau, opts, probe)?
             }
-        }
+            _ => {
+                let i = Input::open(input, catalog, tau, opts, probe)?;
+                let mut rel = Relation::new(i.schema().project(positions)?);
+                let mut scratch = Vec::new();
+                let i = i.run(catalog, tau, probe, |t, e| {
+                    rel.insert_projection(t, positions, e, &mut scratch)
+                })?;
+                Sub {
+                    rel,
+                    texp: i.texp,
+                    validity: i.validity,
+                }
+            }
+        },
         Expr::Product { left, right } => {
-            let l = eval_rec(left, catalog, tau, opts, probe)?;
-            let r = eval_rec(right, catalog, tau, opts, probe)?;
-            Sub {
-                rel: ops::product(&l.rel, &r.rel, tau)?,
-                texp: l.texp.min(r.texp),
-                validity: l.validity.intersect(&r.validity),
-            }
+            let no_key = Predicate::True;
+            eval_join((left, right), &no_key, None, catalog, tau, opts, probe)?
         }
         Expr::Union { left, right } => {
             let l = eval_rec(left, catalog, tau, opts, probe)?;
@@ -658,7 +605,6 @@ fn eval_rec<P: Probe>(
                 validity: l.validity.intersect(&r.validity).intersect(&own_validity),
             }
         }
-        Expr::Aggregate { .. } => unreachable!("an aggregation is evaluated above"),
     };
     probe.leave(sub.rel.len(), 0, sub.texp);
     Ok(sub)

@@ -2033,9 +2033,9 @@ mod tests {
     /// The count gate on "a row that does not come out is never copied":
     /// counts, not timings, so it is exact on any host. Per statement,
     /// `db.rows_copied` grows by the rows copied out of storage — the
-    /// survivors of a single-table read, one per group under a π,
-    /// `|L| + |R|` and never `|L|·|R|` for a join — `db.rows_scanned` by
-    /// the rows visible at `τ`,
+    /// survivors of a single-table read or a write's `WHERE`, one per
+    /// group under a π, `|L| + |R|` and never `|L|·|R|` for a join or a
+    /// product — `db.rows_scanned` by the rows visible at `τ`,
     /// `storage.<t>.scans` by one per table named and `index_lookups` by
     /// none. A quarter of the rows are expired but still in the heap.
     #[test]
@@ -2066,7 +2066,7 @@ mod tests {
             .collect::<std::collections::BTreeSet<_>>()
             .len() as u64;
         // (statement, tables named, rows copied out of storage)
-        let cases: [(&str, &[&str], u64); 8] = [
+        let cases: [(&str, &[&str], u64); 10] = [
             ("SELECT * FROM big WHERE k = 7", &["big"], 1),
             (
                 "SELECT * FROM big WHERE k >= 100 AND k < 200",
@@ -2089,6 +2089,12 @@ mod tests {
                 &["big", "small"],
                 big_live + small_live,
             ),
+            // A bare × keeps its left input's rows and hashes its right's.
+            (
+                "SELECT * FROM big, small",
+                &["big", "small"],
+                big_live + small_live,
+            ),
             ("SELECT * FROM big", &["big"], big_live),
             // An aggregation holds each row it groups, once: straight
             // from the scan, not through a copy of the table first.
@@ -2098,6 +2104,9 @@ mod tests {
                 &["big"],
                 big(&|k| k < 50),
             ),
+            // A write finds its rows with the read's scan. Last: it
+            // removes the row.
+            ("DELETE FROM big WHERE k = 7", &["big"], 1),
         ];
         const TABLES: [&str; 2] = ["big", "small"];
         // Per table: (scans, index_lookups).

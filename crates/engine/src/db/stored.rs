@@ -4,11 +4,12 @@
 //! `texp > τ`, and an evaluation borrows the tables for its whole length,
 //! so nothing can move under it. [`Stored`] answers the algebra's two
 //! questions ([`Bindings`]) straight from the [`Table`]s: a visit is a
-//! [`Table::visit`], which lends the rows of `scan_at` — the same filter
-//! the write paths (`DELETE`, `UPDATE … SET EXPIRES`, access touches) use
-//! — and the evaluator copies only the rows that reach a result. Copying
-//! a whole table ([`Table::to_relation`]) is left to the reference
-//! [`Database::snapshot`] below.
+//! [`Table::visit`], which lends the rows of `scan_at`, and the evaluator
+//! copies only the rows that reach a result. The write paths (`DELETE`,
+//! `UPDATE … SET EXPIRES`, access touches) find their rows by evaluating
+//! `σ_p(Base t)` here too, so each is one counted scan whose targets are
+//! the rows copied. Copying a whole table ([`Table::to_relation`]) is
+//! left to the reference [`Database::snapshot`] below.
 
 use super::{Database, DbCounters};
 use exptime_core::catalog::{Bindings, Catalog};

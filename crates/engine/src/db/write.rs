@@ -21,7 +21,9 @@
 //! access touches.
 
 use super::{Database, DbError, DbResult, ExecResult};
+use exptime_core::algebra::{eval, EvalOptions, Expr};
 use exptime_core::predicate::Predicate;
+use exptime_core::relation::Relation;
 use exptime_core::schema::Schema;
 use exptime_core::time::Time;
 use exptime_core::tuple::Tuple;
@@ -29,7 +31,6 @@ use exptime_core::value::{Value, ValueType};
 use exptime_policy::{Event as PolicyEvent, TouchKind, TtlPolicy};
 use exptime_sql::ast::{Cond, Expires, Literal, Query};
 use exptime_sql::plan_table_cond;
-use exptime_storage::Table;
 use exptime_wal::WalRecord;
 use std::time::Instant;
 
@@ -231,7 +232,7 @@ impl Database {
         let key = table.to_ascii_lowercase();
         let victims = self.targets(table, predicate)?;
         let mut n = 0;
-        for (tuple, _) in &victims {
+        for (tuple, _) in victims.iter() {
             if self.apply(&key, Change::Remove { tuple }, |db| {
                 db.counters.deletes.inc();
             })? {
@@ -301,9 +302,9 @@ impl Database {
         }
         self.wal_stmt(|db| {
             for (body, table, key, policy) in sliding {
-                let Some(stored) = db.tables.get(&key) else {
+                if !db.tables.contains_key(&key) {
                     continue;
-                };
+                }
                 // Narrow by WHERE when it plans as a per-tuple predicate
                 // over this one table; degrade to touch-all otherwise.
                 let pred = if body.from.len() == 1 {
@@ -313,7 +314,7 @@ impl Database {
                 } else {
                     None
                 };
-                let rows = matching(stored, pred.as_ref(), db.clock.now());
+                let rows = db.rows_where(table, pred)?;
                 db.retime(&key, policy, &rows, |current| PolicyEvent::Touch {
                     kind: TouchKind::Access,
                     current,
@@ -333,13 +334,13 @@ impl Database {
         &mut self,
         key: &str,
         policy: TtlPolicy,
-        rows: &[(Tuple, Time)],
+        rows: &Relation,
         event_of: impl Fn(Time) -> PolicyEvent,
     ) -> DbResult<usize> {
         let now = self.clock.now();
         let mut n = 0;
-        for (tuple, current) in rows {
-            let event = event_of(*current);
+        for (tuple, current) in rows.iter() {
+            let event = event_of(current);
             let fx = policy.effective_texp(event, now);
             if matches!(event, PolicyEvent::Touch { .. }) && !fx.slid {
                 continue;
@@ -361,15 +362,26 @@ impl Database {
 
     /// The rows a `DELETE` or an `UPDATE … SET EXPIRES` with this `WHERE`
     /// acts on.
-    fn targets(&self, table: &str, predicate: Option<&Cond>) -> DbResult<Vec<(Tuple, Time)>> {
+    fn targets(&self, table: &str, predicate: Option<&Cond>) -> DbResult<Relation> {
         let pred = predicate
             .map(|c| plan_table_cond(c, table, self))
             .transpose()?;
-        Ok(matching(
-            self.table(table)?,
-            pred.as_ref(),
-            self.clock.now(),
-        ))
+        // An unknown table is the engine's catalog error, not the algebra's.
+        self.table(table)?;
+        self.rows_where(table, pred)
+    }
+
+    /// The rows of `table` visible now that satisfy `pred`: what a
+    /// `DELETE`, an `UPDATE … SET EXPIRES` or an access touch acts on. A
+    /// write finds them with the scan a read does — `σ_pred(table)`
+    /// evaluated over the database — so it is counted as one scan.
+    fn rows_where(&self, table: &str, pred: Option<Predicate>) -> DbResult<Relation> {
+        let base = Expr::base(table);
+        let expr = match pred {
+            Some(p) => base.select(p),
+            None => base,
+        };
+        Ok(eval(&expr, self, self.clock.now(), &EvalOptions::default())?.rel)
     }
 
     /// The expiration an `EXPIRES` clause asks for; `None` (no clause, or
@@ -382,17 +394,6 @@ impl Database {
             Expires::In(d) => Some(self.clock.now() + d),
         }
     }
-}
-
-/// The rows of `table` visible at `now` that satisfy `pred`: what a
-/// `DELETE`, an `UPDATE … SET EXPIRES` or an access touch acts on. Writes
-/// filter with the same `scan_at` that reads copy from.
-fn matching(table: &Table, pred: Option<&Predicate>, now: Time) -> Vec<(Tuple, Time)> {
-    table
-        .scan_at(now)
-        .filter(|(tu, _)| pred.map_or(true, |p| p.eval(tu)))
-        .map(|(tu, texp)| (tu.clone(), texp))
-        .collect()
 }
 
 /// Coerces SQL literals to a schema (integer literals fill float columns).

@@ -1,5 +1,5 @@
 //! Repo-invariant lint gate: walks the workspace sources and enforces the
-//! `R001`–`R010` rules. Exits non-zero on any violation, so `scripts/ci.sh`
+//! `R001`–`R011` rules. Exits non-zero on any violation, so `scripts/ci.sh`
 //! can use it directly.
 
 #![forbid(unsafe_code)]
@@ -20,7 +20,8 @@ fn main() -> ExitCode {
                 "repolint: ok (R001 wall-clock, R002 durability unwrap, \
                  R003 forbid-unsafe, R004 thread-sleep, R005 table-copy, \
                  R006 nu-oracle, R007 one-read, R008 db-metrics-documented, \
-                 R009 events-documented, R010 one-durability-stage)"
+                 R009 events-documented, R010 one-durability-stage, \
+                 R011 one-input-reader)"
             );
             ExitCode::SUCCESS
         }

@@ -15,7 +15,7 @@
 //! endpoint (DESIGN.md §11.1), plus the cross-layer diagnostics
 //! `X005`/`W103`–`W105`.
 //!
-//! The same crate hosts the repo-invariant checks (`R001`–`R010`, the
+//! The same crate hosts the repo-invariant checks (`R001`–`R011`, the
 //! `repolint` binary) that `scripts/ci.sh` runs over the workspace's own
 //! sources.
 

@@ -13,6 +13,7 @@
 //! | R008 | The `db.*` metrics are documented, both ways: every `db.`-prefixed literal that production code under `crates/engine/src` passes to `.counter(`, `.gauge(` or `.histogram(` appears in DESIGN.md's `` | `db.*` | `` metric-table row, and every name in that row is registered there. |
 //! | R009 | The events are documented, both ways: every tag `EventKind::tag` returns in `crates/obs/src/events.rs` is a row of DESIGN.md's `` | Tag | `` event table, and every tag in that table is one `EventKind::tag` returns. |
 //! | R010 | In `crates/engine/src`, only the durability stage — `db/durable.rs`, and `durability.rs`, which reports the flag — names the log session (a `.wal` field) or its `degraded` flag in production code: every write to the log, and the one rule that a failed one degrades the session, is in one module. |
+//! | R011 | No `ops::product(`, `ops::join_nested_loop(` or `ops::project(` in production code under `crates/core/src` or `crates/engine/src`: the evaluator reads every input as lent rows or an evaluated result, so a product is the join kernel with an empty key and a π deduplicates as it reads. These three materialise a whole result from built relations and stay as the literal interpreter's definitions — what tests, benches and the A2 ablation compare against. |
 
 use std::fmt;
 use std::fs;
@@ -66,6 +67,7 @@ pub fn check_repo(root: &Path) -> io::Result<Vec<RepoViolation>> {
         check_r006(&rel, &content, &mut out);
         check_r007(&rel, &content, &mut out);
         check_r010(&rel, &content, &mut out);
+        check_r011(&rel, &content, &mut out);
     }
     check_r003(root, &mut out);
     check_r008(root, &sources, &mut out);
@@ -382,6 +384,39 @@ fn check_r010(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
             message: format!(
                 "`{name}` outside the durability stage; log through \
                  Database::{{wal_stmt, wal_log_op, log_ddl}} in db/durable.rs"
+            ),
+        });
+    }
+}
+
+/// R011: the literal interpreter's product, nested-loop join and
+/// projection (`ops::product(`, `ops::join_nested_loop(`, `ops::project(`)
+/// called in production code of the core or the engine. Evaluation reads
+/// its inputs one way and joins with `HashJoin`; `ops.rs` calls its own
+/// functions without the prefix and is unaffected.
+fn check_r011(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
+    const LITERAL: [&str; 3] = ["ops::product(", "ops::join_nested_loop(", "ops::project("];
+    if !(rel.starts_with("crates/core/src") || rel.starts_with("crates/engine/src")) {
+        return;
+    }
+    let lines: Vec<&str> = content.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        let code = code_only(line);
+        let Some(call) = LITERAL.iter().find(|call| code.contains(**call)) else {
+            continue;
+        };
+        if line_is_in_tests(&lines, i) {
+            continue;
+        }
+        out.push(RepoViolation {
+            rule: "R011",
+            path: rel.to_path_buf(),
+            line: i + 1,
+            message: format!(
+                "`{}` in production code; it is the literal interpreter's \
+                 definition — evaluation reads inputs through eval's Input \
+                 and joins with HashJoin",
+                call.trim_end_matches('(')
             ),
         });
     }
@@ -775,6 +810,49 @@ mod tests {
         assert_eq!(
             at,
             [(ops, 1), (ops, 2), (ops, 3), (db, 1), (db, 2), (db, 3)],
+            "{v:?}"
+        );
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn r011_keeps_the_literal_operators_off_the_evaluation_path() {
+        let literal = "fn cross(l: &Sub, r: &Sub) { ops::product(&l.rel, &r.rel, tau); }\n\
+                       fn nl(l: &Relation, r: &Relation) { ops::join_nested_loop(l, r, p, tau); }\n\
+                       fn pi(i: &Sub) { algebra::ops::project(&i.rel, ps, tau); }\n\
+                       /// Not `ops::product(l, r)`: a bare × is the join kernel.\n\
+                       fn fine(r: &Relation) { ops::select(r, p, tau); product(r, r, tau); }\n\
+                       #[cfg(test)]\n\
+                       mod tests { fn t() { ops::project(&r, &[0], tau); } }\n";
+        let dir = fixture(&[
+            ("crates/core/src/algebra/eval.rs", literal),
+            ("crates/engine/src/db/views.rs", literal),
+            ("crates/bench/src/experiments.rs", literal),
+            ("crates/bench/benches/operators.rs", literal),
+            ("tests/common/mod.rs", literal),
+            ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
+        ]);
+        let v = check_repo(&dir).unwrap();
+        let r011: Vec<_> = v.iter().filter(|v| v.rule == "R011").collect();
+        // Three production lines in each of the core and engine files;
+        // comments, other operators, unprefixed calls (how `ops.rs`
+        // calls its own), test modules, the bench crate and integration
+        // tests are free.
+        let at: Vec<_> = r011.iter().map(|v| (v.path.as_path(), v.line)).collect();
+        let (eval, views) = (
+            Path::new("crates/core/src/algebra/eval.rs"),
+            Path::new("crates/engine/src/db/views.rs"),
+        );
+        assert_eq!(
+            at,
+            [
+                (eval, 1),
+                (eval, 2),
+                (eval, 3),
+                (views, 1),
+                (views, 2),
+                (views, 3)
+            ],
             "{v:?}"
         );
         let _ = fs::remove_dir_all(dir);

@@ -16,7 +16,7 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 
-# Repo-invariant lint (exptime-lint R001–R010): no wall-clock reads
+# Repo-invariant lint (exptime-lint R001–R011): no wall-clock reads
 # outside core/time.rs, no unwrap/expect in durability paths (the WAL
 # crate, engine/durability.rs, the durability stage engine/db/durable.rs
 # and the write path engine/db/write.rs),
@@ -42,7 +42,11 @@ cargo fmt --check
 # And one durability stage: in engine/src only db/durable.rs (and
 # durability.rs, which reports the flag) names the log session (.wal) or
 # its degraded flag, so every log write and the rule that a failed one
-# degrades the session live in one module.
+# degrades the session live in one module. And one way to read an
+# input: no ops::product(, ops::join_nested_loop( or ops::project( in
+# production code under core/src or engine/src — they are the literal
+# interpreter's definitions, and evaluation reads lent rows or an
+# evaluated result and joins with the one hash-join kernel.
 cargo run --release -q -p exptime-lint --bin repolint
 
 # Analyzer golden tests: the Fig. 3 anomalies must flag their exact

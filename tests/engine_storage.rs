@@ -56,6 +56,11 @@ fn assert_reducible(db: &mut Database) -> std::result::Result<(), TestCaseError>
             .select(Predicate::attr_cmp_const(1, CmpOp::Lt, 3)),
         t().product(u()).select(Predicate::attr_eq_attr(1, 3)),
         u().product(t()).select(Predicate::attr_eq_attr(1, 3)),
+        // A bare × is the join kernel with an empty key, over lent rows.
+        t().product(u()),
+        // A π over an evaluated input: onto `t.v`, joined rows of
+        // different `k`, and so of different `texp`, merge.
+        t().join(u(), Predicate::attr_eq_attr(0, 2)).project([1]),
         // A join whose `σ* Base` inputs are read from the lent rows: with
         // a residual conjunct, and with the larger input (`t`) hashed.
         t().select(Predicate::attr_cmp_const(1, CmpOp::Lt, 3)).join(

@@ -243,12 +243,6 @@ impl MaterializedView {
         &self.expr
     }
 
-    /// The removal policy the view was created with.
-    #[must_use]
-    pub fn removal_policy(&self) -> RemovalPolicy {
-        self.removal
-    }
-
     /// Whether the view is monotonic (never recomputes).
     #[must_use]
     pub fn is_monotonic(&self) -> bool {

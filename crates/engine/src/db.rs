@@ -15,41 +15,49 @@
 //!   `INSERT … EXPIRES …` and `UPDATE … SET EXPIRES …`.
 //!
 //! A statement moves through a pipeline — dispatch → read → write → policy
-//! touch → durability → maintenance — and this file is being cut along
-//! it. Of those stages it still owns **dispatch** (`execute*`, the table
-//! catalog and DDL), the query half of **read** (`select` → `evaluate`,
-//! which inlines views, evaluates under the default `EvalOptions` and
-//! profiles the statements it samples, and `bill_query`, through which
-//! every read is counted) and **maintenance** (`advance_to`, vacuum, the
-//! forecast and the telemetry sampler), plus statement lint and the audit.
-//! The child modules own the rest: `stored` is the tables as the algebra's
-//! binding environment (what a read scans), `views` is the view catalog
-//! and the view half of **read** — what a view is, how one is inlined into
-//! a query, and how a materialised one is served, under the one refresh
-//! policy the analyzer's X002 also reads — `write` is the **write** and
-//! **policy touch** stages — every change to a stored row, live or redone,
-//! goes through its one `apply` — and `durable` is **durability**: open and
-//! recovery, checkpoints, the WAL statement bracket, and dump/restore.
+//! touch → durability → maintenance — with the analyzer beside it. Each
+//! stage has its module:
+//!
+//! * **dispatch** — this file: `execute*`, the table catalog and DDL, and
+//!   the TTL-policy catalog (`set_ttl_policy`, `SHOW TTL`);
+//! * **read** — the query half here (`select` → `evaluate`, which inlines
+//!   views, evaluates under the default `EvalOptions` and profiles the
+//!   statements it samples, and `bill_query`, through which every read is
+//!   counted); `stored` is the tables as the algebra's binding environment
+//!   (what a read scans); `views` is the view catalog and the view half —
+//!   how a view is inlined into a query, and how a materialised one is
+//!   served under the one refresh policy the analyzer also reads;
+//! * **write** and **policy touch** — `write`: every change to a stored
+//!   row, live or redone, goes through its one `apply`;
+//! * **durability** — `durable`: open and recovery, checkpoints, the WAL
+//!   statement bracket, and dump/restore;
+//! * **maintenance** — `maintain`: the clock (`tick`, `advance_to`,
+//!   vacuum), the one place a row leaves by expiration, the health
+//!   snapshot and the forecast;
+//! * **analysis** — `analysis`: statement lint, the `W101`/`W102` checks of
+//!   a materialisation, what a policy change means to the audit, and the
+//!   whole-database audit.
+//!
+//! The telemetry sampler, which runs on clock advances and at statement
+//! boundaries, is here too.
 
 use crate::constraint::{Constraint, ConstraintViolation};
 use crate::durability::Durability;
 use crate::telemetry::{TelemetryConfig, TelemetryStatus, TELEMETRY_HEALTH, TELEMETRY_METRICS};
-use crate::trigger::{ExpirationEvent, TriggerFn, TriggerManager};
+use crate::trigger::{TriggerFn, TriggerManager};
 use exptime_core::algebra::{
     eval, eval_profiled, EvalOptions, Expr, Materialized, PlanProfile, ProfileStats, Profiler,
 };
 use exptime_core::materialize::RefreshDecision;
 use exptime_core::relation::Relation;
-use exptime_core::rewrite::TickBound;
 use exptime_core::schema::{Attribute, Schema};
 use exptime_core::time::{Clock, Time};
 use exptime_core::tuple::Tuple;
 use exptime_core::value::{Value, ValueType};
 use exptime_obs::{
-    Counter, EventKind, Health, Histogram, HorizonForecast, MetricsRegistry, Obs, SloConfig,
-    StalenessBound, StalenessMonitor, StormBucket, Tracer,
+    Counter, EventKind, Histogram, MetricsRegistry, Obs, SloConfig, StalenessMonitor, Tracer,
 };
-use exptime_policy::{MaintenanceWindow, Sliding, TtlPolicy};
+use exptime_policy::{MaintenanceWindow, TtlPolicy};
 use exptime_sql::ast::{Statement, TtlClause};
 use exptime_sql::{plan_query, SchemaProvider, SqlError};
 use exptime_storage::{IndexKind, Table};
@@ -57,49 +65,15 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::time::Instant;
 
+mod analysis;
 mod durable;
+mod maintain;
 mod stored;
 mod views;
 mod write;
 use durable::{clause_of_policy, WalSession};
-use views::{analyzer_options, sliding_matview_diag, ViewEntry};
-
-/// How the engine physically removes expired base-table rows
-/// (Section 3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Removal {
-    /// Process expirations at every expiration event time as the clock
-    /// passes it; triggers fire exactly at `texp`.
-    #[default]
-    Eager,
-    /// Defer physical removal to a periodic vacuum; reads are unaffected
-    /// (they filter by `texp > τ`), but triggers fire late and space is
-    /// reclaimed late.
-    Lazy {
-        /// Vacuum cadence in ticks.
-        vacuum_every: u64,
-    },
-}
-
-/// Configuration for the expiration-horizon forecaster (DESIGN.md §8.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ForecastConfig {
-    /// Predicted expirations-per-tick above which a horizon bucket is a
-    /// *storm*: every clock advance recomputes the forecast and emits a
-    /// `storm_warning` event for each bucket whose rate `count / 2^k`
-    /// strictly exceeds this. Zero means any non-empty bucket warns.
-    pub storm_threshold: u64,
-}
-
-impl Default for ForecastConfig {
-    fn default() -> Self {
-        // High enough that steady drip workloads stay quiet; a derived
-        // zero would make every expiring tuple a "storm".
-        ForecastConfig {
-            storm_threshold: 64,
-        }
-    }
-}
+pub use maintain::{DbForecast, ForecastConfig, Removal};
+use views::ViewEntry;
 
 /// Engine configuration: what a deployment sets. How statements evaluate
 /// and how materialised views refresh are not settings (see `db/views.rs`).
@@ -123,65 +97,6 @@ pub struct DbConfig {
     /// schema, with retention expressed as expiration times
     /// (DESIGN.md §8.5). Off by default.
     pub telemetry: TelemetryConfig,
-}
-
-/// A point-in-time forecast of the database's future expiration load:
-/// the merged [`HorizonForecast`] across all tables, each table's own
-/// horizon, each materialised view's ticks-until-refresh, and any
-/// buckets exceeding the configured storm threshold. Built by
-/// [`Database::forecast`]; rendered by the CLI's `\forecast`.
-#[derive(Debug, Clone)]
-pub struct DbForecast {
-    /// Logical instant the forecast is anchored at.
-    pub now: u64,
-    /// Storm threshold in effect (predicted expirations per tick).
-    pub threshold: u64,
-    /// Merged horizon across every table.
-    pub horizon: HorizonForecast,
-    /// Per-table horizons, in name order.
-    pub tables: Vec<(String, HorizonForecast)>,
-    /// Each materialised view's predicted refresh deadline: ticks until
-    /// its `texp` forces a refresh decision, or `None` when eternal.
-    pub views: Vec<(String, Option<u64>)>,
-    /// Buckets of the merged horizon whose predicted expirations-per-tick
-    /// rate exceeds [`DbForecast::threshold`].
-    pub storms: Vec<StormBucket>,
-}
-
-impl DbForecast {
-    /// Renders the forecast for humans: the merged load curve, per-table
-    /// and per-view summaries, and storm warnings last.
-    #[must_use]
-    pub fn render(&self, width: usize) -> String {
-        use std::fmt::Write as _;
-        let mut out = self.horizon.render(width);
-        for (name, f) in &self.tables {
-            let _ = writeln!(
-                out,
-                "table {name}: {} expiring, {} eternal",
-                f.expiring(),
-                f.eternal()
-            );
-        }
-        for (name, due) in &self.views {
-            match due {
-                Some(d) => {
-                    let _ = writeln!(out, "view {name}: refresh due in {d} tick(s)");
-                }
-                None => {
-                    let _ = writeln!(out, "view {name}: eternal (no expiration-forced refresh)");
-                }
-            }
-        }
-        for s in &self.storms {
-            let _ = writeln!(
-                out,
-                "STORM [+{},+{}]: {} predicted expirations (> {}/tick)",
-                s.lo, s.hi, s.predicted, self.threshold
-            );
-        }
-        out
-    }
 }
 
 /// Aggregate engine statistics — a point-in-time snapshot of the `db.*`
@@ -583,94 +498,6 @@ impl Database {
         &self.profiler
     }
 
-    /// A health snapshot: per-view time-to-expiration (from materialised
-    /// `texp` — Theorems 1–3), SLO breach counts, and latency/lateness
-    /// distributions. Refreshes the staleness gauges first, so the report
-    /// reflects *this* instant even if the clock has not moved since the
-    /// last advance.
-    #[must_use]
-    pub fn health(&self) -> Health {
-        self.observe_view_staleness();
-        self.monitor.health()
-    }
-
-    /// Forecasts future expiration load: every table's expiry index is
-    /// folded into log₂ horizon buckets (`[now + 2^k, now + 2^(k+1))`),
-    /// materialised views report their predicted refresh deadlines, and
-    /// buckets denser than [`ForecastConfig::storm_threshold`] per tick
-    /// are flagged as storms. Everything here is *computable today*
-    /// because a tuple's future visibility is a pure function of its
-    /// expiration time — the paper's central observation, pointed
-    /// forward.
-    #[must_use]
-    pub fn forecast(&self) -> DbForecast {
-        let now_t = self.clock.now();
-        let now = now_t.finite().unwrap_or(u64::MAX);
-        let mut horizon = HorizonForecast::new(now);
-        let mut tables = Vec::new();
-        for (name, table) in &self.tables {
-            let f = table.expiry_horizon(now_t);
-            horizon.merge(&f);
-            tables.push((name.clone(), f));
-        }
-        let views = self
-            .views
-            .iter()
-            .filter_map(|(name, entry)| {
-                let due = entry.materialized()?.texp().finite();
-                Some((name.clone(), due.map(|t| t.saturating_sub(now))))
-            })
-            .collect();
-        let threshold = self.config.forecast.storm_threshold;
-        let storms = horizon.storms(threshold);
-        DbForecast {
-            now,
-            threshold,
-            horizon,
-            tables,
-            views,
-            storms,
-        }
-    }
-
-    /// Re-derives the `forecast.*` gauges from a fresh horizon scan and
-    /// emits a `storm_warning` event per storming bucket. Runs once per
-    /// [`Database::advance_to`] call — the same cadence as the staleness
-    /// gauges — and once after WAL recovery.
-    fn refresh_forecast_gauges(&self) {
-        let fc = self.forecast();
-        let reg = self.metrics();
-        reg.gauge("forecast.live")
-            .set(gauge_i64(fc.horizon.total()));
-        reg.gauge("forecast.expiring")
-            .set(gauge_i64(fc.horizon.expiring()));
-        reg.gauge("forecast.eternal")
-            .set(gauge_i64(fc.horizon.eternal()));
-        reg.gauge("forecast.due_64")
-            .set(gauge_i64(fc.horizon.due_within(64)));
-        reg.gauge("forecast.storm_buckets")
-            .set(gauge_i64(fc.storms.len() as u64));
-        for (name, f) in &fc.tables {
-            reg.gauge(&format!("storage.{name}.forecast_expiring"))
-                .set(gauge_i64(f.expiring()));
-        }
-        for (name, due) in &fc.views {
-            // -1 marks an eternal view: no expiration ever forces it.
-            reg.gauge(&format!("view.{name}.refresh_due_in"))
-                .set(due.map_or(-1, gauge_i64));
-        }
-        for s in &fc.storms {
-            self.obs
-                .emit_with(Some(fc.now), || EventKind::StormWarning {
-                    lo: s.lo,
-                    hi: s.hi,
-                    predicted: s.predicted,
-                    threshold: fc.threshold,
-                    at: fc.now,
-                });
-        }
-    }
-
     /// The trigger manager (register callbacks, read the event log).
     pub fn triggers(&mut self) -> &mut TriggerManager {
         &mut self.triggers
@@ -698,142 +525,6 @@ impl Database {
         }
         self.constraints.entry(key).or_default().push(constraint);
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Time
-    // ------------------------------------------------------------------
-
-    /// Advances the clock by `delta` ticks, processing expirations per the
-    /// removal policy. Returns the new time.
-    pub fn tick(&mut self, delta: u64) -> Time {
-        let target = self.clock.now() + delta;
-        self.advance_to(target);
-        target
-    }
-
-    /// Advances the clock to `target`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is in the past or `∞` (clocks only move forward
-    /// through finite instants).
-    pub fn advance_to(&mut self, target: Time) {
-        let from = self.clock.now();
-        let mut span = self.tracer.span("clock.advance");
-        span.attr("from", from);
-        span.attr("to", target);
-        if let Some(t) = target.finite() {
-            span.at(t);
-        }
-        if target > from {
-            self.obs
-                .emit_with(target.finite(), || EventKind::ClockAdvance {
-                    from: from.finite().unwrap_or(u64::MAX),
-                    to: target.finite().unwrap_or(u64::MAX),
-                });
-        }
-        match self.config.removal {
-            Removal::Eager => {
-                // Step through each expiration event so triggers fire at
-                // their exact times.
-                loop {
-                    let next = self
-                        .tables
-                        .values_mut()
-                        .filter_map(Table::next_expiration)
-                        .min();
-                    match next {
-                        Some(t) if t <= target => {
-                            self.clock.advance_to(t);
-                            self.expire_all(t, t);
-                        }
-                        _ => break,
-                    }
-                }
-                self.clock.advance_to(target);
-            }
-            Removal::Lazy { vacuum_every } => {
-                self.clock.advance_to(target);
-                let due = target
-                    .finite()
-                    .zip(self.last_vacuum.finite())
-                    .is_some_and(|(t, v)| t - v >= vacuum_every);
-                if due {
-                    self.vacuum();
-                }
-            }
-        }
-        drop(span);
-        if target > from {
-            self.wal_after_advance(target);
-        }
-        // Every clock advance re-derives the per-view time-to-expiration
-        // gauges from the materialised texp values (no sampling needed —
-        // the paper's machinery makes staleness predictable), then the
-        // forward-looking horizon: forecast gauges and storm warnings.
-        // Once per advance_to *call*, not per tick — `tick(1024)` pays
-        // for one horizon scan.
-        self.observe_view_staleness();
-        self.refresh_forecast_gauges();
-        // Telemetry sampling rides the same cadence: persist the freshly
-        // refreshed gauges as expiring history rows when a sample is due.
-        self.maybe_sample_telemetry();
-    }
-
-    /// Runs a vacuum pass now: physically removes expired rows from every
-    /// table and fires their triggers (with `fired_at = now`, possibly
-    /// after `texp` — the lazy-removal fidelity gap).
-    pub fn vacuum(&mut self) {
-        let now = self.clock.now();
-        let mut span = self.tracer.span("db.vacuum");
-        if let Some(t) = now.finite() {
-            span.at(t);
-        }
-        let removed = self.expire_all(now, now);
-        span.attr("removed", removed);
-        self.last_vacuum = now;
-        self.counters.vacuums.inc();
-        self.obs.emit_with(now.finite(), || EventKind::VacuumPass {
-            at: now.finite().unwrap_or(u64::MAX),
-            removed,
-        });
-    }
-
-    fn expire_all(&mut self, tau: Time, fired_at: Time) -> u64 {
-        let mut removed = 0;
-        for (name, table) in &mut self.tables {
-            for (tuple, texp) in table.expire_due(tau) {
-                self.counters.expired.inc();
-                removed += 1;
-                let (texp_u, fired_u) = (
-                    texp.finite().unwrap_or(u64::MAX),
-                    fired_at.finite().unwrap_or(u64::MAX),
-                );
-                self.obs
-                    .emit_with(fired_at.finite(), || EventKind::TupleExpired {
-                        table: name.clone(),
-                        texp: texp_u,
-                        fired_at: fired_u,
-                    });
-                self.triggers.fire(ExpirationEvent {
-                    table: name.clone(),
-                    tuple,
-                    texp,
-                    fired_at,
-                });
-                self.obs
-                    .emit_with(fired_at.finite(), || EventKind::TriggerFired {
-                        table: name.clone(),
-                        texp: texp_u,
-                        fired_at: fired_u,
-                    });
-                // SLO: lazy removal fires triggers late by design; the
-                // monitor decides whether this crossed the threshold.
-                self.monitor.observe_trigger(name, texp_u, fired_u);
-            }
-        }
-        removed
     }
 
     // ------------------------------------------------------------------
@@ -944,24 +635,13 @@ impl Database {
             let tp = TablePolicy::in_registry(self.obs.registry(), &key, policy);
             self.policies.insert(key.clone(), tp);
         }
-        // A policy change invalidates every bound the last audit proved
-        // (loosening a clamp can admit longer-lived rows than the proof
-        // covered). Clear them; the next audit re-derives.
-        self.monitor.set_staleness_bounds(std::iter::empty());
         let at = self.clock.now().finite();
         self.obs.emit_with(at, || EventKind::PolicyChange {
             table: key.clone(),
             policy: policy.to_string(),
             at: at.unwrap_or(u64::MAX),
         });
-        if policy.sliding != Sliding::Absolute {
-            let kept = self
-                .views_over(&key)
-                .filter(|(_, e)| e.materialized().is_some());
-            for (view, _) in kept {
-                self.publish_diagnostics(view, &[sliding_matview_diag(&key, view)]);
-            }
-        }
+        self.policy_changed(&key);
         // An identity policy logs as `SET TTL NONE`.
         let ttl = clause_of_policy(&policy);
         if ttl.is_some() || policy.is_identity() {
@@ -1183,200 +863,6 @@ impl Database {
     /// Returns a plan error for unknown names.
     pub fn schema_of_relation(&self, name: &str) -> Result<Schema, SqlError> {
         self.schema_of(name)
-    }
-
-    // ------------------------------------------------------------------
-    // Static analysis (exptime-lint)
-    // ------------------------------------------------------------------
-
-    /// Runs the static expiration-soundness analyzer over a statement
-    /// *without executing it*: `SELECT` queries and `CREATE [MATERIALIZED]
-    /// VIEW` statements are planned (view names inlined) and checked
-    /// against the paper's results. See DESIGN.md §11 for the code
-    /// registry. Bare `SELECT`s are analysed as materialisation
-    /// candidates, since that is the question the analyzer answers.
-    ///
-    /// # Errors
-    ///
-    /// Returns SQL parse/plan errors, and [`DbError::Catalog`] for
-    /// statements that are neither `SELECT` nor `CREATE VIEW`.
-    pub fn lint(&self, sql: &str) -> DbResult<exptime_lint::LintReport> {
-        let stmt = exptime_sql::parse(sql)?;
-        let (query, materialized) = match &stmt {
-            Statement::Select(query) => (query, true),
-            Statement::CreateView {
-                query,
-                materialized,
-                ..
-            } => (query, *materialized),
-            _ => {
-                return Err(DbError::Catalog(
-                    "lint expects a SELECT or CREATE [MATERIALIZED] VIEW statement".into(),
-                ))
-            }
-        };
-        let expr = plan_query(query, self)?;
-        let expr = self.inline_views(&expr);
-        let opts = analyzer_options(materialized);
-        Ok(exptime_lint::analyze(Some(query), &expr, &opts))
-    }
-
-    /// Publishes analyzer findings about `subject`: one `lint_diagnostic`
-    /// event each, and the `lint.diagnostics` counter (which exists only
-    /// once something has been found).
-    fn publish_diagnostics(&self, subject: &str, diagnostics: &[exptime_lint::Diagnostic]) {
-        let at = self.clock.now().finite();
-        for d in diagnostics {
-            self.obs.emit_with(at, || EventKind::LintDiagnostic {
-                code: d.code.to_string(),
-                severity: d.severity.to_string(),
-                subject: subject.to_string(),
-            });
-        }
-        if !diagnostics.is_empty() {
-            let found = self.obs.registry().counter("lint.diagnostics");
-            found.add(diagnostics.len() as u64);
-        }
-    }
-
-    /// [`Database::lint`] rendered with source excerpts and caret lines —
-    /// the output behind the CLI's `\lint` and `EXPLAIN LINT`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Database::lint`].
-    pub fn explain_lint(&self, sql: &str) -> DbResult<String> {
-        let report = self.lint(sql)?;
-        Ok(exptime_lint::render(&report, sql))
-    }
-
-    // ------------------------------------------------------------------
-    // Whole-database audit (exptime-audit, DESIGN.md §11.1)
-    // ------------------------------------------------------------------
-
-    /// Registers (or, with `None`, clears) the stale-serving endpoint a
-    /// net server exposes over this database, so [`Database::audit`] can
-    /// reason about degraded reads. Called by `NetServer::serve`.
-    pub fn set_serving_config(&mut self, serving: Option<exptime_lint::StaleServing>) {
-        self.serving = serving;
-    }
-
-    /// The registered stale-serving endpoint, if any.
-    #[must_use]
-    pub fn serving_config(&self) -> Option<&exptime_lint::StaleServing> {
-        self.serving.as_ref()
-    }
-
-    /// The staleness bound the last audit registered for `subject`
-    /// (a view or endpoint name), if still in force.
-    #[must_use]
-    pub fn staleness_bound(&self, subject: &str) -> Option<StalenessBound> {
-        self.monitor.staleness_bound(subject)
-    }
-
-    /// Flattens the engine into the audit's dependency graph: every base
-    /// table with its policy and observed live-row horizon, every view
-    /// with the soundness of its inlined plan, the telemetry retention,
-    /// and the stale-serving endpoint when one is registered.
-    #[must_use]
-    pub fn audit_graph(&self) -> exptime_lint::AuditGraph {
-        let now_t = self.clock.now();
-        let now = now_t.finite().unwrap_or(u64::MAX);
-        let mut graph = exptime_lint::AuditGraph::empty(now);
-        for (name, table) in &self.tables {
-            let mut horizon = TickBound::ZERO;
-            for (_, texp) in table.scan_at(now_t) {
-                horizon = horizon.join(match texp.finite() {
-                    Some(t) => TickBound::Finite(t.saturating_sub(now)),
-                    None => TickBound::Unbounded,
-                });
-            }
-            graph.tables.push(exptime_lint::TableNode {
-                name: name.clone(),
-                policy: self.policies.get(name).map(|tp| tp.policy),
-                live_horizon: horizon,
-            });
-        }
-        for (name, entry) in &self.views {
-            let expr = self.inline_views(entry.expr());
-            let bases = expr
-                .base_names()
-                .iter()
-                .map(|b| b.to_ascii_lowercase())
-                .collect();
-            // Direct FROM-list references (tables *or* views) — the
-            // view-on-view edges. API-built views carry no definition.
-            let deps = entry.definition().map_or_else(Vec::new, |q| {
-                std::iter::once(&q.body)
-                    .chain(q.compound.iter().map(|(_, b)| b))
-                    .flat_map(|b| b.from.iter())
-                    .map(|n| n.to_ascii_lowercase())
-                    .collect()
-            });
-            graph.views.push(exptime_lint::ViewNode {
-                name: name.clone(),
-                materialized: entry.materialized().is_some(),
-                soundness: expr.soundness(),
-                bases,
-                deps,
-            });
-        }
-        if self.config.telemetry.enabled {
-            graph.telemetry = Some(exptime_lint::TelemetryNode {
-                retention: self.config.telemetry.retention,
-                sample_every: self.config.telemetry.sample_every,
-            });
-        }
-        graph.serving = self.serving.clone();
-        graph
-    }
-
-    /// Runs the whole-database staleness audit (`EXPLAIN AUDIT` /
-    /// `\audit`): derives a provable worst-case staleness bound per view
-    /// and per serving endpoint by abstract interpretation over the
-    /// dependency graph, and registers every derived bound with the SLO
-    /// monitor as a `view.<subject>.staleness_bound` gauge. Bounds with
-    /// `exact`/`proven` evidence are *enforced*: if a later observation
-    /// ever exceeds one, the monitor emits an `audit_violation` event —
-    /// that means an analyzer bug, clock misuse, or raw
-    /// [`Database::table_mut`] writes that bypassed the policy layer.
-    ///
-    /// Bounds reflect the catalog at audit time; policy changes clear
-    /// them (re-run the audit after `ALTER TABLE … SET TTL`).
-    #[must_use]
-    pub fn audit(&self) -> exptime_lint::AuditReport {
-        let mut sp = self.tracer.span("audit");
-        let at = self.clock.now().finite();
-        if let Some(t) = at {
-            sp.at(t);
-        }
-        let report = exptime_lint::audit(&self.audit_graph());
-        // Views are observed by name; endpoints have no `ttx` gauge to
-        // check, so their bounds are gauges only.
-        let bounds = report
-            .views
-            .iter()
-            .map(|v| {
-                (
-                    v.name.clone(),
-                    StalenessBound {
-                        bound: v.bound.finite(),
-                        enforced: v.basis <= exptime_lint::BoundBasis::Proven,
-                    },
-                )
-            })
-            .chain(report.endpoints.iter().map(|e| {
-                (
-                    e.name.clone(),
-                    StalenessBound {
-                        bound: e.bound.finite(),
-                        enforced: false,
-                    },
-                )
-            }));
-        self.monitor.set_staleness_bounds(bounds);
-        self.publish_diagnostics("audit", &report.lint.diagnostics);
-        report
     }
 
     // ------------------------------------------------------------------
@@ -1786,6 +1272,7 @@ impl SchemaProvider for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exptime_core::rewrite::TickBound;
     use exptime_core::tuple;
     use exptime_policy::TouchKind;
 
@@ -1850,6 +1337,40 @@ mod tests {
         assert_eq!(top.texp, whole.texp);
         assert_eq!(top.validity, whole.validity);
         assert!(!top.valid_at(t(5)));
+    }
+
+    /// A table's live horizon in the audit graph is its latest-expiring
+    /// live row: unbounded once one is eternal, exact while it is empty,
+    /// and rows already dead at `τ` do not count.
+    #[test]
+    fn audit_graph_bounds_each_table_by_its_latest_live_row() {
+        let mut db = Database::default();
+        for t in ["e", "f", "g"] {
+            db.execute(&format!("CREATE TABLE {t} (k INT)")).unwrap();
+        }
+        db.execute("INSERT INTO f VALUES (1) EXPIRES AT 3").unwrap();
+        db.execute("INSERT INTO f VALUES (2) EXPIRES AT 9").unwrap();
+        db.execute("INSERT INTO g VALUES (1) EXPIRES AT 4").unwrap();
+        db.execute("INSERT INTO g VALUES (2)").unwrap();
+        db.tick(2);
+        let horizons = |db: &Database| {
+            let graph = db.audit_graph();
+            graph
+                .tables
+                .iter()
+                .map(|t| t.live_horizon)
+                .collect::<Vec<_>>()
+        };
+        let finite = TickBound::Finite;
+        assert_eq!(
+            horizons(&db),
+            [TickBound::ZERO, finite(7), TickBound::Unbounded]
+        );
+        db.tick(6);
+        assert_eq!(
+            horizons(&db),
+            [TickBound::ZERO, finite(1), TickBound::Unbounded]
+        );
     }
 
     #[test]
@@ -1987,7 +1508,9 @@ mod tests {
         assert_eq!((lo, hi, predicted, threshold, at), (1, 1, 5, 2, 1));
         // The view's refresh deadline is its texp distance: the hidden
         // tuple reappears at 3, so two ticks out from t=1.
-        assert_eq!(db.metrics().gauge_value("view.v.refresh_due_in"), 2);
+        assert_eq!(db.metrics().gauge_value("view.v.ttx"), 2);
+        let gauges = db.metrics().gauges();
+        assert!(gauges.iter().all(|(g, _)| !g.ends_with(".refresh_due_in")));
         assert_eq!(db.forecast().views, vec![("v".to_string(), Some(2))]);
         // Past the dense expirations the storm clears; only the
         // long-lived `base` row remains on the horizon.

@@ -19,28 +19,16 @@ use exptime_core::materialize::{
 };
 use exptime_core::relation::Relation;
 use exptime_core::schema::Schema;
-use exptime_lint::{Code, Diagnostic, LintReport, Severity};
-use exptime_policy::Sliding;
+use exptime_lint::LintReport;
 use exptime_sql::ast::{Query, Statement};
-use exptime_sql::span::Span;
 use exptime_storage::Table;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// How every materialised view reacts when its materialisation expires.
-/// The analyzer reads the same constant ([`analyzer_options`]), so X002
-/// is reported exactly for the views that recompute.
-const VIEW_REFRESH: RefreshPolicy = RefreshPolicy::Recompute;
-
-/// How the analyzer should read a plan: a view patches exactly when
-/// [`VIEW_REFRESH`] says so, and reads are not Schrödinger reads.
-pub(super) fn analyzer_options(materialized: bool) -> exptime_lint::AnalyzerOptions {
-    exptime_lint::AnalyzerOptions {
-        materialized,
-        patch_root_difference: VIEW_REFRESH == RefreshPolicy::Patch,
-        schrodinger: false,
-    }
-}
+/// The analyzer reads the same constant (`db/analysis.rs`), so X002 is
+/// reported exactly for the views that recompute.
+pub(super) const VIEW_REFRESH: RefreshPolicy = RefreshPolicy::Recompute;
 
 #[allow(clippy::large_enum_variant)] // few views exist; clarity over size
 pub(super) enum ViewEntry {
@@ -290,17 +278,6 @@ impl Database {
         Ok((rel, decision))
     }
 
-    /// Pushes every materialised view's `texp` into the staleness
-    /// monitor's `view.<name>.ttx` gauges.
-    pub(super) fn observe_view_staleness(&self) {
-        let now = self.clock.now().finite().unwrap_or(u64::MAX);
-        let items = self.views.iter().filter_map(|(name, entry)| {
-            let view = entry.materialized()?;
-            Some((name.as_str(), view.texp().finite(), view.last_decision()))
-        });
-        self.monitor.observe_views(now, items.collect::<Vec<_>>());
-    }
-
     /// The names of all views, in name order.
     #[must_use]
     pub fn view_names(&self) -> Vec<String> {
@@ -330,56 +307,6 @@ impl Database {
             _ => Err(not_materialized(name)),
         }
     }
-
-    /// Analyzer pass run at `CREATE MATERIALIZED VIEW` time: the static
-    /// checks plus the operational `W101` — the view's first refresh falls
-    /// due within the SLO's tolerated trigger lateness, so a legally late
-    /// trigger would miss the refresh window — and `W102`. Every
-    /// diagnostic is published ([`Database::publish_diagnostics`]).
-    fn lint_materialization(
-        &self,
-        name: &str,
-        definition: Option<&Query>,
-        view: &MaterializedView,
-    ) -> LintReport {
-        let opts = analyzer_options(true);
-        let mut diagnostics = exptime_lint::analyze(definition, view.expr(), &opts).diagnostics;
-        let lateness = self.config.slo.max_trigger_lateness;
-        let due_in = view.texp().finite().zip(self.clock.now().finite());
-        if let Some(window) = due_in.map(|(texp, now)| texp.saturating_sub(now)) {
-            if window <= lateness {
-                diagnostics.push(
-                    Diagnostic::new(
-                        Code::W101,
-                        Severity::Warning,
-                        format!(
-                            "view refresh falls due in {window} tick(s), within the SLO's \
-                             tolerated trigger lateness of {lateness}; a legally late trigger \
-                             misses the refresh window"
-                        ),
-                        Span::DUMMY,
-                    )
-                    .with_suggestion(
-                        "tighten SloConfig::max_trigger_lateness, switch to eager removal, \
-                         or give the view's inputs longer expiration times"
-                            .to_string(),
-                    ),
-                );
-            }
-        }
-        // W102: the view materialises over a base whose TTL slides — each
-        // touch bumps the base's write version and forces a refresh.
-        for base in view.expr().base_names() {
-            let key = base.to_ascii_lowercase();
-            let policy = self.policies.get(&key).map(|tp| tp.policy);
-            if policy.is_some_and(|p| p.sliding != Sliding::Absolute) {
-                diagnostics.push(sliding_matview_diag(&key, name));
-            }
-        }
-        let report = LintReport::new(diagnostics);
-        self.publish_diagnostics(name, &report.diagnostics);
-        report
-    }
 }
 
 /// The write version of every base table `expr` names: what a materialised
@@ -395,25 +322,4 @@ fn base_versions(tables: &BTreeMap<String, Table>, expr: &Expr) -> Vec<(String, 
 
 fn not_materialized(name: &str) -> DbError {
     DbError::Catalog(format!("`{name}` is not a materialised view"))
-}
-
-/// The `W102` diagnostic: a materialised view over a base table whose
-/// TTL slides. Emitted both when the view is created over an already-
-/// sliding base and when `ALTER TABLE … SET TTL … SLIDING` arrives
-/// under an existing view.
-pub(super) fn sliding_matview_diag(table: &str, view: &str) -> Diagnostic {
-    Diagnostic::new(
-        Code::W102,
-        Severity::Warning,
-        format!(
-            "materialised view `{view}` reads `{table}`, whose TTL policy slides: \
-             every touch rewrites a base `texp`, so the monotone-expiration \
-             assumption behind Theorems 1–3 no longer holds and each touched \
-             read forces a view refresh"
-        ),
-        Span::DUMMY,
-    )
-    .with_suggestion(format!(
-        "make `{table}`'s TTL absolute, or use a virtual (non-materialised) view"
-    ))
 }

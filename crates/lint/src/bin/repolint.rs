@@ -20,7 +20,7 @@ fn main() -> ExitCode {
                 "repolint: ok (R001 wall-clock, R002 durability unwrap, \
                  R003 forbid-unsafe, R004 thread-sleep, R005 table-copy, \
                  R006 nu-oracle, R007 one-read, R008 db-metrics-documented, \
-                 R009 events-documented, R010 one-durability-stage, \
+                 R009 events-documented, R010 stage-owned-names, \
                  R011 one-input-reader)"
             );
             ExitCode::SUCCESS

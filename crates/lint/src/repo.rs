@@ -12,7 +12,7 @@
 //! | R007 | No `prev_covered(` and no `.rel.exp(` in production code that holds a materialisation — `crates/replica/src`, `crates/net/src`, `crates/engine/src` and `crates/core/src/{schrodinger,materialize}.rs`: which instant a materialisation can answer for, and the rows it has at one (the stored rows *plus* the due part of its Theorem 3 queue), are `Materialized::{covered_at, rows_at, answer}`. `crates/core/src/algebra/eval.rs`, where that kernel is defined, is the one place that does either by hand. |
 //! | R008 | The `db.*` metrics are documented, both ways: every `db.`-prefixed literal that production code under `crates/engine/src` passes to `.counter(`, `.gauge(` or `.histogram(` appears in DESIGN.md's `` | `db.*` | `` metric-table row, and every name in that row is registered there. |
 //! | R009 | The events are documented, both ways: every tag `EventKind::tag` returns in `crates/obs/src/events.rs` is a row of DESIGN.md's `` | Tag | `` event table, and every tag in that table is one `EventKind::tag` returns. |
-//! | R010 | In `crates/engine/src`, only the durability stage — `db/durable.rs`, and `durability.rs`, which reports the flag — names the log session (a `.wal` field) or its `degraded` flag in production code: every write to the log, and the one rule that a failed one degrades the session, is in one module. |
+//! | R010 | In `crates/engine/src`, a name one stage owns appears in production code only in that stage's files, per one table: the log session (a `.wal` field) and its `degraded` flag in the durability stage (`db/durable.rs`, and `durability.rs`, which reports the flag); `expire_due(` in the maintenance stage (`db/maintain.rs`); `exptime_lint::{analyze, audit, render}(` in the analyzer stage (`db/analysis.rs`). Every write to the log, every expiration and every question to the analyzer goes through one module. |
 //! | R011 | No `ops::product(`, `ops::join_nested_loop(` or `ops::project(` in production code under `crates/core/src` or `crates/engine/src`: the evaluator reads every input as lent rows or an evaluated result, so a product is the join kernel with an empty key and a π deduplicates as it reads. These three materialise a whole result from built relations and stay as the literal interpreter's definitions — what tests, benches and the A2 ablation compare against. |
 
 use std::fmt;
@@ -354,38 +354,56 @@ fn check_r007(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
     }
 }
 
-/// R010: the engine's log session — a `.wal` field access, or its
-/// `degraded` flag — named in production code under `crates/engine/src`
-/// outside the durability stage. `db/write.rs` decides which change logs
-/// which record and hands it to `Database::wal_log_op`; everything that
-/// writes, and the rule that a failed write degrades the session, is in
-/// `db/durable.rs` (`durability.rs` declares the reported flag).
+/// R010: a name one engine stage owns, named in production code under
+/// `crates/engine/src` outside that stage's files. The log session (a
+/// `.wal` field access, or its `degraded` flag) is the durability stage's:
+/// `db/write.rs` hands each record to `Database::wal_log_op`, and
+/// everything that writes, and the rule that a failed write degrades the
+/// session, is in `db/durable.rs` (`durability.rs` declares the reported
+/// flag). Removing a row by expiration (`Table::expire_due`) is the
+/// maintenance stage's, which fires the triggers; asking `exptime-lint`
+/// about the database is the analyzer stage's, which publishes findings.
 fn check_r010(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
-    const STAGE: [&str; 2] = [
-        "crates/engine/src/db/durable.rs",
-        "crates/engine/src/durability.rs",
+    const STAGES: [(&[&str], &[&str], &str); 3] = [
+        (
+            &["db/durable.rs", "durability.rs"],
+            &[".wal", "degraded"],
+            "durability",
+        ),
+        (&["db/maintain.rs"], &["expire_due("], "maintenance"),
+        (
+            &["db/analysis.rs"],
+            &[
+                "exptime_lint::analyze(",
+                "exptime_lint::audit(",
+                "exptime_lint::render(",
+            ],
+            "analyzer",
+        ),
     ];
-    if !rel.starts_with("crates/engine/src") || STAGE.iter().any(|s| rel == Path::new(s)) {
+    let Ok(file) = rel.strip_prefix("crates/engine/src") else {
         return;
-    }
+    };
     let lines: Vec<&str> = content.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        let code = code_only(line);
-        let Some(name) = [".wal", "degraded"].into_iter().find(|n| names(code, n)) else {
-            continue;
-        };
-        if line_is_in_tests(&lines, i) {
+    for (files, words, stage) in STAGES {
+        if files.iter().any(|f| file == Path::new(f)) {
             continue;
         }
-        out.push(RepoViolation {
-            rule: "R010",
-            path: rel.to_path_buf(),
-            line: i + 1,
-            message: format!(
-                "`{name}` outside the durability stage; log through \
-                 Database::{{wal_stmt, wal_log_op, log_ddl}} in db/durable.rs"
-            ),
-        });
+        for (i, line) in lines.iter().enumerate() {
+            let code = code_only(line);
+            let Some(name) = words.iter().find(|n| names(code, n)) else {
+                continue;
+            };
+            if line_is_in_tests(&lines, i) {
+                continue;
+            }
+            out.push(RepoViolation {
+                rule: "R010",
+                path: rel.to_path_buf(),
+                line: i + 1,
+                message: format!("`{name}` outside the {stage} stage, {}", files[0]),
+            });
+        }
     }
 }
 
@@ -428,7 +446,7 @@ fn names(code: &str, word: &str) -> bool {
     let ident = |c: char| c.is_alphanumeric() || c == '_';
     code.match_indices(word).any(|(at, _)| {
         let glued_before = word.starts_with(ident) && code[..at].ends_with(ident);
-        let glued_after = code[at + word.len()..].starts_with(ident);
+        let glued_after = word.ends_with(ident) && code[at + word.len()..].starts_with(ident);
         !glued_before && !glued_after
     })
 }
@@ -981,38 +999,66 @@ mod tests {
     }
 
     #[test]
-    fn r010_keeps_the_log_session_in_the_durability_stage() {
+    fn r010_keeps_each_stage_name_in_its_stage() {
         let touching = "fn log(&mut self) { self.wal.as_mut(); }\n\
                         fn heal(s: &mut S) { s.degraded = false; }\n\
                         /// Not `self.wal`: see `degraded`.\n\
                         fn fine(&mut self) { self.wal_stmt(f); self.wal_log_op(b); undegraded(); }\n\
+                        fn drop_due(t: &mut Table) { t.expire_due(tau); }\n\
+                        fn fine(&mut self) { self.vacuum(); t.next_expiration(); pre_expire_due(x); }\n\
+                        fn ask(e: &Expr) { exptime_lint::audit(&g); }\n\
+                        fn fine(db: &Database) { db.lint(sql); exptime_lint::AuditGraph::empty(0); }\n\
                         #[cfg(test)]\n\
                         mod tests { fn t(db: &Database) { db.wal_status().unwrap().degraded; } }\n";
         let dir = fixture(&[
             ("crates/engine/src/db.rs", touching),
             ("crates/engine/src/db/write.rs", touching),
             ("crates/engine/src/db/durable.rs", touching),
+            ("crates/engine/src/db/maintain.rs", touching),
+            ("crates/engine/src/db/analysis.rs", touching),
             ("crates/engine/src/durability.rs", touching),
             ("crates/net/src/server.rs", touching),
             ("tests/wal_recovery.rs", touching),
             ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
         ]);
         let v = check_repo(&dir).unwrap();
-        // Lines 1 and 2 of each engine file outside the stage; the stage's
-        // two files, other crates, comments, `wal_*` methods and test
-        // modules are free.
+        // Each engine file is flagged for the stage names it does not own:
+        // lines 1–2 (durability), 5 (maintenance), 7 (analyzer). Other
+        // crates, comments, lookalike names and test modules are free.
         let at: Vec<_> = v
             .iter()
             .filter(|v| v.rule == "R010")
             .map(|v| (v.path.to_str().unwrap(), v.line))
             .collect();
+        let (durable, maintain, analysis, write, db, durability) = (
+            "crates/engine/src/db/durable.rs",
+            "crates/engine/src/db/maintain.rs",
+            "crates/engine/src/db/analysis.rs",
+            "crates/engine/src/db/write.rs",
+            "crates/engine/src/db.rs",
+            "crates/engine/src/durability.rs",
+        );
         assert_eq!(
             at,
             [
-                ("crates/engine/src/db/write.rs", 1),
-                ("crates/engine/src/db/write.rs", 2),
-                ("crates/engine/src/db.rs", 1),
-                ("crates/engine/src/db.rs", 2),
+                (analysis, 1),
+                (analysis, 2),
+                (analysis, 5),
+                (durable, 5),
+                (durable, 7),
+                (maintain, 1),
+                (maintain, 2),
+                (maintain, 7),
+                (write, 1),
+                (write, 2),
+                (write, 5),
+                (write, 7),
+                (db, 1),
+                (db, 2),
+                (db, 5),
+                (db, 7),
+                (durability, 5),
+                (durability, 7),
             ],
             "{v:?}"
         );

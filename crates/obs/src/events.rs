@@ -612,16 +612,6 @@ impl Obs {
         Self::default()
     }
 
-    /// An `Obs` sharing an existing registry (no sink installed).
-    pub fn with_registry(registry: MetricsRegistry) -> Self {
-        Obs {
-            inner: Arc::new(ObsInner {
-                registry,
-                ..Default::default()
-            }),
-        }
-    }
-
     pub fn registry(&self) -> &MetricsRegistry {
         &self.inner.registry
     }

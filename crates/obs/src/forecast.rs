@@ -40,6 +40,8 @@ pub struct HorizonForecast {
     now: u64,
     buckets: [u64; FORECAST_BUCKETS],
     eternal: u64,
+    /// The largest finite `texp − now` recorded (0 when none).
+    latest: u64,
 }
 
 impl HorizonForecast {
@@ -50,6 +52,7 @@ impl HorizonForecast {
             now,
             buckets: [0; FORECAST_BUCKETS],
             eternal: 0,
+            latest: 0,
         }
     }
 
@@ -74,9 +77,15 @@ impl HorizonForecast {
     }
 
     /// Records a finite expiration time. `texp <= now` is ignored.
+    /// Inlined, with [`HorizonForecast::bucket_of`], into the walk that
+    /// builds a forecast ([`HorizonForecast::from_texps`]), so the walk
+    /// keeps `latest` in a register: called out of line, its load and
+    /// store chain every row to the one before.
+    #[inline]
     pub fn record(&mut self, texp: u64) {
         if texp > self.now {
             self.buckets[Self::bucket_of(texp - self.now)] += 1;
+            self.latest = self.latest.max(texp - self.now);
         }
     }
 
@@ -89,6 +98,7 @@ impl HorizonForecast {
     /// The bucket index for an expiration `delta >= 1` ticks away:
     /// `floor(log2 delta)`, so bucket `k` covers `[2^k, 2^(k+1))`.
     #[must_use]
+    #[inline]
     pub fn bucket_of(delta: u64) -> usize {
         63 - delta.max(1).leading_zeros() as usize
     }
@@ -116,6 +126,13 @@ impl HorizonForecast {
     #[must_use]
     pub fn eternal(&self) -> u64 {
         self.eternal
+    }
+
+    /// Ticks until the last finite expiration ahead: the largest
+    /// `texp − now` recorded, 0 when nothing finite is ahead.
+    #[must_use]
+    pub fn latest(&self) -> u64 {
+        self.latest
     }
 
     /// Tuples with a finite expiration ahead of them.
@@ -154,6 +171,7 @@ impl HorizonForecast {
             *mine += theirs;
         }
         self.eternal += other.eternal;
+        self.latest = self.latest.max(other.latest);
     }
 
     /// The bucket with the highest predicted expirations-per-tick rate,
@@ -257,6 +275,21 @@ mod tests {
         assert_eq!(f.total(), 5);
         assert_eq!(f.due_within(3), 3, "buckets 0 and 1 start within 3");
         assert_eq!(f.due_within(u64::MAX), 4);
+    }
+
+    #[test]
+    fn latest_is_the_farthest_finite_offset_and_merges_by_max() {
+        let mut a = HorizonForecast::from_texps(10, [Some(12), Some(30), Some(5), None]);
+        assert_eq!(
+            a.latest(),
+            20,
+            "the dead texp 5 and the eternal row do not count"
+        );
+        a.merge(&HorizonForecast::from_texps(10, [Some(11)]));
+        assert_eq!(a.latest(), 20);
+        a.merge(&HorizonForecast::from_texps(10, [Some(50)]));
+        assert_eq!(a.latest(), 40);
+        assert_eq!(HorizonForecast::from_texps(10, [None]).latest(), 0);
     }
 
     #[test]

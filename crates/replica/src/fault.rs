@@ -229,12 +229,6 @@ impl<M: Clone> FaultyLink<M> {
         }
     }
 
-    /// Whether new faults are still being injected.
-    #[must_use]
-    pub fn is_healed(&self) -> bool {
-        self.healed
-    }
-
     /// Rolls the partition state machine forward to `now`. Call once per
     /// tick before sending/receiving.
     pub fn advance(&mut self, now: u64) {

@@ -39,10 +39,12 @@ cargo fmt --check
 # registers is in DESIGN.md's db.* metric-table row, and every name
 # there is registered. And no undocumented event: every EventKind::tag
 # string is a row of DESIGN.md's §8 event table, and every row is a tag.
-# And one durability stage: in engine/src only db/durable.rs (and
+# And stage-owned names: in engine/src only db/durable.rs (and
 # durability.rs, which reports the flag) names the log session (.wal) or
-# its degraded flag, so every log write and the rule that a failed one
-# degrades the session live in one module. And one way to read an
+# its degraded flag, only db/maintain.rs calls expire_due(, and only
+# db/analysis.rs calls exptime_lint::{analyze,audit,render}(, so every
+# log write, every expiration and every question to the analyzer live
+# in one module each. And one way to read an
 # input: no ops::product(, ops::join_nested_loop( or ops::project( in
 # production code under core/src or engine/src — they are the literal
 # interpreter's definitions, and evaluation reads lent rows or an

@@ -3,7 +3,8 @@
 //! Drives N concurrent [`NetClient`](exptime_net::NetClient) sessions
 //! against a server — either one you point it at (started with
 //! `exptime-cli --serve ADDR`) or an embedded one it spawns itself —
-//! and prints throughput, tail latency, and shed/retry counters.
+//! and prints throughput, tail latency, and shed/retry counters. The
+//! load is [`wire_load`], the closed loop E10-net drives too.
 //!
 //! Embedded mode doubles as an end-to-end drain check: after the
 //! clients finish, the server is drained and the table's row count is
@@ -19,11 +20,9 @@
 //!
 //! With no `ADDR`, an embedded server is started on a loopback port.
 
+use exptime_bench::experiments::wire_load;
 use exptime_engine::{Database, DbConfig, SharedDatabase};
-use exptime_net::{ClientConfig, NetClient, NetConfig, NetServer, ReplyBody};
-use exptime_replica::RetryPolicy;
-use std::sync::{Arc, Barrier};
-use std::time::Instant;
+use exptime_net::{NetConfig, NetServer};
 
 const USAGE: &str = "usage: netload [ADDR] [--conns N] [--stmts N] [--deadline MS] [--seed S]";
 
@@ -67,15 +66,6 @@ fn parse_args() -> Args {
     out
 }
 
-fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx] as f64 / 1e3
-}
-
-#[allow(clippy::too_many_lines)]
 fn main() {
     let args = parse_args();
     // Embedded mode: our own engine + server, so we can verify the
@@ -108,106 +98,29 @@ fn main() {
         },
     );
 
-    let connected = Arc::new(Barrier::new(args.conns + 1));
-    let go = Arc::new(Barrier::new(args.conns + 1));
-    let mut handles = Vec::with_capacity(args.conns);
-    for c in 0..args.conns {
-        let addr = addr.clone();
-        let connected = Arc::clone(&connected);
-        let go = Arc::clone(&go);
-        let stmts = args.stmts;
-        let cfg = ClientConfig {
-            deadline_ms: args.deadline_ms,
-            seed: args.seed ^ (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            policy: RetryPolicy {
-                base: 2,
-                factor: 2,
-                max_interval: 100,
-                jitter: 5,
-                budget: 120_000,
-            },
-            ..ClientConfig::default()
-        };
-        handles.push(std::thread::spawn(move || {
-            let mut client = match NetClient::connect(&addr, cfg) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("conn {c}: connect failed: {e}");
-                    connected.wait();
-                    go.wait();
-                    return None;
-                }
-            };
-            connected.wait();
-            go.wait();
-            let mut lat_ns = Vec::with_capacity(stmts);
-            let mut acked_inserts = 0u64;
-            for j in 0..stmts {
-                let insert = j % 4 != 3;
-                let sql = if insert {
-                    format!(
-                        "INSERT INTO kv VALUES ({}, {}) EXPIRES IN 100000 TICKS",
-                        c * stmts + j,
-                        j % 2
-                    )
-                } else {
-                    "SELECT k FROM kv WHERE v = 1".to_string()
-                };
-                let t0 = Instant::now();
-                match client.execute(&sql) {
-                    Ok(ReplyBody::Affected(_)) if insert => acked_inserts += 1,
-                    Ok(_) => {}
-                    Err(e) => {
-                        eprintln!("conn {c} stmt {j}: {e}");
-                        return None;
-                    }
-                }
-                lat_ns.push(t0.elapsed().as_nanos() as u64);
-            }
-            let stats = client.stats;
-            client.close();
-            Some((lat_ns, stats, acked_inserts))
-        }));
-    }
-    connected.wait();
-    let t0 = Instant::now();
-    go.wait();
-    let mut lat_ns: Vec<u64> = Vec::new();
-    let mut statements = 0u64;
-    let mut sheds = 0u64;
-    let mut retries = 0u64;
-    let mut reconnects = 0u64;
-    let mut degraded = 0u64;
-    let mut acked_inserts = 0u64;
-    let mut failed_conns = 0usize;
-    for h in handles {
-        match h.join().expect("client thread panicked") {
-            Some((lat, stats, acked)) => {
-                lat_ns.extend(lat);
-                statements += stats.statements;
-                sheds += stats.sheds;
-                retries += stats.retries;
-                reconnects += stats.reconnects;
-                degraded += stats.degraded_reads;
-                acked_inserts += acked;
-            }
-            None => failed_conns += 1,
-        }
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    lat_ns.sort_unstable();
+    let load = wire_load(
+        &addr,
+        args.conns,
+        args.stmts,
+        args.deadline_ms,
+        args.seed,
+        || {},
+    );
+    let stats = load.stats;
     println!(
-        "done: {statements} stmts in {:.2}s ({:.0} stmt/s), p50 {:.0}us p99 {:.0}us",
-        wall_s,
-        statements as f64 / wall_s.max(1e-9),
-        percentile_us(&lat_ns, 0.50),
-        percentile_us(&lat_ns, 0.99),
+        "done: {} stmts in {:.2}s ({:.0} stmt/s), p50 {:.0}us p99 {:.0}us",
+        stats.statements,
+        load.wall_s,
+        stats.statements as f64 / load.wall_s.max(1e-9),
+        load.percentile_us(0.50),
+        load.percentile_us(0.99),
     );
     println!(
-        "retries: {retries} ({sheds} shed, {reconnects} reconnects), degraded reads: {degraded}"
+        "retries: {} ({} shed, {} reconnects), degraded reads: {}",
+        stats.retries, stats.sheds, stats.reconnects, stats.degraded_reads
     );
-    if failed_conns > 0 {
-        eprintln!("{failed_conns} connection(s) failed");
+    if load.failed > 0 {
+        eprintln!("{} connection(s) failed", load.failed);
         std::process::exit(1);
     }
 
@@ -221,10 +134,13 @@ fn main() {
         });
         println!(
             "drain: {} session(s), {} completed, {} shed; {} row(s) on disk vs {} acked insert(s)",
-            report.sessions, report.completed, report.shed, rows, acked_inserts,
+            report.sessions, report.completed, report.shed, rows, load.acked_inserts,
         );
-        if (rows as u64) < acked_inserts {
-            eprintln!("DRAIN LOST ACKED WRITES: {rows} rows < {acked_inserts} acked");
+        if (rows as u64) < load.acked_inserts {
+            eprintln!(
+                "DRAIN LOST ACKED WRITES: {rows} rows < {} acked",
+                load.acked_inserts
+            );
             std::process::exit(1);
         }
         println!("drain check: ok (no acked write lost)");

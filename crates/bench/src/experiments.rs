@@ -2251,23 +2251,145 @@ pub struct E10NetSummary {
     pub exactly_once: bool,
 }
 
-fn e10_percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
+/// What one closed-loop wire load measured.
+#[derive(Debug, Clone)]
+pub struct WireLoad {
+    /// Per-statement latencies (retries included), nanoseconds, sorted.
+    pub lat_ns: Vec<u64>,
+    /// The clients' protocol counters, summed.
+    pub stats: exptime_net::ClientStats,
+    /// Inserts the server acknowledged.
+    pub acked_inserts: u64,
+    /// Clients that could not connect or had a statement fail; their
+    /// latencies and counters are left out.
+    pub failed: usize,
+    /// Wall-clock seconds from the release to the last client's end.
+    pub wall_s: f64,
+}
+
+impl WireLoad {
+    /// The `q`-quantile statement latency, microseconds (0 if none ran).
+    #[must_use]
+    pub fn percentile_us(&self, q: f64) -> f64 {
+        if self.lat_ns.is_empty() {
+            return 0.0;
+        }
+        let idx = ((self.lat_ns.len() - 1) as f64 * q).round() as usize;
+        self.lat_ns[idx] as f64 / 1e3
     }
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx] as f64 / 1e3
+}
+
+/// The closed-loop wire load that `netload` and E10-net drive: `conns`
+/// [`NetClient`](exptime_net::NetClient)s connect to `addr`, `ready`
+/// runs once all of them are connected, then a barrier releases them
+/// together and each runs `stmts` statements of a 3:1 insert:select mix
+/// against a `kv (k INT, v INT)` table, one at a time. A client that
+/// fails reports why on stderr and counts in [`WireLoad::failed`].
+///
+/// # Panics
+///
+/// Panics if a client thread panics.
+pub fn wire_load(
+    addr: &str,
+    conns: usize,
+    stmts: usize,
+    deadline_ms: u32,
+    seed: u64,
+    ready: impl FnOnce(),
+) -> WireLoad {
+    use exptime_net::{ClientConfig, ClientStats, NetClient, ReplyBody};
+    use std::sync::Barrier;
+
+    let connected = Arc::new(Barrier::new(conns + 1));
+    let go = Arc::new(Barrier::new(conns + 1));
+    let mut handles = Vec::with_capacity(conns);
+    for c in 0..conns {
+        let addr = addr.to_string();
+        let (connected, go) = (Arc::clone(&connected), Arc::clone(&go));
+        let cfg = ClientConfig {
+            deadline_ms,
+            seed: seed ^ (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            policy: RetryPolicy {
+                base: 2,
+                factor: 2,
+                max_interval: 100,
+                jitter: 5,
+                budget: 120_000,
+            },
+            ..ClientConfig::default()
+        };
+        handles.push(std::thread::spawn(move || {
+            let client = NetClient::connect(&addr, cfg);
+            connected.wait();
+            go.wait();
+            let mut client = client
+                .map_err(|e| eprintln!("conn {c}: connect failed: {e}"))
+                .ok()?;
+            let mut lat_ns = Vec::with_capacity(stmts);
+            let mut acked_inserts = 0u64;
+            for j in 0..stmts {
+                let insert = j % 4 != 3;
+                let sql = if insert {
+                    format!(
+                        "INSERT INTO kv VALUES ({}, {}) EXPIRES IN 100000 TICKS",
+                        c * stmts + j,
+                        j % 2
+                    )
+                } else {
+                    "SELECT k FROM kv WHERE v = 1".to_string()
+                };
+                let t0 = Instant::now();
+                match client.execute(&sql) {
+                    Ok(ReplyBody::Affected(_)) if insert => acked_inserts += 1,
+                    Ok(_) => {}
+                    Err(e) => {
+                        eprintln!("conn {c} stmt {j}: {e}");
+                        return None;
+                    }
+                }
+                lat_ns.push(t0.elapsed().as_nanos() as u64);
+            }
+            client.close();
+            Some((lat_ns, client.stats, acked_inserts))
+        }));
+    }
+    connected.wait();
+    ready();
+    let t0 = Instant::now();
+    go.wait();
+    let mut load = WireLoad {
+        lat_ns: Vec::with_capacity(conns * stmts),
+        stats: ClientStats::default(),
+        acked_inserts: 0,
+        failed: 0,
+        wall_s: 0.0,
+    };
+    for h in handles {
+        let Some((lat, stats, acked)) = h.join().expect("client thread panicked") else {
+            load.failed += 1;
+            continue;
+        };
+        load.lat_ns.extend(lat);
+        let sum = &mut load.stats;
+        sum.statements += stats.statements;
+        sum.retries += stats.retries;
+        sum.reconnects += stats.reconnects;
+        sum.sheds += stats.sheds;
+        sum.retryable_errors += stats.retryable_errors;
+        sum.degraded_reads += stats.degraded_reads;
+        load.acked_inserts += acked;
+    }
+    load.wall_s = t0.elapsed().as_secs_f64();
+    load.lat_ns.sort_unstable();
+    load
 }
 
 /// Drives one server with `conns` concurrent clients, `stmts_per_conn`
-/// statements each (3:1 insert:select mix), and reports throughput and
-/// tail latency. Clients connect first, a barrier releases them
-/// together, and the server's own `connections` gauge is read while all
-/// of them are up — that observation is the concurrency proof.
+/// statements each, through [`wire_load`], and reports throughput and
+/// tail latency. The server's own `connections` gauge is read while all
+/// the clients are up — that observation is the concurrency proof.
 fn e10_net_level(conns: usize, stmts_per_conn: usize, seed: u64) -> E10NetLevel {
-    use exptime_net::{ClientConfig, NetClient, NetConfig, NetServer};
-    use std::sync::Arc;
-    use std::sync::Barrier;
+    use exptime_net::{NetConfig, NetServer};
 
     let mut db = Database::new(DbConfig::default());
     db.execute("CREATE TABLE kv (k INT, v INT)").unwrap();
@@ -2279,79 +2401,23 @@ fn e10_net_level(conns: usize, stmts_per_conn: usize, seed: u64) -> E10NetLevel 
     };
     let server = NetServer::serve(&shared, "127.0.0.1:0", cfg).expect("bind");
     let addr = server.local_addr().to_string();
-    let connected = Arc::new(Barrier::new(conns + 1));
-    let go = Arc::new(Barrier::new(conns + 1));
-    let mut handles = Vec::with_capacity(conns);
-    for c in 0..conns {
-        let addr = addr.clone();
-        let connected = Arc::clone(&connected);
-        let go = Arc::clone(&go);
-        handles.push(std::thread::spawn(move || {
-            let cfg = ClientConfig {
-                seed: seed ^ (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                policy: RetryPolicy {
-                    base: 2,
-                    factor: 2,
-                    max_interval: 100,
-                    jitter: 5,
-                    budget: 120_000,
-                },
-                ..ClientConfig::default()
-            };
-            let mut client = NetClient::connect(&addr, cfg).expect("connect");
-            connected.wait();
-            go.wait();
-            let mut lat_ns = Vec::with_capacity(stmts_per_conn);
-            for j in 0..stmts_per_conn {
-                let sql = if j % 4 == 3 {
-                    "SELECT k FROM kv WHERE v = 1".to_string()
-                } else {
-                    format!(
-                        "INSERT INTO kv VALUES ({}, {}) EXPIRES IN 100000 TICKS",
-                        c * stmts_per_conn + j,
-                        j % 2
-                    )
-                };
-                let t0 = Instant::now();
-                client.execute(&sql).expect("statement under load");
-                lat_ns.push(t0.elapsed().as_nanos() as u64);
-            }
-            let stats = client.stats;
-            client.close();
-            (lat_ns, stats)
-        }));
-    }
-    connected.wait();
-    let concurrent_observed = server.status().connections;
-    let t0 = Instant::now();
-    go.wait();
-    let mut lat_ns: Vec<u64> = Vec::with_capacity(conns * stmts_per_conn);
-    let mut statements = 0u64;
-    let mut sheds = 0u64;
-    let mut degraded_reads = 0u64;
-    let mut reconnects = 0u64;
-    for h in handles {
-        let (lat, stats) = h.join().expect("client thread");
-        lat_ns.extend(lat);
-        statements += stats.statements;
-        sheds += stats.sheds;
-        degraded_reads += stats.degraded_reads;
-        reconnects += stats.reconnects;
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let mut concurrent_observed = 0;
+    let load = wire_load(&addr, conns, stmts_per_conn, 0, seed, || {
+        concurrent_observed = server.status().connections;
+    });
+    assert!(load.failed == 0, "{} client(s) failed", load.failed);
     server.drain();
-    lat_ns.sort_unstable();
     E10NetLevel {
         connections: conns,
         concurrent_observed,
-        statements,
-        sheds,
-        degraded_reads,
-        reconnects,
-        wall_ms,
-        stmts_per_sec: statements as f64 / (wall_ms / 1e3).max(1e-9),
-        p50_us: e10_percentile_us(&lat_ns, 0.50),
-        p99_us: e10_percentile_us(&lat_ns, 0.99),
+        statements: load.stats.statements,
+        sheds: load.stats.sheds,
+        degraded_reads: load.stats.degraded_reads,
+        reconnects: load.stats.reconnects,
+        wall_ms: load.wall_s * 1e3,
+        stmts_per_sec: load.stats.statements as f64 / load.wall_s.max(1e-9),
+        p50_us: load.percentile_us(0.50),
+        p99_us: load.percentile_us(0.99),
     }
 }
 

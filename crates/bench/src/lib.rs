@@ -6,7 +6,9 @@
 //! * `figures` — regenerates every figure and table of the paper from the
 //!   running engine;
 //! * `experiments` — runs the synthetic experiments and prints the report
-//!   tables recorded in EXPERIMENTS.md.
+//!   tables recorded in EXPERIMENTS.md;
+//! * `netload` — drives a wire server with concurrent clients through
+//!   [`experiments::wire_load`], the load E10-net drives too.
 
 #![forbid(unsafe_code)]
 

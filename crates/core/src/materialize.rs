@@ -255,12 +255,6 @@ impl MaterializedView {
         self.state.texp
     }
 
-    /// The time the view was last (re)materialised.
-    #[must_use]
-    pub fn materialized_at(&self) -> Time {
-        self.state.at
-    }
-
     /// Maintenance statistics: a cheap snapshot of the live counters.
     #[must_use]
     pub fn stats(&self) -> ViewStats {
@@ -631,7 +625,6 @@ mod tests {
         let v = MaterializedView::with_defaults(e.clone(), &c, Time::ZERO).unwrap();
         assert_eq!(v.expr(), &e);
         assert!(v.is_monotonic());
-        assert_eq!(v.materialized_at(), Time::ZERO);
         assert!(v.fresh_at(t(1_000)));
         assert!(v.materialized().patches.is_none());
     }

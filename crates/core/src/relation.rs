@@ -309,13 +309,6 @@ impl Relation {
         Time::min_of(self.iter_at(tau).map(|(_, e)| e))
     }
 
-    /// The maximum expiration time over unexpired tuples at `τ`; `None` on
-    /// an empty `expτ(R)`.
-    #[must_use]
-    pub fn max_texp(&self, tau: Time) -> Option<Time> {
-        Time::max_of(self.iter_at(tau).map(|(_, e)| e))
-    }
-
     /// All *distinct, finite* expiration times of unexpired tuples at `τ`,
     /// ascending. These are the only instants where anything can change —
     /// the event times the χ/ν machinery and the experiment drivers sweep.
@@ -564,7 +557,6 @@ mod tests {
     fn min_max_texp() {
         let r = pol();
         assert_eq!(r.min_texp(Time::ZERO), Some(Time::new(10)));
-        assert_eq!(r.max_texp(Time::ZERO), Some(Time::new(15)));
         assert_eq!(r.min_texp(Time::new(15)), None);
     }
 

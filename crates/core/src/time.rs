@@ -204,13 +204,6 @@ impl Clock {
         Clock { now: Time::ZERO }
     }
 
-    /// A clock starting at `t`.
-    #[must_use]
-    pub fn starting_at(t: Time) -> Self {
-        assert!(t.is_finite(), "clock cannot start at ∞");
-        Clock { now: t }
-    }
-
     /// The current time `τ`.
     #[inline]
     #[must_use]
@@ -322,7 +315,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "backwards")]
     fn clock_rejects_moving_backwards() {
-        let mut c = Clock::starting_at(Time::new(5));
+        let mut c = Clock::new();
+        c.advance_to(Time::new(5));
         c.advance_to(Time::new(4));
     }
 

@@ -183,15 +183,6 @@ impl Value {
         }
     }
 
-    /// Returns the boolean if this is a `Bool`.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// A numeric view of the value for aggregation: ints and floats have
     /// one, strings and booleans do not.
     #[must_use]
@@ -326,7 +317,6 @@ mod tests {
         assert_eq!(Value::Int(3).as_float(), None);
         assert_eq!(Value::float(2.5).as_float(), Some(2.5));
         assert_eq!(Value::str("hi").as_str(), Some("hi"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::Int(3).as_numeric(), Some(3.0));
         assert_eq!(Value::float(1.5).as_numeric(), Some(1.5));
         assert_eq!(Value::str("x").as_numeric(), None);

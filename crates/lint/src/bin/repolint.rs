@@ -19,7 +19,7 @@ fn main() -> ExitCode {
             println!(
                 "repolint: ok (R001 wall-clock, R002 durability unwrap, \
                  R003 forbid-unsafe, R004 thread-sleep, R005 table-copy, \
-                 R006 nu-oracle, R007 one-read, R008 db-metrics-documented, \
+                 R006 nu-oracle, R007 one-read, R008 metrics-documented, \
                  R009 events-documented, R010 stage-owned-names, \
                  R011 one-input-reader)"
             );

@@ -10,9 +10,9 @@
 //! | R005 | No `Database::snapshot` call in production code under `crates/*/src`, and no `Table::to_relation` call in `crates/engine/src` outside `db/stored.rs` (where `snapshot` itself makes its one): a read is a pinned `τ` over the borrowed tables that copies only the rows that come out, not a copy of them. The copy stays as the reference that tests, benches, examples and the out-of-tree benchmark compare the read path against. |
 //! | R006 | No `value_timeline`, `nu_naive` or closure-form `nu::nu(` in production code under `crates/core/src/algebra/` or `crates/engine/src`: the timeline definitions of ν re-apply `f` to a copy of the survivors at every time slice (or tick) and are the oracle that `nu::first_change` — what evaluation computes — is tested against, not a path a query may take. |
 //! | R007 | No `prev_covered(` and no `.rel.exp(` in production code that holds a materialisation — `crates/replica/src`, `crates/net/src`, `crates/engine/src` and `crates/core/src/{schrodinger,materialize}.rs`: which instant a materialisation can answer for, and the rows it has at one (the stored rows *plus* the due part of its Theorem 3 queue), are `Materialized::{covered_at, rows_at, answer}`. `crates/core/src/algebra/eval.rs`, where that kernel is defined, is the one place that does either by hand. |
-//! | R008 | The `db.*` metrics are documented, both ways: every `db.`-prefixed literal that production code under `crates/engine/src` passes to `.counter(`, `.gauge(` or `.histogram(` appears in DESIGN.md's `` | `db.*` | `` metric-table row, and every name in that row is registered there. |
+//! | R008 | The metrics are documented, both ways, per one table of `(prefix, crate)` rows (`db.*` ← `crates/engine/src`, `net.*` ← `crates/net/src`): every literal with the prefix that production code under the crate passes to `.counter(`, `.gauge(` or `.histogram(` appears in the prefix's DESIGN.md metric-table row, and every name in that row is registered there. |
 //! | R009 | The events are documented, both ways: every tag `EventKind::tag` returns in `crates/obs/src/events.rs` is a row of DESIGN.md's `` | Tag | `` event table, and every tag in that table is one `EventKind::tag` returns. |
-//! | R010 | In `crates/engine/src`, a name one stage owns appears in production code only in that stage's files, per one table: the log session (a `.wal` field) and its `degraded` flag in the durability stage (`db/durable.rs`, and `durability.rs`, which reports the flag); `expire_due(` in the maintenance stage (`db/maintain.rs`); `exptime_lint::{analyze, audit, render}(` in the analyzer stage (`db/analysis.rs`). Every write to the log, every expiration and every question to the analyzer goes through one module. |
+//! | R010 | A name one stage owns appears in production code only in that stage's files, per one table of `(crate, stage files, names)`. In `crates/net/src`: `is_retryable(` and `ErrorCode::SessionExpired` in the session module (`session.rs`, and `error.rs`, which defines them) — both ends of the wire read the retry contract there. In `crates/engine/src`: the log session (a `.wal` field) and its `degraded` flag in the durability stage (`db/durable.rs`, and `durability.rs`, which reports the flag); `expire_due(` in the maintenance stage (`db/maintain.rs`); `exptime_lint::{analyze, audit, render}(` in the analyzer stage (`db/analysis.rs`). Every write to the log, every expiration and every question to the analyzer goes through one module. |
 //! | R011 | No `ops::product(`, `ops::join_nested_loop(` or `ops::project(` in production code under `crates/core/src` or `crates/engine/src`: the evaluator reads every input as lent rows or an evaluated result, so a product is the join kernel with an empty key and a π deduplicates as it reads. These three materialise a whole result from built relations and stay as the literal interpreter's definitions — what tests, benches and the A2 ablation compare against. |
 
 use std::fmt;
@@ -354,24 +354,34 @@ fn check_r007(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
     }
 }
 
-/// R010: a name one engine stage owns, named in production code under
-/// `crates/engine/src` outside that stage's files. The log session (a
-/// `.wal` field access, or its `degraded` flag) is the durability stage's:
-/// `db/write.rs` hands each record to `Database::wal_log_op`, and
-/// everything that writes, and the rule that a failed write degrades the
-/// session, is in `db/durable.rs` (`durability.rs` declares the reported
-/// flag). Removing a row by expiration (`Table::expire_due`) is the
-/// maintenance stage's, which fires the triggers; asking `exptime-lint`
-/// about the database is the analyzer stage's, which publishes findings.
+/// R010: a name one stage owns, named in production code under its
+/// crate's sources outside that stage's files. In the engine, the log
+/// session (a `.wal` field access, or its `degraded` flag) is the
+/// durability stage's: `db/write.rs` hands each record to
+/// `Database::wal_log_op`, and everything that writes, and the rule that a
+/// failed write degrades the session, is in `db/durable.rs`
+/// (`durability.rs` declares the reported flag). Removing a row by
+/// expiration (`Table::expire_due`) is the maintenance stage's, which
+/// fires the triggers; asking `exptime-lint` about the database is the
+/// analyzer stage's, which publishes findings. In the wire protocol, the
+/// retry contract of an error code is read by the session module, where
+/// both ends decide what a reply means (`error.rs` defines it).
 fn check_r010(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
-    const STAGES: [(&[&str], &[&str], &str); 3] = [
+    const STAGES: [(&str, &[&str], &[&str], &str); 4] = [
         (
+            "crates/engine/src",
             &["db/durable.rs", "durability.rs"],
             &[".wal", "degraded"],
             "durability",
         ),
-        (&["db/maintain.rs"], &["expire_due("], "maintenance"),
         (
+            "crates/engine/src",
+            &["db/maintain.rs"],
+            &["expire_due("],
+            "maintenance",
+        ),
+        (
+            "crates/engine/src",
             &["db/analysis.rs"],
             &[
                 "exptime_lint::analyze(",
@@ -380,12 +390,18 @@ fn check_r010(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
             ],
             "analyzer",
         ),
+        (
+            "crates/net/src",
+            &["session.rs", "error.rs"],
+            &["is_retryable(", "ErrorCode::SessionExpired"],
+            "session",
+        ),
     ];
-    let Ok(file) = rel.strip_prefix("crates/engine/src") else {
-        return;
-    };
     let lines: Vec<&str> = content.lines().collect();
-    for (files, words, stage) in STAGES {
+    for (dir, files, words, stage) in STAGES {
+        let Ok(file) = rel.strip_prefix(dir) else {
+            continue;
+        };
         if files.iter().any(|f| file == Path::new(f)) {
             continue;
         }
@@ -451,75 +467,79 @@ fn names(code: &str, word: &str) -> bool {
     })
 }
 
-/// R008: the engine's `db.*` metric names against DESIGN.md's `db.*`
-/// metric-table row — a registered name the row does not list, or a
-/// listed name nothing registers. A tree without a DESIGN.md (a fixture)
-/// has nothing to check against.
+/// R008: each crate's metric names against its DESIGN.md metric-table
+/// row — `db.*` for the engine, `net.*` for the wire server: a registered
+/// name the row does not list, or a listed name nothing registers. A tree
+/// without a DESIGN.md (a fixture) has nothing to check against.
 fn check_r008(root: &Path, sources: &[PathBuf], out: &mut Vec<RepoViolation>) {
-    const ROW: &str = "| `db.*` |";
+    const ROWS: [(&str, &str); 2] = [("db", "crates/engine/src"), ("net", "crates/net/src")];
     let Ok(design) = fs::read_to_string(root.join("DESIGN.md")) else {
         return;
     };
-    let row = design.lines().position(|l| l.starts_with(ROW));
-    let documented: Vec<&str> = row.map_or_else(Vec::new, |i| {
-        let code_spans = design
-            .lines()
-            .nth(i)
-            .unwrap_or("")
-            .split('`')
-            .skip(1)
-            .step_by(2);
-        code_spans
-            .filter(|n| n.starts_with("db.") && *n != "db.*")
-            .collect()
-    });
-    let mut registered = Vec::new();
-    for path in sources {
-        let rel = path.strip_prefix(root).unwrap_or(path);
-        if !rel.starts_with("crates/engine/src") {
-            continue;
-        }
-        let Ok(content) = fs::read_to_string(path) else {
-            continue;
-        };
-        let lines: Vec<&str> = content.lines().collect();
-        for (i, line) in lines.iter().enumerate() {
-            let code = code_only(line);
-            for call in [".counter(\"db.", ".gauge(\"db.", ".histogram(\"db."] {
-                for (at, _) in code.match_indices(call) {
-                    let name = code[at + call.len() - 3..].split('"').next().unwrap_or("");
-                    if line_is_in_tests(&lines, i) {
-                        continue;
-                    }
-                    registered.push(name.to_string());
-                    if !documented.contains(&name) {
-                        out.push(RepoViolation {
-                            rule: "R008",
-                            path: rel.to_path_buf(),
-                            line: i + 1,
-                            message: format!(
-                                "`{name}` is registered but not listed in DESIGN.md's \
-                                 `db.*` metric-table row"
-                            ),
-                        });
+    for (prefix, dir) in ROWS {
+        let (row_start, wildcard) = (format!("| `{prefix}.*` |"), format!("{prefix}.*"));
+        let row = design.lines().position(|l| l.starts_with(&row_start));
+        let documented: Vec<&str> = row.map_or_else(Vec::new, |i| {
+            let code_spans = design
+                .lines()
+                .nth(i)
+                .unwrap_or("")
+                .split('`')
+                .skip(1)
+                .step_by(2);
+            code_spans
+                .filter(|n| n.starts_with(&format!("{prefix}.")) && *n != wildcard)
+                .collect()
+        });
+        let mut registered = Vec::new();
+        for path in sources {
+            let rel = path.strip_prefix(root).unwrap_or(path);
+            if !rel.starts_with(dir) {
+                continue;
+            }
+            let Ok(content) = fs::read_to_string(path) else {
+                continue;
+            };
+            let lines: Vec<&str> = content.lines().collect();
+            for (i, line) in lines.iter().enumerate() {
+                let code = code_only(line);
+                for kind in [".counter(\"", ".gauge(\"", ".histogram(\""] {
+                    let call = format!("{kind}{prefix}.");
+                    for (at, _) in code.match_indices(&call) {
+                        let name = code[at + kind.len()..].split('"').next().unwrap_or("");
+                        if line_is_in_tests(&lines, i) {
+                            continue;
+                        }
+                        registered.push(name.to_string());
+                        if !documented.contains(&name) {
+                            out.push(RepoViolation {
+                                rule: "R008",
+                                path: rel.to_path_buf(),
+                                line: i + 1,
+                                message: format!(
+                                    "`{name}` is registered but not listed in DESIGN.md's \
+                                     `{wildcard}` metric-table row"
+                                ),
+                            });
+                        }
                     }
                 }
             }
         }
-    }
-    for name in documented
-        .iter()
-        .filter(|n| !registered.iter().any(|r| r == *n))
-    {
-        out.push(RepoViolation {
-            rule: "R008",
-            path: PathBuf::from("DESIGN.md"),
-            line: row.map_or(0, |i| i + 1),
-            message: format!(
-                "`{name}` is listed in the `db.*` metric-table row but nothing under \
-                 crates/engine/src registers it"
-            ),
-        });
+        for name in documented
+            .iter()
+            .filter(|n| !registered.iter().any(|r| r == *n))
+        {
+            out.push(RepoViolation {
+                rule: "R008",
+                path: PathBuf::from("DESIGN.md"),
+                line: row.map_or(0, |i| i + 1),
+                message: format!(
+                    "`{name}` is listed in the `{wildcard}` metric-table row but nothing \
+                     under {dir} registers it"
+                ),
+            });
+        }
     }
 }
 
@@ -918,7 +938,7 @@ mod tests {
     }
 
     #[test]
-    fn r008_holds_the_db_metrics_to_their_design_row() {
+    fn r008_holds_each_crates_metrics_to_their_design_row() {
         let engine = "fn in_registry(r: &R) {\n\
                       r.counter(\"db.inserts\"); r.histogram(\"db.query_ns\");\n\
                       r.counter(\"db.deletes\");\n\
@@ -930,9 +950,14 @@ mod tests {
             (
                 "DESIGN.md",
                 "# metrics\n\n| Prefix | Owner | Examples |\n\
-                 | `db.*` | `engine::Database` | `db.inserts`, `db.query_ns`, `db.gone` |\n",
+                 | `db.*` | `engine::Database` | `db.inserts`, `db.query_ns`, `db.gone` |\n\
+                 | `net.*` | `net::NetServer` | `net.shed` |\n",
             ),
             ("crates/engine/src/db.rs", engine),
+            (
+                "crates/net/src/server.rs",
+                "fn m(r: &R) {\n r.counter(\"net.shed\");\n r.gauge(\"net.unlisted\"); }\n",
+            ),
             (
                 "crates/cli/src/repl.rs",
                 "fn m(r: &R) { r.counter(\"db.elsewhere\"); }\n",
@@ -941,20 +966,25 @@ mod tests {
         ]);
         let v = check_repo(&dir).unwrap();
         let r008: Vec<_> = v.iter().filter(|v| v.rule == "R008").collect();
-        // The undocumented `db.deletes` at its registration, and the
-        // documented `db.gone` at the row; comments, test modules, other
-        // prefixes and other crates are out of scope.
+        // The undocumented `db.deletes` and `net.unlisted` at their
+        // registrations, and the documented `db.gone` at its row; comments,
+        // test modules, other prefixes and other crates are out of scope.
         let at: Vec<_> = r008
             .iter()
             .map(|v| (v.path.to_str().unwrap(), v.line))
             .collect();
         assert_eq!(
             at,
-            [("DESIGN.md", 4), ("crates/engine/src/db.rs", 3)],
+            [
+                ("DESIGN.md", 4),
+                ("crates/engine/src/db.rs", 3),
+                ("crates/net/src/server.rs", 3)
+            ],
             "{v:?}"
         );
         assert!(r008[0].message.contains("`db.gone`"), "{v:?}");
         assert!(r008[1].message.contains("`db.deletes`"), "{v:?}");
+        assert!(r008[2].message.contains("`net.*`"), "{v:?}");
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -1010,6 +1040,8 @@ mod tests {
                         fn fine(db: &Database) { db.lint(sql); exptime_lint::AuditGraph::empty(0); }\n\
                         #[cfg(test)]\n\
                         mod tests { fn t(db: &Database) { db.wal_status().unwrap().degraded; } }\n";
+        let wire = "fn retry(c: ErrorCode) -> bool { c.is_retryable() }\n\
+                    fn lost(c: u16) -> bool { c == ErrorCode::SessionExpired.as_u16() }\n";
         let dir = fixture(&[
             ("crates/engine/src/db.rs", touching),
             ("crates/engine/src/db/write.rs", touching),
@@ -1018,13 +1050,17 @@ mod tests {
             ("crates/engine/src/db/analysis.rs", touching),
             ("crates/engine/src/durability.rs", touching),
             ("crates/net/src/server.rs", touching),
+            ("crates/net/src/client.rs", wire),
+            ("crates/net/src/session.rs", wire),
             ("tests/wal_recovery.rs", touching),
             ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
         ]);
         let v = check_repo(&dir).unwrap();
         // Each engine file is flagged for the stage names it does not own:
-        // lines 1–2 (durability), 5 (maintenance), 7 (analyzer). Other
-        // crates, comments, lookalike names and test modules are free.
+        // lines 1–2 (durability), 5 (maintenance), 7 (analyzer); a net file
+        // other than the session module for the retry contract. Engine
+        // names elsewhere, comments, lookalike names and test modules are
+        // free.
         let at: Vec<_> = v
             .iter()
             .filter(|v| v.rule == "R010")
@@ -1059,6 +1095,8 @@ mod tests {
                 (db, 7),
                 (durability, 5),
                 (durability, 7),
+                ("crates/net/src/client.rs", 1),
+                ("crates/net/src/client.rs", 2),
             ],
             "{v:?}"
         );

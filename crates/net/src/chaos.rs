@@ -4,32 +4,49 @@
 //! [`FaultyLink`] carrying **real encoded frames** (`Vec<u8>` produced
 //! by [`crate::frame::encode_msg`]) — the link drops, duplicates,
 //! reorders, delays, and partitions them according to a seeded
-//! [`FaultSpec`], exactly as the replica layer's chaos tests do. The
-//! server side answers a statement with the *same*
-//! [`SessionTable::serve`] around the same [`reply_of`] as the TCP
-//! server, so what the property tests prove here — every submitted
-//! statement applied **exactly once**, no matter the fault schedule —
-//! is a statement about the production path, not about a model of it.
+//! [`FaultSpec`], exactly as the replica layer's chaos tests do. Both
+//! ends are the production code: the server answers a statement with
+//! the *same* [`SessionTable::serve`] around the same [`reply_of`] as
+//! the TCP server, and the client is the same `ClientSession` that
+//! [`NetClient`](crate::NetClient) runs, which numbers the statements
+//! and decides what each reply means. The harness adds only the tick
+//! schedule: when to send the `Hello` and when to resend a statement.
+//! So what the property tests prove here — every submitted statement
+//! applied **exactly once**, no matter the fault schedule — is a
+//! statement about the production path, not about a model of it.
 //!
 //! Everything is deterministic in `(seed, workload)`: retransmission
 //! backoff draws from a seeded [`StdRng`] via the shared
 //! [`RetryPolicy`], and the link's fate decisions replay from the spec.
 
+use crate::client::ClientStats;
 use crate::frame::{decode_msg, encode_msg, Msg, ReplyBody};
-use crate::session::{reply_of, Handshake, SessionTable};
+use crate::session::{reply_of, ClientSession, Handshake, SessionTable, Step};
 use exptime_engine::Database;
 use exptime_replica::{Dir, FaultSpec, FaultyLink, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
 
-/// A statement the client is currently trying to get applied.
-#[derive(Debug)]
-struct InFlight {
-    seq: u64,
-    sql: String,
+/// When the client (re)sends one message: on the first tick it may,
+/// then after each backoff the policy draws.
+#[derive(Debug, Default)]
+struct Resend {
     attempt: u32,
-    next_send_at: u64,
+    next_at: u64,
+}
+
+impl Resend {
+    /// `Some(retransmission)` if the message is due at `now`, drawing
+    /// the delay to its next send.
+    fn due(&mut self, now: u64, policy: &RetryPolicy, rng: &mut StdRng) -> Option<bool> {
+        if now < self.next_at {
+            return None;
+        }
+        self.attempt += 1;
+        self.next_at = now + policy.delay(self.attempt, rng).max(1);
+        Some(self.attempt > 1)
+    }
 }
 
 /// Counters from one chaos run.
@@ -60,17 +77,16 @@ pub struct ChaosNet {
     sessions: SessionTable,
     handshake: Option<Handshake>,
     exec_counts: HashMap<u64, u32>,
-    // Client side.
-    handshaken: bool,
-    token: u64,
-    hello_attempt: u32,
-    hello_next_at: u64,
+    // Client side: one session, and its tick schedule.
+    client: ClientSession,
+    /// `retries` counts the statement retransmissions.
+    stats: ClientStats,
+    hello: Resend,
     pending: VecDeque<String>,
-    current: Option<InFlight>,
-    next_seq: u64,
+    /// The statement in flight; its sequence number is the session's.
+    current: Option<(String, Resend)>,
     submitted: u64,
     acked: Vec<(u64, ReplyBody)>,
-    retransmissions: u64,
 }
 
 impl ChaosNet {
@@ -87,16 +103,13 @@ impl ChaosNet {
             sessions: SessionTable::new(),
             handshake: None,
             exec_counts: HashMap::new(),
-            handshaken: false,
-            token: 0,
-            hello_attempt: 0,
-            hello_next_at: 1,
+            client: ClientSession::default(),
+            stats: ClientStats::default(),
+            hello: Resend::default(),
             pending: VecDeque::new(),
             current: None,
-            next_seq: 1,
             submitted: 0,
             acked: Vec::new(),
-            retransmissions: 0,
         }
     }
 
@@ -187,71 +200,40 @@ impl ChaosNet {
             let Ok((msg, _)) = decode_msg(&bytes) else {
                 continue;
             };
-            match msg {
-                Msg::Welcome { token, applied } if !self.handshaken => {
-                    self.handshaken = true;
-                    self.token = token;
-                    self.next_seq = applied + 1;
-                }
-                Msg::Reply { seq, body } if self.current.as_ref().is_some_and(|c| c.seq == seq) => {
+            if let Msg::Welcome { token, applied } = msg {
+                self.client.welcome(token, applied);
+                continue;
+            }
+            let seq = self.client.seq();
+            match self.client.step(msg, &mut self.stats) {
+                Step::Consumed(body) => {
                     self.acked.push((seq, body));
                     self.current = None;
                 }
-                _ => {}
+                // Ambiguous: surfaced by never being acked.
+                Step::SessionLost(_) => self.current = None,
+                // The retransmission schedule resends it.
+                Step::Backoff(_) | Step::Stale | Step::Closed(_) => {}
             }
         }
         // Client: handshake, start, retransmit.
-        if !self.handshaken {
-            if now >= self.hello_next_at {
-                let retx = self.hello_attempt > 0;
-                self.send_to_server(
-                    &Msg::Hello {
-                        token: 0,
-                        last_seq: 0,
-                    },
-                    retx,
-                    "hello",
-                );
-                self.hello_attempt += 1;
-                let delay = self.policy.delay(self.hello_attempt, &mut self.rng).max(1);
-                self.hello_next_at = now + delay;
+        if self.client.token() == 0 {
+            if let Some(retx) = self.hello.due(now, &self.policy, &mut self.rng) {
+                let hello = self.client.hello();
+                self.send_to_server(&hello, retx, "hello");
             }
             return;
         }
         if self.current.is_none() {
-            if let Some(sql) = self.pending.pop_front() {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.current = Some(InFlight {
-                    seq,
-                    sql,
-                    attempt: 0,
-                    next_send_at: now,
-                });
-            }
+            self.current = self.pending.pop_front().map(|sql| (sql, Resend::default()));
         }
-        let mut to_send = None;
-        if let Some(cur) = self.current.as_mut() {
-            if now >= cur.next_send_at {
-                let retx = cur.attempt > 0;
-                if retx {
-                    self.retransmissions += 1;
-                }
-                cur.attempt += 1;
-                let delay = self.policy.delay(cur.attempt, &mut self.rng).max(1);
-                cur.next_send_at = now + delay;
-                to_send = Some((
-                    Msg::Stmt {
-                        seq: cur.seq,
-                        deadline_ms: 0,
-                        sql: cur.sql.clone(),
-                    },
-                    retx,
-                ));
-            }
-        }
-        if let Some((msg, retx)) = to_send {
-            self.send_to_server(&msg, retx, "stmt");
+        let Some((sql, resend)) = self.current.as_mut() else {
+            return;
+        };
+        if let Some(retx) = resend.due(now, &self.policy, &mut self.rng) {
+            self.stats.retries += u64::from(retx);
+            let stmt = self.client.stmt(0, sql);
+            self.send_to_server(&stmt, retx, "stmt");
         }
     }
 
@@ -265,7 +247,7 @@ impl ChaosNet {
         ChaosNetReport {
             ticks: self.now - start,
             acked: self.acked.len(),
-            retransmissions: self.retransmissions,
+            retransmissions: self.stats.retries,
             fresh: self.sessions.fresh,
             replays: self.sessions.replays,
             quiesced: self.quiesced(),
@@ -276,7 +258,7 @@ impl ChaosNet {
     /// nothing left on the wire.
     #[must_use]
     pub fn quiesced(&self) -> bool {
-        self.handshaken
+        self.client.token() != 0
             && self.pending.is_empty()
             && self.current.is_none()
             && self.link.in_flight() == 0

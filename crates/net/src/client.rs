@@ -1,14 +1,19 @@
 //! The reconnecting, exactly-once client.
 //!
-//! One [`NetClient`] is one session: it numbers its statements, and on
-//! any connection trouble it reconnects, re-handshakes with its token,
-//! and resends the statement under the *same* sequence number — the
-//! server's dedup turns the resend into a cached-reply fetch if the
-//! first copy actually landed. Backoff between attempts follows the
-//! replica layer's [`RetryPolicy`] (base/factor/cap/jitter), with the
-//! policy's `budget` read as the total **wall-clock** milliseconds one
-//! statement may spend — connect and reply-await time included, not
-//! just the sleeps — before [`ClientError::Exhausted`].
+//! One [`NetClient`] is one session. What the session decides — the
+//! statement numbering, the handshake, what each reply, `Shed` or `Bye`
+//! means — is the transport-free `ClientSession` of [`crate::session`],
+//! the same one the chaos harness drives, so the seeded fault matrix
+//! covers these decisions. This module adds the TCP connection, the
+//! socket timeouts and the wall-clock: on any connection trouble it
+//! reconnects, re-handshakes with its token, and resends the statement
+//! under the *same* sequence number — the server's dedup turns the
+//! resend into a cached-reply fetch if the first copy actually landed.
+//! Backoff between attempts follows the replica layer's [`RetryPolicy`]
+//! (base/factor/cap/jitter), with the policy's `budget` read as the
+//! total **wall-clock** milliseconds one statement may spend — connect
+//! and reply-await time included, not just the sleeps — before
+//! [`ClientError::Exhausted`].
 //!
 //! Exactly-once holds within a session's idle lifetime. If the server
 //! evicts the session while a statement is in flight, the reply cache
@@ -19,6 +24,7 @@
 
 use crate::error::ErrorCode;
 use crate::frame::{write_msg, FrameReader, Msg, ReplyBody};
+use crate::session::{ClientSession, Step};
 use exptime_replica::RetryPolicy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -136,8 +142,7 @@ pub struct NetClient {
     /// The live connection and its frame reader; they are replaced
     /// together, so a reconnect never resumes a dead stream's bytes.
     conn: Option<(TcpStream, FrameReader)>,
-    token: u64,
-    next_seq: u64,
+    session: ClientSession,
     rng: StdRng,
     /// Protocol counters (public: load generators read them).
     pub stats: ClientStats,
@@ -154,8 +159,7 @@ impl NetClient {
             addr: addr.to_string(),
             cfg: cfg.clone(),
             conn: None,
-            token: 0,
-            next_seq: 1,
+            session: ClientSession::default(),
             rng: StdRng::seed_from_u64(cfg.seed),
             stats: ClientStats::default(),
         };
@@ -166,7 +170,7 @@ impl NetClient {
     /// The session token (0 before the first handshake).
     #[must_use]
     pub fn token(&self) -> u64 {
-        self.token
+        self.session.token()
     }
 
     /// Executes one statement with exactly-once effects, retrying
@@ -187,53 +191,41 @@ impl NetClient {
         let budget = Duration::from_millis(self.cfg.policy.budget);
         let mut attempt: u32 = 0;
         loop {
-            match self.try_once(sql) {
-                Ok(Outcome::Done(body)) => {
-                    self.next_seq += 1;
-                    self.stats.statements += 1;
-                    if let ReplyBody::Rows { degraded: true, .. } = &body {
-                        self.stats.degraded_reads += 1;
-                    }
-                    return Ok(body);
-                }
-                Ok(Outcome::Fatal { code, message }) => {
-                    self.next_seq += 1;
-                    self.stats.statements += 1;
+            // Not consumed: `Ok(hint)` backs off and resends the same
+            // sequence number, `Err` drops the stream and reconnects too.
+            let retry = match self.round(sql) {
+                Ok(Step::Consumed(ReplyBody::Err { code, message, .. })) => {
                     return Err(ClientError::Fatal {
                         code: ErrorCode::from_u16(code),
                         raw_code: code,
                         message,
                     });
                 }
-                Ok(Outcome::SessionLost(message)) => {
+                Ok(Step::Consumed(body)) => return Ok(body),
+                Ok(Step::SessionLost(message)) => {
+                    self.conn = None;
                     return Err(ClientError::SessionExpired { message });
                 }
-                Ok(Outcome::Backoff(hint_ms)) => {
-                    let wait = if hint_ms > 0 {
-                        u64::from(hint_ms)
-                    } else {
-                        self.cfg.policy.delay(attempt, &mut self.rng)
-                    };
-                    attempt += 1;
-                    self.stats.retries += 1;
-                    if started.elapsed() + Duration::from_millis(wait) > budget {
-                        return Err(ClientError::Exhausted { attempts: attempt });
-                    }
-                    std::thread::sleep(Duration::from_millis(wait));
-                }
+                Ok(Step::Backoff(hint)) => Ok(hint),
+                Ok(Step::Stale | Step::Closed(_)) => unreachable!("`round` reads past them"),
                 Err(e) => {
-                    // Connection trouble: drop the stream, back off,
-                    // reconnect, resend the same sequence number.
                     self.conn = None;
-                    let wait = self.cfg.policy.delay(attempt, &mut self.rng);
-                    attempt += 1;
-                    self.stats.retries += 1;
-                    if started.elapsed() + Duration::from_millis(wait) > budget {
-                        return Err(ClientError::Io(e));
-                    }
-                    std::thread::sleep(Duration::from_millis(wait));
+                    Err(e)
                 }
+            };
+            let wait = match retry {
+                Ok(hint) if hint > 0 => u64::from(hint),
+                _ => self.cfg.policy.delay(attempt, &mut self.rng),
+            };
+            attempt += 1;
+            self.stats.retries += 1;
+            if started.elapsed() + Duration::from_millis(wait) > budget {
+                return Err(match retry {
+                    Ok(_) => ClientError::Exhausted { attempts: attempt },
+                    Err(e) => ClientError::Io(e),
+                });
             }
+            std::thread::sleep(Duration::from_millis(wait));
         }
     }
 
@@ -256,24 +248,14 @@ impl NetClient {
             .and_then(|()| stream.set_write_timeout(Some(self.cfg.write_timeout)))
             .and_then(|()| stream.set_nodelay(true))
             .map_err(ClientError::Io)?;
-        let had_token = self.token != 0;
-        let hello = Msg::Hello {
-            token: self.token,
-            last_seq: self.next_seq.saturating_sub(1),
-        };
-        write_msg(&mut stream, &hello).map_err(ClientError::Io)?;
+        write_msg(&mut stream, &self.session.hello()).map_err(ClientError::Io)?;
         let mut frames = FrameReader::new();
         match frames.read_msg(&mut stream).map_err(ClientError::Io)? {
             Some(Msg::Welcome { token, applied }) => {
-                if token != self.token {
-                    // Fresh session (first connect, or ours expired):
-                    // sequence numbering restarts after `applied`.
-                    self.token = token;
-                    self.next_seq = applied + 1;
-                }
-                if had_token {
+                if self.session.token() != 0 {
                     self.stats.reconnects += 1;
                 }
+                self.session.welcome(token, applied);
                 self.conn = Some((stream, frames));
                 Ok(())
             }
@@ -287,101 +269,31 @@ impl NetClient {
         }
     }
 
-    /// One wire round for the current sequence number.
-    fn try_once(&mut self, sql: &str) -> io::Result<Outcome> {
-        if let Err(e) = self.ensure_connected() {
-            return match e {
-                ClientError::Io(io_err) => Err(io_err),
-                other => Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    other.to_string(),
-                )),
-            };
-        }
-        let seq = self.next_seq;
-        let stmt = Msg::Stmt {
-            seq,
-            deadline_ms: self.cfg.deadline_ms,
-            sql: sql.to_string(),
-        };
+    /// One wire round for the statement in flight: (re)connect, send it,
+    /// and read to the first step that is neither stale nor the end of
+    /// the connection — those two are read past and returned as errors.
+    fn round(&mut self, sql: &str) -> io::Result<Step> {
+        self.ensure_connected().map_err(|e| match e {
+            ClientError::Io(e) => e,
+            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
+        })?;
+        let stmt = self.session.stmt(self.cfg.deadline_ms, sql);
         let (stream, frames) = self.conn.as_mut().expect("just connected");
         write_msg(stream, &stmt)?;
         loop {
-            match frames.read_msg_polling(stream)? {
-                Some(Msg::Reply { seq: got, body }) if got == seq => {
-                    if let ReplyBody::Err {
-                        code,
-                        retry_after_ms,
-                        message,
-                    } = body
-                    {
-                        let known = ErrorCode::from_u16(code);
-                        if known == Some(ErrorCode::SessionExpired) {
-                            // The session died with this statement in
-                            // flight: the outcome is ambiguous (applied
-                            // with the reply lost vs never applied), so
-                            // do NOT resend under a fresh session — that
-                            // could apply it twice. Reset so the *next*
-                            // statement handshakes fresh, and surface
-                            // the ambiguity to the caller.
-                            self.token = 0;
-                            self.conn = None;
-                            return Ok(Outcome::SessionLost(message));
-                        }
-                        if known.is_some_and(ErrorCode::is_retryable) {
-                            self.stats.retryable_errors += 1;
-                            return Ok(Outcome::Backoff(retry_after_ms));
-                        }
-                        return Ok(Outcome::Fatal { code, message });
-                    }
-                    return Ok(Outcome::Done(body));
+            let Some(msg) = frames.read_msg_polling(stream)? else {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "connection closed awaiting reply",
+                ));
+            };
+            match self.session.step(msg, &mut self.stats) {
+                Step::Stale => {}
+                Step::Closed(why) => {
+                    return Err(io::Error::new(io::ErrorKind::ConnectionAborted, why))
                 }
-                // A stale reply for an earlier sequence number (e.g. a
-                // retransmission answered twice): skip it.
-                Some(Msg::Reply { .. }) => {}
-                Some(Msg::Shed {
-                    seq: got,
-                    retry_after_ms,
-                }) if got == seq => {
-                    self.stats.sheds += 1;
-                    return Ok(Outcome::Backoff(retry_after_ms));
-                }
-                Some(Msg::Shed { .. }) => {}
-                Some(Msg::Bye) => {
-                    // Server draining: treat as a lost connection.
-                    self.conn = None;
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "server said Bye",
-                    ));
-                }
-                Some(other) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected message: {other:?}"),
-                    ));
-                }
-                None => {
-                    self.conn = None;
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed awaiting reply",
-                    ));
-                }
+                step => return Ok(step),
             }
         }
     }
-}
-
-enum Outcome {
-    /// A consumed outcome: success body.
-    Done(ReplyBody),
-    /// A consumed outcome: fatal error.
-    Fatal { code: u16, message: String },
-    /// Not consumed; back off (`hint` ms, 0 = policy schedule) and
-    /// resend the same sequence number.
-    Backoff(u32),
-    /// The session expired with the statement in flight: ambiguous —
-    /// surfaced, never silently resent.
-    SessionLost(String),
 }

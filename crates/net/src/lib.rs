@@ -11,11 +11,13 @@
 //!   the same every-prefix / every-bit-flip regimen.
 //! * [`error`] — stable numeric protocol error codes, partitioned into
 //!   fatal (`1xxx`) and retryable (`2xxx`) bands.
-//! * [`session`] — the exactly-once core: per-session sequence numbers,
-//!   an applied high-water mark, a reply cache that turns
-//!   retransmissions into cached-reply fetches instead of re-executions,
-//!   and the one admit → execute → record step the server and the chaos
-//!   harness both run.
+//! * [`session`] — the exactly-once core, both endpoints: per-session
+//!   sequence numbers, an applied high-water mark, a reply cache that
+//!   turns retransmissions into cached-reply fetches instead of
+//!   re-executions, the one admit → execute → record step the server
+//!   and the chaos harness both run, and the one client session —
+//!   numbering, handshake, what each reply means — that the client and
+//!   the chaos harness both run.
 //! * [`degrade`] — the paper's lever under overload: materialised
 //!   results carry `texp(e)` and validity intervals, so a loaded server
 //!   can serve cached reads it can *prove* still correct (or label
@@ -24,9 +26,10 @@
 //!   connection that serves its own statements under a bound on
 //!   statements in flight, shedding with retry hints, deadline
 //!   enforcement, and a graceful drain that loses zero acked writes.
-//! * [`client`] — the reconnecting client: resumes its session by
-//!   token, replays unacknowledged statements under the replica layer's
-//!   [`RetryPolicy`](exptime_replica::RetryPolicy) backoff.
+//! * [`client`] — the reconnecting client: the client session over TCP,
+//!   resuming by token and replaying unacknowledged statements under the
+//!   replica layer's [`RetryPolicy`](exptime_replica::RetryPolicy)
+//!   backoff.
 //! * [`chaos`] — a tick-synchronous harness pushing real encoded frames
 //!   through a seeded [`FaultyLink`](exptime_replica::FaultyLink), the
 //!   vehicle for the exactly-once property tests.

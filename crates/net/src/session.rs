@@ -1,4 +1,4 @@
-//! Server-side exactly-once session state.
+//! Exactly-once session state, both endpoints.
 //!
 //! A session is the unit of exactly-once delivery: the client numbers
 //! its statements `1, 2, 3, …` within a session, and the server keeps,
@@ -12,15 +12,20 @@
 //! (`exptime-replica::session`), applied to SQL statements instead of
 //! view refreshes.
 //!
-//! This module is transport-free on purpose: the real TCP server
-//! (`crate::server`) and the tick-synchronous chaos harness
-//! (`crate::chaos`) both answer a statement with
-//! [`SessionTable::serve`] around [`reply_of`] — the *same* admit →
-//! execute → record step and the same result → [`ReplyBody`] mapping —
-//! so the property tests exercise exactly the code the server runs.
+//! This module is transport-free on purpose, and it holds both ends of
+//! the dialogue. The real TCP server (`crate::server`) and the
+//! tick-synchronous chaos harness (`crate::chaos`) both answer a
+//! statement with [`SessionTable::serve`] around [`reply_of`] — the
+//! *same* admit → execute → record step and the same result →
+//! [`ReplyBody`] mapping. `NetClient` (`crate::client`) and the chaos
+//! harness's client both run one `ClientSession`, which numbers the
+//! statements and decides what every incoming message means; they add
+//! only a transport and a schedule. So the property tests exercise
+//! exactly the code the server and the client run.
 
+use crate::client::ClientStats;
 use crate::error::ErrorCode;
-use crate::frame::ReplyBody;
+use crate::frame::{Msg, ReplyBody};
 use exptime_core::algebra::Materialized;
 use exptime_core::relation::Relation;
 use exptime_core::time::Time;
@@ -239,6 +244,120 @@ impl SessionTable {
     }
 }
 
+/// The client end of one session: its token, its statement numbering,
+/// and every decision about what the server's messages mean.
+#[derive(Debug, Default)]
+pub(crate) struct ClientSession {
+    /// 0 until the first `Welcome`, and again once the session expired.
+    token: u64,
+    /// The last sequence number whose reply was consumed; the statement
+    /// in flight is the next one.
+    done: u64,
+}
+
+/// What one incoming message means for the statement in flight.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Step {
+    /// Its outcome, a success or a fatal error: the next statement
+    /// takes the next sequence number.
+    Consumed(ReplyBody),
+    /// Not consumed: wait (the server's hint in ms, 0 = the client's own
+    /// schedule) and resend the same sequence number.
+    Backoff(u32),
+    /// The session expired with the statement in flight, so whether it
+    /// was applied died with the reply cache: resending it under a fresh
+    /// session could apply it twice. The token is reset, so the *next*
+    /// statement handshakes a fresh session.
+    SessionLost(String),
+    /// An answer to another sequence number (a retransmission answered
+    /// twice): ignore it.
+    Stale,
+    /// The server said `Bye` (it is draining) or sent a client's
+    /// message: the connection is over.
+    Closed(&'static str),
+}
+
+impl ClientSession {
+    pub(crate) fn token(&self) -> u64 {
+        self.token
+    }
+
+    /// The sequence number of the statement in flight.
+    pub(crate) fn seq(&self) -> u64 {
+        self.done + 1
+    }
+
+    /// The handshake: the token, and every reply before the statement in
+    /// flight acknowledged.
+    pub(crate) fn hello(&self) -> Msg {
+        Msg::Hello {
+            token: self.token,
+            last_seq: self.done,
+        }
+    }
+
+    pub(crate) fn stmt(&self, deadline_ms: u32, sql: &str) -> Msg {
+        Msg::Stmt {
+            seq: self.seq(),
+            deadline_ms,
+            sql: sql.to_string(),
+        }
+    }
+
+    /// Adopts the answer to [`ClientSession::hello`]. A new token is a
+    /// fresh session (the first, or ours expired), numbered on from
+    /// `applied`; our own token resumes the session as it was.
+    pub(crate) fn welcome(&mut self, token: u64, applied: u64) {
+        if token != self.token {
+            self.token = token;
+            self.done = applied;
+        }
+    }
+
+    /// Maps a message received with a statement in flight to one step,
+    /// counting consumed statements, degraded reads, sheds and retryable
+    /// errors in `stats`.
+    pub(crate) fn step(&mut self, msg: Msg, stats: &mut ClientStats) -> Step {
+        let current = self.seq();
+        match msg {
+            Msg::Reply { seq, body } if seq == current => match &body {
+                ReplyBody::Err { code, message, .. }
+                    if *code == ErrorCode::SessionExpired.as_u16() =>
+                {
+                    self.token = 0;
+                    Step::SessionLost(message.clone())
+                }
+                ReplyBody::Err {
+                    code,
+                    retry_after_ms,
+                    ..
+                } if ErrorCode::from_u16(*code).is_some_and(ErrorCode::is_retryable) => {
+                    stats.retryable_errors += 1;
+                    Step::Backoff(*retry_after_ms)
+                }
+                _ => {
+                    self.done = current;
+                    stats.statements += 1;
+                    if let ReplyBody::Rows { degraded: true, .. } = body {
+                        stats.degraded_reads += 1;
+                    }
+                    Step::Consumed(body)
+                }
+            },
+            Msg::Shed {
+                seq,
+                retry_after_ms,
+            } if seq == current => {
+                stats.sheds += 1;
+                Step::Backoff(retry_after_ms)
+            }
+            Msg::Reply { .. } | Msg::Shed { .. } => Step::Stale,
+            Msg::Bye => Step::Closed("server said Bye"),
+            _ => Step::Closed("unexpected message"),
+        }
+    }
+}
+
 pub(crate) fn err_body(code: ErrorCode, retry_after_ms: u32, message: &str) -> ReplyBody {
     ReplyBody::Err {
         code: code.as_u16(),
@@ -319,6 +438,120 @@ mod tests {
 
     fn affected(n: u64) -> ReplyBody {
         ReplyBody::Affected(n)
+    }
+
+    #[test]
+    fn client_session_decides_what_each_message_means() {
+        let rows = |degraded| ReplyBody::Rows {
+            as_of: 0,
+            texp: 0,
+            degraded,
+            schema: vec![],
+            rows: vec![],
+        };
+        let err = |code, hint| err_body(code, hint, "why");
+        let reply = |seq, body| Msg::Reply { seq, body };
+        let none = ClientStats::default();
+        let consumed = ClientStats {
+            statements: 1,
+            ..none
+        };
+        // Each case starts in session 7 with statement 3 in flight: the
+        // message, the step it maps to (`None`: a `Welcome`, adopted),
+        // then the sequence number, token and counts after it.
+        let cases = [
+            (
+                Msg::Welcome {
+                    token: 8,
+                    applied: 5,
+                },
+                None,
+                6,
+                8,
+                none,
+            ),
+            (
+                Msg::Welcome {
+                    token: 7,
+                    applied: 0,
+                },
+                None,
+                3,
+                7,
+                none,
+            ),
+            (
+                reply(3, rows(true)),
+                Some(Step::Consumed(rows(true))),
+                4,
+                7,
+                ClientStats {
+                    degraded_reads: 1,
+                    ..consumed
+                },
+            ),
+            (
+                reply(3, err(ErrorCode::Constraint, 0)),
+                Some(Step::Consumed(err(ErrorCode::Constraint, 0))),
+                4,
+                7,
+                consumed,
+            ),
+            (
+                reply(3, err(ErrorCode::DeadlineExceeded, 9)),
+                Some(Step::Backoff(9)),
+                3,
+                7,
+                ClientStats {
+                    retryable_errors: 1,
+                    ..none
+                },
+            ),
+            (
+                reply(3, err(ErrorCode::SessionExpired, 0)),
+                Some(Step::SessionLost("why".into())),
+                3,
+                0,
+                none,
+            ),
+            (
+                Msg::Shed {
+                    seq: 3,
+                    retry_after_ms: 4,
+                },
+                Some(Step::Backoff(4)),
+                3,
+                7,
+                ClientStats { sheds: 1, ..none },
+            ),
+            (reply(2, rows(false)), Some(Step::Stale), 3, 7, none),
+            (
+                Msg::Shed {
+                    seq: 4,
+                    retry_after_ms: 4,
+                },
+                Some(Step::Stale),
+                3,
+                7,
+                none,
+            ),
+            (Msg::Bye, Some(Step::Closed("server said Bye")), 3, 7, none),
+        ];
+        for (msg, want, seq, token, counted) in cases {
+            let mut client = ClientSession::default();
+            client.welcome(7, 2);
+            let mut stats = ClientStats::default();
+            let label = format!("{msg:?}");
+            let got = match msg {
+                Msg::Welcome { token, applied } => {
+                    client.welcome(token, applied);
+                    None
+                }
+                msg => Some(client.step(msg, &mut stats)),
+            };
+            let after = (got, client.seq(), client.token(), stats);
+            assert_eq!(after, (want, seq, token, counted), "{label}");
+        }
     }
 
     #[test]

@@ -635,12 +635,6 @@ impl Obs {
         ring
     }
 
-    /// Goes dark: subsequent emits are a single relaxed load again.
-    pub fn clear_sink(&self) {
-        self.inner.has_sink.store(false, Ordering::Release);
-        *self.inner.sink.lock().unwrap() = None;
-    }
-
     /// Whether anything is listening. Instrumented code may use this to
     /// skip building expensive context.
     #[inline]
@@ -745,16 +739,6 @@ mod tests {
         assert_eq!(ring.high_water(), 4);
         assert_eq!(gauge(), 4);
         assert!(ring.dropped() > 0);
-    }
-
-    #[test]
-    fn clear_sink_goes_dark() {
-        let obs = Obs::new();
-        let ring = obs.install_ring(8);
-        obs.emit(None, EventKind::VacuumPass { at: 0, removed: 1 });
-        obs.clear_sink();
-        obs.emit(None, EventKind::VacuumPass { at: 1, removed: 2 });
-        assert_eq!(ring.len(), 1);
     }
 
     #[test]

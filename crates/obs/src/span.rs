@@ -128,10 +128,6 @@ impl Tracer {
         self.inner.enabled.store(true, Ordering::Release);
     }
 
-    pub fn disable(&self) {
-        self.inner.enabled.store(false, Ordering::Release);
-    }
-
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)

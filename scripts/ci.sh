@@ -35,16 +35,18 @@ cargo fmt --check
 # core's schrodinger.rs and materialize.rs) — they ask
 # Materialized::{answer, covered_at, rows_at}, which counts the patch
 # queue in; core/src/algebra/eval.rs, where those are, is exempt.
-# And no undocumented engine metric: every db.* name the engine
-# registers is in DESIGN.md's db.* metric-table row, and every name
-# there is registered. And no undocumented event: every EventKind::tag
+# And no undocumented metric: every db.* name the engine and every net.*
+# name the wire server registers is in DESIGN.md's row for its prefix,
+# and every name there is registered. And no undocumented event: every EventKind::tag
 # string is a row of DESIGN.md's §8 event table, and every row is a tag.
 # And stage-owned names: in engine/src only db/durable.rs (and
 # durability.rs, which reports the flag) names the log session (.wal) or
 # its degraded flag, only db/maintain.rs calls expire_due(, and only
 # db/analysis.rs calls exptime_lint::{analyze,audit,render}(, so every
 # log write, every expiration and every question to the analyzer live
-# in one module each. And one way to read an
+# in one module each; in net/src only session.rs (and error.rs) calls
+# is_retryable( or names ErrorCode::SessionExpired, so both ends of the
+# wire read the retry contract in one module. And one way to read an
 # input: no ops::product(, ops::join_nested_loop( or ops::project( in
 # production code under core/src or engine/src — they are the literal
 # interpreter's definitions, and evaluation reads lent rows or an

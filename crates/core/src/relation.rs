@@ -40,9 +40,6 @@ pub enum DuplicatePolicy {
     /// the paper's rule for projection (Eq. 3) and union (Eq. 4) and the
     /// default for building relations.
     KeepMax,
-    /// Keep the minimum of the two expiration times (used by product-style
-    /// operators when the same output tuple can arise twice).
-    KeepMin,
     /// The incoming expiration time wins (an *update* of the tuple's
     /// lifetime, the paper's only user-visible expiration-time operation
     /// besides insertion).
@@ -153,7 +150,6 @@ impl Relation {
                 let stored = &mut self.rows[i].1;
                 *stored = match policy {
                     DuplicatePolicy::KeepMax => (*stored).max(texp),
-                    DuplicatePolicy::KeepMin => (*stored).min(texp),
                     DuplicatePolicy::Replace => texp,
                 };
             }
@@ -464,9 +460,6 @@ mod tests {
         r.insert(tuple![1, 1], Time::new(5)).unwrap();
         r.insert(tuple![1, 1], Time::new(9)).unwrap(); // KeepMax
         assert_eq!(r.texp(&tuple![1, 1]), Some(Time::new(9)));
-        r.insert_with(tuple![1, 1], Time::new(3), DuplicatePolicy::KeepMin)
-            .unwrap();
-        assert_eq!(r.texp(&tuple![1, 1]), Some(Time::new(3)));
         r.insert_with(tuple![1, 1], Time::new(7), DuplicatePolicy::Replace)
             .unwrap();
         assert_eq!(r.texp(&tuple![1, 1]), Some(Time::new(7)));

@@ -1,6 +1,6 @@
 //! Repo-invariant lint gate: walks the workspace sources and enforces the
-//! `R001`–`R011` rules. Exits non-zero on any violation, so `scripts/ci.sh`
-//! can use it directly.
+//! repo rules (DESIGN.md §11.3). Exits non-zero on any violation, so
+//! `scripts/ci.sh` can use it directly.
 
 #![forbid(unsafe_code)]
 
@@ -16,13 +16,8 @@ fn main() -> ExitCode {
     );
     match exptime_lint::check_repo(&root) {
         Ok(violations) if violations.is_empty() => {
-            println!(
-                "repolint: ok (R001 wall-clock, R002 durability unwrap, \
-                 R003 forbid-unsafe, R004 thread-sleep, R005 table-copy, \
-                 R006 nu-oracle, R007 one-read, R008 metrics-documented, \
-                 R009 events-documented, R010 stage-owned-names, \
-                 R011 one-input-reader)"
-            );
+            let codes: Vec<_> = exptime_lint::repo::rule_codes().into_iter().collect();
+            println!("repolint: ok ({})", codes.join(" "));
             ExitCode::SUCCESS
         }
         Ok(violations) => {

@@ -1,20 +1,15 @@
 //! The analyzer turned inward: repo-invariant checks for the codebase
-//! itself (the `scripts/ci.sh` repolint gate).
+//! itself (the `scripts/ci.sh` repolint gate). What each rule holds, and
+//! why, is DESIGN.md §11.3.
 //!
-//! | Rule | Invariant |
-//! |------|-----------|
-//! | R001 | No wall-clock reads (`SystemTime`) outside `crates/core/src/time.rs` — simulated `Time` is the only clock queries may observe. |
-//! | R002 | No `unwrap()`/`expect(` in durability paths (`crates/wal/src`, `crates/engine/src/durability.rs`, the durability stage `crates/engine/src/db/durable.rs` — recovery, checkpoints, dump/restore — and `crates/engine/src/db/write.rs` — the write path produces every data record and is what recovery redoes them with): such code must return errors, not die. Mutex-poisoning `lock().unwrap()` is the one allowed idiom. |
-//! | R003 | Every crate root declares `#![forbid(unsafe_code)]` (the workspace contains no unsafe). |
-//! | R004 | No `std::thread::sleep` outside test/bench/fault-injection code and the few real-time boundaries (tickers, network backoff, daemon pacing): query/maintenance paths must advance the simulated clock, never stall the thread. |
-//! | R005 | No `Database::snapshot` call in production code under `crates/*/src`, and no `Table::to_relation` call in `crates/engine/src` outside `db/stored.rs` (where `snapshot` itself makes its one): a read is a pinned `τ` over the borrowed tables that copies only the rows that come out, not a copy of them. The copy stays as the reference that tests, benches, examples and the out-of-tree benchmark compare the read path against. |
-//! | R006 | No `value_timeline`, `nu_naive` or closure-form `nu::nu(` in production code under `crates/core/src/algebra/` or `crates/engine/src`: the timeline definitions of ν re-apply `f` to a copy of the survivors at every time slice (or tick) and are the oracle that `nu::first_change` — what evaluation computes — is tested against, not a path a query may take. |
-//! | R007 | No `prev_covered(` and no `.rel.exp(` in production code that holds a materialisation — `crates/replica/src`, `crates/net/src`, `crates/engine/src` and `crates/core/src/{schrodinger,materialize}.rs`: which instant a materialisation can answer for, and the rows it has at one (the stored rows *plus* the due part of its Theorem 3 queue), are `Materialized::{covered_at, rows_at, answer}`. `crates/core/src/algebra/eval.rs`, where that kernel is defined, is the one place that does either by hand. |
-//! | R008 | The metrics are documented, both ways, per one table of `(prefix, crate)` rows (`db.*` ← `crates/engine/src`, `net.*` ← `crates/net/src`): every literal with the prefix that production code under the crate passes to `.counter(`, `.gauge(` or `.histogram(` appears in the prefix's DESIGN.md metric-table row, and every name in that row is registered there. |
-//! | R009 | The events are documented, both ways: every tag `EventKind::tag` returns in `crates/obs/src/events.rs` is a row of DESIGN.md's `` | Tag | `` event table, and every tag in that table is one `EventKind::tag` returns. |
-//! | R010 | A name one stage owns appears in production code only in that stage's files, per one table of `(crate, stage files, names)`. In `crates/net/src`: `is_retryable(` and `ErrorCode::SessionExpired` in the session module (`session.rs`, and `error.rs`, which defines them) — both ends of the wire read the retry contract there. In `crates/engine/src`: the log session (a `.wal` field) and its `degraded` flag in the durability stage (`db/durable.rs`, and `durability.rs`, which reports the flag); `expire_due(` in the maintenance stage (`db/maintain.rs`); `exptime_lint::{analyze, audit, render}(` in the analyzer stage (`db/analysis.rs`). Every write to the log, every expiration and every question to the analyzer goes through one module. |
-//! | R011 | No `ops::product(`, `ops::join_nested_loop(` or `ops::project(` in production code under `crates/core/src` or `crates/engine/src`: the evaluator reads every input as lent rows or an evaluated result, so a product is the join kernel with an empty key and a π deduplicates as it reads. These three materialise a whole result from built relations and stay as the literal interpreter's definitions — what tests, benches and the A2 ablation compare against. |
+//! Two kinds of rule. Most are per-line bans, rows of one table
+//! (`BANS`) that one scanner walks: the paths a row governs and exempts,
+//! its words and how to match them, and its message are data. R008 and
+//! R009 hold a list of names to a DESIGN.md table, both ways, through one
+//! check. R003 looks at the crate roots.
 
+use std::collections::BTreeSet;
+use std::ffi::OsStr;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -35,15 +30,228 @@ pub struct RepoViolation {
 
 impl fmt::Display for RepoViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} {}:{}: {}",
-            self.rule,
-            self.path.display(),
-            self.line,
-            self.message
-        )
+        let path = self.path.display();
+        write!(f, "{} {path}:{}: {}", self.rule, self.line, self.message)
     }
+}
+
+/// How a ban finds one of its words in a line of code.
+#[derive(Clone, Copy)]
+enum Matcher {
+    /// Anywhere in the line.
+    Substring,
+    /// As a whole identifier (a `.field` keeps its dot): `self.wal` and
+    /// `degraded`, not `self.wal_stmt` or `undegraded`.
+    Identifier,
+    /// Called on a plain binding. The rules are textual, so a database
+    /// (held in `db`, `server`, `self`) is told from the metric types that
+    /// also have a `snapshot()` by the receiver: metrics are reached
+    /// through a field or a call (`self.counters.snapshot()`,
+    /// `db.metrics().snapshot()`).
+    PlainBinding,
+}
+
+impl Matcher {
+    fn finds(self, code: &str, word: &str) -> bool {
+        let ident = |c: char| c.is_alphanumeric() || c == '_';
+        code.match_indices(word).any(|(at, _)| match self {
+            Matcher::Substring => true,
+            Matcher::Identifier => {
+                let glued_before = word.starts_with(ident) && code[..at].ends_with(ident);
+                let glued_after =
+                    word.ends_with(ident) && code[at + word.len()..].starts_with(ident);
+                !glued_before && !glued_after
+            }
+            Matcher::PlainBinding => {
+                let receiver = code[..at].trim_end_matches(ident);
+                receiver.len() < at && !receiver.ends_with('.')
+            }
+        })
+    }
+}
+
+/// One per-line ban: a production line of a file the row governs (and
+/// does not exempt) that names one of its words is a violation. Paths are
+/// relative to the root; a path covers everything below it, and a
+/// component may be `*` (any one) or `**` (any number).
+struct Ban {
+    rule: &'static str,
+    governs: &'static [&'static str],
+    exempt: &'static [&'static str],
+    words: &'static [&'static str],
+    matcher: Matcher,
+    /// A line that contains one of these is allowed.
+    allow: &'static [&'static str],
+    /// Whether a file's `#[cfg(test)]` module is linted too.
+    lints_tests: bool,
+    /// Why the word is banned there, after the word that was found.
+    message: &'static str,
+}
+
+const BAN: Ban = Ban {
+    rule: "",
+    governs: &[],
+    exempt: &[],
+    words: &[],
+    matcher: Matcher::Substring,
+    allow: &[],
+    lints_tests: false,
+    message: "",
+};
+
+/// Every per-line ban. This file names the banned words, so it is exempt
+/// from the rows whose scope reaches it.
+const BANS: &[Ban] = &[
+    Ban {
+        rule: "R001",
+        governs: &["**"],
+        exempt: &["crates/core/src/time.rs", "crates/lint/src/repo.rs"],
+        words: &["SystemTime"],
+        lints_tests: true,
+        message: "is a wall-clock read; queries must observe only the simulated clock",
+        ..BAN
+    },
+    Ban {
+        rule: "R002",
+        governs: &[
+            "crates/wal/src",
+            "crates/engine/src/durability.rs",
+            "crates/engine/src/db/durable.rs",
+            "crates/engine/src/db/write.rs",
+        ],
+        words: &[".unwrap()", ".expect("],
+        allow: &["lock().unwrap()"],
+        message: "in a durability path; recovery code must propagate errors",
+        ..BAN
+    },
+    Ban {
+        rule: "R004",
+        governs: &["**"],
+        exempt: &[
+            "crates/engine/src/shared.rs",
+            "crates/net/src/client.rs",
+            "crates/net/src/server.rs",
+            "crates/telemetryd/src/bin/telemetryd.rs",
+            "crates/lint/src/repo.rs",
+            "tests",
+            "**/benches",
+        ],
+        words: &["thread::sleep"],
+        message: "stalls the thread; advance the simulated clock (tick) instead",
+        ..BAN
+    },
+    Ban {
+        rule: "R005",
+        governs: &["crates/*/src"],
+        exempt: &["crates/obs"],
+        words: &[".snapshot()"],
+        matcher: Matcher::PlainBinding,
+        message: "copies the database; evaluate over it (the algebra's binding environment)",
+        ..BAN
+    },
+    Ban {
+        rule: "R005",
+        governs: &["crates/engine/src"],
+        exempt: &["crates/engine/src/db/stored.rs"],
+        words: &[".to_relation("],
+        message: "copies a table; visit its rows (Bindings::visit), copy the ones that come out",
+        ..BAN
+    },
+    Ban {
+        rule: "R006",
+        governs: &["crates/core/src/algebra", "crates/engine/src"],
+        words: &["value_timeline", "nu_naive", "nu::nu("],
+        message: "is ν's test oracle, not the evaluation path: that is nu::first_change",
+        ..BAN
+    },
+    Ban {
+        rule: "R007",
+        governs: &[
+            "crates/replica/src",
+            "crates/net/src",
+            "crates/engine/src",
+            "crates/core/src/schrodinger.rs",
+            "crates/core/src/materialize.rs",
+        ],
+        words: &["prev_covered(", ".rel.exp("],
+        message: "by hand; Materialized::{answer, covered_at, rows_at} count the patch queue in",
+        ..BAN
+    },
+    Ban {
+        rule: "R010",
+        governs: &["crates/engine/src"],
+        exempt: &[
+            "crates/engine/src/db/durable.rs",
+            "crates/engine/src/durability.rs",
+        ],
+        words: &[".wal", "degraded"],
+        matcher: Matcher::Identifier,
+        message: "outside the durability stage, db/durable.rs",
+        ..BAN
+    },
+    Ban {
+        rule: "R010",
+        governs: &["crates/engine/src"],
+        exempt: &["crates/engine/src/db/maintain.rs"],
+        words: &["expire_due("],
+        matcher: Matcher::Identifier,
+        message: "outside the maintenance stage, db/maintain.rs",
+        ..BAN
+    },
+    Ban {
+        rule: "R010",
+        governs: &["crates/engine/src"],
+        exempt: &["crates/engine/src/db/analysis.rs"],
+        words: &[
+            "exptime_lint::analyze(",
+            "exptime_lint::audit(",
+            "exptime_lint::render(",
+        ],
+        matcher: Matcher::Identifier,
+        message: "outside the analyzer stage, db/analysis.rs",
+        ..BAN
+    },
+    Ban {
+        rule: "R010",
+        governs: &["crates/net/src"],
+        exempt: &["crates/net/src/session.rs", "crates/net/src/error.rs"],
+        words: &["is_retryable(", "ErrorCode::SessionExpired"],
+        matcher: Matcher::Identifier,
+        message: "outside the session stage, session.rs",
+        ..BAN
+    },
+    Ban {
+        rule: "R011",
+        governs: &["crates/core/src", "crates/engine/src"],
+        words: &["ops::product(", "ops::join_nested_loop(", "ops::project("],
+        message: "is the literal interpreter's; evaluation reads Input and joins with HashJoin",
+        ..BAN
+    },
+];
+
+/// Whether `rel` is one of `patterns` or below it (`*` and `**` as in
+/// [`Ban`]).
+fn under(rel: &Path, patterns: &[&str]) -> bool {
+    fn from(pattern: &[&str], path: &[&OsStr]) -> bool {
+        match pattern.split_first() {
+            None => true,
+            Some((&"**", rest)) => (0..=path.len()).any(|i| from(rest, &path[i..])),
+            Some((p, rest)) => path
+                .split_first()
+                .is_some_and(|(c, tail)| (*p == "*" || **c == **p) && from(rest, tail)),
+        }
+    }
+    let path: Vec<&OsStr> = rel.iter().collect();
+    patterns
+        .iter()
+        .any(|p| from(&p.split('/').collect::<Vec<_>>(), &path))
+}
+
+/// Every rule code repolint checks: the ban table's, R003, R008 and R009.
+#[must_use]
+pub fn rule_codes() -> BTreeSet<&'static str> {
+    let others = ["R003", "R008", "R009"];
+    BANS.iter().map(|b| b.rule).chain(others).collect()
 }
 
 /// Runs every repo rule against the workspace at `root`.
@@ -53,545 +261,196 @@ impl fmt::Display for RepoViolation {
 /// Returns I/O errors from directory walks; individual unreadable files
 /// are skipped.
 pub fn check_repo(root: &Path) -> io::Result<Vec<RepoViolation>> {
+    let mut files = Vec::new();
+    for top in ["crates", "shims", "src", "tests", "examples"] {
+        rust_sources(root, Path::new(top), &mut files)?;
+    }
     let mut out = Vec::new();
-    let sources = rust_sources(root)?;
-    for path in &sources {
-        let Ok(content) = fs::read_to_string(path) else {
-            continue;
-        };
-        let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
-        check_r001(&rel, &content, &mut out);
-        check_r002(&rel, &content, &mut out);
-        check_r004(&rel, &content, &mut out);
-        check_r005(&rel, &content, &mut out);
-        check_r006(&rel, &content, &mut out);
-        check_r007(&rel, &content, &mut out);
-        check_r010(&rel, &content, &mut out);
-        check_r011(&rel, &content, &mut out);
+    for (rel, content) in &files {
+        let governed = |b: &&Ban| under(rel, b.governs) && !under(rel, b.exempt);
+        for ban in BANS.iter().filter(governed) {
+            for (line, code) in code_lines(content, ban.lints_tests) {
+                if ban.allow.iter().any(|a| code.contains(a)) {
+                    continue;
+                }
+                if let Some(word) = ban.words.iter().find(|w| ban.matcher.finds(code, w)) {
+                    out.push(RepoViolation {
+                        rule: ban.rule,
+                        path: rel.clone(),
+                        line,
+                        message: format!("`{word}` {}", ban.message),
+                    });
+                }
+            }
+        }
     }
     check_r003(root, &mut out);
-    check_r008(root, &sources, &mut out);
-    check_r009(root, &mut out);
+    // A tree without a DESIGN.md (a fixture) has nothing to hold R008 and
+    // R009 to.
+    if let Ok(design) = fs::read_to_string(root.join("DESIGN.md")) {
+        check_r008(&design, &files, &mut out);
+        check_r009(&design, &files, &mut out);
+    }
     out.sort_by(|a, b| (a.rule, &a.path, a.line).cmp(&(b.rule, &b.path, b.line)));
     Ok(out)
 }
 
-/// All `.rs` files under the workspace's source roots (crate sources,
-/// shims, the facade, integration tests) — skipping `target/`.
-fn rust_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut files = Vec::new();
-    for top in ["crates", "shims", "src", "tests", "examples"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            walk(&dir, &mut files)?;
-        }
+/// The `.rs` files under `dir` (relative to `root`, skipping `target/`)
+/// with their contents; an unreadable file is skipped.
+fn rust_sources(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, String)>) -> io::Result<()> {
+    if !root.join(dir).is_dir() {
+        return Ok(());
     }
-    Ok(files)
-}
-
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() {
-            if path.file_name().is_some_and(|n| n == "target") {
-                continue;
-            }
-            walk(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
+    for entry in fs::read_dir(root.join(dir))? {
+        let rel = dir.join(entry?.file_name());
+        if root.join(&rel).is_dir() && !rel.ends_with("target") {
+            rust_sources(root, &rel, out)?;
+        } else if rel.extension().is_some_and(|e| e == "rs") {
+            out.extend(fs::read_to_string(root.join(&rel)).map(|content| (rel, content)));
         }
     }
     Ok(())
 }
 
-/// Strips line comments and string/char literals well enough for keyword
-/// scanning (the rules look for identifiers, not exact syntax).
+/// Strips line comments well enough for keyword scanning (the rules look
+/// for identifiers, not exact syntax).
 fn code_only(line: &str) -> &str {
-    let trimmed = line.trim_start();
-    if trimmed.starts_with("//") {
-        return "";
-    }
     match line.find("//") {
         Some(i) => &line[..i],
         None => line,
     }
 }
 
-/// Whether `content` has entered its `#[cfg(test)]` module by `line_idx`
-/// — durability rules only govern production code.
-fn line_is_in_tests(lines: &[&str], line_idx: usize) -> bool {
-    lines[..=line_idx]
-        .iter()
-        .any(|l| l.trim_start().starts_with("#[cfg(test)]"))
+/// `content`'s lines numbered from 1, comments cut: all of them, or
+/// (`with_tests` false) those before its test module.
+fn code_lines(content: &str, with_tests: bool) -> impl Iterator<Item = (usize, &str)> {
+    let lines = content.lines().map(code_only);
+    let end = (!with_tests).then(|| tests_start(content));
+    (1..).zip(lines.take(end.unwrap_or(usize::MAX)))
 }
 
-/// R001: `SystemTime` (wall clock) outside `crates/core/src/time.rs`.
-fn check_r001(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
-    // time.rs owns the wall clock; this file names the banned identifier
-    // in its own rule text and fixtures.
-    if rel == Path::new("crates/core/src/time.rs") || rel == Path::new("crates/lint/src/repo.rs") {
-        return;
-    }
+/// The index of the line that opens the test module: the first
+/// `#[cfg(test)]` whose item, past any other attributes, is a `mod` (a
+/// `#[cfg(test)]` helper function leaves the code after it production
+/// code), or the line count when there is none.
+fn tests_start(content: &str) -> usize {
+    let mut cfg_test = None;
     for (i, line) in content.lines().enumerate() {
-        if code_only(line).contains("SystemTime") {
-            out.push(RepoViolation {
-                rule: "R001",
-                path: rel.to_path_buf(),
-                line: i + 1,
-                message: "wall-clock read (SystemTime) outside crates/core/src/time.rs; \
-                          queries must observe only the simulated clock"
-                    .to_string(),
-            });
+        let mut item = line.trim();
+        while let Some(attr) = item.strip_prefix("#[") {
+            let (inner, after) = attr.split_once(']').unwrap_or((attr, ""));
+            cfg_test = cfg_test.or((inner == "cfg(test)").then_some(i));
+            item = after.trim();
+        }
+        if item.is_empty() || item.starts_with("//") {
+            continue;
+        }
+        let is_mod = item.split_whitespace().find(|w| !w.starts_with("pub")) == Some("mod");
+        if let (Some(start), true) = (cfg_test.take(), is_mod) {
+            return start;
         }
     }
+    content.lines().count()
 }
 
-/// R002: `unwrap()`/`expect(` in durability paths' production code.
-fn check_r002(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
-    let is_durability = rel.starts_with("crates/wal/src")
-        || rel == Path::new("crates/engine/src/durability.rs")
-        || rel == Path::new("crates/engine/src/db/durable.rs")
-        || rel == Path::new("crates/engine/src/db/write.rs");
-    if !is_durability {
-        return;
-    }
-    let lines: Vec<&str> = content.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        let code = code_only(line);
-        if !(code.contains(".unwrap()") || code.contains(".expect(")) {
-            continue;
-        }
-        // Mutex poisoning: a poisoned lock means a panic already happened
-        // on another thread; unwrapping is the accepted idiom.
-        if code.contains("lock().unwrap()") {
-            continue;
-        }
-        if line_is_in_tests(&lines, i) {
-            continue;
-        }
-        out.push(RepoViolation {
-            rule: "R002",
-            path: rel.to_path_buf(),
-            line: i + 1,
-            message: "unwrap()/expect() in a durability path; recovery code must \
-                      propagate errors"
-                .to_string(),
-        });
-    }
-}
-
-/// R004: `thread::sleep` outside test/bench code and the boundary files
-/// that legitimately touch wall-clock time.
-///
-/// The engine's whole premise is that time is data — a logical clock
-/// advanced by `tick()`, never awaited. A stray `sleep` in a query or
-/// maintenance path means some behaviour depends on wall-clock pacing
-/// and will never be reproducible under the simulated clock. The only
-/// places allowed to block a thread are the edges where simulated time
-/// meets real time:
-///
-/// - `crates/engine/src/shared.rs` — the background ticker mapping
-///   wall-clock intervals to logical ticks;
-/// - `crates/net/src/client.rs` — retry backoff between reconnects;
-/// - `crates/net/src/server.rs` — the non-blocking acceptor's poll
-///   interval;
-/// - `crates/telemetryd/src/bin/telemetryd.rs` — the daemon's
-///   serve-forever loop.
-fn check_r004(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
-    const ALLOWED: &[&str] = &[
-        "crates/engine/src/shared.rs",
-        "crates/net/src/client.rs",
-        "crates/net/src/server.rs",
-        "crates/telemetryd/src/bin/telemetryd.rs",
-        // This file names the banned identifier in its rule text.
-        "crates/lint/src/repo.rs",
+/// R008: each `(prefix, crate dir)` row's metric names — the literals with
+/// the prefix that production code under the dir passes to `.counter(`,
+/// `.gauge(` or `.histogram(` — against the code spans of DESIGN.md's
+/// `` | `prefix.*` | `` metric-table row. Families whose names are built
+/// with `format!` (`storage.<t>.*`, `view.<n>.*`, `policy.*`) have no row.
+fn check_r008(design: &str, files: &[(PathBuf, String)], out: &mut Vec<RepoViolation>) {
+    const ROWS: [(&str, &str); 7] = [
+        ("db", "crates/engine/src"),
+        ("net", "crates/net/src"),
+        ("wal", "crates/wal/src"),
+        ("obs", "crates/obs/src"),
+        ("slo", "crates/obs/src"),
+        ("audit", "crates/obs/src"),
+        ("telemetry", "crates/engine/src"),
     ];
-    if ALLOWED.iter().any(|a| rel == Path::new(a)) {
-        return;
-    }
-    // Integration tests and benches pace real threads by design.
-    if rel.starts_with("tests") || rel.components().any(|c| c.as_os_str() == "benches") {
-        return;
-    }
-    let lines: Vec<&str> = content.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        if !code_only(line).contains("thread::sleep") {
-            continue;
-        }
-        if line_is_in_tests(&lines, i) {
-            continue;
-        }
-        out.push(RepoViolation {
-            rule: "R004",
-            path: rel.to_path_buf(),
-            line: i + 1,
-            message: "thread::sleep outside test/bench/boundary code; advance the \
-                      simulated clock (tick) instead of stalling the thread"
-                .to_string(),
-        });
-    }
-}
-
-/// R005: `<binding>.snapshot()` in production code under `crates/*/src`,
-/// and `.to_relation(` in the engine outside `db/stored.rs` — the two ways
-/// a read could go back to copying a table instead of visiting it.
-///
-/// The rule is textual, so it tells a database from the metric types
-/// that also have a `snapshot()` by the receiver: a database is held in a
-/// plain binding (`db`, `server`, `self`), metrics are reached through a
-/// field or a call (`self.counters.snapshot()`,
-/// `db.metrics().snapshot()`). `crates/obs` — upstream of the engine, and
-/// the home of those metric types — is out of scope.
-fn check_r005(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
-    const CALL: &str = ".snapshot()";
-    const TABLE_COPY: &str = ".to_relation(";
-    let in_crate_src =
-        rel.starts_with("crates") && rel.components().any(|c| c.as_os_str() == "src");
-    if !in_crate_src || rel.starts_with("crates/obs") {
-        return;
-    }
-    // `Database::snapshot`, the reference copy, lives in `db/stored.rs`.
-    let in_engine_read_path =
-        rel.starts_with("crates/engine/src") && rel != Path::new("crates/engine/src/db/stored.rs");
-    let lines: Vec<&str> = content.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        let code = code_only(line);
-        let on_plain_binding = code.match_indices(CALL).any(|(at, _)| {
-            let receiver = code[..at].trim_end_matches(|c: char| c.is_alphanumeric() || c == '_');
-            receiver.len() < at && !receiver.ends_with('.')
-        });
-        let message = if on_plain_binding {
-            "Database::snapshot in production code; evaluate over the \
-             database itself (it is the algebra's binding environment)"
-        } else if in_engine_read_path && code.contains(TABLE_COPY) {
-            "Table::to_relation in the engine; visit the table's rows \
-             (Bindings::visit) and copy only the ones that come out"
-        } else {
-            continue;
-        };
-        if line_is_in_tests(&lines, i) {
-            continue;
-        }
-        out.push(RepoViolation {
-            rule: "R005",
-            path: rel.to_path_buf(),
-            line: i + 1,
-            message: message.to_string(),
-        });
-    }
-}
-
-/// R006: the timeline definitions of ν (`value_timeline`, `nu_naive`, the
-/// closure-form `nu::nu(`) named in production code on the evaluation
-/// path — the algebra and the engine. They stay public in
-/// `core::aggregate::nu` for tests, `approx`, the experiments and the
-/// benches; evaluation calls `nu::first_change`.
-fn check_r006(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
-    const ORACLES: [&str; 3] = ["value_timeline", "nu_naive", "nu::nu("];
-    if !(rel.starts_with("crates/core/src/algebra") || rel.starts_with("crates/engine/src")) {
-        return;
-    }
-    let lines: Vec<&str> = content.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        let code = code_only(line);
-        let Some(name) = ORACLES.iter().find(|name| code.contains(**name)) else {
-            continue;
-        };
-        if line_is_in_tests(&lines, i) {
-            continue;
-        }
-        out.push(RepoViolation {
-            rule: "R006",
-            path: rel.to_path_buf(),
-            line: i + 1,
-            message: format!(
-                "`{}` on the evaluation path; the timeline definitions of ν are \
-                 the test oracle — evaluation computes nu::first_change",
-                name.trim_end_matches('(')
-            ),
-        });
-    }
-}
-
-/// R007: a hand-rolled read of a materialisation — `validity.prev_covered(`
-/// (which instant can it answer for?) or `.rel.exp(` (what are its rows
-/// then? — not those alone, under Theorem 3) — in production code of a
-/// holder: the replicas, the degraded-read cache, the engine's views, and
-/// the Schrödinger policies and `MaterializedView` in `core`. They ask
-/// `Materialized::{covered_at, rows_at, answer}`, defined in
-/// `core/src/algebra/eval.rs`, which is outside the rule's reach.
-fn check_r007(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
-    const BY_HAND: [&str; 2] = ["prev_covered(", ".rel.exp("];
-    const HOLDERS: [&str; 5] = [
-        "crates/replica/src",
-        "crates/net/src",
-        "crates/engine/src",
-        "crates/core/src/schrodinger.rs",
-        "crates/core/src/materialize.rs",
-    ];
-    if !HOLDERS.iter().any(|h| rel.starts_with(h)) {
-        return;
-    }
-    let lines: Vec<&str> = content.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        let code = code_only(line);
-        let Some(call) = BY_HAND.iter().find(|call| code.contains(**call)) else {
-            continue;
-        };
-        if line_is_in_tests(&lines, i) {
-            continue;
-        }
-        out.push(RepoViolation {
-            rule: "R007",
-            path: rel.to_path_buf(),
-            line: i + 1,
-            message: format!(
-                "`{call}…)` in a holder of a materialisation; ask it \
-                 (Materialized::answer / covered_at / rows_at) — its rows are \
-                 not its result while its patch queue has entries due"
-            ),
-        });
-    }
-}
-
-/// R010: a name one stage owns, named in production code under its
-/// crate's sources outside that stage's files. In the engine, the log
-/// session (a `.wal` field access, or its `degraded` flag) is the
-/// durability stage's: `db/write.rs` hands each record to
-/// `Database::wal_log_op`, and everything that writes, and the rule that a
-/// failed write degrades the session, is in `db/durable.rs`
-/// (`durability.rs` declares the reported flag). Removing a row by
-/// expiration (`Table::expire_due`) is the maintenance stage's, which
-/// fires the triggers; asking `exptime-lint` about the database is the
-/// analyzer stage's, which publishes findings. In the wire protocol, the
-/// retry contract of an error code is read by the session module, where
-/// both ends decide what a reply means (`error.rs` defines it).
-fn check_r010(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
-    const STAGES: [(&str, &[&str], &[&str], &str); 4] = [
-        (
-            "crates/engine/src",
-            &["db/durable.rs", "durability.rs"],
-            &[".wal", "degraded"],
-            "durability",
-        ),
-        (
-            "crates/engine/src",
-            &["db/maintain.rs"],
-            &["expire_due("],
-            "maintenance",
-        ),
-        (
-            "crates/engine/src",
-            &["db/analysis.rs"],
-            &[
-                "exptime_lint::analyze(",
-                "exptime_lint::audit(",
-                "exptime_lint::render(",
-            ],
-            "analyzer",
-        ),
-        (
-            "crates/net/src",
-            &["session.rs", "error.rs"],
-            &["is_retryable(", "ErrorCode::SessionExpired"],
-            "session",
-        ),
-    ];
-    let lines: Vec<&str> = content.lines().collect();
-    for (dir, files, words, stage) in STAGES {
-        let Ok(file) = rel.strip_prefix(dir) else {
-            continue;
-        };
-        if files.iter().any(|f| file == Path::new(f)) {
-            continue;
-        }
-        for (i, line) in lines.iter().enumerate() {
-            let code = code_only(line);
-            let Some(name) = words.iter().find(|n| names(code, n)) else {
-                continue;
-            };
-            if line_is_in_tests(&lines, i) {
-                continue;
-            }
-            out.push(RepoViolation {
-                rule: "R010",
-                path: rel.to_path_buf(),
-                line: i + 1,
-                message: format!("`{name}` outside the {stage} stage, {}", files[0]),
-            });
-        }
-    }
-}
-
-/// R011: the literal interpreter's product, nested-loop join and
-/// projection (`ops::product(`, `ops::join_nested_loop(`, `ops::project(`)
-/// called in production code of the core or the engine. Evaluation reads
-/// its inputs one way and joins with `HashJoin`; `ops.rs` calls its own
-/// functions without the prefix and is unaffected.
-fn check_r011(rel: &Path, content: &str, out: &mut Vec<RepoViolation>) {
-    const LITERAL: [&str; 3] = ["ops::product(", "ops::join_nested_loop(", "ops::project("];
-    if !(rel.starts_with("crates/core/src") || rel.starts_with("crates/engine/src")) {
-        return;
-    }
-    let lines: Vec<&str> = content.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        let code = code_only(line);
-        let Some(call) = LITERAL.iter().find(|call| code.contains(**call)) else {
-            continue;
-        };
-        if line_is_in_tests(&lines, i) {
-            continue;
-        }
-        out.push(RepoViolation {
-            rule: "R011",
-            path: rel.to_path_buf(),
-            line: i + 1,
-            message: format!(
-                "`{}` in production code; it is the literal interpreter's \
-                 definition — evaluation reads inputs through eval's Input \
-                 and joins with HashJoin",
-                call.trim_end_matches('(')
-            ),
-        });
-    }
-}
-
-/// Whether `code` names `word` as a whole identifier (a `.field` keeps its
-/// dot): `self.wal` and `degraded`, not `self.wal_stmt` or `undegraded`.
-fn names(code: &str, word: &str) -> bool {
-    let ident = |c: char| c.is_alphanumeric() || c == '_';
-    code.match_indices(word).any(|(at, _)| {
-        let glued_before = word.starts_with(ident) && code[..at].ends_with(ident);
-        let glued_after = word.ends_with(ident) && code[at + word.len()..].starts_with(ident);
-        !glued_before && !glued_after
-    })
-}
-
-/// R008: each crate's metric names against its DESIGN.md metric-table
-/// row — `db.*` for the engine, `net.*` for the wire server: a registered
-/// name the row does not list, or a listed name nothing registers. A tree
-/// without a DESIGN.md (a fixture) has nothing to check against.
-fn check_r008(root: &Path, sources: &[PathBuf], out: &mut Vec<RepoViolation>) {
-    const ROWS: [(&str, &str); 2] = [("db", "crates/engine/src"), ("net", "crates/net/src")];
-    let Ok(design) = fs::read_to_string(root.join("DESIGN.md")) else {
-        return;
-    };
     for (prefix, dir) in ROWS {
         let (row_start, wildcard) = (format!("| `{prefix}.*` |"), format!("{prefix}.*"));
-        let row = design.lines().position(|l| l.starts_with(&row_start));
-        let documented: Vec<&str> = row.map_or_else(Vec::new, |i| {
-            let code_spans = design
-                .lines()
-                .nth(i)
-                .unwrap_or("")
-                .split('`')
-                .skip(1)
-                .step_by(2);
-            code_spans
-                .filter(|n| n.starts_with(&format!("{prefix}.")) && *n != wildcard)
-                .collect()
-        });
-        let mut registered = Vec::new();
-        for path in sources {
-            let rel = path.strip_prefix(root).unwrap_or(path);
-            if !rel.starts_with(dir) {
-                continue;
-            }
-            let Ok(content) = fs::read_to_string(path) else {
-                continue;
-            };
-            let lines: Vec<&str> = content.lines().collect();
-            for (i, line) in lines.iter().enumerate() {
-                let code = code_only(line);
+        let documented: Vec<Site<'_>> = (1..)
+            .zip(design.lines())
+            .filter(|(_, l)| l.starts_with(&row_start))
+            .take(1)
+            .flat_map(|(line, l)| {
+                l.split('`')
+                    .skip(1)
+                    .step_by(2)
+                    .map(move |n| (n, Path::new("DESIGN.md"), line))
+            })
+            .filter(|(n, ..)| n.starts_with(&format!("{prefix}.")) && *n != wildcard)
+            .collect();
+        let mut emitted = Vec::new();
+        for (rel, content) in files.iter().filter(|(rel, _)| rel.starts_with(dir)) {
+            for (line, code) in code_lines(content, false) {
                 for kind in [".counter(\"", ".gauge(\"", ".histogram(\""] {
-                    let call = format!("{kind}{prefix}.");
-                    for (at, _) in code.match_indices(&call) {
+                    for (at, _) in code.match_indices(&format!("{kind}{prefix}.")) {
                         let name = code[at + kind.len()..].split('"').next().unwrap_or("");
-                        if line_is_in_tests(&lines, i) {
-                            continue;
-                        }
-                        registered.push(name.to_string());
-                        if !documented.contains(&name) {
-                            out.push(RepoViolation {
-                                rule: "R008",
-                                path: rel.to_path_buf(),
-                                line: i + 1,
-                                message: format!(
-                                    "`{name}` is registered but not listed in DESIGN.md's \
-                                     `{wildcard}` metric-table row"
-                                ),
-                            });
-                        }
+                        emitted.push((name, rel.as_path(), line));
                     }
                 }
             }
         }
-        for name in documented
-            .iter()
-            .filter(|n| !registered.iter().any(|r| r == *n))
-        {
-            out.push(RepoViolation {
-                rule: "R008",
-                path: PathBuf::from("DESIGN.md"),
-                line: row.map_or(0, |i| i + 1),
-                message: format!(
-                    "`{name}` is listed in the `{wildcard}` metric-table row but nothing \
-                     under {dir} registers it"
-                ),
-            });
-        }
+        let what = format!("DESIGN.md's `{wildcard}` metric-table row for {dir}");
+        documented_both_ways("R008", &what, &documented, &emitted, out);
     }
 }
 
-/// R009: the `EventKind::tag` strings against DESIGN.md's event table —
-/// a tag the table does not list, or a listed tag no event has. A tree
-/// without a DESIGN.md (a fixture) has nothing to check against.
-fn check_r009(root: &Path, out: &mut Vec<RepoViolation>) {
-    const HEADER: &str = "| Tag |";
+/// R009: the tags `EventKind::tag` returns in `crates/obs/src/events.rs`
+/// against the rows of DESIGN.md's `` | Tag | `` event table.
+fn check_r009(design: &str, files: &[(PathBuf, String)], out: &mut Vec<RepoViolation>) {
     const EVENTS: &str = "crates/obs/src/events.rs";
     const ARM: &str = "} => \"";
-    let Ok(design) = fs::read_to_string(root.join("DESIGN.md")) else {
-        return;
-    };
-    let lines: Vec<&str> = design.lines().collect();
-    let header = lines.iter().position(|l| l.starts_with(HEADER));
-    let documented: Vec<(usize, &str)> = header.map_or_else(Vec::new, |h| {
-        let rows = lines.iter().enumerate().skip(h + 2);
-        rows.take_while(|(_, l)| l.starts_with('|'))
-            .filter_map(|(i, l)| Some((i + 1, l.split('`').nth(1)?)))
-            .collect()
-    });
-    let content = fs::read_to_string(root.join(EVENTS)).unwrap_or_default();
-    let lines: Vec<&str> = content.lines().collect();
-    let mut tags = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let code = code_only(line);
-        let Some(at) = code.find(ARM) else {
-            continue;
-        };
-        if !code.trim_start().starts_with("EventKind::") || line_is_in_tests(&lines, i) {
-            continue;
-        }
-        let tag = code[at + ARM.len()..].split('"').next().unwrap_or("");
-        tags.push(tag);
-        if !documented.iter().any(|(_, d)| *d == tag) {
+    let documented: Vec<Site<'_>> = (1..)
+        .zip(design.lines())
+        .skip_while(|(_, l)| !l.starts_with("| Tag |"))
+        .skip(2)
+        .take_while(|(_, l)| l.starts_with('|'))
+        .filter_map(|(line, l)| Some((l.split('`').nth(1)?, Path::new("DESIGN.md"), line)))
+        .collect();
+    let events = files.iter().find(|(rel, _)| rel == Path::new(EVENTS));
+    let emitted: Vec<_> = code_lines(events.map_or("", |(_, c)| c), false)
+        .filter(|(_, code)| code.trim_start().starts_with("EventKind::"))
+        .filter_map(|(line, code)| {
+            let tag = code[code.find(ARM)? + ARM.len()..].split('"').next()?;
+            Some((tag, Path::new(EVENTS), line))
+        })
+        .collect();
+    let what = "DESIGN.md's event table of EventKind::tag";
+    documented_both_ways("R009", what, &documented, &emitted, out);
+}
+
+/// A name at a place: in a DESIGN.md table row, or where the code emits it.
+type Site<'a> = (&'a str, &'a Path, usize);
+
+/// The check R008 and R009 share: each name the code emits is
+/// `documented` (in `what`), and each documented name is emitted. A name
+/// nobody can look up, or a documented one nothing emits, is a name that
+/// lies.
+fn documented_both_ways(
+    rule: &'static str,
+    what: &str,
+    documented: &[Site<'_>],
+    emitted: &[Site<'_>],
+    out: &mut Vec<RepoViolation>,
+) {
+    let unlisted = format!("is emitted but not listed in {what}");
+    let unemitted = format!("is listed in {what} but nothing emits it");
+    for (from, to, why) in [
+        (emitted, documented, unlisted),
+        (documented, emitted, unemitted),
+    ] {
+        for (name, path, line) in from.iter().filter(|(n, ..)| !to.iter().any(|t| t.0 == *n)) {
+            let (path, line, message) = (path.to_path_buf(), *line, format!("`{name}` {why}"));
             out.push(RepoViolation {
-                rule: "R009",
-                path: PathBuf::from(EVENTS),
-                line: i + 1,
-                message: format!("event tag `{tag}` is not a row of DESIGN.md's event table"),
+                rule,
+                path,
+                line,
+                message,
             });
         }
-    }
-    for (line, tag) in documented.iter().filter(|(_, d)| !tags.contains(d)) {
-        out.push(RepoViolation {
-            rule: "R009",
-            path: PathBuf::from("DESIGN.md"),
-            line: *line,
-            message: format!(
-                "`{tag}` is a row of the event table but no `EventKind::tag` returns it"
-            ),
-        });
     }
 }
 
@@ -1101,6 +960,116 @@ mod tests {
             "{v:?}"
         );
         let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn r008_holds_the_wal_metrics_to_their_design_row() {
+        let dir = fixture(&[
+            (
+                "DESIGN.md",
+                "| Prefix | Owner | Examples |\n| `wal.*` | `wal::Wal` | `wal.bytes` |\n",
+            ),
+            (
+                "crates/wal/src/log.rs",
+                "fn m(r: &R) {\n r.counter(\"wal.bytes\");\n r.gauge(\"wal.unlisted\"); }\n",
+            ),
+            ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
+        ]);
+        let v = check_repo(&dir).unwrap();
+        let r008: Vec<_> = v.iter().filter(|v| v.rule == "R008").collect();
+        // The listed `wal.bytes` is fine; the unlisted name is flagged where
+        // it is registered.
+        assert_eq!(r008.len(), 1, "{v:?}");
+        assert_eq!(r008[0].path, Path::new("crates/wal/src/log.rs"));
+        assert_eq!(r008[0].line, 3);
+        assert!(r008[0].message.contains("`wal.unlisted`"), "{v:?}");
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn only_a_cfg_test_module_makes_the_code_after_it_test_code() {
+        let dir = fixture(&[
+            (
+                "crates/engine/src/db.rs",
+                "#[cfg(test)]\nfn helper() {}\nfn pace() { std::thread::sleep(d); }\n",
+            ),
+            (
+                "crates/net/src/chaos.rs",
+                "#[cfg(test)]\n#[allow(dead_code)]\n\npub(crate) mod tests {\n\
+                 fn t() { std::thread::sleep(d); } }\n",
+            ),
+            (
+                "crates/replica/src/fault.rs",
+                "#[cfg(test)] mod tests { fn t() { std::thread::sleep(d); } }\n",
+            ),
+            ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
+        ]);
+        let v = check_repo(&dir).unwrap();
+        // A `#[cfg(test)]` helper function leaves the line after it
+        // production code; a test module opens after other attributes and
+        // blank lines, or on the attribute's own line.
+        let at: Vec<_> = v
+            .iter()
+            .filter(|v| v.rule == "R004")
+            .map(|v| (v.path.to_str().unwrap(), v.line))
+            .collect();
+        assert_eq!(at, [("crates/engine/src/db.rs", 3)], "{v:?}");
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// A file under `pattern`: `*` and `**` become a directory, and a
+    /// directory gets a file in it.
+    fn file_under(pattern: &str) -> String {
+        let path = pattern.replace("**", "src").replace('*', "x");
+        if path.ends_with(".rs") {
+            path
+        } else {
+            format!("{path}/planted.rs")
+        }
+    }
+
+    #[test]
+    fn every_ban_flags_each_word_in_production_code_of_the_files_it_governs() {
+        for ban in BANS {
+            for word in ban.words {
+                let code = if word.starts_with('.') {
+                    format!("db{word}")
+                } else {
+                    (*word).to_string()
+                };
+                // Line 1 is production code, lines 2 and 3 hide the word in
+                // comments, then one line per allowance, then a test module.
+                let mut planted =
+                    format!("fn f() {{ {code} }}\n// {code}\nfn g() {{}} // {code}\n");
+                for allowed in ban.allow {
+                    planted += &format!("fn h() {{ {code}; {allowed} }}\n");
+                }
+                let in_tests = planted.lines().count() + 3;
+                planted += &format!("#[cfg(test)]\nmod tests {{\n    fn t() {{ {code} }}\n}}\n");
+                let governed: Vec<String> = ban.governs.iter().map(|p| file_under(p)).collect();
+                let exempt: Vec<String> = ban.exempt.iter().map(|p| file_under(p)).collect();
+                let files: Vec<(&str, &str)> = governed
+                    .iter()
+                    .chain(&exempt)
+                    .map(|f| (f.as_str(), planted.as_str()))
+                    .collect();
+                let dir = fixture(&files);
+                let v = check_repo(&dir).unwrap();
+                let mut got: Vec<_> = v
+                    .iter()
+                    .filter(|v| v.rule == ban.rule)
+                    .map(|v| (v.path.to_str().unwrap(), v.line))
+                    .collect();
+                let mut want: Vec<_> = governed.iter().map(|f| (f.as_str(), 1)).collect();
+                if ban.lints_tests {
+                    want.extend(governed.iter().map(|f| (f.as_str(), in_tests)));
+                }
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "{} `{word}`: {v:?}", ban.rule);
+                let _ = fs::remove_dir_all(dir);
+            }
+        }
     }
 
     #[test]

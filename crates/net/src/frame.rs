@@ -10,16 +10,18 @@
 //! `crc` is CRC32 (IEEE) over the payload; `len` covers the payload
 //! only. The payload is a tag byte followed by the message fields,
 //! encoded with the same little-endian primitives the WAL uses
-//! ([`put_u32`]/[`put_u64`]/[`put_str`]/[`put_time`]/[`put_values`] and
-//! [`Cursor`] on the way back in). A torn, truncated, or bit-flipped
-//! frame decodes to a [`DecodeError`], never to a wrong message — the
-//! same every-prefix / every-bit-flip rejection regimen the WAL codec
-//! is tested under applies here (see `tests/prop_net.rs`).
+//! ([`put_u32`]/[`put_u64`]/[`put_str`]/[`put_time`]/[`put_values`], a
+//! reply schema's column types with [`put_vtype`], and [`Cursor`] on the
+//! way back in). A torn, truncated, or bit-flipped frame decodes to a
+//! [`DecodeError`], never to a wrong message — the same every-prefix /
+//! every-bit-flip rejection regimen the WAL codec is tested under applies
+//! here (see `tests/prop_net.rs`).
 
 use exptime_core::time::Time;
 use exptime_core::value::{Value, ValueType};
 use exptime_wal::{
-    crc32, put_str, put_time, put_u32, put_u64, put_value, Cursor, DecodeError, MAX_FRAME,
+    crc32, put_str, put_time, put_u32, put_u64, put_value, put_vtype, Cursor, DecodeError,
+    MAX_FRAME,
 };
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -38,12 +40,6 @@ const BODY_ROWS: u8 = 0x01;
 const BODY_AFFECTED: u8 = 0x02;
 const BODY_OK: u8 = 0x03;
 const BODY_ERR: u8 = 0x04;
-
-// Value type tag bytes (reply schema encoding).
-const VT_INT: u8 = 0x00;
-const VT_FLOAT: u8 = 0x01;
-const VT_STR: u8 = 0x02;
-const VT_BOOL: u8 = 0x03;
 
 /// One protocol message. The protocol is client-driven: after the
 /// `Hello`/`Welcome` handshake the client sends `Stmt` frames with
@@ -117,25 +113,6 @@ pub enum ReplyBody {
     },
 }
 
-fn put_vtype(out: &mut Vec<u8>, ty: ValueType) {
-    out.push(match ty {
-        ValueType::Int => VT_INT,
-        ValueType::Float => VT_FLOAT,
-        ValueType::Str => VT_STR,
-        ValueType::Bool => VT_BOOL,
-    });
-}
-
-fn read_vtype(c: &mut Cursor<'_>) -> Result<ValueType, DecodeError> {
-    match c.u8()? {
-        VT_INT => Ok(ValueType::Int),
-        VT_FLOAT => Ok(ValueType::Float),
-        VT_STR => Ok(ValueType::Str),
-        VT_BOOL => Ok(ValueType::Bool),
-        _ => Err(DecodeError::BadPayload("unknown value type tag")),
-    }
-}
-
 fn put_body(out: &mut Vec<u8>, body: &ReplyBody) {
     match body {
         ReplyBody::Rows {
@@ -197,8 +174,7 @@ fn read_body(c: &mut Cursor<'_>) -> Result<ReplyBody, DecodeError> {
             let mut schema = Vec::with_capacity(n_attrs.min(64));
             for _ in 0..n_attrs {
                 let name = c.str()?;
-                let ty = read_vtype(c)?;
-                schema.push((name, ty));
+                schema.push((name, c.vtype()?));
             }
             let n_rows = c.u32()? as usize;
             if n_rows > MAX_FRAME {

@@ -14,7 +14,7 @@
 //!   [`LinkStats::refused`] instead; [`LinkStats::attempted_messages`]
 //!   includes the refusals.
 //! * Retransmissions of the same logical message cross the link and cost
-//!   bandwidth, so they count in `requests`/`responses`/`pushes` **and**
+//!   bandwidth, so they count in `requests`/`responses` **and**
 //!   are tallied separately in [`LinkStats::retransmissions`] — E6 can
 //!   report first-transmission cost and retry overhead distinctly instead
 //!   of silently inflating the message-cost claim.
@@ -35,7 +35,7 @@ pub struct LinkStats {
     /// of [`LinkStats::total_messages`]).
     pub refused: u64,
     /// Messages that crossed the link as retries of an earlier send.
-    /// Already included in `requests`/`responses`/`pushes`; kept separate
+    /// Already included in `requests`/`responses`; kept separate
     /// so retry overhead is visible rather than silently folded into the
     /// first-transmission cost.
     pub retransmissions: u64,
@@ -112,13 +112,6 @@ impl Link {
     /// Records a request/response round trip carrying `tuples` result
     /// tuples. Returns `false` (and counts a refusal) if the link is down.
     pub fn round_trip(&mut self, tuples: u64) -> bool {
-        self.round_trip_labeled(tuples, false)
-    }
-
-    /// [`Link::round_trip`] with an explicit retransmission label: a
-    /// retried round trip still crosses the link (and is counted), but is
-    /// additionally tallied in [`LinkStats::retransmissions`].
-    pub fn round_trip_labeled(&mut self, tuples: u64, retransmission: bool) -> bool {
         if self.down {
             self.stats.refused += 1;
             self.emit("refused", tuples);
@@ -126,40 +119,22 @@ impl Link {
         }
         self.stats.requests += 1;
         self.stats.responses += 1;
-        if retransmission {
-            self.stats.retransmissions += 2;
-        }
         self.stats.tuples_transferred += tuples;
-        self.emit(
-            if retransmission {
-                "round_trip_retry"
-            } else {
-                "round_trip"
-            },
-            tuples,
-        );
+        self.emit("round_trip", tuples);
         true
     }
 
     /// Records a server push carrying `tuples` tuples (e.g. one delete
     /// notice). Returns `false` if the link is down.
     pub fn push(&mut self, tuples: u64) -> bool {
-        self.push_labeled(tuples, false)
-    }
-
-    /// [`Link::push`] with an explicit retransmission label.
-    pub fn push_labeled(&mut self, tuples: u64, retransmission: bool) -> bool {
         if self.down {
             self.stats.refused += 1;
             self.emit("refused", tuples);
             return false;
         }
         self.stats.pushes += 1;
-        if retransmission {
-            self.stats.retransmissions += 1;
-        }
         self.stats.tuples_transferred += tuples;
-        self.emit(if retransmission { "push_retry" } else { "push" }, tuples);
+        self.emit("push", tuples);
         true
     }
 
@@ -274,25 +249,13 @@ mod tests {
         assert!(l.request_oneway(0, true));
         assert!(l.request_oneway(0, true));
         assert!(l.response_oneway(7, false));
-        assert!(l.push_labeled(1, true));
         let s = l.stats();
         assert_eq!(s.requests, 3);
         assert_eq!(s.responses, 1);
-        assert_eq!(s.pushes, 1);
-        assert_eq!(s.retransmissions, 3);
+        assert_eq!(s.retransmissions, 2);
         // Retries cross the link (cost bandwidth) but the intrinsic
         // protocol cost excludes them.
-        assert_eq!(s.total_messages(), 5);
+        assert_eq!(s.total_messages(), 4);
         assert_eq!(s.first_transmissions(), 2);
-    }
-
-    #[test]
-    fn labeled_round_trip_counts_both_legs_as_retransmissions() {
-        let mut l = Link::new();
-        assert!(l.round_trip_labeled(4, true));
-        let s = l.stats();
-        assert_eq!(s.total_messages(), 2);
-        assert_eq!(s.retransmissions, 2);
-        assert_eq!(s.first_transmissions(), 0);
     }
 }

@@ -14,7 +14,9 @@
 //! checkpoint cannot be silently skipped.
 
 use crate::crc::crc32;
-use crate::record::{Cursor, DecodeError};
+use crate::record::{
+    put_str, put_time, put_u32, put_u64, put_values, put_vtype, Cursor, DecodeError,
+};
 use exptime_core::time::Time;
 use exptime_core::value::{Value, ValueType};
 use std::io;
@@ -58,12 +60,12 @@ impl Checkpoint {
             put_u32(&mut payload, t.columns.len() as u32);
             for (col, ty) in &t.columns {
                 put_str(&mut payload, col);
-                payload.push(type_tag(*ty));
+                put_vtype(&mut payload, *ty);
             }
             put_u32(&mut payload, t.rows.len() as u32);
             for (values, texp) in &t.rows {
-                crate::record::put_values(&mut payload, values);
-                put_u64(&mut payload, texp.finite().unwrap_or(u64::MAX));
+                put_values(&mut payload, values);
+                put_time(&mut payload, *texp);
             }
         }
         put_u32(&mut payload, self.view_sql.len() as u32);
@@ -116,8 +118,7 @@ impl Checkpoint {
             let mut columns = Vec::with_capacity(n_cols.min(1024));
             for _ in 0..n_cols {
                 let col = c.str()?;
-                let ty = type_from_tag(c.u8()?)?;
-                columns.push((col, ty));
+                columns.push((col, c.vtype()?));
             }
             let n_rows = c.u32()? as usize;
             let mut rows = Vec::with_capacity(n_rows.min(1 << 16));
@@ -146,38 +147,6 @@ impl Checkpoint {
             view_sql,
         })
     }
-}
-
-fn type_tag(ty: ValueType) -> u8 {
-    match ty {
-        ValueType::Int => 0,
-        ValueType::Float => 1,
-        ValueType::Str => 2,
-        ValueType::Bool => 3,
-    }
-}
-
-fn type_from_tag(tag: u8) -> Result<ValueType, DecodeError> {
-    Ok(match tag {
-        0 => ValueType::Int,
-        1 => ValueType::Float,
-        2 => ValueType::Str,
-        3 => ValueType::Bool,
-        _ => return Err(DecodeError::BadPayload("unknown column type tag")),
-    })
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
 }
 
 #[cfg(test)]

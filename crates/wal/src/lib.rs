@@ -48,8 +48,8 @@ pub use checkpoint::{Checkpoint, TableSnapshot};
 pub use crc::crc32;
 pub use log::{TruncationStats, Wal, WalMetrics};
 pub use record::{
-    decode_frame, encode_frame, put_str, put_time, put_u32, put_u64, put_value, put_values, Cursor,
-    DecodeError, WalRecord, MAX_FRAME,
+    decode_frame, encode_frame, put_str, put_time, put_u32, put_u64, put_value, put_values,
+    put_vtype, Cursor, DecodeError, WalRecord, MAX_FRAME,
 };
 pub use replay::{committed_prefix, replay_plan, scan_log, LogScan, ReplayPlan};
 pub use store::{FaultPlan, FileStore, MemStore, WalStore};

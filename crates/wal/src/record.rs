@@ -21,7 +21,7 @@
 
 use crate::crc::crc32;
 use exptime_core::time::Time;
-use exptime_core::value::Value;
+use exptime_core::value::{Value, ValueType};
 use std::fmt;
 
 /// Upper bound on a single frame's payload; anything larger is treated
@@ -174,6 +174,16 @@ pub fn put_value(out: &mut Vec<u8>, v: &Value) {
             out.push(u8::from(*b));
         }
     }
+}
+
+/// Appends a column type as one byte: the tag its values carry.
+pub fn put_vtype(out: &mut Vec<u8>, ty: ValueType) {
+    out.push(match ty {
+        ValueType::Int => VAL_INT,
+        ValueType::Float => VAL_FLOAT,
+        ValueType::Str => VAL_STR,
+        ValueType::Bool => VAL_BOOL,
+    });
 }
 
 /// Appends a `u32`-counted sequence of tagged values.
@@ -368,6 +378,21 @@ impl<'a> Cursor<'a> {
             VAL_STR => Ok(Value::Str(self.str()?.into())),
             VAL_BOOL => Ok(Value::Bool(self.u8()? != 0)),
             _ => Err(DecodeError::BadPayload("unknown value tag")),
+        }
+    }
+
+    /// Reads a column type written by [`put_vtype`].
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::BadPayload`] on truncation or an unknown tag.
+    pub fn vtype(&mut self) -> Result<ValueType, DecodeError> {
+        match self.u8()? {
+            VAL_INT => Ok(ValueType::Int),
+            VAL_FLOAT => Ok(ValueType::Float),
+            VAL_STR => Ok(ValueType::Str),
+            VAL_BOOL => Ok(ValueType::Bool),
+            _ => Err(DecodeError::BadPayload("unknown value type tag")),
         }
     }
 

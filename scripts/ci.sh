@@ -16,41 +16,7 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 
-# Repo-invariant lint (exptime-lint R001–R011): no wall-clock reads
-# outside core/time.rs, no unwrap/expect in durability paths (the WAL
-# crate, engine/durability.rs, the durability stage engine/db/durable.rs
-# and the write path engine/db/write.rs),
-# #![forbid(unsafe_code)] in every crate root, no thread::sleep
-# outside tests/benches and the real-time boundary files, and no way
-# back to copying a table to read it: no Database::snapshot call in
-# production code and no Table::to_relation in the engine outside
-# db/stored.rs, where the reference snapshot() keeps its one. (What the
-# read path does copy is pinned by count in the engine test
-# a_read_copies_only_the_rows_that_come_out.) And no way back to the
-# quadratic ν: the timeline definitions (value_timeline, nu_naive, the
-# closure nu::nu) are the oracle for nu::first_change and may not be
-# named in production code under core/src/algebra or engine/src. And
-# no second way to read a materialisation: no prev_covered( and no
-# .rel.exp( in production code of its holders (replica, net, engine,
-# core's schrodinger.rs and materialize.rs) — they ask
-# Materialized::{answer, covered_at, rows_at}, which counts the patch
-# queue in; core/src/algebra/eval.rs, where those are, is exempt.
-# And no undocumented metric: every db.* name the engine and every net.*
-# name the wire server registers is in DESIGN.md's row for its prefix,
-# and every name there is registered. And no undocumented event: every EventKind::tag
-# string is a row of DESIGN.md's §8 event table, and every row is a tag.
-# And stage-owned names: in engine/src only db/durable.rs (and
-# durability.rs, which reports the flag) names the log session (.wal) or
-# its degraded flag, only db/maintain.rs calls expire_due(, and only
-# db/analysis.rs calls exptime_lint::{analyze,audit,render}(, so every
-# log write, every expiration and every question to the analyzer live
-# in one module each; in net/src only session.rs (and error.rs) calls
-# is_retryable( or names ErrorCode::SessionExpired, so both ends of the
-# wire read the retry contract in one module. And one way to read an
-# input: no ops::product(, ops::join_nested_loop( or ops::project( in
-# production code under core/src or engine/src — they are the literal
-# interpreter's definitions, and evaluation reads lent rows or an
-# evaluated result and joins with the one hash-join kernel.
+# Repo-invariant lint: the rules R001–R011 of DESIGN.md §11.3.
 cargo run --release -q -p exptime-lint --bin repolint
 
 # Analyzer golden tests: the Fig. 3 anomalies must flag their exact

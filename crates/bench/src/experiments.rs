@@ -21,8 +21,7 @@ use exptime_core::rewrite;
 use exptime_core::time::Time;
 use exptime_engine::{Database, DbConfig, ExpirationEvent, ForecastConfig, Removal};
 use exptime_replica::{
-    ChaosDeletePush, ChaosReplica, DeletePushReplica, FaultSpec, PollingReplica, Replica,
-    RetryPolicy,
+    ChaosDeletePush, DeletePushReplica, FaultSpec, PollingReplica, Replica, RetryPolicy,
 };
 use exptime_storage::expiry::IndexKind;
 use std::sync::{Arc, Mutex};
@@ -781,7 +780,7 @@ pub fn e6_chaos(
         // one anti-entropy digest exchange after healing.
         {
             let mut srv = build_server(seed);
-            let mut rep = ChaosReplica::new(spec, RetryPolicy::default());
+            let mut rep = Replica::with_faults(spec, RetryPolicy::default());
             rep.subscribe("v", expr(), &srv).unwrap();
             for _ in 0..horizon {
                 srv.tick(1);

@@ -696,13 +696,13 @@ impl Repl {
     }
 }
 
-/// The `\chaos` demo: a self-contained run of the chaos-hardened replica
+/// The `\chaos` demo: a self-contained run of the replica
 /// against the paper's Figure 1 data over a faulty link, ending with an
 /// anti-entropy reconciliation. Everything is derived from the seed, so
 /// the same `\chaos N` always prints the same story.
 fn chaos_demo(seed: u64) -> String {
     use exptime_core::algebra::Expr;
-    use exptime_replica::{ChaosReadOutcome, ChaosReplica, FaultSpec, RetryPolicy};
+    use exptime_replica::{FaultSpec, ReadOutcome, Replica, RetryPolicy};
 
     let mut srv = Database::new(DbConfig::default());
     if let Err(e) = srv.execute_script(
@@ -721,7 +721,7 @@ fn chaos_demo(seed: u64) -> String {
         .project([0])
         .difference(Expr::base("el").project([0]));
 
-    let mut rep = ChaosReplica::new(FaultSpec::chaos(seed), RetryPolicy::default());
+    let mut rep = Replica::with_faults(FaultSpec::chaos(seed), RetryPolicy::default());
     let mut out = format!(
         "chaos demo (seed {seed}): replica of `pol EXCEPT el` over a faulty link\n\
          faults: 15% loss, 10% dup, 10% reorder, 15% delay(≤3), 5%/tick partition(2–5)\n\n"
@@ -734,9 +734,9 @@ fn chaos_demo(seed: u64) -> String {
         match rep.read("others", &srv) {
             Ok((rel, outcome)) => {
                 let what = match outcome {
-                    ChaosReadOutcome::Local => "local  (fresh, zero traffic)".to_string(),
-                    ChaosReadOutcome::Synced => "synced (refresh round trip completed)".to_string(),
-                    ChaosReadOutcome::Stale(back) => {
+                    ReadOutcome::Local => "local  (fresh, zero traffic)".to_string(),
+                    ReadOutcome::Refreshed => "synced (refresh round trip completed)".to_string(),
+                    ReadOutcome::Stale(back) => {
                         format!("stale  (degraded: serving state as of t={back})")
                     }
                 };

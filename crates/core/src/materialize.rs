@@ -135,6 +135,9 @@ pub struct MaterializedView {
     tracer: Tracer,
     name: String,
     last_decision: Option<RefreshDecision>,
+    /// A refresh [`MaterializedView::install`]ed since the last
+    /// maintenance, which the next one reports as its recomputation.
+    installed: bool,
 }
 
 /// Cloning detaches: the clone starts with private counters seeded with
@@ -154,6 +157,7 @@ impl Clone for MaterializedView {
             tracer: Tracer::detached(),
             name: self.name.clone(),
             last_decision: self.last_decision,
+            installed: self.installed,
         }
     }
 }
@@ -191,6 +195,7 @@ impl MaterializedView {
             tracer: Tracer::detached(),
             name: "view".to_string(),
             last_decision: None,
+            installed: false,
         })
     }
 
@@ -280,8 +285,9 @@ impl MaterializedView {
     /// first two are physical: neither changes what
     /// [`Materialized::rows_at`] answers at or after `τ`, and a view's
     /// clock only moves forward.
-    /// Returns `true` if the base relations were accessed (a
-    /// recomputation).
+    /// Returns `true` if the view recomputed: here, from the base
+    /// relations, or on a server whose state was installed since the last
+    /// maintenance.
     ///
     /// # Errors
     ///
@@ -292,7 +298,7 @@ impl MaterializedView {
         if let Some(t) = tau.finite() {
             span.at(t);
         }
-        let mut recomputed = false;
+        let mut recomputed = std::mem::take(&mut self.installed);
         let mut patched = 0u64;
         if let Some(q) = &mut self.state.patches {
             patched = q.apply_due(&mut self.state.rel, tau) as u64;
@@ -300,8 +306,10 @@ impl MaterializedView {
         }
         if !self.fresh_at(tau) {
             self.state = eval(&self.expr, catalog, tau, &self.opts)?;
-            self.counters.recomputations.inc();
             recomputed = true;
+        }
+        if recomputed {
+            self.counters.recomputations.inc();
         }
         if self.removal == RemovalPolicy::Eager {
             self.counters
@@ -370,6 +378,18 @@ impl MaterializedView {
             at: tau.finite().unwrap_or(u64::MAX),
         });
         Ok(())
+    }
+
+    /// Installs `state` as the materialisation: this view's expression
+    /// evaluated with its options, but not here — by the server a replica
+    /// syncs with. Over a materialisation that covers no instant (no
+    /// validity) the state is the view's first, a subscription. Over any
+    /// other it is a refresh, which the next [`MaterializedView::maintain`]
+    /// reports as its recomputation instead of evaluating, so
+    /// `view.<name>.*` counts a shipped refresh as it counts a local one.
+    pub fn install(&mut self, state: Materialized) {
+        self.installed = !self.state.validity.is_empty();
+        self.state = state;
     }
 
     /// Physically removes tuples expired at `τ` (the lazy policy's
@@ -442,6 +462,36 @@ mod tests {
             .unwrap(),
         );
         c
+    }
+
+    #[test]
+    fn an_installed_refresh_counts_as_the_next_reads_recomputation() {
+        let c = catalog();
+        let e = Expr::base("Pol")
+            .project([0])
+            .difference(Expr::base("El").project([0]));
+        let mut v = MaterializedView::with_defaults(e.clone(), &c, Time::ZERO).unwrap();
+        // Over a state that covers nothing, an install is the view's first.
+        v.install(Materialized {
+            rel: Relation::new(v.materialized().rel.schema().clone()),
+            at: Time::ZERO,
+            texp: Time::ZERO,
+            validity: crate::interval::IntervalSet::empty(),
+            patches: None,
+        });
+        v.install(eval(&e, &c, Time::ZERO, &EvalOptions::default()).unwrap());
+        v.read(&c, t(1)).unwrap();
+        assert_eq!((v.stats().recomputations, v.stats().local_reads), (0, 1));
+        // Over a materialisation it is a refresh: the next read reports it
+        // and evaluates nothing itself (the catalog has no such relations).
+        v.install(eval(&e, &c, t(4), &EvalOptions::default()).unwrap());
+        let rows = v.read(&Catalog::new(), t(4)).unwrap();
+        assert!(rows.set_eq(&eval(&e, &c, t(4), &EvalOptions::default()).unwrap().rel));
+        assert_eq!(v.last_decision(), Some(RefreshDecision::Recompute));
+        let s = v.stats();
+        assert_eq!((s.recomputations, s.reads, s.local_reads), (1, 2, 1));
+        v.read(&Catalog::new(), t(4)).unwrap();
+        assert_eq!(v.stats().local_reads, 2, "reported once");
     }
 
     #[test]

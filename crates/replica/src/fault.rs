@@ -159,8 +159,8 @@ struct InFlight<M> {
 /// A [`Link`] wrapper that injects faults per a [`FaultSpec`].
 ///
 /// Generic over the message type so the session layer owns its payload
-/// enum; the fault layer only needs to clone messages (duplication) and
-/// weigh them (tuple counts for the traffic accounting).
+/// enum; the fault layer only needs to clone a message it duplicates. The
+/// sender weighs it (tuple counts for the traffic accounting).
 #[derive(Debug)]
 pub struct FaultyLink<M> {
     link: Link,
@@ -348,21 +348,27 @@ impl<M: Clone> FaultyLink<M> {
                 label,
             });
         }
-        for _ in 0..copies {
-            let entry = InFlight {
-                deliver_at,
-                order: self.next_order,
-                msg: msg.clone(),
-            };
-            self.next_order += 1;
-            match dir {
-                Dir::ToServer => self.to_server.push(entry),
-                Dir::ToClient => self.to_client.push(entry),
-            }
+        // Only a duplicate is a clone: the last copy is the message itself.
+        if copies > 1 {
+            self.enqueue(dir, deliver_at, msg.clone());
         }
+        self.enqueue(dir, deliver_at, msg);
         Fate::Delivered {
             at: deliver_at,
             copies,
+        }
+    }
+
+    fn enqueue(&mut self, dir: Dir, deliver_at: u64, msg: M) {
+        let entry = InFlight {
+            deliver_at,
+            order: self.next_order,
+            msg,
+        };
+        self.next_order += 1;
+        match dir {
+            Dir::ToServer => self.to_server.push(entry),
+            Dir::ToClient => self.to_client.push(entry),
         }
     }
 
@@ -374,15 +380,7 @@ impl<M: Clone> FaultyLink<M> {
             Dir::ToServer => &mut self.to_server,
             Dir::ToClient => &mut self.to_client,
         };
-        let mut due: Vec<InFlight<M>> = Vec::new();
-        let mut keep: Vec<InFlight<M>> = Vec::new();
-        for m in queue.drain(..) {
-            if m.deliver_at <= now {
-                due.push(m);
-            } else {
-                keep.push(m);
-            }
-        }
+        let (mut due, keep): (Vec<_>, Vec<_>) = queue.drain(..).partition(|m| m.deliver_at <= now);
         *queue = keep;
         due.sort_by_key(|m| (m.deliver_at, m.order));
         due.into_iter().map(|m| m.msg).collect()

@@ -29,11 +29,14 @@
 //! settings": real links drop, duplicate, reorder, delay, and partition.
 //! [`fault::FaultyLink`] injects exactly those faults under a
 //! deterministic seeded RNG (every schedule replayable from its seed),
-//! and [`session`] layers a sequence-numbered, acknowledged, idempotent
-//! session protocol with retry/backoff on top, so
-//! [`session::ChaosReplica`] and [`session::ChaosDeletePush`] converge
-//! back to the server's truth after any fault schedule — the invariant
-//! the chaos property tests in `tests/replica_chaos.rs` enforce.
+//! and [`session`] is a sequence-numbered, acknowledged, idempotent
+//! session protocol with retry/backoff on top. The one
+//! [`replica::Replica`] always syncs through it — over a fault-free link
+//! from [`replica::Replica::new`], over a faulty one from
+//! [`replica::Replica::with_faults`] — and so does the hardened baseline
+//! [`session::ChaosDeletePush`]. Both converge back to the server's truth
+//! after any fault schedule — the invariant the chaos property tests in
+//! `tests/replica_chaos.rs` enforce.
 
 #![forbid(unsafe_code)]
 
@@ -48,8 +51,7 @@ pub use fault::{Dir, Fate, FaultRecord, FaultSpec, FaultyLink};
 pub use link::{Link, LinkStats};
 pub use replica::{ReadOutcome, Replica};
 pub use session::{
-    tuple_digest, Change, ChaosDeletePush, ChaosReadOutcome, ChaosReplica, Frame, Payload,
-    RetryPolicy, SessionStats,
+    tuple_digest, Change, ChaosDeletePush, Frame, Payload, RetryPolicy, SessionStats,
 };
 
 use exptime_engine::DbError;

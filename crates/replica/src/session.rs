@@ -1,9 +1,7 @@
 //! Session protocol for replica sync over a [`FaultyLink`].
 //!
-//! The plain [`crate::replica::Replica`] assumes a synchronous,
-//! loss-free round trip. Under the fault model of [`crate::fault`] a
-//! request and its response have independent fates, so this module
-//! layers the classic reliability machinery on top:
+//! Under the fault model of [`crate::fault`] a request and its response
+//! have independent fates, so sync runs the classic reliability machinery:
 //!
 //! * **sequence numbers** on every request/response/notice, so the
 //!   receiver can detect duplicates and order re-deliveries;
@@ -19,28 +17,28 @@
 //!   digest per cached tuple, the server answers with only the divergent
 //!   tuples — repair cost Θ(divergence), not Θ(result).
 //!
-//! Two endpoints are provided: [`ChaosReplica`] (expiration-aware — the
-//! paper's protagonist) and [`ChaosDeletePush`] (the explicit-delete
-//! baseline, which must push every change and therefore suffers far more
-//! under loss). Both are driven tick-synchronously against a server
-//! [`Database`]; the chaos property tests assert that after
-//! [`FaultyLink::heal`] + quiesce both converge back to the server's
-//! truth for *every* seeded fault schedule.
+//! This module holds the messages ([`Payload`] in a traced [`Frame`]),
+//! the retry discipline and the digests. Two endpoints speak it: the
+//! expiration-aware [`crate::replica::Replica`] (the paper's protagonist)
+//! and [`ChaosDeletePush`] (the explicit-delete baseline, which must push
+//! every change and therefore suffers far more under loss). Both are
+//! driven tick-synchronously against a server [`Database`]; the chaos
+//! property tests assert that after [`FaultyLink::heal`] + quiesce both
+//! converge back to the server's truth for *every* seeded fault schedule.
 
-use crate::fault::{Dir, Fate, FaultSpec, FaultyLink};
+use crate::fault::{Dir, FaultSpec, FaultyLink};
 use crate::link::LinkStats;
-use crate::replica::degraded;
-use crate::{ReplicaError, ReplicaResult};
+use crate::ReplicaResult;
 use exptime_core::algebra::{eval, EvalOptions, Expr, Materialized};
 use exptime_core::interval::IntervalSet;
 use exptime_core::relation::Relation;
 use exptime_core::time::Time;
 use exptime_core::tuple::Tuple;
 use exptime_engine::Database;
-use exptime_obs::{EventKind, Health, Obs, SloConfig, StalenessMonitor, TraceContext, Tracer};
+use exptime_obs::{Obs, TraceContext, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 /// Exponential backoff with jitter under a bounded total budget.
@@ -56,7 +54,7 @@ pub struct RetryPolicy {
     /// clients that failed together).
     pub jitter: u64,
     /// Total ticks a session may run before giving up with
-    /// [`ReplicaError::Timeout`].
+    /// [`crate::ReplicaError::Timeout`].
     pub budget: u64,
 }
 
@@ -129,7 +127,7 @@ pub enum Change {
 
 impl Change {
     /// Applies the change to a cached result.
-    fn apply(self, cache: &mut Relation) -> ReplicaResult<()> {
+    pub(crate) fn apply(self, cache: &mut Relation) -> ReplicaResult<()> {
         match self {
             Change::Add(t, e) => {
                 cache.remove(&t);
@@ -223,7 +221,7 @@ pub enum Payload {
 }
 
 impl Payload {
-    fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Payload::RefreshRequest { .. } => "refresh_req",
             Payload::RefreshResponse { .. } => "refresh_resp",
@@ -236,7 +234,7 @@ impl Payload {
 
     /// Tuple weight for the link's payload accounting. Digests and acks
     /// are metadata-sized, counted as zero tuples.
-    fn tuples(&self) -> u64 {
+    pub(crate) fn tuples(&self) -> u64 {
         match self {
             Payload::RefreshResponse { state, .. } => state.rel.len() as u64,
             Payload::DigestResponse { add, .. } => add.len() as u64,
@@ -275,14 +273,16 @@ impl Frame {
     }
 }
 
-/// Records one traced hop on `tracer`: a zero-duration span named `name`
-/// under the context's parent span, returning the context the *next*
-/// frame should carry. Unsampled contexts pass through untouched (and
-/// record nothing) — the interoperability path.
-fn record_hop(
+/// Records one traced hop on `tracer`: a zero-duration span named
+/// `<endpoint>.<label>` under the context's parent span, returning the
+/// context the *next* frame should carry. Unsampled contexts pass through
+/// untouched (and record nothing, the name is never built) — the
+/// interoperability path.
+pub(crate) fn record_hop(
     tracer: &Tracer,
     ctx: TraceContext,
-    name: &str,
+    endpoint: &str,
+    label: &str,
     now: u64,
     retransmission: bool,
 ) -> TraceContext {
@@ -292,7 +292,7 @@ fn record_hop(
     let t = tracer.now_ns();
     let id = tracer.record_child(
         Some(ctx.parent_span),
-        name,
+        &format!("{endpoint}.{label}"),
         t,
         t,
         Some(now),
@@ -312,8 +312,17 @@ fn record_hop(
 /// the logical operation numbered `seq` (a session, a notice), which every
 /// hop of it — each transmission, the handling, the apply — hangs off.
 /// `seq + 1` is a unique, non-zero trace id. A disabled tracer records
-/// nothing (`record_child` returns 0) and yields the unsampled context.
-fn trace_root(tracer: &Tracer, name: &str, seq: u64, now: u64, view: Option<&str>) -> TraceContext {
+/// nothing and yields the unsampled context.
+pub(crate) fn trace_root(
+    tracer: &Tracer,
+    name: &str,
+    seq: u64,
+    now: u64,
+    view: Option<&str>,
+) -> TraceContext {
+    if !tracer.is_enabled() {
+        return TraceContext::NONE;
+    }
     let t = tracer.now_ns();
     let mut attrs: Vec<_> = view
         .map(|v| ("view".to_string(), v.to_string()))
@@ -380,553 +389,8 @@ pub fn tuple_digest(tuple: &Tuple, texp: Time) -> u64 {
     h.finish()
 }
 
-fn ticks(t: Time) -> u64 {
+pub(crate) fn ticks(t: Time) -> u64 {
     t.finite().unwrap_or(u64::MAX - 1)
-}
-
-/// What kind of sync a session is trying to complete.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SessionKind {
-    Refresh,
-    Digest,
-}
-
-#[derive(Debug)]
-struct SyncSession {
-    kind: SessionKind,
-    seq: u64,
-    started: u64,
-    attempts: u32,
-    next_retry: u64,
-    /// Root of this session's trace: every frame the session emits
-    /// descends from it. [`TraceContext::NONE`] when tracing is off.
-    trace: TraceContext,
-}
-
-#[derive(Debug)]
-struct ViewEntry {
-    expr: Expr,
-    m: Materialized,
-    session: Option<SyncSession>,
-    /// First tick at which this view could not be served fresh (cleared
-    /// by a completed sync; feeds the `replica_resync` SLO).
-    degraded_since: Option<u64>,
-    /// Whether the *ongoing* degradation has already been reported as an
-    /// SLO breach (one report per degradation episode, not per read).
-    slo_reported: bool,
-    /// Result of the last abandoned session, surfaced by `read` when the
-    /// cache cannot cover the request either.
-    last_timeout: Option<(u32, u64)>,
-}
-
-/// How a [`ChaosReplica`] read was satisfied. Mirrors
-/// [`crate::replica::ReadOutcome`] but with the session protocol's
-/// degraded modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosReadOutcome {
-    /// Served from the local materialisation; no communication.
-    Local,
-    /// A sync session completed (possibly this tick) and the fresh state
-    /// was served.
-    Synced,
-    /// Sync incomplete (in flight, timed out, or link down); served the
-    /// newest locally-correct state as of the returned time.
-    Stale(Time),
-}
-
-/// The expiration-aware replica, chaos-hardened.
-///
-/// Owns both protocol endpoints of the simulation: the client cache and
-/// the server-side request handler, with every message crossing the
-/// [`FaultyLink`]. Reads never block: if the needed sync has not
-/// completed, the read degrades to the newest instant the local state
-/// provably covers (Theorem 2's validity intervals) and the session keeps
-/// retrying on subsequent ticks.
-#[derive(Debug)]
-pub struct ChaosReplica {
-    views: BTreeMap<String, ViewEntry>,
-    link: FaultyLink<Frame>,
-    policy: RetryPolicy,
-    /// Client-side jitter RNG — deliberately decorrelated from the fault
-    /// layer's stream so retry timing does not perturb the fault schedule.
-    rng: StdRng,
-    obs: Obs,
-    monitor: StalenessMonitor,
-    /// Spans for both simulated endpoints land here; `client.*` /
-    /// `server.*` name prefixes tell them apart. Disabled by default.
-    tracer: Tracer,
-    stats: SessionStats,
-    next_seq: u64,
-    /// Server-side dedup: request seqs already answered, so a duplicated
-    /// request is answered again (idempotently) as a retransmission.
-    answered: BTreeMap<u64, ()>,
-}
-
-impl ChaosReplica {
-    /// A chaos replica over a link with the given fault specification.
-    #[must_use]
-    pub fn new(spec: FaultSpec, policy: RetryPolicy) -> Self {
-        Self::with_slo(spec, policy, SloConfig::default())
-    }
-
-    /// [`ChaosReplica::new`] with an explicit staleness SLO.
-    #[must_use]
-    pub fn with_slo(spec: FaultSpec, policy: RetryPolicy, slo: SloConfig) -> Self {
-        let obs = Obs::new();
-        let monitor = StalenessMonitor::new(&obs, slo);
-        let tracer = Tracer::attached(&obs);
-        let mut link = FaultyLink::new(spec);
-        link.link().attach_obs(&obs);
-        ChaosReplica {
-            views: BTreeMap::new(),
-            link,
-            policy,
-            rng: StdRng::seed_from_u64(spec.seed ^ 0x9e37_79b9_7f4a_7c15),
-            obs,
-            monitor,
-            tracer,
-            stats: SessionStats::default(),
-            next_seq: 0,
-            answered: BTreeMap::new(),
-        }
-    }
-
-    /// The replica's span tracer. Disabled by default; enable it to
-    /// record every session as one causal trace across both endpoints
-    /// (see [`Frame`]).
-    #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// The replica's observability handle (link traces, divergence and
-    /// resync events, SLO metrics).
-    #[must_use]
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// The replica's health: `Degraded` once staleness or recovery lag
-    /// has breached the configured SLO.
-    #[must_use]
-    pub fn health(&self) -> Health {
-        self.monitor.health()
-    }
-
-    /// The fault-injected link (heal it, partition it, read its stats).
-    pub fn link(&mut self) -> &mut FaultyLink<Frame> {
-        &mut self.link
-    }
-
-    /// Wire-level traffic counters.
-    #[must_use]
-    pub fn link_stats(&self) -> LinkStats {
-        self.link.stats()
-    }
-
-    /// Protocol-level session counters.
-    #[must_use]
-    pub fn session_stats(&self) -> SessionStats {
-        self.stats
-    }
-
-    /// Subscribes to a view. The initial state transfer runs through the
-    /// session protocol, so under faults the subscription may complete on
-    /// a later tick — reads before then degrade to `Stale` over an empty
-    /// cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReplicaError::LinkRefused`] when the link is explicitly
-    /// down, and evaluation errors for invalid expressions.
-    pub fn subscribe(&mut self, name: &str, expr: Expr, server: &Database) -> ReplicaResult<()> {
-        let now = ticks(server.now());
-        let expr = server.inline_views(&expr);
-        // The client authored the query, so it knows the result schema
-        // statically: the type check stands in for that compile-time
-        // knowledge, reads no rows and crosses no link.
-        let schema = expr.schema(server)?;
-        let placeholder = Materialized {
-            rel: Relation::new(schema),
-            at: Time::ZERO,
-            texp: Time::ZERO, // never fresh: forces the first sync
-            validity: IntervalSet::empty(),
-            patches: None,
-        };
-        self.views.insert(
-            name.to_string(),
-            ViewEntry {
-                expr,
-                m: placeholder,
-                session: None,
-                degraded_since: Some(now),
-                slo_reported: false,
-                last_timeout: None,
-            },
-        );
-        let fate = self.open_session(name, SessionKind::Refresh, now);
-        if fate == Fate::Refused {
-            self.views.remove(name);
-            return Err(ReplicaError::LinkRefused {
-                op: format!("subscribe `{name}`"),
-            });
-        }
-        self.pump(server)?;
-        Ok(())
-    }
-
-    /// Drives both protocol endpoints at the server's current tick:
-    /// delivers due messages, answers requests server-side, applies
-    /// responses client-side, and sends due retransmissions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates server-side evaluation errors.
-    pub fn pump(&mut self, server: &Database) -> ReplicaResult<()> {
-        let now = ticks(server.now());
-        self.link.advance(now);
-
-        // Server endpoint: answer due requests.
-        let inbound = self.link.recv(now, Dir::ToServer);
-        for msg in inbound {
-            self.handle_server(msg, server)?;
-        }
-
-        // Client endpoint: apply due responses.
-        let inbound = self.link.recv(now, Dir::ToClient);
-        for msg in inbound {
-            self.handle_client(msg, now);
-        }
-
-        // Retransmit / expire overdue sessions.
-        self.drive_sessions(now);
-        Ok(())
-    }
-
-    /// Server endpoint: answers a refresh or digest request with a fresh
-    /// evaluation — whole, or only where it diverges from the digests.
-    fn handle_server(&mut self, frame: Frame, server: &Database) -> ReplicaResult<()> {
-        let now = ticks(server.now());
-        let hop = format!("server.handle.{}", frame.payload.label());
-        let (view, seq, digests) = match frame.payload {
-            Payload::RefreshRequest { view, seq } => (view, seq, None),
-            Payload::DigestRequest { view, seq, digests } => (view, seq, Some(digests)),
-            // Responses/notices/acks never travel client → server here.
-            _ => return Ok(()),
-        };
-        let retransmission = self.answered.insert(seq, ()).is_some();
-        let Some(entry) = self.views.get(&view) else {
-            return Ok(());
-        };
-        // The server's span parents under the *sender's* send span — the
-        // cross-endpoint stitch.
-        let ctx = record_hop(&self.tracer, frame.ctx, &hop, now, retransmission);
-        let fresh = eval(&entry.expr, server, server.now(), &EvalOptions::default())?;
-        let resp = match digests {
-            None => Payload::RefreshResponse {
-                view,
-                seq,
-                state: fresh,
-            },
-            Some(digests) => {
-                let theirs: BTreeSet<u64> = digests.into_iter().collect();
-                let mut ours = BTreeSet::new();
-                let mut add = Vec::new();
-                for (t, e) in fresh.rel.iter() {
-                    let digest = tuple_digest(t, e);
-                    ours.insert(digest);
-                    if !theirs.contains(&digest) {
-                        add.push((t.clone(), e));
-                    }
-                }
-                Payload::DigestResponse {
-                    view,
-                    seq,
-                    add,
-                    drop: theirs.difference(&ours).copied().collect(),
-                    at: fresh.at,
-                    texp: fresh.texp,
-                    validity: fresh.validity,
-                }
-            }
-        };
-        let (tuples, label) = (resp.tuples(), resp.label());
-        let frame = Frame { ctx, payload: resp };
-        self.link
-            .send(now, Dir::ToClient, frame, tuples, retransmission, label);
-        Ok(())
-    }
-
-    /// Client endpoint: applies the response that answers a view's open
-    /// session and closes the session. Anything else — a duplicate, a
-    /// response to a session since superseded or abandoned — is counted
-    /// and dropped, which is what makes re-delivery idempotent.
-    fn handle_client(&mut self, frame: Frame, now: u64) {
-        let (view, seq, kind) = match &frame.payload {
-            Payload::RefreshResponse { view, seq, .. } => {
-                (view.clone(), *seq, SessionKind::Refresh)
-            }
-            Payload::DigestResponse { view, seq, .. } => (view.clone(), *seq, SessionKind::Digest),
-            _ => {
-                self.stats.duplicates_ignored += 1;
-                return;
-            }
-        };
-        let Some(entry) = self.views.get_mut(&view) else {
-            return;
-        };
-        let session = match entry.session.take() {
-            Some(s) if s.kind == kind && s.seq == seq => s,
-            other => {
-                entry.session = other;
-                self.stats.duplicates_ignored += 1;
-                return;
-            }
-        };
-        let hop = format!("client.apply.{}", frame.payload.label());
-        record_hop(&self.tracer, frame.ctx, &hop, now, false);
-        let reconciled = match frame.payload {
-            Payload::DigestResponse {
-                add,
-                drop,
-                at,
-                texp,
-                validity,
-                ..
-            } => {
-                let shipped = add.len() as u64;
-                let divergent = shipped + drop.len() as u64;
-                // Drops first: a texp revision appears as drop(old) +
-                // add(new) for the same tuple.
-                let drop: BTreeSet<u64> = drop.into_iter().collect();
-                let m = &mut entry.m;
-                let stale: Vec<Tuple> = m
-                    .rel
-                    .iter()
-                    .filter(|(t, e)| drop.contains(&tuple_digest(t, *e)))
-                    .map(|(t, _)| t.clone())
-                    .collect();
-                for t in &stale {
-                    m.rel.remove(t);
-                }
-                for (t, e) in add {
-                    // Divergent rows replace wholesale. A schema that
-                    // drifted abandons the session: the next refresh
-                    // re-ships the full state.
-                    if Change::Add(t, e).apply(&mut m.rel).is_err() {
-                        return;
-                    }
-                }
-                (m.at, m.texp, m.validity, m.patches) = (at, texp, validity, None);
-                Some((divergent, shipped))
-            }
-            Payload::RefreshResponse { state, .. } => {
-                entry.m = state;
-                None
-            }
-            _ => unreachable!("matched a response above"),
-        };
-        entry.last_timeout = None;
-        entry.slo_reported = false;
-        self.stats.sessions_completed += 1;
-        // A session is opened by a reader or a reconciliation that has
-        // already marked the view degraded, possibly ticks earlier.
-        let since = entry.degraded_since.take();
-        let recovery =
-            now.saturating_sub(since.map_or(session.started, |d| d.min(session.started)));
-        if let Some((divergent, shipped)) = reconciled {
-            self.stats.reconciliations += 1;
-            self.stats.divergent_tuples += divergent;
-            self.obs.emit_with(Some(now), || EventKind::ReplicaResync {
-                view: view.clone(),
-                divergent,
-                shipped,
-                recovery_ticks: recovery,
-                at: now,
-            });
-        }
-        self.monitor.observe_resync(&view, recovery, now);
-    }
-
-    /// Opens a session for `name` and transmits its first request.
-    fn open_session(&mut self, name: &str, kind: SessionKind, now: u64) -> Fate {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let first_delay = self.policy.delay(0, &mut self.rng);
-        let root = match kind {
-            SessionKind::Refresh => "session.refresh",
-            SessionKind::Digest => "session.digest",
-        };
-        let trace = trace_root(&self.tracer, root, seq, now, Some(name));
-        let Some(entry) = self.views.get_mut(name) else {
-            return Fate::Refused;
-        };
-        entry.session = Some(SyncSession {
-            kind,
-            seq,
-            started: now,
-            attempts: 1,
-            next_retry: now + first_delay,
-            trace,
-        });
-        self.stats.sessions_started += 1;
-        self.send_request(name, now, false)
-    }
-
-    /// Transmits the request of `name`'s open session: its first send and
-    /// every retransmission. A retransmission is a fresh hop under the same
-    /// session root — the trace shows each attempt, not just the one that
-    /// landed — and a digest request is rebuilt from the cache as it is
-    /// now.
-    fn send_request(&mut self, name: &str, now: u64, retransmission: bool) -> Fate {
-        let Some(entry) = self.views.get(name) else {
-            return Fate::Refused;
-        };
-        let Some(s) = &entry.session else {
-            return Fate::Refused;
-        };
-        let (view, seq) = (name.to_string(), s.seq);
-        let req = match s.kind {
-            SessionKind::Refresh => Payload::RefreshRequest { view, seq },
-            SessionKind::Digest => Payload::DigestRequest {
-                view,
-                seq,
-                digests: entry
-                    .m
-                    .rel
-                    .iter()
-                    .map(|(t, e)| tuple_digest(t, e))
-                    .collect(),
-            },
-        };
-        let label = req.label();
-        let hop = format!("client.send.{label}");
-        let ctx = record_hop(&self.tracer, s.trace, &hop, now, retransmission);
-        let frame = Frame { ctx, payload: req };
-        self.link
-            .send(now, Dir::ToServer, frame, 0, retransmission, label)
-    }
-
-    /// Retries overdue sessions and abandons those past the budget.
-    fn drive_sessions(&mut self, now: u64) {
-        let names: Vec<String> = self.views.keys().cloned().collect();
-        for name in names {
-            let entry = self.views.get_mut(&name).unwrap();
-            let Some(s) = entry.session.as_mut() else {
-                continue;
-            };
-            if now.saturating_sub(s.started) >= self.policy.budget {
-                entry.last_timeout = Some((s.attempts, now.saturating_sub(s.started)));
-                entry.session = None;
-                self.stats.sessions_timed_out += 1;
-                continue;
-            }
-            if now < s.next_retry {
-                continue;
-            }
-            s.next_retry = now + self.policy.delay(s.attempts, &mut self.rng);
-            s.attempts += 1;
-            self.send_request(&name, now, true);
-            self.stats.retries += 1;
-        }
-    }
-
-    /// Reads a subscribed view at the server's current time.
-    ///
-    /// Fresh local state is served with zero communication (Theorem 2).
-    /// Otherwise a sync session is opened (or continued); if it completes
-    /// within this tick the synced state is served, else the read degrades
-    /// to the newest covered instant.
-    ///
-    /// # Errors
-    ///
-    /// Unknown views error; a view whose sync timed out *and* whose cache
-    /// covers no instant at all returns [`ReplicaError::Timeout`].
-    pub fn read(
-        &mut self,
-        name: &str,
-        server: &Database,
-    ) -> ReplicaResult<(Relation, ChaosReadOutcome)> {
-        let now_t = server.now();
-        let now = ticks(now_t);
-        self.pump(server)?;
-        let entry = self.views.get_mut(name).ok_or_else(|| {
-            ReplicaError::Db(exptime_engine::DbError::Catalog(format!(
-                "not subscribed to `{name}`"
-            )))
-        })?;
-
-        // Not covered now and no sync under way: open one. Its response
-        // may land this very tick.
-        let mut current = ChaosReadOutcome::Local;
-        if entry.session.is_none() && !entry.m.valid_at(now_t) {
-            entry.degraded_since.get_or_insert(now);
-            self.open_session(name, SessionKind::Refresh, now);
-            self.pump(server)?;
-            current = ChaosReadOutcome::Synced;
-        }
-        let entry = self.views.get_mut(name).unwrap();
-        if entry.session.is_none() && entry.m.valid_at(now_t) {
-            return Ok((entry.m.rows_at(now_t), current));
-        }
-
-        // Degrade: newest instant the local state provably covers.
-        let Some((rel, back)) = degraded(&entry.m, name, now_t, &self.obs) else {
-            return Err(match entry.last_timeout {
-                Some((attempts, waited)) => ReplicaError::Timeout {
-                    op: format!("sync `{name}`"),
-                    attempts,
-                    waited,
-                },
-                None => ReplicaError::Divergence {
-                    view: name.to_string(),
-                    behind: u64::MAX,
-                },
-            });
-        };
-        // An ongoing degradation episode past the SLO is reported once:
-        // the replica is divergence-exposed *right now*, without waiting
-        // for the eventual repair to record it.
-        if let Some(since) = entry.degraded_since {
-            let lag = now.saturating_sub(since);
-            if lag > self.monitor.config().max_resync_lag && !entry.slo_reported {
-                entry.slo_reported = true;
-                self.monitor.observe_resync(name, lag, now);
-            }
-        }
-        Ok((rel, ChaosReadOutcome::Stale(back)))
-    }
-
-    /// Anti-entropy pass: opens a digest session for every subscribed
-    /// view. Call after the link heals (or any suspected divergence);
-    /// only divergent tuples will be shipped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates server-side evaluation errors from the pump.
-    pub fn reconcile(&mut self, server: &Database) -> ReplicaResult<()> {
-        let now = ticks(server.now());
-        let names: Vec<String> = self.views.keys().cloned().collect();
-        for name in names {
-            let entry = self.views.get_mut(&name).unwrap();
-            if entry.session.is_some() {
-                continue; // a sync is already in flight
-            }
-            if entry.degraded_since.is_none() {
-                entry.degraded_since = Some(now);
-            }
-            self.open_session(&name, SessionKind::Digest, now);
-        }
-        self.pump(server)
-    }
-
-    /// Whether every view is synced (no open sessions, nothing in
-    /// flight). The chaos tests drive `pump` until this holds after
-    /// healing the link.
-    #[must_use]
-    pub fn quiesced(&self) -> bool {
-        self.link.in_flight() == 0 && self.views.values().all(|v| v.session.is_none())
-    }
 }
 
 /// The explicit-delete baseline, chaos-hardened: sequence-numbered
@@ -1032,7 +496,7 @@ impl ChaosDeletePush {
     /// # Errors
     ///
     /// Propagates evaluation errors; schema errors on apply surface as
-    /// [`ReplicaError::Db`].
+    /// [`crate::ReplicaError::Db`].
     pub fn server_sync(&mut self, server: &Database) -> ReplicaResult<()> {
         let now = ticks(server.now());
         self.link.advance(now);
@@ -1075,7 +539,8 @@ impl ChaosDeletePush {
             let ctx = record_hop(
                 &self.tracer,
                 trace,
-                "server.send.notice",
+                "server.send",
+                "notice",
                 now,
                 retransmission,
             );
@@ -1116,7 +581,7 @@ impl ChaosDeletePush {
                     self.stats.duplicates_ignored += 1;
                     continue;
                 }
-                record_hop(&self.tracer, frame.ctx, "client.recv.notice", now, false);
+                record_hop(&self.tracer, frame.ctx, "client.recv", "notice", now, false);
                 if seq > self.next_expected {
                     self.stats.reorders_buffered += 1;
                 }
@@ -1158,8 +623,7 @@ impl ChaosDeletePush {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exptime_core::predicate::Predicate;
-    use exptime_engine::{Database, DbConfig};
+    use exptime_engine::DbConfig;
 
     fn server() -> Database {
         let mut db = Database::new(DbConfig::default());
@@ -1175,183 +639,6 @@ mod tests {
         )
         .unwrap();
         db
-    }
-
-    fn diff_expr() -> Expr {
-        Expr::base("pol")
-            .project([0])
-            .difference(Expr::base("el").project([0]))
-    }
-
-    #[test]
-    fn healthy_link_matches_synchronous_replica() {
-        let mut srv = server();
-        let mut rep = ChaosReplica::new(FaultSpec::none(1), RetryPolicy::default());
-        rep.subscribe("others", diff_expr(), &srv).unwrap();
-        for _ in 0..20 {
-            srv.tick(1);
-            let (rel, _) = rep.read("others", &srv).unwrap();
-            let truth = srv
-                .execute("SELECT uid FROM pol EXCEPT SELECT uid FROM el")
-                .unwrap();
-            assert!(rel.set_eq(truth.rows().unwrap()), "at {:?}", srv.now());
-        }
-        // No faults → no retries, no timeouts, no duplicates.
-        let s = rep.session_stats();
-        assert_eq!(s.retries, 0);
-        assert_eq!(s.sessions_timed_out, 0);
-        assert_eq!(s.duplicates_ignored, 0);
-        assert_eq!(rep.link_stats().retransmissions, 0);
-    }
-
-    #[test]
-    fn monotonic_view_needs_no_messages_even_under_chaos() {
-        let mut srv = server();
-        let mut rep = ChaosReplica::new(FaultSpec::chaos(7), RetryPolicy::default());
-        rep.subscribe(
-            "hot",
-            Expr::base("pol").select(Predicate::attr_eq_const(1, 25)),
-            &srv,
-        )
-        .unwrap();
-        // Complete the (possibly fault-delayed) subscription first.
-        for _ in 0..40 {
-            srv.tick(1);
-            rep.pump(&srv).unwrap();
-            if rep.quiesced() {
-                break;
-            }
-        }
-        assert!(rep.quiesced(), "{}", rep.link().schedule_report());
-        let base = rep.link_stats().attempted_messages();
-        for _ in 0..20 {
-            srv.tick(1);
-            let (rel, outcome) = rep.read("hot", &srv).unwrap();
-            assert_eq!(outcome, ChaosReadOutcome::Local);
-            let truth = srv.execute("SELECT * FROM pol WHERE deg = 25").unwrap();
-            assert!(rel.set_eq(truth.rows().unwrap()));
-        }
-        assert_eq!(
-            rep.link_stats().attempted_messages(),
-            base,
-            "Theorem 1 survives chaos: zero maintenance traffic"
-        );
-    }
-
-    #[test]
-    fn lossy_link_retries_until_synced() {
-        let mut srv = server();
-        let mut rep = ChaosReplica::new(FaultSpec::lossy(3, 0.6), RetryPolicy::default());
-        rep.subscribe("others", diff_expr(), &srv).unwrap();
-        for _ in 0..150 {
-            srv.tick(1);
-            let _ = rep.read("others", &srv); // degraded reads are fine mid-chaos
-        }
-        // Reconnect-and-quiesce: no new faults, in-flight still delivers.
-        rep.link().heal();
-        for _ in 0..5 {
-            srv.tick(1);
-            let _ = rep.read("others", &srv);
-        }
-        let (rel, _) = rep.read("others", &srv).unwrap();
-        let truth = srv
-            .execute("SELECT uid FROM pol EXCEPT SELECT uid FROM el")
-            .unwrap();
-        assert!(
-            rel.set_eq(truth.rows().unwrap()),
-            "converged despite 60% loss\n{}",
-            rep.link().schedule_report()
-        );
-        assert!(rep.session_stats().retries > 0, "loss forced retries");
-        assert!(rep.link_stats().retransmissions > 0);
-    }
-
-    #[test]
-    fn duplicated_responses_are_idempotent() {
-        let mut srv = server();
-        let spec = FaultSpec {
-            duplicate: 1.0,
-            ..FaultSpec::none(5)
-        };
-        let mut rep = ChaosReplica::new(spec, RetryPolicy::default());
-        rep.subscribe("others", diff_expr(), &srv).unwrap();
-        for _ in 0..20 {
-            srv.tick(1);
-            let (rel, _) = rep.read("others", &srv).unwrap();
-            let truth = srv
-                .execute("SELECT uid FROM pol EXCEPT SELECT uid FROM el")
-                .unwrap();
-            assert!(rel.set_eq(truth.rows().unwrap()), "at {:?}", srv.now());
-        }
-        assert!(
-            rep.session_stats().duplicates_ignored > 0,
-            "every message was duplicated; the copies must be discarded"
-        );
-    }
-
-    #[test]
-    fn timed_out_session_degrades_to_stale_cache() {
-        let mut srv = server();
-        let policy = RetryPolicy {
-            budget: 4,
-            ..RetryPolicy::default()
-        };
-        let mut rep = ChaosReplica::new(FaultSpec::none(1), policy);
-        rep.subscribe("others", diff_expr(), &srv).unwrap();
-        // Cache is synced at t=0; partition the link manually, then let
-        // the view expire (texp = 3).
-        rep.link().link().disconnect();
-        srv.tick(5);
-        let (rel, outcome) = rep.read("others", &srv).unwrap();
-        match outcome {
-            ChaosReadOutcome::Stale(back) => {
-                assert_eq!(back, Time::new(2), "newest covered instant before texp=3");
-                assert_eq!(rel.len(), 1);
-            }
-            other => panic!("expected stale degradation, got {other:?}"),
-        }
-        // The session keeps failing; once the budget lapses it times out
-        // but reads still degrade instead of erroring.
-        for _ in 0..6 {
-            srv.tick(1);
-            let (_, outcome) = rep.read("others", &srv).unwrap();
-            assert!(matches!(outcome, ChaosReadOutcome::Stale(_)));
-        }
-        assert!(rep.session_stats().sessions_timed_out >= 1);
-    }
-
-    #[test]
-    fn reconcile_ships_only_divergent_tuples() {
-        let mut srv = server();
-        let mut rep = ChaosReplica::new(FaultSpec::none(1), RetryPolicy::default());
-        rep.subscribe("all", Expr::base("pol"), &srv).unwrap();
-        let ring = rep.obs().install_ring(64);
-        // Mutate the server while the replica is partitioned.
-        rep.link().link().disconnect();
-        srv.execute("INSERT INTO pol VALUES (9, 99) EXPIRES AT 50")
-            .unwrap();
-        srv.tick(1);
-        rep.link().link().reconnect();
-        let before = rep.link_stats().tuples_transferred;
-        rep.reconcile(&srv).unwrap();
-        assert!(rep.quiesced());
-        let (rel, outcome) = rep.read("all", &srv).unwrap();
-        assert_eq!(outcome, ChaosReadOutcome::Local);
-        let truth = srv.execute("SELECT * FROM pol").unwrap();
-        assert!(rel.set_eq(truth.rows().unwrap()));
-        // Only the one new tuple crossed the link, not the whole result.
-        assert_eq!(rep.link_stats().tuples_transferred - before, 1);
-        let resyncs: Vec<_> = ring
-            .recent(64)
-            .into_iter()
-            .filter(|e| e.kind.tag() == "replica_resync")
-            .collect();
-        assert_eq!(resyncs.len(), 1);
-        assert!(matches!(
-            &resyncs[0].kind,
-            EventKind::ReplicaResync { shipped: 1, .. }
-        ));
-        assert_eq!(rep.session_stats().reconciliations, 1);
     }
 
     #[test]
@@ -1403,88 +690,6 @@ mod tests {
             push.link().schedule_report()
         );
         assert!(push.quiesced());
-    }
-
-    #[test]
-    fn disconnected_replica_health_reports_staleness_after_texp() {
-        let mut srv = server();
-        let slo = SloConfig {
-            max_resync_lag: 2,
-            ..SloConfig::default()
-        };
-        let mut rep = ChaosReplica::with_slo(FaultSpec::none(1), RetryPolicy::default(), slo);
-        rep.subscribe("others", diff_expr(), &srv).unwrap();
-        rep.link().link().disconnect();
-        // While texp (= 3) has not passed, reads are local and healthy.
-        srv.tick(2);
-        let (_, outcome) = rep.read("others", &srv).unwrap();
-        assert_eq!(outcome, ChaosReadOutcome::Local);
-        assert!(rep.health().to_string().contains("status: ok"));
-        // Once texp lapses the replica serves stale state and health
-        // degrades after the staleness SLO (2 ticks) is breached.
-        srv.tick(3);
-        for _ in 0..4 {
-            srv.tick(1);
-            let (_, outcome) = rep.read("others", &srv).unwrap();
-            assert!(matches!(outcome, ChaosReadOutcome::Stale(_)));
-        }
-        assert!(
-            rep.health().to_string().contains("status: degraded"),
-            "{}",
-            rep.health()
-        );
-    }
-
-    #[test]
-    fn traced_session_forms_one_causal_chain_across_endpoints() {
-        let srv = server();
-        let mut rep = ChaosReplica::new(FaultSpec::none(1), RetryPolicy::default());
-        rep.tracer().enable();
-        rep.subscribe("others", diff_expr(), &srv).unwrap();
-        let spans = rep.tracer().recent(64);
-        let find = |name: &str| {
-            spans
-                .iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("missing span `{name}`"))
-        };
-        let root = find("session.refresh");
-        let send = find("client.send.refresh_req");
-        let handle = find("server.handle.refresh_req");
-        let apply = find("client.apply.refresh_resp");
-        // Each hop parents under the previous one — send → handle →
-        // apply is one chain even though the middle span belongs to the
-        // other endpoint.
-        assert_eq!(send.parent, Some(root.id));
-        assert_eq!(handle.parent, Some(send.id));
-        assert_eq!(apply.parent, Some(handle.id));
-        // Every hop carries the same trace id and no hop was a retry.
-        let root_trace = root
-            .attrs
-            .iter()
-            .find(|(k, _)| k == "trace")
-            .map(|(_, v)| v.clone())
-            .unwrap();
-        for s in [send, handle, apply] {
-            assert!(s
-                .attrs
-                .iter()
-                .any(|(k, v)| k == "trace" && v == &root_trace));
-            assert!(s
-                .attrs
-                .iter()
-                .any(|(k, v)| k == "retransmission" && v == "false"));
-        }
-    }
-
-    #[test]
-    fn disabled_tracer_sends_unsampled_frames_and_records_nothing() {
-        let mut srv = server();
-        let mut rep = ChaosReplica::new(FaultSpec::none(1), RetryPolicy::default());
-        rep.subscribe("others", diff_expr(), &srv).unwrap();
-        srv.tick(5);
-        let _ = rep.read("others", &srv);
-        assert!(rep.tracer().recent(64).is_empty());
     }
 
     #[test]

@@ -47,11 +47,11 @@ fn main() -> DbResult<()> {
         srv.tick(2);
         // The link is down for rounds 20–30 (a tunnel, say).
         if round == 20 {
-            client.link().disconnect();
+            client.link().link().disconnect();
             println!("t={:>3}: link DOWN", srv.now());
         }
         if round == 30 {
-            client.link().reconnect();
+            client.link().link().reconnect();
             println!("t={:>3}: link UP", srv.now());
         }
         let (offers_now, _) = client.read("offers", &srv)?;

@@ -31,6 +31,17 @@ cargo test -q --test prop_lint
 # view (regenerate intentional drift with UPDATE_AUDIT_GOLDEN=1).
 cargo test -q --test audit_golden
 
+# Example goldens: each example prints exactly the text committed in
+# tests/golden/examples/<name>.txt. None of them reads a clock, so any
+# difference is a change in behaviour; when one is meant, regenerate the
+# file with `cargo run --release -q --example <name> > <golden>`.
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    cargo run --release -q --example "$name" \
+        | diff -u "tests/golden/examples/$name.txt" - \
+        || { echo "example $name: output differs from its golden"; exit 1; }
+done
+
 # Experiments smoke: every experiment id at reduced scale. Each one
 # asserts its own claims as it runs (E6-chaos: message counts and
 # recovery at every loss rate; E8-scope: forecast within one log2

@@ -13,7 +13,6 @@ use exptime::core::patch::PatchQueue;
 use exptime::core::schrodinger::{self, AnswerKind, QueryPolicy};
 use exptime::core::time::Time;
 use exptime::prelude::{Database, ReadOutcome, Replica};
-use exptime::replica::{ChaosReadOutcome, ChaosReplica, FaultSpec, RetryPolicy};
 use exptime_net::StaleCache;
 use proptest::prelude::*;
 
@@ -164,9 +163,9 @@ proptest! {
     /// `Materialized` to `Materialized::answer`, to Schrödinger answering
     /// with an unbounded move backward and to the degraded-read cache:
     /// all three serve the same rows as of the same instant, or none
-    /// does. And a `Replica` beside a `ChaosReplica`, subscribed to one
-    /// server at the same instant and then cut off from it, read alike at
-    /// every tick.
+    /// does. And a `Replica` subscribed to a server and then cut off from
+    /// it serves, at every tick, what `Materialized::answer` of the
+    /// subscribe instant's evaluation does.
     #[test]
     fn holders_of_one_materialisation_agree(
         catalog in arb_overlapping_catalog(12),
@@ -195,39 +194,40 @@ proptest! {
             prop_assert!(cached.rel.set_eq(&rows), "{expr} at {tau}:\n{:?}\nvs {rows:?}", cached.rel);
         }
 
-        let mut server = Database::default();
-        for name in ["r", "s"] {
-            server.execute(&format!("CREATE TABLE {name} (k INT, v INT)")).unwrap();
-            for (tuple, texp) in catalog.get(name)?.iter() {
-                server.insert(name, tuple.clone(), texp).unwrap();
-            }
-        }
-        let mut plain = Replica::new(RefreshPolicy::Recompute);
-        let mut chaos = ChaosReplica::new(FaultSpec::none(1), RetryPolicy::default());
-        plain.subscribe("v", expr.clone(), &server).unwrap();
-        chaos.subscribe("v", expr.clone(), &server).unwrap();
-        plain.link().disconnect();
-        chaos.link().link().disconnect();
-        for _ in 0..45 {
-            let now = server.tick(1);
-            let plain_served = match plain.read("v", &server).unwrap() {
-                (rows, ReadOutcome::Local) => Some((rows, now)),
-                (rows, ReadOutcome::Stale(back)) => Some((rows, back)),
-                (_, ReadOutcome::Unavailable) => None,
-                (_, ReadOutcome::Refreshed) => panic!("refreshed over a dead link"),
-            };
-            let chaos_served = match chaos.read("v", &server) {
-                Ok((rows, ChaosReadOutcome::Local)) => Some((rows, now)),
-                Ok((rows, ChaosReadOutcome::Stale(back))) => Some((rows, back)),
-                Ok((_, ChaosReadOutcome::Synced)) => panic!("synced over a dead link"),
-                Err(_) => None,
-            };
-            match (plain_served, chaos_served) {
-                (Some((a, a_as_of)), Some((b, b_as_of))) => {
-                    prop_assert_eq!(a_as_of, b_as_of, "{expr} at {now}");
-                    prop_assert!(a.set_eq(&b), "{expr} at {now}:\n{a:?}\nvs {b:?}");
+        // A replica cut off right after it subscribes serves what the
+        // subscription shipped: the materialisation taken at that instant
+        // with the replica's options, answered for every later tick.
+        for refresh in [RefreshPolicy::Recompute, RefreshPolicy::Patch] {
+            let mut server = Database::default();
+            for name in ["r", "s"] {
+                server.execute(&format!("CREATE TABLE {name} (k INT, v INT)")).unwrap();
+                for (tuple, texp) in catalog.get(name)?.iter() {
+                    server.insert(name, tuple.clone(), texp).unwrap();
                 }
-                (a, b) => prop_assert_eq!(a.is_some(), b.is_some(), "{expr} at {now}"),
+            }
+            let opts = EvalOptions {
+                patch_root_difference: refresh == RefreshPolicy::Patch,
+                ..EvalOptions::default()
+            };
+            let shipped = eval(&expr, &server, server.now(), &opts)?;
+            let mut replica = Replica::new(refresh);
+            replica.subscribe("v", expr.clone(), &server).unwrap();
+            replica.link().link().disconnect();
+            for _ in 0..45 {
+                let now = server.tick(1);
+                let served = match replica.read("v", &server) {
+                    Ok((rows, ReadOutcome::Local)) => Some((rows, now)),
+                    Ok((rows, ReadOutcome::Stale(back))) => Some((rows, back)),
+                    Ok((_, ReadOutcome::Refreshed)) => panic!("refreshed over a dead link"),
+                    Err(_) => None,
+                };
+                match (served, shipped.answer(now)) {
+                    (Some((a, a_as_of)), Some((b, b_as_of))) => {
+                        prop_assert_eq!(a_as_of, b_as_of, "{expr} {refresh:?} at {now}");
+                        prop_assert!(a.set_eq(&b), "{expr} {refresh:?} at {now}:\n{a:?}\nvs {b:?}");
+                    }
+                    (a, b) => prop_assert_eq!(a.is_some(), b.is_some(), "{expr} {refresh:?} at {now}"),
+                }
             }
         }
     }

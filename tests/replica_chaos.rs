@@ -16,7 +16,7 @@ use exptime::core::relation::Relation;
 use exptime::core::time::Time;
 use exptime::obs::SloConfig;
 use exptime::prelude::*;
-use exptime::replica::{ChaosDeletePush, ChaosReadOutcome, ChaosReplica, FaultSpec, RetryPolicy};
+use exptime::replica::{ChaosDeletePush, FaultSpec, RetryPolicy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,7 +69,7 @@ fn views() -> Vec<(&'static str, Expr)> {
 fn check_chaos_replica(spec: FaultSpec, data_seed: u64, horizon: u64) -> Check {
     let seed = spec.seed;
     let mut srv = build_server(data_seed);
-    let mut rep = ChaosReplica::new(spec, RetryPolicy::default());
+    let mut rep = Replica::with_faults(spec, RetryPolicy::default());
     for (name, e) in &views() {
         rep.subscribe(name, e.clone(), &srv)
             .map_err(|e| format!("[seed {seed}] subscribe failed: {e}"))?;
@@ -82,7 +82,7 @@ fn check_chaos_replica(spec: FaultSpec, data_seed: u64, horizon: u64) -> Check {
         srv.tick(1);
         for (name, e) in &views() {
             match rep.read(name, &srv) {
-                Ok((rel, ChaosReadOutcome::Local | ChaosReadOutcome::Synced)) => {
+                Ok((rel, ReadOutcome::Local | ReadOutcome::Refreshed)) => {
                     let want = truth(&srv, e);
                     if !rel.set_eq(&want) {
                         return Err(format!(
@@ -93,7 +93,7 @@ fn check_chaos_replica(spec: FaultSpec, data_seed: u64, horizon: u64) -> Check {
                         ));
                     }
                 }
-                Ok((_, ChaosReadOutcome::Stale(back))) => {
+                Ok((_, ReadOutcome::Stale(back))) => {
                     if back > srv.now() {
                         return Err(format!(
                             "[seed {seed}] `{name}` claims staleness from the future \
@@ -128,7 +128,7 @@ fn check_chaos_replica(spec: FaultSpec, data_seed: u64, horizon: u64) -> Check {
     }
 
     // Post-recovery: every event time must now be answered exactly, and
-    // exclusively with fresh (Local/Synced) outcomes.
+    // exclusively with fresh (Local/Refreshed) outcomes.
     for _ in 0..12 {
         srv.tick(1);
         for (name, e) in &views() {
@@ -138,7 +138,7 @@ fn check_chaos_replica(spec: FaultSpec, data_seed: u64, horizon: u64) -> Check {
                     rep.link().schedule_report()
                 )
             })?;
-            if matches!(outcome, ChaosReadOutcome::Stale(_)) {
+            if matches!(outcome, ReadOutcome::Stale(_)) {
                 return Err(format!(
                     "[seed {seed}] `{name}` still stale after heal+quiesce at {:?}\n{}",
                     srv.now(),
@@ -278,7 +278,7 @@ fn retransmitted_sync_renders_as_one_connected_trace() {
 
     for seed in 1..64u64 {
         let mut srv = build_server(seed);
-        let mut rep = ChaosReplica::new(FaultSpec::lossy(seed, 0.5), RetryPolicy::default());
+        let mut rep = Replica::with_faults(FaultSpec::lossy(seed, 0.5), RetryPolicy::default());
         rep.tracer().enable();
         if rep
             .subscribe("diff", Expr::base("r").difference(Expr::base("s")), &srv)
@@ -385,7 +385,7 @@ fn disconnected_replica_serves_cache_then_reports_staleness() {
         max_resync_lag: 4,
         ..SloConfig::default()
     };
-    let mut rep = ChaosReplica::with_slo(FaultSpec::none(2), RetryPolicy::default(), slo);
+    let mut rep = Replica::with_slo(FaultSpec::none(2), RetryPolicy::default(), slo);
     // r − s is invalid past t=12: the s-side rows expire then, and rows
     // 0..4 reappear in the result — which the cut-off replica cannot see.
     rep.subscribe("v", Expr::base("r").difference(Expr::base("s")), &srv)
@@ -393,7 +393,7 @@ fn disconnected_replica_serves_cache_then_reports_staleness() {
     let (_, outcome) = rep.read("v", &srv).unwrap();
     assert!(matches!(
         outcome,
-        ChaosReadOutcome::Local | ChaosReadOutcome::Synced
+        ReadOutcome::Local | ReadOutcome::Refreshed
     ));
 
     // Cut the link for good. The cached view stays provably valid until
@@ -403,7 +403,7 @@ fn disconnected_replica_serves_cache_then_reports_staleness() {
     for _ in 0..10 {
         srv.tick(1);
         let (rel, outcome) = rep.read("v", &srv).unwrap();
-        assert_eq!(outcome, ChaosReadOutcome::Local, "valid until t=12");
+        assert_eq!(outcome, ReadOutcome::Local, "valid until t=12");
         assert_eq!(rel.len(), 4, "r − s = rows 4..8 while s is alive");
     }
     assert_eq!(
@@ -419,7 +419,7 @@ fn disconnected_replica_serves_cache_then_reports_staleness() {
     for _ in 0..8 {
         srv.tick(1);
         match rep.read("v", &srv) {
-            Ok((_, ChaosReadOutcome::Stale(back))) => assert!(back < Time::new(12)),
+            Ok((_, ReadOutcome::Stale(back))) => assert!(back < Time::new(12)),
             Ok((_, other)) => panic!("invalid cache cannot be {other:?}"),
             Err(e) => panic!("degraded reads must not error while covered: {e}"),
         }

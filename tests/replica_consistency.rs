@@ -60,14 +60,20 @@ fn replica_answers_are_truthful_under_link_flaps() {
                 srv.tick(rng.gen_range(1..4));
                 // Flap the link randomly.
                 if rng.gen_bool(0.2) {
-                    if rep.link().is_up() {
-                        rep.link().disconnect();
+                    if rep.link().link().is_up() {
+                        rep.link().link().disconnect();
                     } else {
-                        rep.link().reconnect();
+                        rep.link().link().reconnect();
                     }
                 }
                 for (name, e) in &exprs {
-                    let (rel, outcome) = rep.read(name, &srv).unwrap();
+                    let (rel, outcome) = match rep.read(name, &srv) {
+                        Ok(served) => served,
+                        Err(err) => {
+                            assert!(!rep.link().link().is_up(), "{err}");
+                            continue;
+                        }
+                    };
                     match outcome {
                         ReadOutcome::Local | ReadOutcome::Refreshed => {
                             let want = truth(&srv, e);
@@ -78,7 +84,7 @@ fn replica_answers_are_truthful_under_link_flaps() {
                             );
                         }
                         ReadOutcome::Stale(as_of) => {
-                            assert!(!rep.link().is_up(), "stale only when disconnected");
+                            assert!(!rep.link().link().is_up(), "stale only when disconnected");
                             assert!(as_of <= srv.now());
                             // The stale answer was the truth at as_of: a
                             // fresh evaluation at that time agrees.
@@ -88,9 +94,6 @@ fn replica_answers_are_truthful_under_link_flaps() {
                             // internal consistency of the stale state.
                             drop(m);
                             assert!(rel.iter().all(|(_, texp)| texp > as_of));
-                        }
-                        ReadOutcome::Unavailable => {
-                            assert!(!rep.link().is_up());
                         }
                     }
                 }
@@ -109,10 +112,10 @@ fn monotonic_views_cost_nothing_even_with_flaps() {
     for round in 0..50 {
         srv.tick(3);
         if round % 10 == 5 {
-            rep.link().disconnect();
+            rep.link().link().disconnect();
         }
         if round % 10 == 9 {
-            rep.link().reconnect();
+            rep.link().link().reconnect();
         }
         let (rel, outcome) = rep.read("keys", &srv).unwrap();
         assert_eq!(outcome, ReadOutcome::Local, "monotonic ⇒ always local");
@@ -130,7 +133,7 @@ fn patched_difference_survives_total_disconnection() {
     let mut rep = Replica::new(RefreshPolicy::Patch);
     let e = Expr::base("r").difference(Expr::base("s"));
     rep.subscribe("diff", e.clone(), &srv).unwrap();
-    rep.link().disconnect();
+    rep.link().link().disconnect();
     for _ in 0..70 {
         srv.tick(2);
         let (rel, outcome) = rep.read("diff", &srv).unwrap();
@@ -172,7 +175,7 @@ fn disconnected_patched_replica_serves_its_unread_patch_queue() {
     let mut srv = server();
     let mut rep = Replica::new(RefreshPolicy::Patch);
     rep.subscribe("others", e.clone(), &srv).unwrap();
-    rep.link().disconnect();
+    rep.link().link().disconnect();
     srv.tick(10);
     let (rel, outcome) = rep.read("others", &srv).unwrap();
     let ReadOutcome::Stale(back) = outcome else {
@@ -199,10 +202,10 @@ fn chaos_sessions_are_truthful_at_every_event_time() {
     // answer is honestly marked Stale with a past as-of instant. The
     // convergence-after-heal half of the contract lives in
     // tests/replica_chaos.rs.
-    use exptime::replica::{ChaosReadOutcome, ChaosReplica, FaultSpec, RetryPolicy};
+    use exptime::replica::{FaultSpec, RetryPolicy};
     for seed in [1u64, 2, 3] {
         let mut srv = build_server(seed);
-        let mut rep = ChaosReplica::new(FaultSpec::chaos(seed), RetryPolicy::default());
+        let mut rep = Replica::with_faults(FaultSpec::chaos(seed), RetryPolicy::default());
         let exprs = vec![
             ("mono", Expr::base("r").project([0])),
             ("diff", Expr::base("r").difference(Expr::base("s"))),
@@ -214,7 +217,7 @@ fn chaos_sessions_are_truthful_at_every_event_time() {
             srv.tick(1);
             for (name, e) in &exprs {
                 match rep.read(name, &srv) {
-                    Ok((rel, ChaosReadOutcome::Local | ChaosReadOutcome::Synced)) => {
+                    Ok((rel, ReadOutcome::Local | ReadOutcome::Refreshed)) => {
                         let want = truth(&srv, e);
                         assert!(
                             rel.set_eq(&want),
@@ -223,7 +226,7 @@ fn chaos_sessions_are_truthful_at_every_event_time() {
                             rep.link().schedule_report()
                         );
                     }
-                    Ok((rel, ChaosReadOutcome::Stale(back))) => {
+                    Ok((rel, ReadOutcome::Stale(back))) => {
                         assert!(back <= srv.now(), "stale as-of must be in the past");
                         // Internally consistent: nothing served is
                         // already expired at its own as-of time.

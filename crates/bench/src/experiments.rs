@@ -11,6 +11,7 @@
 //! appear in reports but are never asserted (the CI obs gate reads
 //! OBS's `overhead_pct` from the binary's output).
 
+use crate::baseline::{ChaosDeletePush, DeletePushReplica, PollingReplica};
 use crate::workload::{difference_pair, LifetimeDist, TableGen};
 use exptime_core::aggregate::{self, AggFunc, AggMode};
 use exptime_core::algebra::{eval, ops, EvalOptions, Expr};
@@ -20,9 +21,7 @@ use exptime_core::predicate::{CmpOp, Predicate};
 use exptime_core::rewrite;
 use exptime_core::time::Time;
 use exptime_engine::{Database, DbConfig, ExpirationEvent, ForecastConfig, Removal};
-use exptime_replica::{
-    ChaosDeletePush, DeletePushReplica, FaultSpec, PollingReplica, Replica, RetryPolicy,
-};
+use exptime_replica::{FaultSpec, Replica, RetryPolicy};
 use exptime_storage::expiry::IndexKind;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -2560,12 +2559,12 @@ pub fn e10_net(
         chaos.tick(&mut db);
     }
     // ...then cut the link hard mid-stream.
-    chaos.link().link().disconnect();
+    chaos.link().disconnect();
     let partition_ticks = 40u64;
     for _ in 0..partition_ticks {
         chaos.tick(&mut db);
     }
-    chaos.link().link().reconnect();
+    chaos.link().reconnect();
     let recovery = chaos.run(&mut db, 4_000);
     assert!(recovery.quiesced, "partition run failed to quiesce");
     let exactly_once = chaos.exactly_once();

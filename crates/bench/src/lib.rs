@@ -1,7 +1,8 @@
 //! # exptime-bench
 //!
-//! Workload generators, paper figure/table regeneration, and the E1–E8
-//! experiment harness (see DESIGN.md §5). Binaries:
+//! Workload generators, paper figure/table regeneration, the E1–E11
+//! experiment harness (see DESIGN.md §5), and the [`baseline`]
+//! strategies E6 sets against the expiration-aware replica. Binaries:
 //!
 //! * `figures` — regenerates every figure and table of the paper from the
 //!   running engine;
@@ -12,6 +13,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod baseline;
 pub mod experiments;
 pub mod figures;
 pub mod workload;

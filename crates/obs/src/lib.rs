@@ -47,4 +47,4 @@ pub use monitor::{
 };
 pub use profile::{fold_spans, render_flame, FoldedStack};
 pub use span::{render_span_tree, SpanGuard, SpanRecord, Tracer, SPAN_RING_CAP};
-pub use trace::TraceContext;
+pub use trace::{record_hop, trace_root, TraceContext};

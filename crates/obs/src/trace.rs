@@ -14,6 +14,13 @@
 //! "unsampled": hops propagate the context untouched and record nothing,
 //! which is also the compatibility story for peers that predate tracing
 //! — they can carry [`TraceContext::NONE`] and interoperate.
+//!
+//! [`trace_root`] opens a trace for one logical operation and
+//! [`record_hop`] records each hop of it; both protocol endpoints that
+//! carry contexts (the replica's sync sessions and the delete-push
+//! baseline's notices) record through these two.
+
+use crate::span::Tracer;
 
 /// A propagated trace position: which trace, and which span to parent
 /// the next hop under.
@@ -66,6 +73,68 @@ impl std::fmt::Display for TraceContext {
         } else {
             f.write_str("trace=-")
         }
+    }
+}
+
+/// Records one traced hop on `tracer`: a zero-duration span named
+/// `<endpoint>.<label>` under the context's parent span, returning the
+/// context the *next* frame should carry. Unsampled contexts pass through
+/// untouched (and record nothing, the name is never built) — the
+/// interoperability path.
+pub fn record_hop(
+    tracer: &Tracer,
+    ctx: TraceContext,
+    endpoint: &str,
+    label: &str,
+    now: u64,
+    retransmission: bool,
+) -> TraceContext {
+    if !ctx.is_sampled() {
+        return ctx;
+    }
+    let t = tracer.now_ns();
+    let id = tracer.record_child(
+        Some(ctx.parent_span),
+        &format!("{endpoint}.{label}"),
+        t,
+        t,
+        Some(now),
+        vec![
+            ("trace".to_string(), ctx.trace_id.to_string()),
+            ("retransmission".to_string(), retransmission.to_string()),
+        ],
+    );
+    if id == 0 {
+        ctx
+    } else {
+        ctx.hop(id)
+    }
+}
+
+/// Opens one trace on `tracer`: a zero-duration root span named `name` for
+/// the logical operation numbered `seq` (a session, a notice), which every
+/// hop of it — each transmission, the handling, the apply — hangs off.
+/// `seq + 1` is a unique, non-zero trace id. A disabled tracer records
+/// nothing and yields the unsampled context.
+pub fn trace_root(
+    tracer: &Tracer,
+    name: &str,
+    seq: u64,
+    now: u64,
+    view: Option<&str>,
+) -> TraceContext {
+    if !tracer.is_enabled() {
+        return TraceContext::NONE;
+    }
+    let t = tracer.now_ns();
+    let mut attrs: Vec<_> = view
+        .map(|v| ("view".to_string(), v.to_string()))
+        .into_iter()
+        .collect();
+    attrs.push(("trace".to_string(), (seq + 1).to_string()));
+    match tracer.record_child(None, name, t, t, Some(now), attrs) {
+        0 => TraceContext::NONE,
+        root => TraceContext::new(seq + 1, root),
     }
 }
 

@@ -1,8 +1,11 @@
-//! Deterministic fault injection for the replica link.
+//! The counted, fault-injecting link between a replica and its server.
 //!
-//! A [`FaultyLink`] wraps the counted [`crate::link::Link`] and subjects
-//! every message to the failure modes of the paper's "volatile settings":
-//! it **drops**, **duplicates**, **reorders**, **delays**, and
+//! "Determining cost factors and bottlenecks in the envisioned volatile
+//! settings are network traffic and latency" (paper, Section 1) — so a
+//! [`FaultyLink`] counts every crossing in its [`LinkStats`]: requests,
+//! responses, pushed notices, and tuples transferred. It subjects every
+//! message to the failure modes of the paper's "volatile settings": it
+//! **drops**, **duplicates**, **reorders**, **delays**, and
 //! **partitions** traffic. All decisions come from a seeded xoshiro RNG
 //! (the in-tree `rand` shim), so a fault schedule is exactly replayable
 //! from its seed — and every decision is recorded in a schedule trace
@@ -16,12 +19,69 @@
 //! configurations. Duplication enqueues a second copy (possibly with its
 //! own delay). During a partition the sender does not know the link is
 //! dead — messages are transmitted (and counted: bandwidth was spent)
-//! but never delivered. An explicit [`crate::link::Link::disconnect`] is
+//! but never delivered. An explicit [`FaultyLink::disconnect`] is
 //! different: the sender *sees* the refusal.
+//!
+//! Accounting rules (relied on by experiment E6's message-cost claims):
+//!
+//! * [`LinkStats::total_messages`] counts only messages that **crossed**
+//!   the link — a refused send never left the station and is tallied in
+//!   [`LinkStats::refused`] instead; [`LinkStats::attempted_messages`]
+//!   includes the refusals.
+//! * Retransmissions of the same logical message cross the link and cost
+//!   bandwidth, so they count in `requests`/`responses` **and**
+//!   are tallied separately in [`LinkStats::retransmissions`] — E6 can
+//!   report first-transmission cost and retry overhead distinctly instead
+//!   of silently inflating the message-cost claim.
 
-use crate::link::{Link, LinkStats};
+use exptime_obs::{EventKind, Obs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Cumulative traffic counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkStats {
+    /// Client → server messages (view fetch/refresh requests, digests,
+    /// acks).
+    pub requests: u64,
+    /// Server → client reply messages.
+    pub responses: u64,
+    /// Server → client unsolicited messages (delete notices, pushes).
+    pub pushes: u64,
+    /// Total tuples carried in responses and pushes (payload proxy).
+    pub tuples_transferred: u64,
+    /// Sends refused because the link was down (never crossed; not part
+    /// of [`LinkStats::total_messages`]).
+    pub refused: u64,
+    /// Messages that crossed the link as retries of an earlier send.
+    /// Already included in `requests`/`responses`; kept separate
+    /// so retry overhead is visible rather than silently folded into the
+    /// first-transmission cost.
+    pub retransmissions: u64,
+}
+
+impl LinkStats {
+    /// All messages that crossed the link (retransmissions included,
+    /// refusals excluded — they never crossed).
+    #[must_use]
+    pub fn total_messages(&self) -> u64 {
+        self.requests + self.responses + self.pushes
+    }
+
+    /// All send attempts: crossed messages plus refused ones. This is the
+    /// number a client actually paid for in send attempts.
+    #[must_use]
+    pub fn attempted_messages(&self) -> u64 {
+        self.total_messages() + self.refused
+    }
+
+    /// Messages that crossed the link net of retries — the protocol's
+    /// intrinsic message cost, comparable across loss rates.
+    #[must_use]
+    pub fn first_transmissions(&self) -> u64 {
+        self.total_messages().saturating_sub(self.retransmissions)
+    }
+}
 
 /// Per-message / per-tick fault probabilities, plus the seed that makes
 /// the whole schedule deterministic.
@@ -156,15 +216,21 @@ struct InFlight<M> {
     msg: M,
 }
 
-/// A [`Link`] wrapper that injects faults per a [`FaultSpec`].
+/// A counted link with an up/down switch that injects faults per a
+/// [`FaultSpec`].
 ///
-/// Generic over the message type so the session layer owns its payload
-/// enum; the fault layer only needs to clone a message it duplicates. The
+/// Generic over the message type so each protocol owns its payload enum;
+/// the fault layer only needs to clone a message it duplicates. The
 /// sender weighs it (tuple counts for the traffic accounting).
 #[derive(Debug)]
 pub struct FaultyLink<M> {
-    link: Link,
     spec: FaultSpec,
+    /// Explicitly disconnected: sends are refused, and the sender sees it.
+    down: bool,
+    stats: LinkStats,
+    /// Event stream for per-message traces. Dark (no sink, near-zero cost)
+    /// unless [`FaultyLink::attach_obs`] wires it to a listening handle.
+    obs: Obs,
     rng: StdRng,
     /// Tick the partition machinery has been advanced to.
     advanced_to: u64,
@@ -183,8 +249,10 @@ impl<M: Clone> FaultyLink<M> {
     #[must_use]
     pub fn new(spec: FaultSpec) -> Self {
         FaultyLink {
-            link: Link::new(),
             spec,
+            down: false,
+            stats: LinkStats::default(),
+            obs: Obs::default(),
             rng: StdRng::seed_from_u64(spec.seed),
             advanced_to: 0,
             partition_until: None,
@@ -196,21 +264,73 @@ impl<M: Clone> FaultyLink<M> {
         }
     }
 
-    /// The fault specification this link runs under.
+    /// Routes this link's [`EventKind::ReplicaMessage`] events through
+    /// `obs`.
+    pub fn attach_obs(&mut self, obs: &Obs) {
+        self.obs = obs.clone();
+    }
+
+    /// Whether the link currently carries traffic.
     #[must_use]
-    pub fn spec(&self) -> FaultSpec {
-        self.spec
+    pub fn is_up(&self) -> bool {
+        !self.down
     }
 
-    /// The wrapped link (manual disconnect/reconnect and traffic stats).
-    pub fn link(&mut self) -> &mut Link {
-        &mut self.link
+    /// Takes the link down (intermittent connectivity): every send is
+    /// refused until [`FaultyLink::reconnect`].
+    pub fn disconnect(&mut self) {
+        self.down = true;
     }
 
-    /// Traffic counters of the wrapped link.
+    /// Restores the link.
+    pub fn reconnect(&mut self) {
+        self.down = false;
+    }
+
+    /// The traffic counters so far.
     #[must_use]
     pub fn stats(&self) -> LinkStats {
-        self.link.stats()
+        self.stats
+    }
+
+    /// Counts a request/response round trip carrying `tuples` result
+    /// tuples, outside the fault model (nothing is queued, nothing can be
+    /// lost). Returns `false` (and counts a refusal) if the link is down.
+    pub fn round_trip(&mut self, tuples: u64) -> bool {
+        let crossed = self.count("round_trip", tuples);
+        if crossed {
+            self.stats.requests += 1;
+            self.stats.responses += 1;
+        }
+        crossed
+    }
+
+    /// Counts a server push carrying `tuples` tuples (e.g. one delete
+    /// notice), outside the fault model. Returns `false` if the link is
+    /// down.
+    pub fn push(&mut self, tuples: u64) -> bool {
+        let crossed = self.count("push", tuples);
+        if crossed {
+            self.stats.pushes += 1;
+        }
+        crossed
+    }
+
+    /// The accounting every crossing shares: a refusal when the link is
+    /// down, else the payload weight; either way one traced event.
+    fn count(&mut self, kind: &'static str, tuples: u64) -> bool {
+        let kind = if self.down {
+            self.stats.refused += 1;
+            "refused"
+        } else {
+            self.stats.tuples_transferred += tuples;
+            kind
+        };
+        self.obs.emit_with(None, || EventKind::ReplicaMessage {
+            kind: kind.into(),
+            tuples,
+        });
+        self.is_up()
     }
 
     /// Ends any active partition and stops injecting new faults;
@@ -272,8 +392,8 @@ impl<M: Clone> FaultyLink<M> {
         self.partition_until.is_some()
     }
 
-    /// Sends a message. Fault decisions (and the traffic accounting via
-    /// the wrapped [`Link`]) happen here; delivery happens when the
+    /// Sends a message one way. Fault decisions and the traffic
+    /// accounting happen here; delivery happens when the
     /// receiver polls [`FaultyLink::recv`] at or after the scheduled
     /// tick. `tuples` is the payload weight; `retransmission` labels
     /// retries for the distinct accounting; `label` names the payload in
@@ -288,12 +408,14 @@ impl<M: Clone> FaultyLink<M> {
         label: &'static str,
     ) -> Fate {
         self.advance(now);
-        // Explicit disconnect: the sender sees the refusal.
-        let crossed = match dir {
-            Dir::ToServer => self.link.request_oneway(tuples, retransmission),
-            Dir::ToClient => self.link.response_oneway(tuples, retransmission),
+        let kind = match (dir, retransmission) {
+            (Dir::ToServer, false) => "request",
+            (Dir::ToServer, true) => "request_retry",
+            (Dir::ToClient, false) => "response",
+            (Dir::ToClient, true) => "response_retry",
         };
-        if !crossed {
+        // Explicit disconnect: the sender sees the refusal.
+        if !self.count(kind, tuples) {
             self.schedule.push(FaultRecord {
                 at: now,
                 dir: Some(dir),
@@ -301,6 +423,13 @@ impl<M: Clone> FaultyLink<M> {
                 label,
             });
             return Fate::Refused;
+        }
+        match dir {
+            Dir::ToServer => self.stats.requests += 1,
+            Dir::ToClient => self.stats.responses += 1,
+        }
+        if retransmission {
+            self.stats.retransmissions += 1;
         }
         // Partition: transmitted, silently black-holed.
         if self.partition_until.is_some() {
@@ -561,15 +690,75 @@ mod tests {
     #[test]
     fn explicit_disconnect_is_visible_to_sender() {
         let mut l: FaultyLink<u32> = FaultyLink::new(FaultSpec::none(1));
-        l.link().disconnect();
+        l.disconnect();
         assert_eq!(l.send(0, Dir::ToServer, 1, 2, false, "msg"), Fate::Refused);
         assert_eq!(l.stats().refused, 1);
         assert_eq!(l.stats().total_messages(), 0);
-        l.link().reconnect();
+        l.reconnect();
         assert!(matches!(
             l.send(1, Dir::ToServer, 1, 2, false, "msg"),
             Fate::Delivered { .. }
         ));
+    }
+
+    #[test]
+    fn round_trips_count_both_directions() {
+        let mut l: FaultyLink<u32> = FaultyLink::new(FaultSpec::none(1));
+        assert!(l.round_trip(10));
+        assert!(l.round_trip(5));
+        let s = l.stats();
+        assert_eq!(s.requests, 2);
+        assert_eq!(s.responses, 2);
+        assert_eq!(s.tuples_transferred, 15);
+        assert_eq!(s.total_messages(), 4);
+        assert_eq!(s.refused, 0);
+        assert_eq!(s.retransmissions, 0);
+        assert_eq!(s.first_transmissions(), 4);
+    }
+
+    #[test]
+    fn pushes_are_one_way() {
+        let mut l: FaultyLink<u32> = FaultyLink::new(FaultSpec::none(1));
+        assert!(l.push(1));
+        assert!(l.push(1));
+        let s = l.stats();
+        assert_eq!(s.pushes, 2);
+        assert_eq!(s.requests, 0);
+        assert_eq!(s.total_messages(), 2);
+    }
+
+    #[test]
+    fn disconnection_refuses_traffic() {
+        let mut l: FaultyLink<u32> = FaultyLink::new(FaultSpec::none(1));
+        l.disconnect();
+        assert!(!l.is_up());
+        assert!(!l.round_trip(3));
+        assert!(!l.push(1));
+        assert_eq!(l.stats().refused, 2);
+        assert_eq!(l.stats().total_messages(), 0);
+        // Refusals are invisible to crossings but visible to attempts.
+        assert_eq!(l.stats().attempted_messages(), 2);
+        l.reconnect();
+        assert!(l.round_trip(3));
+        assert_eq!(l.stats().attempted_messages(), 4);
+    }
+
+    #[test]
+    fn retransmissions_are_counted_distinctly() {
+        let mut l: FaultyLink<u32> = FaultyLink::new(FaultSpec::none(1));
+        l.send(0, Dir::ToServer, 1, 0, false, "req");
+        l.send(0, Dir::ToServer, 1, 0, true, "req");
+        l.send(0, Dir::ToServer, 1, 0, true, "req");
+        l.send(0, Dir::ToClient, 2, 7, false, "resp");
+        let s = l.stats();
+        assert_eq!(s.requests, 3);
+        assert_eq!(s.responses, 1);
+        assert_eq!(s.retransmissions, 2);
+        assert_eq!(s.tuples_transferred, 7);
+        // Retries cross the link (cost bandwidth) but the intrinsic
+        // protocol cost excludes them.
+        assert_eq!(s.total_messages(), 4);
+        assert_eq!(s.first_transmissions(), 2);
     }
 
     #[test]

@@ -8,51 +8,39 @@
 //! the expiration times of the tuples of the query results and without
 //! referring back to the base relations"*.
 //!
-//! The simulator quantifies that claim. A [`replica::Replica`] subscribes
-//! to views over a server [`exptime_engine::Database`]; every interaction
-//! crosses a counted [`link::Link`]. Three maintenance strategies are
-//! compared (experiment E6):
-//!
-//! * **Expiration-aware** ([`replica::Replica`]) — tuples expire locally;
-//!   only a non-monotonic view whose `texp(e)` passes needs a round trip
-//!   (zero for monotonic views, per Theorem 1).
-//! * **Explicit-delete push** ([`baseline::DeletePushReplica`]) — the
-//!   paper's "traditional" alternative: without expiration times the
-//!   server must send a deletion notice for every tuple that leaves the
-//!   result.
-//! * **Polling** ([`baseline::PollingReplica`]) — the client re-fetches
-//!   the whole result on every read.
+//! The crate holds the expiration-aware side of that argument. A
+//! [`replica::Replica`] subscribes to views over a server
+//! [`exptime_engine::Database`]; tuples expire locally, and only a
+//! non-monotonic view whose `texp(e)` passes needs a sync (zero for
+//! monotonic views, per Theorem 1). Every interaction crosses one counted
+//! link, [`fault::FaultyLink`], which can also be taken down to model
+//! intermittent connectivity. Experiment E6 (`exptime-bench`) sets the
+//! replica against the strawmen a system without expiration times must
+//! run — a server that pushes a notice for every tuple leaving the result,
+//! and a client that polls — over the same link.
 //!
 //! ## Chaos hardening
 //!
-//! The binary up/down [`link::Link`] understates the paper's "volatile
-//! settings": real links drop, duplicate, reorder, delay, and partition.
-//! [`fault::FaultyLink`] injects exactly those faults under a
-//! deterministic seeded RNG (every schedule replayable from its seed),
-//! and [`session`] is a sequence-numbered, acknowledged, idempotent
-//! session protocol with retry/backoff on top. The one
+//! Real links drop, duplicate, reorder, delay, and partition — the
+//! paper's "volatile settings". [`fault::FaultyLink`] injects exactly
+//! those faults under a deterministic seeded RNG (every schedule
+//! replayable from its seed), and [`session`] is a sequence-numbered,
+//! idempotent session protocol with retry/backoff on top. The one
 //! [`replica::Replica`] always syncs through it — over a fault-free link
 //! from [`replica::Replica::new`], over a faulty one from
-//! [`replica::Replica::with_faults`] — and so does the hardened baseline
-//! [`session::ChaosDeletePush`]. Both converge back to the server's truth
-//! after any fault schedule — the invariant the chaos property tests in
-//! `tests/replica_chaos.rs` enforce.
+//! [`replica::Replica::with_faults`] — and converges back to the server's
+//! truth after any fault schedule: the invariant the chaos property tests
+//! in `tests/replica_chaos.rs` enforce.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod fault;
-pub mod link;
 pub mod replica;
 pub mod session;
 
-pub use baseline::{DeletePushReplica, PollingReplica};
-pub use fault::{Dir, Fate, FaultRecord, FaultSpec, FaultyLink};
-pub use link::{Link, LinkStats};
+pub use fault::{Dir, Fate, FaultRecord, FaultSpec, FaultyLink, LinkStats};
 pub use replica::{ReadOutcome, Replica};
-pub use session::{
-    tuple_digest, Change, ChaosDeletePush, Frame, Payload, RetryPolicy, SessionStats,
-};
+pub use session::{tuple_digest, Frame, Payload, RetryPolicy, SessionStats};
 
 use exptime_engine::DbError;
 

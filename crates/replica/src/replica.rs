@@ -17,11 +17,8 @@
 //! a read degrades via Schrödinger semantics to the newest instant its
 //! local state is known correct at.
 
-use crate::fault::{Dir, Fate, FaultSpec, FaultyLink};
-use crate::link::LinkStats;
-use crate::session::{
-    record_hop, ticks, trace_root, tuple_digest, Change, Frame, Payload, RetryPolicy, SessionStats,
-};
+use crate::fault::{Dir, Fate, FaultSpec, FaultyLink, LinkStats};
+use crate::session::{ticks, tuple_digest, Frame, Payload, RetryPolicy, SessionStats};
 use crate::{ReplicaError, ReplicaResult};
 use exptime_core::algebra::{eval, EvalOptions, Expr, Materialized};
 use exptime_core::catalog::Bindings;
@@ -32,7 +29,10 @@ use exptime_core::schema::Schema;
 use exptime_core::time::Time;
 use exptime_core::tuple::Tuple;
 use exptime_engine::{Database, DbError};
-use exptime_obs::{EventKind, Health, Obs, SloConfig, StalenessMonitor, TraceContext, Tracer};
+use exptime_obs::{
+    record_hop, trace_root, EventKind, Health, Obs, SloConfig, StalenessMonitor, TraceContext,
+    Tracer,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -172,7 +172,7 @@ impl Replica {
         let monitor = StalenessMonitor::new(&obs, slo);
         let tracer = Tracer::attached(&obs);
         let mut link = FaultyLink::new(spec);
-        link.link().attach_obs(&obs);
+        link.attach_obs(&obs);
         let opts = EvalOptions {
             patch_root_difference: refresh == RefreshPolicy::Patch,
             ..EvalOptions::default()
@@ -340,7 +340,7 @@ impl Replica {
         let (view, seq, digests) = match frame.payload {
             Payload::RefreshRequest { view, seq } => (view, seq, None),
             Payload::DigestRequest { view, seq, digests } => (view, seq, Some(digests)),
-            // Responses/notices/acks never travel client → server here.
+            // Responses never travel client → server.
             _ => return Ok(()),
         };
         let s = &mut self.sessions;
@@ -443,7 +443,8 @@ impl Replica {
                     // Divergent rows replace wholesale. A schema that
                     // drifted abandons the session: the next refresh
                     // re-ships the full state.
-                    if Change::Add(t, e).apply(&mut m.rel).is_err() {
+                    m.rel.remove(&t);
+                    if m.rel.insert(t, e).is_err() {
                         return;
                     }
                 }
@@ -799,7 +800,7 @@ mod tests {
         let mut srv = server();
         let mut rep = Replica::new(RefreshPolicy::Recompute);
         rep.subscribe("others", diff_expr(), &srv).unwrap();
-        rep.link().link().disconnect();
+        rep.link().disconnect();
         let crossed = rep.link_stats().total_messages();
         srv.tick(5); // view invalid from 3
         let (rel, outcome) = rep.read("others", &srv).unwrap();
@@ -817,7 +818,7 @@ mod tests {
             "nothing crossed the dead link"
         );
         // Reconnect: the next read refreshes.
-        rep.link().link().reconnect();
+        rep.link().reconnect();
         let (_, outcome) = rep.read("others", &srv).unwrap();
         assert_eq!(outcome, ReadOutcome::Refreshed);
     }
@@ -833,7 +834,7 @@ mod tests {
         rep.subscribe("others", diff_expr(), &srv).unwrap();
         // Cache is synced at t=0; partition the link manually, then let
         // the view expire (texp = 3).
-        rep.link().link().disconnect();
+        rep.link().disconnect();
         srv.tick(5);
         let (rel, outcome) = rep.read("others", &srv).unwrap();
         match outcome {
@@ -905,11 +906,11 @@ mod tests {
         rep.subscribe("all", Expr::base("pol"), &srv).unwrap();
         let ring = rep.obs().install_ring(64);
         // Mutate the server while the replica is partitioned.
-        rep.link().link().disconnect();
+        rep.link().disconnect();
         srv.execute("INSERT INTO pol VALUES (9, 99) EXPIRES AT 50")
             .unwrap();
         srv.tick(1);
-        rep.link().link().reconnect();
+        rep.link().reconnect();
         let before = rep.link_stats().tuples_transferred;
         rep.reconcile(&srv).unwrap();
         assert!(rep.quiesced());
@@ -952,7 +953,7 @@ mod tests {
             [("request".to_string(), 0), ("response".to_string(), 1)]
         );
 
-        rep.link().link().disconnect();
+        rep.link().disconnect();
         srv.tick(5); // view invalid from 3; stale read moves back to 2
         let (_, outcome) = rep.read("others", &srv).unwrap();
         assert!(matches!(outcome, ReadOutcome::Stale(_)));
@@ -984,7 +985,7 @@ mod tests {
         };
         let mut rep = Replica::with_slo(FaultSpec::none(1), RetryPolicy::default(), slo);
         rep.subscribe("others", diff_expr(), &srv).unwrap();
-        rep.link().link().disconnect();
+        rep.link().disconnect();
         // While texp (= 3) has not passed, reads are local and healthy.
         srv.tick(2);
         let (_, outcome) = rep.read("others", &srv).unwrap();
@@ -1079,7 +1080,7 @@ mod tests {
         );
         // Subscribe over a dead link fails.
         let mut rep2 = Replica::new(RefreshPolicy::Recompute);
-        rep2.link().link().disconnect();
+        rep2.link().disconnect();
         assert!(rep2.subscribe("all", Expr::base("pol"), &srv).is_err());
     }
 }

@@ -13,7 +13,7 @@
 use exptime::core::algebra::Expr;
 use exptime::core::materialize::RefreshPolicy;
 use exptime::prelude::*;
-use exptime::replica::{DeletePushReplica, PollingReplica};
+use exptime_bench::baseline::{DeletePushReplica, PollingReplica};
 
 fn build_server() -> DbResult<Database> {
     let mut db = Database::new(DbConfig::default());
@@ -47,11 +47,11 @@ fn main() -> DbResult<()> {
         srv.tick(2);
         // The link is down for rounds 20–30 (a tunnel, say).
         if round == 20 {
-            client.link().link().disconnect();
+            client.link().disconnect();
             println!("t={:>3}: link DOWN", srv.now());
         }
         if round == 30 {
-            client.link().link().reconnect();
+            client.link().reconnect();
             println!("t={:>3}: link UP", srv.now());
         }
         let (offers_now, _) = client.read("offers", &srv)?;

@@ -42,6 +42,16 @@ for example in examples/*.rs; do
         || { echo "example $name: output differs from its golden"; exit 1; }
 done
 
+# E6 golden: the maintenance-traffic comparison (the expiration-aware
+# replica against the delete-push and polling baselines) and its chaos
+# variant print exactly tests/golden/experiments/e6.txt. Both count
+# messages and ticks, never time, so any difference is a change in
+# behaviour; when one is meant, regenerate the file with
+# `cargo run --release -q -p exptime-bench --bin experiments -- --quick e6 e6chaos > <golden>`.
+cargo run --release -q -p exptime-bench --bin experiments -- --quick e6 e6chaos \
+    | diff -u tests/golden/experiments/e6.txt - \
+    || { echo "experiments e6 e6chaos: output differs from its golden"; exit 1; }
+
 # Experiments smoke: every experiment id at reduced scale. Each one
 # asserts its own claims as it runs (E6-chaos: message counts and
 # recovery at every loss rate; E8-scope: forecast within one log2

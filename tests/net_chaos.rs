@@ -100,11 +100,11 @@ fn hard_partition_heals_to_exactly_once() {
     for _ in 0..6 {
         net.tick(&mut db);
     }
-    net.link().link().disconnect();
+    net.link().disconnect();
     for _ in 0..50 {
         net.tick(&mut db);
     }
-    net.link().link().reconnect();
+    net.link().reconnect();
     let report = net.run(&mut db, 20_000);
     assert!(report.quiesced, "{report:?}");
     assert!(net.exactly_once(), "{report:?}");

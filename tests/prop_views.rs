@@ -212,7 +212,7 @@ proptest! {
             let shipped = eval(&expr, &server, server.now(), &opts)?;
             let mut replica = Replica::new(refresh);
             replica.subscribe("v", expr.clone(), &server).unwrap();
-            replica.link().link().disconnect();
+            replica.link().disconnect();
             for _ in 0..45 {
                 let now = server.tick(1);
                 let served = match replica.read("v", &server) {

@@ -16,7 +16,8 @@ use exptime::core::relation::Relation;
 use exptime::core::time::Time;
 use exptime::obs::SloConfig;
 use exptime::prelude::*;
-use exptime::replica::{ChaosDeletePush, FaultSpec, RetryPolicy};
+use exptime::replica::{FaultSpec, RetryPolicy};
+use exptime_bench::baseline::ChaosDeletePush;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -398,7 +399,7 @@ fn disconnected_replica_serves_cache_then_reports_staleness() {
 
     // Cut the link for good. The cached view stays provably valid until
     // t=12, so reads keep being answered locally, without traffic.
-    rep.link().link().disconnect();
+    rep.link().disconnect();
     let before = rep.link_stats().total_messages();
     for _ in 0..10 {
         srv.tick(1);

@@ -60,17 +60,17 @@ fn replica_answers_are_truthful_under_link_flaps() {
                 srv.tick(rng.gen_range(1..4));
                 // Flap the link randomly.
                 if rng.gen_bool(0.2) {
-                    if rep.link().link().is_up() {
-                        rep.link().link().disconnect();
+                    if rep.link().is_up() {
+                        rep.link().disconnect();
                     } else {
-                        rep.link().link().reconnect();
+                        rep.link().reconnect();
                     }
                 }
                 for (name, e) in &exprs {
                     let (rel, outcome) = match rep.read(name, &srv) {
                         Ok(served) => served,
                         Err(err) => {
-                            assert!(!rep.link().link().is_up(), "{err}");
+                            assert!(!rep.link().is_up(), "{err}");
                             continue;
                         }
                     };
@@ -84,7 +84,7 @@ fn replica_answers_are_truthful_under_link_flaps() {
                             );
                         }
                         ReadOutcome::Stale(as_of) => {
-                            assert!(!rep.link().link().is_up(), "stale only when disconnected");
+                            assert!(!rep.link().is_up(), "stale only when disconnected");
                             assert!(as_of <= srv.now());
                             // The stale answer was the truth at as_of: a
                             // fresh evaluation at that time agrees.
@@ -112,10 +112,10 @@ fn monotonic_views_cost_nothing_even_with_flaps() {
     for round in 0..50 {
         srv.tick(3);
         if round % 10 == 5 {
-            rep.link().link().disconnect();
+            rep.link().disconnect();
         }
         if round % 10 == 9 {
-            rep.link().link().reconnect();
+            rep.link().reconnect();
         }
         let (rel, outcome) = rep.read("keys", &srv).unwrap();
         assert_eq!(outcome, ReadOutcome::Local, "monotonic ⇒ always local");
@@ -133,7 +133,7 @@ fn patched_difference_survives_total_disconnection() {
     let mut rep = Replica::new(RefreshPolicy::Patch);
     let e = Expr::base("r").difference(Expr::base("s"));
     rep.subscribe("diff", e.clone(), &srv).unwrap();
-    rep.link().link().disconnect();
+    rep.link().disconnect();
     for _ in 0..70 {
         srv.tick(2);
         let (rel, outcome) = rep.read("diff", &srv).unwrap();
@@ -175,7 +175,7 @@ fn disconnected_patched_replica_serves_its_unread_patch_queue() {
     let mut srv = server();
     let mut rep = Replica::new(RefreshPolicy::Patch);
     rep.subscribe("others", e.clone(), &srv).unwrap();
-    rep.link().link().disconnect();
+    rep.link().disconnect();
     srv.tick(10);
     let (rel, outcome) = rep.read("others", &srv).unwrap();
     let ReadOutcome::Stale(back) = outcome else {

@@ -31,11 +31,11 @@ pub mod neutral;
 pub mod nu;
 
 use crate::error::{Error, Result};
+use crate::hash::RowMap;
 use crate::relation::Relation;
 use crate::time::Time;
 use crate::tuple::Tuple;
 use crate::value::{Value, ValueType};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A row of a partition: the tuple and its expiration time.
@@ -212,7 +212,7 @@ pub enum AggMode {
 #[derive(Debug, Default)]
 pub(crate) struct Partitions {
     groups: Vec<(Tuple, Vec<Row>)>,
-    index: HashMap<Tuple, usize>,
+    index: RowMap<Tuple, usize>,
     key: Vec<Value>,
 }
 

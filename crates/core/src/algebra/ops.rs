@@ -11,6 +11,7 @@
 
 use crate::aggregate::{self, AggFunc, AggMode, Partitions};
 use crate::error::{Error, Result};
+use crate::hash::RowMap;
 use crate::interval::{Interval, IntervalSet};
 use crate::predicate::Predicate;
 use crate::relation::{DuplicatePolicy, Relation};
@@ -18,7 +19,6 @@ use crate::schema::Schema;
 use crate::time::Time;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::HashMap;
 
 /// Selection `σexp_p(R)` (Equation 1): keeps unexpired tuples satisfying
 /// `p`; result tuples retain their expiration times.
@@ -191,7 +191,7 @@ pub(crate) struct HashJoin<'p> {
     schema: Schema,
     /// `(left attr, right attr)` pairs.
     keys: Vec<(usize, usize)>,
-    table: HashMap<Tuple, Vec<(Tuple, Time)>>,
+    table: RowMap<Tuple, Vec<(Tuple, Time)>>,
     /// A key's values, gathered to look a bucket up without building a
     /// tuple per row.
     scratch: Vec<Value>,
@@ -210,7 +210,7 @@ impl<'p> HashJoin<'p> {
             p,
             schema: left.product(right),
             keys,
-            table: HashMap::new(),
+            table: RowMap::default(),
             scratch: Vec::new(),
         })
     }

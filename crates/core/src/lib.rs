@@ -44,6 +44,7 @@ pub mod aggregate;
 pub mod algebra;
 pub mod catalog;
 pub mod error;
+pub mod hash;
 pub mod interval;
 pub mod materialize;
 pub mod patch;

@@ -24,12 +24,12 @@
 //! *eager removal* of Section 3.2).
 
 use crate::error::{Error, Result};
+use crate::hash::RowMap;
 use crate::schema::Schema;
 use crate::time::Time;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -61,7 +61,7 @@ pub struct Relation {
     /// dropped by what moves rows wholesale (`expire`, a sort, a
     /// truncation); an `exp` snapshot starts without one. A relation
     /// nobody asks about is never hashed.
-    index: OnceLock<HashMap<Tuple, usize>>,
+    index: OnceLock<RowMap<Tuple, usize>>,
 }
 
 impl Relation {
@@ -76,7 +76,7 @@ impl Relation {
     }
 
     /// The tuple index, built on first use.
-    fn index(&self) -> &HashMap<Tuple, usize> {
+    fn index(&self) -> &RowMap<Tuple, usize> {
         self.index.get_or_init(|| {
             let positions = self.rows.iter().enumerate();
             positions.map(|(i, (t, _))| (t.clone(), i)).collect()

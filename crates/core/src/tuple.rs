@@ -225,8 +225,8 @@ mod tests {
 
     #[test]
     fn equality_and_hashing_are_structural() {
-        use std::collections::HashSet;
-        let mut set = HashSet::new();
+        use crate::hash::RowSet;
+        let mut set = RowSet::default();
         set.insert(tuple![1, "a"]);
         assert!(set.contains(&tuple![1, "a"]));
         assert!(!set.contains(&tuple![1, "b"]));

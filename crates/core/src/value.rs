@@ -280,12 +280,12 @@ impl From<bool> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::hash_map::DefaultHasher;
+    use crate::hash::RowState;
+    use std::hash::BuildHasher;
 
+    /// Hashed as every table in core and storage hashes it.
     fn hash_of<T: Hash>(v: &T) -> u64 {
-        let mut h = DefaultHasher::new();
-        v.hash(&mut h);
-        h.finish()
+        RowState::default().hash_one(v)
     }
 
     #[test]
@@ -309,6 +309,22 @@ mod tests {
     fn f64_negative_zero_equals_positive_zero() {
         assert_eq!(F64::new(-0.0), F64::new(0.0));
         assert_eq!(hash_of(&F64::new(-0.0)), hash_of(&F64::new(0.0)));
+    }
+
+    /// Equal values hash equal, and an `INT` and a `FLOAT` of one
+    /// number stay apart: `Eq` tells them apart (only `total_cmp` does
+    /// not), so the hash must too.
+    #[test]
+    fn hash_agrees_with_eq() {
+        assert_eq!(hash_of(&Value::str("ab")), hash_of(&Value::str("ab")));
+        assert_ne!(hash_of(&Value::str("ab")), hash_of(&Value::str("ba")));
+        assert_eq!(hash_of(&Value::Bool(true)), hash_of(&Value::Bool(true)));
+        assert_ne!(hash_of(&Value::Bool(true)), hash_of(&Value::Bool(false)));
+        assert_eq!(hash_of(&Value::float(-0.0)), hash_of(&Value::float(0.0)));
+        let nan = hash_of(&Value::float(f64::NAN));
+        assert_eq!(nan, hash_of(&Value::float(-f64::NAN)));
+        assert_ne!(Value::Int(2), Value::float(2.0));
+        assert_ne!(hash_of(&Value::Int(2)), hash_of(&Value::float(2.0)));
     }
 
     #[test]

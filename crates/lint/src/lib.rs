@@ -15,7 +15,7 @@
 //! endpoint (DESIGN.md §11.1), plus the cross-layer diagnostics
 //! `X005`/`W103`–`W105`.
 //!
-//! The same crate hosts the repo-invariant checks (`R001`–`R011`, the
+//! The same crate hosts the repo-invariant checks (`R001`–`R012`, the
 //! `repolint` binary) that `scripts/ci.sh` runs over the workspace's own
 //! sources.
 

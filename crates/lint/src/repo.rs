@@ -227,6 +227,14 @@ const BANS: &[Ban] = &[
         message: "is the literal interpreter's; evaluation reads Input and joins with HashJoin",
         ..BAN
     },
+    Ban {
+        rule: "R012",
+        governs: &["crates/core/src", "crates/storage/src"],
+        exempt: &["crates/core/src/hash.rs"],
+        words: &["HashMap<", "HashSet<", "HashMap::new", "HashSet::new"],
+        message: "hashes with SipHash; a row-keyed table is a `RowMap`/`RowSet`",
+        ..BAN
+    },
 ];
 
 /// Whether `rel` is one of `patterns` or below it (`*` and `**` as in
@@ -752,6 +760,41 @@ mod tests {
             ],
             "{v:?}"
         );
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn r012_keeps_siphash_out_of_core_and_storage() {
+        let std_map = "pub struct Groups { index: HashMap<Tuple, usize> }\n\
+                       fn empty() -> Groups { Groups { index: HashMap::new() } }\n\
+                       /// Not a `HashSet<RowId>`: see `hash::RowSet`.\n\
+                       #[cfg(test)]\n\
+                       mod tests { fn t() { let _: HashSet<u64> = HashSet::new(); } }\n";
+        let row_map = "pub struct Groups { index: RowMap<Tuple, usize> }\n\
+                       fn empty() -> Groups { Groups { index: RowMap::default() } }\n";
+        let dir = fixture(&[
+            ("crates/core/src/aggregate/mod.rs", std_map),
+            ("crates/storage/src/table.rs", std_map),
+            ("crates/core/src/relation.rs", row_map),
+            ("crates/core/src/hash.rs", std_map),
+            ("crates/engine/src/db.rs", std_map),
+            ("tests/prop_storage.rs", std_map),
+            ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
+        ]);
+        let v = check_repo(&dir).unwrap();
+        // Lines 1 and 2 of each std-hashed core and storage file; a
+        // `RowMap`, the hasher's own file, comments, test modules, the
+        // engine's name-keyed maps and integration tests are free.
+        let at: Vec<_> = v
+            .iter()
+            .filter(|v| v.rule == "R012")
+            .map(|v| (v.path.to_str().unwrap(), v.line))
+            .collect();
+        let (agg, table) = (
+            "crates/core/src/aggregate/mod.rs",
+            "crates/storage/src/table.rs",
+        );
+        assert_eq!(at, [(agg, 1), (agg, 2), (table, 1), (table, 2)], "{v:?}");
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -9,19 +9,20 @@
 
 use super::ExpirationIndex;
 use crate::heap::RowId;
+use exptime_core::hash::RowSet;
 use exptime_core::time::Time;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Min-heap expiration index.
 #[derive(Debug, Default)]
 pub struct HeapIndex {
     heap: BinaryHeap<Reverse<(Time, RowId)>>,
-    dead: HashSet<(RowId, Time)>,
+    dead: RowSet<(RowId, Time)>,
     /// Live entries (heap minus tombstones), including immortal rows.
     live: usize,
     /// Immortal rows are not heaped (they can never pop); only counted.
-    immortal: HashSet<RowId>,
+    immortal: RowSet<RowId>,
 }
 
 impl HeapIndex {

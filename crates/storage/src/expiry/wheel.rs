@@ -13,9 +13,10 @@
 
 use super::ExpirationIndex;
 use crate::heap::RowId;
+use exptime_core::hash::RowSet;
 use exptime_core::time::Time;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// log2 of the bucket count per level.
 const SLOT_BITS: u32 = 6;
@@ -34,8 +35,8 @@ pub struct TimingWheel {
     /// Rows past the horizon.
     overflow: BinaryHeap<Reverse<(u64, RowId)>>,
     /// Immortal rows (texp = ∞): counted, never scheduled.
-    immortal: HashSet<RowId>,
-    dead: HashSet<(RowId, Time)>,
+    immortal: RowSet<RowId>,
+    dead: RowSet<(RowId, Time)>,
     live: usize,
 }
 
@@ -56,8 +57,8 @@ impl TimingWheel {
                 .collect(),
             ready: Vec::new(),
             overflow: BinaryHeap::new(),
-            immortal: HashSet::new(),
-            dead: HashSet::new(),
+            immortal: RowSet::default(),
+            dead: RowSet::default(),
             live: 0,
         }
     }

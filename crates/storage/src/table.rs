@@ -16,13 +16,14 @@ use crate::btree::BTreeIndex;
 use crate::expiry::{ExpirationIndex, IndexKind};
 use crate::heap::{RowHeap, RowId};
 use exptime_core::error::{Error, Result};
+use exptime_core::hash::RowMap;
 use exptime_core::relation::Relation;
 use exptime_core::schema::Schema;
 use exptime_core::time::Time;
 use exptime_core::tuple::Tuple;
 use exptime_core::value::Value;
 use exptime_obs::{Counter, HorizonForecast, MetricsRegistry, Obs, Tracer};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// Running counters for one table — a point-in-time snapshot of the
 /// table's observability counters (see [`Table::attach_obs`]).
@@ -101,8 +102,8 @@ pub struct Table {
     schema: Schema,
     heap: RowHeap,
     expiry: Box<dyn ExpirationIndex + Send>,
-    primary: HashMap<Tuple, RowId>,
-    secondary: HashMap<usize, BTreeIndex>,
+    primary: RowMap<Tuple, RowId>,
+    secondary: RowMap<usize, BTreeIndex>,
     counters: TableCounters,
     tracer: Tracer,
     /// See [`Table::write_version`].
@@ -130,8 +131,8 @@ impl Table {
             schema,
             heap: RowHeap::new(),
             expiry: index.build(),
-            primary: HashMap::new(),
-            secondary: HashMap::new(),
+            primary: RowMap::default(),
+            secondary: RowMap::default(),
             counters: TableCounters::default(),
             tracer: Tracer::detached(),
             write_version: 0,
@@ -257,24 +258,27 @@ impl Table {
                 now,
             });
         }
-        if let Some(&id) = self.primary.get(&tuple) {
-            let (_, old) = self.heap.get(id).expect("primary index out of sync");
-            if texp > old {
-                self.heap.set_texp(id, texp);
-                self.expiry.remove(id, old);
-                self.expiry.insert(id, texp);
+        match self.primary.entry(tuple) {
+            Entry::Occupied(slot) => {
+                let id = *slot.get();
+                let (_, old) = self.heap.get(id).expect("primary index out of sync");
+                if texp > old {
+                    self.heap.set_texp(id, texp);
+                    self.expiry.remove(id, old);
+                    self.expiry.insert(id, texp);
+                }
+                self.counters.upserts.inc();
             }
-            self.counters.upserts.inc();
-            self.write_version += 1;
-            return Ok(());
+            Entry::Vacant(slot) => {
+                let id = self.heap.insert(slot.key().clone(), texp);
+                self.expiry.insert(id, texp);
+                for (attr, ix) in &mut self.secondary {
+                    ix.insert(slot.key().attr(*attr), id);
+                }
+                slot.insert(id);
+                self.counters.inserts.inc();
+            }
         }
-        let id = self.heap.insert(tuple.clone(), texp);
-        self.expiry.insert(id, texp);
-        for (attr, ix) in &mut self.secondary {
-            ix.insert(tuple.attr(*attr), id);
-        }
-        self.primary.insert(tuple, id);
-        self.counters.inserts.inc();
         self.write_version += 1;
         Ok(())
     }

@@ -16,7 +16,7 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 
-# Repo-invariant lint: the rules R001–R011 of DESIGN.md §11.3.
+# Repo-invariant lint: the rules R001–R012 of DESIGN.md §11.3.
 cargo run --release -q -p exptime-lint --bin repolint
 
 # Analyzer golden tests: the Fig. 3 anomalies must flag their exact

@@ -72,7 +72,7 @@ pub fn tolerant_texp(
         let mut apply = |rows: &[Row]| f.apply(rows);
         return super::nu::nu(tau, partition, &mut apply);
     };
-    for e in super::nu::event_times(tau, partition) {
+    for e in super::nu::event_times(tau, partition.iter().map(|r| r.1)) {
         match numeric_at(f, partition, e)? {
             Some(v) if tolerance.accepts(original, v) => {}
             _ => return Ok(e), // drifted out of bounds, or partition died
@@ -97,7 +97,7 @@ pub fn tolerant_validity(
         let mut apply = |rows: &[Row]| f.apply(rows);
         return super::nu::tuple_validity(tau, partition, &mut apply);
     };
-    let events = super::nu::event_times(tau, partition);
+    let events = super::nu::event_times(tau, partition.iter().map(|r| r.1));
     let mut ivs = Vec::new();
     let mut start = Some(tau); // value at τ is trivially within tolerance
     let mut prev = tau;
@@ -132,7 +132,7 @@ pub fn max_error_within(tau: Time, partition: &[Row], f: AggFunc, until: Time) -
         return Ok(0.0);
     };
     let mut worst: f64 = 0.0;
-    let events = super::nu::event_times(tau, partition);
+    let events = super::nu::event_times(tau, partition.iter().map(|r| r.1));
     for e in events.into_iter().take_while(|e| *e < until) {
         if let Some(v) = numeric_at(f, partition, e)? {
             worst = worst.max((v - original).abs());

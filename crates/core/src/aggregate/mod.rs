@@ -20,10 +20,13 @@
 //!   aggregate value first changes ([`nu::first_change`]).
 //!
 //! An evaluation groups its input exactly once: `Partitions` is `φexp`
-//! fed one lent row at a time (a row is held, not copied — a [`Tuple`] is
-//! reference-counted), and value, bound, ν and death are all read off the
-//! group's rows in place. [`AggFunc::apply`] is the definition of every
-//! function's value: whatever ν computes incrementally must equal, bit for
+//! fed one lent row at a time, and each group keeps only what its
+//! aggregate reads — its size and earliest and latest `texp`, the
+//! aggregated column if the function has one (exact `i64`s while every
+//! value is an INT), and the rows themselves only when Klug rows are
+//! emitted or contributing sets are read. Value, bound, ν and death are
+//! all read off that. [`AggFunc::apply`] is the definition of every
+//! function's value: whatever a group or ν computes must equal, bit for
 //! bit, `apply` over the survivors.
 
 pub mod approx;
@@ -37,6 +40,7 @@ use crate::time::Time;
 use crate::tuple::Tuple;
 use crate::value::{Value, ValueType};
 use std::fmt;
+use std::ops::Range;
 
 /// A row of a partition: the tuple and its expiration time.
 pub type Row = (Tuple, Time);
@@ -118,15 +122,19 @@ impl AggFunc {
     /// Returns [`Error::NonNumericAggregate`] if `sum`/`avg` meet a value
     /// with no numeric view.
     pub fn apply(&self, partition: &[Row]) -> Result<Option<Value>> {
-        self.fold(partition.iter().map(|(t, _)| t))
+        match self.attribute() {
+            Some(i) => self.fold(partition.iter().map(|(t, _)| t.attr(i))),
+            None => Ok((!partition.is_empty()).then_some(Value::Int(partition.len() as i64))),
+        }
     }
 
-    /// [`apply`](Self::apply) over tuples that are only lent, folded in
-    /// place in the order given. `min` keeps the first of several equal
-    /// minima and `max` the last of several equal maxima. `sum` and `avg`
-    /// over INT values are integer arithmetic (the `i128` total, `sum`
-    /// saturating at the `i64` bounds); once any value is a FLOAT they are
-    /// the left-to-right `f64` fold, whose result depends on that order.
+    /// [`apply`](Self::apply) over the aggregated attribute's values,
+    /// folded in the order given (`count` counts them). `min` keeps the
+    /// first of several equal minima and `max` the last of several equal
+    /// maxima. `sum` and `avg` over INT values are integer arithmetic (the
+    /// `i128` total, `sum` saturating at the `i64` bounds); once any value
+    /// is a FLOAT they are the left-to-right `f64` fold, whose result
+    /// depends on that order.
     ///
     /// # Errors
     ///
@@ -134,27 +142,20 @@ impl AggFunc {
     /// with no numeric view.
     pub(crate) fn fold<'a>(
         &self,
-        rows: impl IntoIterator<Item = &'a Tuple>,
+        values: impl IntoIterator<Item = &'a Value>,
     ) -> Result<Option<Value>> {
-        let rows = rows.into_iter();
+        let values = values.into_iter();
         let i = match *self {
             AggFunc::Count => {
-                let n = rows.count();
+                let n = values.count();
                 return Ok((n > 0).then_some(Value::Int(n as i64)));
             }
-            AggFunc::Min(i) => {
-                let min = rows.map(|t| t.attr(i)).min_by(|a, b| a.total_cmp(b));
-                return Ok(min.cloned());
-            }
-            AggFunc::Max(i) => {
-                let max = rows.map(|t| t.attr(i)).max_by(|a, b| a.total_cmp(b));
-                return Ok(max.cloned());
-            }
+            AggFunc::Min(_) => return Ok(values.min_by(|a, b| a.total_cmp(b)).cloned()),
+            AggFunc::Max(_) => return Ok(values.max_by(|a, b| a.total_cmp(b)).cloned()),
             AggFunc::Sum(i) | AggFunc::Avg(i) => i,
         };
         let (mut n, mut ints, mut floats) = (0usize, Some(0i128), 0.0f64);
-        for t in rows {
-            let v = t.attr(i);
+        for v in values {
             floats += v.as_numeric().ok_or(Error::NonNumericAggregate {
                 function: self.name(),
                 attribute: i,
@@ -205,41 +206,187 @@ pub enum AggMode {
 
 /// The stable partitioning function `φexp` of Equation 7, fed one row at
 /// a time: groups rows by equality on the grouping attributes (SQL
-/// `GROUP BY` semantics). Groups keep the order in which their keys first
-/// appeared and rows the order in which they were pushed, so output is
-/// deterministic. A pushed row is held (a reference-count bump), never
-/// copied, and a row whose key is already known allocates nothing.
-#[derive(Debug, Default)]
-pub(crate) struct Partitions {
-    groups: Vec<(Tuple, Vec<Row>)>,
+/// `GROUP BY` semantics), in the order in which their keys first
+/// appeared, so output is deterministic. A group keeps only what the
+/// function reads ([`Group`]), and the rows themselves only if asked to.
+///
+/// When the grouping positions are one ascending run `a..b` — one column,
+/// or none — a row's group is looked up by `&t.values()[a..b]` in place;
+/// otherwise the key's values are gathered into a reused buffer. Either
+/// way only a new group builds a key.
+#[derive(Debug)]
+pub(crate) struct Partitions<'a> {
+    group_by: &'a [usize],
+    run: Option<Range<usize>>,
+    f: AggFunc,
+    keep_rows: bool,
+    groups: Vec<Group>,
     index: RowMap<Tuple, usize>,
     key: Vec<Value>,
 }
 
-impl Partitions {
-    /// Adds `t`, expiring at `e`, to the group of its `group_by` values.
+impl<'a> Partitions<'a> {
+    /// Groups by `group_by` for `f`; `keep_rows` keeps each group's rows.
+    pub(crate) fn new(group_by: &'a [usize], f: AggFunc, keep_rows: bool) -> Self {
+        let start = group_by.first().copied().unwrap_or(0);
+        let ascending = group_by.iter().zip(start..).all(|(&j, k)| j == k);
+        Partitions {
+            group_by,
+            run: ascending.then(|| start..start + group_by.len()),
+            f,
+            keep_rows,
+            groups: Vec::new(),
+            index: RowMap::default(),
+            key: Vec::new(),
+        }
+    }
+
+    /// Adds `t`, expiring at `e`, to the group of its `group_by` values,
+    /// and answers whether the row was kept (copied).
     ///
     /// # Panics
     ///
     /// Panics if a grouping position is outside `t`'s arity.
-    pub(crate) fn push(&mut self, group_by: &[usize], t: &Tuple, e: Time) {
-        self.key.clear();
-        self.key.extend(group_by.iter().map(|&j| t.attr(j).clone()));
-        let group = match self.index.get(self.key.as_slice()) {
-            Some(&i) => i,
+    pub(crate) fn push(&mut self, t: &Tuple, e: Time) -> bool {
+        let Partitions {
+            group_by,
+            run,
+            f,
+            keep_rows,
+            groups,
+            index,
+            key,
+        } = self;
+        let key: &[Value] = match run {
+            Some(run) => &t.values()[run.clone()],
             None => {
-                let key = Tuple::new(self.key.clone());
-                self.index.insert(key.clone(), self.groups.len());
-                self.groups.push((key, Vec::new()));
-                self.groups.len() - 1
+                key.clear();
+                key.extend(group_by.iter().map(|&j| t.attr(j).clone()));
+                key
             }
         };
-        self.groups[group].1.push((t.clone(), e));
+        let group = match index.get(key) {
+            Some(&i) => i,
+            None => {
+                let key = Tuple::new(key);
+                index.insert(key.clone(), groups.len());
+                groups.push(Group::new(key, *f));
+                groups.len() - 1
+            }
+        };
+        groups[group].push(*f, t, e, *keep_rows);
+        *keep_rows
     }
 
-    /// The `(group key, partition rows)` pairs, in first-appearance order.
-    pub(crate) fn into_groups(self) -> Vec<(Tuple, Vec<Row>)> {
+    /// The groups, in first-appearance order.
+    pub(crate) fn into_groups(self) -> Vec<Group> {
         self.groups
+    }
+}
+
+/// One partition of `φexp`, as much of it as its aggregate reads: the
+/// summary — `|P|`, the earliest and the latest `texp` — always; the
+/// aggregated column only for a function that reads one; the rows only
+/// when they were asked for (Klug rows, contributing sets). So `count`
+/// holds no row at all: its value is `n`, its ν the earliest `texp`.
+#[derive(Debug)]
+pub(crate) struct Group {
+    /// The grouping attributes' values.
+    pub(crate) key: Tuple,
+    /// `|P|`.
+    pub(crate) n: usize,
+    /// `min texp`: the Naive bound (Equation 8).
+    pub(crate) earliest: Time,
+    /// `max texp`: when the partition is dead.
+    pub(crate) latest: Time,
+    column: Column,
+    /// The rows in the order they were pushed, if they are kept.
+    pub(crate) rows: Vec<Row>,
+}
+
+/// The aggregated attribute of a group, each value with its `texp`.
+#[derive(Debug)]
+enum Column {
+    /// `count` reads no attribute.
+    Counted,
+    /// `sum`/`avg` while every value seen is an INT, and their exact total.
+    Ints(Vec<(Time, i64)>, i128),
+    /// `min`/`max`, and `sum`/`avg` once a value is not an INT.
+    Values(Vec<(Time, Value)>),
+}
+
+impl Group {
+    fn new(key: Tuple, f: AggFunc) -> Self {
+        Group {
+            key,
+            n: 0,
+            earliest: Time::INFINITY,
+            latest: Time::ZERO,
+            column: match f {
+                AggFunc::Count => Column::Counted,
+                AggFunc::Sum(_) | AggFunc::Avg(_) => Column::Ints(Vec::new(), 0),
+                AggFunc::Min(_) | AggFunc::Max(_) => Column::Values(Vec::new()),
+            },
+            rows: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, f: AggFunc, t: &Tuple, e: Time, keep_row: bool) {
+        self.n += 1;
+        self.earliest = self.earliest.min(e);
+        self.latest = self.latest.max(e);
+        if let Some(i) = f.attribute() {
+            let v = t.attr(i);
+            match (&mut self.column, v.as_int()) {
+                (Column::Ints(ints, sum), Some(x)) => {
+                    ints.push((e, x));
+                    *sum += i128::from(x);
+                }
+                (Column::Ints(ints, _), None) => {
+                    let mut values: Vec<_> =
+                        ints.iter().map(|&(e, x)| (e, Value::Int(x))).collect();
+                    values.push((e, v.clone()));
+                    self.column = Column::Values(values);
+                }
+                (Column::Values(values), _) => values.push((e, v.clone())),
+                (Column::Counted, _) => unreachable!("count reads no attribute"),
+            }
+        }
+        if keep_row {
+            self.rows.push((t.clone(), e));
+        }
+    }
+
+    /// `f` over the partition: equal, bit for bit, to
+    /// [`AggFunc::apply`] over its rows in push order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NonNumericAggregate`] if `sum`/`avg` met a value
+    /// with no numeric view.
+    pub(crate) fn value(&self, f: AggFunc) -> Result<Value> {
+        Ok(match &self.column {
+            Column::Counted => Value::Int(self.n as i64),
+            Column::Ints(_, sum) => f.of_int_sum(*sum, self.n),
+            Column::Values(values) => f
+                .fold(values.iter().map(|(_, v)| v))?
+                .expect("a group is never empty"),
+        })
+    }
+
+    /// ν of the partition: the first instant its value differs from the
+    /// one now ([`nu::first_change`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NonNumericAggregate`] as [`value`](Self::value)
+    /// does.
+    pub(crate) fn first_change(&mut self, f: AggFunc) -> Result<Time> {
+        match &mut self.column {
+            Column::Counted => Ok(self.earliest),
+            Column::Ints(ints, sum) => Ok(nu::first_change_of_ints(ints, *sum, self.earliest, f)),
+            Column::Values(values) => nu::first_change_of_values(values, f),
+        }
     }
 }
 
@@ -249,11 +396,12 @@ impl Partitions {
 /// first appear in `R`, each partition in `R`'s order.
 #[must_use]
 pub fn partition(rel: &Relation, group_by: &[usize], tau: Time) -> Vec<(Tuple, Vec<Row>)> {
-    let mut partitions = Partitions::default();
+    let mut partitions = Partitions::new(group_by, AggFunc::Count, true);
     for (t, e) in rel.iter_at(tau) {
-        partitions.push(group_by, t, e);
+        partitions.push(t, e);
     }
-    partitions.into_groups()
+    let groups = partitions.into_groups().into_iter();
+    groups.map(|group| (group.key, group.rows)).collect()
 }
 
 /// The expiration time of one aggregation result tuple for a given
@@ -433,6 +581,71 @@ mod tests {
         let parts = partition(&pol(), &[], Time::ZERO);
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].1.len(), 3);
+    }
+
+    /// `count` keeps the summary and nothing else: no row is copied.
+    #[test]
+    fn a_count_group_holds_no_row() {
+        let mut counts = Partitions::new(&[1], AggFunc::Count, false);
+        for (t, e) in pol().iter_at(Time::ZERO) {
+            assert!(!counts.push(t, e), "no row is kept");
+        }
+        let mut groups = counts.into_groups();
+        assert_eq!(groups.len(), 2);
+        assert!(groups.iter().all(|g| g.rows.is_empty()));
+        let g = &mut groups[0];
+        assert_eq!((&g.key, g.n), (&tuple![25], 2));
+        assert_eq!((g.earliest, g.latest), (Time::new(10), Time::new(15)));
+        assert_eq!(g.value(AggFunc::Count).unwrap(), Value::Int(2));
+        assert_eq!(g.first_change(AggFunc::Count).unwrap(), Time::new(10));
+    }
+
+    /// `[0, 2]` is not one run, so its key is gathered; `[1, 2]` is, so
+    /// its key is read off the row in place. Both group as `φexp` does.
+    #[test]
+    fn a_key_gathered_or_borrowed_groups_alike() {
+        let r = [
+            (tuple![1, 7, 2], Time::new(4)),
+            (tuple![2, 7, 2], Time::new(6)),
+            (tuple![1, 8, 2], Time::new(8)),
+            (tuple![1, 7, 3], Time::new(9)),
+        ];
+        for (group_by, keys) in [
+            (&[0, 2][..], [tuple![1, 2], tuple![2, 2], tuple![1, 3]]),
+            (&[1, 2][..], [tuple![7, 2], tuple![8, 2], tuple![7, 3]]),
+        ] {
+            let mut parts = Partitions::new(group_by, AggFunc::Count, true);
+            for (t, e) in &r {
+                assert!(parts.push(t, *e), "rows are kept");
+            }
+            let groups = parts.into_groups();
+            let got: Vec<_> = groups.iter().map(|g| (g.key.clone(), g.n)).collect();
+            let want: Vec<_> = keys.into_iter().zip([2, 1, 1]).collect();
+            assert_eq!(got, want, "{group_by:?}");
+        }
+    }
+
+    /// A `sum` column is exact `i64`s until a value is not an INT, and
+    /// then every value as it was pushed: the value and ν are still those
+    /// of the rows.
+    #[test]
+    fn an_int_column_turns_into_values_at_the_first_float() {
+        let p = vec![
+            (tuple![1, 2], Time::new(5)),
+            (tuple![2, 2.5], Time::new(7)),
+            (tuple![3, 1], Time::new(9)),
+        ];
+        for f in [AggFunc::Sum(1), AggFunc::Avg(1)] {
+            let mut parts = Partitions::new(&[], f, false);
+            for (t, e) in &p {
+                parts.push(t, *e);
+            }
+            let mut g = parts.into_groups().pop().expect("one group");
+            assert_eq!(Some(g.value(f).unwrap()), f.apply(&p).unwrap(), "{f}");
+            let mut apply = |rows: &[Row]| f.apply(rows);
+            let nu = nu::nu(Time::ZERO, &p, &mut apply).unwrap();
+            assert_eq!(g.first_change(f).unwrap(), nu, "{f}");
+        }
     }
 
     #[test]

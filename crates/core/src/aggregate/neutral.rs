@@ -21,12 +21,13 @@
 //! forever.
 
 use super::{AggFunc, Row};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::time::Time;
 
-/// Tolerance for float comparisons in the `sum`/`avg` neutrality
-/// predicates. Integer inputs are exact in `f64` far beyond any realistic
-/// partition sum, so this only matters for genuinely fractional data.
+/// Tolerance for the `sum`/`avg` neutrality predicates once a FLOAT is
+/// present. All-INT slices are compared exactly: a relative tolerance
+/// calls `10¹² + 1` "equal" to `10¹²`, and a slice it wrongly deems
+/// neutral would keep a stale value visible.
 const EPS: f64 = 1e-9;
 
 fn nearly_eq(a: f64, b: f64) -> bool {
@@ -101,55 +102,47 @@ pub fn is_neutral(slice: &[Row], partition: &[Row], f: AggFunc) -> Result<bool> 
                 .iter()
                 .all(|(t, e)| t.attr(i).total_cmp(&max).is_lt() || *e < max_achiever_texp))
         }
-        AggFunc::Sum(i) => {
-            let mut s = 0.0;
-            for (t, _) in slice {
-                match t.attr(i).as_numeric() {
-                    Some(v) => s += v,
-                    None => {
-                        return Err(crate::error::Error::NonNumericAggregate {
-                            function: "sum",
-                            attribute: i,
-                        })
-                    }
-                }
-            }
-            Ok(nearly_eq(s, 0.0))
-        }
+        AggFunc::Sum(i) => Ok(match total(slice, i, f)? {
+            (_, Some(exact)) => exact == 0,
+            (s, None) => nearly_eq(s, 0.0),
+        }),
+        // Σ_{t∈N} t(i) = (|N| / |P|) Σ_{r∈P} r(i)
         AggFunc::Avg(i) => {
-            let total: f64 = {
-                let mut acc = 0.0;
-                for (t, _) in partition {
-                    acc +=
-                        t.attr(i)
-                            .as_numeric()
-                            .ok_or(crate::error::Error::NonNumericAggregate {
-                                function: "avg",
-                                attribute: i,
-                            })?;
+            let (all, all_exact) = total(partition, i, f)?;
+            let (s, exact) = total(slice, i, f)?;
+            let (n, p) = (slice.len(), partition.len());
+            Ok(match (exact, all_exact) {
+                (Some(s), Some(all)) => {
+                    s * p as i128 == n as i128 * all && all.unsigned_abs() <= EXACT_F64
                 }
-                acc
-            };
-            let slice_sum: f64 = {
-                let mut acc = 0.0;
-                for (t, _) in slice {
-                    acc +=
-                        t.attr(i)
-                            .as_numeric()
-                            .ok_or(crate::error::Error::NonNumericAggregate {
-                                function: "avg",
-                                attribute: i,
-                            })?;
-                }
-                acc
-            };
-            // Σ_{t∈N} t(i) = (|N| / |P|) Σ_{r∈P} r(i)
-            Ok(nearly_eq(
-                slice_sum,
-                (slice.len() as f64 / partition.len() as f64) * total,
-            ))
+                _ => nearly_eq(s, (n as f64 / p as f64) * all),
+            })
         }
     }
+}
+
+/// The largest integer magnitude up to which every integer is an `f64`.
+/// An INT `avg` is emitted as `total as f64 / n as f64`; when `|Σ_P|` is at
+/// most this, so is the total left after removing any union of slices of
+/// `P`'s mean, and each such quotient is the one correctly rounded `f64` of
+/// the same rational. A larger total is rounded before the division, and
+/// the rounding can differ from one survivor set to the next: three rows of
+/// `2⁶⁰ + 127` average to `2⁶⁰ + 256`, two of them to `2⁶⁰`.
+const EXACT_F64: u128 = 1 << 53;
+
+/// The total of attribute `i` over `rows`: in `f64`, and exactly when
+/// every value is an INT.
+fn total(rows: &[Row], i: usize, f: AggFunc) -> Result<(f64, Option<i128>)> {
+    let (mut floats, mut ints) = (0.0, Some(0i128));
+    for (t, _) in rows {
+        let v = t.attr(i);
+        floats += v.as_numeric().ok_or(Error::NonNumericAggregate {
+            function: f.name(),
+            attribute: i,
+        })?;
+        ints = ints.zip(v.as_int()).map(|(s, x)| s + i128::from(x));
+    }
+    Ok((floats, ints))
 }
 
 /// The contributing set `C_{f,P}` of Definition 2: the partition minus every
@@ -306,6 +299,35 @@ mod tests {
         assert_eq!(
             contributing_texp(&p, AggFunc::Avg(1)).unwrap(),
             Time::new(9)
+        );
+    }
+
+    /// `10¹² + 1` is within any relative tolerance of `10¹²`, but its
+    /// departure at 3 changes the average: the slice is not neutral, and
+    /// the contributing bound must not outlive the exact one.
+    #[test]
+    fn an_int_slice_that_moves_the_average_is_not_neutral() {
+        const BIG: i64 = 1_000_000_000_000;
+        let p = vec![row(1, BIG, 10), row(2, BIG + 1, 3)];
+        let exact = crate::aggregate::nu::first_change(Time::ZERO, &p, AggFunc::Avg(1)).unwrap();
+        assert_eq!(exact, Time::new(3));
+        assert_eq!(contributing_texp(&p, AggFunc::Avg(1)).unwrap(), exact);
+    }
+
+    /// Every slice of three equal values has the partition's mean, but
+    /// past 2⁵³ the `f64` average of three is not that of two.
+    #[test]
+    fn an_int_mean_past_f64_precision_is_not_neutral() {
+        const V: i64 = (1 << 60) + 127;
+        let p = vec![row(1, V, 3), row(2, V, 6), row(3, V, 9)];
+        let exact = crate::aggregate::nu::first_change(Time::ZERO, &p, AggFunc::Avg(1)).unwrap();
+        assert_eq!(exact, Time::new(3), "2⁶⁰ + 256, then 2⁶⁰");
+        assert_eq!(contributing_texp(&p, AggFunc::Avg(1)).unwrap(), exact);
+        let small = vec![row(1, 7, 3), row(2, 7, 6), row(3, 7, 9)];
+        assert_eq!(
+            contributing_texp(&small, AggFunc::Avg(1)).unwrap(),
+            Time::new(9),
+            "below 2⁵³ a slice at the mean is neutral"
         );
     }
 

@@ -17,19 +17,22 @@
 //! There are two readings of that here, and they are kept apart.
 //!
 //! **Production: [`first_change`].** An evaluation needs one number per
-//! partition — the first change point — so that is all it computes: no
-//! row is cloned, and it stops at the first time slice whose value
-//! differs from the one at `τ`. Each standard function has its own rule
-//! (count: the earliest expiration; min/max: the latest expiration among
-//! the rows holding the extreme; INT sum/avg: one sort by `texp` and an
-//! exact running total carried from slice to slice — delta summation
-//! over the sorted change points). FLOAT sum/avg have no such shortcut:
-//! `f64` addition is not associative, so a running total and a fresh
-//! fold of the survivors can differ in the last bit, and the value a
+//! partition — the first change point — so that is all it computes, off
+//! what the partition's group keeps (see [`super`]), and it stops at the
+//! first time slice whose value differs from the one at `τ`. Each
+//! standard function has its own rule. Count: the earliest expiration,
+//! from the group's summary. Min/max: the latest expiration among the
+//! values holding the extreme. INT sum/avg: one linear pass totals the
+//! earliest slice, whose departure almost always changes the value; only
+//! a slice that cancels costs a sort by `texp`, after which an exact
+//! running total is carried from slice to slice — delta summation over
+//! the sorted change points. FLOAT sum/avg have no such shortcut: `f64`
+//! addition is not associative, so a running total and a fresh fold of
+//! the survivors can differ in the last bit, and the value a
 //! recomputation would emit is by definition
 //! [`AggFunc::apply`](super::AggFunc::apply) over the survivors in input
-//! order. For those, each slice folds the survivors again (in place), and
-//! still stops at the first difference.
+//! order. For those, each slice folds the surviving values again (in
+//! place), and still stops at the first difference.
 //!
 //! **Oracle: [`value_timeline`], [`nu`], [`nu_naive`].** The
 //! closure-generic definitions — any deterministic `f`, the whole
@@ -50,7 +53,7 @@
 //! the first instant at which the value differs — `ν_literal + 1` — which
 //! is the quantity every use site in the paper actually needs.
 
-use super::{AggFunc, Row};
+use super::{AggFunc, Partitions, Row};
 use crate::error::Result;
 use crate::interval::{Interval, IntervalSet};
 use crate::time::Time;
@@ -71,11 +74,10 @@ fn surviving(partition: &[Row], tau: Time) -> Vec<Row> {
 }
 
 /// The only instants after `τ` at which the aggregate value can change:
-/// the partition's distinct finite expiration times, ascending.
-pub(super) fn event_times(tau: Time, partition: &[Row]) -> Vec<Time> {
-    let mut events: Vec<Time> = partition
-        .iter()
-        .map(|(_, e)| *e)
+/// the distinct finite expiration times among `texps`, ascending.
+pub(super) fn event_times(tau: Time, texps: impl IntoIterator<Item = Time>) -> Vec<Time> {
+    let mut events: Vec<Time> = texps
+        .into_iter()
         .filter(|e| e.is_finite() && *e > tau)
         .collect();
     events.sort_unstable();
@@ -98,7 +100,7 @@ pub fn value_timeline(
     f: AggFn<'_>,
 ) -> Result<Vec<(Time, Option<Value>)>> {
     let mut timeline = vec![(tau, f(&surviving(partition, tau))?)];
-    for e in event_times(tau, partition) {
+    for e in event_times(tau, partition.iter().map(|r| r.1)) {
         let v = f(&surviving(partition, e))?;
         if v != timeline.last().expect("timeline non-empty").1 {
             timeline.push((e, v));
@@ -143,56 +145,54 @@ pub fn nu(tau: Time, partition: &[Row], f: AggFn<'_>) -> Result<Time> {
 }
 
 /// ν for the standard functions, as evaluation computes it: equal to
-/// [`nu`] over [`AggFunc::apply`] (property-tested), but it clones no row
-/// and stops at the first time slice at which the emitted value differs
-/// from the one at `τ`. The module docs give the per-function rules.
+/// [`nu`] over [`AggFunc::apply`] (property-tested). The rows alive at `τ`
+/// are grouped as an evaluation groups them, keeping only what `f` reads,
+/// and the group's first change point is found without a timeline; the
+/// module docs give the per-function rules.
 ///
 /// # Errors
 ///
 /// Propagates [`Error::NonNumericAggregate`](crate::error::Error) from `f`.
 pub fn first_change(tau: Time, partition: &[Row], f: AggFunc) -> Result<Time> {
-    let alive = || partition.iter().filter(move |(_, e)| *e > tau);
-    match f {
-        // Every departure changes the count.
-        AggFunc::Count => Ok(Time::min_of(alive().map(|(_, e)| *e)).unwrap_or(Time::INFINITY)),
-        AggFunc::Min(i) | AggFunc::Max(i) => {
-            let Some(extreme) = f.fold(alive().map(|(t, _)| t))? else {
-                return Ok(Time::INFINITY);
-            };
-            let holders = alive().filter(|(t, _)| t.attr(i).total_cmp(&extreme).is_eq());
-            // While one holder lives the extreme is held; when the last
-            // goes, what is left is strictly beyond it, or nothing. Only
-            // an untyped column can hold `2` and `2.0` at once, and then
-            // which of them is emitted depends on who is left.
-            if holders.clone().all(|(t, _)| *t.attr(i) == extreme) {
-                Ok(holders.map(|(_, e)| *e).max().expect("the extreme is held"))
-            } else {
-                first_change_by_folding(tau, partition, f)
-            }
-        }
-        AggFunc::Sum(i) | AggFunc::Avg(i) => {
-            let ints: Option<Vec<(Time, i64)>> = alive()
-                .map(|(t, e)| t.attr(i).as_int().map(|v| (*e, v)))
-                .collect();
-            match ints {
-                Some(ints) => Ok(first_change_of_int_sum(ints, f)),
-                None => first_change_by_folding(tau, partition, f),
-            }
-        }
+    let mut whole = Partitions::new(&[], f, false);
+    for (t, e) in partition.iter().filter(|(_, e)| *e > tau) {
+        whole.push(t, *e);
+    }
+    match whole.into_groups().pop() {
+        Some(mut group) => group.first_change(f),
+        None => Ok(Time::INFINITY),
     }
 }
 
-/// Delta summation: the rows sorted once by `texp`, and the exact total
-/// and count carried from each time slice to the next.
-fn first_change_of_int_sum(mut rows: Vec<(Time, i64)>, f: AggFunc) -> Time {
-    if rows.is_empty() {
+/// Delta summation over a group's INT values, whose exact total is `sum`
+/// and earliest expiration `earliest`. One linear pass totals the earliest
+/// time slice; if its departure changes the value — almost always — that
+/// is the answer. Only a slice that cancels costs a sort by `texp`, after
+/// which the exact total and count are carried from each slice to the
+/// next.
+pub(super) fn first_change_of_ints(
+    ints: &mut [(Time, i64)],
+    sum: i128,
+    earliest: Time,
+    f: AggFunc,
+) -> Time {
+    if !earliest.is_finite() {
         return Time::INFINITY;
     }
-    rows.sort_unstable_by_key(|(e, _)| *e);
-    let mut sum: i128 = rows.iter().map(|&(_, v)| i128::from(v)).sum();
-    let mut n = rows.len();
-    let original = f.of_int_sum(sum, n);
-    let mut rest = rows.as_slice();
+    let (mut slice, mut k) = (0i128, 0);
+    for &(e, v) in ints.iter() {
+        if e == earliest {
+            slice += i128::from(v);
+            k += 1;
+        }
+    }
+    let original = f.of_int_sum(sum, ints.len());
+    let (mut sum, mut n) = (sum - slice, ints.len() - k);
+    if n == 0 || f.of_int_sum(sum, n) != original {
+        return earliest;
+    }
+    ints.sort_unstable_by_key(|(e, _)| *e);
+    let mut rest = &ints[k..];
     while let Some(&(at, _)) = rest.first().filter(|(e, _)| e.is_finite()) {
         let (slice, later) = rest.split_at(rest.partition_point(|(e, _)| *e == at));
         sum -= slice.iter().map(|&(_, v)| i128::from(v)).sum::<i128>();
@@ -205,14 +205,30 @@ fn first_change_of_int_sum(mut rows: Vec<(Time, i64)>, f: AggFunc) -> Time {
     Time::INFINITY
 }
 
-/// The definition, without the copies: at each distinct expiration time
-/// in turn, `f` folded over the survivors in input order, until the value
-/// differs from the one at `τ`.
-fn first_change_by_folding(tau: Time, partition: &[Row], f: AggFunc) -> Result<Time> {
-    let at = |now: Time| f.fold(partition.iter().filter(|(_, e)| *e > now).map(|(t, _)| t));
-    let original = at(tau)?;
-    for e in event_times(tau, partition) {
-        if at(e)? != original {
+/// ν over a group's values of any type. `min`/`max`: the latest expiration
+/// among the values holding the extreme. `sum`/`avg` with a FLOAT (or an
+/// untyped extreme): the definition, without the copies — at each distinct
+/// expiration time in turn, `f` folded over the survivors in push order,
+/// until the value differs from the one now.
+pub(super) fn first_change_of_values(values: &[(Time, Value)], f: AggFunc) -> Result<Time> {
+    let at = |now: Time| f.fold(values.iter().filter(|(e, _)| *e > now).map(|(_, v)| v));
+    let original = f
+        .fold(values.iter().map(|(_, v)| v))?
+        .expect("a group is never empty");
+    if let AggFunc::Min(_) | AggFunc::Max(_) = f {
+        let holders = values
+            .iter()
+            .filter(|(_, v)| v.total_cmp(&original).is_eq());
+        // While one holder lives the extreme is held; when the last goes,
+        // what is left is strictly beyond it, or nothing. Only an untyped
+        // column can hold `2` and `2.0` at once, and then which of them is
+        // emitted depends on who is left.
+        if holders.clone().all(|(_, v)| *v == original) {
+            return Ok(holders.map(|(e, _)| *e).max().expect("the extreme is held"));
+        }
+    }
+    for e in event_times(Time::ZERO, values.iter().map(|r| r.0)) {
+        if at(e)?.as_ref() != Some(&original) {
             return Ok(e);
         }
     }

@@ -29,7 +29,8 @@
 //! order. An aggregation groups its input once ([`Aggregation`]) and,
 //! under a π onto grouping attributes and the aggregate column — what a
 //! single-aggregate `GROUP BY` plans to — emits one row per group, so the
-//! Klug rows of Equation 8 are not built. A fused operator reports to the
+//! Klug rows of Equation 8 are not built and a group holds no row of its
+//! input, only what its aggregate reads. A fused operator reports to the
 //! probe as the operators it stands for. σ over an evaluated input, ∪, ∩
 //! and − are one `ops::` call over evaluated inputs.
 //!
@@ -303,8 +304,9 @@ impl<'a> Scan<'a> {
 /// `aggexp(e)`, or `πexp(aggexp(e))` with `positions`: the input is grouped
 /// exactly once ([`Aggregation`]) from the rows [`Input`] hands it, and
 /// rows, `texp(e)` and validity all come from that one grouping. The
-/// positions of a π directly above go to [`Aggregation::finish`], which
-/// emits `GROUP BY` output one row per group. The aggregation reports the
+/// positions of a π directly above go to [`Aggregation::new`], so that
+/// `GROUP BY` output is emitted one row per group and a lent row is
+/// copied only if the Klug rows need it. The aggregation reports the
 /// Klug cardinality it stands for, built or not, and errors keep the
 /// unfused order: the input's, the aggregation's, then the π's.
 fn eval_aggregate<P: Probe>(
@@ -326,12 +328,9 @@ fn eval_aggregate<P: Probe>(
     probe.enter(node);
     let i = Input::open(input, catalog, tau, opts, probe)?;
     let schema = i.schema().clone();
-    let mut agg = Aggregation::new(&schema, group_by, *func, opts.agg_mode, tau)?;
-    let i = i.run(catalog, tau, probe, |t, e| {
-        agg.push(t, e);
-        Ok(true)
-    })?;
-    let out = agg.finish(positions)?;
+    let mut agg = Aggregation::new(&schema, group_by, *func, opts.agg_mode, tau, positions)?;
+    let i = i.run(catalog, tau, probe, |t, e| Ok(agg.push(t, e)))?;
+    let out = agg.finish()?;
     let texp = i.texp.min(out.meta.texp);
     probe.leave(out.klug_rows, 0, texp);
     Ok(Sub {

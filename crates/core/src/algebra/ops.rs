@@ -405,19 +405,28 @@ pub struct AggregateMeta {
     pub validity: IntervalSet,
 }
 
-/// One evaluation of `aggexp_{j1,…,jn,f}` at `τ`: rows go in one at a
-/// time — lent by a scan or read from a built relation — and are grouped
-/// once; [`finish`](Self::finish) reads the value, the mode's bound, ν and
-/// the partition's death off each group and derives the output rows and
-/// the [`AggregateMeta`] from them.
+/// One evaluation of `aggexp_{j1,…,jn,f}` at `τ`, or of the projection
+/// `πexp(aggexp)` directly above it: rows go in one at a time — lent by a
+/// scan or read from a built relation — and are grouped once, each group
+/// keeping only what the function and the output read;
+/// [`finish`](Self::finish) reads the value, the mode's bound, ν and the
+/// partition's death off each group and derives the output rows and the
+/// [`AggregateMeta`] from them.
 #[derive(Debug)]
 pub(crate) struct Aggregation<'a> {
     input: &'a Schema,
-    group_by: &'a [usize],
     f: AggFunc,
     mode: AggMode,
     tau: Time,
-    partitions: Partitions,
+    positions: Option<&'a [usize]>,
+    /// Per output column, its grouping attribute's index in the key — or
+    /// `None` for the aggregate column — when the projection emits one
+    /// row per group.
+    per_group: Option<Vec<Option<usize>>>,
+    /// Whether the per-group rows keep every grouping attribute, so no two
+    /// coincide.
+    groups_distinct: bool,
+    partitions: Partitions<'a>,
 }
 
 /// What [`Aggregation::finish`] returns.
@@ -431,6 +440,13 @@ pub(crate) struct Aggregated {
 }
 
 impl<'a> Aggregation<'a> {
+    /// With `positions`, the result is `πexp_positions(aggexp(R))`. When
+    /// every position is a grouping attribute or the aggregate column —
+    /// SQL's `GROUP BY` output, Figure 3(a)'s
+    /// `πexp_{2,3}(aggexp_{{2},count}(Pol))` — the Klug rows are not
+    /// built, so a group keeps no row unless the contributing sets of
+    /// [`AggMode::Contributing`] read them.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::AttributeOutOfRange`] on a grouping or aggregated
@@ -441,25 +457,36 @@ impl<'a> Aggregation<'a> {
         f: AggFunc,
         mode: AggMode,
         tau: Time,
+        positions: Option<&'a [usize]>,
     ) -> Result<Self> {
         let arity = input.arity();
         if let Some(&index) = group_by.iter().find(|&&j| j >= arity) {
             return Err(Error::AttributeOutOfRange { index, arity });
         }
         f.validate(arity)?;
+        let per_group =
+            positions.filter(|ps| ps.iter().all(|&p| p == arity || group_by.contains(&p)));
+        let groups_distinct = per_group.is_some_and(|ps| group_by.iter().all(|g| ps.contains(g)));
+        let per_group = per_group.map(|ps| {
+            let in_key = |p: usize| group_by.iter().position(|&g| g == p);
+            ps.iter().map(|&p| in_key(p)).collect()
+        });
+        let keep_rows = per_group.is_none() || mode == AggMode::Contributing;
         Ok(Aggregation {
             input,
-            group_by,
             f,
             mode,
             tau,
-            partitions: Partitions::default(),
+            positions,
+            per_group,
+            groups_distinct,
+            partitions: Partitions::new(group_by, f, keep_rows),
         })
     }
 
-    /// Adds one row of `expτ(R)`.
-    pub(crate) fn push(&mut self, t: &Tuple, e: Time) {
-        self.partitions.push(self.group_by, t, e);
+    /// Adds one row of `expτ(R)`, and answers whether it was kept (copied).
+    pub(crate) fn push(&mut self, t: &Tuple, e: Time) -> bool {
+        self.partitions.push(t, e)
     }
 
     /// Equation 8, Klug-style: every input tuple extended with the
@@ -470,16 +497,12 @@ impl<'a> Aggregation<'a> {
     /// "the same expiration time" to the partition), but a fresh
     /// evaluation after `texp_R(r)` would not contain `⟨r, a⟩` at all.
     ///
-    /// With `positions`, the result is `πexp_positions` of that. When every
-    /// position is a grouping attribute or the aggregate column — SQL's
-    /// `GROUP BY` output, Figure 3(a)'s `πexp_{2,3}(aggexp_{{2},count}(Pol))`
-    /// — the Klug rows are not built: all rows of a group coincide under
-    /// the projection, and Equation 3's maximum over them is
-    /// `min(bound, max texp of the group)`, so one row per group is
-    /// emitted. The groups' rows are distinct when the projection keeps
-    /// every grouping attribute; when it drops one, groups can coincide
-    /// and `KeepMax` merges them. The Klug rows are distinct because the
-    /// input rows are.
+    /// Projected one row per group (see [`new`](Self::new)): all rows of a
+    /// group coincide under the projection, and Equation 3's maximum over
+    /// them is `min(bound, max texp of the group)`. The groups' rows are
+    /// distinct when the projection keeps every grouping attribute; when it
+    /// drops one, groups can coincide and `KeepMax` merges them. The Klug
+    /// rows are distinct because the input rows are.
     ///
     /// The metadata, per partition: the result goes wrong at the first
     /// change of the value (ν) or, under a conservative `mode`, already at
@@ -492,36 +515,35 @@ impl<'a> Aggregation<'a> {
     /// # Errors
     ///
     /// Returns non-numeric aggregation errors, then the projection's.
-    pub(crate) fn finish(self, positions: Option<&[usize]>) -> Result<Aggregated> {
+    pub(crate) fn finish(self) -> Result<Aggregated> {
         let Aggregation {
             input,
-            group_by,
             f,
             mode,
             tau,
+            positions,
+            per_group,
+            groups_distinct,
             partitions,
         } = self;
-        let arity = input.arity();
         let input_ty = f.attribute().map(|i| input.attr(i).ty);
         let schema = input.append(&f.to_string(), f.result_type(input_ty));
-        let per_group =
-            positions.filter(|ps| ps.iter().all(|&p| p == arity || group_by.contains(&p)));
-        let groups_distinct = per_group.is_some_and(|ps| group_by.iter().all(|g| ps.contains(g)));
-        let mut rel = Relation::new(match per_group {
-            Some(ps) => schema.project(ps)?,
-            None => schema,
+        let mut rel = Relation::new(match (positions, &per_group) {
+            (Some(ps), Some(_)) => schema.project(ps)?,
+            _ => schema,
         });
         let mut texp = Time::INFINITY;
         let mut holes = Vec::new();
         let mut klug_rows = 0;
-        for (_, rows) in partitions.into_groups() {
-            let value = f.apply(&rows)?.expect("partitions are non-empty");
-            let nu = aggregate::nu::first_change(tau, &rows, f)?;
+        for mut group in partitions.into_groups() {
+            let value = group.value(f)?;
+            let nu = group.first_change(f)?;
             let bound = match mode {
+                AggMode::Naive => group.earliest,
+                AggMode::Contributing => aggregate::neutral::contributing_texp(&group.rows, f)?,
                 AggMode::Exact => nu,
-                _ => aggregate::result_texp(&rows, f, mode, tau)?,
             };
-            let death = aggregate::nu::partition_death(&rows).expect("partitions are non-empty");
+            let death = group.latest;
             // Wrong from the cut until the partition is dead — even where
             // the value returns, for the materialised tuples are gone and
             // cannot reappear (see `AggregateMeta::validity`).
@@ -531,12 +553,11 @@ impl<'a> Aggregation<'a> {
                 holes.push(Interval::new(cut, death));
             }
 
-            klug_rows += rows.len();
-            match per_group {
-                Some(ps) => {
-                    let first = &rows[0].0;
-                    let row = ps.iter().map(|&p| match first.get(p) {
-                        Some(v) => v.clone(),
+            klug_rows += group.n;
+            match &per_group {
+                Some(cols) => {
+                    let row = cols.iter().map(|col| match col {
+                        Some(j) => group.key.attr(*j).clone(),
                         None => value.clone(),
                     });
                     let row = Tuple::new(row.collect::<Vec<_>>());
@@ -547,7 +568,7 @@ impl<'a> Aggregation<'a> {
                     }
                 }
                 None => {
-                    for (t, e) in &rows {
+                    for (t, e) in &group.rows {
                         rel.push_distinct(t.append(value.clone()), bound.min(*e));
                     }
                 }
@@ -581,11 +602,11 @@ pub fn aggregate(
     mode: AggMode,
     tau: Time,
 ) -> Result<(Relation, AggregateMeta)> {
-    let mut agg = Aggregation::new(r.schema(), group_by, f, mode, tau)?;
+    let mut agg = Aggregation::new(r.schema(), group_by, f, mode, tau, None)?;
     for (t, e) in r.iter_at(tau) {
         agg.push(t, e);
     }
-    let out = agg.finish(None)?;
+    let out = agg.finish()?;
     Ok((out.rel, out.meta))
 }
 

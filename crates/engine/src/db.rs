@@ -1589,7 +1589,7 @@ mod tests {
             .collect::<std::collections::BTreeSet<_>>()
             .len() as u64;
         // (statement, tables named, rows copied out of storage)
-        let cases: [(&str, &[&str], u64); 10] = [
+        let cases: [(&str, &[&str], u64); 12] = [
             ("SELECT * FROM big WHERE k = 7", &["big"], 1),
             (
                 "SELECT * FROM big WHERE k >= 100 AND k < 200",
@@ -1619,13 +1619,18 @@ mod tests {
                 big_live + small_live,
             ),
             ("SELECT * FROM big", &["big"], big_live),
-            // An aggregation holds each row it groups, once: straight
-            // from the scan, not through a copy of the table first.
-            ("SELECT v, COUNT(*) FROM big GROUP BY v", &["big"], big_live),
+            // A `GROUP BY` keeps what its aggregate reads, never a row:
+            // `COUNT(*)` the group's size, `AVG` its values.
+            ("SELECT v, COUNT(*) FROM big GROUP BY v", &["big"], 0),
+            ("SELECT COUNT(*) FROM big WHERE k < 50", &["big"], 0),
+            ("SELECT v, AVG(k) FROM big GROUP BY v", &["big"], 0),
+            // HAVING's σ reads the bare aggregate's Klug rows, so each
+            // grouped row is held, once: straight from the scan, not
+            // through a copy of the table first.
             (
-                "SELECT COUNT(*) FROM big WHERE k < 50",
+                "SELECT v, COUNT(*) FROM big GROUP BY v HAVING COUNT(*) > 1",
                 &["big"],
-                big(&|k| k < 50),
+                big_live,
             ),
             // A write finds its rows with the read's scan. Last: it
             // removes the row.

@@ -52,6 +52,21 @@ cargo run --release -q -p exptime-bench --bin experiments -- --quick e6 e6chaos 
     | diff -u tests/golden/experiments/e6.txt - \
     || { echo "experiments e6 e6chaos: output differs from its golden"; exit 1; }
 
+# Figure and aggregate-experiment goldens: the paper's figures and the
+# E4 (lifetime by aggregation mode) and E9 (approximate sums) reports
+# print exactly tests/golden/figures.txt and
+# tests/golden/experiments/e4_e9.txt. None reads a clock, so any
+# difference is a change in what an operator or an aggregation mode
+# computes; when one is meant, regenerate the files with
+# `cargo run --release -q -p exptime-bench --bin figures > tests/golden/figures.txt` and
+# `cargo run --release -q -p exptime-bench --bin experiments -- --quick e4 e9 > tests/golden/experiments/e4_e9.txt`.
+cargo run --release -q -p exptime-bench --bin figures \
+    | diff -u tests/golden/figures.txt - \
+    || { echo "figures: output differs from its golden"; exit 1; }
+cargo run --release -q -p exptime-bench --bin experiments -- --quick e4 e9 \
+    | diff -u tests/golden/experiments/e4_e9.txt - \
+    || { echo "experiments e4 e9: output differs from its golden"; exit 1; }
+
 # Experiments smoke: every experiment id at reduced scale. Each one
 # asserts its own claims as it runs (E6-chaos: message counts and
 # recovery at every loss rate; E8-scope: forecast within one log2

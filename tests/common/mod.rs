@@ -82,7 +82,11 @@ pub fn arb_expr() -> impl Strategy<Value = Expr> {
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.difference(b)),
             // Aggregation appends a column; project back to arity 2. Avg
             // is excluded: it appends a FLOAT, which would break the
-            // union compatibility of (INT, INT) subexpressions.
+            // union compatibility of (INT, INT) subexpressions. The three
+            // projections are the three output shapes: one row per group;
+            // Klug rows built and then projected, for a non-grouping
+            // attribute is kept; and one row per group merged by
+            // `KeepMax`, for a grouping attribute is dropped.
             (
                 inner.clone(),
                 prop_oneof![
@@ -90,9 +94,14 @@ pub fn arb_expr() -> impl Strategy<Value = Expr> {
                     Just(AggFunc::Sum(1)),
                     Just(AggFunc::Min(1)),
                     Just(AggFunc::Max(1)),
-                ]
+                ],
+                0usize..3,
             )
-                .prop_map(|(e, f)| e.aggregate([0], f).project([0, 2])),
+                .prop_map(|(e, f, shape)| match shape {
+                    0 => e.aggregate([0], f).project([0, 2]),
+                    1 => e.aggregate([0], f).project([1, 2]),
+                    _ => e.aggregate([0, 1], f).project([0, 2]),
+                }),
         ]
     })
 }

@@ -16,16 +16,23 @@ use proptest::prelude::*;
 
 const HORIZON: u64 = 80;
 
+/// Values within a few units of one base per partition: 0, so that slices
+/// cancel and extremes are shared, or ±2ᵏ up to 2⁶⁰ — far enough from 0
+/// that no relative tolerance sees the differences, and past 2⁵³ too far
+/// for an `f64` to hold the totals.
 fn arb_partition() -> impl Strategy<Value = Vec<Row>> {
-    proptest::collection::vec(
-        (
-            0i64..64,
-            -3i64..4,
-            prop_oneof![4 => (1u64..40).prop_map(Time::new), 1 => Just(Time::INFINITY)],
-        )
-            .prop_map(|(id, v, e)| (Tuple::new(vec![Value::Int(id), Value::Int(v)]), e)),
-        1..12,
-    )
+    let row = (
+        0i64..64,
+        -3i64..4,
+        prop_oneof![4 => (1u64..40).prop_map(Time::new), 1 => Just(Time::INFINITY)],
+    );
+    let magnitude =
+        (0u32..61, any::<bool>()).prop_map(|(k, neg)| (1i64 << k) * if neg { -1 } else { 1 });
+    let base = prop_oneof![2 => Just(0), 3 => magnitude];
+    (base, proptest::collection::vec(row, 1..12)).prop_map(|(base, rows)| {
+        let row = |(id, v, e)| (Tuple::new(vec![Value::Int(id), Value::Int(base + v)]), e);
+        rows.into_iter().map(row).collect()
+    })
 }
 
 /// Partitions built to cancel: few distinct expiration times, so time

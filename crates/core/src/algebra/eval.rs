@@ -14,7 +14,10 @@
 //!   instants at which the materialised result, expired forward, equals a
 //!   fresh recomputation;
 //! * optionally a [`PatchQueue`] that makes a root-level difference
-//!   eternally maintainable (Theorem 3).
+//!   eternally maintainable (Theorem 3): it is there, possibly empty, for
+//!   a root difference evaluated with
+//!   [`patch_root_difference`](EvalOptions::patch_root_difference), and
+//!   only then.
 //!
 //! Every operator reads each of its inputs one way ([`Input`]): a
 //! fragment `σ* Base` — a bare `Base` included — is opened as a [`Scan`]
@@ -30,20 +33,26 @@
 //! under a π onto grouping attributes and the aggregate column — what a
 //! single-aggregate `GROUP BY` plans to — emits one row per group, so the
 //! Klug rows of Equation 8 are not built and a group holds no row of its
-//! input, only what its aggregate reads. A fused operator reports to the
-//! probe as the operators it stands for. σ over an evaluated input, ∪, ∩
-//! and − are one `ops::` call over evaluated inputs.
+//! input, only what its aggregate reads. A difference keeps its inputs as
+//! the join keeps its left and runs one kernel
+//! (`ops::one_pass_difference`), the left probing the right's tuple index
+//! in order, so one pass yields the result rows and the critical tuples.
+//! `texp(e)`, `I(e)` and — at a patched root — the Theorem 3 queue all
+//! follow from the critical tuples; an unpatched difference is a patched
+//! one whose queue holds nothing. A fused operator reports to the probe
+//! as the operators it stands for. σ over an evaluated input, ∪ and ∩ are
+//! one `ops::` call over evaluated inputs.
 //!
 //! Only π and ∪ can make two rows coincide (Equations 3 and 4), so they
 //! alone deduplicate: a π looks each projected row up by its values
 //! ([`Relation::insert_projection`]) and builds a tuple only for a new one.
 //! Every other operator appends its rows to a [`Relation`] whose tuple
-//! index is built only if something later looks a tuple up (a
-//! difference's right input, a patch, a caller).
+//! index is built only if something later looks a tuple up (the right
+//! input of a ∩ or a −, a patch, a caller).
 
 use crate::aggregate::AggMode;
 use crate::algebra::expr::Expr;
-use crate::algebra::ops::{self, Aggregation};
+use crate::algebra::ops::{self, Aggregation, CriticalTuple};
 use crate::catalog::Bindings;
 use crate::error::Result;
 use crate::interval::{Interval, IntervalSet};
@@ -209,6 +218,20 @@ struct Sub {
     rel: Relation,
     texp: Time,
     validity: IntervalSet,
+    /// The Theorem 3 queue: `Some` only for a root difference evaluated
+    /// with [`EvalOptions::patch_root_difference`].
+    patches: Option<PatchQueue>,
+}
+
+impl Sub {
+    fn new(rel: Relation, texp: Time, validity: IntervalSet) -> Self {
+        Sub {
+            rel,
+            texp,
+            validity,
+            patches: None,
+        }
+    }
 }
 
 /// A fragment `σ* Base`: the one place base rows enter an evaluation, as
@@ -333,11 +356,8 @@ fn eval_aggregate<P: Probe>(
     let out = agg.finish()?;
     let texp = i.texp.min(out.meta.texp);
     probe.leave(out.klug_rows, 0, texp);
-    Ok(Sub {
-        rel: out.rel,
-        texp,
-        validity: i.validity.intersect(&out.meta.validity),
-    })
+    let validity = i.validity.intersect(&out.meta.validity);
+    Ok(Sub::new(out.rel, texp, validity))
 }
 
 /// One input of an operator: a `σ* Base` fragment, opened, whose rows its
@@ -354,14 +374,6 @@ struct ReadInput {
     rows: usize,
     texp: Time,
     validity: IntervalSet,
-}
-
-/// The left input of a join, held until the right is hashed: a lent
-/// input's rows copied out of its scan, in order, or an evaluated input's
-/// result as it is.
-enum Kept {
-    Lent(Vec<(Tuple, Time)>),
-    Built(Relation),
 }
 
 impl<'a> Input<'a> {
@@ -388,14 +400,17 @@ impl<'a> Input<'a> {
         }
     }
 
-    /// Reads the input a join probes with: only a lent input's rows are
-    /// copied, for its scan lends them for the visit alone.
+    /// Reads an input that is held while another is read — a join's
+    /// left, a difference's two — as a relation: an evaluated input's
+    /// result as it is, a lent input's rows copied out of its scan, in
+    /// order, for the scan lends them for the visit alone. Only a lookup
+    /// builds the copy's tuple index.
     fn keep<P: Probe>(
         self,
         catalog: &dyn Bindings,
         tau: Time,
         probe: &mut P,
-    ) -> Result<(ReadInput, Kept)> {
+    ) -> Result<(ReadInput, Relation)> {
         match self {
             Input::Built(sub) => {
                 let read = ReadInput {
@@ -404,15 +419,15 @@ impl<'a> Input<'a> {
                     texp: sub.texp,
                     validity: sub.validity,
                 };
-                Ok((read, Kept::Built(sub.rel)))
+                Ok((read, sub.rel))
             }
             lent => {
-                let mut rows = Vec::new();
+                let mut rel = Relation::new(lent.schema().clone());
                 let read = lent.run(catalog, tau, probe, |t, e| {
-                    rows.push((t.clone(), e));
+                    rel.push_distinct(t.clone(), e);
                     Ok(true)
                 })?;
-                Ok((read, Kept::Lent(rows)))
+                Ok((read, rel))
             }
         }
     }
@@ -461,11 +476,12 @@ impl<'a> Input<'a> {
 /// `L ⋈_true R` — an empty key, so one bucket, and the product's
 /// left-major order. The inputs feed the one join kernel
 /// ([`HashJoin`](ops::HashJoin)), a `σ* Base` input straight from the rows
-/// its scan lends: the left's rows are kept as they are, in order, with no
-/// `Relation` built around them; the right's are hashed by key as they are
-/// lent; then the left probes. An evaluated left input probes from its own
-/// result. The left input is read before the right is opened, so the
-/// probe hears the operators, and errors are raised, in tree order.
+/// its scan lends: the left's rows are kept as they are, in order, in a
+/// relation whose tuple index is never built; the right's are hashed by
+/// key as they are lent; then the left probes. An evaluated left input
+/// probes from its own result. The left input is read before the right is
+/// opened, so the probe hears the operators, and errors are raised, in
+/// tree order.
 fn eval_join<P: Probe>(
     (left, right): (&Expr, &Expr),
     predicate: &Predicate,
@@ -490,15 +506,55 @@ fn eval_join<P: Probe>(
     if product.is_some() {
         probe.leave(l.rows.saturating_mul(r.rows), 0, texp);
     }
-    let rel = match &kept {
-        Kept::Lent(rows) => join.probe(rows.iter().map(|(t, e)| (t, *e))),
-        Kept::Built(rel) => join.probe(rel.iter_at(tau)),
-    };
-    Ok(Sub {
-        rel,
-        texp,
-        validity: l.validity.intersect(&r.validity),
-    })
+    let rel = join.probe(kept.iter_at(tau));
+    Ok(Sub::new(rel, texp, l.validity.intersect(&r.validity)))
+}
+
+/// `L −exp R` (Equation 10) and all that a materialised difference
+/// derives from its critical tuples, in one pass of the difference kernel
+/// (`ops::one_pass_difference`). Both inputs are kept as [`eval_join`]
+/// keeps its left — a lent input's rows copied once, an evaluated one's
+/// result as it is — in tree order, and union compatibility is checked
+/// once both are read. The left's rows then move into the result, and the
+/// right is looked up through its own tuple index: a π's output has one
+/// already. The critical tuples, sorted stably by when they reappear, are
+/// split at the queue's cap: `patch_queue_cap` (`None`: all) at a
+/// `patched` root, 0 anywhere else. Those before it are the Theorem 3
+/// queue; the first past it bounds `texp(e)` (Equation 11, Table 2 case
+/// 3a); and each past it is missing from the result on its own interval,
+/// which `I(e)` loses — or, with no queue and `eq12_validity`, Equation
+/// 12's one coarse interval over all of them.
+fn eval_difference<P: Probe>(
+    (left, right): (&Expr, &Expr),
+    patched: bool,
+    catalog: &dyn Bindings,
+    tau: Time,
+    opts: &EvalOptions,
+    probe: &mut P,
+) -> Result<Sub> {
+    let l = Input::open(left, catalog, tau, opts, probe)?;
+    let (l, kept) = l.keep(catalog, tau, probe)?;
+    let r = Input::open(right, catalog, tau, opts, probe)?;
+    let (r, right) = r.keep(catalog, tau, probe)?;
+    let (rel, mut critical) = ops::one_pass_difference(kept, &right, tau)?;
+    // Stable: critical tuples that reappear together keep left order.
+    critical.sort_by_key(|c| c.appears_at);
+    let cap = opts.patch_queue_cap.unwrap_or(usize::MAX);
+    let past = critical.split_off(if patched { cap.min(critical.len()) } else { 0 });
+    let hole = |c: &CriticalTuple| Interval::new(c.appears_at, c.disappears_at);
+    let mut holes: Vec<_> = past.iter().map(hole).collect();
+    if opts.eq12_validity && !patched && !past.is_empty() {
+        // Equation 12: from the first reappearance to the last
+        // disappearance.
+        let end = Time::max_of(past.iter().map(|c| c.disappears_at)).expect("not empty");
+        holes = vec![Interval::new(past[0].appears_at, end)];
+    }
+    let holes = IntervalSet::from_intervals(holes);
+    let own_texp = past.first().map_or(Time::INFINITY, |c| c.appears_at);
+    let validity = l.validity.intersect(&r.validity).subtract(&holes);
+    let mut sub = Sub::new(rel, l.texp.min(r.texp).min(own_texp), validity);
+    sub.patches = patched.then(|| PatchQueue::from_critical(critical));
+    Ok(sub)
 }
 
 fn eval_rec<P: Probe>(
@@ -508,6 +564,13 @@ fn eval_rec<P: Probe>(
     opts: &EvalOptions,
     probe: &mut P,
 ) -> Result<Sub> {
+    // Only the root difference is patched (Theorem 3): below it, patching
+    // is off.
+    let patched = opts.patch_root_difference;
+    let opts = &EvalOptions {
+        patch_root_difference: false,
+        ..*opts
+    };
     // A bare `σ* Base`: its survivors, kept as they are.
     if let Some(scan) = Scan::of(expr) {
         let mut rel = Relation::new(scan.open(catalog, probe)?);
@@ -515,11 +578,7 @@ fn eval_rec<P: Probe>(
             rel.push_distinct(t.clone(), e);
             Ok(true)
         })?;
-        return Ok(Sub {
-            rel,
-            texp: Time::INFINITY,
-            validity: IntervalSet::from_time(tau),
-        });
+        return Ok(Sub::new(rel, Time::INFINITY, IntervalSet::from_time(tau)));
     }
     if let Expr::Aggregate { .. } = expr {
         return eval_aggregate(expr, None, catalog, tau, opts, probe);
@@ -534,11 +593,7 @@ fn eval_rec<P: Probe>(
             }
             _ => {
                 let i = eval_rec(input, catalog, tau, opts, probe)?;
-                Sub {
-                    rel: ops::select(&i.rel, predicate, tau)?,
-                    texp: i.texp,
-                    validity: i.validity,
-                }
+                Sub::new(ops::select(&i.rel, predicate, tau)?, i.texp, i.validity)
             }
         },
         Expr::Project { input, positions } => match &**input {
@@ -552,11 +607,7 @@ fn eval_rec<P: Probe>(
                 let i = i.run(catalog, tau, probe, |t, e| {
                     rel.insert_projection(t, positions, e, &mut scratch)
                 })?;
-                Sub {
-                    rel,
-                    texp: i.texp,
-                    validity: i.validity,
-                }
+                Sub::new(rel, i.texp, i.validity)
             }
         },
         Expr::Product { left, right } => {
@@ -566,11 +617,8 @@ fn eval_rec<P: Probe>(
         Expr::Union { left, right } => {
             let l = eval_rec(left, catalog, tau, opts, probe)?;
             let r = eval_rec(right, catalog, tau, opts, probe)?;
-            Sub {
-                rel: ops::union(&l.rel, &r.rel, tau)?,
-                texp: l.texp.min(r.texp),
-                validity: l.validity.intersect(&r.validity),
-            }
+            let rel = ops::union(&l.rel, &r.rel, tau)?;
+            Sub::new(rel, l.texp.min(r.texp), l.validity.intersect(&r.validity))
         }
         Expr::Join {
             left,
@@ -580,82 +628,15 @@ fn eval_rec<P: Probe>(
         Expr::Intersect { left, right } => {
             let l = eval_rec(left, catalog, tau, opts, probe)?;
             let r = eval_rec(right, catalog, tau, opts, probe)?;
-            Sub {
-                rel: ops::intersect(&l.rel, &r.rel, tau)?,
-                texp: l.texp.min(r.texp),
-                validity: l.validity.intersect(&r.validity),
-            }
+            let rel = ops::intersect(&l.rel, &r.rel, tau)?;
+            Sub::new(rel, l.texp.min(r.texp), l.validity.intersect(&r.validity))
         }
         Expr::Difference { left, right } => {
-            let l = eval_rec(left, catalog, tau, opts, probe)?;
-            let r = eval_rec(right, catalog, tau, opts, probe)?;
-            let meta = ops::difference_meta(&l.rel, &r.rel, tau);
-            let own_validity = if opts.eq12_validity {
-                meta.validity_eq12
-            } else {
-                meta.validity
-            };
-            Sub {
-                rel: ops::difference(&l.rel, &r.rel, tau)?,
-                // Equation 11 (with the texp_S reading; see
-                // `DifferenceMeta::texp`): min of argument expirations and
-                // the first critical reappearance.
-                texp: l.texp.min(r.texp).min(meta.texp),
-                validity: l.validity.intersect(&r.validity).intersect(&own_validity),
-            }
+            eval_difference((left, right), patched, catalog, tau, opts, probe)?
         }
     };
     probe.leave(sub.rel.len(), 0, sub.texp);
     Ok(sub)
-}
-
-/// Theorem 3 root handling: materialises a root-level difference with a
-/// patch queue, so the result never expires on account of critical tuples.
-///
-/// # Panics
-///
-/// `expr` must be a difference; the caller matches first.
-fn eval_patched_root<P: Probe>(
-    expr: &Expr,
-    catalog: &dyn Bindings,
-    tau: Time,
-    opts: &EvalOptions,
-    probe: &mut P,
-) -> Result<Materialized> {
-    let Expr::Difference { left, right } = expr else {
-        unreachable!("eval_patched_root requires a root-level difference")
-    };
-    probe.enter(expr);
-    let l = eval_rec(left, catalog, tau, opts, probe)?;
-    let r = eval_rec(right, catalog, tau, opts, probe)?;
-    let rel = ops::difference(&l.rel, &r.rel, tau)?;
-    let mut critical = ops::critical_tuples(&l.rel, &r.rel, tau);
-    critical.sort_by_key(|c| c.appears_at);
-    // Bounded queue: keep the k earliest reappearances. A critical tuple
-    // that did not fit is missing from the result for as long as it
-    // should be in it: the first one caps texp(e) (the view must recompute
-    // then) and each leaves its hole in I(e), as in an unpatched
-    // difference.
-    let mut own_texp = Time::INFINITY;
-    let mut validity = l.validity.intersect(&r.validity);
-    if let Some(cap) = opts.patch_queue_cap {
-        if critical.len() > cap {
-            own_texp = critical[cap].appears_at;
-            let dropped = critical.drain(cap..);
-            let holes = dropped.map(|c| Interval::new(c.appears_at, c.disappears_at));
-            validity = validity.subtract(&IntervalSet::from_intervals(holes.collect()));
-        }
-    }
-    let queue = PatchQueue::from_critical(critical);
-    let texp = l.texp.min(r.texp).min(own_texp);
-    probe.leave(rel.len(), 0, texp);
-    Ok(Materialized {
-        rel,
-        at: tau,
-        texp,
-        validity,
-        patches: Some(queue),
-    })
 }
 
 /// [`eval`] under an observer: the single entry into the recursion, shared
@@ -667,20 +648,13 @@ pub(crate) fn eval_probed<P: Probe>(
     opts: &EvalOptions,
     probe: &mut P,
 ) -> Result<Materialized> {
-    // Theorem 3: a root-level difference with patching enabled keeps a
-    // helper queue and never expires on account of critical tuples.
-    if opts.patch_root_difference {
-        if let Expr::Difference { .. } = expr {
-            return eval_patched_root(expr, catalog, tau, opts, probe);
-        }
-    }
     let sub = eval_rec(expr, catalog, tau, opts, probe)?;
     Ok(Materialized {
         rel: sub.rel,
         at: tau,
         texp: sub.texp,
         validity: sub.validity,
-        patches: None,
+        patches: sub.patches,
     })
 }
 
@@ -880,6 +854,37 @@ mod tests {
             coarse.validity,
             "Eq 12 ⊆ exact"
         );
+    }
+
+    /// Equation 12's one coarse interval is an unpatched difference's: a
+    /// patched root takes out the exact hole of each critical tuple past
+    /// its cap, under `eq12_validity` too.
+    #[test]
+    fn eq12_validity_is_for_unpatched_differences_only() {
+        let schema = Schema::of(&[("x", ValueType::Int)]);
+        let rows = |rows: Vec<(Tuple, Time)>| Relation::from_rows(schema.clone(), rows).unwrap();
+        let mut c = Catalog::new();
+        c.register("R", rows(vec![(tuple![1], t(4)), (tuple![2], t(20))]));
+        c.register("S", rows(vec![(tuple![1], t(2)), (tuple![2], t(10))]));
+        let e = Expr::base("R").difference(Expr::base("S"));
+        let eq12 = EvalOptions {
+            eq12_validity: true,
+            ..EvalOptions::default()
+        };
+        let coarse = eval(&e, &c, Time::ZERO, &eq12).unwrap();
+        assert!(!coarse.valid_at(t(5)), "Eq 12 blankets [2, 20[");
+        let no_room = EvalOptions {
+            patch_root_difference: true,
+            patch_queue_cap: Some(0),
+            ..eq12
+        };
+        let exact = eval(&e, &c, Time::ZERO, &no_room).unwrap();
+        assert!(
+            exact.valid_at(t(5)),
+            "between the holes [2, 4[ and [10, 20["
+        );
+        assert!(!exact.valid_at(t(3)) && !exact.valid_at(t(12)));
+        assert_eq!((exact.texp, coarse.texp), (t(2), t(2)));
     }
 
     #[test]

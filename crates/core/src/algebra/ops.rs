@@ -1,13 +1,26 @@
 //! Relation-level implementations of the expiration-time algebra operators.
 //!
-//! Each function implements one operator of Section 2 of the paper, applied
-//! at an explicit time `τ`: argument relations are implicitly replaced by
-//! `expτ(R)` ("consider only tuples that have not yet expired at the time
-//! the operator is applied"), result tuples carry the expiration times the
-//! paper's equations assign, and the expression-level metadata (the
-//! expiration time `texp(e)` of a whole materialised expression, and its
-//! Schrödinger validity intervals) is provided by companion `*_meta`
-//! functions for the non-monotonic operators.
+//! Each operator of Section 2 of the paper is applied at an explicit time
+//! `τ`: argument relations are implicitly replaced by `expτ(R)` ("consider
+//! only tuples that have not yet expired at the time the operator is
+//! applied"), and result tuples carry the expiration times the paper's
+//! equations assign. The items are of two kinds:
+//!
+//! * **Kernels that evaluation runs**, fed from the rows a scan lends or
+//!   an evaluated input holds: `HashJoin` (⋈, σ over ×, and a bare ×),
+//!   `Aggregation` (`aggexp` and a π directly above it) and
+//!   `one_pass_difference` (−, and its critical tuples with it). `eval`
+//!   calls them, and so do [`join`] and [`aggregate`](fn@aggregate), the
+//!   first two over built relations. [`select`], [`union`] and
+//!   [`intersect`] are called by `eval` for σ over an evaluated input, ∪
+//!   and ∩.
+//! * **The paper read literally**, over built relations: [`project`],
+//!   [`product`], [`join_nested_loop`], [`difference`],
+//!   [`critical_tuples`] and [`difference_meta`] (Equations 3, 2, 5, 10,
+//!   Table 2 and Equations 11–12). Their callers are the literal
+//!   interpreter the property tests hold `eval` to, the figures, the
+//!   experiments and the criterion benches; nothing under `core` or
+//!   `engine` outside tests calls them (repolint R011).
 
 use crate::aggregate::{self, AggFunc, AggMode, Partitions};
 use crate::error::{Error, Result};
@@ -297,7 +310,10 @@ pub fn difference(r: &Relation, s: &Relation, tau: Time) -> Result<Relation> {
 
 /// A critical tuple of a difference (Table 2, case 3a): present and
 /// unexpired in both arguments with `texp_R(t) > texp_S(t)`, so it must
-/// *reappear* in the result when its `S`-copy expires.
+/// *reappear* in the result when its `S`-copy expires. It is also one
+/// pending patch of a Theorem 3 queue ([`PatchQueue`](crate::patch::PatchQueue)):
+/// insert `tuple` into the materialised result at `appears_at`, carrying
+/// `disappears_at`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CriticalTuple {
     /// The tuple itself.
@@ -306,6 +322,41 @@ pub struct CriticalTuple {
     pub appears_at: Time,
     /// When it disappears again: `texp_R(t)` (possibly `∞`).
     pub disappears_at: Time,
+}
+
+/// The one difference kernel: Equation 10 in one pass over `left`'s
+/// `expτ`, in order, each row moved out of `left` — into the result,
+/// keeping its `texp_R`, if `expτ(right)` lacks it, or among the critical
+/// tuples if `right` holds it with an earlier `texp_S`. `right` is looked
+/// up through its own tuple index, so its rows are hashed once at most:
+/// a π or a ∪ that built it has hashed them already. One pass yields what
+/// a materialised `R −exp S` derives everything from, both in left order
+/// — the rows are [`difference`]'s as a sequence and the critical tuples
+/// [`critical_tuples`]'.
+///
+/// # Errors
+///
+/// Returns [`Error::NotUnionCompatible`] on schema mismatch.
+pub(crate) fn one_pass_difference(
+    left: Relation,
+    right: &Relation,
+    tau: Time,
+) -> Result<(Relation, Vec<CriticalTuple>)> {
+    left.check_union_compatible(right)?;
+    let mut rel = Relation::new(left.schema().clone());
+    let mut critical = Vec::new();
+    for (tuple, re) in left.into_rows().into_iter().filter(|&(_, e)| e > tau) {
+        match right.texp(&tuple).filter(|&se| se > tau) {
+            None => rel.push_distinct(tuple, re),
+            Some(se) if re > se => critical.push(CriticalTuple {
+                tuple,
+                appears_at: se,
+                disappears_at: re,
+            }),
+            Some(_) => {}
+        }
+    }
+    Ok((rel, critical))
 }
 
 /// The critical tuples `{t | t ∈ R ∧ t ∈ S ∧ texp_R(t) > texp_S(t)}` of a
@@ -502,7 +553,10 @@ impl<'a> Aggregation<'a> {
     /// them is `min(bound, max texp of the group)`. The groups' rows are
     /// distinct when the projection keeps every grouping attribute; when it
     /// drops one, groups can coincide and `KeepMax` merges them. The Klug
-    /// rows are distinct because the input rows are.
+    /// rows are distinct because the input rows are; under a projection
+    /// that keeps a non-grouping attribute each goes straight into it
+    /// ([`Relation::insert_projection`], Equation 3's maximum), so the
+    /// unprojected relation is never built.
     ///
     /// The metadata, per partition: the result goes wrong at the first
     /// change of the value (ν) or, under a conservative `mode`, already at
@@ -528,13 +582,17 @@ impl<'a> Aggregation<'a> {
         } = self;
         let input_ty = f.attribute().map(|i| input.attr(i).ty);
         let schema = input.append(&f.to_string(), f.result_type(input_ty));
-        let mut rel = Relation::new(match (positions, &per_group) {
-            (Some(ps), Some(_)) => schema.project(ps)?,
+        // A π's out-of-range position is its error, raised after the
+        // aggregate's own; until then no row is emitted.
+        let projected = positions.map(|ps| schema.project(ps)).transpose();
+        let mut rel = Relation::new(match &projected {
+            Ok(Some(projected)) => projected.clone(),
             _ => schema,
         });
         let mut texp = Time::INFINITY;
         let mut holes = Vec::new();
         let mut klug_rows = 0;
+        let mut scratch = Vec::new();
         for mut group in partitions.into_groups() {
             let value = group.value(f)?;
             let nu = group.first_change(f)?;
@@ -567,16 +625,23 @@ impl<'a> Aggregation<'a> {
                         rel.insert_with(row, bound.min(death), DuplicatePolicy::KeepMax)?;
                     }
                 }
-                None => {
+                // Each Klug row straight into the π above, if any: Equation
+                // 3's maximum over the rows that coincide under it.
+                None if projected.is_ok() => {
                     for (t, e) in &group.rows {
-                        rel.push_distinct(t.append(value.clone()), bound.min(*e));
+                        let (row, e) = (t.append(value.clone()), bound.min(*e));
+                        match positions {
+                            Some(ps) => {
+                                rel.insert_projection(&row, ps, e, &mut scratch)?;
+                            }
+                            None => rel.push_distinct(row, e),
+                        }
                     }
                 }
+                None => {}
             }
         }
-        if let (Some(ps), None) = (positions, per_group) {
-            rel = project(&rel, ps, tau)?;
-        }
+        projected?;
         let validity = IntervalSet::from_time(tau).subtract(&IntervalSet::from_intervals(holes));
         Ok(Aggregated {
             rel,

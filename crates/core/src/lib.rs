@@ -61,12 +61,13 @@ pub mod value;
 pub mod prelude {
     pub use crate::aggregate::approx::Tolerance;
     pub use crate::aggregate::{AggFunc, AggMode};
+    pub use crate::algebra::ops::CriticalTuple;
     pub use crate::algebra::{eval, eval_profiled, EvalOptions, Expr, Materialized, PlanProfile};
     pub use crate::catalog::{Bindings, Catalog};
     pub use crate::error::{Error, Result};
     pub use crate::interval::{Interval, IntervalSet};
     pub use crate::materialize::{MaterializedView, RefreshDecision, RefreshPolicy, ViewStats};
-    pub use crate::patch::{PatchEntry, PatchQueue};
+    pub use crate::patch::PatchQueue;
     pub use crate::predicate::{CmpOp, Predicate};
     pub use crate::relation::{DuplicatePolicy, Relation};
     pub use crate::rewrite::{

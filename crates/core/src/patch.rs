@@ -18,39 +18,15 @@
 use crate::algebra::ops::CriticalTuple;
 use crate::relation::{DuplicatePolicy, Relation};
 use crate::time::Time;
-use crate::tuple::Tuple;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// One pending patch: insert `tuple` into the materialised result at
-/// `appears_at` (its `texp_S`) with expiration time `disappears_at` (its
-/// `texp_R`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PatchEntry {
-    /// The tuple to insert.
-    pub tuple: Tuple,
-    /// When the tuple must appear: `texp_S(t)`.
-    pub appears_at: Time,
-    /// The expiration time it carries once inserted: `texp_R(t)`.
-    pub disappears_at: Time,
-}
-
-impl From<CriticalTuple> for PatchEntry {
-    fn from(c: CriticalTuple) -> Self {
-        PatchEntry {
-            tuple: c.tuple,
-            appears_at: c.appears_at,
-            disappears_at: c.disappears_at,
-        }
-    }
-}
 
 // Heap ordering: earliest `appears_at` first; sequence number breaks ties
 // deterministically by insertion order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct HeapItem {
     key: Reverse<(Time, u64)>,
-    entry: PatchEntry,
+    entry: CriticalTuple,
 }
 
 impl PartialOrd for HeapItem {
@@ -88,13 +64,13 @@ impl PatchQueue {
     pub fn from_critical(critical: Vec<CriticalTuple>) -> Self {
         let mut q = PatchQueue::new();
         for c in critical {
-            q.push(c.into());
+            q.push(c);
         }
         q
     }
 
-    /// Enqueues a patch.
-    pub fn push(&mut self, entry: PatchEntry) {
+    /// Enqueues a patch: `entry.tuple` is due at `appears_at`.
+    pub fn push(&mut self, entry: CriticalTuple) {
         let key = Reverse((entry.appears_at, self.seq));
         self.seq += 1;
         self.heap.push(HeapItem { key, entry });
@@ -124,7 +100,7 @@ impl PatchQueue {
     /// read adds to the stored rows. Draining ([`PatchQueue::apply_due`])
     /// moves the same tuples into the rows, so the two never count one
     /// twice.
-    pub fn due_at(&self, tau: Time) -> impl Iterator<Item = &PatchEntry> {
+    pub fn due_at(&self, tau: Time) -> impl Iterator<Item = &CriticalTuple> {
         self.heap
             .iter()
             .map(|item| &item.entry)
@@ -133,7 +109,7 @@ impl PatchQueue {
 
     /// Pops every patch due at or before `τ` (those whose helper-relation
     /// copy has expired: `appears_at ≤ τ`).
-    pub fn drain_due(&mut self, tau: Time) -> Vec<PatchEntry> {
+    pub fn drain_due(&mut self, tau: Time) -> Vec<CriticalTuple> {
         let mut out = Vec::new();
         while let Some(item) = self.heap.peek() {
             if item.entry.appears_at <= tau {
@@ -278,12 +254,12 @@ mod tests {
     #[test]
     fn manual_push_and_tie_breaking() {
         let mut q = PatchQueue::new();
-        q.push(PatchEntry {
+        q.push(CriticalTuple {
             tuple: tuple![1],
             appears_at: t(5),
             disappears_at: t(9),
         });
-        q.push(PatchEntry {
+        q.push(CriticalTuple {
             tuple: tuple![2],
             appears_at: t(5),
             disappears_at: t(8),

@@ -244,6 +244,12 @@ impl Relation {
         self.texp(tuple).is_some_and(|e| e > tau)
     }
 
+    /// The rows `(tuple, texp)`, moved out in insertion order, expired
+    /// ones included.
+    pub(crate) fn into_rows(self) -> Vec<(Tuple, Time)> {
+        self.rows
+    }
+
     /// Iterates `(tuple, texp)` in insertion order, including expired rows.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, Time)> + '_ {
         self.rows.iter().map(|(t, e)| (t, *e))

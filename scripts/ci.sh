@@ -67,6 +67,18 @@ cargo run --release -q -p exptime-bench --bin experiments -- --quick e4 e9 \
     | diff -u tests/golden/experiments/e4_e9.txt - \
     || { echo "experiments e4 e9: output differs from its golden"; exit 1; }
 
+# Difference-experiment golden: E2 (recomputations of R −exp S, unpatched
+# against Theorem 3 patched), E7 (queries answered locally under a single
+# texp(e), Equation 12 and the exact validity) and E10 (the patch-queue
+# cap sweep) print exactly tests/golden/experiments/e2_e7_e10.txt. All
+# three count, never time, so any difference is a change in what a
+# difference, its validity or its patch queue computes; when one is
+# meant, regenerate the file with
+# `cargo run --release -q -p exptime-bench --bin experiments -- --quick e2 e7 e10 > tests/golden/experiments/e2_e7_e10.txt`.
+cargo run --release -q -p exptime-bench --bin experiments -- --quick e2 e7 e10 \
+    | diff -u tests/golden/experiments/e2_e7_e10.txt - \
+    || { echo "experiments e2 e7 e10: output differs from its golden"; exit 1; }
+
 # Experiments smoke: every experiment id at reduced scale. Each one
 # asserts its own claims as it runs (E6-chaos: message counts and
 # recovery at every loss rate; E8-scope: forecast within one log2

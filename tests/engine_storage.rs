@@ -76,6 +76,11 @@ fn assert_reducible(db: &mut Database) -> std::result::Result<(), TestCaseError>
         t().select(Predicate::attr_cmp_const(0, CmpOp::Ge, 2))
             .aggregate([1], AggFunc::Sum(0))
             .project([1, 2]),
+        // The set operators over bare bases, both sides' rows lent: a row
+        // of `t` that `u` holds with an earlier `texp` is critical.
+        t().difference(u()),
+        t().union(u()),
+        t().intersect(u()),
     ];
     let tau = db.now();
     let copy = db.snapshot();

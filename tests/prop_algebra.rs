@@ -313,6 +313,35 @@ proptest! {
         prop_assert_eq!(profile.texp, plain.texp);
     }
 
+    /// A patched root with no room in its queue is the unpatched root:
+    /// under `patch_queue_cap: Some(0)` every critical tuple is past the
+    /// cap, so the first one caps `texp(e)` (Equation 11) and each one
+    /// takes its own interval out of `I(e)`, while the queue is there and
+    /// empty. A root that is not a difference has no queue.
+    #[test]
+    fn a_patched_root_with_no_room_is_the_unpatched_root(
+        catalog in arb_overlapping_catalog(12),
+        expr in arb_root_difference_expr(),
+        tau in 0u64..45,
+    ) {
+        let tau = Time::new(tau);
+        let no_room = EvalOptions {
+            patch_root_difference: true,
+            patch_queue_cap: Some(0),
+            ..opts()
+        };
+        let plain = eval(&expr, &catalog, tau, &opts())?;
+        let patched = eval(&expr, &catalog, tau, &no_room)?;
+        prop_assert_eq!(rows(&patched.rel), rows(&plain.rel), "{}", expr);
+        prop_assert_eq!(patched.texp, plain.texp);
+        prop_assert_eq!(&patched.validity, &plain.validity);
+        prop_assert!(plain.patches.is_none());
+        match expr {
+            Expr::Difference { .. } => prop_assert!(patched.patches.is_some_and(|q| q.is_empty())),
+            _ => prop_assert!(patched.patches.is_none()),
+        }
+    }
+
     /// Evaluating at τ is the same as evaluating the expτ-snapshots of the
     /// base relations at the same τ — the "replace each argument relation R
     /// with expτ(R)" definition.
@@ -359,15 +388,19 @@ fn assert_counts(
     Ok(())
 }
 
-/// Small trees of Base/σ/π/×/⋈/agg over `r` and `s`, each with its arity,
-/// so predicates and positions are in range — except that now and then a
-/// position is one past the end or a leaf names a relation nobody bound.
-/// An aggregation (any of the five functions, over any column — `s.v` is
-/// the FLOAT one — grouped by none, one or two attributes) comes bare,
-/// under a π onto its grouping attributes and the aggregate column (the
-/// `GROUP BY` shape, emitted one row per group), and, through the general
-/// π, under one that needs the Klug rows; its input is whatever the
-/// recursion built: `σ* Base`, `π(Base)`, a join.
+/// Small trees of Base/σ/π/×/⋈/agg/∪/∩/− over `r` and `s`, each with its
+/// arity, so predicates and positions are in range — except that now and
+/// then a position is one past the end or a leaf names a relation nobody
+/// bound. An aggregation (any of the five functions, over any column —
+/// `s.v` is the FLOAT one — grouped by none, one or two attributes) comes
+/// bare, under a π onto its grouping attributes and the aggregate column
+/// (the `GROUP BY` shape, emitted one row per group), and, through the
+/// general π, under one that needs the Klug rows; its input is whatever
+/// the recursion built: `σ* Base`, `π(Base)`, a join. A set operator
+/// takes two bare `Base`s, whose rows both sides lend — `r` against `s`
+/// is not union-compatible, for `s.v` is FLOAT — or a one-column π of
+/// whatever the recursion built on each side, both evaluated, whose
+/// types may or may not agree.
 fn arb_spj() -> impl Strategy<Value = (Expr, usize)> {
     // `n` picks an attribute below `arity`; 23 is the out-of-range draw.
     fn attr(n: usize, arity: usize) -> usize {
@@ -394,6 +427,13 @@ fn arb_spj() -> impl Strategy<Value = (Expr, usize)> {
             _ => pred(kind, a, b, c, ln + rn),
         }
     }
+    fn set_op(kind: u8, l: Expr, r: Expr) -> Expr {
+        match kind {
+            0 => l.union(r),
+            1 => l.intersect(r),
+            _ => l.difference(r),
+        }
+    }
     fn func(kind: u8, a: usize, arity: usize) -> AggFunc {
         match kind {
             0 => AggFunc::Count,
@@ -410,6 +450,7 @@ fn arb_spj() -> impl Strategy<Value = (Expr, usize)> {
     ];
     leaf.prop_recursive(3, 16, 2, |inner| {
         let draw = || (0u8..5, 0usize..24, 0usize..24, -2i64..8);
+        let base = || prop_oneof![Just("r"), Just("s")];
         let agg = || {
             (
                 0u8..5,
@@ -452,6 +493,14 @@ fn arb_spj() -> impl Strategy<Value = (Expr, usize)> {
             ),
             1 => (inner.clone(), inner.clone(), draw())
                 .prop_map(|((l, ln), (r, rn), d)| (l.join(r, on(d, ln, rn)), ln + rn)),
+            2 => (base(), base(), 0u8..3)
+                .prop_map(|(l, r, k)| (set_op(k, Expr::base(l), Expr::base(r)), 2)),
+            2 => (inner.clone(), inner.clone(), 0u8..3, 0usize..24, 0usize..24).prop_map(
+                |((l, ln), (r, rn), k, a, b)| {
+                    let (l, r) = (l.project([attr(a, ln)]), r.project([attr(b, rn)]));
+                    (set_op(k, l, r), 1)
+                }
+            ),
         ]
     })
 }
@@ -482,7 +531,9 @@ proptest! {
     /// hashed right input is either), both carry rows already expired at `τ`, and the key
     /// domain is small enough that projections merge rows with different
     /// `texp`. `s.v` is a FLOAT column, so an equality that reaches it
-    /// from an INT one holds numerically (`2 = 2.0`) or not at all.
+    /// from an INT one holds numerically (`2 = 2.0`) or not at all, and
+    /// `r` and `s` are not union-compatible: a set operator over them
+    /// fails only once both inputs are open, as the literal one does.
     #[test]
     fn eval_equals_the_literal_interpreter(
         r in proptest::collection::vec(arb_row(), 4..12),

@@ -1,4 +1,4 @@
-//! Criterion benchmarks for the expiration indexes (experiment E5): the
+//! Criterion benchmarks for the expiration indexes (ref. [24]): the
 //! "real-time performance guarantees" substrate. Heap vs wheel vs scan on
 //! insert-then-drain workloads, plus steady-state churn.
 

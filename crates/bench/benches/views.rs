@@ -1,7 +1,7 @@
 //! Criterion benchmarks for materialised-view maintenance (experiments
 //! E1/E2): the cost of reading a monotonic view (pure local expiry) vs a
 //! non-monotonic view that recomputes, vs a Theorem 3 patched difference;
-//! and ν-based aggregate metadata vs the per-tick oracle (ablation A1).
+//! and ν-based aggregate metadata vs the per-tick oracle.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exptime_bench::workload::{difference_pair, LifetimeDist, TableGen};

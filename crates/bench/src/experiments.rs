@@ -1,15 +1,17 @@
-//! The synthetic experiments E1–E11, the OBS overhead measurement and
-//! the A1/A2 ablations (see DESIGN.md §5 and EXPERIMENTS.md).
+//! The synthetic experiments E1–E11 and the OBS overhead measurement
+//! (see DESIGN.md §5 and EXPERIMENTS.md).
 //!
-//! The paper has no empirical section; these experiments quantify the
+//! The paper has no empirical section; these experiments check the
 //! claims it makes qualitatively. Every experiment is a deterministic,
 //! seeded function returning a [`Report`] and the rows or summary its
 //! counters come from, which the unit tests pin down (who wins, and
 //! roughly by how much); the `experiments` binary renders the reports for
 //! EXPERIMENTS.md, and the report is the only record an experiment
-//! produces — the trajectory lives in `benchmark/`. Wall-clock timings
-//! appear in reports but are never asserted (the CI obs gate reads
-//! OBS's `overhead_pct` from the binary's output).
+//! produces. Every report but OBS prints counts only, never a time, so
+//! CI pins them byte for byte (`tests/golden/experiments.txt`); what
+//! takes time is timed by the criterion benches and by `benchmark/`.
+//! OBS prints the one timing left, `overhead_pct`, which CI's obs gate
+//! reads.
 
 use crate::baseline::{ChaosDeletePush, DeletePushReplica, PollingReplica};
 use crate::workload::{difference_pair, LifetimeDist, TableGen};
@@ -22,7 +24,6 @@ use exptime_core::rewrite;
 use exptime_core::time::Time;
 use exptime_engine::{Database, DbConfig, ExpirationEvent, ForecastConfig, Removal};
 use exptime_replica::{FaultSpec, Replica, RetryPolicy};
-use exptime_storage::expiry::IndexKind;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -273,8 +274,6 @@ pub fn e2_patching(rows: usize, seed: u64) -> (Report, Vec<E2Row>) {
 pub struct E3Row {
     /// Policy description.
     pub policy: String,
-    /// Wall-clock milliseconds for the whole run.
-    pub wall_ms: f64,
     /// Mean trigger lag in ticks (`fired_at − texp`).
     pub mean_trigger_lag: f64,
     /// Peak physical rows across the run.
@@ -315,7 +314,6 @@ pub fn e3_eager_vs_lazy(sessions: usize, seed: u64) -> (Report, Vec<E3Row>) {
             sum.1 += e.fired_at.finite().unwrap() - e.texp.finite().unwrap();
         };
         db.on_expire("sessions", "trigger_lag", Box::new(on_expire));
-        let start = Instant::now();
         let mut peak = 0usize;
         for &(at, sid, ttl) in &stream.events {
             let now = db.now();
@@ -334,7 +332,6 @@ pub fn e3_eager_vs_lazy(sessions: usize, seed: u64) -> (Report, Vec<E3Row>) {
         if let Removal::Lazy { .. } = removal {
             db.vacuum(); // final flush so all triggers fire
         }
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let (fired, lag_sum) = *lag.lock().expect("no panic holds the lock");
         let mean_trigger_lag = if fired == 0 {
             0.0
@@ -343,20 +340,19 @@ pub fn e3_eager_vs_lazy(sessions: usize, seed: u64) -> (Report, Vec<E3Row>) {
         };
         out_rows.push(E3Row {
             policy: name,
-            wall_ms,
             mean_trigger_lag,
             peak_rows: peak,
             vacuums: db.stats().vacuums,
         });
     }
     let mut lines = vec![format!(
-        "{:<12}{:>10}{:>18}{:>12}{:>10}",
-        "policy", "wall ms", "mean trigger lag", "peak rows", "vacuums"
+        "{:<12}{:>18}{:>12}{:>10}",
+        "policy", "mean trigger lag", "peak rows", "vacuums"
     )];
     for r in &out_rows {
         lines.push(format!(
-            "{:<12}{:>10.2}{:>18.2}{:>12}{:>10}",
-            r.policy, r.wall_ms, r.mean_trigger_lag, r.peak_rows, r.vacuums
+            "{:<12}{:>18.2}{:>12}{:>10}",
+            r.policy, r.mean_trigger_lag, r.peak_rows, r.vacuums
         ));
     }
     (
@@ -451,92 +447,6 @@ pub fn e4_aggregate_modes(rows: usize, seed: u64) -> (Report, Vec<E4Row>) {
     (
         Report {
             title: "E4: mean aggregate result-tuple lifetime by expiration mode".into(),
-            lines,
-        },
-        out_rows,
-    )
-}
-
-// ---------------------------------------------------------------------
-// E5 — expiration index performance
-// ---------------------------------------------------------------------
-
-/// One index/size point of E5.
-#[derive(Debug, Clone)]
-pub struct E5Row {
-    /// Index name.
-    pub index: String,
-    /// Number of rows.
-    pub n: usize,
-    /// Wall-clock milliseconds to insert everything.
-    pub insert_ms: f64,
-    /// Wall-clock milliseconds to expire everything in `steps` batches.
-    pub expire_ms: f64,
-}
-
-/// E5: insert `n` rows with uniform lifetimes into each expiration-index
-/// variant, then advance time in batches until everything has expired.
-#[must_use]
-pub fn e5_expiry_indexes(ns: &[usize], steps: u64, seed: u64) -> (Report, Vec<E5Row>) {
-    let mut out_rows = Vec::new();
-    for &n in ns {
-        let gen = TableGen {
-            rows: n,
-            keys: n,
-            lifetimes: LifetimeDist::Uniform {
-                min: 1,
-                max: 10_000,
-            },
-            seed,
-            ..TableGen::default()
-        }
-        .generate();
-        for kind in [IndexKind::Heap, IndexKind::Wheel, IndexKind::Scan] {
-            // Skip the quadratic baseline at large n.
-            if kind == IndexKind::Scan && n > 200_000 {
-                continue;
-            }
-            let mut table = exptime_storage::Table::new("x", gen.schema.clone(), kind);
-            let start = Instant::now();
-            for (i, (tp, e)) in gen.rows.iter().enumerate() {
-                // Tuples may repeat keys; make them unique by index so the
-                // table holds exactly n rows.
-                let unique = exptime_core::tuple![i as i64, tp.attr(1).as_int().unwrap()];
-                table.insert(unique, *e, Time::ZERO).unwrap();
-            }
-            let insert_ms = start.elapsed().as_secs_f64() * 1e3;
-            let start = Instant::now();
-            let mut expired = 0usize;
-            for step in 1..=steps {
-                let tau = t(10_000 * step / steps);
-                expired += table.expire_due(tau).len();
-            }
-            let expire_ms = start.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(expired, table.stats().expired as usize);
-            assert_eq!(expired, n, "{kind:?}: everything expires");
-            out_rows.push(E5Row {
-                index: format!("{kind:?}").to_lowercase(),
-                n,
-                insert_ms,
-                expire_ms,
-            });
-        }
-    }
-    let mut lines = vec![format!(
-        "{:<8}{:>10}{:>12}{:>12}",
-        "index", "rows", "insert ms", "expire ms"
-    )];
-    for r in &out_rows {
-        lines.push(format!(
-            "{:<8}{:>10}{:>12.2}{:>12.2}",
-            r.index, r.n, r.insert_ms, r.expire_ms
-        ));
-    }
-    (
-        Report {
-            title: format!(
-                "E5: expiration index throughput, {steps}-batch drain (heap vs wheel vs scan)"
-            ),
             lines,
         },
         out_rows,
@@ -1095,58 +1005,6 @@ pub fn e8_rewriting(rows: usize, seed: u64) -> (Report, Vec<E8Row>) {
     )
 }
 
-// ---------------------------------------------------------------------
-// A1 — ablation: ν sweep vs naive per-tick ν
-// ---------------------------------------------------------------------
-
-/// A1: the sweep implementation of ν vs the literal per-tick definition —
-/// identical answers, asymptotically different cost.
-#[must_use]
-pub fn a1_nu_ablation(partitions: usize, seed: u64) -> Report {
-    let table = TableGen {
-        rows: partitions * 20,
-        keys: partitions,
-        values: 6,
-        lifetimes: LifetimeDist::Uniform { min: 1, max: 2_000 },
-        seed,
-        ..TableGen::default()
-    }
-    .generate()
-    .to_relation();
-    let parts = aggregate::partition(&table, &[0], Time::ZERO);
-    let f = AggFunc::Sum(1);
-
-    let start = Instant::now();
-    let mut sweep_answers = Vec::new();
-    for (_, p) in &parts {
-        let mut apply = |rows: &[aggregate::Row]| f.apply(rows);
-        sweep_answers.push(aggregate::nu::nu(Time::ZERO, p, &mut apply).unwrap());
-    }
-    let sweep_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let start = Instant::now();
-    let mut naive_answers = Vec::new();
-    for (_, p) in &parts {
-        let mut apply = |rows: &[aggregate::Row]| f.apply(rows);
-        let a = aggregate::nu::nu_naive(Time::ZERO, p, &mut apply, t(2_001))
-            .unwrap()
-            .unwrap_or(Time::INFINITY);
-        naive_answers.push(a);
-    }
-    let naive_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(sweep_answers, naive_answers, "ν implementations disagree");
-
-    Report {
-        title: "A1: ν change-point — event sweep vs per-tick oracle".into(),
-        lines: vec![
-            format!("partitions: {}, identical answers: yes", parts.len()),
-            format!("sweep   : {sweep_ms:>10.2} ms"),
-            format!("per-tick: {naive_ms:>10.2} ms"),
-            format!("speedup : {:>10.1}×", naive_ms / sweep_ms.max(1e-9)),
-        ],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1229,15 +1087,6 @@ mod tests {
         // …but min/max do, given value ties.
         let min = rows.iter().find(|r| r.func == "min_2").unwrap();
         assert!(min.contributing > min.naive, "{min:?}");
-    }
-
-    #[test]
-    fn e5_all_indexes_drain_completely() {
-        let (_, rows) = e5_expiry_indexes(&[2_000], 50, 17);
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert!(r.insert_ms >= 0.0 && r.expire_ms >= 0.0);
-        }
     }
 
     #[test]
@@ -1343,12 +1192,6 @@ mod tests {
         assert!(new.critical < orig.critical, "{new:?} vs {orig:?}");
         assert!(new.texp >= orig.texp, "texp moves later");
         assert!(new.root_patchable && !orig.root_patchable);
-    }
-
-    #[test]
-    fn a1_runs_and_agrees() {
-        let r = a1_nu_ablation(20, 31);
-        assert!(r.lines[0].contains("identical answers: yes"));
     }
 }
 
@@ -1621,71 +1464,6 @@ mod e10_tests {
         assert!(rows[0].recomputations > 10, "cap 0 recomputes a lot");
         // Patches + recomputations trade off in the same direction.
         assert!(rows.last().unwrap().patches_applied > rows[0].patches_applied);
-    }
-}
-
-// ---------------------------------------------------------------------
-// A2 — ablation: hash join vs the literal Equation 5 nested loop
-// ---------------------------------------------------------------------
-
-/// A2: wall-clock comparison of the equi-join fast path against the
-/// literal nested loop, with an equality check per size.
-#[must_use]
-pub fn a2_join_ablation(sizes: &[usize], seed: u64) -> Report {
-    let mut lines = vec![format!(
-        "{:>10}{:>14}{:>18}{:>10}",
-        "rows/side", "hash ms", "nested-loop ms", "speedup"
-    )];
-    for &n in sizes {
-        let r = TableGen {
-            rows: n,
-            keys: n / 4 + 1,
-            seed,
-            ..TableGen::default()
-        }
-        .generate()
-        .to_relation();
-        let s = TableGen {
-            rows: n,
-            keys: n / 4 + 1,
-            seed: seed + 1,
-            ..TableGen::default()
-        }
-        .generate()
-        .to_relation();
-        let p = Predicate::attr_eq_attr(0, 2);
-
-        let start = Instant::now();
-        let fast = ops::join(&r, &s, &p, Time::ZERO).unwrap();
-        let hash_ms = start.elapsed().as_secs_f64() * 1e3;
-
-        let start = Instant::now();
-        let slow = ops::join_nested_loop(&r, &s, &p, Time::ZERO).unwrap();
-        let nested_ms = start.elapsed().as_secs_f64() * 1e3;
-
-        assert!(fast.set_eq(&slow), "join implementations disagree at n={n}");
-        lines.push(format!(
-            "{:>10}{:>14.2}{:>18.2}{:>9.1}×",
-            n,
-            hash_ms,
-            nested_ms,
-            nested_ms / hash_ms.max(1e-9)
-        ));
-    }
-    Report {
-        title: "A2: equi-join — hash fast path vs literal Eq. 5 nested loop".into(),
-        lines,
-    }
-}
-
-#[cfg(test)]
-mod a2_tests {
-    use super::*;
-
-    #[test]
-    fn a2_runs_and_agrees() {
-        let r = a2_join_ablation(&[500], 43);
-        assert_eq!(r.lines.len(), 2);
     }
 }
 
@@ -2007,13 +1785,13 @@ mod obs_tests {
 }
 
 // ---------------------------------------------------------------------
-// E9-telemetry — sampler overhead and scrape-under-load
+// E9-telemetry — retention alone bounds the sampler's history
 // ---------------------------------------------------------------------
 
-/// Measured outcome of E9-telemetry (what the unit tests pin down).
+/// Counted outcome of E9-telemetry (what the unit test pins down).
 #[derive(Debug, Clone, Copy)]
 pub struct TelemetrySummary {
-    /// Samples the lit run's sampler took.
+    /// Samples the sampler took during the insert workload.
     pub samples: u64,
     /// Live `_telemetry.*` rows when the run ended.
     pub history_rows: u64,
@@ -2021,107 +1799,58 @@ pub struct TelemetrySummary {
     pub distinct_samples_live: u64,
     /// The retention-implied cap on live sample instants.
     pub live_bound: u64,
-    /// `/metrics` scrapes issued against the live server.
-    pub scrapes: u64,
-    /// Scrapes whose body round-tripped through `parse_prometheus_text`.
-    pub scrapes_ok: u64,
-    /// Parsed sample count of the final scrape.
-    pub scrape_metric_samples: u64,
 }
 
-/// E9-telemetry: the cost of the telemetry plane, measured by the plane
-/// itself. One expiry-heavy workload runs twice — dark (sampler off) and
-/// lit (sampler snapshotting metrics + health into `_telemetry.*` with
-/// `texp = now + retention`) — then the lit engine goes behind a live
-/// `telemetryd` HTTP server and is scraped while the clock keeps
-/// advancing. Every scrape is validated with the repo's own
-/// `parse_prometheus_text`; history boundedness is checked with plain
-/// SQL over the system tables (retention is enforced by expiry alone —
-/// there is no DELETE anywhere in the sampler).
+/// E9-telemetry: the telemetry sampler's history is bounded by expiry
+/// alone. An expiry-heavy workload runs with the sampler snapshotting
+/// metrics + health into `_telemetry.*` with `texp = now + retention`,
+/// then the clock runs on for a few idle ticks; history boundedness is
+/// checked with plain SQL over the system tables (there is no DELETE
+/// anywhere in the sampler).
 ///
 /// # Panics
 ///
-/// Panics if the workload's SQL fails or the loopback server cannot
-/// bind (bugs or a hostile sandbox, not input conditions).
+/// Panics if the workload's SQL fails (a bug, not an input condition).
 #[must_use]
 pub fn e9_telemetry(rows: usize, seed: u64) -> (Report, TelemetrySummary) {
-    use exptime_engine::{SharedDatabase, TelemetryConfig};
-    use exptime_obs::parse_prometheus_text;
+    use exptime_engine::TelemetryConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::io::{Read as _, Write as _};
 
     const SAMPLE_EVERY: u64 = 4;
     const RETENTION: u64 = 32;
-    const SCRAPES: u64 = 16;
+    const IDLE_TICKS: u64 = 16;
 
-    let run_once = |telemetry: TelemetryConfig| -> (f64, Database) {
-        let mut db = Database::new(DbConfig {
-            telemetry,
-            ..DbConfig::default()
-        });
-        db.execute("CREATE TABLE sessions (uid INT, deg INT)")
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let life = LifetimeDist::HeavyTail {
-            base: 16,
-            spread: 4,
-        };
-        let start = Instant::now();
-        for i in 0..rows {
-            let deg = rng.gen_range(0i64..100);
-            let texp = db.now() + life.sample(&mut rng).max(1);
-            db.insert("sessions", exptime_core::tuple![i as i64, deg], texp)
-                .unwrap();
-            if i % 8 == 0 {
-                db.tick(1);
-            }
-        }
-        (start.elapsed().as_secs_f64() * 1e3, db)
+    let mut db = Database::new(DbConfig {
+        telemetry: TelemetryConfig::enabled(SAMPLE_EVERY, RETENTION),
+        ..DbConfig::default()
+    });
+    db.execute("CREATE TABLE sessions (uid INT, deg INT)")
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let life = LifetimeDist::HeavyTail {
+        base: 16,
+        spread: 4,
     };
-
-    let (dark_ms, _) = run_once(TelemetryConfig::default());
-    let (lit_ms, lit) = run_once(TelemetryConfig::enabled(SAMPLE_EVERY, RETENTION));
-    let overhead_pct = (lit_ms - dark_ms) / dark_ms.max(1e-9) * 100.0;
-    let samples = lit.telemetry_status().samples;
-
-    // Scrape the lit engine over real HTTP while the clock keeps moving
-    // (so the sampler stays active underneath the scraper).
-    let shared = SharedDatabase::from_database(lit);
-    let server = exptime_telemetryd::serve(&shared, "127.0.0.1:0").expect("bind loopback");
-    let scrape_start = Instant::now();
-    let mut scrapes_ok = 0u64;
-    let mut scrape_metric_samples = 0u64;
-    for _ in 0..SCRAPES {
-        shared.tick(1);
-        let mut s = std::net::TcpStream::connect(server.addr()).expect("connect");
-        s.write_all(b"GET /metrics HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
-            .expect("request");
-        let mut buf = String::new();
-        s.read_to_string(&mut buf).expect("response");
-        let body = buf.split_once("\r\n\r\n").map_or("", |(_, b)| b);
-        if let Ok(parsed) = parse_prometheus_text(body) {
-            scrapes_ok += 1;
-            scrape_metric_samples = parsed.len() as u64;
+    for i in 0..rows {
+        let deg = rng.gen_range(0i64..100);
+        let texp = db.now() + life.sample(&mut rng).max(1);
+        db.insert("sessions", exptime_core::tuple![i as i64, deg], texp)
+            .unwrap();
+        if i % 8 == 0 {
+            db.tick(1);
         }
     }
-    let scrape_ms = scrape_start.elapsed().as_secs_f64() * 1e3;
-    // The server observed itself: its own latency histogram is in the
-    // exposition it serves.
-    let (lat_p50, lat_p99) = shared.with(|d| {
-        d.metrics()
-            .histograms()
-            .into_iter()
-            .find(|(name, _)| name == "http./metrics.latency_ns")
-            .map_or((0.0, 0.0), |(_, h)| (h.p50(), h.p99()))
-    });
-    server.stop();
+    let samples = db.telemetry_status().samples;
+    for _ in 0..IDLE_TICKS {
+        db.tick(1);
+    }
 
     // Retention math, checked with ordinary SQL against the system
     // tables: only the last RETENTION ticks of samples can be live.
-    let status = shared.with(|d| d.telemetry_status());
+    let status = db.telemetry_status();
     let history_rows = status.metrics_rows + status.health_rows;
-    let distinct_samples_live = shared
+    let distinct_samples_live = db
         .execute("SELECT ts, COUNT(*) FROM _telemetry.metrics GROUP BY ts")
         .unwrap()
         .rows()
@@ -2134,25 +1863,16 @@ pub fn e9_telemetry(rows: usize, seed: u64) -> (Report, TelemetrySummary) {
         history_rows,
         distinct_samples_live,
         live_bound,
-        scrapes: SCRAPES,
-        scrapes_ok,
-        scrape_metric_samples,
     };
     let report = Report {
-        title: "E9-telemetry: sampler overhead and scrape-under-load".into(),
+        title: "E9-telemetry: retention alone bounds the sampler's history".into(),
         lines: vec![
             format!(
-                "workload: {rows} inserts, sampler every {SAMPLE_EVERY} tick(s), retention {RETENTION} tick(s)"
+                "workload: {rows} inserts, sampler every {SAMPLE_EVERY} tick(s), retention {RETENTION} tick(s), then {IDLE_TICKS} idle tick(s)"
             ),
-            format!("dark (sampler off): {dark_ms:>8.2} ms"),
-            format!("lit  (sampler on):  {lit_ms:>8.2} ms  ({overhead_pct:+.1}%)"),
             format!(
                 "history: {samples} sample(s) taken, {history_rows} row(s) live, \
                  {distinct_samples_live} instant(s) live (bound {live_bound}) — zero DELETEs"
-            ),
-            format!(
-                "scrape:  {scrapes_ok}/{SCRAPES} parses ok, {scrape_metric_samples} series, \
-                 {scrape_ms:.2} ms total, latency p50 {lat_p50:.0} ns / p99 {lat_p99:.0} ns"
             ),
         ],
     };
@@ -2164,7 +1884,7 @@ mod e9_telemetry_tests {
     use super::*;
 
     #[test]
-    fn e9_telemetry_shape_bounded_history_and_valid_scrapes() {
+    fn e9_telemetry_shape_bounded_history() {
         let (report, s) = e9_telemetry(256, 67);
         assert!(s.samples > 0, "{s:?}");
         assert!(s.history_rows > 0, "{s:?}");
@@ -2173,479 +1893,11 @@ mod e9_telemetry_tests {
             s.distinct_samples_live <= s.live_bound,
             "history must stay bounded by retention: {s:?}"
         );
-        // Every live scrape round-tripped through the repo's own parser.
-        assert_eq!(s.scrapes_ok, s.scrapes, "{s:?}");
-        assert!(s.scrape_metric_samples > 0, "{s:?}");
         assert!(
             report.render().contains("zero DELETEs"),
             "{}",
             report.render()
         );
-    }
-}
-
-// ---------------------------------------------------------------------
-// E10-net — the wire protocol under load: throughput vs connection
-// count, shed rate vs offered load, partition recovery time
-// ---------------------------------------------------------------------
-
-/// One throughput level of E10-net: `connections` clients hammering one
-/// server concurrently.
-#[derive(Debug, Clone)]
-pub struct E10NetLevel {
-    /// Client connections driven at this level.
-    pub connections: usize,
-    /// Simultaneous connections the server itself observed.
-    pub concurrent_observed: usize,
-    /// Statements with a consumed outcome.
-    pub statements: u64,
-    /// `Shed` refusals absorbed by the clients (each was retried).
-    pub sheds: u64,
-    /// Degraded (texp-valid stale) reads served.
-    pub degraded_reads: u64,
-    /// Successful session resumptions after connection loss.
-    pub reconnects: u64,
-    /// Wall-clock for the whole level, milliseconds.
-    pub wall_ms: f64,
-    /// Consumed statements per second.
-    pub stmts_per_sec: f64,
-    /// Median per-statement latency (including retries), microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile per-statement latency, microseconds.
-    pub p99_us: f64,
-}
-
-/// One offered-load level of the shedding measurement.
-#[derive(Debug, Clone)]
-pub struct E10ShedLevel {
-    /// Concurrent writers.
-    pub clients: usize,
-    /// Statements offered (all eventually consumed).
-    pub offered: u64,
-    /// Shed refusals along the way.
-    pub sheds: u64,
-    /// sheds / (offered + sheds): the fraction of wire rounds refused.
-    pub shed_rate: f64,
-}
-
-/// E10-net summary counters, pinned by the unit tests.
-#[derive(Debug, Clone)]
-pub struct E10NetSummary {
-    /// Most simultaneous connections the server saw across levels.
-    pub peak_connections: usize,
-    /// Consumed statements across all throughput levels.
-    pub total_statements: u64,
-    /// Shed rate at the lowest offered load.
-    pub shed_rate_low: f64,
-    /// Shed rate at the highest offered load.
-    pub shed_rate_high: f64,
-    /// Shed refusals at the highest offered load.
-    pub sheds_high: u64,
-    /// Ticks from partition heal to full quiescence.
-    pub partition_recovery_ticks: u64,
-    /// Statement frames retransmitted across the partitioned run.
-    pub partition_retransmissions: u64,
-    /// Whether the partitioned run applied every statement exactly once.
-    pub exactly_once: bool,
-}
-
-/// What one closed-loop wire load measured.
-#[derive(Debug, Clone)]
-pub struct WireLoad {
-    /// Per-statement latencies (retries included), nanoseconds, sorted.
-    pub lat_ns: Vec<u64>,
-    /// The clients' protocol counters, summed.
-    pub stats: exptime_net::ClientStats,
-    /// Inserts the server acknowledged.
-    pub acked_inserts: u64,
-    /// Clients that could not connect or had a statement fail; their
-    /// latencies and counters are left out.
-    pub failed: usize,
-    /// Wall-clock seconds from the release to the last client's end.
-    pub wall_s: f64,
-}
-
-impl WireLoad {
-    /// The `q`-quantile statement latency, microseconds (0 if none ran).
-    #[must_use]
-    pub fn percentile_us(&self, q: f64) -> f64 {
-        if self.lat_ns.is_empty() {
-            return 0.0;
-        }
-        let idx = ((self.lat_ns.len() - 1) as f64 * q).round() as usize;
-        self.lat_ns[idx] as f64 / 1e3
-    }
-}
-
-/// The closed-loop wire load that `netload` and E10-net drive: `conns`
-/// [`NetClient`](exptime_net::NetClient)s connect to `addr`, `ready`
-/// runs once all of them are connected, then a barrier releases them
-/// together and each runs `stmts` statements of a 3:1 insert:select mix
-/// against a `kv (k INT, v INT)` table, one at a time. A client that
-/// fails reports why on stderr and counts in [`WireLoad::failed`].
-///
-/// # Panics
-///
-/// Panics if a client thread panics.
-pub fn wire_load(
-    addr: &str,
-    conns: usize,
-    stmts: usize,
-    deadline_ms: u32,
-    seed: u64,
-    ready: impl FnOnce(),
-) -> WireLoad {
-    use exptime_net::{ClientConfig, ClientStats, NetClient, ReplyBody};
-    use std::sync::Barrier;
-
-    let connected = Arc::new(Barrier::new(conns + 1));
-    let go = Arc::new(Barrier::new(conns + 1));
-    let mut handles = Vec::with_capacity(conns);
-    for c in 0..conns {
-        let addr = addr.to_string();
-        let (connected, go) = (Arc::clone(&connected), Arc::clone(&go));
-        let cfg = ClientConfig {
-            deadline_ms,
-            seed: seed ^ (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            policy: RetryPolicy {
-                base: 2,
-                factor: 2,
-                max_interval: 100,
-                jitter: 5,
-                budget: 120_000,
-            },
-            ..ClientConfig::default()
-        };
-        handles.push(std::thread::spawn(move || {
-            let client = NetClient::connect(&addr, cfg);
-            connected.wait();
-            go.wait();
-            let mut client = client
-                .map_err(|e| eprintln!("conn {c}: connect failed: {e}"))
-                .ok()?;
-            let mut lat_ns = Vec::with_capacity(stmts);
-            let mut acked_inserts = 0u64;
-            for j in 0..stmts {
-                let insert = j % 4 != 3;
-                let sql = if insert {
-                    format!(
-                        "INSERT INTO kv VALUES ({}, {}) EXPIRES IN 100000 TICKS",
-                        c * stmts + j,
-                        j % 2
-                    )
-                } else {
-                    "SELECT k FROM kv WHERE v = 1".to_string()
-                };
-                let t0 = Instant::now();
-                match client.execute(&sql) {
-                    Ok(ReplyBody::Affected(_)) if insert => acked_inserts += 1,
-                    Ok(_) => {}
-                    Err(e) => {
-                        eprintln!("conn {c} stmt {j}: {e}");
-                        return None;
-                    }
-                }
-                lat_ns.push(t0.elapsed().as_nanos() as u64);
-            }
-            client.close();
-            Some((lat_ns, client.stats, acked_inserts))
-        }));
-    }
-    connected.wait();
-    ready();
-    let t0 = Instant::now();
-    go.wait();
-    let mut load = WireLoad {
-        lat_ns: Vec::with_capacity(conns * stmts),
-        stats: ClientStats::default(),
-        acked_inserts: 0,
-        failed: 0,
-        wall_s: 0.0,
-    };
-    for h in handles {
-        let Some((lat, stats, acked)) = h.join().expect("client thread panicked") else {
-            load.failed += 1;
-            continue;
-        };
-        load.lat_ns.extend(lat);
-        let sum = &mut load.stats;
-        sum.statements += stats.statements;
-        sum.retries += stats.retries;
-        sum.reconnects += stats.reconnects;
-        sum.sheds += stats.sheds;
-        sum.retryable_errors += stats.retryable_errors;
-        sum.degraded_reads += stats.degraded_reads;
-        load.acked_inserts += acked;
-    }
-    load.wall_s = t0.elapsed().as_secs_f64();
-    load.lat_ns.sort_unstable();
-    load
-}
-
-/// Drives one server with `conns` concurrent clients, `stmts_per_conn`
-/// statements each, through [`wire_load`], and reports throughput and
-/// tail latency. The server's own `connections` gauge is read while all
-/// the clients are up — that observation is the concurrency proof.
-fn e10_net_level(conns: usize, stmts_per_conn: usize, seed: u64) -> E10NetLevel {
-    use exptime_net::{NetConfig, NetServer};
-
-    let mut db = Database::new(DbConfig::default());
-    db.execute("CREATE TABLE kv (k INT, v INT)").unwrap();
-    let shared = exptime_engine::SharedDatabase::from_database(db);
-    let cfg = NetConfig {
-        queue: 256,
-        degrade_at: 192,
-        ..NetConfig::default()
-    };
-    let server = NetServer::serve(&shared, "127.0.0.1:0", cfg).expect("bind");
-    let addr = server.local_addr().to_string();
-    let mut concurrent_observed = 0;
-    let load = wire_load(&addr, conns, stmts_per_conn, 0, seed, || {
-        concurrent_observed = server.status().connections;
-    });
-    assert!(load.failed == 0, "{} client(s) failed", load.failed);
-    server.drain();
-    E10NetLevel {
-        connections: conns,
-        concurrent_observed,
-        statements: load.stats.statements,
-        sheds: load.stats.sheds,
-        degraded_reads: load.stats.degraded_reads,
-        reconnects: load.stats.reconnects,
-        wall_ms: load.wall_s * 1e3,
-        stmts_per_sec: load.stats.statements as f64 / load.wall_s.max(1e-9),
-        p50_us: load.percentile_us(0.50),
-        p99_us: load.percentile_us(0.99),
-    }
-}
-
-/// Measures the shed rate at one offered load against a deliberately
-/// tiny server (4 statements in flight). Writers only — writes cannot be
-/// served degraded, so overload must shed. A closed loop of
-/// microsecond statements rarely has more in flight than the machine
-/// has cores, so the overload is made, not hoped for: the run opens
-/// with the engine held — as one long statement would hold it — until
-/// the bound is full and, where more clients than that are offering,
-/// the first of them has been refused.
-fn e10_shed_level(clients: usize, stmts_per_client: usize, seed: u64) -> E10ShedLevel {
-    use exptime_net::{ClientConfig, NetClient, NetConfig, NetServer};
-    use std::sync::Arc;
-    use std::sync::Barrier;
-
-    let mut db = Database::new(DbConfig::default());
-    db.execute("CREATE TABLE kv (k INT, v INT)").unwrap();
-    let shared = exptime_engine::SharedDatabase::from_database(db);
-    let cfg = NetConfig {
-        queue: 4,
-        degrade_at: 4,
-        retry_after_ms: 2,
-    };
-    let server = NetServer::serve(&shared, "127.0.0.1:0", cfg).expect("bind");
-    let addr = server.local_addr().to_string();
-    let go = Arc::new(Barrier::new(clients + 1));
-    let mut handles = Vec::with_capacity(clients);
-    for c in 0..clients {
-        let addr = addr.clone();
-        let go = Arc::clone(&go);
-        handles.push(std::thread::spawn(move || {
-            let cfg = ClientConfig {
-                seed: seed ^ (c as u64 + 1).wrapping_mul(0x517c_c1b7_2722_0a95),
-                policy: RetryPolicy {
-                    base: 1,
-                    factor: 2,
-                    max_interval: 16,
-                    jitter: 1,
-                    budget: 120_000,
-                },
-                ..ClientConfig::default()
-            };
-            let mut client = NetClient::connect(&addr, cfg).expect("connect");
-            go.wait();
-            for j in 0..stmts_per_client {
-                let sql = format!(
-                    "INSERT INTO kv VALUES ({}, 0) EXPIRES IN 100000 TICKS",
-                    c * stmts_per_client + j
-                );
-                client.execute(&sql).expect("write under overload");
-            }
-            let stats = client.stats;
-            client.close();
-            stats
-        }));
-    }
-    go.wait();
-    let bound = clients.min(4);
-    shared.with(|_held| loop {
-        let status = server.status();
-        if status.queue_depth >= bound && (clients == bound || status.shed > 0) {
-            break;
-        }
-        std::thread::yield_now();
-    });
-    let mut offered = 0u64;
-    let mut sheds = 0u64;
-    for h in handles {
-        let stats = h.join().expect("shed client thread");
-        offered += stats.statements;
-        sheds += stats.sheds;
-    }
-    server.drain();
-    E10ShedLevel {
-        clients,
-        offered,
-        sheds,
-        shed_rate: sheds as f64 / (offered + sheds).max(1) as f64,
-    }
-}
-
-/// E10-net — the wire protocol under load.
-///
-/// Three measurements against real TCP servers plus one tick-simulated
-/// partition:
-///
-/// 1. throughput and tail latency as the connection count grows
-///    (`conn_counts`, each client sending `stmts_per_conn` statements);
-/// 2. shed rate as offered load grows against a tiny fixed server —
-///    admission control must refuse (with retry hints) rather than
-///    queue without bound;
-/// 3. partition recovery: a [`ChaosNet`](exptime_net::ChaosNet) session
-///    is hard-partitioned mid-stream, healed, and the ticks from heal
-///    to quiescence are the recovery time — with every statement
-///    applied exactly once despite the retransmission storm.
-///
-/// # Panics
-///
-/// Panics if a statement fails or a client thread dies (bugs, not
-/// input conditions).
-#[must_use]
-pub fn e10_net(
-    conn_counts: &[usize],
-    stmts_per_conn: usize,
-    shed_loads: &[usize],
-    seed: u64,
-) -> (Report, E10NetSummary) {
-    use exptime_net::ChaosNet;
-
-    // -- throughput vs connection count --------------------------------
-    let levels: Vec<E10NetLevel> = conn_counts
-        .iter()
-        .map(|&n| e10_net_level(n, stmts_per_conn, seed))
-        .collect();
-
-    // -- shed rate vs offered load -------------------------------------
-    let shed_levels: Vec<E10ShedLevel> = shed_loads
-        .iter()
-        .map(|&n| e10_shed_level(n, 24, seed))
-        .collect();
-
-    // -- partition recovery --------------------------------------------
-    let mut db = Database::new(DbConfig::default());
-    db.execute("CREATE TABLE part (k INT, v INT)").unwrap();
-    let policy = RetryPolicy {
-        base: 2,
-        factor: 2,
-        max_interval: 16,
-        jitter: 0,
-        budget: u64::MAX,
-    };
-    let mut chaos = ChaosNet::new(FaultSpec::none(seed), policy);
-    for i in 0..30i64 {
-        chaos.submit(&format!(
-            "INSERT INTO part VALUES ({i}, 0) EXPIRES IN 100000 TICKS"
-        ));
-    }
-    // Let the session establish and a few statements land...
-    for _ in 0..8 {
-        chaos.tick(&mut db);
-    }
-    // ...then cut the link hard mid-stream.
-    chaos.link().disconnect();
-    let partition_ticks = 40u64;
-    for _ in 0..partition_ticks {
-        chaos.tick(&mut db);
-    }
-    chaos.link().reconnect();
-    let recovery = chaos.run(&mut db, 4_000);
-    assert!(recovery.quiesced, "partition run failed to quiesce");
-    let exactly_once = chaos.exactly_once();
-
-    // -- report --------------------------------------------------------
-    let summary = E10NetSummary {
-        peak_connections: levels
-            .iter()
-            .map(|l| l.concurrent_observed)
-            .max()
-            .unwrap_or(0),
-        total_statements: levels.iter().map(|l| l.statements).sum(),
-        shed_rate_low: shed_levels.first().map_or(0.0, |l| l.shed_rate),
-        shed_rate_high: shed_levels.last().map_or(0.0, |l| l.shed_rate),
-        sheds_high: shed_levels.last().map_or(0, |l| l.sheds),
-        partition_recovery_ticks: recovery.ticks,
-        partition_retransmissions: recovery.retransmissions,
-        exactly_once,
-    };
-
-    let mut lines = vec![
-        format!(
-            "throughput ({} stmt/conn, 3:1 insert:select, 256 in flight):",
-            stmts_per_conn
-        ),
-        "  conns  observed   stmt/s      p50        p99     sheds  degraded".to_string(),
-    ];
-    for l in &levels {
-        lines.push(format!(
-            "  {:>5}  {:>8}  {:>7.0}  {:>7.0}us  {:>7.0}us  {:>6}  {:>8}",
-            l.connections,
-            l.concurrent_observed,
-            l.stmts_per_sec,
-            l.p50_us,
-            l.p99_us,
-            l.sheds,
-            l.degraded_reads
-        ));
-    }
-    lines.push("shedding (4 in flight, writers only, opened by a held engine):".to_string());
-    lines.push("  clients  offered  sheds  shed rate".to_string());
-    for l in &shed_levels {
-        lines.push(format!(
-            "  {:>7}  {:>7}  {:>5}  {:>8.1}%",
-            l.clients,
-            l.offered,
-            l.sheds,
-            l.shed_rate * 100.0
-        ));
-    }
-    lines.push(format!(
-        "partition: {} stmts, cut after 8 ticks for {} ticks; recovered in {} tick(s), \
-         {} retransmission(s), exactly-once: {}",
-        30, partition_ticks, recovery.ticks, recovery.retransmissions, exactly_once
-    ));
-    let report = Report {
-        title: "E10-net — wire protocol under load: throughput, shedding, partition recovery"
-            .into(),
-        lines,
-    };
-    (report, summary)
-}
-
-#[cfg(test)]
-mod e10_net_tests {
-    use super::*;
-
-    #[test]
-    fn e10_net_small_levels_shed_curve_and_partition_recovery() {
-        let (report, s) = e10_net(&[4, 12], 6, &[2, 12], 71);
-        // The server must actually have seen the advertised concurrency.
-        assert_eq!(s.peak_connections, 12, "{}", report.render());
-        assert_eq!(s.total_statements, (4 + 12) * 6, "{}", report.render());
-        // Overload against a queue of 4 must shed; shedding must not
-        // shrink when the offered load grows sixfold.
-        assert!(s.sheds_high > 0, "{}", report.render());
-        assert!(s.shed_rate_high >= s.shed_rate_low, "{}", report.render());
-        // The partition healed and every statement applied exactly once.
-        assert!(s.exactly_once, "{}", report.render());
-        assert!(s.partition_recovery_ticks > 0, "{}", report.render());
-        assert!(s.partition_retransmissions > 0, "{}", report.render());
     }
 }
 
@@ -2661,8 +1913,6 @@ pub struct E11Row {
     /// `policy` (the DBMS owns expiration) or `delete-push` (the
     /// application maintains its own expiry bookkeeping).
     pub variant: String,
-    /// Wall time for the whole run.
-    pub wall_ms: f64,
     /// Expiration-maintenance operations the *application* had to issue:
     /// explicit deletes, janitor expiration rewrites, and stale-deadline
     /// re-checks. The paper's thesis is that this goes to zero once
@@ -2703,7 +1953,6 @@ fn e11_session_store(sessions: usize, ttl: u64, seed: u64) -> (E11Row, E11Row, u
     let stream = crate::workload::session_stream(sessions, 1, ttl, 0.3, 2, seed);
 
     // -- policy path ---------------------------------------------------
-    let start = Instant::now();
     let mut db = Database::new(DbConfig::default());
     db.execute(&format!("CREATE TABLE sess (sid INT) TTL {ttl} SLIDING"))
         .unwrap();
@@ -2721,14 +1970,12 @@ fn e11_session_store(sessions: usize, ttl: u64, seed: u64) -> (E11Row, E11Row, u
     let policy_row = E11Row {
         workload: "session-store".into(),
         variant: "policy".into(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
         maintenance_ops: 0,
         peak_rows: peak,
         live_end: db.table("sess").unwrap().live_count(db.now()),
     };
 
     // -- delete-push path ----------------------------------------------
-    let start = Instant::now();
     let mut db = Database::new(DbConfig::default());
     db.execute("CREATE TABLE sess (sid INT)").unwrap();
     let mut deadlines: HashMap<i64, u64> = HashMap::new();
@@ -2779,7 +2026,6 @@ fn e11_session_store(sessions: usize, ttl: u64, seed: u64) -> (E11Row, E11Row, u
     let push_row = E11Row {
         workload: "session-store".into(),
         variant: "delete-push".into(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
         maintenance_ops: ops,
         peak_rows: peak,
         live_end: db.table("sess").unwrap().live_count(db.now()),
@@ -2810,7 +2056,6 @@ fn e11_cache_clamp(entries: usize, seed: u64) -> (E11Row, E11Row, u64) {
     let horizon = reqs.last().map_or(0, |r| r.0) + janitor_every + 2 * max_life;
 
     // -- policy path ---------------------------------------------------
-    let start = Instant::now();
     let mut db = Database::new(DbConfig::default());
     db.execute(&format!(
         "CREATE TABLE cache (key INT) TTL {base_life} CLAMP {min_life}..{max_life}"
@@ -2830,14 +2075,12 @@ fn e11_cache_clamp(entries: usize, seed: u64) -> (E11Row, E11Row, u64) {
     let policy_row = E11Row {
         workload: "cache-clamp".into(),
         variant: "policy".into(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
         maintenance_ops: 0,
         peak_rows: peak,
         live_end: db.table("cache").unwrap().live_count(db.now()),
     };
 
     // -- delete-push path ----------------------------------------------
-    let start = Instant::now();
     let mut db = Database::new(DbConfig::default());
     db.execute("CREATE TABLE cache (key INT)").unwrap();
     let mut ops = 0u64;
@@ -2887,7 +2130,6 @@ fn e11_cache_clamp(entries: usize, seed: u64) -> (E11Row, E11Row, u64) {
     let push_row = E11Row {
         workload: "cache-clamp".into(),
         variant: "delete-push".into(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
         maintenance_ops: ops,
         peak_rows: peak,
         live_end: db.table("cache").unwrap().live_count(db.now()),
@@ -2901,7 +2143,6 @@ fn e11_cache_clamp(entries: usize, seed: u64) -> (E11Row, E11Row, u64) {
 /// issues one `DELETE … WHERE` sweep per tick.
 fn e11_sensor_window(ticks: u64, sensors: usize, window: u64) -> (E11Row, E11Row) {
     // -- policy path ---------------------------------------------------
-    let start = Instant::now();
     let mut db = Database::new(DbConfig::default());
     db.execute(&format!(
         "CREATE TABLE readings (sensor INT, ts INT) TTL {window}"
@@ -2921,14 +2162,12 @@ fn e11_sensor_window(ticks: u64, sensors: usize, window: u64) -> (E11Row, E11Row
     let policy_row = E11Row {
         workload: "sensor-window".into(),
         variant: "policy".into(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
         maintenance_ops: 0,
         peak_rows: peak,
         live_end: db.table("readings").unwrap().live_count(db.now()),
     };
 
     // -- delete-push path ----------------------------------------------
-    let start = Instant::now();
     let mut db = Database::new(DbConfig::default());
     db.execute("CREATE TABLE readings (sensor INT, ts INT)")
         .unwrap();
@@ -2957,7 +2196,6 @@ fn e11_sensor_window(ticks: u64, sensors: usize, window: u64) -> (E11Row, E11Row
     let push_row = E11Row {
         workload: "sensor-window".into(),
         variant: "delete-push".into(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
         maintenance_ops: ops,
         peak_rows: peak,
         live_end: db.table("readings").unwrap().live_count(db.now()),
@@ -3053,11 +2291,11 @@ pub fn e11_policy(sessions: usize, seed: u64) -> (Report, E11PolicySummary) {
         "{} sessions (ttl {}, sliding), {} cache entries (clamp 5..60), {} sensor ticks × 32",
         sessions, ttl, cache_entries, sensor_ticks
     )];
-    lines.push("  workload       variant      wall_ms  maint ops  peak rows  live@end".to_string());
+    lines.push("  workload       variant      maint ops  peak rows  live@end".to_string());
     for r in &rows {
         lines.push(format!(
-            "  {:<13}  {:<11}  {:>7.1}  {:>9}  {:>9}  {:>8}",
-            r.workload, r.variant, r.wall_ms, r.maintenance_ops, r.peak_rows, r.live_end
+            "  {:<13}  {:<11}  {:>9}  {:>9}  {:>8}",
+            r.workload, r.variant, r.maintenance_ops, r.peak_rows, r.live_end
         ));
     }
     lines.push(format!(

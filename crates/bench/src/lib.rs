@@ -8,8 +8,9 @@
 //!   running engine;
 //! * `experiments` — runs the synthetic experiments and prints the report
 //!   tables recorded in EXPERIMENTS.md;
-//! * `netload` — drives a wire server with concurrent clients through
-//!   [`experiments::wire_load`], the load E10-net drives too.
+//! * `netload` — drives a wire server with concurrent clients and, on
+//!   an embedded server, checks that the server saw every connection at
+//!   once and that a drain loses no acknowledged write.
 
 #![forbid(unsafe_code)]
 

@@ -40,7 +40,7 @@
 //! (`O(k·n)`), or at every tick. They are what `first_change` is
 //! property-tested against, what the tolerance-based [`approx`](super::approx)
 //! and the validity/change-count functions below are built from, and the
-//! ablation baselines of experiments E4/E9/A1. Nothing on the evaluation
+//! baselines of experiments E4/E9 and criterion `aggregate/nu`. Nothing on the evaluation
 //! path calls them (repolint R006).
 //!
 //! One convention note: with `texp` semantics "visible while `now < texp`",

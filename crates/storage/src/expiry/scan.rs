@@ -3,8 +3,8 @@
 //! `O(1)` insert, `O(n)` per [`ExpirationIndex::pop_due`] and
 //! [`ExpirationIndex::next_expiration`]. This is what a database without
 //! expiration-time support effectively does when an administrator's cleanup
-//! job periodically deletes stale rows — the baseline experiment E5
-//! measures the indexes against.
+//! job periodically deletes stale rows — the baseline criterion's
+//! `expiry/*` benches measure the indexes against.
 
 use super::ExpirationIndex;
 use crate::heap::RowId;

@@ -42,52 +42,31 @@ for example in examples/*.rs; do
         || { echo "example $name: output differs from its golden"; exit 1; }
 done
 
-# E6 golden: the maintenance-traffic comparison (the expiration-aware
-# replica against the delete-push and polling baselines) and its chaos
-# variant print exactly tests/golden/experiments/e6.txt. Both count
-# messages and ticks, never time, so any difference is a change in
-# behaviour; when one is meant, regenerate the file with
-# `cargo run --release -q -p exptime-bench --bin experiments -- --quick e6 e6chaos > <golden>`.
-cargo run --release -q -p exptime-bench --bin experiments -- --quick e6 e6chaos \
-    | diff -u tests/golden/experiments/e6.txt - \
-    || { echo "experiments e6 e6chaos: output differs from its golden"; exit 1; }
-
-# Figure and aggregate-experiment goldens: the paper's figures and the
-# E4 (lifetime by aggregation mode) and E9 (approximate sums) reports
-# print exactly tests/golden/figures.txt and
-# tests/golden/experiments/e4_e9.txt. None reads a clock, so any
-# difference is a change in what an operator or an aggregation mode
-# computes; when one is meant, regenerate the files with
-# `cargo run --release -q -p exptime-bench --bin figures > tests/golden/figures.txt` and
-# `cargo run --release -q -p exptime-bench --bin experiments -- --quick e4 e9 > tests/golden/experiments/e4_e9.txt`.
+# Figures golden: the paper's figures print exactly
+# tests/golden/figures.txt. The binary reads no clock, so any difference
+# is a change in what an operator or an aggregation mode computes; when
+# one is meant, regenerate the file with
+# `cargo run --release -q -p exptime-bench --bin figures > tests/golden/figures.txt`.
 cargo run --release -q -p exptime-bench --bin figures \
     | diff -u tests/golden/figures.txt - \
     || { echo "figures: output differs from its golden"; exit 1; }
-cargo run --release -q -p exptime-bench --bin experiments -- --quick e4 e9 \
-    | diff -u tests/golden/experiments/e4_e9.txt - \
-    || { echo "experiments e4 e9: output differs from its golden"; exit 1; }
 
-# Difference-experiment golden: E2 (recomputations of R −exp S, unpatched
-# against Theorem 3 patched), E7 (queries answered locally under a single
-# texp(e), Equation 12 and the exact validity) and E10 (the patch-queue
-# cap sweep) print exactly tests/golden/experiments/e2_e7_e10.txt. All
-# three count, never time, so any difference is a change in what a
-# difference, its validity or its patch queue computes; when one is
+# Experiments golden: every experiment but `obs`, at reduced scale,
+# prints exactly tests/golden/experiments.txt. Each report prints counts
+# only, never a time, so any difference is a change in behaviour: in
+# what a difference, its validity or its patch queue computes (E1, E2,
+# E7, E8, E10), in an aggregation mode (E4, E9), in the replica, the
+# session protocol or FaultyLink's counting (E6, E6-chaos), in removal,
+# the forecast, the sampler's retention or the policy layer (E3,
+# E8-scope, E9-telemetry, E11-policy). Some also assert their claims as
+# they run (E8-scope's forecast buckets, E11-policy's zero maintenance
+# operations), so a broken claim fails here too. When a difference is
 # meant, regenerate the file with
-# `cargo run --release -q -p exptime-bench --bin experiments -- --quick e2 e7 e10 > tests/golden/experiments/e2_e7_e10.txt`.
-cargo run --release -q -p exptime-bench --bin experiments -- --quick e2 e7 e10 \
-    | diff -u tests/golden/experiments/e2_e7_e10.txt - \
-    || { echo "experiments e2 e7 e10: output differs from its golden"; exit 1; }
-
-# Experiments smoke: every experiment id at reduced scale. Each one
-# asserts its own claims as it runs (E6-chaos: message counts and
-# recovery at every loss rate; E8-scope: forecast within one log2
-# bucket and the storm detector trips; E9-telemetry: bounded history and
-# every scrape parses; E10-net: throughput/shed/partition against real
-# TCP servers; E11-policy: zero application maintenance ops, durable
-# sliding touches), so a broken claim fails here. The printed reports
-# are the only output.
-cargo run --release -q -p exptime-bench --bin experiments -- --quick
+# `cargo run --release -q -p exptime-bench --bin experiments -- --quick e1 e2 e3 e4 e6 e6chaos e7 e8 e8scope e9 e9telemetry e10 e11policy > tests/golden/experiments.txt`.
+cargo run --release -q -p exptime-bench --bin experiments -- --quick \
+    e1 e2 e3 e4 e6 e6chaos e7 e8 e8scope e9 e9telemetry e10 e11policy \
+    | diff -u tests/golden/experiments.txt - \
+    || { echo "experiments: output differs from its golden"; exit 1; }
 
 # Chaos matrix: replay the replica-sync invariant over a pinned set of
 # deterministic fault schedules (EXPTIME_CHAOS_SEEDS overridable; a
@@ -144,9 +123,10 @@ cargo test -q --test prop_policy
 EXPTIME_POLICY_SEEDS="${EXPTIME_POLICY_SEEDS:-1,2,3,4,5,6,7,8}" \
     cargo test -q --test prop_policy policy_crash_seed_matrix
 
-# Netload drain smoke: an embedded server driven by concurrent client
-# sessions, then drained; netload exits nonzero if any acknowledged
-# write is missing afterwards.
+# Netload smoke: an embedded server driven by concurrent client
+# sessions, then drained; netload exits nonzero if the server did not
+# see all 64 connections at once, or if any acknowledged write is
+# missing after the drain.
 cargo run --release -q -p exptime-bench --bin netload -- --conns 64 --stmts 8
 
 # Telemetry scrape smoke: start a real telemetryd on a loopback port,

@@ -400,7 +400,10 @@ fn assert_counts(
 /// takes two bare `Base`s, whose rows both sides lend — `r` against `s`
 /// is not union-compatible, for `s.v` is FLOAT — or a one-column π of
 /// whatever the recursion built on each side, both evaluated, whose
-/// types may or may not agree.
+/// types may or may not agree. A difference also comes as `r`'s keys
+/// against `r`'s values ∪ `s`'s keys, or the other way round, which
+/// draws several critical tuples out of `appears_at` order often enough
+/// that a kernel which leaves them unsorted fails within the cases.
 fn arb_spj() -> impl Strategy<Value = (Expr, usize)> {
     // `n` picks an attribute below `arity`; 23 is the out-of-range draw.
     fn attr(n: usize, arity: usize) -> usize {
@@ -501,6 +504,16 @@ fn arb_spj() -> impl Strategy<Value = (Expr, usize)> {
                     (set_op(k, l, r), 1)
                 }
             ),
+            // The keys of `r` against its values and the keys of `s`:
+            // INT columns that share values under unrelated lifetimes, so
+            // the difference has critical tuples, often several and out
+            // of `appears_at` order, either way round.
+            3 => any::<bool>().prop_map(|flip| {
+                let col = |b: &str, c: usize| Expr::base(b).project([c]);
+                let (mixed, keys) = (col("r", 1).union(col("s", 0)), col("r", 0));
+                let (l, r) = if flip { (keys, mixed) } else { (mixed, keys) };
+                (l.difference(r), 1)
+            }),
         ]
     })
 }

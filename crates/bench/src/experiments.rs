@@ -460,7 +460,7 @@ pub fn e4_aggregate_modes(rows: usize, seed: u64) -> (Report, Vec<E4Row>) {
 /// One strategy/view pair of E6.
 #[derive(Debug, Clone)]
 pub struct E6Row {
-    /// View kind ("monotonic" or "difference").
+    /// View kind ("monotonic σ", "difference" or "count γ").
     pub view: String,
     /// Strategy name.
     pub strategy: String,
@@ -488,6 +488,12 @@ pub fn e6_replica_sync(rows: usize, horizon: u64, seed: u64) -> (Report, Vec<E6R
         (
             "difference",
             Box::new(|| Expr::base("r").difference(Expr::base("s"))),
+        ),
+        (
+            // The bare Klug count: each of the ≈ 97 groups by `val` goes
+            // wrong as its rows expire, one at a time.
+            "count γ",
+            Box::new(|| Expr::base("r").aggregate([1], AggFunc::Count)),
         ),
     ] {
         let build_server = || {
@@ -1109,6 +1115,11 @@ mod tests {
         assert_eq!(d_patch, 2, "Theorem 3: subscribe only");
         assert!(d_patch <= d_aware);
         assert!(d_aware < get("difference", "polling"));
+        // Count: patching recomputes each group locally.
+        let c_patch = get("count γ", "exp-aware+patch");
+        assert_eq!(c_patch, 2, "Theorem 3: subscribe only");
+        assert!(c_patch < get("count γ", "exp-aware"));
+        assert!(get("count γ", "exp-aware") <= get("count γ", "polling"));
     }
 
     #[test]
@@ -1388,7 +1399,7 @@ pub fn e10_bounded_queue(rows: usize, seed: u64) -> (Report, Vec<E10Row>) {
     let mut out_rows = Vec::new();
     for &cap in &caps {
         let opts = EvalOptions {
-            patch_root_difference: true,
+            patch_root: true,
             patch_queue_cap: if cap == usize::MAX { None } else { Some(cap) },
             ..EvalOptions::default()
         };

@@ -331,6 +331,18 @@ impl Group {
         }
     }
 
+    /// The group `Partitions` builds of `rows` with its rows kept, pushed
+    /// in their order, but taking `rows` as they are instead of copying
+    /// each: how a Theorem 3 queue regroups the survivors of a group.
+    pub(crate) fn of_rows(key: Tuple, f: AggFunc, rows: Vec<Row>) -> Self {
+        let mut group = Group::new(key, f);
+        for (t, e) in &rows {
+            group.push(f, t, *e, false);
+        }
+        group.rows = rows;
+        group
+    }
+
     fn push(&mut self, f: AggFunc, t: &Tuple, e: Time, keep_row: bool) {
         self.n += 1;
         self.earliest = self.earliest.min(e);

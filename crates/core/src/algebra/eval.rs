@@ -13,11 +13,11 @@
 //! * `I(e)` — the Schrödinger validity interval set (Section 3.4): the
 //!   instants at which the materialised result, expired forward, equals a
 //!   fresh recomputation;
-//! * optionally a [`PatchQueue`] that makes a root-level difference
-//!   eternally maintainable (Theorem 3): it is there, possibly empty, for
-//!   a root difference evaluated with
-//!   [`patch_root_difference`](EvalOptions::patch_root_difference), and
-//!   only then.
+//! * optionally a [`PatchQueue`] that makes a root-level difference or
+//!   aggregation maintainable without its base relations (Theorem 3): it
+//!   is there, possibly empty, for a root difference, a root aggregation
+//!   or a π over one that keeps every grouping attribute, evaluated with
+//!   [`patch_root`](EvalOptions::patch_root), and only then.
 //!
 //! Every operator reads each of its inputs one way ([`Input`]): a
 //! fragment `σ* Base` — a bare `Base` included — is opened as a [`Scan`]
@@ -39,8 +39,10 @@
 //! in order, so one pass yields the result rows and the critical tuples.
 //! `texp(e)`, `I(e)` and — at a patched root — the Theorem 3 queue all
 //! follow from the critical tuples; an unpatched difference is a patched
-//! one whose queue holds nothing. A fused operator reports to the probe
-//! as the operators it stands for. σ over an evaluated input, ∪ and ∩ are
+//! one whose queue holds nothing. An aggregation derives the same three
+//! from its groups' cuts, and at a patched root queues the groups
+//! themselves. A fused operator reports to the probe as the operators it
+//! stands for. σ over an evaluated input, ∪ and ∩ are
 //! one `ops::` call over evaluated inputs.
 //!
 //! Only π and ∪ can make two rows coincide (Equations 3 and 4), so they
@@ -58,7 +60,7 @@ use crate::error::Result;
 use crate::interval::{Interval, IntervalSet};
 use crate::patch::PatchQueue;
 use crate::predicate::{Predicate, Test};
-use crate::relation::{DuplicatePolicy, Relation};
+use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::time::Time;
 use crate::tuple::Tuple;
@@ -69,24 +71,26 @@ pub struct EvalOptions {
     /// How aggregation result tuples get their expiration times
     /// (default [`AggMode::Exact`]).
     pub agg_mode: AggMode,
-    /// If the expression's *root* is a difference, build the Theorem 3
-    /// patch queue: the result then has `texp(e)` independent of critical
-    /// tuples and is maintained by applying due patches instead of
-    /// recomputation. (Patching an inner difference would require
-    /// propagating insertions through the operators above it — classic
-    /// incremental view maintenance, out of the paper's scope; the paper's
-    /// Section 3.1 instead suggests *pulling up* non-monotonic operators,
-    /// which the rewriter implements.)
-    pub patch_root_difference: bool,
+    /// If the expression's *root* is a difference or an aggregation (bare,
+    /// or under a π that keeps every grouping attribute), build the
+    /// Theorem 3 patch queue: the result then has `texp(e)` independent
+    /// of its critical tuples or its groups' change points and is
+    /// maintained by applying due patches instead of recomputation.
+    /// (Patching an inner operator would require propagating insertions
+    /// through the operators above it — classic incremental view
+    /// maintenance, out of the paper's scope; the paper's Section 3.1
+    /// instead suggests *pulling up* non-monotonic operators, which the
+    /// rewriter implements.)
+    pub patch_root: bool,
     /// Bound on the Theorem 3 patch queue. The paper (Section 3.4.2)
     /// notes that sizing the queue "is a classic trade-off decision
     /// between saving future communication and time/space": with a cap,
-    /// only the `k` earliest-reappearing critical tuples are queued, and
-    /// the expression's `texp(e)` is the reappearance time of the first
-    /// critical tuple that did NOT fit — the view patches locally until
-    /// then, then recomputes (rebuilding the queue). `None` queues
-    /// everything (full Theorem 3: `texp(e)` independent of critical
-    /// tuples).
+    /// only the `k` earliest-due entries — critical tuples by their
+    /// reappearance, groups by their cut — are queued, and the
+    /// expression's `texp(e)` is the due time of the first one that did
+    /// NOT fit — the view patches locally until then, then recomputes
+    /// (rebuilding the queue). `None` queues everything (full Theorem 3:
+    /// `texp(e)` independent of critical tuples and groups).
     pub patch_queue_cap: Option<usize>,
     /// Use the coarse Equation 12 validity for differences instead of the
     /// exact per-tuple holes. The exact set is a superset; Equation 12 is
@@ -98,7 +102,7 @@ impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             agg_mode: AggMode::Exact,
-            patch_root_difference: false,
+            patch_root: false,
             patch_queue_cap: None,
             eq12_validity: false,
         }
@@ -120,8 +124,8 @@ pub struct Materialized {
     /// `[τ, texp(e)[` is always covered.
     pub validity: IntervalSet,
     /// The Theorem 3 patch queue, present only when
-    /// [`EvalOptions::patch_root_difference`] was set and the root is a
-    /// difference.
+    /// [`EvalOptions::patch_root`] was set and the root is a difference or
+    /// an aggregation that can have one.
     pub patches: Option<PatchQueue>,
 }
 
@@ -142,8 +146,9 @@ impl Materialized {
     }
 
     /// The result as seen at `t ≥ at`: `expₜ` of the rows, plus every
-    /// queued patch whose tuple is in the result at `t` — Theorem 3's
-    /// materialisation is its rows *and* its helper queue. This is the
+    /// queued patch whose tuple is in the result at `t` and every queued
+    /// group due by `t`, recomputed at `t` — Theorem 3's materialisation
+    /// is its rows *and* its helper queue. This is the
     /// one way rows leave a materialisation, and it is a pure function:
     /// a read that consumed the queue could not be asked about an earlier
     /// instant afterwards (a query moved forward, then the next one).
@@ -161,11 +166,8 @@ impl Materialized {
         // One peek when nothing is due, which is every read of a
         // maintained view: `maintain` has just drained the queue to `t`.
         let queue = self.patches.as_ref();
-        let due = queue.filter(|q| q.next_due().is_some_and(|next| next <= t));
-        for patch in due.into_iter().flat_map(|q| q.due_at(t)) {
-            let (tuple, texp) = (patch.tuple.clone(), patch.disappears_at);
-            rows.insert_with(tuple, texp, DuplicatePolicy::Replace)
-                .expect("patch tuple must match result schema");
+        if let Some(due) = queue.filter(|q| q.next_due().is_some_and(|next| next <= t)) {
+            due.add_due(&mut rows, t);
         }
         rows
     }
@@ -218,8 +220,8 @@ struct Sub {
     rel: Relation,
     texp: Time,
     validity: IntervalSet,
-    /// The Theorem 3 queue: `Some` only for a root difference evaluated
-    /// with [`EvalOptions::patch_root_difference`].
+    /// The Theorem 3 queue: `Some` only for a root that can have one,
+    /// evaluated with [`EvalOptions::patch_root`].
     patches: Option<PatchQueue>,
 }
 
@@ -326,15 +328,19 @@ impl<'a> Scan<'a> {
 
 /// `aggexp(e)`, or `πexp(aggexp(e))` with `positions`: the input is grouped
 /// exactly once ([`Aggregation`]) from the rows [`Input`] hands it, and
-/// rows, `texp(e)` and validity all come from that one grouping. The
-/// positions of a π directly above go to [`Aggregation::new`], so that
-/// `GROUP BY` output is emitted one row per group and a lent row is
-/// copied only if the Klug rows need it. The aggregation reports the
-/// Klug cardinality it stands for, built or not, and errors keep the
-/// unfused order: the input's, the aggregation's, then the π's.
+/// rows, `texp(e)`, validity and — at a `patched` root — the Theorem 3
+/// queue all come from that one grouping. The positions of a π directly
+/// above go to [`Aggregation::new`], so that `GROUP BY` output is emitted
+/// one row per group and a lent row is copied only if the Klug rows or
+/// the queue need it. A patched root's queue takes `patch_queue_cap`
+/// groups (`None`: all); only those past it bound `texp(e)` and cut holes
+/// in `I(e)`, beside the input's own. The aggregation reports the Klug
+/// cardinality it stands for, built or not, and errors keep the unfused
+/// order: the input's, the aggregation's, then the π's.
 fn eval_aggregate<P: Probe>(
     node: &Expr,
     positions: Option<&[usize]>,
+    patched: bool,
     catalog: &dyn Bindings,
     tau: Time,
     opts: &EvalOptions,
@@ -351,13 +357,17 @@ fn eval_aggregate<P: Probe>(
     probe.enter(node);
     let i = Input::open(input, catalog, tau, opts, probe)?;
     let schema = i.schema().clone();
-    let mut agg = Aggregation::new(&schema, group_by, *func, opts.agg_mode, tau, positions)?;
+    let cap = patched.then(|| opts.patch_queue_cap.unwrap_or(usize::MAX));
+    let (mode, f) = (opts.agg_mode, *func);
+    let mut agg = Aggregation::new(&schema, group_by, f, mode, tau, positions, cap)?;
     let i = i.run(catalog, tau, probe, |t, e| Ok(agg.push(t, e)))?;
     let out = agg.finish()?;
     let texp = i.texp.min(out.meta.texp);
     probe.leave(out.klug_rows, 0, texp);
     let validity = i.validity.intersect(&out.meta.validity);
-    Ok(Sub::new(out.rel, texp, validity))
+    let mut sub = Sub::new(out.rel, texp, validity);
+    sub.patches = out.patches;
+    Ok(sub)
 }
 
 /// One input of an operator: a `σ* Base` fragment, opened, whose rows its
@@ -369,9 +379,15 @@ enum Input<'a> {
 
 /// An input whose rows have been handed on.
 struct ReadInput {
-    schema: Schema,
     /// `|expτ|` of the input.
     rows: usize,
+    texp: Time,
+    validity: IntervalSet,
+}
+
+/// An input kept whole ([`Input::keep`]).
+struct Kept {
+    rel: Relation,
     texp: Time,
     validity: IntervalSet,
 }
@@ -404,30 +420,26 @@ impl<'a> Input<'a> {
     /// left, a difference's two — as a relation: an evaluated input's
     /// result as it is, a lent input's rows copied out of its scan, in
     /// order, for the scan lends them for the visit alone. Only a lookup
-    /// builds the copy's tuple index.
-    fn keep<P: Probe>(
-        self,
-        catalog: &dyn Bindings,
-        tau: Time,
-        probe: &mut P,
-    ) -> Result<(ReadInput, Relation)> {
+    /// builds the copy's tuple index. Nothing is counted: every row kept
+    /// is unexpired at `τ`, so `|expτ|` is the relation's length.
+    fn keep<P: Probe>(self, catalog: &dyn Bindings, tau: Time, probe: &mut P) -> Result<Kept> {
         match self {
-            Input::Built(sub) => {
-                let read = ReadInput {
-                    schema: sub.rel.schema().clone(),
-                    rows: sub.rel.count_unexpired(tau),
-                    texp: sub.texp,
-                    validity: sub.validity,
-                };
-                Ok((read, sub.rel))
-            }
+            Input::Built(sub) => Ok(Kept {
+                rel: sub.rel,
+                texp: sub.texp,
+                validity: sub.validity,
+            }),
             lent => {
                 let mut rel = Relation::new(lent.schema().clone());
                 let read = lent.run(catalog, tau, probe, |t, e| {
                     rel.push_distinct(t.clone(), e);
                     Ok(true)
                 })?;
-                Ok((read, rel))
+                Ok(Kept {
+                    rel,
+                    texp: read.texp,
+                    validity: read.validity,
+                })
             }
         }
     }
@@ -448,21 +460,20 @@ impl<'a> Input<'a> {
             rows += 1;
             keep(t, e)
         };
-        let (schema, texp, validity) = match self {
-            Input::Lent(scan, schema) => {
+        let (texp, validity) = match self {
+            Input::Lent(scan, _) => {
                 scan.run(catalog, tau, probe, &mut keep)?;
                 // A base relation never expires; σ passes that on.
-                (schema, Time::INFINITY, IntervalSet::from_time(tau))
+                (Time::INFINITY, IntervalSet::from_time(tau))
             }
             Input::Built(sub) => {
                 for (t, e) in sub.rel.iter_at(tau) {
                     keep(t, e)?;
                 }
-                (sub.rel.schema().clone(), sub.texp, sub.validity)
+                (sub.texp, sub.validity)
             }
         };
         Ok(ReadInput {
-            schema,
             rows,
             texp,
             validity,
@@ -495,18 +506,21 @@ fn eval_join<P: Probe>(
         probe.enter(product);
     }
     let l = Input::open(left, catalog, tau, opts, probe)?;
-    let (l, kept) = l.keep(catalog, tau, probe)?;
+    let l = l.keep(catalog, tau, probe)?;
     let r = Input::open(right, catalog, tau, opts, probe)?;
-    let mut join = ops::HashJoin::new(&l.schema, r.schema(), predicate)?;
+    let mut join = ops::HashJoin::new(l.rel.schema(), r.schema(), predicate)?;
     let r = r.run(catalog, tau, probe, |t, e| {
         join.build(t, e);
         Ok(true)
     })?;
     let texp = l.texp.min(r.texp);
     if product.is_some() {
-        probe.leave(l.rows.saturating_mul(r.rows), 0, texp);
+        // Every row an evaluation emits, as every row a scan lends, is
+        // unexpired at `τ`: the kept left is its `expτ`.
+        debug_assert_eq!(l.rel.len(), l.rel.count_unexpired(tau));
+        probe.leave(l.rel.len().saturating_mul(r.rows), 0, texp);
     }
-    let rel = join.probe(kept.iter_at(tau));
+    let rel = join.probe(l.rel.iter_at(tau));
     Ok(Sub::new(rel, texp, l.validity.intersect(&r.validity)))
 }
 
@@ -533,10 +547,10 @@ fn eval_difference<P: Probe>(
     probe: &mut P,
 ) -> Result<Sub> {
     let l = Input::open(left, catalog, tau, opts, probe)?;
-    let (l, kept) = l.keep(catalog, tau, probe)?;
+    let l = l.keep(catalog, tau, probe)?;
     let r = Input::open(right, catalog, tau, opts, probe)?;
-    let (r, right) = r.keep(catalog, tau, probe)?;
-    let (rel, mut critical) = ops::one_pass_difference(kept, &right, tau)?;
+    let r = r.keep(catalog, tau, probe)?;
+    let (rel, mut critical) = ops::one_pass_difference(l.rel, &r.rel, tau)?;
     // Stable: critical tuples that reappear together keep left order.
     critical.sort_by_key(|c| c.appears_at);
     let cap = opts.patch_queue_cap.unwrap_or(usize::MAX);
@@ -564,11 +578,10 @@ fn eval_rec<P: Probe>(
     opts: &EvalOptions,
     probe: &mut P,
 ) -> Result<Sub> {
-    // Only the root difference is patched (Theorem 3): below it, patching
-    // is off.
-    let patched = opts.patch_root_difference;
+    // Only the root is patched (Theorem 3): below it, patching is off.
+    let patched = opts.patch_root;
     let opts = &EvalOptions {
-        patch_root_difference: false,
+        patch_root: false,
         ..*opts
     };
     // A bare `σ* Base`: its survivors, kept as they are.
@@ -581,7 +594,7 @@ fn eval_rec<P: Probe>(
         return Ok(Sub::new(rel, Time::INFINITY, IntervalSet::from_time(tau)));
     }
     if let Expr::Aggregate { .. } = expr {
-        return eval_aggregate(expr, None, catalog, tau, opts, probe);
+        return eval_aggregate(expr, None, patched, catalog, tau, opts, probe);
     }
     probe.enter(expr);
     let sub = match expr {
@@ -598,7 +611,7 @@ fn eval_rec<P: Probe>(
         },
         Expr::Project { input, positions } => match &**input {
             agg @ Expr::Aggregate { .. } => {
-                eval_aggregate(agg, Some(positions), catalog, tau, opts, probe)?
+                eval_aggregate(agg, Some(positions), patched, catalog, tau, opts, probe)?
             }
             _ => {
                 let i = Input::open(input, catalog, tau, opts, probe)?;
@@ -810,7 +823,7 @@ mod tests {
             .project([0])
             .difference(Expr::base("El").project([0]));
         let opts = EvalOptions {
-            patch_root_difference: true,
+            patch_root: true,
             ..EvalOptions::default()
         };
         let m = eval(&e, &c, Time::ZERO, &opts).unwrap();
@@ -874,7 +887,7 @@ mod tests {
         let coarse = eval(&e, &c, Time::ZERO, &eq12).unwrap();
         assert!(!coarse.valid_at(t(5)), "Eq 12 blankets [2, 20[");
         let no_room = EvalOptions {
-            patch_root_difference: true,
+            patch_root: true,
             patch_queue_cap: Some(0),
             ..eq12
         };
@@ -948,7 +961,7 @@ mod tests {
         // Critical reappearances at 3 (⟨2⟩) and 5 (⟨1⟩). Cap 1 keeps the
         // earliest; texp(e) = 5, the dropped tuple's reappearance.
         let opts = EvalOptions {
-            patch_root_difference: true,
+            patch_root: true,
             patch_queue_cap: Some(1),
             ..EvalOptions::default()
         };
@@ -983,7 +996,7 @@ mod tests {
             .project([0])
             .difference(Expr::base("El").project([0]));
         let opts = EvalOptions {
-            patch_root_difference: true,
+            patch_root: true,
             patch_queue_cap: Some(1),
             ..EvalOptions::default()
         };
@@ -1007,12 +1020,49 @@ mod tests {
         assert_eq!(view.stats().patches_applied, 1);
     }
 
+    /// Figure 3(a) patched: the 25-group goes wrong at 10, when ⟨1, 25⟩
+    /// expires, and is queued with its two rows; the 35-group dies then.
+    #[test]
+    fn patched_root_aggregate_queues_its_groups() {
+        let c = catalog();
+        let e = Expr::base("Pol")
+            .aggregate([1], AggFunc::Count)
+            .project([1, 2]);
+        let patched = EvalOptions {
+            patch_root: true,
+            ..EvalOptions::default()
+        };
+        let m = eval(&e, &c, Time::ZERO, &patched).unwrap();
+        assert_eq!(m.texp, Time::INFINITY, "Theorem 3");
+        let q = m.patches.as_ref().expect("a queue");
+        assert_eq!((q.len(), q.tuples(), q.next_due()), (1, 2, Some(t(10))));
+        assert!(m.valid_at(t(12)));
+        assert_eq!(m.rows_at(t(12)).texp(&tuple![25, 1]), Some(t(15)));
+        assert_eq!(m.rows_at(t(12)).len(), 1);
+        // With no room, the group past the cap is Figure 3(a)'s hole.
+        let no_room = EvalOptions {
+            patch_queue_cap: Some(0),
+            ..patched
+        };
+        let m = eval(&e, &c, Time::ZERO, &no_room).unwrap();
+        assert_eq!(m.texp, t(10));
+        assert!(!m.valid_at(t(12)));
+        assert!(m.patches.is_some_and(|q| q.is_empty()));
+        // A π that drops the grouping attribute merges groups: no queue.
+        let merged = Expr::base("Pol")
+            .aggregate([1], AggFunc::Count)
+            .project([2]);
+        let m = eval(&merged, &c, Time::ZERO, &patched).unwrap();
+        assert!(m.patches.is_none());
+        assert_eq!(m.texp, t(10));
+    }
+
     #[test]
     fn patch_option_ignored_for_non_difference_root() {
         let c = catalog();
         let e = Expr::base("Pol").project([0]);
         let opts = EvalOptions {
-            patch_root_difference: true,
+            patch_root: true,
             ..EvalOptions::default()
         };
         let m = eval(&e, &c, Time::ZERO, &opts).unwrap();

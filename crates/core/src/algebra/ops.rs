@@ -8,8 +8,10 @@
 //!
 //! * **Kernels that evaluation runs**, fed from the rows a scan lends or
 //!   an evaluated input holds: `HashJoin` (⋈, σ over ×, and a bare ×),
-//!   `Aggregation` (`aggexp` and a π directly above it) and
-//!   `one_pass_difference` (−, and its critical tuples with it). `eval`
+//!   `Aggregation` (`aggexp` and a π directly above it, each group turned
+//!   into rows by `GroupRows`, which a Theorem 3 queue recomputes a group
+//!   with too) and `one_pass_difference` (−, and its critical tuples with
+//!   it). `eval`
 //!   calls them, and so do [`join`] and [`aggregate`](fn@aggregate), the
 //!   first two over built relations. [`select`], [`union`] and
 //!   [`intersect`] are called by `eval` for σ over an evaluated input, ∪
@@ -22,16 +24,18 @@
 //!   experiments and the criterion benches; nothing under `core` or
 //!   `engine` outside tests calls them (repolint R011).
 
-use crate::aggregate::{self, AggFunc, AggMode, Partitions};
+use crate::aggregate::{self, AggFunc, AggMode, Group, Partitions, Row};
 use crate::error::{Error, Result};
 use crate::hash::RowMap;
 use crate::interval::{Interval, IntervalSet};
+use crate::patch::PatchQueue;
 use crate::predicate::Predicate;
 use crate::relation::{DuplicatePolicy, Relation};
 use crate::schema::Schema;
 use crate::time::Time;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::borrow::Cow;
 
 /// Selection `σexp_p(R)` (Equation 1): keeps unexpired tuples satisfying
 /// `p`; result tuples retain their expiration times.
@@ -450,26 +454,22 @@ pub struct AggregateMeta {
     /// "remains correct and needs not expire" then — so instants after a
     /// partition's death are OK; (b) intervals where the value *returns*
     /// to its original after changing are NOT ok — the materialised
-    /// result tuples expired at the first change and cannot come back
-    /// (unlike the difference operator, where Theorem 3's queue re-adds
-    /// tuples), so only the contiguous `[τ, first change[` prefix counts.
+    /// result tuples expired at the first change and come back only with
+    /// a recomputation of the group (at a patched root, the Theorem 3
+    /// queue's), so only the contiguous `[τ, first change[` prefix counts.
     pub validity: IntervalSet,
 }
 
-/// One evaluation of `aggexp_{j1,…,jn,f}` at `τ`, or of the projection
-/// `πexp(aggexp)` directly above it: rows go in one at a time — lent by a
-/// scan or read from a built relation — and are grouped once, each group
-/// keeping only what the function and the output read;
-/// [`finish`](Self::finish) reads the value, the mode's bound, ν and the
-/// partition's death off each group and derives the output rows and the
-/// [`AggregateMeta`] from them.
-#[derive(Debug)]
-pub(crate) struct Aggregation<'a> {
-    input: &'a Schema,
+/// How a group becomes rows of the result: `aggexp`'s Klug rows, or the
+/// rows of a π directly above it. An evaluation borrows the positions; a
+/// Theorem 3 queue owns them ([`into_owned`](Self::into_owned)) to
+/// recompute a group with, so a group is turned into rows by this one
+/// implementation whoever asks.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupRows<'a> {
     f: AggFunc,
     mode: AggMode,
-    tau: Time,
-    positions: Option<&'a [usize]>,
+    positions: Option<Cow<'a, [usize]>>,
     /// Per output column, its grouping attribute's index in the key — or
     /// `None` for the aggregate column — when the projection emits one
     /// row per group.
@@ -477,6 +477,138 @@ pub(crate) struct Aggregation<'a> {
     /// Whether the per-group rows keep every grouping attribute, so no two
     /// coincide.
     groups_distinct: bool,
+}
+
+/// What [`GroupRows::emit`] reads off a group besides its rows.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cut {
+    /// The earlier of the value's first change (ν) and the mode's bound:
+    /// from here the group's rows are wrong until it is dead.
+    pub(crate) at: Time,
+    /// `max texp`: when the partition is dead.
+    pub(crate) death: Time,
+    /// Whether a row the group emitted outlives its cut — a mode's bound
+    /// past ν, which no sound bound is (`contributing_bound_is_sound`),
+    /// but a FLOAT `sum`/`avg` slice that the contributing rule's
+    /// tolerance deems neutral can be.
+    pub(crate) outlives: bool,
+}
+
+impl GroupRows<'_> {
+    /// The positions, owned: what a queue keeps.
+    pub(crate) fn into_owned(self) -> GroupRows<'static> {
+        GroupRows {
+            positions: self.positions.map(|ps| Cow::Owned(ps.into_owned())),
+            ..self
+        }
+    }
+
+    /// One group's part of Equation 8: its value, ν, the mode's bound
+    /// and its death read off `group`, and — into `rel`, if given — its
+    /// rows: each Klug row `⟨r, value⟩` expiring at the bound or with `r`,
+    /// whichever is first, straight into the π above if there is one
+    /// (Equation 3's maximum over the rows that coincide under it); or,
+    /// projected one row per group, the one row all of them coincide on,
+    /// expiring at `min(bound, max texp of the group)`. The groups' rows
+    /// are distinct when the projection keeps every grouping attribute;
+    /// when it drops one, groups can coincide and `KeepMax` merges them.
+    ///
+    /// # Errors
+    ///
+    /// Returns non-numeric aggregation errors.
+    pub(crate) fn emit(
+        &self,
+        group: &mut Group,
+        rel: Option<&mut Relation>,
+        scratch: &mut Vec<Value>,
+    ) -> Result<Cut> {
+        let f = self.f;
+        let value = group.value(f)?;
+        let nu = group.first_change(f)?;
+        let bound = match self.mode {
+            AggMode::Naive => group.earliest,
+            AggMode::Contributing => aggregate::neutral::contributing_texp(&group.rows, f)?,
+            AggMode::Exact => nu,
+        };
+        let death = group.latest;
+        match (rel, &self.per_group) {
+            (Some(rel), Some(cols)) => {
+                let row = cols.iter().map(|col| match col {
+                    Some(j) => group.key.attr(*j).clone(),
+                    None => value.clone(),
+                });
+                let row = Tuple::new(row.collect::<Vec<_>>());
+                if self.groups_distinct {
+                    rel.push_distinct(row, bound.min(death));
+                } else {
+                    rel.insert_with(row, bound.min(death), DuplicatePolicy::KeepMax)?;
+                }
+            }
+            (Some(rel), None) => {
+                for (t, e) in &group.rows {
+                    let (row, e) = (t.append(value.clone()), bound.min(*e));
+                    match &self.positions {
+                        Some(ps) => {
+                            rel.insert_projection(&row, ps, e, scratch)?;
+                        }
+                        None => rel.push_distinct(row, e),
+                    }
+                }
+            }
+            (None, _) => {}
+        }
+        Ok(Cut {
+            at: nu.min(bound),
+            death,
+            outlives: bound > nu,
+        })
+    }
+
+    /// The group `key` of `rows` as an evaluation at `τ` sees it: grouped
+    /// from the survivors (`texp > τ`), in their order, and its rows
+    /// emitted into `rel`. Returns the survivors and the cut when the
+    /// group is still to go wrong before it is dead — when it is due
+    /// again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group, evaluated once already, now fails to: the
+    /// survivors of a group hold none of the values that can fail it.
+    pub(crate) fn regroup(
+        &self,
+        key: Tuple,
+        mut rows: Vec<Row>,
+        tau: Time,
+        rel: &mut Relation,
+        scratch: &mut Vec<Value>,
+    ) -> Option<(Cut, Group)> {
+        rows.retain(|&(_, e)| e > tau);
+        if rows.is_empty() {
+            return None;
+        }
+        let mut group = Group::of_rows(key, self.f, rows);
+        let cut = self.emit(&mut group, Some(rel), scratch);
+        let cut = cut.expect("a group that evaluated once evaluates again");
+        (cut.at < cut.death).then_some((cut, group))
+    }
+}
+
+/// One evaluation of `aggexp_{j1,…,jn,f}` at `τ`, or of the projection
+/// `πexp(aggexp)` directly above it: rows go in one at a time — lent by a
+/// scan or read from a built relation — and are grouped once, each group
+/// keeping only what the function and the output read;
+/// [`finish`](Self::finish) turns each group into rows ([`GroupRows`])
+/// and derives the [`AggregateMeta`] and, at a patched root, the
+/// Theorem 3 queue from them.
+#[derive(Debug)]
+pub(crate) struct Aggregation<'a> {
+    input: &'a Schema,
+    tau: Time,
+    rows: GroupRows<'a>,
+    /// At a patched root whose output keeps every grouping attribute: the
+    /// queue's cap, and where each grouping attribute sits in an output
+    /// row.
+    patch: Option<(usize, Vec<usize>)>,
     partitions: Partitions<'a>,
 }
 
@@ -488,6 +620,8 @@ pub(crate) struct Aggregated {
     pub(crate) meta: AggregateMeta,
     /// `|aggexp(R)|`: one Klug row per input row, built or not.
     pub(crate) klug_rows: usize,
+    /// The Theorem 3 queue, at a patched root that can have one.
+    pub(crate) patches: Option<PatchQueue>,
 }
 
 impl<'a> Aggregation<'a> {
@@ -497,6 +631,12 @@ impl<'a> Aggregation<'a> {
     /// `πexp_{2,3}(aggexp_{{2},count}(Pol))` — the Klug rows are not
     /// built, so a group keeps no row unless the contributing sets of
     /// [`AggMode::Contributing`] read them.
+    ///
+    /// `cap` is `Some` at a patched root: its groups then go in a Theorem
+    /// 3 queue of at most that many, if the output keeps every grouping
+    /// attribute — no two groups' rows can coincide then, so each group's
+    /// rows are its own — and a group keeps its rows for the queue. Any
+    /// other π merges groups, and has no queue.
     ///
     /// # Errors
     ///
@@ -509,6 +649,7 @@ impl<'a> Aggregation<'a> {
         mode: AggMode,
         tau: Time,
         positions: Option<&'a [usize]>,
+        cap: Option<usize>,
     ) -> Result<Self> {
         let arity = input.arity();
         if let Some(&index) = group_by.iter().find(|&&j| j >= arity) {
@@ -522,15 +663,27 @@ impl<'a> Aggregation<'a> {
             let in_key = |p: usize| group_by.iter().position(|&g| g == p);
             ps.iter().map(|&p| in_key(p)).collect()
         });
-        let keep_rows = per_group.is_none() || mode == AggMode::Contributing;
+        let key_cols = |cap| {
+            let col = |g: &usize| match positions {
+                Some(ps) => ps.iter().position(|p| p == g),
+                None => Some(*g),
+            };
+            let cols: Option<Vec<_>> = group_by.iter().map(col).collect();
+            cols.map(|cols| (cap, cols))
+        };
+        let patch = cap.and_then(key_cols);
+        let keep_rows = per_group.is_none() || mode == AggMode::Contributing || patch.is_some();
         Ok(Aggregation {
             input,
-            f,
-            mode,
             tau,
-            positions,
-            per_group,
-            groups_distinct,
+            rows: GroupRows {
+                f,
+                mode,
+                positions: positions.map(Cow::Borrowed),
+                per_group,
+                groups_distinct,
+            },
+            patch,
             partitions: Partitions::new(group_by, f, keep_rows),
         })
     }
@@ -547,16 +700,8 @@ impl<'a> Aggregation<'a> {
     /// the mode supplies one partition-level bound (Equation 9 assigns
     /// "the same expiration time" to the partition), but a fresh
     /// evaluation after `texp_R(r)` would not contain `⟨r, a⟩` at all.
-    ///
-    /// Projected one row per group (see [`new`](Self::new)): all rows of a
-    /// group coincide under the projection, and Equation 3's maximum over
-    /// them is `min(bound, max texp of the group)`. The groups' rows are
-    /// distinct when the projection keeps every grouping attribute; when it
-    /// drops one, groups can coincide and `KeepMax` merges them. The Klug
-    /// rows are distinct because the input rows are; under a projection
-    /// that keeps a non-grouping attribute each goes straight into it
-    /// ([`Relation::insert_projection`], Equation 3's maximum), so the
-    /// unprojected relation is never built.
+    /// Each group is turned into rows by [`GroupRows::emit`], so the
+    /// unprojected relation is never built under a π.
     ///
     /// The metadata, per partition: the result goes wrong at the first
     /// change of the value (ν) or, under a conservative `mode`, already at
@@ -566,87 +711,69 @@ impl<'a> Aggregation<'a> {
     /// a base row of the partition is still alive then: a partition that
     /// is dead is right again, its tuples having legitimately disappeared.
     ///
+    /// At a patched root, the groups that go wrong before they are dead
+    /// are sorted stably by their cut and split at the cap: those before
+    /// it are the Theorem 3 queue, each due at its cut, and only those
+    /// past it bound `texp(e)` and cut holes in `I(e)`.
+    ///
     /// # Errors
     ///
     /// Returns non-numeric aggregation errors, then the projection's.
     pub(crate) fn finish(self) -> Result<Aggregated> {
         let Aggregation {
             input,
-            f,
-            mode,
             tau,
-            positions,
-            per_group,
-            groups_distinct,
+            rows,
+            patch,
             partitions,
         } = self;
-        let input_ty = f.attribute().map(|i| input.attr(i).ty);
-        let schema = input.append(&f.to_string(), f.result_type(input_ty));
+        let input_ty = rows.f.attribute().map(|i| input.attr(i).ty);
+        let schema = input.append(&rows.f.to_string(), rows.f.result_type(input_ty));
         // A π's out-of-range position is its error, raised after the
         // aggregate's own; until then no row is emitted.
-        let projected = positions.map(|ps| schema.project(ps)).transpose();
+        let projected = rows
+            .positions
+            .as_deref()
+            .map(|ps| schema.project(ps))
+            .transpose();
         let mut rel = Relation::new(match &projected {
             Ok(Some(projected)) => projected.clone(),
             _ => schema,
         });
-        let mut texp = Time::INFINITY;
         let mut holes = Vec::new();
+        let mut queued = Vec::new();
         let mut klug_rows = 0;
         let mut scratch = Vec::new();
         for mut group in partitions.into_groups() {
-            let value = group.value(f)?;
-            let nu = group.first_change(f)?;
-            let bound = match mode {
-                AggMode::Naive => group.earliest,
-                AggMode::Contributing => aggregate::neutral::contributing_texp(&group.rows, f)?,
-                AggMode::Exact => nu,
-            };
-            let death = group.latest;
+            let out = projected.is_ok().then_some(&mut rel);
+            let cut = rows.emit(&mut group, out, &mut scratch)?;
+            klug_rows += group.n;
             // Wrong from the cut until the partition is dead — even where
             // the value returns, for the materialised tuples are gone and
-            // cannot reappear (see `AggregateMeta::validity`).
-            let cut = nu.min(bound);
-            if cut < death {
-                texp = texp.min(cut);
-                holes.push(Interval::new(cut, death));
-            }
-
-            klug_rows += group.n;
-            match &per_group {
-                Some(cols) => {
-                    let row = cols.iter().map(|col| match col {
-                        Some(j) => group.key.attr(*j).clone(),
-                        None => value.clone(),
-                    });
-                    let row = Tuple::new(row.collect::<Vec<_>>());
-                    if groups_distinct {
-                        rel.push_distinct(row, bound.min(death));
-                    } else {
-                        rel.insert_with(row, bound.min(death), DuplicatePolicy::KeepMax)?;
-                    }
+            // cannot reappear (see `AggregateMeta::validity`) — unless the
+            // queue recomputes it then.
+            if cut.at < cut.death {
+                match patch {
+                    Some(_) => queued.push((cut, group)),
+                    None => holes.push(Interval::new(cut.at, cut.death)),
                 }
-                // Each Klug row straight into the π above, if any: Equation
-                // 3's maximum over the rows that coincide under it.
-                None if projected.is_ok() => {
-                    for (t, e) in &group.rows {
-                        let (row, e) = (t.append(value.clone()), bound.min(*e));
-                        match positions {
-                            Some(ps) => {
-                                rel.insert_projection(&row, ps, e, &mut scratch)?;
-                            }
-                            None => rel.push_distinct(row, e),
-                        }
-                    }
-                }
-                None => {}
             }
         }
         projected?;
+        let patches = patch.map(|(cap, key_cols)| {
+            // Stable: groups due together keep first-appearance order.
+            queued.sort_by_key(|(cut, _)| cut.at);
+            let past = queued.split_off(cap.min(queued.len()));
+            holes.extend(past.iter().map(|(cut, _)| Interval::new(cut.at, cut.death)));
+            PatchQueue::of_groups(rows.into_owned(), key_cols, queued)
+        });
+        let texp = Time::min_of(holes.iter().map(|h| h.start)).unwrap_or(Time::INFINITY);
         let validity = IntervalSet::from_time(tau).subtract(&IntervalSet::from_intervals(holes));
         Ok(Aggregated {
             rel,
             meta: AggregateMeta { texp, validity },
             klug_rows,
+            patches,
         })
     }
 }
@@ -667,7 +794,7 @@ pub fn aggregate(
     mode: AggMode,
     tau: Time,
 ) -> Result<(Relation, AggregateMeta)> {
-    let mut agg = Aggregation::new(r.schema(), group_by, f, mode, tau, None)?;
+    let mut agg = Aggregation::new(r.schema(), group_by, f, mode, tau, None, None)?;
     for (t, e) in r.iter_at(tau) {
         agg.push(t, e);
     }

@@ -359,7 +359,7 @@ mod tests {
             .project([0])
             .difference(Expr::base("El").project([0]));
         let opts = EvalOptions {
-            patch_root_difference: true,
+            patch_root: true,
             ..EvalOptions::default()
         };
         let (m, p) = eval_profiled(&e, &c, Time::ZERO, &opts, None).unwrap();

@@ -10,8 +10,10 @@
 //!   (Theorem 1);
 //! * **non-monotonic** views know their expiration time `texp(e)` and are
 //!   recomputed (a "message" back to the base data) only when it passes —
-//!   or, for root differences, are *patched* from a local priority queue
-//!   and never recomputed (Theorem 3);
+//!   or, for a root difference or aggregation, are *patched* from a local
+//!   priority queue and never recomputed (Theorem 3): a difference's
+//!   critical tuples are inserted as they reappear, an aggregation's
+//!   groups recomputed from their own rows as their values change;
 //! * removal of expired tuples is **eager** (physical, trigger-friendly) or
 //!   **lazy** (deferred, more optimisation freedom) per Section 3.2.
 
@@ -31,8 +33,9 @@ pub enum RefreshPolicy {
     /// Recompute from the base relations (counts as base access).
     #[default]
     Recompute,
-    /// Maintain via the Theorem 3 patch queue where possible (root
-    /// differences); recompute otherwise.
+    /// Maintain via the Theorem 3 patch queue where possible — a root
+    /// difference, a root aggregation, or a π over one that keeps every
+    /// grouping attribute; recompute otherwise.
     Patch,
 }
 
@@ -59,7 +62,8 @@ pub enum RemovalPolicy {
 pub struct ViewStats {
     /// Number of full recomputations against the base relations.
     pub recomputations: u64,
-    /// Number of tuples inserted by the patch queue.
+    /// Number of patches applied from the queue: critical tuples inserted
+    /// and groups recomputed.
     pub patches_applied: u64,
     /// Number of reads served.
     pub reads: u64,
@@ -166,8 +170,9 @@ impl MaterializedView {
     /// Materialises `expr` at time `τ` and wraps it as a maintained view.
     ///
     /// `refresh` alone decides patching: under [`RefreshPolicy::Patch`] a
-    /// root-level difference gets a Theorem 3 patch queue and will never
-    /// recompute, and `opts.patch_root_difference` is overridden either way.
+    /// root difference or aggregation gets a Theorem 3 patch queue and
+    /// will never recompute, and `opts.patch_root` is overridden either
+    /// way.
     ///
     /// # Errors
     ///
@@ -181,7 +186,7 @@ impl MaterializedView {
         removal: RemovalPolicy,
     ) -> Result<Self> {
         let opts = EvalOptions {
-            patch_root_difference: refresh == RefreshPolicy::Patch,
+            patch_root: refresh == RefreshPolicy::Patch,
             ..opts
         };
         let state = eval(&expr, catalog, tau, &opts)?;
@@ -269,18 +274,18 @@ impl MaterializedView {
     /// Whether the view can serve time `τ` without touching the base
     /// relations: `τ < texp(e)`.
     ///
-    /// For a patched root difference, `texp(e)` already excludes the
-    /// critical-tuple contribution (the queue handles those — Theorem 3),
-    /// but it still reflects invalidation flowing up from non-monotonic
-    /// *subexpressions* of the arguments, so the check stays `τ <
-    /// texp(e)` rather than "patched ⇒ always fresh".
+    /// For a patched root, `texp(e)` already excludes the critical tuples
+    /// and the groups the queue holds (Theorem 3), but it still reflects
+    /// invalidation flowing up from non-monotonic *subexpressions* of the
+    /// arguments, so the check stays `τ < texp(e)` rather than "patched ⇒
+    /// always fresh".
     #[must_use]
     pub fn fresh_at(&self, tau: Time) -> bool {
         self.state.fresh_at(tau)
     }
 
-    /// Advances the view to time `τ` *without reading it*: moves due
-    /// patches from the queue into the rows, performs eager removal, and —
+    /// Advances the view to time `τ` *without reading it*: applies due
+    /// patches from the queue to the rows, performs eager removal, and —
     /// if the materialisation has expired — refreshes per policy. The
     /// first two are physical: neither changes what
     /// [`Materialized::rows_at`] answers at or after `τ`, and a view's
@@ -578,6 +583,74 @@ mod tests {
         // dies by pure expiration — no further recomputation needed even
         // though reads continue.
         assert_eq!(v.stats().recomputations, 1);
+    }
+
+    /// Figure 3(a) patched, in both forms: the 25-group is recomputed at
+    /// 10 from ⟨2, 25⟩ alone, so the view never reads a base relation —
+    /// here, an empty catalog — after it is built.
+    #[test]
+    fn patched_aggregate_view_never_recomputes() {
+        let c = catalog();
+        let klug = Expr::base("Pol").aggregate([1], AggFunc::Count);
+        for e in [klug.clone(), klug.project([1, 2])] {
+            let mut v = MaterializedView::new(
+                e.clone(),
+                &c,
+                Time::ZERO,
+                EvalOptions::default(),
+                RefreshPolicy::Patch,
+                RemovalPolicy::Lazy,
+            )
+            .unwrap();
+            assert_eq!(v.texp(), Time::INFINITY);
+            let stored = v.stored_len();
+            for now in 0..20 {
+                let seen = v.read(&Catalog::new(), t(now)).unwrap();
+                let fresh = eval(&e, &c, t(now), &EvalOptions::default()).unwrap();
+                assert!(seen.set_eq(&fresh.rel.exp(t(now))), "{e} at {now}");
+                assert!(v.stored_len() <= stored, "the group's old rows go");
+            }
+            let s = v.stats();
+            assert_eq!((s.recomputations, s.patches_applied), (0, 1), "{e}");
+        }
+    }
+
+    /// A contributing bound past ν: the FLOAT slice {0.1, 0.2, −0.3} at 5
+    /// sums to 5.6e-17, which the contributing rule's tolerance deems
+    /// neutral, so the rows live to 10 while the value changes at 5. The
+    /// queue drops those rows at the cut though they have not expired,
+    /// and serves the recomputed group from then on.
+    #[test]
+    fn a_group_whose_rows_outlive_its_cut_is_patched_at_the_cut() {
+        let schema = Schema::of(&[("k", ValueType::Int), ("v", ValueType::Float)]);
+        let rows = [(0.1, 5), (0.2, 5), (-0.3, 5), (1e-20, 10)];
+        let rows = rows.map(|(v, e)| (tuple![0, v], t(e)));
+        let mut c = Catalog::new();
+        c.register("R", Relation::from_rows(schema, rows).unwrap());
+        let opts = EvalOptions {
+            agg_mode: crate::aggregate::AggMode::Contributing,
+            ..EvalOptions::default()
+        };
+        let klug = Expr::base("R").aggregate([0], AggFunc::Sum(1));
+        for e in [klug.clone(), klug.project([0, 2])] {
+            let fresh = |now| eval(&e, &c, t(now), &opts).unwrap().rel.exp(t(now));
+            let mut v = MaterializedView::new(
+                e.clone(),
+                &c,
+                Time::ZERO,
+                opts,
+                RefreshPolicy::Patch,
+                RemovalPolicy::Lazy,
+            )
+            .unwrap();
+            let m = v.materialized().clone();
+            assert!(m.rows_at(t(6)).set_eq(&fresh(6)), "{e} unmaintained");
+            for now in 0..12 {
+                let seen = v.read(&c, t(now)).unwrap();
+                assert!(seen.set_eq(&fresh(now)), "{e} at {now}: {seen:?}");
+            }
+            assert_eq!(v.stats().recomputations, 0, "{e}");
+        }
     }
 
     #[test]

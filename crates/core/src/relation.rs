@@ -292,6 +292,15 @@ impl Relation {
         removed
     }
 
+    /// Keeps only the rows `keep` holds for, in insertion order.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&Tuple, Time) -> bool) {
+        let len = self.rows.len();
+        self.rows.retain(|(t, e)| keep(t, *e));
+        if self.rows.len() < len {
+            self.index.take();
+        }
+    }
+
     /// The earliest finite expiration time strictly greater than `τ` — the
     /// next instant at which `expτ(R)` shrinks. `None` if nothing further
     /// expires (all remaining tuples carry `∞` or expired already).

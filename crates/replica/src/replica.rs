@@ -174,7 +174,7 @@ impl Replica {
         let mut link = FaultyLink::new(spec);
         link.attach_obs(&obs);
         let opts = EvalOptions {
-            patch_root_difference: refresh == RefreshPolicy::Patch,
+            patch_root: refresh == RefreshPolicy::Patch,
             ..EvalOptions::default()
         };
         Replica {
@@ -377,6 +377,7 @@ impl Replica {
                     at: fresh.at,
                     texp: fresh.texp,
                     validity: fresh.validity,
+                    patches: fresh.patches,
                 }
             }
         };
@@ -422,6 +423,7 @@ impl Replica {
                 at,
                 texp,
                 validity,
+                patches,
                 ..
             } => {
                 let shipped = add.len() as u64;
@@ -448,7 +450,7 @@ impl Replica {
                         return;
                     }
                 }
-                (m.at, m.texp, m.validity, m.patches) = (at, texp, validity, None);
+                (m.at, m.texp, m.validity, m.patches) = (at, texp, validity, patches);
                 entry.view.install(m);
                 Some((divergent, shipped))
             }
@@ -665,6 +667,7 @@ fn subscribed<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exptime_core::aggregate::AggFunc;
     use exptime_core::predicate::Predicate;
     use exptime_core::tuple;
     use exptime_engine::DbConfig;
@@ -793,6 +796,37 @@ mod tests {
         assert_eq!(rep.link_stats().total_messages(), base);
         let (_, stats) = rep.view_stats().next().unwrap();
         assert!(stats.patches_applied > 0, "the server shipped the queue");
+    }
+
+    /// A digest sync installs the server's `texp(e)`, which a patched
+    /// root owes to its queue, so it ships the queue too: without it the
+    /// difference would never bring back ⟨2⟩, whose `el` copy expires at
+    /// 3, and the count would keep ⟨2, 25, 2⟩ past 10, when ⟨1, 25⟩ goes.
+    #[test]
+    fn a_digest_sync_ships_the_patch_queue() {
+        let count = Expr::base("pol").aggregate([1], AggFunc::Count);
+        for expr in [diff_expr(), count] {
+            let mut srv = server();
+            let mut rep = Replica::new(RefreshPolicy::Patch);
+            rep.subscribe("v", expr.clone(), &srv).unwrap();
+            rep.reconcile(&srv).unwrap();
+            assert!(rep.quiesced());
+            assert_eq!(rep.session_stats().reconciliations, 1);
+            let base = rep.link_stats().total_messages();
+            for _ in 0..20 {
+                srv.tick(1);
+                let (rel, outcome) = rep.read("v", &srv).unwrap();
+                assert_eq!(outcome, ReadOutcome::Local, "{expr}: Theorem 3");
+                let truth = eval(&expr, &srv, srv.now(), &EvalOptions::default()).unwrap();
+                assert!(
+                    rel.set_eq(&truth.rel),
+                    "{expr} at {:?}:\n{rel:?}\nvs {:?}",
+                    srv.now(),
+                    truth.rel
+                );
+            }
+            assert_eq!(rep.link_stats().total_messages(), base, "{expr}");
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@
 
 use exptime_core::algebra::Materialized;
 use exptime_core::interval::IntervalSet;
+use exptime_core::patch::PatchQueue;
 use exptime_core::time::Time;
 use exptime_core::tuple::Tuple;
 use exptime_obs::TraceContext;
@@ -159,6 +160,9 @@ pub enum Payload {
         texp: Time,
         /// Server validity intervals for the refreshed state.
         validity: IntervalSet,
+        /// The server's Theorem 3 queue for the refreshed state: its
+        /// `texp(e)` holds only with it.
+        patches: Option<PatchQueue>,
     },
 }
 
@@ -172,14 +176,17 @@ impl Payload {
         }
     }
 
-    /// Tuple weight for the link's payload accounting. Requests are
-    /// metadata-sized, counted as zero tuples.
+    /// Tuple weight for the link's payload accounting: a response's rows
+    /// and the tuples its Theorem 3 queue holds ([`PatchQueue::tuples`]).
+    /// Requests are metadata-sized, counted as zero tuples.
     pub(crate) fn tuples(&self) -> u64 {
-        match self {
-            Payload::RefreshResponse { state, .. } => state.rel.len() as u64,
-            Payload::DigestResponse { add, .. } => add.len() as u64,
+        let queued = |q: &Option<PatchQueue>| q.as_ref().map_or(0, PatchQueue::tuples);
+        let n = match self {
+            Payload::RefreshResponse { state, .. } => state.rel.len() + queued(&state.patches),
+            Payload::DigestResponse { add, patches, .. } => add.len() + queued(patches),
             _ => 0,
-        }
+        };
+        n as u64
     }
 }
 

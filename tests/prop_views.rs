@@ -1,17 +1,22 @@
 //! Property tests for materialised-view maintenance and Theorem 3
 //! patching: a view read at any instant must equal a fresh evaluation,
 //! whatever combination of refresh/removal policies is in effect, and a
-//! patched difference must never recompute.
+//! patched difference or aggregation must never recompute.
 
 mod common;
 
 use common::{arb_expr, arb_overlapping_catalog, probe_times};
-use exptime::core::aggregate::AggMode;
+use exptime::core::aggregate::{AggFunc, AggMode};
 use exptime::core::algebra::{eval, ops, EvalOptions, Expr};
+use exptime::core::catalog::Catalog;
 use exptime::core::materialize::{MaterializedView, RefreshPolicy, RemovalPolicy};
 use exptime::core::patch::PatchQueue;
+use exptime::core::relation::Relation;
+use exptime::core::schema::Schema;
 use exptime::core::schrodinger::{self, AnswerKind, QueryPolicy};
 use exptime::core::time::Time;
+use exptime::core::tuple::Tuple;
+use exptime::core::value::{Value, ValueType};
 use exptime::prelude::{Database, ReadOutcome, Replica};
 use exptime_net::StaleCache;
 use proptest::prelude::*;
@@ -26,13 +31,43 @@ fn arb_eval_options() -> impl Strategy<Value = EvalOptions> {
     ];
     let cap = proptest::option::of(0usize..3);
     (agg_mode, any::<bool>(), cap, any::<bool>()).prop_map(
-        |(agg_mode, patch_root_difference, patch_queue_cap, eq12_validity)| EvalOptions {
+        |(agg_mode, patch_root, patch_queue_cap, eq12_validity)| EvalOptions {
             agg_mode,
-            patch_root_difference,
+            patch_root,
             patch_queue_cap,
             eq12_validity,
         },
     )
+}
+
+/// A relation `r (k INT, v INT|FLOAT)` whose rows fall in three groups
+/// by `k`, several rows a group, some of them immortal. FLOAT values are
+/// halves: every sum of them is exact, so a FLOAT group's value is the
+/// same whatever survivors it is folded from, as the contributing rule's
+/// neutrality presumes.
+fn arb_grouped_catalog() -> impl Strategy<Value = Catalog> {
+    let texp = prop_oneof![5 => (1u64..40).prop_map(Time::new), 1 => Just(Time::INFINITY)];
+    let rows = proptest::collection::vec((0i64..3, -4i64..8, texp), 1..16);
+    (rows, any::<bool>()).prop_map(|(rows, float)| {
+        let ty = if float {
+            ValueType::Float
+        } else {
+            ValueType::Int
+        };
+        let mut r = Relation::new(Schema::of(&[("k", ValueType::Int), ("v", ty)]));
+        for (k, v, e) in rows {
+            let v = if float {
+                Value::float(v as f64 / 2.0)
+            } else {
+                Value::Int(v)
+            };
+            r.insert(Tuple::new(vec![Value::Int(k), v]), e)
+                .expect("typed");
+        }
+        let mut c = Catalog::new();
+        c.register("r", r);
+        c
+    })
 }
 
 proptest! {
@@ -90,6 +125,64 @@ proptest! {
         prop_assert_eq!(view.stats().recomputations, 0, "Theorem 3");
     }
 
+    /// Theorem 3 for an aggregation: a patched root `γ` — Klug rows, or a
+    /// `GROUP BY` row per group — recomputes each group from its own rows
+    /// as its value changes, and never the view. At every probe instant,
+    /// under every function, mode and removal, over INT and FLOAT values,
+    /// the view equals a fresh evaluation, expiration times included; it
+    /// stores no more rows than the materialisation had (a group's
+    /// previous rows go as it is recomputed); and the unmaintained
+    /// materialisation answers the same at every instant, in any order.
+    #[test]
+    fn patched_root_aggregate_never_recomputes(
+        catalog in arb_grouped_catalog(),
+        f in prop_oneof![
+            Just(AggFunc::Count),
+            Just(AggFunc::Sum(1)),
+            Just(AggFunc::Avg(1)),
+            Just(AggFunc::Min(1)),
+            Just(AggFunc::Max(1)),
+        ],
+        agg_mode in prop_oneof![
+            Just(AggMode::Naive),
+            Just(AggMode::Contributing),
+            Just(AggMode::Exact),
+        ],
+        group_by_row in any::<bool>(),
+        removal in prop_oneof![Just(RemovalPolicy::Eager), Just(RemovalPolicy::Lazy)],
+    ) {
+        let klug = Expr::base("r").aggregate([0], f);
+        let expr = if group_by_row { klug.project([0, 2]) } else { klug };
+        let opts = EvalOptions { agg_mode, ..EvalOptions::default() };
+        let mut view = MaterializedView::new(
+            expr.clone(), &catalog, Time::ZERO, opts, RefreshPolicy::Patch, removal,
+        )?;
+        prop_assert_eq!(view.texp(), Time::INFINITY, "{}", expr);
+        let input = catalog.get("r")?.exp(Time::ZERO);
+        let bound = if group_by_row {
+            input.iter().map(|(t, _)| t.attr(0).clone()).collect::<std::collections::BTreeSet<_>>().len()
+        } else {
+            input.len()
+        };
+        prop_assert!(view.stored_len() <= bound);
+        let unmaintained = view.materialized().clone();
+        let times = probe_times(&catalog);
+        for &tau in &times {
+            let got = view.read(&catalog, tau)?;
+            let fresh = eval(&expr, &catalog, tau, &opts)?.rel.exp(tau);
+            prop_assert!(
+                got.set_eq(&fresh),
+                "{expr} {agg_mode:?} {removal:?} at {tau}:\n{got:?}\nvs {fresh:?}"
+            );
+            prop_assert!(view.stored_len() <= bound, "{expr} stores {} > {bound} at {tau}", view.stored_len());
+        }
+        prop_assert_eq!(view.stats().recomputations, 0, "Theorem 3: {}", expr);
+        for &tau in times.iter().rev() {
+            let fresh = eval(&expr, &catalog, tau, &opts)?.rel.exp(tau);
+            prop_assert!(unmaintained.rows_at(tau).set_eq(&fresh), "{expr} unmaintained at {tau}");
+        }
+    }
+
     /// Theorem 3 at the queue level, including the expiration times of the
     /// patched tuples: the patched materialisation equals recomputation
     /// with texps at every instant (set_eq, not just tuple equality).
@@ -129,10 +222,10 @@ proptest! {
             Just(QueryPolicy::MoveBackward { max_drift: 5 }),
             Just(QueryPolicy::MoveForward { max_delay: 5 }),
         ],
-        patch_root_difference in any::<bool>(),
+        patch_root in any::<bool>(),
         patch_queue_cap in proptest::option::of(0usize..3),
     ) {
-        let opts = EvalOptions { patch_root_difference, patch_queue_cap, ..EvalOptions::default() };
+        let opts = EvalOptions { patch_root, patch_queue_cap, ..EvalOptions::default() };
         let m = eval(&expr, &catalog, Time::ZERO, &opts)?;
         for tau in probe_times(&catalog) {
             let ans = schrodinger::answer(&m, &expr, &catalog, tau, policy, &opts)?;
@@ -206,7 +299,7 @@ proptest! {
                 }
             }
             let opts = EvalOptions {
-                patch_root_difference: refresh == RefreshPolicy::Patch,
+                patch_root: refresh == RefreshPolicy::Patch,
                 ..EvalOptions::default()
             };
             let shipped = eval(&expr, &server, server.now(), &opts)?;

@@ -3,6 +3,7 @@
 //! the server's current truth or an honestly-labelled stale state that was
 //! true at its `as_of` time.
 
+use exptime::core::aggregate::AggFunc;
 use exptime::core::algebra::{eval, EvalOptions, Expr};
 use exptime::core::materialize::RefreshPolicy;
 use exptime::core::predicate::{CmpOp, Predicate};
@@ -145,6 +146,36 @@ fn patched_difference_survives_total_disconnection() {
         );
     }
     assert_eq!(rep.link_stats().refused, 0);
+}
+
+#[test]
+fn patched_count_view_never_refreshes() {
+    // r γ_{v,count}, the bare Klug form: each group's count changes as
+    // its rows expire, which a recomputing replica pays a round trip for.
+    // Patched, the replica recomputes each group from its own rows, so
+    // after the subscription nothing crosses the link, and every tick's
+    // answer is the server's truth.
+    let mut srv = build_server(5);
+    let e = Expr::base("r").aggregate([1], AggFunc::Count);
+    let mut rep = Replica::new(RefreshPolicy::Patch);
+    rep.subscribe("count", e.clone(), &srv).unwrap();
+    let subscribed = rep.link_stats().total_messages();
+    assert_eq!(subscribed, 2, "one request, one response");
+    for _ in 0..125 {
+        srv.tick(1);
+        let (rel, outcome) = rep.read("count", &srv).unwrap();
+        assert_eq!(outcome, ReadOutcome::Local, "at {:?}", srv.now());
+        let want = truth(&srv, &e);
+        assert!(
+            rel.set_eq(&want),
+            "patched count wrong at {:?}:\n{rel:?}\nvs {want:?}",
+            srv.now()
+        );
+    }
+    assert_eq!(rep.link_stats().total_messages(), subscribed);
+    assert_eq!(rep.total_recomputations(), 0);
+    let (_, stats) = rep.view_stats().next().unwrap();
+    assert!(stats.patches_applied > 0, "the server shipped the groups");
 }
 
 #[test]

@@ -70,9 +70,12 @@ fn bench_monotonic(c: &mut Criterion) {
 /// The planner's shapes through `eval` over a `Catalog`, where a
 /// `σ* Base` input is read from the lent rows instead of a built
 /// relation: `JOIN … ON` (σ over ×) of 8 000 rows with 16, `EXCEPT` of two
-/// single-column projections, and `WHERE val >= 250 AND val < 750` over
-/// the 8 000 rows — a σ compiled once for the scan, about a quarter of the
-/// rows kept (half are expired at τ = 500), none of them hashed.
+/// single-column projections, `UNION` and `INTERSECT` of the two tables
+/// (∪ keeps the left's rows and reads the right's into them; ∩ keeps
+/// both, and the left probes the right's tuple index), and
+/// `WHERE val >= 250 AND val < 750` over the 8 000 rows — a σ compiled
+/// once for the scan, about a quarter of the rows kept (half are expired
+/// at τ = 500), none of them hashed.
 fn bench_eval_binary(c: &mut Criterion) {
     let gen = |rows, seed| TableGen {
         rows,
@@ -95,8 +98,10 @@ fn bench_eval_binary(c: &mut Criterion) {
         ),
         (
             "project_difference",
-            l.clone().project([0]).difference(r.project([0])),
+            l.clone().project([0]).difference(r.clone().project([0])),
         ),
+        ("union_8000_16", l.clone().union(r.clone())),
+        ("intersect_8000_16", l.clone().intersect(r)),
         (
             "range_select_8000",
             l.select(

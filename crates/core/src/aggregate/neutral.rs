@@ -24,16 +24,6 @@ use super::{AggFunc, Row};
 use crate::error::{Error, Result};
 use crate::time::Time;
 
-/// Tolerance for the `sum`/`avg` neutrality predicates once a FLOAT is
-/// present. All-INT slices are compared exactly: a relative tolerance
-/// calls `10¹² + 1` "equal" to `10¹²`, and a slice it wrongly deems
-/// neutral would keep a stale value visible.
-const EPS: f64 = 1e-9;
-
-fn nearly_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= EPS * (1.0 + a.abs().max(b.abs()))
-}
-
 /// Splits a partition into time slices: `(texp, rows)` for each distinct
 /// *finite* expiration time, ascending, followed by no entry for `∞` rows
 /// (returned separately as the second component — they never expire).
@@ -60,7 +50,11 @@ pub fn time_slices(partition: &[Row]) -> (Vec<(Time, Vec<Row>)>, Vec<Row>) {
 }
 
 /// Whether the time-sliced set `slice` is neutral with respect to `f` in
-/// partition `partition`, per the predicates of Table 1.
+/// partition `partition`, per the predicates of Table 1. For `sum` and
+/// `avg` the predicates are decided exactly, over a partition of INTs;
+/// a partition holding a FLOAT has no non-empty neutral slice. So no
+/// slice deemed neutral changes the value: the contributing bound never
+/// passes ν.
 ///
 /// # Errors
 ///
@@ -102,21 +96,17 @@ pub fn is_neutral(slice: &[Row], partition: &[Row], f: AggFunc) -> Result<bool> 
                 .iter()
                 .all(|(t, e)| t.attr(i).total_cmp(&max).is_lt() || *e < max_achiever_texp))
         }
-        AggFunc::Sum(i) => Ok(match total(slice, i, f)? {
-            (_, Some(exact)) => exact == 0,
-            (s, None) => nearly_eq(s, 0.0),
-        }),
+        // Σ_{t∈N} t(i) = 0. Over a FLOAT, removing even an INT slice that
+        // sums to 0 changes the left-to-right `f64` fold: 0.1 + 1 − 1 is
+        // not 0.1.
+        AggFunc::Sum(i) => Ok(total(slice, i, f)? == Some(0) && total(partition, i, f)?.is_some()),
         // Σ_{t∈N} t(i) = (|N| / |P|) Σ_{r∈P} r(i)
         AggFunc::Avg(i) => {
-            let (all, all_exact) = total(partition, i, f)?;
-            let (s, exact) = total(slice, i, f)?;
-            let (n, p) = (slice.len(), partition.len());
-            Ok(match (exact, all_exact) {
-                (Some(s), Some(all)) => {
-                    s * p as i128 == n as i128 * all && all.unsigned_abs() <= EXACT_F64
-                }
-                _ => nearly_eq(s, (n as f64 / p as f64) * all),
-            })
+            let (Some(all), Some(s)) = (total(partition, i, f)?, total(slice, i, f)?) else {
+                return Ok(false);
+            };
+            let (n, p) = (slice.len() as i128, partition.len() as i128);
+            Ok(s * p == n * all && all.unsigned_abs() <= EXACT_F64)
         }
     }
 }
@@ -130,19 +120,19 @@ pub fn is_neutral(slice: &[Row], partition: &[Row], f: AggFunc) -> Result<bool> 
 /// `2⁶⁰ + 127` average to `2⁶⁰ + 256`, two of them to `2⁶⁰`.
 const EXACT_F64: u128 = 1 << 53;
 
-/// The total of attribute `i` over `rows`: in `f64`, and exactly when
-/// every value is an INT.
-fn total(rows: &[Row], i: usize, f: AggFunc) -> Result<(f64, Option<i128>)> {
-    let (mut floats, mut ints) = (0.0, Some(0i128));
+/// The exact total of attribute `i` over `rows`, or `None` if a value is
+/// not an INT.
+fn total(rows: &[Row], i: usize, f: AggFunc) -> Result<Option<i128>> {
+    let mut ints = Some(0i128);
     for (t, _) in rows {
         let v = t.attr(i);
-        floats += v.as_numeric().ok_or(Error::NonNumericAggregate {
+        v.as_numeric().ok_or(Error::NonNumericAggregate {
             function: f.name(),
             attribute: i,
         })?;
         ints = ints.zip(v.as_int()).map(|(s, x)| s + i128::from(x));
     }
-    Ok((floats, ints))
+    Ok(ints)
 }
 
 /// The contributing set `C_{f,P}` of Definition 2: the partition minus every
@@ -329,6 +319,29 @@ mod tests {
             Time::new(9),
             "below 2⁵³ a slice at the mean is neutral"
         );
+    }
+
+    /// Over a FLOAT no slice is neutral: `{0.1, 0.2, −0.3}` sums to
+    /// 5.6e-17, and an INT `{1, −1}` beside a FLOAT leaves the `f64` fold
+    /// at 0.10000000000000009, not 0.1. Each value changes at 5.
+    #[test]
+    fn a_partition_holding_a_float_has_no_neutral_slice() {
+        let float = |v: f64, e: u64| (tuple![0, v], Time::new(e));
+        let int = |v: i64, e: u64| (tuple![0, v], Time::new(e));
+        let near_zero = vec![
+            float(0.1, 5),
+            float(0.2, 5),
+            float(-0.3, 5),
+            float(1e-20, 10),
+        ];
+        let mixed = vec![float(0.1, 10), int(1, 5), int(-1, 5)];
+        for p in [near_zero, mixed] {
+            for f in [AggFunc::Sum(1), AggFunc::Avg(1)] {
+                let exact = crate::aggregate::nu::first_change(Time::ZERO, &p, f).unwrap();
+                assert_eq!(exact, Time::new(5), "{f} on {p:?}");
+                assert_eq!(contributing_texp(&p, f).unwrap(), exact, "{f} on {p:?}");
+            }
+        }
     }
 
     #[test]

@@ -19,36 +19,39 @@
 //!   or a π over one that keeps every grouping attribute, evaluated with
 //!   [`patch_root`](EvalOptions::patch_root), and only then.
 //!
-//! Every operator reads each of its inputs one way ([`Input`]): a
-//! fragment `σ* Base` — a bare `Base` included — is opened as a [`Scan`]
-//! over the rows [`Bindings::visit`] lends, each row tested in place
-//! against each σ, compiled once ([`Predicate::compile`]); any other
-//! expression is evaluated and its result read. So a row that fails a σ
-//! is never copied, and of a lent row an operator copies only what it
-//! keeps. By snapshot reducibility an operator is the same function of
-//! the rows it is handed either way. `σ_p(L × R)` is `L ⋈_p R` (Equation 5
-//! read right to left) and a bare `L × R` is `L ⋈_true R`: one join
-//! kernel, the right input hashed as it is read and the left probing it in
-//! order. An aggregation groups its input once ([`Aggregation`]) and,
-//! under a π onto grouping attributes and the aggregate column — what a
-//! single-aggregate `GROUP BY` plans to — emits one row per group, so the
-//! Klug rows of Equation 8 are not built and a group holds no row of its
-//! input, only what its aggregate reads. A difference keeps its inputs as
-//! the join keeps its left and runs one kernel
-//! (`ops::one_pass_difference`), the left probing the right's tuple index
-//! in order, so one pass yields the result rows and the critical tuples.
-//! `texp(e)`, `I(e)` and — at a patched root — the Theorem 3 queue all
-//! follow from the critical tuples; an unpatched difference is a patched
-//! one whose queue holds nothing. An aggregation derives the same three
-//! from its groups' cuts, and at a patched root queues the groups
-//! themselves. A fused operator reports to the probe as the operators it
-//! stands for. σ over an evaluated input, ∪ and ∩ are
-//! one `ops::` call over evaluated inputs.
+//! Every operator reads each of its inputs one way ([`Input`]): its
+//! source under the σs directly above it, `σ* S`. A `Base` source's rows
+//! are the ones [`Bindings::visit`] lends; any other source is evaluated
+//! and its result read. Either way each row is tested in place against
+//! each σ, compiled once ([`Predicate::compile`]), so a row that fails a
+//! σ is never copied, and of a lent row an operator copies only what it
+//! keeps; a σ not directly over ×, or a bare `Base`, evaluated on its
+//! own is that read, kept. By snapshot reducibility an operator is the
+//! same function of the rows it is handed either way. `σ_p(L × R)` is
+//! `L ⋈_p R` (Equation 5 read right to left) and a bare `L × R` is
+//! `L ⋈_true R`: one join kernel, the right input hashed as it is read
+//! and the left probing it in order. An aggregation groups its input once
+//! ([`Aggregation`]) and, under a π onto grouping attributes and the
+//! aggregate column — what a single-aggregate `GROUP BY` plans to — emits
+//! one row per group, so the Klug rows of Equation 8 are not built and a
+//! group holds no row of its input, only what its aggregate reads. A ∪
+//! keeps its left input and reads its right into it. A ∩ and a − keep
+//! both inputs as the join keeps its left, and the left probes the
+//! right's tuple index in order: ∩ takes Equation 6's `min`, and − runs
+//! one kernel (`ops::one_pass_difference`), so one pass yields the result
+//! rows and the critical tuples. `texp(e)`, `I(e)` and — at a patched
+//! root — the Theorem 3 queue all follow from the critical tuples; an
+//! unpatched difference is a patched one whose queue holds nothing. An
+//! aggregation derives the same three from its groups' cuts, and at a
+//! patched root queues the groups themselves. A fused operator reports to
+//! the probe as the operators it stands for.
 //!
 //! Only π and ∪ can make two rows coincide (Equations 3 and 4), so they
 //! alone deduplicate: a π looks each projected row up by its values
-//! ([`Relation::insert_projection`]) and builds a tuple only for a new one.
-//! Every other operator appends its rows to a [`Relation`] whose tuple
+//! ([`Relation::insert_projection`]) and builds a tuple only for a new one,
+//! and a ∪ inserts its right input's rows into its left's with
+//! [`DuplicatePolicy::KeepMax`], Equation 4's max on a tuple on both
+//! sides. Every other operator appends its rows to a [`Relation`] whose tuple
 //! index is built only if something later looks a tuple up (the right
 //! input of a ∩ or a −, a patch, a caller).
 
@@ -60,7 +63,7 @@ use crate::error::Result;
 use crate::interval::{Interval, IntervalSet};
 use crate::patch::PatchQueue;
 use crate::predicate::{Predicate, Test};
-use crate::relation::Relation;
+use crate::relation::{DuplicatePolicy, Relation};
 use crate::schema::Schema;
 use crate::time::Time;
 use crate::tuple::Tuple;
@@ -92,10 +95,6 @@ pub struct EvalOptions {
     /// (rebuilding the queue). `None` queues everything (full Theorem 3:
     /// `texp(e)` independent of critical tuples and groups).
     pub patch_queue_cap: Option<usize>,
-    /// Use the coarse Equation 12 validity for differences instead of the
-    /// exact per-tuple holes. The exact set is a superset; Equation 12 is
-    /// kept for paper-faithful comparison (experiment E7).
-    pub eq12_validity: bool,
 }
 
 impl Default for EvalOptions {
@@ -104,7 +103,6 @@ impl Default for EvalOptions {
             agg_mode: AggMode::Exact,
             patch_root: false,
             patch_queue_cap: None,
-            eq12_validity: false,
         }
     }
 }
@@ -236,93 +234,14 @@ impl Sub {
     }
 }
 
-/// A fragment `σ* Base`: the one place base rows enter an evaluation, as
-/// a single pass over the rows `catalog` lends.
-struct Scan<'a> {
-    base: &'a Expr,
-    name: &'a str,
-    /// Outermost first.
-    selects: Vec<(&'a Expr, &'a Predicate)>,
-    /// Each σ's conjuncts ([`Predicate::compile`]), in the order of
-    /// `selects`.
-    tests: Vec<Vec<Test<'a>>>,
-}
-
-impl<'a> Scan<'a> {
-    /// `None` unless `node` has the shape `σ* Base`. Compiles each σ, once
-    /// for the whole scan.
-    fn of(mut node: &'a Expr) -> Option<Self> {
-        let mut selects = Vec::new();
-        while let Expr::Select { input, predicate } = node {
-            selects.push((node, predicate));
-            node = input;
+/// `σ_p(e)`'s `p` and `e`, unless `e` is a ×: a σ directly over × is the
+/// join (Equation 5 read right to left).
+fn peel(node: &Expr) -> Option<(&Predicate, &Expr)> {
+    match node {
+        Expr::Select { input, predicate } if !matches!(**input, Expr::Product { .. }) => {
+            Some((predicate, input))
         }
-        match node {
-            Expr::Base(name) => Some(Scan {
-                base: node,
-                name,
-                tests: selects.iter().map(|(_, p)| p.compile()).collect(),
-                selects,
-            }),
-            _ => None,
-        }
-    }
-
-    /// Enters every operator of the fragment and resolves its schema,
-    /// raising errors in the order the unfused operators do: the base,
-    /// then each σ from the inside out.
-    fn open<P: Probe>(&self, catalog: &dyn Bindings, probe: &mut P) -> Result<Schema> {
-        for (select, _) in &self.selects {
-            probe.enter(select);
-        }
-        probe.enter(self.base);
-        let schema = catalog.schema(self.name)?;
-        for (_, p) in self.selects.iter().rev() {
-            p.validate(schema.arity())?;
-        }
-        Ok(schema)
-    }
-
-    /// Equation 1 applied row by row: `keep` is handed each visible row
-    /// that passes every σ — a row that fails one is never copied — and
-    /// answers whether it copied it (a row merged into an existing π group
-    /// is not), which is what the visit bills. The probe hears the
-    /// operators with the counts they would have had unfused: the `Base`
-    /// its visible and expired-but-present rows, each σ the rows that
-    /// passed it.
-    fn run<P: Probe>(
-        &self,
-        catalog: &dyn Bindings,
-        tau: Time,
-        probe: &mut P,
-        keep: &mut dyn FnMut(&Tuple, Time) -> Result<bool>,
-    ) -> Result<()> {
-        let mut passed = vec![0; self.tests.len()];
-        let mut visible = 0;
-        let mut failed = None;
-        let skipped = catalog.visit(self.name, tau, &mut |t, e| {
-            visible += 1;
-            for (tests, n) in self.tests.iter().zip(&mut passed).rev() {
-                if !tests.iter().all(|test| test.holds(t)) {
-                    return false;
-                }
-                *n += 1;
-            }
-            keep(t, e).unwrap_or_else(|err| {
-                failed.get_or_insert(err);
-                false
-            })
-        })?;
-        if let Some(err) = failed {
-            return Err(err);
-        }
-        // "The expiration time of a base relation is defined to be
-        // infinity", and σ passes its input's on.
-        probe.leave(visible, skipped, Time::INFINITY);
-        for n in passed.iter().rev() {
-            probe.leave(*n, 0, Time::INFINITY);
-        }
-        Ok(())
+        _ => None,
     }
 }
 
@@ -356,7 +275,7 @@ fn eval_aggregate<P: Probe>(
     };
     probe.enter(node);
     let i = Input::open(input, catalog, tau, opts, probe)?;
-    let schema = i.schema().clone();
+    let schema = i.source.schema().clone();
     let cap = patched.then(|| opts.patch_queue_cap.unwrap_or(usize::MAX));
     let (mode, f) = (opts.agg_mode, *func);
     let mut agg = Aggregation::new(&schema, group_by, f, mode, tau, positions, cap)?;
@@ -370,11 +289,33 @@ fn eval_aggregate<P: Probe>(
     Ok(sub)
 }
 
-/// One input of an operator: a `σ* Base` fragment, opened, whose rows its
-/// [`Scan`] lends; or any other expression, evaluated.
-enum Input<'a> {
-    Lent(Scan<'a>, Schema),
-    Built(Sub),
+/// One input of an operator: a source under the σs directly above it,
+/// `σ* S`, a bare `S` included. A `Base` source's rows are the ones
+/// [`Bindings::visit`] lends; any other source is evaluated and its result
+/// read. Either way each row is tested in place against each σ, compiled
+/// once ([`Predicate::compile`]), so a row that fails one is never copied,
+/// and of a lent row an operator copies only what it keeps.
+struct Input<'a> {
+    /// Each σ's conjuncts, outermost first.
+    tests: Vec<Vec<Test<'a>>>,
+    source: Source<'a>,
+}
+
+enum Source<'a> {
+    /// A `Base`: its relation's name and schema.
+    Lent(&'a str, Schema),
+    /// Any other expression's result, `texp` and `I`: below the root, it
+    /// has no Theorem 3 queue.
+    Built(Relation, Time, IntervalSet),
+}
+
+impl Source<'_> {
+    fn schema(&self) -> &Schema {
+        match self {
+            Source::Lent(_, schema) => schema,
+            Source::Built(rel, ..) => rel.schema(),
+        }
+    }
 }
 
 /// An input whose rows have been handed on.
@@ -385,69 +326,72 @@ struct ReadInput {
     validity: IntervalSet,
 }
 
-/// An input kept whole ([`Input::keep`]).
-struct Kept {
-    rel: Relation,
-    texp: Time,
-    validity: IntervalSet,
-}
-
 impl<'a> Input<'a> {
+    /// Enters each σ [`peel`]ed off `node` and its source, outermost
+    /// first, and resolves the schema, raising errors in the order the
+    /// unfused operators do: the source's, then each σ's from the inside
+    /// out.
     fn open<P: Probe>(
-        expr: &'a Expr,
+        mut node: &'a Expr,
         catalog: &dyn Bindings,
         tau: Time,
         opts: &EvalOptions,
         probe: &mut P,
     ) -> Result<Self> {
-        Ok(match Scan::of(expr) {
-            Some(scan) => {
-                let schema = scan.open(catalog, probe)?;
-                Input::Lent(scan, schema)
-            }
-            None => Input::Built(eval_rec(expr, catalog, tau, opts, probe)?),
-        })
-    }
-
-    fn schema(&self) -> &Schema {
-        match self {
-            Input::Lent(_, schema) => schema,
-            Input::Built(sub) => sub.rel.schema(),
+        let mut predicates = Vec::new();
+        while let Some((predicate, input)) = peel(node) {
+            probe.enter(node);
+            predicates.push(predicate);
+            node = input;
         }
+        let source = match node {
+            Expr::Base(name) => {
+                probe.enter(node);
+                Source::Lent(name, catalog.schema(name)?)
+            }
+            _ => {
+                let sub = eval_rec(node, catalog, tau, opts, probe)?;
+                Source::Built(sub.rel, sub.texp, sub.validity)
+            }
+        };
+        for p in predicates.iter().rev() {
+            p.validate(source.schema().arity())?;
+        }
+        let tests = predicates.iter().map(|p| p.compile()).collect();
+        Ok(Input { tests, source })
     }
 
     /// Reads an input that is held while another is read — a join's
-    /// left, a difference's two — as a relation: an evaluated input's
-    /// result as it is, a lent input's rows copied out of its scan, in
-    /// order, for the scan lends them for the visit alone. Only a lookup
-    /// builds the copy's tuple index. Nothing is counted: every row kept
-    /// is unexpired at `τ`, so `|expτ|` is the relation's length.
-    fn keep<P: Probe>(self, catalog: &dyn Bindings, tau: Time, probe: &mut P) -> Result<Kept> {
+    /// left, a ∪'s left, both of a ∩ or a − — or that is the result: an
+    /// evaluated source under no σ as it is, any other the rows [`run`]
+    /// hands on, copied in order, for a scan lends them for the visit
+    /// alone. Only a lookup builds the copy's tuple index.
+    ///
+    /// [`run`]: Self::run
+    fn keep<P: Probe>(self, catalog: &dyn Bindings, tau: Time, probe: &mut P) -> Result<Sub> {
         match self {
-            Input::Built(sub) => Ok(Kept {
-                rel: sub.rel,
-                texp: sub.texp,
-                validity: sub.validity,
-            }),
-            lent => {
-                let mut rel = Relation::new(lent.schema().clone());
-                let read = lent.run(catalog, tau, probe, |t, e| {
+            Input {
+                tests,
+                source: Source::Built(rel, texp, validity),
+            } if tests.is_empty() => Ok(Sub::new(rel, texp, validity)),
+            input => {
+                let mut rel = Relation::new(input.source.schema().clone());
+                let read = input.run(catalog, tau, probe, |t, e| {
                     rel.push_distinct(t.clone(), e);
                     Ok(true)
                 })?;
-                Ok(Kept {
-                    rel,
-                    texp: read.texp,
-                    validity: read.validity,
-                })
+                Ok(Sub::new(rel, read.texp, read.validity))
             }
         }
     }
 
-    /// Hands `keep` each row of the input's `expτ`, in order. `keep`
-    /// answers whether it copied the row, which is what a lent row is
-    /// billed as (a row merged into an existing π group is not copied);
-    /// its first error is the read's.
+    /// Equation 1 applied row by row: `keep` is handed each row of the
+    /// source's `expτ` that passes every σ, in order, and answers whether
+    /// it copied it (a row merged into an existing π group is not), which
+    /// is what a lent row is billed as; its first error is the read's. The
+    /// probe hears the operators with the counts they would have had
+    /// unfused: a `Base` its visible and expired-but-present rows, each σ
+    /// the rows that passed it.
     fn run<P: Probe>(
         self,
         catalog: &dyn Bindings,
@@ -455,24 +399,51 @@ impl<'a> Input<'a> {
         probe: &mut P,
         mut keep: impl FnMut(&Tuple, Time) -> Result<bool>,
     ) -> Result<ReadInput> {
-        let mut rows = 0;
-        let mut keep = |t: &Tuple, e: Time| {
-            rows += 1;
-            keep(t, e)
-        };
-        let (texp, validity) = match self {
-            Input::Lent(scan, _) => {
-                scan.run(catalog, tau, probe, &mut keep)?;
-                // A base relation never expires; σ passes that on.
-                (Time::INFINITY, IntervalSet::from_time(tau))
-            }
-            Input::Built(sub) => {
-                for (t, e) in sub.rel.iter_at(tau) {
-                    keep(t, e)?;
+        let Input { tests, source } = self;
+        let mut passed = vec![0; tests.len()];
+        let (mut rows, mut failed) = (0, None);
+        let mut offer = |t: &Tuple, e: Time| {
+            for (tests, n) in tests.iter().zip(&mut passed).rev() {
+                if !tests.iter().all(|test| test.holds(t)) {
+                    return false;
                 }
-                (sub.texp, sub.validity)
+                *n += 1;
+            }
+            rows += 1;
+            keep(t, e).unwrap_or_else(|err| {
+                failed.get_or_insert(err);
+                false
+            })
+        };
+        let (texp, validity, scanned) = match source {
+            Source::Lent(name, _) => {
+                let mut visible = 0;
+                let skipped = catalog.visit(name, tau, &mut |t, e| {
+                    visible += 1;
+                    offer(t, e)
+                })?;
+                // "The expiration time of a base relation is defined to be
+                // infinity."
+                let all = IntervalSet::from_time(tau);
+                (Time::INFINITY, all, Some((visible, skipped)))
+            }
+            Source::Built(rel, texp, validity) => {
+                for (t, e) in rel.iter_at(tau) {
+                    offer(t, e);
+                }
+                (texp, validity, None)
             }
         };
+        if let Some(err) = failed {
+            return Err(err);
+        }
+        if let Some((visible, skipped)) = scanned {
+            probe.leave(visible, skipped, texp);
+        }
+        // σ passes its input's `texp` on.
+        for n in passed.iter().rev() {
+            probe.leave(*n, 0, texp);
+        }
         Ok(ReadInput {
             rows,
             texp,
@@ -486,12 +457,11 @@ impl<'a> Input<'a> {
 /// is `|L|·|R|`) but never built; and a bare `L × R`, which is
 /// `L ⋈_true R` — an empty key, so one bucket, and the product's
 /// left-major order. The inputs feed the one join kernel
-/// ([`HashJoin`](ops::HashJoin)), a `σ* Base` input straight from the rows
-/// its scan lends: the left's rows are kept as they are, in order, in a
-/// relation whose tuple index is never built; the right's are hashed by
-/// key as they are lent; then the left probes. An evaluated left input
-/// probes from its own result. The left input is read before the right is
-/// opened, so the probe hears the operators, and errors are raised, in
+/// ([`HashJoin`](ops::HashJoin)) from the rows their [`Input`]s hand on:
+/// the left's are kept ([`Input::keep`]), in order, in a relation whose
+/// tuple index is never built; the right's are hashed by key as they are
+/// read; then the left probes. The left input is read before the right
+/// is opened, so the probe hears the operators, and errors are raised, in
 /// tree order.
 fn eval_join<P: Probe>(
     (left, right): (&Expr, &Expr),
@@ -508,7 +478,7 @@ fn eval_join<P: Probe>(
     let l = Input::open(left, catalog, tau, opts, probe)?;
     let l = l.keep(catalog, tau, probe)?;
     let r = Input::open(right, catalog, tau, opts, probe)?;
-    let mut join = ops::HashJoin::new(l.rel.schema(), r.schema(), predicate)?;
+    let mut join = ops::HashJoin::new(l.rel.schema(), r.source.schema(), predicate)?;
     let r = r.run(catalog, tau, probe, |t, e| {
         join.build(t, e);
         Ok(true)
@@ -524,49 +494,56 @@ fn eval_join<P: Probe>(
     Ok(Sub::new(rel, texp, l.validity.intersect(&r.validity)))
 }
 
-/// `L −exp R` (Equation 10) and all that a materialised difference
-/// derives from its critical tuples, in one pass of the difference kernel
-/// (`ops::one_pass_difference`). Both inputs are kept as [`eval_join`]
-/// keeps its left — a lent input's rows copied once, an evaluated one's
-/// result as it is — in tree order, and union compatibility is checked
-/// once both are read. The left's rows then move into the result, and the
-/// right is looked up through its own tuple index: a π's output has one
-/// already. The critical tuples, sorted stably by when they reappear, are
-/// split at the queue's cap: `patch_queue_cap` (`None`: all) at a
-/// `patched` root, 0 anywhere else. Those before it are the Theorem 3
+/// `L ∩exp R` (Equation 6) and `L −exp R` (Equation 10): the left's rows
+/// looked up in the right. Both inputs are kept as [`eval_join`] keeps its
+/// left — a lent input's rows copied once, an evaluated one's result as
+/// it is — in tree order, and union compatibility is checked once both
+/// are read. The left's rows then move, in order, into the result, and
+/// the right is looked up through its own tuple index: a π's output has
+/// one already. ∩ keeps a row the right holds, expiring at the earlier of
+/// its two `texp`s. − runs the difference kernel
+/// (`ops::one_pass_difference`), which yields the rows and the critical
+/// tuples in one pass; sorted stably by when they reappear, the critical
+/// tuples are split at the queue's cap: `patch_queue_cap` (`None`: all) at
+/// a `patched` root, 0 anywhere else. Those before it are the Theorem 3
 /// queue; the first past it bounds `texp(e)` (Equation 11, Table 2 case
 /// 3a); and each past it is missing from the result on its own interval,
-/// which `I(e)` loses — or, with no queue and `eq12_validity`, Equation
-/// 12's one coarse interval over all of them.
-fn eval_difference<P: Probe>(
-    (left, right): (&Expr, &Expr),
+/// which `I(e)` loses.
+fn eval_lookup<P: Probe>(
+    node: &Expr,
     patched: bool,
     catalog: &dyn Bindings,
     tau: Time,
     opts: &EvalOptions,
     probe: &mut P,
 ) -> Result<Sub> {
+    let (Expr::Intersect { left, right } | Expr::Difference { left, right }) = node else {
+        unreachable!("eval_lookup requires a ∩ or a −")
+    };
     let l = Input::open(left, catalog, tau, opts, probe)?;
     let l = l.keep(catalog, tau, probe)?;
     let r = Input::open(right, catalog, tau, opts, probe)?;
     let r = r.keep(catalog, tau, probe)?;
-    let (rel, mut critical) = ops::one_pass_difference(l.rel, &r.rel, tau)?;
+    l.rel.check_union_compatible(&r.rel)?;
+    let (texp, validity) = (l.texp.min(r.texp), l.validity.intersect(&r.validity));
+    if let Expr::Intersect { .. } = node {
+        let mut rel = Relation::new(l.rel.schema().clone());
+        for (t, le) in l.rel.into_rows().into_iter().filter(|&(_, e)| e > tau) {
+            if let Some(re) = r.rel.texp(&t).filter(|&e| e > tau) {
+                rel.push_distinct(t, le.min(re));
+            }
+        }
+        return Ok(Sub::new(rel, texp, validity));
+    }
+    let (rel, mut critical) = ops::one_pass_difference(l.rel, &r.rel, tau);
     // Stable: critical tuples that reappear together keep left order.
     critical.sort_by_key(|c| c.appears_at);
     let cap = opts.patch_queue_cap.unwrap_or(usize::MAX);
     let past = critical.split_off(if patched { cap.min(critical.len()) } else { 0 });
     let hole = |c: &CriticalTuple| Interval::new(c.appears_at, c.disappears_at);
-    let mut holes: Vec<_> = past.iter().map(hole).collect();
-    if opts.eq12_validity && !patched && !past.is_empty() {
-        // Equation 12: from the first reappearance to the last
-        // disappearance.
-        let end = Time::max_of(past.iter().map(|c| c.disappears_at)).expect("not empty");
-        holes = vec![Interval::new(past[0].appears_at, end)];
-    }
-    let holes = IntervalSet::from_intervals(holes);
+    let holes = IntervalSet::from_intervals(past.iter().map(hole).collect());
     let own_texp = past.first().map_or(Time::INFINITY, |c| c.appears_at);
-    let validity = l.validity.intersect(&r.validity).subtract(&holes);
-    let mut sub = Sub::new(rel, l.texp.min(r.texp).min(own_texp), validity);
+    let mut sub = Sub::new(rel, texp.min(own_texp), validity.subtract(&holes));
     sub.patches = patched.then(|| PatchQueue::from_critical(critical));
     Ok(sub)
 }
@@ -584,30 +561,21 @@ fn eval_rec<P: Probe>(
         patch_root: false,
         ..*opts
     };
-    // A bare `σ* Base`: its survivors, kept as they are.
-    if let Some(scan) = Scan::of(expr) {
-        let mut rel = Relation::new(scan.open(catalog, probe)?);
-        scan.run(catalog, tau, probe, &mut |t, e| {
-            rel.push_distinct(t.clone(), e);
-            Ok(true)
-        })?;
-        return Ok(Sub::new(rel, Time::INFINITY, IntervalSet::from_time(tau)));
+    // A bare `Base`, or a σ not directly over ×: its rows, kept.
+    if matches!(expr, Expr::Base(_)) || peel(expr).is_some() {
+        return Input::open(expr, catalog, tau, opts, probe)?.keep(catalog, tau, probe);
     }
     if let Expr::Aggregate { .. } = expr {
         return eval_aggregate(expr, None, patched, catalog, tau, opts, probe);
     }
     probe.enter(expr);
     let sub = match expr {
-        Expr::Base(_) | Expr::Aggregate { .. } => unreachable!("evaluated above"),
         Expr::Select { input, predicate } => match &**input {
             Expr::Product { left, right } => {
                 let product = Some(&**input);
                 eval_join((left, right), predicate, product, catalog, tau, opts, probe)?
             }
-            _ => {
-                let i = eval_rec(input, catalog, tau, opts, probe)?;
-                Sub::new(ops::select(&i.rel, predicate, tau)?, i.texp, i.validity)
-            }
+            _ => unreachable!("read above"),
         },
         Expr::Project { input, positions } => match &**input {
             agg @ Expr::Aggregate { .. } => {
@@ -615,7 +583,7 @@ fn eval_rec<P: Probe>(
             }
             _ => {
                 let i = Input::open(input, catalog, tau, opts, probe)?;
-                let mut rel = Relation::new(i.schema().project(positions)?);
+                let mut rel = Relation::new(i.source.schema().project(positions)?);
                 let mut scratch = Vec::new();
                 let i = i.run(catalog, tau, probe, |t, e| {
                     rel.insert_projection(t, positions, e, &mut scratch)
@@ -628,9 +596,17 @@ fn eval_rec<P: Probe>(
             eval_join((left, right), &no_key, None, catalog, tau, opts, probe)?
         }
         Expr::Union { left, right } => {
-            let l = eval_rec(left, catalog, tau, opts, probe)?;
-            let r = eval_rec(right, catalog, tau, opts, probe)?;
-            let rel = ops::union(&l.rel, &r.rel, tau)?;
+            // Equation 4: the left's rows, then the right's, a tuple on
+            // both sides keeping the later `texp`.
+            let l = Input::open(left, catalog, tau, opts, probe)?;
+            let l = l.keep(catalog, tau, probe)?;
+            let r = Input::open(right, catalog, tau, opts, probe)?;
+            l.rel.schema().check_union_compatible(r.source.schema())?;
+            let mut rel = l.rel;
+            let r = r.run(catalog, tau, probe, |t, e| {
+                rel.insert_with(t.clone(), e, DuplicatePolicy::KeepMax)?;
+                Ok(true)
+            })?;
             Sub::new(rel, l.texp.min(r.texp), l.validity.intersect(&r.validity))
         }
         Expr::Join {
@@ -638,15 +614,10 @@ fn eval_rec<P: Probe>(
             right,
             predicate,
         } => eval_join((left, right), predicate, None, catalog, tau, opts, probe)?,
-        Expr::Intersect { left, right } => {
-            let l = eval_rec(left, catalog, tau, opts, probe)?;
-            let r = eval_rec(right, catalog, tau, opts, probe)?;
-            let rel = ops::intersect(&l.rel, &r.rel, tau)?;
-            Sub::new(rel, l.texp.min(r.texp), l.validity.intersect(&r.validity))
+        Expr::Intersect { .. } | Expr::Difference { .. } => {
+            eval_lookup(expr, patched, catalog, tau, opts, probe)?
         }
-        Expr::Difference { left, right } => {
-            eval_difference((left, right), patched, catalog, tau, opts, probe)?
-        }
+        Expr::Base(_) | Expr::Aggregate { .. } => unreachable!("evaluated above"),
     };
     probe.leave(sub.rel.len(), 0, sub.texp);
     Ok(sub)
@@ -845,59 +816,38 @@ mod tests {
         }
     }
 
+    /// `I(e)` of a difference loses each critical tuple's own hole —
+    /// unpatched, or patched with no room — where Equation 12's one coarse
+    /// interval (`ops::difference_meta`) blankets them all.
     #[test]
-    fn eq12_validity_is_subset_of_exact() {
-        let c = catalog();
-        let e = Expr::base("Pol")
-            .project([0])
-            .difference(Expr::base("El").project([0]));
-        let exact = eval(&e, &c, Time::ZERO, &EvalOptions::default()).unwrap();
-        let coarse = eval(
-            &e,
-            &c,
-            Time::ZERO,
-            &EvalOptions {
-                eq12_validity: true,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            coarse.validity.intersect(&exact.validity),
-            coarse.validity,
-            "Eq 12 ⊆ exact"
-        );
-    }
-
-    /// Equation 12's one coarse interval is an unpatched difference's: a
-    /// patched root takes out the exact hole of each critical tuple past
-    /// its cap, under `eq12_validity` too.
-    #[test]
-    fn eq12_validity_is_for_unpatched_differences_only() {
+    fn a_difference_loses_each_critical_tuples_own_hole() {
         let schema = Schema::of(&[("x", ValueType::Int)]);
         let rows = |rows: Vec<(Tuple, Time)>| Relation::from_rows(schema.clone(), rows).unwrap();
+        let (r, s) = (
+            rows(vec![(tuple![1], t(4)), (tuple![2], t(20))]),
+            rows(vec![(tuple![1], t(2)), (tuple![2], t(10))]),
+        );
+        let eq12 = ops::difference_meta(&r, &s, Time::ZERO).validity_eq12;
+        assert!(!eq12.contains(t(5)), "Eq 12 blankets [2, 20[");
         let mut c = Catalog::new();
-        c.register("R", rows(vec![(tuple![1], t(4)), (tuple![2], t(20))]));
-        c.register("S", rows(vec![(tuple![1], t(2)), (tuple![2], t(10))]));
+        c.register("R", r);
+        c.register("S", s);
         let e = Expr::base("R").difference(Expr::base("S"));
-        let eq12 = EvalOptions {
-            eq12_validity: true,
-            ..EvalOptions::default()
-        };
-        let coarse = eval(&e, &c, Time::ZERO, &eq12).unwrap();
-        assert!(!coarse.valid_at(t(5)), "Eq 12 blankets [2, 20[");
         let no_room = EvalOptions {
             patch_root: true,
             patch_queue_cap: Some(0),
-            ..eq12
+            ..EvalOptions::default()
         };
-        let exact = eval(&e, &c, Time::ZERO, &no_room).unwrap();
-        assert!(
-            exact.valid_at(t(5)),
-            "between the holes [2, 4[ and [10, 20["
-        );
-        assert!(!exact.valid_at(t(3)) && !exact.valid_at(t(12)));
-        assert_eq!((exact.texp, coarse.texp), (t(2), t(2)));
+        for opts in [EvalOptions::default(), no_room] {
+            let exact = eval(&e, &c, Time::ZERO, &opts).unwrap();
+            assert!(
+                exact.valid_at(t(5)),
+                "between the holes [2, 4[ and [10, 20["
+            );
+            assert!(!exact.valid_at(t(3)) && !exact.valid_at(t(12)));
+            assert_eq!(exact.texp, t(2));
+            assert_eq!(exact.validity.intersect(&eq12), eq12, "Eq 12 ⊆ exact");
+        }
     }
 
     #[test]

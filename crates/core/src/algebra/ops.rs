@@ -6,23 +6,21 @@
 //! applied"), and result tuples carry the expiration times the paper's
 //! equations assign. The items are of two kinds:
 //!
-//! * **Kernels that evaluation runs**, fed from the rows a scan lends or
-//!   an evaluated input holds: `HashJoin` (⋈, σ over ×, and a bare ×),
-//!   `Aggregation` (`aggexp` and a π directly above it, each group turned
-//!   into rows by `GroupRows`, which a Theorem 3 queue recomputes a group
-//!   with too) and `one_pass_difference` (−, and its critical tuples with
-//!   it). `eval`
-//!   calls them, and so do [`join`] and [`aggregate`](fn@aggregate), the
-//!   first two over built relations. [`select`], [`union`] and
-//!   [`intersect`] are called by `eval` for σ over an evaluated input, ∪
-//!   and ∩.
-//! * **The paper read literally**, over built relations: [`project`],
-//!   [`product`], [`join_nested_loop`], [`difference`],
-//!   [`critical_tuples`] and [`difference_meta`] (Equations 3, 2, 5, 10,
-//!   Table 2 and Equations 11–12). Their callers are the literal
-//!   interpreter the property tests hold `eval` to, the figures, the
-//!   experiments and the criterion benches; nothing under `core` or
-//!   `engine` outside tests calls them (repolint R011).
+//! * **Kernels that evaluation runs**, fed from the rows its inputs hand
+//!   on: `HashJoin` (⋈, σ over ×, and a bare ×), `Aggregation` (`aggexp`
+//!   and a π directly above it, each group turned into rows by
+//!   `GroupRows`, which a Theorem 3 queue recomputes a group with too) and
+//!   `one_pass_difference` (−, and its critical tuples with it). `eval`
+//!   calls them, and so do [`join`] and [`aggregate`](fn@aggregate), over
+//!   built relations.
+//! * **The paper read literally**, over built relations: [`select`],
+//!   [`project`], [`product`], [`union`], [`join_nested_loop`],
+//!   [`intersect`], [`difference`], [`critical_tuples`] and
+//!   [`difference_meta`] (Equations 1–6, 10, Table 2 and Equations
+//!   11–12). Their callers are the literal interpreter the property tests
+//!   hold `eval` to, the figures, the experiments and the criterion
+//!   benches; nothing under `core` or `engine` outside tests calls them
+//!   (repolint R011).
 
 use crate::aggregate::{self, AggFunc, AggMode, Group, Partitions, Row};
 use crate::error::{Error, Result};
@@ -336,17 +334,12 @@ pub struct CriticalTuple {
 /// a π or a ∪ that built it has hashed them already. One pass yields what
 /// a materialised `R −exp S` derives everything from, both in left order
 /// — the rows are [`difference`]'s as a sequence and the critical tuples
-/// [`critical_tuples`]'.
-///
-/// # Errors
-///
-/// Returns [`Error::NotUnionCompatible`] on schema mismatch.
+/// [`critical_tuples`]'. The caller checks union compatibility.
 pub(crate) fn one_pass_difference(
     left: Relation,
     right: &Relation,
     tau: Time,
-) -> Result<(Relation, Vec<CriticalTuple>)> {
-    left.check_union_compatible(right)?;
+) -> (Relation, Vec<CriticalTuple>) {
     let mut rel = Relation::new(left.schema().clone());
     let mut critical = Vec::new();
     for (tuple, re) in left.into_rows().into_iter().filter(|&(_, e)| e > tau) {
@@ -360,7 +353,7 @@ pub(crate) fn one_pass_difference(
             Some(_) => {}
         }
     }
-    Ok((rel, critical))
+    (rel, critical)
 }
 
 /// The critical tuples `{t | t ∈ R ∧ t ∈ S ∧ texp_R(t) > texp_S(t)}` of a
@@ -483,15 +476,11 @@ pub(crate) struct GroupRows<'a> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Cut {
     /// The earlier of the value's first change (ν) and the mode's bound:
-    /// from here the group's rows are wrong until it is dead.
+    /// from here the group's rows are wrong until it is dead. No row the
+    /// group emitted outlives it, for no mode's bound passes ν.
     pub(crate) at: Time,
     /// `max texp`: when the partition is dead.
     pub(crate) death: Time,
-    /// Whether a row the group emitted outlives its cut — a mode's bound
-    /// past ν, which no sound bound is (`contributing_bound_is_sound`),
-    /// but a FLOAT `sum`/`avg` slice that the contributing rule's
-    /// tolerance deems neutral can be.
-    pub(crate) outlives: bool,
 }
 
 impl GroupRows<'_> {
@@ -530,6 +519,9 @@ impl GroupRows<'_> {
             AggMode::Contributing => aggregate::neutral::contributing_texp(&group.rows, f)?,
             AggMode::Exact => nu,
         };
+        // Every mode's bound is sound (`contributing_bound_is_sound`): the
+        // group's rows are gone by its cut.
+        debug_assert!(bound <= nu, "a {:?} bound {bound} past ν {nu}", self.mode);
         let death = group.latest;
         match (rel, &self.per_group) {
             (Some(rel), Some(cols)) => {
@@ -560,7 +552,6 @@ impl GroupRows<'_> {
         Ok(Cut {
             at: nu.min(bound),
             death,
-            outlives: bound > nu,
         })
     }
 

@@ -615,13 +615,12 @@ mod tests {
         }
     }
 
-    /// A contributing bound past ν: the FLOAT slice {0.1, 0.2, −0.3} at 5
-    /// sums to 5.6e-17, which the contributing rule's tolerance deems
-    /// neutral, so the rows live to 10 while the value changes at 5. The
-    /// queue drops those rows at the cut though they have not expired,
-    /// and serves the recomputed group from then on.
+    /// The FLOAT slice {0.1, 0.2, −0.3} at 5 sums to 5.6e-17, and the value
+    /// changes at 5: no FLOAT slice is neutral, so under the contributing
+    /// rule too the group's rows expire at 5, its cut, where the queue
+    /// recomputes it and serves it from then on.
     #[test]
-    fn a_group_whose_rows_outlive_its_cut_is_patched_at_the_cut() {
+    fn a_float_sum_group_is_patched_at_its_first_change() {
         let schema = Schema::of(&[("k", ValueType::Int), ("v", ValueType::Float)]);
         let rows = [(0.1, 5), (0.2, 5), (-0.3, 5), (1e-20, 10)];
         let rows = rows.map(|(v, e)| (tuple![0, v], t(e)));

@@ -45,13 +45,8 @@ use std::collections::BinaryHeap;
 enum Patch {
     /// A difference's critical tuple, inserted when it reappears.
     Tuple(CriticalTuple),
-    /// An aggregation's group, recomputed at its cut from `rows`. It
-    /// `outlives` its cut if a row it emitted does (see [`Cut`]).
-    Group {
-        key: Tuple,
-        rows: Vec<Row>,
-        outlives: bool,
-    },
+    /// An aggregation's group, recomputed at its cut from `rows`.
+    Group { key: Tuple, rows: Vec<Row> },
 }
 
 // Heap ordering: earliest due time first; sequence number breaks ties
@@ -150,13 +145,8 @@ impl PatchQueue {
     }
 
     fn push_group(&mut self, cut: Cut, group: Group) {
-        let (key, rows, outlives) = (group.key, group.rows, cut.outlives);
-        let patch = Patch::Group {
-            key,
-            rows,
-            outlives,
-        };
-        self.push_due(cut.at, patch);
+        let (key, rows) = (group.key, group.rows);
+        self.push_due(cut.at, Patch::Group { key, rows });
     }
 
     fn push_due(&mut self, due: Time, patch: Patch) {
@@ -248,19 +238,15 @@ impl PatchQueue {
     fn apply(&self, due: Vec<Patch>, rel: &mut Relation, tau: Time) -> (usize, Vec<(Cut, Group)>) {
         let mut scratch = Vec::new();
         if let Some(regroup) = &self.groups {
-            // The rows each due group emitted last: expired by its cut,
-            // unless they outlive it.
-            let (mut keys, mut outliving) = (RowSet::default(), false);
+            // The rows each due group emitted last: expired by its cut.
+            let mut keys = RowSet::default();
             for patch in &due {
-                if let Patch::Group { key, outlives, .. } = patch {
+                if let Patch::Group { key, .. } = patch {
                     keys.insert(key.clone());
-                    outliving |= *outlives;
                 }
             }
             if !keys.is_empty() {
-                rel.retain(|t, e| {
-                    (e > tau && !outliving) || !regroup.holds(&keys, t, &mut scratch)
-                });
+                rel.retain(|t, e| e > tau || !regroup.holds(&keys, t, &mut scratch));
             }
         }
         let (mut applied, mut again) = (0, Vec::new());

@@ -23,7 +23,7 @@
 //! [`Relation::exp`] (snapshot) and [`Relation::expire`] (in-place, the
 //! *eager removal* of Section 3.2).
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::hash::RowMap;
 use crate::schema::Schema;
 use crate::time::Time;
@@ -391,17 +391,10 @@ impl Relation {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NotUnionCompatible`] when schemas differ in arity or
-    /// positional types.
+    /// Returns [`Schema::check_union_compatible`]'s error when schemas
+    /// differ in arity or positional types.
     pub fn check_union_compatible(&self, other: &Relation) -> Result<()> {
-        if self.schema.union_compatible(&other.schema) {
-            Ok(())
-        } else {
-            Err(Error::NotUnionCompatible {
-                left: format!("{:?}", self.schema),
-                right: format!("{:?}", other.schema),
-            })
-        }
+        self.schema.check_union_compatible(&other.schema)
     }
 
     /// Renders the relation as the paper renders its figures: one line per
@@ -432,6 +425,7 @@ impl fmt::Debug for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::tuple;
     use crate::value::ValueType;
 

@@ -205,6 +205,23 @@ impl Schema {
                 .zip(other.attrs.iter())
                 .all(|(a, b)| a.ty == b.ty)
     }
+
+    /// Checks union compatibility ([`Schema::union_compatible`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NotUnionCompatible`] when the schemas differ in
+    /// arity or positional types.
+    pub fn check_union_compatible(&self, other: &Schema) -> Result<()> {
+        if self.union_compatible(other) {
+            Ok(())
+        } else {
+            Err(Error::NotUnionCompatible {
+                left: format!("{self:?}"),
+                right: format!("{other:?}"),
+            })
+        }
+    }
 }
 
 impl fmt::Debug for Schema {

@@ -36,21 +36,25 @@ fn arb_partition() -> impl Strategy<Value = Vec<Row>> {
 }
 
 /// Partitions built to cancel: few distinct expiration times, so time
-/// slices hold several rows, and a value column that is all INT or all
-/// FLOAT in tenths — `0.1 + 0.2 − 0.3` is not `0.0`, so a running float
-/// total would drift from a fresh fold of the survivors.
+/// slices hold several rows, and a value column that is all INT, all
+/// FLOAT in tenths, or either row by row — `0.1 + 0.2 − 0.3` is not
+/// `0.0`, so a running float total would drift from a fresh fold of the
+/// survivors, and `0.1 + 1 − 1` is not `0.1`, so an INT slice summing to 0
+/// beside a FLOAT still moves the value.
 fn arb_sliced_partition() -> impl Strategy<Value = Vec<Row>> {
     let row = (
         -3i64..4,
+        any::<bool>(),
         prop_oneof![4 => (1u64..6).prop_map(|e| Time::new(4 * e)), 1 => Just(Time::INFINITY)],
     );
-    (any::<bool>(), proptest::collection::vec(row, 1..12)).prop_map(|(float, rows)| {
-        let value = |v: i64| match float {
-            true => Value::float(v as f64 / 10.0),
-            false => Value::Int(v),
-        };
-        let row = |(id, (v, e)): (usize, (i64, Time))| {
-            (Tuple::new(vec![Value::Int(id as i64), value(v)]), e)
+    let kind = prop_oneof![Just(Some(false)), Just(Some(true)), Just(None)];
+    (kind, proptest::collection::vec(row, 1..12)).prop_map(|(kind, rows)| {
+        let row = |(id, (v, float, e)): (usize, (i64, bool, Time))| {
+            let v = match kind.unwrap_or(float) {
+                true => Value::float(v as f64 / 10.0),
+                false => Value::Int(v),
+            };
+            (Tuple::new(vec![Value::Int(id as i64), v]), e)
         };
         rows.into_iter().enumerate().map(row).collect()
     })
@@ -199,9 +203,13 @@ proptest! {
 
     /// Contributing-set soundness, stated operationally: expiring all time
     /// slices strictly before the contributing bound leaves the aggregate
-    /// value unchanged.
+    /// value unchanged — over INTs, over FLOATs that cancel, and over a
+    /// FLOAT beside INT slices that do.
     #[test]
-    fn contributing_bound_is_sound(p in arb_partition(), f in arb_func()) {
+    fn contributing_bound_is_sound(
+        p in prop_oneof![arb_partition(), arb_sliced_partition()],
+        f in arb_func(),
+    ) {
         let bound = neutral::contributing_texp(&p, f)?;
         let original = f.apply(&p)?;
         for tau in 0..HORIZON {

@@ -23,10 +23,10 @@ fn opts() -> EvalOptions {
     EvalOptions::default()
 }
 
-/// Every evaluator option: the three aggregate modes, Equation 12
-/// validity, and Theorem 3 root patching with an unbounded and a bounded
-/// queue. Patching is on in nine cases of ten, since a patched root
-/// difference is the rarest shape to draw.
+/// Every evaluator option: the three aggregate modes, and Theorem 3 root
+/// patching with an unbounded and a bounded queue. Patching is on in nine
+/// cases of ten, since a patched root difference is the rarest shape to
+/// draw.
 fn arb_opts() -> impl Strategy<Value = EvalOptions> {
     (
         prop_oneof![
@@ -36,16 +36,12 @@ fn arb_opts() -> impl Strategy<Value = EvalOptions> {
         ],
         prop_oneof![9 => Just(true), 1 => Just(false)],
         prop_oneof![Just(None), (0usize..4).prop_map(Some)],
-        any::<bool>(),
     )
-        .prop_map(
-            |(agg_mode, patch_root, patch_queue_cap, eq12_validity)| EvalOptions {
-                agg_mode,
-                patch_root,
-                patch_queue_cap,
-                eq12_validity,
-            },
-        )
+        .prop_map(|(agg_mode, patch_root, patch_queue_cap)| EvalOptions {
+            agg_mode,
+            patch_root,
+            patch_queue_cap,
+        })
 }
 
 /// [`arb_expr`] with a root difference three times in four, its left

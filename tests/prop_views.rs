@@ -22,7 +22,7 @@ use exptime_net::StaleCache;
 use proptest::prelude::*;
 
 /// Every way a materialisation can be asked for: the aggregate expiration
-/// mode, a Theorem 3 queue at the root (whole or capped), either validity.
+/// mode, and a Theorem 3 queue at the root (whole or capped).
 fn arb_eval_options() -> impl Strategy<Value = EvalOptions> {
     let agg_mode = prop_oneof![
         Just(AggMode::Naive),
@@ -30,14 +30,11 @@ fn arb_eval_options() -> impl Strategy<Value = EvalOptions> {
         Just(AggMode::Exact),
     ];
     let cap = proptest::option::of(0usize..3);
-    (agg_mode, any::<bool>(), cap, any::<bool>()).prop_map(
-        |(agg_mode, patch_root, patch_queue_cap, eq12_validity)| EvalOptions {
-            agg_mode,
-            patch_root,
-            patch_queue_cap,
-            eq12_validity,
-        },
-    )
+    (agg_mode, any::<bool>(), cap).prop_map(|(agg_mode, patch_root, patch_queue_cap)| EvalOptions {
+        agg_mode,
+        patch_root,
+        patch_queue_cap,
+    })
 }
 
 /// A relation `r (k INT, v INT|FLOAT)` whose rows fall in three groups

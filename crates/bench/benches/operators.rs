@@ -7,11 +7,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use exptime_bench::workload::{difference_pair, LifetimeDist, TableGen};
 use exptime_core::aggregate::{AggFunc, AggMode};
-use exptime_core::algebra::{eval, ops, EvalOptions, Expr};
+use exptime_core::algebra::ops::{aggregate, join};
+use exptime_core::algebra::{eval, EvalOptions, Expr};
 use exptime_core::catalog::Catalog;
 use exptime_core::predicate::{CmpOp, Predicate};
 use exptime_core::relation::Relation;
 use exptime_core::time::Time;
+use exptime_literal::ops;
 use std::hint::black_box;
 
 fn table(rows: usize, seed: u64) -> Relation {
@@ -58,7 +60,7 @@ fn bench_monotonic(c: &mut Criterion) {
         let s = table(n, 2);
         let p = Predicate::attr_eq_attr(0, 2);
         g.bench_with_input(BenchmarkId::new("hash", n), &n, |b, _| {
-            b.iter(|| ops::join(black_box(&r), &s, &p, Time::new(500)).unwrap());
+            b.iter(|| join(black_box(&r), &s, &p, Time::new(500)).unwrap());
         });
         g.bench_with_input(BenchmarkId::new("nested_loop", n), &n, |b, _| {
             b.iter(|| ops::join_nested_loop(black_box(&r), &s, &p, Time::new(500)).unwrap());
@@ -152,8 +154,7 @@ fn bench_non_monotonic(c: &mut Criterion) {
                 &n,
                 |b, _| {
                     b.iter(|| {
-                        ops::aggregate(black_box(&t), &[0], AggFunc::Count, mode, Time::ZERO)
-                            .unwrap()
+                        aggregate(black_box(&t), &[0], AggFunc::Count, mode, Time::ZERO).unwrap()
                     });
                 },
             );
@@ -161,7 +162,7 @@ fn bench_non_monotonic(c: &mut Criterion) {
         // The metadata comes with the rows, from the one grouping.
         g.bench_with_input(BenchmarkId::new("aggregate_meta", n), &n, |b, _| {
             b.iter(|| {
-                ops::aggregate(
+                aggregate(
                     black_box(&t),
                     &[0],
                     AggFunc::Sum(1),

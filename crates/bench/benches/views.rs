@@ -11,6 +11,7 @@ use exptime_core::catalog::Catalog;
 use exptime_core::materialize::{MaterializedView, RefreshPolicy, RemovalPolicy};
 use exptime_core::predicate::{CmpOp, Predicate};
 use exptime_core::time::Time;
+use exptime_literal::nu;
 use std::hint::black_box;
 
 fn catalog(rows: usize) -> Catalog {
@@ -117,7 +118,7 @@ fn bench_nu(c: &mut Criterion) {
         b.iter(|| {
             for (_, p) in &parts {
                 let mut apply = |rows: &[aggregate::Row]| f.apply(rows);
-                black_box(aggregate::nu::nu(Time::ZERO, p, &mut apply).unwrap());
+                black_box(nu::nu(Time::ZERO, p, &mut apply).unwrap());
             }
         });
     });
@@ -126,9 +127,7 @@ fn bench_nu(c: &mut Criterion) {
         b.iter(|| {
             for (_, p) in &parts {
                 let mut apply = |rows: &[aggregate::Row]| f.apply(rows);
-                black_box(
-                    aggregate::nu::nu_naive(Time::ZERO, p, &mut apply, Time::new(501)).unwrap(),
-                );
+                black_box(nu::nu_naive(Time::ZERO, p, &mut apply, Time::new(501)).unwrap());
             }
         });
     });

@@ -16,13 +16,14 @@
 use crate::baseline::{ChaosDeletePush, DeletePushReplica, PollingReplica};
 use crate::workload::{difference_pair, LifetimeDist, TableGen};
 use exptime_core::aggregate::{self, AggFunc, AggMode};
-use exptime_core::algebra::{eval, ops, EvalOptions, Expr};
+use exptime_core::algebra::{eval, EvalOptions, Expr};
 use exptime_core::catalog::Catalog;
 use exptime_core::materialize::{MaterializedView, RefreshPolicy, RemovalPolicy};
 use exptime_core::predicate::{CmpOp, Predicate};
 use exptime_core::rewrite;
 use exptime_core::time::Time;
 use exptime_engine::{Database, DbConfig, ExpirationEvent, ForecastConfig, Removal};
+use exptime_literal::{nu, ops};
 use exptime_replica::{FaultSpec, Replica, RetryPolicy};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -1244,7 +1245,7 @@ pub fn e9_approximate_aggregates(rows: usize, seed: u64) -> (Report, Vec<E9Row>)
     let mut exact_sum = 0.0;
     for (_, p) in &parts {
         let mut apply = |rows: &[aggregate::Row]| f.apply(rows);
-        let texp = aggregate::nu::nu(Time::ZERO, p, &mut apply).unwrap();
+        let texp = nu::nu(Time::ZERO, p, &mut apply).unwrap();
         let cap = aggregate::nu::partition_death(p)
             .unwrap()
             .finite()

@@ -6,12 +6,12 @@
 //! prints; the `figures` binary renders them for EXPERIMENTS.md.
 
 use exptime_core::aggregate::{neutral, AggFunc};
-use exptime_core::algebra::ops;
 use exptime_core::relation::Relation;
 use exptime_core::time::Time;
 use exptime_core::tuple;
 use exptime_core::tuple::Tuple;
 use exptime_engine::{Database, DbConfig, Removal};
+use exptime_literal::ops;
 
 fn t(v: u64) -> Time {
     Time::new(v)

@@ -337,7 +337,7 @@ mod tests {
         let shared = rr.iter().filter(|(t, _)| sr.contains(t)).count();
         assert!((200..400).contains(&shared), "≈30% overlap, got {shared}");
         // With r_life > s_life, every shared tuple is critical.
-        let crit = exptime_core::algebra::ops::critical_tuples(&rr, &sr, Time::ZERO);
+        let crit = exptime_literal::ops::critical_tuples(&rr, &sr, Time::ZERO);
         assert_eq!(crit.len(), shared);
     }
 

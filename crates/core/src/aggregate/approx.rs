@@ -14,7 +14,6 @@
 
 use super::{AggFunc, Row};
 use crate::error::Result;
-use crate::interval::{Interval, IntervalSet};
 use crate::time::Time;
 
 /// An error bound on a numeric aggregate value.
@@ -69,8 +68,7 @@ pub fn tolerant_texp(
 ) -> Result<Time> {
     let Some(original) = numeric_at(f, partition, tau)? else {
         // Empty partition at τ or non-numeric value: defer to exact ν.
-        let mut apply = |rows: &[Row]| f.apply(rows);
-        return super::nu::nu(tau, partition, &mut apply);
+        return super::nu::first_change(tau, partition, f);
     };
     for e in super::nu::event_times(tau, partition.iter().map(|r| r.1)) {
         match numeric_at(f, partition, e)? {
@@ -79,45 +77,6 @@ pub fn tolerant_texp(
         }
     }
     Ok(Time::INFINITY)
-}
-
-/// The validity intervals of an approximate aggregate: all instants at
-/// which the (live) value is within tolerance of the value at `τ`.
-///
-/// # Errors
-///
-/// Propagates aggregation errors.
-pub fn tolerant_validity(
-    tau: Time,
-    partition: &[Row],
-    f: AggFunc,
-    tolerance: Tolerance,
-) -> Result<IntervalSet> {
-    let Some(original) = numeric_at(f, partition, tau)? else {
-        let mut apply = |rows: &[Row]| f.apply(rows);
-        return super::nu::tuple_validity(tau, partition, &mut apply);
-    };
-    let events = super::nu::event_times(tau, partition.iter().map(|r| r.1));
-    let mut ivs = Vec::new();
-    let mut start = Some(tau); // value at τ is trivially within tolerance
-    let mut prev = tau;
-    for e in events {
-        let ok = matches!(numeric_at(f, partition, e)?, Some(v) if tolerance.accepts(original, v));
-        match (start, ok) {
-            (Some(_), true) | (None, false) => {}
-            (Some(s), false) => {
-                ivs.push(Interval::new(s, e));
-                start = None;
-            }
-            (None, true) => start = Some(e),
-        }
-        prev = e;
-    }
-    let _ = prev;
-    if let Some(s) = start {
-        ivs.push(Interval::from(s));
-    }
-    Ok(IntervalSet::from_intervals(ivs))
 }
 
 /// The worst observed error (absolute) while a tolerant result tuple is
@@ -165,17 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_tolerance_equals_exact_nu() {
-        let p = vec![row(10, 5), row(20, 9), row(30, 13)];
-        for f in [AggFunc::Sum(1), AggFunc::Avg(1), AggFunc::Count] {
-            let mut apply = |rows: &[Row]| f.apply(rows);
-            let exact = crate::aggregate::nu::nu(Time::ZERO, &p, &mut apply).unwrap();
-            let tol = tolerant_texp(Time::ZERO, &p, f, Tolerance::Absolute(0.0)).unwrap();
-            assert_eq!(exact, tol, "{f}");
-        }
-    }
-
-    #[test]
     fn tolerance_extends_lifetime_monotonically() {
         // sum = 60; expiries at 5 (−10), 9 (−20), 13 (−30, death).
         let p = vec![row(10, 5), row(20, 9), row(30, 13)];
@@ -205,23 +153,6 @@ mod tests {
             tolerant_texp(Time::ZERO, &p, f, Tolerance::Relative(0.5)).unwrap(),
             Time::new(13)
         );
-    }
-
-    #[test]
-    fn validity_intervals_track_drift_in_and_out() {
-        // sum: 5 on [0,3[ (rows +10@7, −5@3): wait — construct re-entry:
-        // +4@3, −4@7, base 10@12: sum = 10 on [0,3[? rows: 10@12, 4@3,
-        // -4@7 → sum 10 at 0? 10+4-4 = 10. After 3: 10-4 = 6. After 7: 10.
-        let p = vec![row(10, 12), row(4, 3), row(-4, 7)];
-        let f = AggFunc::Sum(1);
-        let v = tolerant_validity(Time::ZERO, &p, f, Tolerance::Absolute(1.0)).unwrap();
-        assert!(v.contains(Time::new(2)));
-        assert!(!v.contains(Time::new(4)), "drifted to 6, err 4 > 1");
-        assert!(v.contains(Time::new(8)), "back to 10 after −4 expires");
-        assert!(!v.contains(Time::new(12)), "partition death");
-        // Wider tolerance covers the dip too.
-        let v = tolerant_validity(Time::ZERO, &p, f, Tolerance::Absolute(5.0)).unwrap();
-        assert!(v.contains(Time::new(4)));
     }
 
     #[test]

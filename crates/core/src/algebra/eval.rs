@@ -816,40 +816,6 @@ mod tests {
         }
     }
 
-    /// `I(e)` of a difference loses each critical tuple's own hole —
-    /// unpatched, or patched with no room — where Equation 12's one coarse
-    /// interval (`ops::difference_meta`) blankets them all.
-    #[test]
-    fn a_difference_loses_each_critical_tuples_own_hole() {
-        let schema = Schema::of(&[("x", ValueType::Int)]);
-        let rows = |rows: Vec<(Tuple, Time)>| Relation::from_rows(schema.clone(), rows).unwrap();
-        let (r, s) = (
-            rows(vec![(tuple![1], t(4)), (tuple![2], t(20))]),
-            rows(vec![(tuple![1], t(2)), (tuple![2], t(10))]),
-        );
-        let eq12 = ops::difference_meta(&r, &s, Time::ZERO).validity_eq12;
-        assert!(!eq12.contains(t(5)), "Eq 12 blankets [2, 20[");
-        let mut c = Catalog::new();
-        c.register("R", r);
-        c.register("S", s);
-        let e = Expr::base("R").difference(Expr::base("S"));
-        let no_room = EvalOptions {
-            patch_root: true,
-            patch_queue_cap: Some(0),
-            ..EvalOptions::default()
-        };
-        for opts in [EvalOptions::default(), no_room] {
-            let exact = eval(&e, &c, Time::ZERO, &opts).unwrap();
-            assert!(
-                exact.valid_at(t(5)),
-                "between the holes [2, 4[ and [10, 20["
-            );
-            assert!(!exact.valid_at(t(3)) && !exact.valid_at(t(12)));
-            assert_eq!(exact.texp, t(2));
-            assert_eq!(exact.validity.intersect(&eq12), eq12, "Eq 12 ⊆ exact");
-        }
-    }
-
     #[test]
     fn validity_always_covers_up_to_texp() {
         let c = catalog();

@@ -1,7 +1,9 @@
 //! The expiration-time relational algebra (paper Section 2).
 //!
-//! * [`ops`] — relation-level operator implementations (Equations 1–6, 8,
-//!   10) and the expression-level metadata of the non-monotonic operators.
+//! * [`ops`] — the kernels evaluation runs (⋈, ×, γ and −: Equations 2,
+//!   5, 8 and 10) and the expression-level metadata of the non-monotonic
+//!   operators; the operators read literally, one function per equation,
+//!   are the `exptime-literal` crate.
 //! * [`expr`] — the composable expression AST with schema inference,
 //!   monotonicity classification (Section 2.5), and a paper-style renderer.
 //! * [`mod@eval`] — the evaluator: materialises an expression at a time `τ`,

@@ -59,7 +59,6 @@ pub mod value;
 
 /// Convenience re-exports of the most used items.
 pub mod prelude {
-    pub use crate::aggregate::approx::Tolerance;
     pub use crate::aggregate::{AggFunc, AggMode};
     pub use crate::algebra::ops::CriticalTuple;
     pub use crate::algebra::{eval, eval_profiled, EvalOptions, Expr, Materialized, PlanProfile};

@@ -306,82 +306,13 @@ mod tests {
     fn queue_orders_by_appearance_time() {
         let r = rel(&[(1, 10), (2, 15), (3, 20)]);
         let s = rel(&[(1, 5), (2, 3), (3, 8)]);
-        let mut q = PatchQueue::from_critical(ops::critical_tuples(&r, &s, Time::ZERO));
+        let (_, crit) = ops::one_pass_difference(r, &s, Time::ZERO);
+        let mut q = PatchQueue::from_critical(crit);
         assert_eq!(q.len(), 3);
         assert_eq!(q.next_due(), Some(t(3)));
         let due = critical(q.drain_due(t(5)));
         assert_eq!(due, [tuple![2], tuple![1]]);
         assert_eq!(q.next_due(), Some(t(8)));
-    }
-
-    #[test]
-    fn apply_due_inserts_with_texp_r() {
-        let r = rel(&[(1, 10), (2, 15)]);
-        let s = rel(&[(1, 5), (2, 3)]);
-        let mut result = ops::difference(&r, &s, Time::ZERO).unwrap();
-        assert!(result.is_empty());
-        let mut q = PatchQueue::from_critical(ops::critical_tuples(&r, &s, Time::ZERO));
-
-        let n = q.apply_due(&mut result, t(3));
-        assert_eq!(n, 1);
-        assert_eq!(result.texp(&tuple![2]), Some(t(15)));
-
-        let n = q.apply_due(&mut result, t(5));
-        assert_eq!(n, 1);
-        assert_eq!(result.texp(&tuple![1]), Some(t(10)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn theorem_3_patched_result_equals_recomputation() {
-        // Sweep every instant; the patched materialisation must equal a
-        // fresh recomputation at each time.
-        let r = rel(&[(1, 10), (2, 15), (3, 4), (4, 0)]);
-        let s = rel(&[(1, 5), (2, 3), (4, 7)]);
-        let mut materialised = ops::difference(&r, &s, Time::ZERO).unwrap();
-        let mut q = PatchQueue::from_critical(ops::critical_tuples(&r, &s, Time::ZERO));
-        for now in 0..25 {
-            let now = t(now);
-            q.apply_due(&mut materialised, now);
-            let fresh = ops::difference(&r, &s, now).unwrap();
-            assert!(
-                materialised.set_eq_at(&fresh, now),
-                "mismatch at {now}: materialised={materialised:?} fresh={fresh:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn stale_patches_are_skipped() {
-        // Tuple reappears at 3 and disappears at 4; applying at τ=6 after
-        // missing the window inserts nothing.
-        let r = rel(&[(1, 4)]);
-        let s = rel(&[(1, 3)]);
-        let mut result = ops::difference(&r, &s, Time::ZERO).unwrap();
-        let mut q = PatchQueue::from_critical(ops::critical_tuples(&r, &s, Time::ZERO));
-        let n = q.apply_due(&mut result, t(6));
-        assert_eq!(n, 0);
-        assert_eq!(result.count_unexpired(t(6)), 0);
-        assert!(q.is_empty(), "stale entries are still drained");
-    }
-
-    #[test]
-    fn infinite_texp_r_patches_never_expire() {
-        let r = rel(&[(1, 0)]);
-        let s = rel(&[(1, 2)]);
-        let mut result = ops::difference(&r, &s, Time::ZERO).unwrap();
-        let mut q = PatchQueue::from_critical(ops::critical_tuples(&r, &s, Time::ZERO));
-        q.apply_due(&mut result, t(2));
-        assert_eq!(result.texp(&tuple![1]), Some(Time::INFINITY));
-    }
-
-    #[test]
-    fn queue_size_is_bounded_by_intersection() {
-        let r = rel(&[(1, 10), (2, 10), (3, 10)]);
-        let s = rel(&[(2, 5), (3, 20), (4, 1)]);
-        // Critical: only x=2 (10 > 5). Queue ≤ |R ∩ S| = 2.
-        let q = PatchQueue::from_critical(ops::critical_tuples(&r, &s, Time::ZERO));
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

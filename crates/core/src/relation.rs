@@ -475,7 +475,7 @@ mod tests {
         assert_eq!(r.len(), 1, "duplicates never create new rows");
     }
 
-    /// Row by row, `insert_projection` is `ops::project`'s
+    /// Row by row, `insert_projection` is Equation 3's
     /// `insert_with(t.project(ps), e, KeepMax)`, and says which rows
     /// started a group.
     #[test]

@@ -2,11 +2,11 @@
 //! itself (the `scripts/ci.sh` repolint gate). What each rule holds, and
 //! why, is DESIGN.md §11.3.
 //!
-//! Two kinds of rule. Most are per-line bans, rows of one table
-//! (`BANS`) that one scanner walks: the paths a row governs and exempts,
-//! its words and how to match them, and its message are data. R008 and
-//! R009 hold a list of names to a DESIGN.md table, both ways, through one
-//! check. R003 looks at the crate roots.
+//! Most rules are per-line bans, rows of one table (`BANS`) that one
+//! scanner walks: the paths a row governs and exempts, its words and how
+//! to match them, and its message are data. R008 and R009 hold a list of
+//! names to a DESIGN.md table, both ways, through one check. R003 looks
+//! at the crate roots, and R011 at the manifests.
 
 use std::collections::BTreeSet;
 use std::ffi::OsStr;
@@ -158,13 +158,6 @@ const BANS: &[Ban] = &[
         ..BAN
     },
     Ban {
-        rule: "R006",
-        governs: &["crates/core/src/algebra", "crates/engine/src"],
-        words: &["value_timeline", "nu_naive", "nu::nu("],
-        message: "is ν's test oracle, not the evaluation path: that is nu::first_change",
-        ..BAN
-    },
-    Ban {
         rule: "R007",
         governs: &[
             "crates/replica/src",
@@ -221,23 +214,6 @@ const BANS: &[Ban] = &[
         ..BAN
     },
     Ban {
-        rule: "R011",
-        governs: &["crates/core/src", "crates/engine/src"],
-        words: &[
-            "ops::product(",
-            "ops::join_nested_loop(",
-            "ops::project(",
-            "ops::difference(",
-            "ops::difference_meta(",
-            "ops::critical_tuples(",
-            "ops::select(",
-            "ops::union(",
-            "ops::intersect(",
-        ],
-        message: "is the paper read literally; evaluation reads Input and runs the kernels",
-        ..BAN
-    },
-    Ban {
         rule: "R012",
         governs: &["crates/core/src", "crates/storage/src"],
         exempt: &["crates/core/src/hash.rs"],
@@ -265,10 +241,11 @@ fn under(rel: &Path, patterns: &[&str]) -> bool {
         .any(|p| from(&p.split('/').collect::<Vec<_>>(), &path))
 }
 
-/// Every rule code repolint checks: the ban table's, R003, R008 and R009.
+/// Every rule code repolint checks: the ban table's, R003, R008, R009
+/// and R011.
 #[must_use]
 pub fn rule_codes() -> BTreeSet<&'static str> {
-    let others = ["R003", "R008", "R009"];
+    let others = ["R003", "R008", "R009", "R011"];
     BANS.iter().map(|b| b.rule).chain(others).collect()
 }
 
@@ -279,9 +256,19 @@ pub fn rule_codes() -> BTreeSet<&'static str> {
 /// Returns I/O errors from directory walks; individual unreadable files
 /// are skipped.
 pub fn check_repo(root: &Path) -> io::Result<Vec<RepoViolation>> {
+    let rust: fn(&Path) -> bool = |f| f.extension().is_some_and(|e| e == "rs");
+    let manifest: fn(&Path) -> bool = |f| f.ends_with(MANIFEST);
     let mut files = Vec::new();
     for top in ["crates", "shims", "src", "tests", "examples"] {
-        rust_sources(root, Path::new(top), &mut files)?;
+        sources(root, Path::new(top), rust, &mut files)?;
+    }
+    let root_manifest = fs::read_to_string(root.join(MANIFEST));
+    let mut manifests: Vec<_> = root_manifest
+        .map(|c| (PathBuf::from(MANIFEST), c))
+        .into_iter()
+        .collect();
+    for top in ["crates", "shims", "benchmark"] {
+        sources(root, Path::new(top), manifest, &mut manifests)?;
     }
     let mut out = Vec::new();
     for (rel, content) in &files {
@@ -303,6 +290,7 @@ pub fn check_repo(root: &Path) -> io::Result<Vec<RepoViolation>> {
         }
     }
     check_r003(root, &mut out);
+    check_r011(&manifests, &mut out);
     // A tree without a DESIGN.md (a fixture) has nothing to hold R008 and
     // R009 to.
     if let Ok(design) = fs::read_to_string(root.join("DESIGN.md")) {
@@ -313,17 +301,22 @@ pub fn check_repo(root: &Path) -> io::Result<Vec<RepoViolation>> {
     Ok(out)
 }
 
-/// The `.rs` files under `dir` (relative to `root`, skipping `target/`)
-/// with their contents; an unreadable file is skipped.
-fn rust_sources(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, String)>) -> io::Result<()> {
+/// The files under `dir` (relative to `root`, skipping `target/`) that
+/// `keep` takes, with their contents; an unreadable file is skipped.
+fn sources(
+    root: &Path,
+    dir: &Path,
+    keep: fn(&Path) -> bool,
+    out: &mut Vec<(PathBuf, String)>,
+) -> io::Result<()> {
     if !root.join(dir).is_dir() {
         return Ok(());
     }
     for entry in fs::read_dir(root.join(dir))? {
         let rel = dir.join(entry?.file_name());
         if root.join(&rel).is_dir() && !rel.ends_with("target") {
-            rust_sources(root, &rel, out)?;
-        } else if rel.extension().is_some_and(|e| e == "rs") {
+            sources(root, &rel, keep, out)?;
+        } else if keep(&rel) {
             out.extend(fs::read_to_string(root.join(&rel)).map(|content| (rel, content)));
         }
     }
@@ -468,6 +461,46 @@ fn documented_both_ways(
                 line,
                 message,
             });
+        }
+    }
+}
+
+/// A package manifest's file name.
+const MANIFEST: &str = "Cargo.toml";
+
+/// The crate that holds the paper read literally: the test oracle.
+const LITERAL: &str = "exptime-literal";
+
+/// R011: no shipped crate links the oracle. Of every manifest, only the
+/// bench crate's may name [`LITERAL`] in a `[dependencies]` table (or a
+/// target's); `[dev-dependencies]` and `[workspace.dependencies]` are not
+/// such tables. A dependency on it must name it, as its key or as its
+/// `package`, for that is the package's name. `exptime-core` cannot
+/// depend on it at all: the literal crate depends on core, and cargo
+/// refuses the cycle.
+fn check_r011(manifests: &[(PathBuf, String)], out: &mut Vec<RepoViolation>) {
+    let bench = Path::new("crates/bench").join(MANIFEST);
+    for (rel, content) in manifests.iter().filter(|(rel, _)| *rel != bench) {
+        let mut in_dependencies = false;
+        for (line, text) in (1..).zip(content.lines()) {
+            let code = text.split('#').next().unwrap_or_default().trim();
+            if let Some(table) = code.strip_prefix('[') {
+                let table = table.trim_end_matches(']');
+                in_dependencies = table == "dependencies"
+                    || table.starts_with("dependencies.")
+                    || (table.starts_with("target.") && table.contains(".dependencies"));
+            }
+            if in_dependencies && code.contains(LITERAL) {
+                out.push(RepoViolation {
+                    rule: "R011",
+                    path: rel.clone(),
+                    line,
+                    message: format!(
+                        "`{LITERAL}` in a [dependencies] table: the paper read literally is \
+                         the test oracle, which only crates/bench ships with"
+                    ),
+                });
+            }
         }
     }
 }
@@ -695,78 +728,49 @@ mod tests {
         let _ = fs::remove_dir_all(dir);
     }
 
+    /// The oracle crate may be a `[dependencies]` entry of the bench
+    /// crate only: named in the engine's (as its key or a renamed
+    /// `package`, or in a target's table) it fires; in the root's
+    /// `[dev-dependencies]` and `[workspace.dependencies]`, in the bench
+    /// crate's `[dependencies]`, or in a comment it does not.
     #[test]
-    fn r006_keeps_the_nu_oracles_off_the_evaluation_path() {
-        let timeline = "fn meta(p: &[Row]) { nu::value_timeline(tau, p, &mut f); }\n\
-                        fn bound(p: &[Row]) { aggregate::nu::nu(tau, p, &mut f); }\n\
-                        fn tick(p: &[Row]) { nu_naive(tau, p, &mut f, h); }\n\
-                        /// Not [`value_timeline`]: see `nu::first_change`.\n\
-                        fn fine(p: &[Row]) { nu::first_change(tau, p, f); }\n\
-                        #[cfg(test)]\n\
-                        mod tests { fn t() { nu::nu(tau, p, &mut f); } }\n";
+    fn r011_keeps_the_literal_crate_out_of_every_shipped_crate() {
+        let root = "[workspace.dependencies]\n\
+                    exptime-literal = { path = \"crates/literal\" }\n\
+                    [package]\n\
+                    name = \"exptime\"\n\
+                    [dependencies]\n\
+                    exptime-core.workspace = true # not exptime-literal\n\
+                    [dev-dependencies]\n\
+                    exptime-literal.workspace = true\n";
+        let engine = "[package]\n\
+                      name = \"exptime-engine\"\n\
+                      [dependencies]\n\
+                      exptime-core.workspace = true\n\
+                      exptime-literal.workspace = true\n\
+                      oracle = { package = \"exptime-literal\", path = \"../literal\" }\n\
+                      [target.'cfg(unix)'.dependencies]\n\
+                      exptime-literal.workspace = true\n\
+                      [dev-dependencies]\n\
+                      exptime-literal.workspace = true\n";
+        let bench = "[package]\n\
+                     name = \"exptime-bench\"\n\
+                     [dependencies]\n\
+                     exptime-literal.workspace = true\n";
         let dir = fixture(&[
-            ("crates/core/src/algebra/ops.rs", timeline),
-            ("crates/engine/src/db.rs", timeline),
-            ("crates/core/src/aggregate/approx.rs", timeline),
-            ("crates/bench/src/experiments.rs", timeline),
-            ("tests/prop_aggregate.rs", timeline),
+            ("Cargo.toml", root),
+            ("crates/engine/Cargo.toml", engine),
+            ("crates/bench/Cargo.toml", bench),
             ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
         ]);
         let v = check_repo(&dir).unwrap();
-        let r006: Vec<_> = v.iter().filter(|v| v.rule == "R006").collect();
-        // Three production lines in each of the two evaluation-path
-        // files; comments, `first_change`, test modules, the aggregate
-        // module itself, experiments and integration tests are free.
-        let at: Vec<_> = r006.iter().map(|v| (v.path.as_path(), v.line)).collect();
-        let (ops, db) = (
-            Path::new("crates/core/src/algebra/ops.rs"),
-            Path::new("crates/engine/src/db.rs"),
-        );
-        assert_eq!(
-            at,
-            [(ops, 1), (ops, 2), (ops, 3), (db, 1), (db, 2), (db, 3)],
-            "{v:?}"
-        );
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn r011_keeps_the_literal_operators_off_the_evaluation_path() {
-        let literal = "fn cross(l: &Sub, r: &Sub) { ops::product(&l.rel, &r.rel, tau); }\n\
-                       fn nl(l: &Relation, r: &Relation) { ops::join_nested_loop(l, r, p, tau); }\n\
-                       fn pi(i: &Sub) { algebra::ops::project(&i.rel, ps, tau); }\n\
-                       fn minus(l: &Sub, r: &Sub) { ops::difference(&l.rel, &r.rel, tau); }\n\
-                       fn eq11(l: &Relation, r: &Relation) { ops::difference_meta(l, r, tau); }\n\
-                       fn crit(l: &Relation, r: &Relation) { ops::critical_tuples(l, r, tau); }\n\
-                       fn sigma(i: &Sub) { ops::select(&i.rel, p, tau); }\n\
-                       fn cup(l: &Sub, r: &Sub) { ops::union(&l.rel, &r.rel, tau); }\n\
-                       fn cap(l: &Sub, r: &Sub) { ops::intersect(&l.rel, &r.rel, tau); }\n\
-                       /// Not `ops::product(l, r)`: a bare × is the join kernel.\n\
-                       fn fine(r: &Relation) { select(r, p, tau); product(r, r, tau); }\n\
-                       fn kernel(l: Relation) { ops::one_pass_difference(l, &l, tau); difference(l, l, tau); }\n\
-                       #[cfg(test)]\n\
-                       mod tests { fn t() { ops::project(&r, &[0], tau); } }\n";
-        let dir = fixture(&[
-            ("crates/core/src/algebra/eval.rs", literal),
-            ("crates/engine/src/db/views.rs", literal),
-            ("crates/bench/src/experiments.rs", literal),
-            ("crates/bench/benches/operators.rs", literal),
-            ("tests/common/mod.rs", literal),
-            ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
-        ]);
-        let v = check_repo(&dir).unwrap();
-        let r011: Vec<_> = v.iter().filter(|v| v.rule == "R011").collect();
-        // Nine production lines in each of the core and engine files;
-        // comments, other operators, the kernels, unprefixed calls, test
-        // modules, the bench crate and integration tests are free.
-        let at: Vec<_> = r011.iter().map(|v| (v.path.as_path(), v.line)).collect();
-        let (eval, views) = (
-            Path::new("crates/core/src/algebra/eval.rs"),
-            Path::new("crates/engine/src/db/views.rs"),
-        );
-        let lines = |path| (1..=9).map(move |n| (path, n));
-        let want: Vec<_> = lines(eval).chain(lines(views)).collect();
-        assert_eq!(at, want, "{v:?}");
+        let at: Vec<_> = v
+            .iter()
+            .filter(|v| v.rule == "R011")
+            .map(|v| (v.path.to_str().unwrap(), v.line))
+            .collect();
+        let engine = "crates/engine/Cargo.toml";
+        assert_eq!(at, [(engine, 5), (engine, 6), (engine, 8)], "{v:?}");
         let _ = fs::remove_dir_all(dir);
     }
 

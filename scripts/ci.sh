@@ -16,7 +16,8 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 
-# Repo-invariant lint: the rules R001–R012 of DESIGN.md §11.3.
+# Repo-invariant lint: the rules of DESIGN.md §11.3 (R001–R005, R007–R012;
+# R011 reads the manifests: no shipped crate depends on exptime-literal).
 cargo run --release -q -p exptime-lint --bin repolint
 
 # Analyzer golden tests: the Fig. 3 anomalies must flag their exact

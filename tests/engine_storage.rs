@@ -5,10 +5,6 @@
 //! read over the live tables at `τ` equals the same read over a copy taken
 //! at `τ` (snapshot reducibility).
 
-mod common;
-
-use common::literal;
-
 use exptime::core::aggregate::{AggFunc, AggMode};
 use exptime::core::algebra::Expr;
 use exptime::core::predicate::{CmpOp, Predicate};
@@ -18,6 +14,7 @@ use exptime::core::tuple::Tuple;
 use exptime::core::value::Value;
 use exptime::prelude::*;
 use exptime::storage::IndexKind;
+use exptime_literal::literal;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -36,9 +33,9 @@ fn db_with(index: IndexKind, removal: Removal) -> Database {
 /// of `τ`, so the read path — which evaluates over the borrowed tables,
 /// copying only the rows that come out — must return exactly what the
 /// paper's definitions, applied one operator at a time
-/// ([`common::literal`]) to `Database::snapshot`'s copy at the same `τ`,
-/// return: the same rows in the same order, the same `texp(e)`, the same
-/// validity. One expression per operator family.
+/// ([`exptime_literal::literal`]) to `Database::snapshot`'s copy at the
+/// same `τ`, return: the same rows in the same order, the same `texp(e)`,
+/// the same validity. One expression per operator family.
 fn assert_reducible(db: &mut Database) -> std::result::Result<(), TestCaseError> {
     let (t, u) = (|| Expr::base("t"), || Expr::base("u"));
     let exprs = [

@@ -7,11 +7,12 @@
 mod common;
 
 use common::schema2;
-use exptime::core::aggregate::{self, neutral, nu, AggFunc, AggMode, Row};
+use exptime::core::aggregate::{self, neutral, AggFunc, AggMode, Row};
 use exptime::core::relation::Relation;
 use exptime::core::time::Time;
 use exptime::core::tuple::Tuple;
 use exptime::core::value::Value;
+use exptime_literal::nu;
 use proptest::prelude::*;
 
 const HORIZON: u64 = 80;
@@ -145,7 +146,7 @@ proptest! {
         tau in prop_oneof![Just(0u64), Just(10)],
     ) {
         let tau = Time::new(tau);
-        let first = nu::first_change(tau, &p, f)?;
+        let first = aggregate::nu::first_change(tau, &p, f)?;
         let mut apply = |rows: &[Row]| f.apply(rows);
         prop_assert_eq!(first, nu::nu(tau, &p, &mut apply)?, "{} from {} on {:?}", f, tau, p);
         let mut apply = |rows: &[Row]| f.apply(rows);
@@ -258,7 +259,7 @@ proptest! {
 }
 
 fn first_change(p: &[Row], f: AggFunc) -> Time {
-    let first = nu::first_change(Time::ZERO, p, f).unwrap();
+    let first = aggregate::nu::first_change(Time::ZERO, p, f).unwrap();
     let mut apply = |rows: &[Row]| f.apply(rows);
     assert_eq!(first, nu::nu(Time::ZERO, p, &mut apply).unwrap(), "{f}");
     first
@@ -342,13 +343,13 @@ fn first_change_of_pinned_immortal_and_already_expired_partitions() {
     // From τ = 5 the rows that expired at 3 and 5 are not there: the
     // maximum is 4 until 8, and two rows are left to count.
     let p = rows_of(&[(9i64, 3), (4, 8), (2, 12), (7, 5)]);
-    let from_5 = |f| nu::first_change(Time::new(5), &p, f).unwrap();
+    let from_5 = |f| aggregate::nu::first_change(Time::new(5), &p, f).unwrap();
     assert_eq!(from_5(AggFunc::Max(1)), Time::new(8));
     assert_eq!(from_5(AggFunc::Min(1)), Time::new(12));
     assert_eq!(from_5(AggFunc::Count), Time::new(8));
     assert_eq!(from_5(AggFunc::Sum(1)), Time::new(8));
     assert_eq!(
-        nu::first_change(Time::new(12), &p, AggFunc::Count).unwrap(),
+        aggregate::nu::first_change(Time::new(12), &p, AggFunc::Count).unwrap(),
         Time::INFINITY
     );
 }

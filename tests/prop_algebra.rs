@@ -4,11 +4,10 @@
 
 mod common;
 
-use common::{
-    arb_expr, arb_overlapping_catalog, arb_row, inputs, literal, probe_times, schema2, Literal,
-};
+use common::{arb_expr, arb_overlapping_catalog, arb_row, probe_times, schema2};
 use exptime::core::aggregate::{AggFunc, AggMode};
-use exptime::core::algebra::{eval, eval_profiled, ops, EvalOptions, Expr, PlanProfile};
+use exptime::core::algebra::ops::join;
+use exptime::core::algebra::{eval, eval_profiled, EvalOptions, Expr, PlanProfile};
 use exptime::core::catalog::Catalog;
 use exptime::core::predicate::{CmpOp, Predicate};
 use exptime::core::relation::Relation;
@@ -17,6 +16,7 @@ use exptime::core::schema::Schema;
 use exptime::core::time::Time;
 use exptime::core::tuple::Tuple;
 use exptime::core::value::{Value, ValueType};
+use exptime_literal::{inputs, literal, ops, Literal};
 use proptest::prelude::*;
 
 fn opts() -> EvalOptions {
@@ -241,7 +241,7 @@ proptest! {
         let r = catalog.get("r").unwrap();
         let s = catalog.get("s").unwrap();
         let p = exptime::core::predicate::Predicate::attr_eq_attr(0, 2);
-        let joined = ops::join(r, s, &p, tau).unwrap();
+        let joined = join(r, s, &p, tau).unwrap();
         let via_product = ops::select(&ops::product(r, s, tau).unwrap(), &p, tau).unwrap();
         prop_assert!(joined.set_eq(&via_product));
     }
@@ -266,7 +266,7 @@ proptest! {
             3 => Predicate::attr_eq_attr(0, 2).or(Predicate::attr_eq_const(1, 1)),
             _ => Predicate::attr_cmp_attr(0, CmpOp::Lt, 2),
         };
-        let fast = ops::join(r, s, &p, tau).unwrap();
+        let fast = join(r, s, &p, tau).unwrap();
         let slow = ops::join_nested_loop(r, s, &p, tau).unwrap();
         prop_assert!(fast.set_eq(&slow), "shape {shape} at {tau}");
     }
@@ -415,7 +415,10 @@ fn assert_counts(
 /// types may or may not agree. A difference also comes as `r`'s keys
 /// against `r`'s values ∪ `s`'s keys, or the other way round, which
 /// draws several critical tuples out of `appears_at` order often enough
-/// that a kernel which leaves them unsorted fails within the cases.
+/// that a kernel which leaves them unsorted fails within the cases; and
+/// a ∪ or a ∩ over the same operands, which share tuples under different
+/// `texp`s often enough that a kernel taking the wrong one of `max` and
+/// `min` fails within the cases too.
 fn arb_spj() -> impl Strategy<Value = (Expr, usize)> {
     // `n` picks an attribute below `arity`; 23 is the out-of-range draw.
     fn attr(n: usize, arity: usize) -> usize {
@@ -447,6 +450,16 @@ fn arb_spj() -> impl Strategy<Value = (Expr, usize)> {
             0 => l.union(r),
             1 => l.intersect(r),
             _ => l.difference(r),
+        }
+    }
+    /// `π_v(r) ∪ π_k(s)` and `π_k(r)`, `flip` swapping them.
+    fn mixed_and_keys(flip: bool) -> (Expr, Expr) {
+        let col = |b: &str, c: usize| Expr::base(b).project([c]);
+        let (mixed, keys) = (col("r", 1).union(col("s", 0)), col("r", 0));
+        if flip {
+            (keys, mixed)
+        } else {
+            (mixed, keys)
         }
     }
     fn func(kind: u8, a: usize, arity: usize) -> AggFunc {
@@ -521,10 +534,15 @@ fn arb_spj() -> impl Strategy<Value = (Expr, usize)> {
             // the difference has critical tuples, often several and out
             // of `appears_at` order, either way round.
             3 => any::<bool>().prop_map(|flip| {
-                let col = |b: &str, c: usize| Expr::base(b).project([c]);
-                let (mixed, keys) = (col("r", 1).union(col("s", 0)), col("r", 0));
-                let (l, r) = if flip { (keys, mixed) } else { (mixed, keys) };
+                let (l, r) = mixed_and_keys(flip);
                 (l.difference(r), 1)
+            }),
+            // The same operands under ∪ and ∩: a tuple both sides hold
+            // with different `texp`s, which Equations 4 and 6 resolve
+            // with `max` and `min`.
+            2 => (0u8..2, any::<bool>()).prop_map(|(k, flip)| {
+                let (l, r) = mixed_and_keys(flip);
+                (set_op(k, l, r), 1)
             }),
         ]
     })

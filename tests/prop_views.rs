@@ -7,7 +7,7 @@ mod common;
 
 use common::{arb_expr, arb_overlapping_catalog, probe_times};
 use exptime::core::aggregate::{AggFunc, AggMode};
-use exptime::core::algebra::{eval, ops, EvalOptions, Expr};
+use exptime::core::algebra::{eval, EvalOptions, Expr};
 use exptime::core::catalog::Catalog;
 use exptime::core::materialize::{MaterializedView, RefreshPolicy, RemovalPolicy};
 use exptime::core::patch::PatchQueue;
@@ -18,6 +18,7 @@ use exptime::core::time::Time;
 use exptime::core::tuple::Tuple;
 use exptime::core::value::{Value, ValueType};
 use exptime::prelude::{Database, ReadOutcome, Replica};
+use exptime_literal::ops;
 use exptime_net::StaleCache;
 use proptest::prelude::*;
 
